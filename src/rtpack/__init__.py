@@ -25,7 +25,6 @@ from .model import (
     dbf,
     dbf_star,
     gamma_metric,
-    hyperperiod,
     lambda_metric,
     task,
     taskset,

@@ -16,7 +16,6 @@ import glob as globmod
 import io as stringio
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -33,6 +32,7 @@ from .generators import (
     gen_speedup_gap,
     gen_worst_fit_adversary,
 )
+from .io import parse_rational, parse_taskset
 from .model import DeadlineClass, TaskSet, classify, gamma_metric, lambda_metric
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy, dagger_greedy, dm_partition
@@ -55,6 +55,10 @@ CSV_COLUMNS = [
 ]
 
 DEFAULT_ALPHA_SLACK = Fraction(1)
+
+# instance keys whose config values must be exact rationals or integers
+_RATIONAL_KEYS = frozenset({"target_u", "eps", "h"})
+_INTEGER_KEYS = frozenset({"k", "n", "seed", "count", "den_bound"})
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,6 @@ def resolve_instances(cfg: ExperimentConfig) -> list[tuple[str, str, TaskSet]]:
                 ts = dvp_to_tasks(dvp)
                 out.append((f"dvp-s{base + i}", fam, ts))
         elif fam == "file":
-            from .io import parse_taskset
-
             paths = sorted(globmod.glob(str(sp.get("path"))))
             if not paths:
                 raise ParseError(f"no files match {sp.get('path')!r}")
@@ -270,6 +272,10 @@ def run_experiment(cfg: ExperimentConfig) -> BenchReport:
     recorded and the run continues."""
     instances = resolve_instances(cfg)
     if cfg.threads > 1:
+        # imported here: every CLI command imports this module, and only a
+        # threaded run needs the executor (about 0.6 MiB of modules)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(
                 pool.map(lambda x: _bench_instance(*x, cfg=cfg), instances)
@@ -423,6 +429,28 @@ def parse_report(data: bytes | str) -> BenchReport:
     return BenchReport(rows=tuple(rows), errors=tuple(doc.get("errors", ())))
 
 
+def _parse_int(value, where: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _parse_instance(index: int, entry: dict) -> InstanceSpec:
+    family = entry["family"]
+    params = []
+    for key, value in entry.items():
+        where = f"instance {index} ({family}), {key!r}"
+        if key == "family":
+            continue
+        if key in _RATIONAL_KEYS:
+            value = parse_rational(value, where)
+        elif key in _INTEGER_KEYS:
+            value = _parse_int(value, where)
+        params.append((key, value))
+    return InstanceSpec(family, tuple(sorted(params)))
+
+
 def parse_config(data: bytes | str) -> ExperimentConfig:
     """Parse the experiment configuration document."""
     if isinstance(data, bytes):
@@ -435,11 +463,8 @@ def parse_config(data: bytes | str) -> ExperimentConfig:
         raise ParseError("config must be an object")
     try:
         instances = tuple(
-            InstanceSpec(
-                entry["family"],
-                tuple(sorted((k, v) for k, v in entry.items() if k != "family")),
-            )
-            for entry in doc["instances"]
+            _parse_instance(i, entry)
+            for i, entry in enumerate(doc["instances"], start=1)
         )
         algorithms = tuple(
             (entry["algo"], entry.get("strategy")) for entry in doc["algorithms"]
@@ -450,8 +475,8 @@ def parse_config(data: bytes | str) -> ExperimentConfig:
         instances=instances,
         algorithms=algorithms,
         oracle=bool(doc.get("oracle", True)),
-        n_cap=int(doc.get("n_cap", DEFAULT_ORACLE_CAP)),
-        alpha_slack=Fraction(str(doc.get("alpha_slack", "1"))),
+        n_cap=_parse_int(doc.get("n_cap", DEFAULT_ORACLE_CAP), "n_cap"),
+        alpha_slack=parse_rational(doc.get("alpha_slack", "1"), "alpha_slack"),
         timing=bool(doc.get("timing", True)),
-        threads=int(doc.get("threads", 1)),
+        threads=_parse_int(doc.get("threads", 1), "threads"),
     )

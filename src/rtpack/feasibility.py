@@ -7,19 +7,33 @@ the standard busy-interval bound caps the sweep; at exactly the speed the
 hyperperiod plus the largest deadline does.  Infeasible sets always come
 with a witness point at which the demand provably exceeds speed * t.
 
-The sweep prunes with the linear demand approximation: between two task
-deadlines the approximate demand is affine with slope at most the total
-utilization, so whenever it already sits at or below speed * t and cannot
-grow faster than the supply, every point up to the next task deadline is
-certified at once and the stream fast-forwards.  This never changes the
-decided predicate, it only avoids touching points that cannot fail.
+Integer scaling.  Each test multiplies C, D and T of its task list once by
+L, the lcm of all their denominators.  Deadline points, demands, the
+hyperperiod and the horizon are then Python ints: a point lies past the
+horizon iff it exceeds floor(bound * L), and speed p/q covers the demand
+at t iff q * demand <= p * t.  Only the reported witness and horizon are
+turned back into fractions.
+
+Incremental demand.  The points of all tasks come off one heap in
+ascending order.  Every heap entry equal to t is popped before t is
+tested, and each adds its task's C to a running exact demand, so a point
+costs O(log N) heap work instead of N demand-bound evaluations; the sum is
+recomputed only after a fast-forward.
+
+Fast-forward by dbf* thresholds.  Between two task deadlines the linear
+demand approximation dbf* is affine, U_k * t + A_k, where U_k sums u_i and
+A_k sums C_i - u_i * D_i over the tasks with deadline at or before the
+segment's start.  When U_k <= speed, dbf* <= speed * t holds from the
+integer threshold ceil(A_k / (speed - U_k)) to the segment's end, and as
+dbf <= dbf* every point there is certified at once: the sweep jumps to
+the next task deadline.  This never changes the decided predicate or the
+points visited, it only avoids touching points that cannot fail.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,9 +45,8 @@ from .errors import (
     HorizonOverflow,
     PointExplosion,
     ShapeMismatch,
-    ValidationError,
 )
-from .model import Task, TaskSet, dbf, dbf_star, hyperperiod, validate
+from .model import Task, TaskSet, dbf_star, require_valid
 from .partitioners import Partition
 
 DEFAULT_POINT_CAP = 10**7
@@ -53,10 +66,57 @@ class FeasibilityVerdict:
     points_checked: int
 
 
-def _require_valid(ts: TaskSet) -> None:
-    violations = validate(ts)
-    if violations:
-        raise ValidationError(violations)
+class _Scaled:
+    """A task list with C, D and T multiplied by `scale`, the lcm of all
+    their denominators, so that every deadline point is an integer.
+
+    At that scale `whole` is the hyperperiod, `share[i]` is u_i * whole
+    and `load` is U * whole, all integers.
+    """
+
+    def __init__(self, tasks: Sequence[Task]):
+        self.scale = scale = math.lcm(
+            *(x.denominator for tsk in tasks for x in (tsk.c, tsk.d, tsk.t))
+        )
+        self.cost = [tsk.c.numerator * (scale // tsk.c.denominator) for tsk in tasks]
+        self.deadline = [
+            tsk.d.numerator * (scale // tsk.d.denominator) for tsk in tasks
+        ]
+        self.period = [tsk.t.numerator * (scale // tsk.t.denominator) for tsk in tasks]
+        self.whole = whole = math.lcm(*self.period)
+        self.share = [whole // p * c for p, c in zip(self.period, self.cost)]
+        self.load = sum(self.share)
+
+    def exceeds(self, speed: Fraction) -> bool:
+        """Total utilization above the speed."""
+        return speed.denominator * self.load > speed.numerator * self.whole
+
+    def horizon(self, speed: Fraction, hyperperiod_cap: Fraction) -> Fraction:
+        """The sweep bound of `test_horizon`."""
+        if self.exceeds(speed):
+            raise BadParam(
+                f"utilization {Fraction(self.load, self.whole)} exceeds speed {speed};"
+                " no finite horizon bounds an unconditionally failing set"
+            )
+        d_max = Fraction(max(self.deadline), self.scale)
+        room = speed.numerator * self.whole - speed.denominator * self.load
+        if room == 0:
+            hp = Fraction(self.whole, self.scale)
+            if hp > hyperperiod_cap:
+                raise HorizonOverflow(f"hyperperiod {hp} exceeds cap {hyperperiod_cap}")
+            return hp + d_max
+        slack = sum(
+            (t - d) * u for t, d, u in zip(self.period, self.deadline, self.share)
+        )
+        return max(d_max, Fraction(speed.denominator * slack, room * self.scale))
+
+    def overshoot_bound(self, speed: Fraction) -> Fraction:
+        """For U > speed: every t past this bound has demand at least
+        U*t - sum(u_i * D_i) > speed * t."""
+        d_max = Fraction(max(self.deadline), self.scale)
+        excess = speed.denominator * self.load - speed.numerator * self.whole
+        overshoot = sum(d * u for d, u in zip(self.deadline, self.share))
+        return max(d_max, Fraction(speed.denominator * overshoot, excess * self.scale))
 
 
 def test_horizon(
@@ -71,20 +131,7 @@ def test_horizon(
     below by the largest deadline; at equality the demand repeats with
     period lcm(T_i), so hyperperiod + D_max suffices.
     """
-    total_u = ts.total_utilization
-    if total_u > speed:
-        raise BadParam(
-            f"utilization {total_u} exceeds speed {speed}; no finite horizon bounds"
-            " an unconditionally failing set"
-        )
-    d_max = max(tsk.d for tsk in ts)
-    if total_u == speed:
-        hp = hyperperiod(ts)
-        if hp > hyperperiod_cap:
-            raise HorizonOverflow(f"hyperperiod {hp} exceeds cap {hyperperiod_cap}")
-        return hp + d_max
-    slack_sum = sum(((tsk.t - tsk.d) * tsk.utilization for tsk in ts), Fraction(0))
-    return max(d_max, slack_sum / (speed - total_u))
+    return _Scaled(ts.tasks).horizon(speed, hyperperiod_cap)
 
 
 def deadline_points(
@@ -110,47 +157,8 @@ def deadline_points(
     return sorted(points)
 
 
-class _PointStream:
-    """Ascending merge of each task's deadline points with fast-forward."""
-
-    def __init__(self, tasks: Sequence[Task]):
-        self._tasks = tasks
-        self._heap = [(tsk.d, i) for i, tsk in enumerate(tasks)]
-        self._next_k = [1] * len(tasks)
-        heapq.heapify(self._heap)
-
-    def pop(self) -> Fraction:
-        point, i = heapq.heappop(self._heap)
-        tsk = self._tasks[i]
-        k = self._next_k[i]
-        self._next_k[i] = k + 1
-        heapq.heappush(self._heap, (tsk.d + k * tsk.t, i))
-        return point
-
-    def skip_to(self, target: Fraction) -> None:
-        """Drop every point below `target` in O(N log N)."""
-        heap = []
-        for i, tsk in enumerate(self._tasks):
-            if tsk.d >= target:
-                k = 0
-            else:
-                k = max(0, math.ceil((target - tsk.d) / tsk.t))
-            self._next_k[i] = k + 1
-            heap.append((tsk.d + k * tsk.t, i))
-        heapq.heapify(heap)
-        self._heap = heap
-
-
-def _demand(tasks: Sequence[Task], t: Fraction) -> Fraction:
-    return sum((dbf(tsk, t) for tsk in tasks), Fraction(0))
-
-
-def _demand_star(tasks: Sequence[Task], t: Fraction) -> Fraction:
-    return sum((dbf_star(tsk, t) for tsk in tasks), Fraction(0))
-
-
 def _sweep_first_failure(
-    tasks: Sequence[Task],
+    sc: _Scaled,
     speed: Fraction,
     bound: Fraction,
     point_cap: int,
@@ -162,32 +170,54 @@ def _sweep_first_failure(
     use this when failure beyond the bound is guaranteed by a utilization
     argument, so a witness is always produced.
     """
-    kinks: list[Fraction] = []
-    cumu: list[Fraction] = []
-    acc = Fraction(0)
-    for tsk in sorted(tasks, key=lambda x: x.d):
-        acc += tsk.utilization
-        if kinks and kinks[-1] == tsk.d:
-            cumu[-1] = acc
-        else:
-            kinks.append(tsk.d)
-            cumu.append(acc)
-    total_u = acc
+    cost, deadline, period, share = sc.cost, sc.deadline, sc.period, sc.share
+    n = len(cost)
+    horizon = bound.numerator * sc.scale // bound.denominator
+    s_num, s_den = speed.numerator, speed.denominator
 
-    stream = _PointStream(tasks)
+    # Segment k covers [kinks[k], kinks[k+1]).  From ff_at[k] on, dbf* of
+    # the segment stays at or below speed * t (see the module docstring);
+    # `never` marks segments whose slope exceeds the speed.  Where a point
+    # is below ff_at[k], the exact demand decides: a dbf* pass there would
+    # be an exact pass too, as dbf <= dbf*.
+    kinks: list[int] = []
+    ff_at: list[int] = []
+    never = horizon + 1
+    slope = offset = 0  # U_k and A_k of the segment, times sc.whole
+    for i in sorted(range(n), key=deadline.__getitem__):
+        slope += share[i]
+        offset += cost[i] * sc.whole - share[i] * deadline[i]
+        room = s_num * sc.whole - s_den * slope
+        excess = s_den * offset
+        if room > 0:
+            at = -(-excess // room)
+        else:
+            at = 0 if room == 0 and excess <= 0 else never
+        if kinks and kinks[-1] == deadline[i]:
+            ff_at[-1] = at
+        else:
+            kinks.append(deadline[i])
+            ff_at.append(at)
+    last_seg = len(kinks) - 1
+
+    heap = [(deadline[i], i) for i in range(n)]
+    heapq.heapify(heap)
+    push = heapq.heapreplace
+    demand = 0  # exact demand at `point`, at scale
     checked = 0
-    last: Optional[Fraction] = None
+    seg = 0
     while True:
-        point = stream.pop()
-        if point == last:
-            continue
-        last = point
-        if point > bound:
+        point = heap[0][0]
+        while heap[0][0] == point:
+            i = heap[0][1]
+            push(heap, (point + period[i], i))
+            demand += cost[i]
+        if point > horizon:
             if not beyond:
                 return None, checked
             checked += 1
-            if _demand(tasks, point) > speed * point:
-                return point, checked
+            if s_den * demand > s_num * point:
+                return Fraction(point, sc.scale), checked
             raise RuntimeError(
                 "no failure past the guaranteed bound; unreachable for U > speed"
             )
@@ -196,18 +226,25 @@ def _sweep_first_failure(
             raise PointExplosion(
                 f"demand sweep exceeded {point_cap} points before {bound}"
             )
-        if _demand_star(tasks, point) <= speed * point:
-            idx = bisect_right(kinks, point)
-            if cumu[idx - 1] <= speed:
-                # affine segment with slope <= speed already below supply
-                if idx == len(kinks):
-                    if total_u <= speed:
-                        return None, checked
-                else:
-                    stream.skip_to(kinks[idx])
+        while seg < last_seg and kinks[seg + 1] <= point:
+            seg += 1
+        if point >= ff_at[seg]:
+            if seg == last_seg:
+                return None, checked
+            # jump to the next kink: restart each task at its first point
+            # there, with the demand of the points before it
+            target = kinks[seg + 1]
+            heap = []
+            demand = 0
+            for i in range(n):
+                # points of task i below target: ceil((target - D) / T), or 0
+                jobs = max(0, -((deadline[i] - target) // period[i]))
+                demand += jobs * cost[i]
+                heap.append((deadline[i] + jobs * period[i], i))
+            heapq.heapify(heap)
             continue
-        if _demand(tasks, point) > speed * point:
-            return point, checked
+        if s_den * demand > s_num * point:
+            return Fraction(point, sc.scale), checked
 
 
 def subset_feasible_exact(
@@ -223,12 +260,11 @@ def subset_feasible_exact(
     """
     if not tasks:
         return True
-    total_u = sum((tsk.utilization for tsk in tasks), Fraction(0))
-    if total_u > speed:
+    sc = _Scaled(tasks)
+    if sc.exceeds(speed):
         return False
-    ts = TaskSet(tuple(tasks))
-    bound = test_horizon(ts, speed, hyperperiod_cap)
-    witness, _ = _sweep_first_failure(tasks, speed, bound, point_cap, beyond=False)
+    bound = sc.horizon(speed, hyperperiod_cap)
+    witness, _ = _sweep_first_failure(sc, speed, bound, point_cap, beyond=False)
     return witness is None
 
 
@@ -244,22 +280,19 @@ def edf_feasible_exact(
     demand stays within speed * t at every deadline point up to the sweep
     bound.  Infeasible verdicts carry the smallest failing point.
     """
-    _require_valid(ts)
+    require_valid(ts)
     if speed <= 0:
         raise BadParam(f"speed must be positive, got {speed}")
-    tasks = list(ts)
-    total_u = ts.total_utilization
-    if total_u > speed:
-        # every t past this bound has demand >= U*t - sum(u_i * D_i) > speed*t
-        overshoot = sum((tsk.utilization * tsk.d for tsk in tasks), Fraction(0))
-        bound = max(max(tsk.d for tsk in tasks), overshoot / (total_u - speed))
+    sc = _Scaled(ts.tasks)
+    if sc.exceeds(speed):
+        bound = sc.overshoot_bound(speed)
         witness, checked = _sweep_first_failure(
-            tasks, speed, bound, point_cap, beyond=True
+            sc, speed, bound, point_cap, beyond=True
         )
         return FeasibilityVerdict(False, witness, bound, checked)
-    bound = test_horizon(ts, speed, hyperperiod_cap)
+    bound = sc.horizon(speed, hyperperiod_cap)
     witness, checked = _sweep_first_failure(
-        tasks, speed, bound, point_cap, beyond=False
+        sc, speed, bound, point_cap, beyond=False
     )
     return FeasibilityVerdict(witness is None, witness, bound, checked)
 
@@ -273,7 +306,7 @@ def lemma1_feasible(ts: TaskSet) -> bool:
     utilization is at most 1.  Raises ShapeMismatch when the structure does
     not apply (callers fall back to the exact test).
     """
-    _require_valid(ts)
+    require_valid(ts)
     strict = [tsk for tsk in ts if tsk.d < tsk.t]
     implicit = [tsk for tsk in ts if tsk.d == tsk.t]
     if len(strict) + len(implicit) != len(ts):
@@ -325,7 +358,7 @@ def verify_partition(
 ) -> bool:
     """True iff `part` is a partition of `ts` whose every bin passes the
     selected per-processor test."""
-    _require_valid(ts)
+    require_valid(ts)
     all_ids = frozenset(tsk.id for tsk in ts)
     seen: set[int] = set()
     for b in part.bins:

@@ -17,6 +17,7 @@ from .errors import BadParam
 from .model import DeadlineClass, Task, TaskSet, as_rational
 
 DEFAULT_DENOMINATOR_BOUND = 8
+UUNIFAST_MAX_RANDOMS = 20_000_000
 
 
 def _default_h(k: int) -> Fraction:
@@ -172,19 +173,36 @@ class GenParams:
 
 def _uunifast(rng: random.Random, n: int, target: float) -> list[float]:
     """UUniFast with discard: n utilization shares summing to target, each
-    below 1."""
+    below 1.
+
+    A draw takes n - 1 random numbers.  Once a share reaches 1 the draw is
+    lost, so its remaining numbers are drawn without the arithmetic: every
+    draw advances `rng` alike, kept or discarded.  Raises BadParam once the
+    discarded draws have used UUNIFAST_MAX_RANDOMS numbers, a few seconds
+    of work; near U = n/4 at n in the thousands, or at U/n of 0.9 from
+    n = 8 on, almost every draw has a share of 1 or more.
+    """
     if target >= n:  # only the all-saturated split exists
         return [1.0] * n
-    while True:
+    for _ in range(max(1, UUNIFAST_MAX_RANDOMS // max(1, n - 1))):
         shares = []
         rest = target
         for i in range(n - 1):
             nxt = rest * rng.random() ** (1.0 / (n - i))
+            if rest - nxt >= 1.0:
+                for _ in range(n - 2 - i):
+                    rng.random()
+                break
             shares.append(rest - nxt)
             rest = nxt
-        shares.append(rest)
-        if all(s < 1.0 for s in shares):
-            return shares
+        else:
+            if rest < 1.0:
+                shares.append(rest)
+                return shares
+    raise BadParam(
+        f"UUniFast drew no split of U = {target} into {n} shares below 1"
+        f" within {UUNIFAST_MAX_RANDOMS} random numbers"
+    )
 
 
 def gen_random(params: GenParams) -> TaskSet:

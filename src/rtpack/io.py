@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .generators import DvpInstance
-from .model import Task, TaskSet, validate
+from .model import Task, TaskSet, require_valid
 
 
 def parse_rational(value, where: str = "value") -> Fraction:
@@ -65,9 +65,7 @@ def parse_taskset(data: bytes | str) -> TaskSet:
             fields[key] = parse_rational(entry[key], where=f"task {i}, field {key!r}")
         tasks.append(Task(c=fields["c"], d=fields["d"], t=fields["t"], id=i))
     ts = TaskSet(tuple(tasks), name=name)
-    violations = validate(ts)
-    if violations:
-        raise ValidationError(violations)
+    require_valid(ts)
     return ts
 
 

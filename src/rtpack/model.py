@@ -8,11 +8,12 @@ against the original indices regardless of sorting or transforms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
+
+from .errors import ValidationError
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -28,10 +29,13 @@ def as_rational(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     """A sporadic task: worst-case execution time c, relative deadline d,
-    minimum inter-arrival time t."""
+    minimum inter-arrival time t.
+
+    Slotted (no per-instance dict): callers hold many tasks at once.
+    """
 
     c: Fraction
     d: Fraction
@@ -187,8 +191,9 @@ def validate(ts: TaskSet) -> list[Violation]:
     return out
 
 
-def hyperperiod(ts: TaskSet) -> Fraction:
-    """Least positive rational H with H/T_i integral for every task."""
-    nums = [tsk.t.numerator for tsk in ts]
-    dens = [tsk.t.denominator for tsk in ts]
-    return Fraction(math.lcm(*nums), math.gcd(*dens))
+def require_valid(ts: TaskSet) -> None:
+    """Raise ValidationError listing every violation, if there are any."""
+    violations = validate(ts)
+    if violations:
+        raise ValidationError(violations)
+

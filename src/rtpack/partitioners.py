@@ -13,8 +13,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ValidationError
-from .model import Task, TaskSet, dbf_star, transform_dagger, validate
+from .errors import BadParam
+from .model import Task, TaskSet, require_valid, transform_dagger
 
 
 class Strategy(Enum):
@@ -39,10 +39,19 @@ class Partition:
         return frozenset(tid for b in self.bins for tid in b)
 
 
-def _require_valid(ts: TaskSet) -> None:
-    violations = validate(ts)
-    if violations:
-        raise ValidationError(violations)
+def _fit_load(u_sum: Fraction, a_sum: Fraction, cand: Task) -> Optional[Fraction]:
+    """The bin's approximate demand at cand's deadline if the bin admits
+    cand, else None.
+
+    `u_sum` and `a_sum` are the bin's sums of u_i and C_i - u_i*D_i.  With
+    every bin deadline at most cand's, the bin's dbf* at cand.d is the
+    affine U*cand.d + A.  Admission needs room for cand's execution time
+    under that demand and total utilization within one processor.
+    """
+    load = u_sum * cand.d + a_sum
+    if cand.c + load > cand.d or u_sum + cand.utilization > 1:
+        return None
+    return load
 
 
 def dm_admits(bin_tasks: Sequence[Task], cand: Task) -> bool:
@@ -51,13 +60,17 @@ def dm_admits(bin_tasks: Sequence[Task], cand: Task) -> bool:
 
     Two conditions: the approximate demand of the bin at cand's deadline
     leaves room for cand's execution time, and total utilization stays
-    within one processor.
+    within one processor.  Raises BadParam if a bin task has a later
+    deadline, where the affine demand would overstate dbf*.
     """
-    demand = cand.c + sum((dbf_star(tsk, cand.d) for tsk in bin_tasks), Fraction(0))
-    if demand > cand.d:
-        return False
-    load = cand.utilization + sum((tsk.utilization for tsk in bin_tasks), Fraction(0))
-    return load <= 1
+    late = [tsk.id for tsk in bin_tasks if tsk.d > cand.d]
+    if late:
+        raise BadParam(
+            f"bin tasks {late} have deadlines after task {cand.id}'s {cand.d}"
+        )
+    u_sum = sum((tsk.utilization for tsk in bin_tasks), Fraction(0))
+    a_sum = sum((tsk.c - tsk.utilization * tsk.d for tsk in bin_tasks), Fraction(0))
+    return _fit_load(u_sum, a_sum, cand) is not None
 
 
 def dm_order(ts: TaskSet) -> list[Task]:
@@ -76,29 +89,34 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
     Tasks are considered in nondecreasing-deadline order; each is placed on
     an open processor passing `dm_admits`, chosen by the strategy's
     preference over the bins' approximate demand at the task's deadline, or
-    on a new processor if none admits it.
+    on a new processor if none admits it.  Each bin keeps the two sums
+    `dm_admits` builds, so a placement costs O(M) for M open bins.
     """
-    _require_valid(ts)
-    bins: list[list[Task]] = []
+    require_valid(ts)
+    bins: list[list[int]] = []
+    sums: list[list[Fraction]] = []  # per bin: sum of u_i, sum of C_i - u_i*D_i
     for tsk in dm_order(ts):
-        fitting = [i for i, b in enumerate(bins) if dm_admits(b, tsk)]
-        if not fitting:
-            bins.append([tsk])
-            continue
-        if strat is Strategy.FIRST_FIT:
-            pick = fitting[0]
-        else:
-            loads = {
-                i: sum((dbf_star(x, tsk.d) for x in bins[i]), Fraction(0))
-                for i in fitting
-            }
-            if strat is Strategy.BEST_FIT:
-                pick = max(fitting, key=lambda i: (loads[i], -i))
-            else:  # WORST_FIT
-                pick = min(fitting, key=lambda i: (loads[i], i))
-        bins[pick].append(tsk)
+        loads: dict[int, Fraction] = {}  # bin -> dbf* at tsk.d, admitting bins only
+        for i, (u_sum, a_sum) in enumerate(sums):
+            load = _fit_load(u_sum, a_sum, tsk)
+            if load is not None:
+                loads[i] = load
+        if not loads:
+            bins.append([])
+            sums.append([Fraction(0), Fraction(0)])
+            pick = len(bins) - 1
+        elif strat is Strategy.FIRST_FIT:
+            pick = min(loads)
+        elif strat is Strategy.BEST_FIT:
+            pick = max(loads, key=lambda i: (loads[i], -i))
+        else:  # WORST_FIT
+            pick = min(loads, key=lambda i: (loads[i], i))
+        bins[pick].append(tsk.id)
+        u = tsk.utilization
+        sums[pick][0] += u
+        sums[pick][1] += tsk.c - u * tsk.d
     return Partition(
-        bins=tuple(tuple(sorted(t.id for t in b)) for b in bins),
+        bins=tuple(tuple(sorted(b)) for b in bins),
         algorithm="dm",
         strategy=strat.value,
     )
@@ -115,7 +133,7 @@ def dagger_greedy(
     falling tightened utilization (an experimentation knob; the
     approximation bound holds either way).
     """
-    _require_valid(ts)
+    require_valid(ts)
     dag = transform_dagger(ts)
     items = list(dag)
     if decreasing:

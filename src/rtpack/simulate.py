@@ -14,8 +14,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParam, EventExplosion, ValidationError
-from .model import TaskSet, validate
+from .errors import BadParam, EventExplosion
+from .model import TaskSet, require_valid
 
 DEFAULT_EVENT_CAP = 10**6
 
@@ -43,9 +43,7 @@ def simulate_edf_synchronous(
     Returns every deadline miss whose absolute deadline lies in the window,
     the number of preemptions of unfinished jobs, and the idle intervals.
     """
-    violations = validate(ts)
-    if violations:
-        raise ValidationError(violations)
+    require_valid(ts)
     if horizon <= 0:
         raise BadParam(f"horizon must be positive, got {horizon}")
     if speed <= 0:

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -235,6 +236,62 @@ class TestConfigParsing:
             parse_config(b"{}")
         with pytest.raises(ParseError):
             parse_config(b'{"instances": [], "algorithms": [{}]}')
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("eps", 0.1), ("eps", True), ("eps", None), ("eps", "x/2"), ("n", 4.7),
+         ("n", True), ("n", "4"), ("n", 4.0)],
+    )  # fmt: skip
+    def test_instance_values_must_be_exact(self, key, value):
+        entry = {"family": "speedup-gap", "n": 3, "eps": "1/2", key: value}
+        doc = {"instances": [entry], "algorithms": [{"algo": "dm"}]}
+        with pytest.raises(ParseError, match=f"instance 1 \\(speedup-gap\\), '{key}'"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"family": "bf-adversary", "k": 4.7}, {"family": "bf-adversary", "k": 4, "h": 1e9},
+         {"family": "random", "n": 5, "target_u": 1.5}, {"family": "random", "n": 5, "seed": 1.0},
+         {"family": "random", "n": 5, "count": "2"}, {"family": "dvp", "n": 5, "den_bound": 8.0}],
+    )  # fmt: skip
+    def test_every_family_key_checked(self, entry):
+        doc = {"instances": [entry], "algorithms": [{"algo": "dm"}]}
+        with pytest.raises(ParseError):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n_cap", 10.5), ("n_cap", False), ("threads", "2"), ("threads", 2.0),
+         ("alpha_slack", 0.5), ("alpha_slack", [1])],
+    )  # fmt: skip
+    def test_top_level_values_must_be_exact(self, key, value):
+        doc = {"instances": [], "algorithms": [{"algo": "dm"}], key: value}
+        with pytest.raises(ParseError, match=key):
+            parse_config(json.dumps(doc))
+
+    def test_exact_values_parse_to_rationals(self):
+        cfg = parse_config(json.dumps({
+            "instances": [{"family": "speedup-gap", "n": 3, "eps": "0.5"},
+                          {"family": "bf-adversary", "k": 4, "h": 4096}],
+            "algorithms": [{"algo": "dm"}],
+            "alpha_slack": "3/2",
+        }))  # fmt: skip
+        assert cfg.instances[0].get("eps") == F(1, 2)
+        assert cfg.instances[1].get("h") == F(4096)
+        assert cfg.alpha_slack == F(3, 2)
+
+    def test_python_built_specs_keep_working(self):
+        cfg = ExperimentConfig(
+            instances=(
+                spec("speedup-gap", n=3, eps=F(1, 2)),
+                spec("speedup-gap", n=3, eps="1/2"),
+                spec("random", n=4, seed=2, target_u=F(3, 2)),
+            ),
+            algorithms=(("dm", "ff"),),
+            timing=False,
+        )
+        rows = run_experiment(cfg).rows
+        assert len(rows) == 3 and rows[0].m == rows[1].m == 3
 
     def test_determinism_end_to_end(self):
         raw = b"""

@@ -176,6 +176,16 @@ class TestBench:
         assert doc["rows"][0]["M"] == 3 and doc["rows"][0]["m_star"] == 3
 
 
+    @pytest.mark.parametrize(
+        "entry", [{"family": "speedup-gap", "n": 3, "eps": 0.1}, {"family": "bf-adversary", "k": 4.7}]
+    )
+    def test_inexact_config_value_exit_two(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [entry], "algorithms": [{"algo": "dm"}]}))
+        rc, _, err = run(capsys, "bench", "--config", str(cfg))
+        assert rc == 2 and "instance 1" in err
+
+
 class TestDeterminismGoldens:
     """Reruns must be byte-identical, and must match the committed goldens."""
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from rtpack.errors import (
@@ -130,6 +130,54 @@ class TestExactTest:
     @given(valid_tasksets())
     def test_subset_helper_agrees_with_verdict(self, ts):
         assert subset_feasible_exact(list(ts)) == edf_feasible_exact(ts).feasible
+
+    @settings(max_examples=300)  # fewer let an off-by-one fast-forward pass
+    @given(valid_tasksets(), st.sampled_from([F(1), F(3, 2), F(4, 5)]))
+    def test_matches_brute_force_demand_scan(self, ts, speed):
+        """Verdict and earliest witness equal a plain Fraction scan of the
+        summed dbf over every deadline point."""
+        total_u = ts.total_utilization
+        if total_u <= speed:
+            horizon = horizon_bound(ts, speed)
+        else:
+            # failure is certain at the first point past this bound, and
+            # every task has a point within one period after it
+            overshoot = sum((tsk.utilization * tsk.d for tsk in ts), F(0))
+            bound = max(max(tsk.d for tsk in ts), overshoot / (total_u - speed))
+            horizon = bound + max(tsk.t for tsk in ts)
+        try:
+            points = deadline_points(ts, horizon, point_cap=5000)
+        except PointExplosion:
+            assume(False)
+        failing = [p for p in points if demand(ts, p) > speed * p]
+        verdict = edf_feasible_exact(ts, speed)
+        assert verdict.feasible == (not failing)
+        assert verdict.witness == (failing[0] if failing else None)
+
+    # pinned sweep lengths: a different count means the fast-forward now
+    # skips other points, even where the verdict stays the same
+    @pytest.mark.parametrize(
+        "family,size,speed,checked",
+        [
+            ("bf", 4, F(1), 2), ("bf", 4, F(3, 2), 3),
+            ("bf", 5, F(1), 2), ("bf", 5, F(3, 2), 3),
+            ("bf", 6, F(1), 2), ("bf", 6, F(3, 2), 4),
+            ("bf", 7, F(1), 2), ("bf", 7, F(3, 2), 4),
+            ("bf", 8, F(1), 2), ("bf", 8, F(3, 2), 5),
+            ("gap", 3, F(1), 2), ("gap", 3, F(3, 2), 6),
+            ("gap", 4, F(1), 2), ("gap", 4, F(3, 2), 8),
+            ("gap", 5, F(1), 2), ("gap", 5, F(3, 2), 10),
+            ("gap", 6, F(1), 2), ("gap", 6, F(3, 2), 12),
+            ("gap", 7, F(1), 2), ("gap", 7, F(3, 2), 14),
+            ("gap", 8, F(1), 2), ("gap", 8, F(3, 2), 16),
+        ],
+    )  # fmt: skip
+    def test_points_checked_pinned(self, family, size, speed, checked):
+        if family == "bf":
+            ts = gen_best_fit_adversary(size)
+        else:
+            ts = gen_speedup_gap(size, F(1, 2))
+        assert edf_feasible_exact(ts, speed).points_checked == checked
 
 
 class TestLemma1:

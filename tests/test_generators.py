@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from rtpack.feasibility import (
     lemma1_feasible,
     subset_feasible_exact,
 )
+from rtpack import generators
 from rtpack.generators import (
     DvpInstance,
     GenParams,
@@ -20,6 +24,7 @@ from rtpack.generators import (
     gen_speedup_gap,
     gen_worst_fit_adversary,
 )
+from rtpack.io import serialize_taskset
 from rtpack.model import DeadlineClass, Task, classify, validate
 
 F = Fraction
@@ -207,6 +212,59 @@ class TestRandom:
             GenParams(seed=1, n=2, utilization_target=F(3))
         with pytest.raises(BadParam):
             GenParams(seed=1, n=2, utilization_target=F(0))
+
+    def test_unreachable_target_raises_instead_of_hanging(self):
+        # at U = n/4 with n = 1000 UUniFast-discard accepts almost no draw
+        start = time.monotonic()
+        with pytest.raises(BadParam, match="UUniFast"):
+            gen_random(GenParams(seed=0, n=1000, utilization_target=F(250)))
+        assert time.monotonic() - start < 10
+
+    @pytest.mark.parametrize(
+        "n, target, seed, digest",
+        [
+            # sha256 prefixes of serialize_taskset, recorded with the
+            # uncapped UUniFast-discard loop; acceptance ranges from 1.7e-5
+            # (n = 4, U = 39/10) to 1.5e-4 (n = 5, U = 9/2) per draw
+            (4, F(39, 10), 0, "16435b080ef91a6f"),
+            (4, F(39, 10), 1, "8b34bc2f3ea9b410"),
+            (4, F(39, 10), 2, "29af8304ed331416"),
+            (5, F(9, 2), 0, "c8692925a9eb6483"),
+            (5, F(9, 2), 1, "febff0ca538c1da7"),
+            (6, F(27, 5), 0, "35d9da2b25c05c92"),
+            (6, F(27, 5), 1, "707ab3f832299b57"),
+            (6, F(27, 5), 2, "08179f69fe66044e"),
+        ],
+    )
+    def test_high_share_targets_keep_their_instances(self, n, target, seed, digest):
+        ts = gen_random(
+            GenParams(
+                seed=seed,
+                n=n,
+                utilization_target=target,
+                deadline_class=DeadlineClass.IMPLICIT,
+            )
+        )
+        assert hashlib.sha256(serialize_taskset(ts).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("n, target", [(1, 0.5), (3, 2.9), (4, 3.6), (100, 25.0)])
+    def test_uunifast_matches_uncapped_discard_loop(self, n, target):
+        def uncapped(rng):
+            while True:
+                shares, rest = [], target
+                for i in range(n - 1):
+                    nxt = rest * rng.random() ** (1.0 / (n - i))
+                    shares.append(rest - nxt)
+                    rest = nxt
+                shares.append(rest)
+                if all(s < 1.0 for s in shares):
+                    return shares
+
+        for seed in range(20):
+            ref, rng = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert generators._uunifast(rng, n, target) == uncapped(ref)
+            assert rng.random() == ref.random()  # both streams advanced alike
 
 
 class TestLemma1Shaped:

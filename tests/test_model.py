@@ -14,12 +14,15 @@ from rtpack.model import (
     dbf_star,
     gamma_metric,
     lambda_metric,
+    require_valid,
     task,
     taskset,
     transform_dagger,
     utilization,
     validate,
 )
+
+from rtpack.errors import ValidationError
 
 from conftest import rationals, time_points, valid_tasks, valid_tasksets
 
@@ -200,6 +203,13 @@ class TestValidate:
     @given(valid_tasksets())
     def test_generated_sets_are_clean(self, ts):
         assert validate(ts) == []
+
+    def test_require_valid_raises_every_violation(self):
+        ts = taskset([(5, 2, 4)])
+        require_valid(taskset([(1, 2, 4)]))
+        with pytest.raises(ValidationError) as err:
+            require_valid(ts)
+        assert err.value.violations == validate(ts)
 
 
 class TestTaskSet:

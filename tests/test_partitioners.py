@@ -4,22 +4,59 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from rtpack.errors import ValidationError
+from rtpack.errors import BadParam, ValidationError
 from rtpack.feasibility import Mode, verify_partition
 from rtpack.generators import (
+    GenParams,
     gen_best_fit_adversary,
+    gen_random,
     gen_speedup_gap,
     gen_worst_fit_adversary,
 )
-from rtpack.model import task, taskset, transform_dagger
-from rtpack.partitioners import Strategy, dagger_greedy, dm_admits, dm_partition
+from rtpack.model import DeadlineClass, dbf_star, task, taskset, transform_dagger
+from rtpack.partitioners import (
+    Strategy,
+    dagger_greedy,
+    dm_admits,
+    dm_order,
+    dm_partition,
+)
 
 from conftest import valid_tasksets
 
 F = Fraction
 
 
+def reference_dm_bins(ts, strat):
+    """dm_partition's definition, re-evaluating every bin from its tasks:
+    O(N) work per (task, bin) pair."""
+    bins = []
+    for tsk in dm_order(ts):
+        fitting = [i for i, b in enumerate(bins) if dm_admits(b, tsk)]
+        if not fitting:
+            bins.append([tsk])
+            continue
+        loads = {i: sum((dbf_star(x, tsk.d) for x in bins[i]), F(0)) for i in fitting}
+        if strat is Strategy.FIRST_FIT:
+            pick = fitting[0]
+        elif strat is Strategy.BEST_FIT:
+            pick = max(fitting, key=lambda i: (loads[i], -i))
+        else:
+            pick = min(fitting, key=lambda i: (loads[i], i))
+        bins[pick].append(tsk)
+    return tuple(tuple(sorted(t.id for t in b)) for b in bins)
+
+
 class TestDmAdmits:
+    @given(valid_tasksets(), st.data())
+    def test_matches_dbf_star_admission(self, ts, data):
+        ordered = dm_order(ts)
+        cand = ordered[-1]
+        held = [tsk for tsk in ordered[:-1] if data.draw(st.booleans())]
+        demand = cand.c + sum((dbf_star(tsk, cand.d) for tsk in held), F(0))
+        load = cand.utilization + sum((tsk.utilization for tsk in held), F(0))
+        assert dm_admits(held, cand) == (demand <= cand.d and load <= 1)
+
     def test_roomy_bin(self):
         assert dm_admits([task(1, 2, 4)], task(1, 3, 6)) is True
 
@@ -28,6 +65,11 @@ class TestDmAdmits:
 
     def test_utilization_overflow(self):
         assert dm_admits([task(1, 1, 1)], task(1, 2, 2)) is False
+
+    def test_later_deadline_bin_task_refused(self):
+        # dbf* of the held task at 2 is 0; U*2 + A would count 3/4
+        with pytest.raises(BadParam, match="deadlines after"):
+            dm_admits([task(1, 3, 4)], task(1, 2, 4))
 
 
 class TestDmPartition:
@@ -66,6 +108,28 @@ class TestDmPartition:
     @given(valid_tasksets(), st.sampled_from(list(Strategy)))
     def test_deterministic(self, ts, strat):
         assert dm_partition(ts, strat) == dm_partition(ts, strat)
+
+    @pytest.mark.parametrize("strat", list(Strategy))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_on_random_sets(self, seed, strat):
+        for cls in DeadlineClass:
+            ts = gen_random(
+                GenParams(seed=seed, n=30, deadline_class=cls, utilization_target=F(5))
+            )
+            assert dm_partition(ts, strat).bins == reference_dm_bins(ts, strat)
+
+    @pytest.mark.parametrize("strat", list(Strategy))
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_matches_reference_on_adversaries(self, k, strat):
+        for ts in (gen_best_fit_adversary(k), gen_worst_fit_adversary(k)):
+            assert dm_partition(ts, strat).bins == reference_dm_bins(ts, strat)
+
+    @pytest.mark.parametrize("strat", list(Strategy))
+    def test_tied_loads_go_to_lowest_bin(self, strat):
+        # both open bins carry dbf* 6 at t = 8 and admit the third task
+        ts = taskset([(3, 4, 4), (3, 4, 4), (1, 8, 8)])
+        assert dm_partition(ts, strat).bins == ((1, 3), (2,))
+        assert reference_dm_bins(ts, strat) == ((1, 3), (2,))
 
 
 class TestDaggerGreedy:
