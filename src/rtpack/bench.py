@@ -59,6 +59,15 @@ DEFAULT_ALPHA_SLACK = Fraction(1)
 # instance keys whose config values must be exact rationals or integers
 _RATIONAL_KEYS = frozenset({"target_u", "eps", "h"})
 _INTEGER_KEYS = frozenset({"k", "n", "seed", "count", "den_bound"})
+# instance keys a family cannot do without
+_REQUIRED_KEYS = {
+    "bf-adversary": ("k",),
+    "wf-adversary": ("k",),
+    "speedup-gap": ("n", "eps"),
+    "random": ("n",),
+    "dvp": ("n",),
+    "file": ("path",),
+}
 
 
 @dataclass(frozen=True)
@@ -438,6 +447,11 @@ def _parse_int(value, where: str) -> int:
 
 def _parse_instance(index: int, entry: dict) -> InstanceSpec:
     family = entry["family"]
+    if not isinstance(family, str):
+        raise ParseError(f"instance {index}: family must be a string, got {family!r}")
+    for key in _REQUIRED_KEYS.get(family, ()):
+        if key not in entry:
+            raise ParseError(f"instance {index} ({family}): missing {key!r}")
     params = []
     for key, value in entry.items():
         where = f"instance {index} ({family}), {key!r}"
@@ -457,7 +471,7 @@ def parse_config(data: bytes | str) -> ExperimentConfig:
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON config: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("config must be an object")

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import bench as bench_mod
-from .errors import RtpackError
+from .errors import ParseError, RtpackError
 from .feasibility import (
     DEFAULT_HYPERPERIOD_CAP,
     DEFAULT_POINT_CAP,
@@ -41,13 +41,16 @@ from .partitioners import Partition, Strategy, dagger_greedy, dm_partition
 from .simulate import DEFAULT_EVENT_CAP, simulate_edf_synchronous
 
 
-def _rational(text: str) -> Fraction:
-    return as_rational(text)
-
-
-def _default_ncap() -> int:
+def _env_ncap(default: int) -> int:
+    """The oracle's task-count cap from RTP_NCAP, or `default` when it is
+    unset or empty.  Read when a command needs it, so that a malformed value
+    fails only the commands that use it."""
     env = os.environ.get("RTP_NCAP")
-    return int(env) if env else DEFAULT_ORACLE_CAP
+    if not env:
+        return default
+    if not (env.isascii() and env.isdigit()):
+        raise ParseError(f"RTP_NCAP must be a nonnegative integer, got {env!r}")
+    return int(env)
 
 
 def _write_output(path: str | None, content: str | bytes) -> None:
@@ -103,7 +106,8 @@ def cmd_partition(args) -> int:
     elif args.algo == "dagger":
         part = dagger_greedy(ts, Strategy(args.strategy))
     else:
-        result = optimal_partition_bruteforce(ts, Mode.EXACT, n_cap=args.n_cap)
+        n_cap = _env_ncap(DEFAULT_ORACLE_CAP) if args.n_cap is None else args.n_cap
+        result = optimal_partition_bruteforce(ts, Mode.EXACT, n_cap=n_cap)
         part = result.witness
     print(_partition_doc(part), end="")
     return 0
@@ -150,8 +154,7 @@ def cmd_bench(args) -> int:
         cfg = bench_mod.parse_config(fh.read())
     if args.threads is not None:
         cfg = dataclasses.replace(cfg, threads=args.threads)
-    if os.environ.get("RTP_NCAP"):
-        cfg = dataclasses.replace(cfg, n_cap=int(os.environ["RTP_NCAP"]))
+    cfg = dataclasses.replace(cfg, n_cap=_env_ncap(cfg.n_cap))
     report = bench_mod.run_experiment(cfg)
     if args.format:
         fmt = args.format
@@ -190,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="exact one-processor EDF feasibility")
     p_check.add_argument("file")
-    p_check.add_argument("--speed", type=_rational, default=Fraction(1))
+    p_check.add_argument("--speed", type=as_rational, default=Fraction(1))
     p_check.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
     p_check.add_argument(
-        "--horizon-cap", type=_rational, default=DEFAULT_HYPERPERIOD_CAP
+        "--horizon-cap", type=as_rational, default=DEFAULT_HYPERPERIOD_CAP
     )
     p_check.set_defaults(func=cmd_check)
 
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("file")
     p_part.add_argument("--algo", choices=["dm", "dagger", "oracle"], required=True)
     p_part.add_argument("--strategy", choices=["ff", "bf", "wf"], default="ff")
-    p_part.add_argument("--n-cap", type=int, default=_default_ncap())
+    p_part.add_argument("--n-cap", type=int)
     p_part.set_defaults(func=cmd_partition)
 
     p_gen = sub.add_parser("generate", help="emit an instance as task-set JSON")
@@ -211,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--h", type=_rational)
+    p_gen.add_argument("--h", type=as_rational)
     p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--eps", type=_rational)
+    p_gen.add_argument("--eps", type=as_rational)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--target-u", type=_rational, default=Fraction(1))
+    p_gen.add_argument("--target-u", type=as_rational, default=Fraction(1))
     p_gen.add_argument(
         "--class",
         dest="deadline_class",
@@ -236,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="event-driven EDF simulation")
     p_sim.add_argument("file")
-    p_sim.add_argument("--horizon", type=_rational, required=True)
-    p_sim.add_argument("--speed", type=_rational, default=Fraction(1))
+    p_sim.add_argument("--horizon", type=as_rational, required=True)
+    p_sim.add_argument("--speed", type=as_rational, default=Fraction(1))
     p_sim.add_argument("--event-cap", type=int, default=DEFAULT_EVENT_CAP)
     p_sim.set_defaults(func=cmd_simulate)
     return parser

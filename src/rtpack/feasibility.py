@@ -7,12 +7,15 @@ the standard busy-interval bound caps the sweep; at exactly the speed the
 hyperperiod plus the largest deadline does.  Infeasible sets always come
 with a witness point at which the demand provably exceeds speed * t.
 
-Integer scaling.  Each test multiplies C, D and T of its task list once by
-L, the lcm of all their denominators.  Deadline points, demands, the
-hyperperiod and the horizon are then Python ints: a point lies past the
-horizon iff it exceeds floor(bound * L), and speed p/q covers the demand
-at t iff q * demand <= p * t.  Only the reported witness and horizon are
-turned back into fractions.
+Integer scaling.  A task set's integer view (`TaskSet.ints`) holds C, D
+and T multiplied by L, the lcm of all their denominators, computed once
+per set; a test reads the tasks it needs by position.  Deadline points,
+demands, the hyperperiod and the horizon are then Python ints: a point
+lies past the horizon iff it exceeds floor(bound * L), and speed p/q
+covers the demand at t iff q * demand <= p * t.  A subset tested at its
+set's L, a multiple of its own, decides and counts exactly as at its own:
+every compared quantity scales by the same positive factor.  Only a
+reported witness or horizon is turned back into a fraction.
 
 Incremental demand.  The points of all tasks come off one heap in
 ascending order.  Every heap entry equal to t is popped before t is
@@ -46,8 +49,8 @@ from .errors import (
     PointExplosion,
     ShapeMismatch,
 )
-from .model import Task, TaskSet, dbf_star, require_valid
-from .partitioners import Partition
+from .model import IntView, Task, TaskSet, require_valid
+from .partitioners import Partition, _dm_terms, _fit_load
 
 DEFAULT_POINT_CAP = 10**7
 DEFAULT_HYPERPERIOD_CAP = Fraction(2**64)
@@ -67,22 +70,19 @@ class FeasibilityVerdict:
 
 
 class _Scaled:
-    """A task list with C, D and T multiplied by `scale`, the lcm of all
-    their denominators, so that every deadline point is an integer.
+    """The tasks at `positions` of an integer view: C, D and T at the
+    view's `scale`, so that every deadline point is an integer.
 
-    At that scale `whole` is the hyperperiod, `share[i]` is u_i * whole
-    and `load` is U * whole, all integers.
+    At that scale `whole` is the hyperperiod of these tasks, `share[i]` is
+    u_i * whole and `load` is U * whole, all integers.  A bound comes back
+    as a pair (num, den): the bound times `scale` is num/den.
     """
 
-    def __init__(self, tasks: Sequence[Task]):
-        self.scale = scale = math.lcm(
-            *(x.denominator for tsk in tasks for x in (tsk.c, tsk.d, tsk.t))
-        )
-        self.cost = [tsk.c.numerator * (scale // tsk.c.denominator) for tsk in tasks]
-        self.deadline = [
-            tsk.d.numerator * (scale // tsk.d.denominator) for tsk in tasks
-        ]
-        self.period = [tsk.t.numerator * (scale // tsk.t.denominator) for tsk in tasks]
+    def __init__(self, view: IntView, positions: Sequence[int]):
+        self.scale = view.scale
+        self.cost = [view.c[i] for i in positions]
+        self.deadline = [view.d[i] for i in positions]
+        self.period = [view.t[i] for i in positions]
         self.whole = whole = math.lcm(*self.period)
         self.share = [whole // p * c for p, c in zip(self.period, self.cost)]
         self.load = sum(self.share)
@@ -91,32 +91,39 @@ class _Scaled:
         """Total utilization above the speed."""
         return speed.denominator * self.load > speed.numerator * self.whole
 
-    def horizon(self, speed: Fraction, hyperperiod_cap: Fraction) -> Fraction:
+    def horizon(self, speed: Fraction, hyperperiod_cap: Fraction) -> tuple[int, int]:
         """The sweep bound of `test_horizon`."""
         if self.exceeds(speed):
             raise BadParam(
                 f"utilization {Fraction(self.load, self.whole)} exceeds speed {speed};"
                 " no finite horizon bounds an unconditionally failing set"
             )
-        d_max = Fraction(max(self.deadline), self.scale)
+        d_max = max(self.deadline)
         room = speed.numerator * self.whole - speed.denominator * self.load
         if room == 0:
-            hp = Fraction(self.whole, self.scale)
-            if hp > hyperperiod_cap:
+            cap_num, cap_den = hyperperiod_cap.numerator, hyperperiod_cap.denominator
+            if self.whole * cap_den > cap_num * self.scale:
+                hp = Fraction(self.whole, self.scale)
                 raise HorizonOverflow(f"hyperperiod {hp} exceeds cap {hyperperiod_cap}")
-            return hp + d_max
-        slack = sum(
+            return self.whole + d_max, 1
+        slack = speed.denominator * sum(
             (t - d) * u for t, d, u in zip(self.period, self.deadline, self.share)
         )
-        return max(d_max, Fraction(speed.denominator * slack, room * self.scale))
+        return (d_max, 1) if d_max * room >= slack else (slack, room)
 
-    def overshoot_bound(self, speed: Fraction) -> Fraction:
+    def overshoot_bound(self, speed: Fraction) -> tuple[int, int]:
         """For U > speed: every t past this bound has demand at least
         U*t - sum(u_i * D_i) > speed * t."""
-        d_max = Fraction(max(self.deadline), self.scale)
+        d_max = max(self.deadline)
         excess = speed.denominator * self.load - speed.numerator * self.whole
-        overshoot = sum(d * u for d, u in zip(self.deadline, self.share))
-        return max(d_max, Fraction(speed.denominator * overshoot, excess * self.scale))
+        overshoot = speed.denominator * sum(
+            d * u for d, u in zip(self.deadline, self.share)
+        )
+        return (d_max, 1) if d_max * excess >= overshoot else (overshoot, excess)
+
+    def fraction(self, num: int, den: int = 1) -> Fraction:
+        """num/den at this scale, in time units."""
+        return Fraction(num, den * self.scale)
 
 
 def test_horizon(
@@ -131,7 +138,8 @@ def test_horizon(
     below by the largest deadline; at equality the demand repeats with
     period lcm(T_i), so hyperperiod + D_max suffices.
     """
-    return _Scaled(ts.tasks).horizon(speed, hyperperiod_cap)
+    sc = _Scaled(ts.ints, range(len(ts)))
+    return sc.fraction(*sc.horizon(speed, hyperperiod_cap))
 
 
 def deadline_points(
@@ -160,11 +168,12 @@ def deadline_points(
 def _sweep_first_failure(
     sc: _Scaled,
     speed: Fraction,
-    bound: Fraction,
+    bound: tuple[int, int],
     point_cap: int,
     beyond: bool,
-) -> tuple[Optional[Fraction], int]:
-    """First deadline point with demand > speed * t, scanning (0, bound].
+) -> tuple[Optional[int], int]:
+    """First deadline point with demand > speed * t, scanning (0, bound],
+    at the scale of `sc`.
 
     With `beyond`, the first point past the bound is also evaluated; callers
     use this when failure beyond the bound is guaranteed by a utilization
@@ -172,7 +181,7 @@ def _sweep_first_failure(
     """
     cost, deadline, period, share = sc.cost, sc.deadline, sc.period, sc.share
     n = len(cost)
-    horizon = bound.numerator * sc.scale // bound.denominator
+    horizon = bound[0] // bound[1]
     s_num, s_den = speed.numerator, speed.denominator
 
     # Segment k covers [kinks[k], kinks[k+1]).  From ff_at[k] on, dbf* of
@@ -217,14 +226,14 @@ def _sweep_first_failure(
                 return None, checked
             checked += 1
             if s_den * demand > s_num * point:
-                return Fraction(point, sc.scale), checked
+                return point, checked
             raise RuntimeError(
                 "no failure past the guaranteed bound; unreachable for U > speed"
             )
         checked += 1
         if checked > point_cap:
             raise PointExplosion(
-                f"demand sweep exceeded {point_cap} points before {bound}"
+                f"demand sweep exceeded {point_cap} points before {sc.fraction(*bound)}"
             )
         while seg < last_seg and kinks[seg + 1] <= point:
             seg += 1
@@ -244,7 +253,7 @@ def _sweep_first_failure(
             heapq.heapify(heap)
             continue
         if s_den * demand > s_num * point:
-            return Fraction(point, sc.scale), checked
+            return point, checked
 
 
 def subset_feasible_exact(
@@ -253,14 +262,28 @@ def subset_feasible_exact(
     point_cap: int = DEFAULT_POINT_CAP,
     hyperperiod_cap: Fraction = DEFAULT_HYPERPERIOD_CAP,
 ) -> bool:
-    """Exact EDF feasibility of a bare task list, without witness search.
-
-    This is the oracle's inner loop: a utilization overrun returns False
-    immediately instead of hunting for the earliest failing point.
-    """
+    """Exact EDF feasibility of a bare task list, without witness search."""
     if not tasks:
         return True
-    sc = _Scaled(tasks)
+    return positions_feasible_exact(
+        IntView.of(tasks), range(len(tasks)), speed, point_cap, hyperperiod_cap
+    )
+
+
+def positions_feasible_exact(
+    view: IntView,
+    positions: Sequence[int],
+    speed: Fraction = Fraction(1),
+    point_cap: int = DEFAULT_POINT_CAP,
+    hyperperiod_cap: Fraction = DEFAULT_HYPERPERIOD_CAP,
+) -> bool:
+    """`subset_feasible_exact` of the tasks at `positions` of `view`.
+
+    This is the inner loop of the oracle and of partition verification: a
+    utilization overrun returns False immediately instead of hunting for
+    the earliest failing point, and nothing is rescaled per subset.
+    """
+    sc = _Scaled(view, positions)
     if sc.exceeds(speed):
         return False
     bound = sc.horizon(speed, hyperperiod_cap)
@@ -283,18 +306,23 @@ def edf_feasible_exact(
     require_valid(ts)
     if speed <= 0:
         raise BadParam(f"speed must be positive, got {speed}")
-    sc = _Scaled(ts.tasks)
+    sc = _Scaled(ts.ints, range(len(ts)))
     if sc.exceeds(speed):
         bound = sc.overshoot_bound(speed)
         witness, checked = _sweep_first_failure(
             sc, speed, bound, point_cap, beyond=True
         )
-        return FeasibilityVerdict(False, witness, bound, checked)
-    bound = sc.horizon(speed, hyperperiod_cap)
-    witness, checked = _sweep_first_failure(
-        sc, speed, bound, point_cap, beyond=False
+    else:
+        bound = sc.horizon(speed, hyperperiod_cap)
+        witness, checked = _sweep_first_failure(
+            sc, speed, bound, point_cap, beyond=False
+        )
+    return FeasibilityVerdict(
+        witness is None,
+        None if witness is None else sc.fraction(witness),
+        sc.fraction(*bound),
+        checked,
     )
-    return FeasibilityVerdict(witness is None, witness, bound, checked)
 
 
 def lemma1_feasible(ts: TaskSet) -> bool:
@@ -328,24 +356,27 @@ def lemma1_feasible(ts: TaskSet) -> bool:
 
 
 def approx_subset_feasible(tasks: Sequence[Task]) -> bool:
-    """Approximate-admission verdict for a complete bin.
+    """Approximate-admission verdict for a complete bin."""
+    return positions_feasible_approx(IntView.of(tasks), range(len(tasks)))
+
+
+def positions_feasible_approx(view: IntView, positions: Sequence[int]) -> bool:
+    """Approximate-admission verdict for the tasks at `positions` of `view`.
 
     Replays the deadline-monotonic admission: in nondecreasing-deadline
     order every task must fit the approximate demand of its predecessors at
-    its own deadline, and the bin utilization must stay at most 1.
+    its own deadline, and the bin utilization must stay at most 1.  The
+    order among equal deadlines does not matter: the last of them sees the
+    largest demand, the same sum in any order.
     """
-    if not tasks:
-        return True
-    ordered = sorted(tasks, key=lambda tsk: (tsk.d, tsk.id))
-    total_u = sum((tsk.utilization for tsk in ordered), Fraction(0))
-    if total_u > 1:
-        return False
-    for i, tsk in enumerate(ordered):
-        demand = tsk.c + sum(
-            (dbf_star(prev, tsk.d) for prev in ordered[:i]), Fraction(0)
-        )
-        if demand > tsk.d:
+    terms = _dm_terms(view, positions)
+    u_sum = a_sum = 0
+    for i in sorted(positions, key=view.d.__getitem__):
+        _, _, _, share, offset = term = terms[i]
+        if _fit_load(u_sum, a_sum, term) is None:
             return False
+        u_sum += share
+        a_sum += offset
     return True
 
 
@@ -359,28 +390,29 @@ def verify_partition(
     """True iff `part` is a partition of `ts` whose every bin passes the
     selected per-processor test."""
     require_valid(ts)
-    all_ids = frozenset(tsk.id for tsk in ts)
+    position = {tsk.id: i for i, tsk in enumerate(ts)}
     seen: set[int] = set()
     for b in part.bins:
         if not b:
             raise CoverageError("empty bin in partition")
         for tid in b:
-            if tid not in all_ids:
+            if tid not in position:
                 raise CoverageError(f"unknown task id {tid} in partition")
             if tid in seen:
                 raise CoverageError(f"task id {tid} assigned twice")
             seen.add(tid)
-    if seen != all_ids:
-        missing = sorted(all_ids - seen)
+    if len(seen) != len(position):
+        missing = sorted(position.keys() - seen)
         raise CoverageError(f"partition misses task ids {missing}")
+    view = ts.ints
     for b in part.bins:
-        subset = [ts.by_id(tid) for tid in b]
+        positions = [position[tid] for tid in b]
         if mode is Mode.EXACT:
-            ok = subset_feasible_exact(
-                subset, Fraction(1), point_cap, hyperperiod_cap
+            ok = positions_feasible_exact(
+                view, positions, point_cap=point_cap, hyperperiod_cap=hyperperiod_cap
             )
         else:
-            ok = approx_subset_feasible(subset)
+            ok = positions_feasible_approx(view, positions)
         if not ok:
             return False
     return True

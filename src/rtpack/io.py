@@ -32,10 +32,6 @@ def parse_rational(value, where: str = "value") -> Fraction:
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def parse_taskset(data: bytes | str) -> TaskSet:
     """Parse the task-set document, converting every value exactly and
     assigning ids in file order; rejects sets violating the model
@@ -44,7 +40,7 @@ def parse_taskset(data: bytes | str) -> TaskSet:
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "tasks" not in doc:
         raise ParseError('document must be an object with a "tasks" list')
@@ -74,9 +70,9 @@ def serialize_taskset(ts: TaskSet) -> str:
         "name": ts.name,
         "tasks": [
             {
-                "c": format_rational(tsk.c),
-                "d": format_rational(tsk.d),
-                "t": format_rational(tsk.t),
+                "c": str(tsk.c),
+                "d": str(tsk.d),
+                "t": str(tsk.t),
             }
             for tsk in ts
         ],
@@ -89,7 +85,7 @@ def parse_dvp(data: bytes | str) -> DvpInstance:
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "vectors" not in doc:
         raise ParseError('document must be an object with a "vectors" list')
@@ -109,7 +105,7 @@ def parse_dvp(data: bytes | str) -> DvpInstance:
 def serialize_dvp(dvp: DvpInstance) -> str:
     doc = {
         "vectors": [
-            [format_rational(v1), format_rational(v2)] for v1, v2 in dvp.vectors
+            [str(v1), str(v2)] for v1, v2 in dvp.vectors
         ]
     }
     return json.dumps(doc, indent=2) + "\n"

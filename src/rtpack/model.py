@@ -8,10 +8,12 @@ against the original indices regardless of sorting or transforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ValidationError
 
@@ -26,7 +28,10 @@ def as_rational(value: RationalLike) -> Fraction:
         raise TypeError("booleans are not rational quantities")
     if isinstance(value, float):
         raise TypeError("floats are rejected; pass a string or Fraction to stay exact")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:  # "1/0": a malformed value, like "abc"
+        raise ValueError(f"zero denominator in {value!r}") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +71,39 @@ class DeadlineClass(Enum):
 
 
 @dataclass(frozen=True)
+class IntView:
+    """C, D and T of a task list, by position, multiplied by `scale`, the
+    lcm of all their denominators, so that every value is an int.
+
+    Quantities compared at one positive scale keep their order, so exact
+    tests and fitting decisions can run on these ints; every deadline
+    point k*T_i + D_i of the list is an int at this scale too.
+    """
+
+    scale: int
+    c: tuple[int, ...]
+    d: tuple[int, ...]
+    t: tuple[int, ...]
+
+    @classmethod
+    def of(cls, tasks: Sequence[Task]) -> IntView:
+        scale = math.lcm(
+            *(x.denominator for tsk in tasks for x in (tsk.c, tsk.d, tsk.t))
+        )
+        return cls(
+            scale,
+            tuple(tsk.c.numerator * (scale // tsk.c.denominator) for tsk in tasks),
+            tuple(tsk.d.numerator * (scale // tsk.d.denominator) for tsk in tasks),
+            tuple(tsk.t.numerator * (scale // tsk.t.denominator) for tsk in tasks),
+        )
+
+
+@dataclass(frozen=True)
 class TaskSet:
+    """An immutable task list.  Its validation verdict and integer view
+    are computed on first use and then kept: nothing they depend on can
+    change."""
+
     tasks: tuple[Task, ...]
     name: str = ""
 
@@ -90,6 +127,16 @@ class TaskSet:
     @property
     def total_utilization(self) -> Fraction:
         return sum((tsk.utilization for tsk in self.tasks), Fraction(0))
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """`validate` of this set."""
+        return tuple(validate(self))
+
+    @cached_property
+    def ints(self) -> IntView:
+        """The set's C, D and T at one integer scale, by position."""
+        return IntView.of(self.tasks)
 
     def by_id(self, tid: int) -> Task:
         for tsk in self.tasks:
@@ -192,8 +239,10 @@ def validate(ts: TaskSet) -> list[Violation]:
 
 
 def require_valid(ts: TaskSet) -> None:
-    """Raise ValidationError listing every violation, if there are any."""
-    violations = validate(ts)
-    if violations:
-        raise ValidationError(violations)
+    """Raise ValidationError listing every violation, if there are any.
+
+    The set is validated once; later calls read its kept verdict.
+    """
+    if ts.violations:
+        raise ValidationError(ts.violations)
 

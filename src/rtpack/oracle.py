@@ -5,18 +5,19 @@ bin count, so symmetric relabelings of bins are never visited twice.  The
 search assigns tasks in input order and prunes a branch as soon as any bin
 fails the per-bin test; that is sound because demand only grows when a task
 is added, so an infeasible bin never becomes feasible again.  Per-subset
-verdicts are memoized across branches.
+verdicts are memoized across branches, keyed by position bitmask.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import CapExceeded
-from .feasibility import Mode, approx_subset_feasible, subset_feasible_exact
-from .model import Task, TaskSet, require_valid
+from .feasibility import Mode, positions_feasible_approx, positions_feasible_exact
+from .model import TaskSet, require_valid
 from .partitioners import Partition
 
 DEFAULT_ORACLE_CAP = 12
@@ -30,43 +31,52 @@ class OracleResult:
 
 
 class _Search:
-    """Depth-first assignment of tasks, in order, to at most `max_bins`
-    bins, with per-subset verdicts memoized across branches.
+    """Depth-first assignment of task positions, in order, to at most
+    `max_bins` bins, with per-subset verdicts memoized across branches.
 
+    A memo key is the bitmask of the subset's positions in the task set
+    (task ids are arbitrary ints, so they are not used as bit indices).
     An object rather than nested closures: a recursive closure is a
     reference cycle, which keeps the memo alive until the cyclic garbage
     collector runs instead of freeing it when the oracle returns.
     """
 
-    def __init__(self, tasks: list[Task], bin_ok: Callable[[list[Task]], bool]):
-        self.tasks = tasks
+    def __init__(self, n: int, bin_ok: Callable[[list[int]], bool]):
+        self.n = n
         self.bin_ok = bin_ok
-        self.memo: dict[frozenset[int], bool] = {}
+        self.memo: dict[int, bool] = {}
         self.nodes = 0
 
-    def feasible_bin(self, subset: list[Task]) -> bool:
-        key = frozenset(tsk.id for tsk in subset)
-        hit = self.memo.get(key)
+    def feasible_bin(self, positions: list[int], mask: int) -> bool:
+        hit = self.memo.get(mask)
         if hit is None:
-            hit = self.bin_ok(subset)
-            self.memo[key] = hit
+            hit = self.bin_ok(positions)
+            self.memo[mask] = hit
         return hit
 
-    def dfs(self, i: int, bins: list[list[Task]], max_bins: int) -> bool:
-        if i == len(self.tasks):
+    def dfs(
+        self, i: int, bins: list[list[int]], masks: list[int], max_bins: int
+    ) -> bool:
+        if i == self.n:
             return True
-        tsk = self.tasks[i]
+        bit = 1 << i
         choices = len(bins) + 1 if len(bins) < max_bins else len(bins)
         for b in range(choices):
             if b == len(bins):
                 bins.append([])
-            bins[b].append(tsk)
+                masks.append(0)
+            bins[b].append(i)
+            masks[b] |= bit
             self.nodes += 1
-            if self.feasible_bin(bins[b]) and self.dfs(i + 1, bins, max_bins):
+            if self.feasible_bin(bins[b], masks[b]) and self.dfs(
+                i + 1, bins, masks, max_bins
+            ):
                 return True
             bins[b].pop()
+            masks[b] ^= bit
             if not bins[b]:
                 bins.pop()
+                masks.pop()
         return False
 
 
@@ -79,20 +89,22 @@ def optimal_partition_bruteforce(
     The bin count starts at the utilization lower bound ceil(sum u_i); the
     first bin count with a complete assignment is optimal because every
     partition into fewer bins embeds into an earlier, fully explored level.
+    Bins are tested as position lists of the set's integer view.
     """
     require_valid(ts)
     n = len(ts)
     if n > n_cap:
         raise CapExceeded(f"N = {n} exceeds the oracle cap {n_cap}")
 
-    bin_ok = subset_feasible_exact if mode is Mode.EXACT else approx_subset_feasible
-    search = _Search(list(ts), bin_ok)
+    view = ts.ints
+    test = positions_feasible_exact if mode is Mode.EXACT else positions_feasible_approx
+    search = _Search(n, partial(test, view))
     lower = max(1, math.ceil(ts.total_utilization))
     for m in range(lower, n + 1):
-        bins: list[list[Task]] = []
-        if search.dfs(0, bins, m):
+        bins: list[list[int]] = []
+        if search.dfs(0, bins, [], m):
             witness = Partition(
-                bins=tuple(tuple(sorted(t.id for t in b)) for b in bins),
+                bins=tuple(tuple(sorted(ts.tasks[i].id for i in b)) for b in bins),
                 algorithm="oracle",
                 strategy=None,
             )

@@ -8,13 +8,13 @@ deadlines by task id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import BadParam
-from .model import Task, TaskSet, require_valid, transform_dagger
+from .model import IntView, Task, TaskSet, require_valid
 
 
 class Strategy(Enum):
@@ -39,17 +39,40 @@ class Partition:
         return frozenset(tid for b in self.bins for tid in b)
 
 
-def _fit_load(u_sum: Fraction, a_sum: Fraction, cand: Task) -> Optional[Fraction]:
+def _dm_terms(view: IntView, positions: Sequence[int]) -> dict[int, tuple]:
+    """Per position, the ints deadline-monotonic admission reads:
+    (D, room, u_room, share, offset).
+
+    `whole` is the lcm of the periods at `positions`, so share = u * whole
+    is an int; a bin's sums of share and of offset = (C - u*D) * whole are
+    then ints, and its dbf* at a deadline D, times whole, is the int
+    U*D + A.  room = (D - C) * whole and u_room = whole - share are the
+    largest such demand and utilization sum that still admit the task.
+    Every value carries the same factors, so comparisons are those of the
+    rational quantities.
+    """
+    whole = math.lcm(*(view.t[i] for i in positions))
+    terms = {}
+    for i in positions:
+        c, d = view.c[i], view.d[i]
+        share = whole // view.t[i] * c
+        terms[i] = (d, (d - c) * whole, whole - share, share, c * whole - share * d)
+    return terms
+
+
+def _fit_load(u_sum: int, a_sum: int, cand: tuple) -> Optional[int]:
     """The bin's approximate demand at cand's deadline if the bin admits
     cand, else None.
 
-    `u_sum` and `a_sum` are the bin's sums of u_i and C_i - u_i*D_i.  With
-    every bin deadline at most cand's, the bin's dbf* at cand.d is the
-    affine U*cand.d + A.  Admission needs room for cand's execution time
-    under that demand and total utilization within one processor.
+    `u_sum` and `a_sum` are the bin's sums of share and offset, and `cand`
+    the candidate's `_dm_terms` entry.  With every bin deadline at most
+    cand's, the bin's dbf* at cand's deadline is the affine U*D + A.
+    Admission needs room for cand's execution time under that demand and
+    total utilization within one processor.
     """
-    load = u_sum * cand.d + a_sum
-    if cand.c + load > cand.d or u_sum + cand.utilization > 1:
+    d, room, u_room = cand[0], cand[1], cand[2]
+    load = u_sum * d + a_sum
+    if load > room or u_sum > u_room:
         return None
     return load
 
@@ -68,9 +91,11 @@ def dm_admits(bin_tasks: Sequence[Task], cand: Task) -> bool:
         raise BadParam(
             f"bin tasks {late} have deadlines after task {cand.id}'s {cand.d}"
         )
-    u_sum = sum((tsk.utilization for tsk in bin_tasks), Fraction(0))
-    a_sum = sum((tsk.c - tsk.utilization * tsk.d for tsk in bin_tasks), Fraction(0))
-    return _fit_load(u_sum, a_sum, cand) is not None
+    n = len(bin_tasks)
+    terms = _dm_terms(IntView.of([*bin_tasks, cand]), range(n + 1))
+    u_sum = sum(terms[i][3] for i in range(n))
+    a_sum = sum(terms[i][4] for i in range(n))
+    return _fit_load(u_sum, a_sum, terms[n]) is not None
 
 
 def dm_order(ts: TaskSet) -> list[Task]:
@@ -80,7 +105,13 @@ def dm_order(ts: TaskSet) -> list[Task]:
     reproduce their published fitting traces, since those constructions
     index tasks in deadline order with ties.
     """
-    return sorted(ts, key=lambda tsk: (tsk.d, tsk.id))
+    return [ts.tasks[i] for i in _dm_positions(ts)]
+
+
+def _dm_positions(ts: TaskSet) -> list[int]:
+    """The positions of `dm_order`, sorted on the set's integer view."""
+    view, tasks = ts.ints, ts.tasks
+    return sorted(range(len(tasks)), key=lambda i: (view.d[i], tasks[i].id))
 
 
 def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
@@ -90,20 +121,23 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
     an open processor passing `dm_admits`, chosen by the strategy's
     preference over the bins' approximate demand at the task's deadline, or
     on a new processor if none admits it.  Each bin keeps the two sums
-    `dm_admits` builds, so a placement costs O(M) for M open bins.
+    `dm_admits` builds, as ints of the set's integer view, so a placement
+    costs O(M) for M open bins.
     """
     require_valid(ts)
+    terms = _dm_terms(ts.ints, range(len(ts)))
     bins: list[list[int]] = []
-    sums: list[list[Fraction]] = []  # per bin: sum of u_i, sum of C_i - u_i*D_i
-    for tsk in dm_order(ts):
-        loads: dict[int, Fraction] = {}  # bin -> dbf* at tsk.d, admitting bins only
+    sums: list[list[int]] = []  # per bin: sum of share, sum of offset
+    for pos in _dm_positions(ts):
+        term = terms[pos]
+        loads: dict[int, int] = {}  # bin -> dbf* at the deadline, admitting bins only
         for i, (u_sum, a_sum) in enumerate(sums):
-            load = _fit_load(u_sum, a_sum, tsk)
+            load = _fit_load(u_sum, a_sum, term)
             if load is not None:
                 loads[i] = load
         if not loads:
             bins.append([])
-            sums.append([Fraction(0), Fraction(0)])
+            sums.append([0, 0])
             pick = len(bins) - 1
         elif strat is Strategy.FIRST_FIT:
             pick = min(loads)
@@ -111,10 +145,9 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
             pick = max(loads, key=lambda i: (loads[i], -i))
         else:  # WORST_FIT
             pick = min(loads, key=lambda i: (loads[i], i))
-        bins[pick].append(tsk.id)
-        u = tsk.utilization
-        sums[pick][0] += u
-        sums[pick][1] += tsk.c - u * tsk.d
+        bins[pick].append(ts.tasks[pos].id)
+        sums[pick][0] += term[3]
+        sums[pick][1] += term[4]
     return Partition(
         bins=tuple(tuple(sorted(b)) for b in bins),
         algorithm="dm",
@@ -131,20 +164,25 @@ def dagger_greedy(
     stays at most 1, which keeps every bin EDF-feasible for the original
     tasks.  Tasks go in input order unless `decreasing` sorts them by
     falling tightened utilization (an experimentation knob; the
-    approximation bound holds either way).
+    approximation bound holds either way).  Loads are ints over one common
+    denominator, `whole`, the lcm of the tightened periods.
     """
     require_valid(ts)
-    dag = transform_dagger(ts)
-    items = list(dag)
+    view = ts.ints
+    span = [min(d, t) for d, t in zip(view.d, view.t)]
+    whole = math.lcm(*span)
+    share = [whole // m * c for m, c in zip(span, view.c)]
+    order = list(range(len(ts)))
     if decreasing:
-        items.sort(key=lambda tsk: (-tsk.utilization, tsk.id))
+        order.sort(key=lambda i: (-share[i], ts.tasks[i].id))
     bins: list[list[int]] = []
-    loads: list[Fraction] = []
-    for tsk in items:
-        u = tsk.utilization
-        fits = [i for i in range(len(bins)) if loads[i] + u <= 1]
+    loads: list[int] = []
+    for pos in order:
+        u = share[pos]
+        tid = ts.tasks[pos].id
+        fits = [i for i in range(len(bins)) if loads[i] + u <= whole]
         if not fits:
-            bins.append([tsk.id])
+            bins.append([tid])
             loads.append(u)
             continue
         if fitting is Strategy.FIRST_FIT:
@@ -153,7 +191,7 @@ def dagger_greedy(
             pick = max(fits, key=lambda i: (loads[i], -i))
         else:
             pick = min(fits, key=lambda i: (loads[i], i))
-        bins[pick].append(tsk.id)
+        bins[pick].append(tid)
         loads[pick] += u
     return Partition(
         bins=tuple(tuple(sorted(b)) for b in bins),

@@ -238,6 +238,22 @@ class TestConfigParsing:
             parse_config(b'{"instances": [], "algorithms": [{}]}')
 
     @pytest.mark.parametrize(
+        "entry,missing",
+        [({"family": "bf-adversary"}, "k"), ({"family": "wf-adversary", "h": 5}, "k"),
+         ({"family": "speedup-gap", "n": 3}, "eps"), ({"family": "random"}, "n"),
+         ({"family": "dvp", "seed": 1}, "n"), ({"family": "file"}, "path")],
+    )  # fmt: skip
+    def test_family_keys_required(self, entry, missing):
+        doc = {"instances": [entry], "algorithms": [{"algo": "dm"}]}
+        with pytest.raises(ParseError, match=f"missing '{missing}'"):
+            parse_config(json.dumps(doc))
+
+    def test_family_must_be_a_string(self):
+        doc = {"instances": [{"family": ["random"]}], "algorithms": [{"algo": "dm"}]}
+        with pytest.raises(ParseError, match="family must be a string"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
         "key,value",
         [("eps", 0.1), ("eps", True), ("eps", None), ("eps", "x/2"), ("n", 4.7),
          ("n", True), ("n", "4"), ("n", 4.0)],

@@ -1,8 +1,12 @@
 import json
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from rtpack.cli import dispatch
 from rtpack.io import serialize_taskset
@@ -82,6 +86,11 @@ class TestCheck:
         rc, _, err = run(capsys, "check", "no-such-file.json")
         assert rc == 2 and "error" in err
 
+    @pytest.mark.parametrize("speed", ["abc", "1/0", "0", "-1/2"])
+    def test_bad_speed_exit_two(self, capsys, speed):
+        rc, _, err = run(capsys, "check", str(GOLDEN / "speedup_gap_n3.json"), "--speed", speed)
+        assert rc == 2 and "speed" in err
+
     def test_invalid_set_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"tasks":[{"c":"3","d":"2","t":"4"}]}')
@@ -105,6 +114,27 @@ class TestPartition:
         rc, text, _ = run(capsys, "partition", str(f), "--algo", "oracle")
         assert rc == 0
         assert json.loads(text)["m"] == 1
+
+    def test_malformed_env_cap_is_an_error_naming_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RTP_NCAP", "abc")
+        rc, _, err = run(capsys, "partition", str(GOLDEN / "bf_adversary_k4.json"), "--algo", "oracle")
+        assert rc == 2 and "RTP_NCAP" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": [], "algorithms": [{"algo": "dm"}]}))
+        rc, _, err = run(capsys, "bench", "--config", str(cfg))
+        assert rc == 2 and "RTP_NCAP" in err
+
+    def test_malformed_env_cap_ignored_where_unused(self, capsys, monkeypatch):
+        monkeypatch.setenv("RTP_NCAP", "abc")
+        rc, text, _ = run(capsys, "check", str(GOLDEN / "speedup_gap_n3.json"), "--speed", "3/2")
+        assert rc == 0 and text == (GOLDEN / "check_speedup_n3.json").read_text()
+        rc, _, _ = run(capsys, "partition", str(GOLDEN / "bf_adversary_k4.json"), "--algo", "dm")
+        assert rc == 0
+        rc, _, _ = run(
+            capsys, "partition", str(GOLDEN / "bf_adversary_k4.json"), "--algo", "oracle",
+            "--n-cap", "8",
+        )
+        assert rc == 0
 
     def test_dagger(self, capsys):
         rc, text, _ = run(
@@ -241,3 +271,126 @@ class TestDispatch:
     def test_no_args(self, capsys):
         assert dispatch([]) == 2
         capsys.readouterr()
+
+
+# Exit-code fuzzing: whatever the documents and the environment hold, a
+# command returns 0, 1 or 2 and raises nothing.  Integers stay small and
+# rationals have small denominators, so a well-formed draw stays cheap to
+# solve; strings hold no glob characters, so a "file" instance matches no
+# file.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "abc", "1/0", "-1", "0", "1/2", "3/2", "0.5", "2", "1e2", "x/2"]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["c", "k", "x"]), st.integers(0, 3), max_size=2),
+)
+TASK_DOCS = st.one_of(
+    st.dictionaries(st.sampled_from(["c", "d", "t", "x"]), JUNK, max_size=4),
+    st.fixed_dictionaries(
+        {"c": st.sampled_from(["1/2", 1, "1/3"]), "d": st.sampled_from([1, 2, "3/2"]),
+         "t": st.sampled_from([1, 2, 3, "5/2"])}
+    ),
+    JUNK,
+)
+TASKSET_DOCS = st.one_of(
+    st.fixed_dictionaries({"tasks": st.lists(TASK_DOCS, max_size=4)}, optional={"name": JUNK}),
+    st.dictionaries(st.sampled_from(["tasks", "name"]), JUNK, max_size=2),
+    JUNK,
+)
+# a value of a well-formed instance, or junk
+PLAUSIBLE = st.one_of(st.integers(1, 6), st.sampled_from(["1/2", "3/2", "implicit"]), JUNK)
+INSTANCE_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {"family": st.one_of(
+            st.sampled_from(["bf-adversary", "wf-adversary", "speedup-gap", "random", "dvp", "file", "nope"]),
+            JUNK,
+        )},
+        optional={
+            key: PLAUSIBLE
+            for key in ("k", "n", "seed", "count", "eps", "h", "target_u", "den_bound", "class", "path")
+        },
+    ),
+    JUNK,
+)
+ALGORITHM_DOCS = st.fixed_dictionaries(
+    {"algo": st.one_of(st.sampled_from(["dm", "dagger"]), JUNK)},
+    optional={"strategy": st.one_of(st.sampled_from(["ff", "bf", "wf"]), JUNK)},
+)
+CONFIG_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "instances": st.one_of(st.lists(INSTANCE_DOCS, min_size=1, max_size=2), JUNK),
+            "algorithms": st.one_of(
+                st.lists(ALGORITHM_DOCS, min_size=1, max_size=2),
+                st.lists(st.one_of(ALGORITHM_DOCS, JUNK), max_size=2),
+                JUNK,
+            ),
+        },
+        optional={key: PLAUSIBLE for key in ("oracle", "n_cap", "threads", "timing", "alpha_slack")},
+    ),
+    JUNK,
+)
+# environment values cannot hold NUL or unencodable surrogates
+ENV_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from(["", "0", "4", "13", "-1", "+5", " 7", "1_0", "4.0", "abc", "\u0663"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8),
+)
+DOC = "{doc}"  # stands for the path of the fuzzed document in an argv
+TASKSET_COMMANDS = [
+    ("check", DOC, "--point-cap", "1000"),
+    ("check", DOC, "--speed", "3/2", "--point-cap", "1000"),
+    ("partition", DOC, "--algo", "dm", "--strategy", "bf"),
+    ("partition", DOC, "--algo", "dagger"),
+    ("partition", DOC, "--algo", "oracle"),
+    ("simulate", DOC, "--horizon", "6", "--event-cap", "2000"),
+]
+BENCH_COMMAND = ("bench", "--config", DOC, "--format", "json")
+
+
+def _fuzz_dispatch(argv, doc, env):
+    """dispatch(argv) with DOC replaced by the path of a file holding doc
+    (JSON-encoded unless a string) and RTP_NCAP set to env (unset for
+    None); output is discarded."""
+    saved = os.environ.get("RTP_NCAP")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(doc if isinstance(doc, str) else json.dumps(doc))
+        if env is None:
+            os.environ.pop("RTP_NCAP", None)
+        else:
+            os.environ["RTP_NCAP"] = env
+        try:
+            with open(os.devnull, "w") as sink:
+                with redirect_stdout(sink), redirect_stderr(sink):
+                    return dispatch([path if arg == DOC else arg for arg in argv])
+        finally:
+            if saved is None:
+                os.environ.pop("RTP_NCAP", None)
+            else:
+                os.environ["RTP_NCAP"] = saved
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from(TASKSET_COMMANDS),
+        st.one_of(TASKSET_DOCS, st.text(max_size=40)),
+        ENV_VALUES,
+    )
+    def test_taskset_documents(self, argv, doc, env):
+        assert _fuzz_dispatch(argv, doc, env) in (0, 1, 2)
+
+    @settings(max_examples=150)
+    @given(st.one_of(CONFIG_DOCS, st.text(max_size=40)), ENV_VALUES)
+    def test_bench_configs(self, doc, env):
+        assert _fuzz_dispatch(BENCH_COMMAND, doc, env) in (0, 2)
+
+    @pytest.mark.parametrize("argv", [("check", DOC), BENCH_COMMAND])
+    def test_deeply_nested_document(self, argv):
+        # json raises RecursionError, not a decode error, past its nesting limit
+        assert _fuzz_dispatch(argv, "[" * 100_000, None) == 2

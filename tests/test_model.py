@@ -1,11 +1,14 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from rtpack import model
 from rtpack.model import (
     DeadlineClass,
+    IntView,
     Task,
     TaskSet,
     as_rational,
@@ -46,6 +49,10 @@ class TestRationalConversion:
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             as_rational(True)
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_rational("1/0")
 
 
 class TestUtilization:
@@ -211,6 +218,16 @@ class TestValidate:
             require_valid(ts)
         assert err.value.violations == validate(ts)
 
+    def test_require_valid_validates_a_set_once(self, monkeypatch):
+        calls = []
+        real = model.validate
+        monkeypatch.setattr(model, "validate", lambda ts: calls.append(ts) or real(ts))
+        ts = taskset([(5, 2, 4)])
+        for _ in range(3):
+            with pytest.raises(ValidationError):
+                require_valid(ts)
+        assert len(calls) == 1
+
 
 class TestTaskSet:
     def test_duplicate_ids_rejected(self):
@@ -230,3 +247,23 @@ class TestTaskSet:
         assert ts.by_id(2).d == 3
         with pytest.raises(KeyError):
             ts.by_id(99)
+
+
+class TestIntView:
+    def test_scale_is_the_lcm_of_all_denominators(self):
+        view = taskset([("1/2", "3/4", 2), ("1/3", 1, "5/6")]).ints
+        assert view == IntView(12, (6, 4), (9, 12), (24, 10))
+
+    def test_kept_and_invisible_to_equality_and_pickling(self):
+        ts = taskset([("1/2", "3/4", 2)])
+        assert ts.ints is ts.ints
+        fresh = taskset([("1/2", "3/4", 2)])
+        assert ts == fresh and hash(ts) == hash(fresh)
+        copy = pickle.loads(pickle.dumps(ts))
+        assert copy == ts and copy.ints == ts.ints
+
+    @given(valid_tasksets())
+    def test_values_are_the_scaled_fractions(self, ts):
+        view = ts.ints
+        for tsk, c, d, t in zip(ts, view.c, view.d, view.t):
+            assert (tsk.c * view.scale, tsk.d * view.scale, tsk.t * view.scale) == (c, d, t)

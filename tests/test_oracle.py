@@ -3,22 +3,24 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from rtpack.errors import CapExceeded, ValidationError
 from rtpack.feasibility import (
     Mode,
     approx_subset_feasible,
+    positions_feasible_approx,
+    positions_feasible_exact,
     subset_feasible_exact,
     verify_partition,
 )
-from rtpack.generators import GenParams, gen_best_fit_adversary, gen_random
-from rtpack.model import DeadlineClass, TaskSet, taskset
+from rtpack.generators import GenParams, gen_best_fit_adversary, gen_random, gen_speedup_gap
+from rtpack.model import DeadlineClass, Task, TaskSet, dbf_star, taskset
 from rtpack.oracle import optimal_partition_bruteforce
 from rtpack.partitioners import Strategy, dagger_greedy, dm_partition
 
-from conftest import valid_tasksets
+from conftest import rationals, valid_tasks, valid_tasksets
 
 F = Fraction
 
@@ -107,3 +109,113 @@ class TestOracle:
         exact = optimal_partition_bruteforce(ts, Mode.EXACT)
         approx = optimal_partition_bruteforce(ts, Mode.APPROXIMATE)
         assert approx.m_star >= exact.m_star
+
+
+def _random_set(n, target_u, seed, cls):
+    return gen_random(
+        GenParams(seed=seed, n=n, deadline_class=DeadlineClass(cls), utilization_target=F(target_u))
+    )
+
+
+# (instance, exact m*, exact nodes, exact witness bins, approximate m*,
+# approximate nodes), recorded on the commit before the oracle tested bins
+# as position lists of one integer view
+PINNED = [
+    (lambda: _random_set(9, 3, 0, "implicit"), 4, 389,
+     ((1, 2, 3), (4, 5, 6), (7, 8), (9,)), 4, 389),
+    (lambda: _random_set(9, 2, 1, "constrained"), 3, 153,
+     ((1, 2, 8, 9), (3, 4, 6), (5, 7)), 4, 367),
+    (lambda: _random_set(10, 2, 0, "constrained"), 4, 1183,
+     ((1, 3, 4, 5, 6, 9), (2,), (7, 10), (8,)), 4, 644),
+    (lambda: _random_set(10, 3, 1, "arbitrary"), 4, 1170,
+     ((1, 2, 3, 5, 9), (4, 6, 7), (8,), (10,)), 4, 1170),
+    (lambda: _random_set(11, 3, 2, "constrained"), 5, 1872,
+     ((1, 5, 6, 9), (2, 10), (3,), (4, 8, 11), (7,)), 6, 2084),
+    (lambda: _random_set(11, 4, 1, "implicit"), 5, 28787,
+     ((1, 2, 3, 4, 9), (5, 6), (7, 8), (10,), (11,)), 5, 28787),
+    (lambda: _random_set(12, 2, 2, "arbitrary"), 4, 10155,
+     ((1, 2, 3, 4, 5, 8, 9), (6, 10, 12), (7,), (11,)), 4, 10155),
+    (lambda: _random_set(12, 3, 1, "constrained"), 4, 6822,
+     ((1, 2, 4, 5, 6, 9), (3, 7, 11), (8, 10), (12,)), 4, 3866),
+    (lambda: gen_best_fit_adversary(4), 2, 26, ((1, 3, 5, 7), (2, 4, 6, 8)), 2, 26),
+    (lambda: gen_best_fit_adversary(5), 2, 33, ((1, 3, 5, 7, 9), (2, 4, 6, 8, 10)), 3, 55),
+    (lambda: gen_best_fit_adversary(6), 2, 40,
+     ((1, 3, 5, 7, 9, 11), (2, 4, 6, 8, 10, 12)), 3, 64),
+] + [
+    (lambda n=n: gen_speedup_gap(n, F(1, 2)), n, nodes, tuple((i,) for i in range(1, n + 1)), n, nodes)
+    for n, nodes in [(6, 69), (7, 103), (8, 146), (9, 199), (10, 263)]
+]  # fmt: skip
+
+
+class TestPinnedSearch:
+    """The same m*, node counts and witnesses as the search that rescaled
+    every subset on its own: the shared view changes no decision."""
+
+    @pytest.mark.parametrize("case", range(len(PINNED)))
+    def test_matches_recorded_results(self, case):
+        make, m_star, nodes, bins, approx_m, approx_nodes = PINNED[case]
+        ts = make()
+        exact = optimal_partition_bruteforce(ts, Mode.EXACT)
+        assert (exact.m_star, exact.nodes_explored, exact.witness.bins) == (m_star, nodes, bins)
+        approx = optimal_partition_bruteforce(ts, Mode.APPROXIMATE)
+        assert (approx.m_star, approx.nodes_explored) == (approx_m, approx_nodes)
+
+    def test_ids_are_not_bit_positions(self):
+        # negative and sparse ids: the memo keys on positions, and the
+        # witness reports ids
+        base = gen_best_fit_adversary(4)
+        ids = [-7, 40, 3, -1, 1000, 0, 12, -300]
+        ts = TaskSet(tuple(Task(t.c, t.d, t.t, i) for t, i in zip(base, ids)))
+        result = optimal_partition_bruteforce(ts)
+        assert (result.m_star, result.nodes_explored) == (2, 26)
+        assert result.witness.bins == ((-7, 3, 12, 1000), (-300, -1, 0, 40))
+        assert verify_partition(ts, result.witness, Mode.EXACT)
+
+
+@st.composite
+def sets_with_subsets(draw):
+    """A task set and a subset of its positions.  One task outside the
+    subset may carry a denominator no subset task has, so the set's scale
+    is often a proper multiple of the subset's own."""
+    n = draw(st.integers(1, 6))
+    tasks = [draw(valid_tasks(tid=i + 1)) for i in range(n)]
+    if draw(st.booleans()):  # light tasks: bins pass or fail on demand, not on U
+        tasks = [Task(tsk.c / n, tsk.d, tsk.t, tsk.id) for tsk in tasks]
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([5, 7, 11]))
+        t = draw(rationals()) / den
+        tasks.append(Task(c=t * F(draw(st.integers(1, 6)), 6), d=t, t=t, id=n + 1))
+    positions = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return TaskSet(tuple(tasks)), positions
+
+
+def reference_approx(tasks):
+    """The approximate admission on Fractions: in deadline order each task
+    fits the summed dbf* of its predecessors at its deadline, and the total
+    utilization is at most 1."""
+    ordered = sorted(tasks, key=lambda tsk: (tsk.d, tsk.id))
+    if sum((tsk.utilization for tsk in ordered), F(0)) > 1:
+        return False
+    return all(
+        tsk.c + sum((dbf_star(prev, tsk.d) for prev in ordered[:i]), F(0)) <= tsk.d
+        for i, tsk in enumerate(ordered)
+    )
+
+
+class TestPositionView:
+    @settings(max_examples=200)
+    @given(sets_with_subsets(), st.sampled_from([F(1), F(1, 2), F(3, 2), F(5, 6)]))
+    def test_exact_matches_bare_list(self, case, speed):
+        ts, positions = case
+        subset = [ts.tasks[i] for i in positions]
+        assert positions_feasible_exact(ts.ints, positions, speed) == subset_feasible_exact(
+            subset, speed
+        )
+
+    @settings(max_examples=200)
+    @given(sets_with_subsets())
+    def test_approximate_matches_bare_list_and_reference(self, case):
+        ts, positions = case
+        subset = [ts.tasks[i] for i in positions]
+        got = positions_feasible_approx(ts.ints, positions)
+        assert got == approx_subset_feasible(subset) == reference_approx(subset)

@@ -47,6 +47,30 @@ def reference_dm_bins(ts, strat):
     return tuple(tuple(sorted(t.id for t in b)) for b in bins)
 
 
+def reference_dagger_bins(ts, strat, decreasing=False):
+    """dagger_greedy's definition on Fraction loads of the tightened set."""
+    items = list(transform_dagger(ts))
+    if decreasing:
+        items.sort(key=lambda tsk: (-tsk.utilization, tsk.id))
+    bins, loads = [], []
+    for tsk in items:
+        u = tsk.utilization
+        fits = [i for i in range(len(bins)) if loads[i] + u <= 1]
+        if not fits:
+            bins.append([tsk.id])
+            loads.append(u)
+            continue
+        if strat is Strategy.FIRST_FIT:
+            pick = fits[0]
+        elif strat is Strategy.BEST_FIT:
+            pick = max(fits, key=lambda i: (loads[i], -i))
+        else:
+            pick = min(fits, key=lambda i: (loads[i], i))
+        bins[pick].append(tsk.id)
+        loads[pick] += u
+    return tuple(tuple(sorted(b)) for b in bins)
+
+
 class TestDmAdmits:
     @given(valid_tasksets(), st.data())
     def test_matches_dbf_star_admission(self, ts, data):
@@ -173,3 +197,30 @@ class TestDaggerGreedy:
     @given(valid_tasksets(), st.sampled_from(list(Strategy)))
     def test_deterministic(self, ts, strat):
         assert dagger_greedy(ts, strat) == dagger_greedy(ts, strat)
+
+    @given(
+        valid_tasksets(max_n=8), st.sampled_from(list(Strategy)), st.booleans()
+    )
+    def test_matches_fraction_reference(self, ts, strat, decreasing):
+        assert dagger_greedy(ts, strat, decreasing).bins == reference_dagger_bins(
+            ts, strat, decreasing
+        )
+
+    @pytest.mark.parametrize("decreasing", [False, True])
+    @pytest.mark.parametrize("strat", list(Strategy))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_fraction_reference_on_random_sets(self, seed, strat, decreasing):
+        for cls in DeadlineClass:
+            ts = gen_random(
+                GenParams(seed=seed, n=40, deadline_class=cls, utilization_target=F(8))
+            )
+            got = dagger_greedy(ts, strat, decreasing).bins
+            assert got == reference_dagger_bins(ts, strat, decreasing)
+
+    @pytest.mark.parametrize("strat", list(Strategy))
+    def test_tied_loads_match_reference(self, strat):
+        # loads 3/5 and 6/5 / 2 tie when the third task arrives; the fourth,
+        # tightened to 2/5, fills the second bin to exactly 1
+        ts = taskset([("3/5", 1, 1), ("6/5", 2, 2), ("1/5", 1, 1), ("1/5", "1/2", 1)])
+        got = dagger_greedy(ts, strat).bins
+        assert got == reference_dagger_bins(ts, strat) == ((1, 3), (2, 4))
