@@ -16,7 +16,6 @@ from .errors import (
 )
 from .model import (
     DeadlineClass,
-    Rational,
     Task,
     TaskSet,
     Violation,
@@ -29,7 +28,6 @@ from .model import (
     task,
     taskset,
     transform_dagger,
-    utilization,
     validate,
 )
 from .feasibility import (

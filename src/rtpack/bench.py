@@ -24,6 +24,7 @@ from typing import Optional
 from .errors import ParseError, RtpackError
 from .feasibility import Mode, verify_partition
 from .generators import (
+    DEFAULT_DENOMINATOR_BOUND,
     GenParams,
     dvp_to_tasks,
     gen_best_fit_adversary,
@@ -59,14 +60,69 @@ DEFAULT_ALPHA_SLACK = Fraction(1)
 # instance keys whose config values must be exact rationals or integers
 _RATIONAL_KEYS = frozenset({"target_u", "eps", "h"})
 _INTEGER_KEYS = frozenset({"k", "n", "seed", "count", "den_bound"})
-# instance keys a family cannot do without
-_REQUIRED_KEYS = {
-    "bf-adversary": ("k",),
-    "wf-adversary": ("k",),
-    "speedup-gap": ("n", "eps"),
-    "random": ("n",),
-    "dvp": ("n",),
-    "file": ("path",),
+_CLASSES = tuple(c.value for c in DeadlineClass)
+_STRATEGIES = tuple(s.value for s in Strategy)
+ALGORITHMS = ("dm", "dagger")
+
+
+def _named(*sets: TaskSet) -> list[tuple[str, TaskSet]]:
+    return [(ts.name, ts) for ts in sets]
+
+
+def _adversary(gen):
+    return lambda p: _named(gen(int(p["k"]), p["h"]))
+
+
+def _speedup_gap(p: dict) -> list[tuple[str, TaskSet]]:
+    return _named(gen_speedup_gap(int(p["n"]), Fraction(p["eps"])))
+
+
+def _seeds(p: dict) -> range:
+    return range(p["seed"], p["seed"] + p["count"])
+
+
+def _random(p: dict) -> list[tuple[str, TaskSet]]:
+    params = [
+        GenParams(
+            seed=s,
+            n=int(p["n"]),
+            deadline_class=DeadlineClass(p["class"]),
+            utilization_target=Fraction(p["target_u"]),
+            denominator_bound=int(p["den_bound"]),
+        )
+        for s in _seeds(p)
+    ]
+    return _named(*map(gen_random, params))
+
+
+def _dvp(p: dict) -> list[tuple[str, TaskSet]]:
+    n, q = int(p["n"]), int(p["den_bound"])
+    return [(f"dvp-s{s}", dvp_to_tasks(gen_random_dvp(s, n, q))) for s in _seeds(p)]
+
+
+def _files(p: dict) -> list[tuple[str, TaskSet]]:
+    paths = sorted(globmod.glob(str(p["path"])))
+    if not paths:
+        raise ParseError(f"no files match {p['path']!r}")
+    out = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            ts = parse_taskset(fh.read())
+        out.append((ts.name or path, ts))
+    return out
+
+
+_SEEDED = {"seed": 0, "count": 1, "den_bound": DEFAULT_DENOMINATOR_BOUND}
+# family -> (required keys, optional keys with their defaults, maker); the
+# maker takes the keys with the defaults filled in and returns (name, task
+# set) pairs.  `rtpack generate` and the bench both expand instances here.
+FAMILIES = {
+    "bf-adversary": (("k",), {"h": None}, _adversary(gen_best_fit_adversary)),
+    "wf-adversary": (("k",), {"h": None}, _adversary(gen_worst_fit_adversary)),
+    "speedup-gap": (("n", "eps"), {}, _speedup_gap),
+    "random": (("n",), {**_SEEDED, "class": "constrained", "target_u": 1}, _random),
+    "dvp": (("n",), _SEEDED, _dvp),
+    "file": (("path",), {}, _files),
 }
 
 
@@ -130,67 +186,58 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.algorithms:
             raise ParseError("at least one algorithm must be selected")
+        for i, (algo, strategy) in enumerate(self.algorithms, start=1):
+            if algo not in ALGORITHMS:
+                raise ParseError(f"algorithm {i}: unknown algorithm {algo!r}")
+            if strategy is not None and strategy not in _STRATEGIES:
+                raise ParseError(
+                    f"algorithm {i} ({algo}): unknown strategy {strategy!r}"
+                )
 
 
 def spec(family: str, **params) -> InstanceSpec:
     return InstanceSpec(family, tuple(sorted(params.items())))
 
 
+def _family(family, keys, where: str):
+    """The table entry of `family`; raises ParseError naming `where` for an
+    unknown family, or for a key it needs and lacks or does not take."""
+    if family not in FAMILIES:
+        raise ParseError(f"{where}: unknown family {family!r}")
+    required, optional, _ = FAMILIES[family]
+    for key in required:
+        if key not in keys:
+            raise ParseError(f"{where}: missing {key!r}")
+    for key in keys:
+        if key not in required and key not in optional:
+            raise ParseError(f"{where}: unknown key {key!r}")
+    return FAMILIES[family]
+
+
+def make_instances(family: str, params: dict) -> list[tuple[str, TaskSet]]:
+    """The (name, task set) pairs of one instance spec, deterministically;
+    keys left out take the family's defaults."""
+    _, optional, make = _family(family, params, family)
+    return make({**optional, **params})
+
+
 def resolve_instances(cfg: ExperimentConfig) -> list[tuple[str, str, TaskSet]]:
     """Expand instance specs into (name, family, task set), deterministically."""
-    out: list[tuple[str, str, TaskSet]] = []
-    for sp in cfg.instances:
-        fam = sp.family
-        if fam == "bf-adversary":
-            ts = gen_best_fit_adversary(int(sp.get("k")), sp.get("h"))
-            out.append((ts.name, fam, ts))
-        elif fam == "wf-adversary":
-            ts = gen_worst_fit_adversary(int(sp.get("k")), sp.get("h"))
-            out.append((ts.name, fam, ts))
-        elif fam == "speedup-gap":
-            ts = gen_speedup_gap(int(sp.get("n")), Fraction(sp.get("eps")))
-            out.append((ts.name, fam, ts))
-        elif fam == "random":
-            base = int(sp.get("seed", 0))
-            count = int(sp.get("count", 1))
-            cls = DeadlineClass(sp.get("class", "constrained"))
-            for i in range(count):
-                params = GenParams(
-                    seed=base + i,
-                    n=int(sp.get("n")),
-                    deadline_class=cls,
-                    utilization_target=Fraction(sp.get("target_u", 1)),
-                    denominator_bound=int(sp.get("den_bound", 8)),
-                )
-                ts = gen_random(params)
-                out.append((ts.name, fam, ts))
-        elif fam == "dvp":
-            base = int(sp.get("seed", 0))
-            count = int(sp.get("count", 1))
-            for i in range(count):
-                dvp = gen_random_dvp(
-                    base + i, int(sp.get("n")), int(sp.get("den_bound", 8))
-                )
-                ts = dvp_to_tasks(dvp)
-                out.append((f"dvp-s{base + i}", fam, ts))
-        elif fam == "file":
-            paths = sorted(globmod.glob(str(sp.get("path"))))
-            if not paths:
-                raise ParseError(f"no files match {sp.get('path')!r}")
-            for path in paths:
-                with open(path, "rb") as fh:
-                    ts = parse_taskset(fh.read())
-                out.append((ts.name or path, fam, ts))
-        else:
-            raise ParseError(f"unknown instance family {fam!r}")
-    return out
+    return [
+        (name, sp.family, ts)
+        for sp in cfg.instances
+        for name, ts in make_instances(sp.family, dict(sp.params))
+    ]
 
 
-def _run_algorithm(ts: TaskSet, algo: str, strategy: Optional[str]) -> Partition:
+def run_algorithm(ts: TaskSet, algo: str, strategy: Optional[str]) -> Partition:
+    """Partition `ts` with one of ALGORITHMS; a strategy of None is first
+    fit."""
+    fit = Strategy(strategy or "ff")
     if algo == "dm":
-        return dm_partition(ts, Strategy(strategy or "ff"))
+        return dm_partition(ts, fit)
     if algo == "dagger":
-        return dagger_greedy(ts, Strategy(strategy or "ff"))
+        return dagger_greedy(ts, fit)
     raise ParseError(f"unknown algorithm {algo!r}")
 
 
@@ -239,7 +286,7 @@ def _bench_instance(
     for algo, strategy in cfg.algorithms:
         try:
             start = time.perf_counter()
-            part = _run_algorithm(ts, algo, strategy)
+            part = run_algorithm(ts, algo, strategy)
             # rounded at capture so emitted reports parse back identically
             elapsed_ms = (
                 round((time.perf_counter() - start) * 1000, 3) if cfg.timing else 0.0
@@ -445,24 +492,28 @@ def _parse_int(value, where: str) -> int:
     return value
 
 
+def _parse_bool(value, where: str) -> bool:
+    """A JSON boolean; strings, numbers and null are refused."""
+    if not isinstance(value, bool):
+        raise ParseError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _parse_instance(index: int, entry: dict) -> InstanceSpec:
     family = entry["family"]
     if not isinstance(family, str):
         raise ParseError(f"instance {index}: family must be a string, got {family!r}")
-    for key in _REQUIRED_KEYS.get(family, ()):
-        if key not in entry:
-            raise ParseError(f"instance {index} ({family}): missing {key!r}")
-    params = []
-    for key, value in entry.items():
+    params = {key: value for key, value in entry.items() if key != "family"}
+    _family(family, params, f"instance {index} ({family})")
+    for key, value in params.items():
         where = f"instance {index} ({family}), {key!r}"
-        if key == "family":
-            continue
         if key in _RATIONAL_KEYS:
-            value = parse_rational(value, where)
+            params[key] = parse_rational(value, where)
         elif key in _INTEGER_KEYS:
-            value = _parse_int(value, where)
-        params.append((key, value))
-    return InstanceSpec(family, tuple(sorted(params)))
+            params[key] = _parse_int(value, where)
+        elif key == "class" and value not in _CLASSES:
+            raise ParseError(f"{where}: unknown class {value!r}")
+    return InstanceSpec(family, tuple(sorted(params.items())))
 
 
 def parse_config(data: bytes | str) -> ExperimentConfig:
@@ -488,9 +539,9 @@ def parse_config(data: bytes | str) -> ExperimentConfig:
     return ExperimentConfig(
         instances=instances,
         algorithms=algorithms,
-        oracle=bool(doc.get("oracle", True)),
+        oracle=_parse_bool(doc.get("oracle", True), "oracle"),
         n_cap=_parse_int(doc.get("n_cap", DEFAULT_ORACLE_CAP), "n_cap"),
         alpha_slack=parse_rational(doc.get("alpha_slack", "1"), "alpha_slack"),
-        timing=bool(doc.get("timing", True)),
+        timing=_parse_bool(doc.get("timing", True), "timing"),
         threads=_parse_int(doc.get("threads", 1), "threads"),
     )

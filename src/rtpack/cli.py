@@ -23,21 +23,11 @@ from .feasibility import (
     Mode,
     edf_feasible_exact,
 )
-from .generators import (
-    DEFAULT_DENOMINATOR_BOUND,
-    DeadlineClass,
-    GenParams,
-    dvp_to_tasks,
-    gen_best_fit_adversary,
-    gen_random,
-    gen_random_dvp,
-    gen_speedup_gap,
-    gen_worst_fit_adversary,
-)
+from .generators import gen_random_dvp
 from .io import serialize_dvp, serialize_taskset, parse_taskset
-from .model import as_rational
+from .model import DeadlineClass, as_rational
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
-from .partitioners import Partition, Strategy, dagger_greedy, dm_partition
+from .partitioners import Partition, Strategy
 from .simulate import DEFAULT_EVENT_CAP, simulate_edf_synchronous
 
 
@@ -101,50 +91,27 @@ def cmd_check(args) -> int:
 
 def cmd_partition(args) -> int:
     ts = _read_taskset(args.file)
-    if args.algo == "dm":
-        part = dm_partition(ts, Strategy(args.strategy))
-    elif args.algo == "dagger":
-        part = dagger_greedy(ts, Strategy(args.strategy))
-    else:
+    if args.algo == "oracle":
         n_cap = _env_ncap(DEFAULT_ORACLE_CAP) if args.n_cap is None else args.n_cap
-        result = optimal_partition_bruteforce(ts, Mode.EXACT, n_cap=n_cap)
-        part = result.witness
+        part = optimal_partition_bruteforce(ts, Mode.EXACT, n_cap=n_cap).witness
+    else:
+        part = bench_mod.run_algorithm(ts, args.algo, args.strategy)
     print(_partition_doc(part), end="")
     return 0
 
 
 def cmd_generate(args) -> int:
-    if args.family in ("bf-adversary", "wf-adversary"):
-        if args.k is None:
-            raise RtpackError("--k is required for the adversary families")
-        gen = (
-            gen_best_fit_adversary
-            if args.family == "bf-adversary"
-            else gen_worst_fit_adversary
-        )
-        ts = gen(args.k, args.h)
-    elif args.family == "speedup-gap":
-        if args.n is None or args.eps is None:
-            raise RtpackError("--n and --eps are required for speedup-gap")
-        ts = gen_speedup_gap(args.n, args.eps)
-    elif args.family == "random":
-        if args.n is None:
-            raise RtpackError("--n is required for random")
-        params = GenParams(
-            seed=args.seed,
-            n=args.n,
-            deadline_class=DeadlineClass(args.deadline_class),
-            utilization_target=args.target_u,
-            denominator_bound=args.den_bound,
-        )
-        ts = gen_random(params)
-    else:  # dvp
-        if args.n is None:
-            raise RtpackError("--n is required for dvp")
-        dvp = gen_random_dvp(args.seed, args.n, args.den_bound)
-        if args.dvp_out:
-            _write_output(args.dvp_out, serialize_dvp(dvp))
-        ts = dvp_to_tasks(dvp)
+    """One instance of a family, from the flags that name its keys."""
+    required, optional, _ = bench_mod.FAMILIES[args.family]
+    flags = vars(args)
+    params = {
+        key: flags[key] for key in (*required, *optional) if flags.get(key) is not None
+    }
+    [(_, ts)] = bench_mod.make_instances(args.family, params)
+    if args.family == "dvp" and args.dvp_out:
+        p = {**optional, **params}
+        dvp = gen_random_dvp(p["seed"], p["n"], p["den_bound"])
+        _write_output(args.dvp_out, serialize_dvp(dvp))
     _write_output(args.output, serialize_taskset(ts))
     return 0
 
@@ -202,30 +169,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser("partition", help="partition a task set")
     p_part.add_argument("file")
-    p_part.add_argument("--algo", choices=["dm", "dagger", "oracle"], required=True)
-    p_part.add_argument("--strategy", choices=["ff", "bf", "wf"], default="ff")
+    p_part.add_argument(
+        "--algo", choices=[*bench_mod.ALGORITHMS, "oracle"], required=True
+    )
+    p_part.add_argument("--strategy", choices=[s.value for s in Strategy], default="ff")
     p_part.add_argument("--n-cap", type=int)
     p_part.set_defaults(func=cmd_partition)
 
     p_gen = sub.add_parser("generate", help="emit an instance as task-set JSON")
+    # the dest of each family flag is the instance key of a bench config;
+    # unset flags take the family's defaults
     p_gen.add_argument(
         "--family",
-        choices=["bf-adversary", "wf-adversary", "speedup-gap", "random", "dvp"],
+        choices=[f for f in bench_mod.FAMILIES if f != "file"],
         required=True,
     )
     p_gen.add_argument("--k", type=int)
     p_gen.add_argument("--h", type=as_rational)
     p_gen.add_argument("--n", type=int)
     p_gen.add_argument("--eps", type=as_rational)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--target-u", type=as_rational, default=Fraction(1))
-    p_gen.add_argument(
-        "--class",
-        dest="deadline_class",
-        choices=["implicit", "constrained", "arbitrary"],
-        default="constrained",
-    )
-    p_gen.add_argument("--den-bound", type=int, default=DEFAULT_DENOMINATOR_BOUND)
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--target-u", type=as_rational)
+    p_gen.add_argument("--class", choices=[c.value for c in DeadlineClass])
+    p_gen.add_argument("--den-bound", type=int)
     p_gen.add_argument("--dvp-out")
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=cmd_generate)

@@ -24,6 +24,27 @@ def _default_h(k: int) -> Fraction:
     return Fraction(k) ** (k + 2)
 
 
+def _fit_adversary(k: int, h: Fraction | None, shift: int, name: str) -> TaskSet:
+    """The adversary families' common body: the first task has C = K^(shift-1),
+    the implicit task i (even) D = K^(i/2-1+shift) and C = K^(i/2-2+shift),
+    and filler i (odd, j = (i-1)/2) C = K^j - K^(j-1) with D = K^j."""
+    if not isinstance(k, int) or k < 4:
+        raise BadParam(f"need integer k >= 4, got {k!r}")
+    h = _default_h(k) if h is None else as_rational(h)
+    if h < _default_h(k):
+        raise BadParam(f"h must be at least k^(k+2) = {_default_h(k)}, got {h}")
+    kf = Fraction(k)
+    tasks = [Task(c=kf ** (shift - 1), d=Fraction(1), t=h, id=1)]
+    for i in range(2, 2 * k + 1):
+        if i % 2 == 0:
+            d = kf ** (i // 2 - 1 + shift)
+            tasks.append(Task(c=kf ** (i // 2 - 2 + shift), d=d, t=d, id=i))
+        else:
+            j = (i - 1) // 2
+            tasks.append(Task(c=kf**j - kf ** (j - 1), d=kf**j, t=h, id=i))
+    return TaskSet(tuple(tasks), name=f"{name}-k{k}")
+
+
 def gen_best_fit_adversary(k: int, h: Fraction | None = None) -> TaskSet:
     """Family on which deadline-monotonic best fit opens K processors while
     two suffice.
@@ -33,42 +54,14 @@ def gen_best_fit_adversary(k: int, h: Fraction | None = None) -> TaskSet:
     The long period defaults to K^(K+2), large enough that the fillers'
     utilization stays negligible.
     """
-    if not isinstance(k, int) or k < 4:
-        raise BadParam(f"need integer k >= 4, got {k!r}")
-    h = _default_h(k) if h is None else as_rational(h)
-    if h < _default_h(k):
-        raise BadParam(f"h must be at least k^(k+2) = {_default_h(k)}, got {h}")
-    kf = Fraction(k)
-    tasks = [Task(c=1 / kf, d=Fraction(1), t=h, id=1)]
-    for i in range(2, 2 * k + 1):
-        if i % 2 == 0:
-            d = kf ** (i // 2 - 1)
-            tasks.append(Task(c=kf ** (i // 2 - 2), d=d, t=d, id=i))
-        else:
-            j = (i - 1) // 2
-            tasks.append(Task(c=kf**j - kf ** (j - 1), d=kf**j, t=h, id=i))
-    return TaskSet(tuple(tasks), name=f"bf-adversary-k{k}")
+    return _fit_adversary(k, h, 0, "bf-adversary")
 
 
 def gen_worst_fit_adversary(k: int, h: Fraction | None = None) -> TaskSet:
     """Family on which deadline-monotonic worst fit opens K processors while
     two suffice; same structure as the best-fit family with the implicit
     tasks shifted one deadline tier up."""
-    if not isinstance(k, int) or k < 4:
-        raise BadParam(f"need integer k >= 4, got {k!r}")
-    h = _default_h(k) if h is None else as_rational(h)
-    if h < _default_h(k):
-        raise BadParam(f"h must be at least k^(k+2) = {_default_h(k)}, got {h}")
-    kf = Fraction(k)
-    tasks = [Task(c=Fraction(1), d=Fraction(1), t=h, id=1)]
-    for i in range(2, 2 * k + 1):
-        if i % 2 == 0:
-            d = kf ** (i // 2)
-            tasks.append(Task(c=kf ** (i // 2 - 1), d=d, t=d, id=i))
-        else:
-            j = (i - 1) // 2
-            tasks.append(Task(c=kf**j - kf ** (j - 1), d=kf**j, t=h, id=i))
-    return TaskSet(tuple(tasks), name=f"wf-adversary-k{k}")
+    return _fit_adversary(k, h, 1, "wf-adversary")
 
 
 def gen_speedup_gap(n: int, eps: Fraction) -> TaskSet:
@@ -137,6 +130,8 @@ def gen_random_dvp(
     """Seeded dominated-vector instance with denominators bounded by q."""
     if n < 1:
         raise BadParam(f"need n >= 1, got {n}")
+    if denominator_bound < 2:  # a dominated vector needs k2 >= 2
+        raise BadParam(f"need denominator_bound >= 2, got {denominator_bound}")
     rng = random.Random(f"rtpack-dvp:{seed}")
     q = denominator_bound
     vectors = []

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ValidationError
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
@@ -151,11 +150,6 @@ def taskset(triples: Iterable[tuple], name: str = "") -> TaskSet:
         task(c, d, t, id=i) for i, (c, d, t) in enumerate(triples, start=1)
     )
     return TaskSet(tasks, name=name)
-
-
-def utilization(tsk: Task) -> Fraction:
-    """c/t, exactly."""
-    return tsk.utilization
 
 
 def dbf(tsk: Task, tpoint: Fraction) -> Fraction:

@@ -77,6 +77,17 @@ def _fit_load(u_sum: int, a_sum: int, cand: tuple) -> Optional[int]:
     return load
 
 
+def _pick(strategy: Strategy, loads: dict[int, int]) -> int:
+    """The bin `strategy` chooses among the admitting bins, given as
+    bin index -> load: first fit the lowest index, best fit the largest
+    load and worst fit the smallest, ties to the lowest index."""
+    if strategy is Strategy.FIRST_FIT:
+        return min(loads)
+    if strategy is Strategy.BEST_FIT:
+        return max(loads, key=lambda i: (loads[i], -i))
+    return min(loads, key=lambda i: (loads[i], i))
+
+
 def dm_admits(bin_tasks: Sequence[Task], cand: Task) -> bool:
     """Admission test for adding `cand` to a processor already holding
     `bin_tasks`, all with deadlines no later than cand's.
@@ -139,12 +150,8 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
             bins.append([])
             sums.append([0, 0])
             pick = len(bins) - 1
-        elif strat is Strategy.FIRST_FIT:
-            pick = min(loads)
-        elif strat is Strategy.BEST_FIT:
-            pick = max(loads, key=lambda i: (loads[i], -i))
-        else:  # WORST_FIT
-            pick = min(loads, key=lambda i: (loads[i], i))
+        else:
+            pick = _pick(strat, loads)
         bins[pick].append(ts.tasks[pos].id)
         sums[pick][0] += term[3]
         sums[pick][1] += term[4]
@@ -155,16 +162,12 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
     )
 
 
-def dagger_greedy(
-    ts: TaskSet, fitting: Strategy, decreasing: bool = False
-) -> Partition:
+def dagger_greedy(ts: TaskSet, fitting: Strategy) -> Partition:
     """Greedy packing on the utilizations of the tightened task set.
 
     Each task contributes C/min(T, D); a bin accepts a task iff its load
     stays at most 1, which keeps every bin EDF-feasible for the original
-    tasks.  Tasks go in input order unless `decreasing` sorts them by
-    falling tightened utilization (an experimentation knob; the
-    approximation bound holds either way).  Loads are ints over one common
+    tasks.  Tasks go in input order.  Loads are ints over one common
     denominator, `whole`, the lcm of the tightened periods.
     """
     require_valid(ts)
@@ -172,26 +175,16 @@ def dagger_greedy(
     span = [min(d, t) for d, t in zip(view.d, view.t)]
     whole = math.lcm(*span)
     share = [whole // m * c for m, c in zip(span, view.c)]
-    order = list(range(len(ts)))
-    if decreasing:
-        order.sort(key=lambda i: (-share[i], ts.tasks[i].id))
     bins: list[list[int]] = []
     loads: list[int] = []
-    for pos in order:
-        u = share[pos]
-        tid = ts.tasks[pos].id
-        fits = [i for i in range(len(bins)) if loads[i] + u <= whole]
+    for tsk, u in zip(ts.tasks, share):
+        fits = {i: load for i, load in enumerate(loads) if load + u <= whole}
         if not fits:
-            bins.append([tid])
+            bins.append([tsk.id])
             loads.append(u)
             continue
-        if fitting is Strategy.FIRST_FIT:
-            pick = fits[0]
-        elif fitting is Strategy.BEST_FIT:
-            pick = max(fits, key=lambda i: (loads[i], -i))
-        else:
-            pick = min(fits, key=lambda i: (loads[i], i))
-        bins[pick].append(tid)
+        pick = _pick(fitting, fits)
+        bins[pick].append(tsk.id)
         loads[pick] += u
     return Partition(
         bins=tuple(tuple(sorted(b)) for b in bins),

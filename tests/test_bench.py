@@ -133,6 +133,15 @@ class TestRunExperiment:
         with pytest.raises(ParseError):
             ExperimentConfig(instances=(), algorithms=())
 
+    @pytest.mark.parametrize(
+        "algorithms,match",
+        [((("nope", None),), "algorithm 1: unknown algorithm 'nope'"),
+         ((("dm", "bf"), ("dagger", "xx")), "algorithm 2 \\(dagger\\): unknown strategy 'xx'")],
+    )  # fmt: skip
+    def test_python_built_algorithms_checked(self, algorithms, match):
+        with pytest.raises(ParseError, match=match):
+            ExperimentConfig(instances=(), algorithms=algorithms)
+
 
 class TestCheckBounds:
     def test_within_bound(self):
@@ -248,6 +257,29 @@ class TestConfigParsing:
         with pytest.raises(ParseError, match=f"missing '{missing}'"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "entry,match",
+        [({"family": "nope", "n": 3}, "instance 1 \\(nope\\): unknown family 'nope'"),
+         ({"family": "bf-adversary", "k": 4, "bogus": 1},
+          "instance 1 \\(bf-adversary\\): unknown key 'bogus'"),
+         ({"family": "speedup-gap", "n": 3, "eps": "1/2", "seed": 1},
+          "instance 1 \\(speedup-gap\\): unknown key 'seed'"),
+         ({"family": "random", "n": 3, "class": "sporadic"},
+          "instance 1 \\(random\\), 'class': unknown class 'sporadic'"),
+         ({"family": "random", "n": 3, "class": ["implicit"]}, "unknown class")],
+    )  # fmt: skip
+    def test_unknown_family_key_or_class(self, entry, match):
+        doc = {"instances": [entry], "algorithms": [{"algo": "dm"}]}
+        with pytest.raises(ParseError, match=match):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["oracle", "timing"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_switches_must_be_json_booleans(self, key, value):
+        doc = {"instances": [], "algorithms": [{"algo": "dm"}], key: value}
+        with pytest.raises(ParseError, match=key):
+            parse_config(json.dumps(doc))
+
     def test_family_must_be_a_string(self):
         doc = {"instances": [{"family": ["random"]}], "algorithms": [{"algo": "dm"}]}
         with pytest.raises(ParseError, match="family must be a string"):
@@ -308,6 +340,11 @@ class TestConfigParsing:
         )
         rows = run_experiment(cfg).rows
         assert len(rows) == 3 and rows[0].m == rows[1].m == 3
+
+    def test_switches_parse(self):
+        doc = {"instances": [], "algorithms": [{"algo": "dm"}], "oracle": False}
+        cfg = parse_config(json.dumps(doc))
+        assert cfg.oracle is False and cfg.timing is True
 
     def test_determinism_end_to_end(self):
         raw = b"""

@@ -2,12 +2,14 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from rtpack.bench import FAMILIES, make_instances
 from rtpack.cli import dispatch
 from rtpack.io import serialize_taskset
 from rtpack.model import taskset
@@ -57,6 +59,31 @@ class TestGenerate:
     def test_missing_parameter_is_an_error(self, capsys):
         rc, _, err = run(capsys, "generate", "--family", "bf-adversary")
         assert rc == 2 and "error" in err
+
+    def test_dvp_denominator_bound_below_two_exit_two(self, capsys):
+        rc, _, err = run(capsys, "generate", "--family", "dvp", "--n", "3", "--den-bound", "1")
+        assert rc == 2 and "denominator_bound" in err
+
+    @pytest.mark.parametrize(
+        "family,flags,params",
+        [("bf-adversary", ["--k", "5"], {"k": 5}),
+         ("wf-adversary", ["--k", "4", "--h", "5000"], {"k": 4, "h": Fraction(5000)}),
+         ("speedup-gap", ["--n", "4", "--eps", "1/3"], {"n": 4, "eps": Fraction(1, 3)}),
+         ("random", ["--n", "5"], {"n": 5}),
+         ("random", ["--n", "5", "--seed", "3", "--target-u", "3/2", "--class", "arbitrary",
+                     "--den-bound", "6"],
+          {"n": 5, "seed": 3, "target_u": Fraction(3, 2), "class": "arbitrary", "den_bound": 6}),
+         ("dvp", ["--n", "4"], {"n": 4}),
+         ("dvp", ["--n", "4", "--seed", "2", "--den-bound", "5"], {"n": 4, "seed": 2, "den_bound": 5})],
+    )  # fmt: skip
+    def test_bytes_equal_bench_expansion(self, capsys, family, flags, params):
+        rc, text, _ = run(capsys, "generate", "--family", family, *flags)
+        [(_, ts)] = make_instances(family, params)
+        assert rc == 0 and text == serialize_taskset(ts)
+
+    def test_every_generated_family_covered(self):
+        tested = {"bf-adversary", "wf-adversary", "speedup-gap", "random", "dvp"}
+        assert tested == set(FAMILIES) - {"file"}
 
     def test_stdout_when_no_output_file(self, capsys):
         rc, text, _ = run(capsys, "generate", "--family", "speedup-gap", "--n", "2", "--eps", "1/4")
@@ -215,6 +242,26 @@ class TestBench:
         rc, _, err = run(capsys, "bench", "--config", str(cfg))
         assert rc == 2 and "instance 1" in err
 
+    @pytest.mark.parametrize(
+        "doc,where",
+        [({"instances": [{"family": "nope", "n": 3}]}, "instance 1 (nope): unknown family"),
+         ({"instances": [{"family": "bf-adversary", "k": 4, "bogus": 1}]},
+          "instance 1 (bf-adversary): unknown key 'bogus'"),
+         ({"instances": [{"family": "random", "n": 3, "class": "sporadic"}]},
+          "instance 1 (random), 'class': unknown class"),
+         ({"algorithms": [{"algo": "nope"}]}, "algorithm 1: unknown algorithm 'nope'"),
+         ({"algorithms": [{"algo": "dm", "strategy": "xx"}]},
+          "algorithm 1 (dm): unknown strategy 'xx'"),
+         ({"oracle": "false"}, "oracle"),
+         ({"timing": "no"}, "timing")],
+    )  # fmt: skip
+    def test_parse_time_rejection_exit_two(self, tmp_path, capsys, doc, where):
+        base = {"instances": [{"family": "bf-adversary", "k": 4}], "algorithms": [{"algo": "dm"}]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, **doc}))
+        rc, out, err = run(capsys, "bench", "--config", str(cfg))
+        assert rc == 2 and out == "" and where in err
+
 
 class TestDeterminismGoldens:
     """Reruns must be byte-identical, and must match the committed goldens."""
@@ -349,6 +396,46 @@ TASKSET_COMMANDS = [
     ("simulate", DOC, "--horizon", "6", "--event-cap", "2000"),
 ]
 BENCH_COMMAND = ("bench", "--config", DOC, "--format", "json")
+# CLI flags: each value is a plausible one or junk; integers stay small (k,
+# n <= 8) so that a well-formed draw stays quick to generate or solve
+FLAG_JUNK = st.sampled_from(
+    ["", "abc", "-1", "0", "2", "1/0", "1/2", "0.5", "1e2", "x/2", "-1/3", "implicit", "file"]
+)
+
+
+def _flag(*plausible):
+    """A flag value: plausible in about four draws of five, else junk."""
+    return st.integers(0, 4).flatmap(lambda i: FLAG_JUNK if i == 4 else st.sampled_from(plausible))
+
+
+def _argv(*head):
+    return lambda flags, tail=(): [*head, *(a for f, v in flags.items() for a in (f, v)), *tail]
+
+
+GENERATE_ARGV = st.builds(
+    _argv("generate"),
+    st.fixed_dictionaries(
+        {"--family": _flag(*(f for f in FAMILIES if f != "file"))},
+        optional={"--k": _flag("4", "5", "8"), "--n": _flag("1", "3", "8"),
+                  "--eps": _flag("1/2", "1/3"), "--h": _flag("5000", "10000000"),
+                  "--seed": _flag("0", "7"), "--target-u": _flag("1/2", "1", "3/2"),
+                  "--class": _flag("implicit", "constrained", "arbitrary"),
+                  "--den-bound": _flag("2", "8")},
+    ),
+    st.sampled_from([(), ("--dvp-out", DOC)]),
+)
+PARTITION_ARGV = st.builds(
+    _argv("partition", DOC),
+    st.fixed_dictionaries(
+        {"--algo": _flag("dm", "dagger", "oracle")},
+        optional={"--strategy": _flag("ff", "bf", "wf"), "--n-cap": _flag("2", "8", "12")},
+    ),
+)
+PARTITION_DOCS = st.one_of(
+    st.sampled_from([(GOLDEN / name).read_text() for name in ("bf_adversary_k4.json",
+                                                              "speedup_gap_n3.json")]),
+    TASKSET_DOCS,
+)  # fmt: skip
 
 
 def _fuzz_dispatch(argv, doc, env):
@@ -389,6 +476,16 @@ class TestExitCodeFuzz:
     @given(st.one_of(CONFIG_DOCS, st.text(max_size=40)), ENV_VALUES)
     def test_bench_configs(self, doc, env):
         assert _fuzz_dispatch(BENCH_COMMAND, doc, env) in (0, 2)
+
+    @settings(max_examples=150)
+    @given(GENERATE_ARGV, ENV_VALUES)
+    def test_generate_flags(self, argv, env):
+        assert _fuzz_dispatch(argv, "", env) in (0, 2)
+
+    @settings(max_examples=150)
+    @given(PARTITION_ARGV, PARTITION_DOCS, ENV_VALUES)
+    def test_partition_flags(self, argv, doc, env):
+        assert _fuzz_dispatch(argv, doc, env) in (0, 2)
 
     @pytest.mark.parametrize("argv", [("check", DOC), BENCH_COMMAND])
     def test_deeply_nested_document(self, argv):

@@ -154,6 +154,12 @@ class TestDvp:
         with pytest.raises(BadParam):
             DvpInstance(((F(1, 2), F(3, 2)),))
 
+    @pytest.mark.parametrize("bound", [1, 0, -3])
+    def test_denominator_bound_below_two_raises(self, bound):
+        # a dominated vector needs a second coordinate k2/q with k2 >= 2
+        with pytest.raises(BadParam, match="denominator_bound"):
+            gen_random_dvp(0, 3, bound)
+
     def test_generated_instances_convert_cleanly(self):
         for seed in range(20):
             dvp = gen_random_dvp(seed, 8)

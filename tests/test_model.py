@@ -21,7 +21,6 @@ from rtpack.model import (
     task,
     taskset,
     transform_dagger,
-    utilization,
     validate,
 )
 
@@ -57,13 +56,13 @@ class TestRationalConversion:
 
 class TestUtilization:
     def test_quarter(self):
-        assert utilization(task(1, 2, 4)) == F(1, 4)
+        assert task(1, 2, 4).utilization == F(1, 4)
 
     def test_saturated(self):
-        assert utilization(task(3, 3, 3)) == 1
+        assert task(3, 3, 3).utilization == 1
 
     def test_tiny_long_period(self):
-        assert utilization(task("1/4", 1, 4096)) == F(1, 16384)
+        assert task("1/4", 1, 4096).utilization == F(1, 16384)
 
 
 class TestDbf:

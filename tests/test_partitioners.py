@@ -47,13 +47,10 @@ def reference_dm_bins(ts, strat):
     return tuple(tuple(sorted(t.id for t in b)) for b in bins)
 
 
-def reference_dagger_bins(ts, strat, decreasing=False):
+def reference_dagger_bins(ts, strat):
     """dagger_greedy's definition on Fraction loads of the tightened set."""
-    items = list(transform_dagger(ts))
-    if decreasing:
-        items.sort(key=lambda tsk: (-tsk.utilization, tsk.id))
     bins, loads = [], []
-    for tsk in items:
+    for tsk in transform_dagger(ts):
         u = tsk.utilization
         fits = [i for i in range(len(bins)) if loads[i] + u <= 1]
         if not fits:
@@ -171,13 +168,6 @@ class TestDaggerGreedy:
         part = dagger_greedy(ts, Strategy.FIRST_FIT)
         assert part.m == 4
 
-    def test_decreasing_order_flag(self):
-        ts = taskset([("1/5", 1, 1), ("3/5", 1, 1), ("1/2", 1, 1), ("2/5", 1, 1)])
-        in_order = dagger_greedy(ts, Strategy.FIRST_FIT)
-        decreasing = dagger_greedy(ts, Strategy.FIRST_FIT, decreasing=True)
-        assert in_order.bins == ((1, 2), (3, 4))
-        assert decreasing.bins == ((2, 4), (1, 3))
-
     @given(valid_tasksets(), st.sampled_from(list(Strategy)))
     def test_output_verifies_exact(self, ts, strat):
         part = dagger_greedy(ts, strat)
@@ -198,24 +188,19 @@ class TestDaggerGreedy:
     def test_deterministic(self, ts, strat):
         assert dagger_greedy(ts, strat) == dagger_greedy(ts, strat)
 
-    @given(
-        valid_tasksets(max_n=8), st.sampled_from(list(Strategy)), st.booleans()
-    )
-    def test_matches_fraction_reference(self, ts, strat, decreasing):
-        assert dagger_greedy(ts, strat, decreasing).bins == reference_dagger_bins(
-            ts, strat, decreasing
-        )
+    @given(valid_tasksets(max_n=8), st.sampled_from(list(Strategy)))
+    def test_matches_fraction_reference(self, ts, strat):
+        assert dagger_greedy(ts, strat).bins == reference_dagger_bins(ts, strat)
 
-    @pytest.mark.parametrize("decreasing", [False, True])
     @pytest.mark.parametrize("strat", list(Strategy))
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_fraction_reference_on_random_sets(self, seed, strat, decreasing):
+    def test_matches_fraction_reference_on_random_sets(self, seed, strat):
         for cls in DeadlineClass:
             ts = gen_random(
                 GenParams(seed=seed, n=40, deadline_class=cls, utilization_target=F(8))
             )
-            got = dagger_greedy(ts, strat, decreasing).bins
-            assert got == reference_dagger_bins(ts, strat, decreasing)
+            got = dagger_greedy(ts, strat).bins
+            assert got == reference_dagger_bins(ts, strat)
 
     @pytest.mark.parametrize("strat", list(Strategy))
     def test_tied_loads_match_reference(self, strat):
