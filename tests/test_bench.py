@@ -341,11 +341,6 @@ class TestConfigParsing:
         rows = run_experiment(cfg).rows
         assert len(rows) == 3 and rows[0].m == rows[1].m == 3
 
-    def test_switches_parse(self):
-        doc = {"instances": [], "algorithms": [{"algo": "dm"}], "oracle": False}
-        cfg = parse_config(json.dumps(doc))
-        assert cfg.oracle is False and cfg.timing is True
-
     def test_determinism_end_to_end(self):
         raw = b"""
         {
