@@ -65,7 +65,7 @@ def main():
             print(f"{algo}: max ratio {float(mx):.3f}, mean {float(mean):.3f}")
 
     slacks = [
-        r.m - Fraction(2, 1) / (1 - r.gamma) * r.m_star
+        r.m - r.bound_asymptotic * r.m_star
         for r in report.rows
         if r.algorithm == "dm" and r.m_star is not None and r.gamma < Fraction(9, 10)
     ]

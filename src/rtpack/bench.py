@@ -16,7 +16,7 @@ import glob as globmod
 import io as stringio
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
@@ -33,7 +33,7 @@ from .generators import (
     gen_speedup_gap,
     gen_worst_fit_adversary,
 )
-from .io import parse_rational, parse_taskset
+from .io import load_json, parse_rational, parse_taskset
 from .model import DeadlineClass, TaskSet, classify, gamma_metric, lambda_metric
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy, dagger_greedy, dm_partition
@@ -139,29 +139,30 @@ class BenchRow:
     strategy: Optional[str]
     m: int
     m_star: Optional[int]
-    ratio: Optional[Fraction]
-    bound_2lambda: Fraction
-    bound_asymptotic: Optional[Fraction]
     violations: tuple[str, ...]
     runtime_ms: float
+
+    @property
+    def ratio(self) -> Optional[Fraction]:
+        """M / m*, or None without an optimum."""
+        return Fraction(self.m, self.m_star) if self.m_star else None
+
+    @property
+    def bound_2lambda(self) -> Fraction:
+        """The ratio bound of the dagger greedy."""
+        return 2 * self.lam
+
+    @property
+    def bound_asymptotic(self) -> Optional[Fraction]:
+        """The asymptotic ratio bound of deadline-monotonic fitting, 2/(1-gamma);
+        None when gamma is 1."""
+        return 2 / (1 - self.gamma) if self.gamma < 1 else None
 
 
 @dataclass
 class BenchReport:
     rows: tuple[BenchRow, ...]
     errors: tuple[str, ...] = ()
-    # kept for re-verification; never serialized, never compared
-    partitions: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def max_ratio(self) -> Optional[Fraction]:
-        ratios = [r.ratio for r in self.rows if r.ratio is not None]
-        return max(ratios) if ratios else None
-
-    @property
-    def mean_ratio(self) -> Optional[Fraction]:
-        ratios = [r.ratio for r in self.rows if r.ratio is not None]
-        return sum(ratios, Fraction(0)) / len(ratios) if ratios else None
 
 
 @dataclass(frozen=True)
@@ -222,12 +223,19 @@ def make_instances(family: str, params: dict) -> list[tuple[str, TaskSet]]:
 
 
 def resolve_instances(cfg: ExperimentConfig) -> list[tuple[str, str, TaskSet]]:
-    """Expand instance specs into (name, family, task set), deterministically."""
-    return [
-        (name, sp.family, ts)
-        for sp in cfg.instances
-        for name, ts in make_instances(sp.family, dict(sp.params))
-    ]
+    """Expand instance specs into (name, family, task set), deterministically;
+    an error names the spec by its 1-based index."""
+    out = []
+    for i, sp in enumerate(cfg.instances, start=1):
+        where, params = f"instance {i} ({sp.family})", dict(sp.params)
+        _, optional, make = _family(sp.family, params, where)
+        try:
+            pairs = make({**optional, **params})
+        except RtpackError as exc:
+            exc.args = (f"{where}: {exc}",)  # keeps the error's type
+            raise
+        out.extend((name, sp.family, ts) for name, ts in pairs)
+    return out
 
 
 def run_algorithm(ts: TaskSet, algo: str, strategy: Optional[str]) -> Partition:
@@ -242,22 +250,17 @@ def run_algorithm(ts: TaskSet, algo: str, strategy: Optional[str]) -> Partition:
 
 
 def _row_violations(
-    algorithm: str,
-    m: int,
-    m_star: Optional[int],
-    lam: Fraction,
-    gamma: Fraction,
-    verified: bool,
-    alpha_slack: Fraction,
+    row: BenchRow, verified: bool, alpha_slack: Fraction
 ) -> tuple[str, ...]:
     out = []
     if not verified:
         out.append("hard: partition failed exact verification")
+    m, m_star = row.m, row.m_star
     if m_star is not None:
-        if algorithm == "dagger" and m > 2 * lam * m_star:
-            out.append(f"hard: M={m} exceeds 2*lambda*M*={2 * lam * m_star}")
-        if algorithm == "dm" and gamma < 1:
-            bound = Fraction(2, 1) / (1 - gamma) * m_star + alpha_slack
+        if row.algorithm == "dagger" and m > row.bound_2lambda * m_star:
+            out.append(f"hard: M={m} exceeds 2*lambda*M*={row.bound_2lambda * m_star}")
+        if row.algorithm == "dm" and row.bound_asymptotic is not None:
+            bound = row.bound_asymptotic * m_star + alpha_slack
             if m > bound:
                 out.append(f"soft: M={m} exceeds asymptotic bound {bound}")
         if m < m_star:
@@ -267,10 +270,9 @@ def _row_violations(
 
 def _bench_instance(
     name: str, family: str, ts: TaskSet, cfg: ExperimentConfig
-) -> tuple[list[BenchRow], list[str], dict]:
+) -> tuple[list[BenchRow], list[str]]:
     rows: list[BenchRow] = []
     errors: list[str] = []
-    partitions: dict = {}
     lam = lambda_metric(ts)
     gamma = gamma_metric(ts)
     cls = classify(ts).value
@@ -292,34 +294,26 @@ def _bench_instance(
                 round((time.perf_counter() - start) * 1000, 3) if cfg.timing else 0.0
             )
             verified = verify_partition(ts, part, Mode.EXACT)
-            ratio = Fraction(part.m, m_star) if m_star else None
-            asym = Fraction(2, 1) / (1 - gamma) if gamma < 1 else None
-            rows.append(
-                BenchRow(
-                    instance=name,
-                    family=family,
-                    n=len(ts),
-                    deadline_class=cls,
-                    lam=lam,
-                    gamma=gamma,
-                    utilization=util,
-                    algorithm=algo,
-                    strategy=strategy,
-                    m=part.m,
-                    m_star=m_star,
-                    ratio=ratio,
-                    bound_2lambda=2 * lam,
-                    bound_asymptotic=asym,
-                    violations=_row_violations(
-                        algo, part.m, m_star, lam, gamma, verified, cfg.alpha_slack
-                    ),
-                    runtime_ms=elapsed_ms,
-                )
+            row = BenchRow(
+                instance=name,
+                family=family,
+                n=len(ts),
+                deadline_class=cls,
+                lam=lam,
+                gamma=gamma,
+                utilization=util,
+                algorithm=algo,
+                strategy=strategy,
+                m=part.m,
+                m_star=m_star,
+                violations=(),
+                runtime_ms=elapsed_ms,
             )
-            partitions[(name, algo, strategy)] = part
+            violations = _row_violations(row, verified, cfg.alpha_slack)
+            rows.append(replace(row, violations=violations))
         except RtpackError as exc:
             errors.append(f"{name}/{algo}-{strategy}: {exc}")
-    return rows, errors, partitions
+    return rows, errors
 
 
 def run_experiment(cfg: ExperimentConfig) -> BenchReport:
@@ -340,40 +334,29 @@ def run_experiment(cfg: ExperimentConfig) -> BenchReport:
         results = [_bench_instance(*x, cfg=cfg) for x in instances]
     rows: list[BenchRow] = []
     errors: list[str] = []
-    partitions: dict = {}
-    for r, e, p in results:
+    for r, e in results:
         rows.extend(r)
         errors.extend(e)
-        partitions.update(p)
-    return BenchReport(rows=tuple(rows), errors=tuple(errors), partitions=partitions)
+    return BenchReport(rows=tuple(rows), errors=tuple(errors))
 
 
 def check_bounds(
-    report: BenchReport,
-    alpha_slack: Fraction = DEFAULT_ALPHA_SLACK,
-    taskset_lookup=None,
+    report: BenchReport, alpha_slack: Fraction = DEFAULT_ALPHA_SLACK
 ) -> list[str]:
-    """Re-derive every bound check from the report rows.
+    """Re-derive every bound flag from the report rows.
 
     Hard flags: a transformed-greedy row beyond 2*lambda times the optimum,
-    a row below the optimum, or a stored partition failing exact
-    re-verification (when the task sets are provided).  Soft flags report
-    rows beyond the asymptotic deadline-monotonic bound plus the slack; they
-    are informational because the additive constant is not pinned down.
+    or a row below the optimum.  Soft flags report rows beyond the
+    asymptotic deadline-monotonic bound plus the slack; they are
+    informational because the additive constant is not pinned down.
+    Partitions are not re-verified: a row carries the verdict of its run in
+    `violations`.
     """
-    out: list[str] = []
-    for row in report.rows:
-        verified = True
-        if taskset_lookup is not None:
-            part = report.partitions.get((row.instance, row.algorithm, row.strategy))
-            ts = taskset_lookup(row.instance)
-            if part is not None and ts is not None:
-                verified = verify_partition(ts, part, Mode.EXACT)
-        for v in _row_violations(
-            row.algorithm, row.m, row.m_star, row.lam, row.gamma, verified, alpha_slack
-        ):
-            out.append(f"{row.instance}/{row.algorithm}-{row.strategy}: {v}")
-    return out
+    return [
+        f"{row.instance}/{row.algorithm}-{row.strategy}: {v}"
+        for row in report.rows
+        for v in _row_violations(row, True, alpha_slack)
+    ]
 
 
 def _decimal6(value: Fraction) -> str:
@@ -383,84 +366,60 @@ def _decimal6(value: Fraction) -> str:
         return str(dec.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
 
 
+def _row_doc(row: BenchRow) -> dict:
+    """The JSON object of one row.  `ratio`, `ratio_decimal`,
+    `bound_2lambda` and `bound_asymptotic` are derived from the others."""
+    ratio, asym = row.ratio, row.bound_asymptotic
+    return {
+        "instance": row.instance,
+        "family": row.family,
+        "N": row.n,
+        "class": row.deadline_class,
+        "lambda": str(row.lam),
+        "gamma": str(row.gamma),
+        "U": str(row.utilization),
+        "algorithm": row.algorithm,
+        "strategy": row.strategy,
+        "M": row.m,
+        "m_star": row.m_star,
+        "ratio": None if ratio is None else str(ratio),
+        "ratio_decimal": None if ratio is None else _decimal6(ratio),
+        "bound_2lambda": str(row.bound_2lambda),
+        "bound_asymptotic": None if asym is None else str(asym),
+        "violations": list(row.violations),
+        "runtime_ms": round(row.runtime_ms, 3),
+    }
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
+    return f"{value:.3f}" if isinstance(value, float) else str(value)
 
 
 def emit_report(report: BenchReport, format: str = "csv") -> bytes:
     """Stable-order CSV or JSON bytes; identical reports emit identical
-    bytes."""
+    bytes.  A CSV row is the CSV_COLUMNS of the row's JSON object."""
     if format == "csv":
         buf = stringio.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in report.rows:
-            writer.writerow(
-                [
-                    row.instance,
-                    row.family,
-                    row.n,
-                    row.deadline_class,
-                    _csv_cell(row.lam),
-                    _csv_cell(row.gamma),
-                    _csv_cell(row.utilization),
-                    row.algorithm,
-                    row.strategy or "",
-                    row.m,
-                    _csv_cell(row.m_star),
-                    _csv_cell(row.ratio),
-                    _csv_cell(row.bound_2lambda),
-                    _csv_cell(row.runtime_ms),
-                ]
-            )
+            doc = _row_doc(row)
+            writer.writerow([_csv_cell(doc[key]) for key in CSV_COLUMNS])
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        rows = []
-        for row in report.rows:
-            rows.append(
-                {
-                    "instance": row.instance,
-                    "family": row.family,
-                    "N": row.n,
-                    "class": row.deadline_class,
-                    "lambda": str(row.lam),
-                    "gamma": str(row.gamma),
-                    "U": str(row.utilization),
-                    "algorithm": row.algorithm,
-                    "strategy": row.strategy,
-                    "M": row.m,
-                    "m_star": row.m_star,
-                    "ratio": str(row.ratio) if row.ratio is not None else None,
-                    "ratio_decimal": _decimal6(row.ratio)
-                    if row.ratio is not None
-                    else None,
-                    "bound_2lambda": str(row.bound_2lambda),
-                    "bound_asymptotic": str(row.bound_asymptotic)
-                    if row.bound_asymptotic is not None
-                    else None,
-                    "violations": list(row.violations),
-                    "runtime_ms": round(row.runtime_ms, 3),
-                }
-            )
+        rows = [_row_doc(row) for row in report.rows]
         doc = {"rows": rows, "errors": list(report.errors)}
         return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     raise ParseError(f"unknown report format {format!r}")
 
 
 def parse_report(data: bytes | str) -> BenchReport:
-    """Inverse of the JSON emission (the display-only decimal is dropped)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
-    rows = []
-    for r in doc["rows"]:
-        rows.append(
+    """Inverse of the JSON emission; the derived keys are not read."""
+    doc = load_json(data, "report")
+    try:
+        rows = tuple(
             BenchRow(
                 instance=r["instance"],
                 family=r["family"],
@@ -472,17 +431,16 @@ def parse_report(data: bytes | str) -> BenchReport:
                 algorithm=r["algorithm"],
                 strategy=r["strategy"],
                 m=int(r["M"]),
-                m_star=int(r["m_star"]) if r["m_star"] is not None else None,
-                ratio=Fraction(r["ratio"]) if r["ratio"] is not None else None,
-                bound_2lambda=Fraction(r["bound_2lambda"]),
-                bound_asymptotic=Fraction(r["bound_asymptotic"])
-                if r["bound_asymptotic"] is not None
-                else None,
+                m_star=None if r["m_star"] is None else int(r["m_star"]),
                 violations=tuple(r["violations"]),
                 runtime_ms=float(r["runtime_ms"]),
             )
+            for r in doc["rows"]
         )
-    return BenchReport(rows=tuple(rows), errors=tuple(doc.get("errors", ())))
+        errors = tuple(doc.get("errors", ()))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed report: {exc}") from exc
+    return BenchReport(rows=rows, errors=errors)
 
 
 def _parse_int(value, where: str) -> int:
@@ -518,12 +476,7 @@ def _parse_instance(index: int, entry: dict) -> InstanceSpec:
 
 def parse_config(data: bytes | str) -> ExperimentConfig:
     """Parse the experiment configuration document."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON config: {exc}") from exc
+    doc = load_json(data, "config")
     if not isinstance(doc, dict):
         raise ParseError("config must be an object")
     try:

@@ -32,16 +32,23 @@ def parse_rational(value, where: str = "value") -> Fraction:
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
+def load_json(data: bytes | str, what: str):
+    """The JSON document in `data`, UTF-8 when bytes.  Undecodable bytes,
+    malformed JSON, an integer past the conversion limit and nesting past
+    the parser's depth limit all raise ParseError naming `what`."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON {what}: {exc}") from exc
+
+
 def parse_taskset(data: bytes | str) -> TaskSet:
     """Parse the task-set document, converting every value exactly and
     assigning ids in file order; rejects sets violating the model
     assumptions with per-task diagnostics."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = load_json(data, "task set")
     if not isinstance(doc, dict) or "tasks" not in doc:
         raise ParseError('document must be an object with a "tasks" list')
     raw_tasks = doc["tasks"]
@@ -81,12 +88,7 @@ def serialize_taskset(ts: TaskSet) -> str:
 
 
 def parse_dvp(data: bytes | str) -> DvpInstance:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = load_json(data, "vectors")
     if not isinstance(doc, dict) or "vectors" not in doc:
         raise ParseError('document must be an object with a "vectors" list')
     vectors = []

@@ -120,10 +120,6 @@ class TaskSet:
         return len(self.tasks)
 
     @property
-    def n(self) -> int:
-        return len(self.tasks)
-
-    @property
     def total_utilization(self) -> Fraction:
         return sum((tsk.utilization for tsk in self.tasks), Fraction(0))
 

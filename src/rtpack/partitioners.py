@@ -35,9 +35,6 @@ class Partition:
     def m(self) -> int:
         return len(self.bins)
 
-    def task_ids(self) -> frozenset[int]:
-        return frozenset(tid for b in self.bins for tid in b)
-
 
 def _dm_terms(view: IntView, positions: Sequence[int]) -> dict[int, tuple]:
     """Per position, the ints deadline-monotonic admission reads:

@@ -35,6 +35,6 @@ def valid_tasks(draw, tid=1):
 
 
 @st.composite
-def valid_tasksets(draw, max_n=5):
-    n = draw(st.integers(1, max_n))
+def valid_tasksets(draw, min_n=1, max_n=5):
+    n = draw(st.integers(min_n, max_n))
     return TaskSet(tuple(draw(valid_tasks(tid=i + 1)) for i in range(n)))

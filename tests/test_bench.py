@@ -35,9 +35,6 @@ def make_row(**overrides):
         strategy="ff",
         m=3,
         m_star=2,
-        ratio=F(3, 2),
-        bound_2lambda=F(2),
-        bound_asymptotic=F(4),
         violations=(),
         runtime_ms=0.0,
     )
@@ -87,7 +84,6 @@ class TestRunExperiment:
         cfg = ExperimentConfig(instances=(), algorithms=(("dm", "ff"),))
         report = run_experiment(cfg)
         assert report.rows == ()
-        assert report.max_ratio is None and report.mean_ratio is None
 
     def test_oracle_cap_recorded_as_error(self):
         cfg = ExperimentConfig(
@@ -186,8 +182,13 @@ class TestEmit:
         assert "3/2" in data
 
     def test_json_round_trip(self):
-        report = BenchReport(rows=(make_row(), make_row(instance="y", m_star=None, ratio=None)))
+        report = BenchReport(rows=(make_row(), make_row(instance="y", m_star=None)))
         assert parse_report(emit_report(report, "json")) == report
+
+    @pytest.mark.parametrize("data", [b"{", b'{"rows": [{}]}', b"[]", b"\xff"])
+    def test_malformed_report_is_a_parse_error(self, data):
+        with pytest.raises(ParseError):
+            parse_report(data)
 
     def test_json_round_trip_with_live_timings(self):
         cfg = ExperimentConfig(
@@ -205,6 +206,11 @@ class TestEmit:
         report = BenchReport(rows=(make_row(),))
         assert emit_report(report, "csv") == emit_report(report, "csv")
         assert emit_report(report, "json") == emit_report(report, "json")
+
+    @pytest.mark.parametrize("ms", [0.0, 0.0005, 0.0015, 1.2345, 2.675, 1e-7, 12345.6789])
+    def test_csv_runtime_cell_has_three_decimals(self, ms):
+        data = emit_report(BenchReport(rows=(make_row(runtime_ms=ms),)), "csv").decode()
+        assert data.split("\n")[1].split(",")[-1] == f"{ms:.3f}"
 
     def test_decimal_convenience_column(self):
         data = emit_report(BenchReport(rows=(make_row(),)), "json").decode()

@@ -262,6 +262,19 @@ class TestBench:
         rc, out, err = run(capsys, "bench", "--config", str(cfg))
         assert rc == 2 and out == "" and where in err
 
+    @pytest.mark.parametrize(
+        "entry,where",
+        [({"family": "bf-adversary", "k": 3}, "instance 2 (bf-adversary): need integer k >= 4"),
+         ({"family": "random", "n": 2, "target_u": 3},
+          "instance 2 (random): target 3 impossible with 2 tasks")],
+    )  # fmt: skip
+    def test_generator_error_names_its_instance(self, tmp_path, capsys, entry, where):
+        instances = [{"family": "bf-adversary", "k": 4}, entry]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": instances, "algorithms": [{"algo": "dm"}]}))
+        rc, out, err = run(capsys, "bench", "--config", str(cfg))
+        assert rc == 2 and out == "" and where in err
+
 
 class TestDeterminismGoldens:
     """Reruns must be byte-identical, and must match the committed goldens."""

@@ -118,14 +118,17 @@ class TestExactTest:
         if edf_feasible_exact(ts, speed=s1).feasible:
             assert edf_feasible_exact(ts, speed=s2).feasible
 
-    @given(valid_tasksets(max_n=4), st.data())
-    def test_feasible_sets_closed_under_removal(self, ts, data):
-        assume(len(ts) >= 2)
-        if not edf_feasible_exact(ts).feasible:
-            assume(False)
+    @given(valid_tasksets(min_n=2, max_n=4), st.integers(0, 4), st.data())
+    def test_feasible_sets_closed_under_removal(self, ts, step, data):
+        """At a speed from U up to the total density: a set is often
+        feasible there, and always at the density."""
+        u = ts.total_utilization
+        density = sum(tsk.c / min(tsk.d, tsk.t) for tsk in ts)
+        speed = u + (density - u) * F(step, 4)
+        assume(edf_feasible_exact(ts, speed=speed).feasible)
         drop = data.draw(st.integers(1, len(ts)))
         rest = [tsk for tsk in ts if tsk.id != drop]
-        assert subset_feasible_exact(rest)
+        assert subset_feasible_exact(rest, speed=speed)
 
     @given(valid_tasksets())
     def test_subset_helper_agrees_with_verdict(self, ts):
