@@ -17,6 +17,13 @@ set's L, a multiple of its own, decides and counts exactly as at its own:
 every compared quantity scales by the same positive factor.  Only a
 reported witness or horizon is turned back into a fraction.
 
+Density accept.  dbf_i(t) <= t * C_i / min(D_i, T_i) at every t, for any
+deadline class, so a set whose total density sum C_i / min(D_i, T_i) is at
+most the speed is feasible without a sweep.  The subset test of the oracle
+and of partition verification (`positions_feasible_exact`) returns True
+there, compared on ints by cross-multiplying; the witness-producing test
+(`edf_feasible_exact`) always sweeps.
+
 Incremental demand.  The points of all tasks come off one heap in
 ascending order.  Every heap entry equal to t is popped before t is
 tested, and each adds its task's C to a running exact demand, so a point
@@ -280,9 +287,15 @@ def positions_feasible_exact(
     """`subset_feasible_exact` of the tasks at `positions` of `view`.
 
     This is the inner loop of the oracle and of partition verification: a
-    utilization overrun returns False immediately instead of hunting for
-    the earliest failing point, and nothing is rescaled per subset.
+    total density within the speed returns True and a utilization overrun
+    returns False, both before any sweep, and nothing is rescaled per
+    subset.
     """
+    tight = [min(view.d[i], view.t[i]) for i in positions]
+    whole = math.lcm(*tight)
+    density = sum(view.c[i] * (whole // m) for i, m in zip(positions, tight))
+    if speed.denominator * density <= speed.numerator * whole:
+        return True
     sc = _Scaled(view, positions)
     if sc.exceeds(speed):
         return False

@@ -91,6 +91,8 @@ def parse_dvp(data: bytes | str) -> DvpInstance:
     doc = load_json(data, "vectors")
     if not isinstance(doc, dict) or "vectors" not in doc:
         raise ParseError('document must be an object with a "vectors" list')
+    if not isinstance(doc["vectors"], list):
+        raise ParseError('"vectors" must be a list')
     vectors = []
     for i, pair in enumerate(doc["vectors"], start=1):
         if not isinstance(pair, list) or len(pair) != 2:

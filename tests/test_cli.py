@@ -13,6 +13,7 @@ from rtpack.bench import FAMILIES, make_instances
 from rtpack.cli import dispatch
 from rtpack.io import serialize_taskset
 from rtpack.model import taskset
+from rtpack.oracle import DEFAULT_ORACLE_CAP
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,17 +128,17 @@ class TestCheck:
 
 class TestPartition:
     def test_oracle_cap_exit_two(self, tmp_path, capsys):
-        ts = taskset([(1, 100, 100)] * 13, name="wide")
+        ts = taskset([(1, 100, 100)] * (DEFAULT_ORACLE_CAP + 1), name="wide")
         f = tmp_path / "wide.json"
         f.write_text(serialize_taskset(ts))
         rc, _, err = run(capsys, "partition", str(f), "--algo", "oracle")
         assert rc == 2 and "cap" in err
 
     def test_env_override_raises_cap(self, tmp_path, capsys, monkeypatch):
-        ts = taskset([(1, 100, 100)] * 13, name="wide")
+        ts = taskset([(1, 100, 100)] * (DEFAULT_ORACLE_CAP + 1), name="wide")
         f = tmp_path / "wide.json"
         f.write_text(serialize_taskset(ts))
-        monkeypatch.setenv("RTP_NCAP", "13")
+        monkeypatch.setenv("RTP_NCAP", str(DEFAULT_ORACLE_CAP + 1))
         rc, text, _ = run(capsys, "partition", str(f), "--algo", "oracle")
         assert rc == 0
         assert json.loads(text)["m"] == 1

@@ -18,14 +18,15 @@ from rtpack.feasibility import (
     deadline_points,
     edf_feasible_exact,
     lemma1_feasible,
+    positions_feasible_exact,
     subset_feasible_exact,
     verify_partition,
 )
 from rtpack.generators import gen_best_fit_adversary, gen_lemma1_shaped, gen_speedup_gap
-from rtpack.model import dbf, taskset
+from rtpack.model import Task, TaskSet, dbf, taskset
 from rtpack.partitioners import Partition
 
-from conftest import valid_tasksets
+from conftest import valid_tasks, valid_tasksets
 
 F = Fraction
 
@@ -181,6 +182,59 @@ class TestExactTest:
         else:
             ts = gen_speedup_gap(size, F(1, 2))
         assert edf_feasible_exact(ts, speed).points_checked == checked
+
+
+SPEEDS = [F(1), F(3, 2), F(2, 3)]
+
+
+@st.composite
+def sets_near_density(draw):
+    """A task set, a subset of its positions and a speed.  Often the
+    subset's C values are rescaled so that its total density
+    sum C_i/min(D_i, T_i) lands on the speed or just beside it."""
+    n = draw(st.integers(1, 6))
+    tasks = [draw(valid_tasks(tid=i + 1)) for i in range(n)]
+    positions = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    speed = draw(st.sampled_from(SPEEDS))
+    target = speed * draw(st.sampled_from([F(1), F(1), F(11, 12), F(13, 12), F(1, 2)]))
+    dens = {i: tasks[i].c / min(tasks[i].d, tasks[i].t) for i in positions}
+    scale = target / sum(dens.values())
+    if draw(st.integers(0, 3)) and scale * max(dens.values()) <= 1:
+        for i in positions:
+            t = tasks[i]
+            tasks[i] = Task(t.c * scale, t.d, t.t, t.id)
+    return TaskSet(tuple(tasks)), positions, speed
+
+
+class TestDensityAccept:
+    """A bin whose total density is at most the speed is feasible under
+    EDF for any deadline class: dbf_i(t) <= t * C_i/min(D_i, T_i)."""
+
+    @settings(max_examples=300)
+    @given(sets_near_density())
+    def test_matches_witness_producing_test(self, case):
+        ts, positions, speed = case
+        subset = TaskSet(tuple(ts.tasks[i] for i in positions))
+        assert positions_feasible_exact(ts.ints, positions, speed) == (
+            edf_feasible_exact(subset, speed).feasible
+        )
+
+    @pytest.mark.parametrize("speed", SPEEDS)
+    def test_density_at_the_speed_needs_no_sweep(self, speed):
+        # total density exactly the speed, hyperperiod 6 past the cap: only
+        # a sweep would need the hyperperiod
+        ts = taskset([(speed, 2, 2), (speed, 3, 3), (speed, 6, 6)])
+        assert positions_feasible_exact(ts.ints, range(3), speed, hyperperiod_cap=F(1))
+        with pytest.raises(HorizonOverflow):
+            edf_feasible_exact(ts, speed, hyperperiod_cap=F(1))
+
+    @pytest.mark.parametrize("speed", SPEEDS)
+    def test_density_uses_the_shorter_of_deadline_and_period(self, speed):
+        # C/D sums to the speed, but C/T (the utilization) is 2
+        ts = taskset([(speed / 2, 1, speed / 2)] * 2)
+        assert not positions_feasible_exact(ts.ints, range(2), speed)
+        part = Partition(bins=((1, 2),), algorithm="manual")
+        assert verify_partition(ts, part, Mode.EXACT) is False
 
 
 class TestLemma1:

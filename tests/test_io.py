@@ -112,3 +112,8 @@ class TestParseDvp:
             parse_dvp(b'{"vectors": [["1/2"]]}')
         with pytest.raises(ParseError):
             parse_dvp(b'{"nope": 1}')
+
+    @pytest.mark.parametrize("vectors", ["5", '"3/10"', '{"v": 1}', "null"])
+    def test_vectors_must_be_a_list(self, vectors):
+        with pytest.raises(ParseError, match='"vectors" must be a list'):
+            parse_dvp('{"vectors": %s}' % vectors)

@@ -10,14 +10,29 @@ from rtpack.errors import CapExceeded, ValidationError
 from rtpack.feasibility import (
     Mode,
     approx_subset_feasible,
+    edf_feasible_exact,
     positions_feasible_approx,
     positions_feasible_exact,
     subset_feasible_exact,
     verify_partition,
 )
-from rtpack.generators import GenParams, gen_best_fit_adversary, gen_random, gen_speedup_gap
-from rtpack.model import DeadlineClass, Task, TaskSet, dbf_star, taskset
-from rtpack.oracle import optimal_partition_bruteforce
+from rtpack.generators import (
+    GenParams,
+    dvp_to_tasks,
+    gen_best_fit_adversary,
+    gen_random,
+    gen_random_dvp,
+    gen_speedup_gap,
+    gen_worst_fit_adversary,
+)
+from rtpack.model import DeadlineClass, Task, TaskSet, dbf, dbf_star, taskset
+from rtpack.oracle import (
+    DEFAULT_ORACLE_CAP,
+    _Search,
+    _conflict_clique,
+    _load_bound,
+    optimal_partition_bruteforce,
+)
 from rtpack.partitioners import Strategy, dagger_greedy, dm_partition
 
 from conftest import rationals, valid_tasks, valid_tasksets
@@ -52,7 +67,7 @@ class TestOracle:
         assert result.witness.bins == ((1,), (2,))
 
     def test_cap(self):
-        ts = taskset([(1, 100, 100)] * 13)
+        ts = taskset([(1, 100, 100)] * (DEFAULT_ORACLE_CAP + 1))
         with pytest.raises(CapExceeded):
             optimal_partition_bruteforce(ts)
 
@@ -118,38 +133,39 @@ def _random_set(n, target_u, seed, cls):
 
 
 # (instance, exact m*, exact nodes, exact witness bins, approximate m*,
-# approximate nodes), recorded on the commit before the oracle tested bins
-# as position lists of one integer view
+# approximate nodes).  m* and the witnesses were recorded by the input-order
+# search that started at ceil(U); the node counts are those of the search
+# from the certified lower bound in conflict-first order
 PINNED = [
-    (lambda: _random_set(9, 3, 0, "implicit"), 4, 389,
-     ((1, 2, 3), (4, 5, 6), (7, 8), (9,)), 4, 389),
-    (lambda: _random_set(9, 2, 1, "constrained"), 3, 153,
-     ((1, 2, 8, 9), (3, 4, 6), (5, 7)), 4, 367),
-    (lambda: _random_set(10, 2, 0, "constrained"), 4, 1183,
-     ((1, 3, 4, 5, 6, 9), (2,), (7, 10), (8,)), 4, 644),
-    (lambda: _random_set(10, 3, 1, "arbitrary"), 4, 1170,
-     ((1, 2, 3, 5, 9), (4, 6, 7), (8,), (10,)), 4, 1170),
-    (lambda: _random_set(11, 3, 2, "constrained"), 5, 1872,
-     ((1, 5, 6, 9), (2, 10), (3,), (4, 8, 11), (7,)), 6, 2084),
-    (lambda: _random_set(11, 4, 1, "implicit"), 5, 28787,
-     ((1, 2, 3, 4, 9), (5, 6), (7, 8), (10,), (11,)), 5, 28787),
-    (lambda: _random_set(12, 2, 2, "arbitrary"), 4, 10155,
-     ((1, 2, 3, 4, 5, 8, 9), (6, 10, 12), (7,), (11,)), 4, 10155),
-    (lambda: _random_set(12, 3, 1, "constrained"), 4, 6822,
-     ((1, 2, 4, 5, 6, 9), (3, 7, 11), (8, 10), (12,)), 4, 3866),
-    (lambda: gen_best_fit_adversary(4), 2, 26, ((1, 3, 5, 7), (2, 4, 6, 8)), 2, 26),
-    (lambda: gen_best_fit_adversary(5), 2, 33, ((1, 3, 5, 7, 9), (2, 4, 6, 8, 10)), 3, 55),
-    (lambda: gen_best_fit_adversary(6), 2, 40,
-     ((1, 3, 5, 7, 9, 11), (2, 4, 6, 8, 10, 12)), 3, 64),
+    (lambda: _random_set(9, 3, 0, "implicit"), 4, 46,
+     ((1, 2, 3), (4, 5, 6), (7, 8), (9,)), 4, 46),
+    (lambda: _random_set(9, 2, 1, "constrained"), 3, 17,
+     ((1, 2, 8, 9), (3, 4, 6), (5, 7)), 4, 31),
+    (lambda: _random_set(10, 2, 0, "constrained"), 4, 38,
+     ((1, 3, 4, 5, 6, 9), (2,), (7, 10), (8,)), 4, 22),
+    (lambda: _random_set(10, 3, 1, "arbitrary"), 4, 20,
+     ((1, 2, 3, 5, 9), (4, 6, 7), (8,), (10,)), 4, 20),
+    (lambda: _random_set(11, 3, 2, "constrained"), 5, 58,
+     ((1, 5, 6, 9), (2, 10), (3,), (4, 8, 11), (7,)), 6, 51),
+    (lambda: _random_set(11, 4, 1, "implicit"), 5, 193,
+     ((1, 2, 3, 4, 9), (5, 6), (7, 8), (10,), (11,)), 5, 193),
+    (lambda: _random_set(12, 2, 2, "arbitrary"), 4, 24,
+     ((1, 2, 3, 4, 5, 8, 9), (6, 10, 12), (7,), (11,)), 4, 24),
+    (lambda: _random_set(12, 3, 1, "constrained"), 4, 29,
+     ((1, 2, 4, 5, 6, 9), (3, 7, 11), (8, 10), (12,)), 4, 31),
+    (lambda: gen_best_fit_adversary(4), 2, 12, ((1, 3, 5, 7), (2, 4, 6, 8)), 2, 12),
+    (lambda: gen_best_fit_adversary(5), 2, 15, ((1, 3, 5, 7, 9), (2, 4, 6, 8, 10)), 3, 94),
+    (lambda: gen_best_fit_adversary(6), 2, 18,
+     ((1, 3, 5, 7, 9, 11), (2, 4, 6, 8, 10, 12)), 3, 153),
 ] + [
     (lambda n=n: gen_speedup_gap(n, F(1, 2)), n, nodes, tuple((i,) for i in range(1, n + 1)), n, nodes)
-    for n, nodes in [(6, 69), (7, 103), (8, 146), (9, 199), (10, 263)]
+    for n, nodes in [(6, 21), (7, 28), (8, 36), (9, 45), (10, 55)]
 ]  # fmt: skip
 
 
 class TestPinnedSearch:
-    """The same m*, node counts and witnesses as the search that rescaled
-    every subset on its own: the shared view changes no decision."""
+    """The same m* and witnesses as the input-order search from ceil(U),
+    and the node counts of the search that decides m*."""
 
     @pytest.mark.parametrize("case", range(len(PINNED)))
     def test_matches_recorded_results(self, case):
@@ -167,9 +183,123 @@ class TestPinnedSearch:
         ids = [-7, 40, 3, -1, 1000, 0, 12, -300]
         ts = TaskSet(tuple(Task(t.c, t.d, t.t, i) for t, i in zip(base, ids)))
         result = optimal_partition_bruteforce(ts)
-        assert (result.m_star, result.nodes_explored) == (2, 26)
+        assert (result.m_star, result.nodes_explored) == (2, 12)
         assert result.witness.bins == ((-7, 3, 12, 1000), (-300, -1, 0, 40))
         assert verify_partition(ts, result.witness, Mode.EXACT)
+
+
+def input_order_oracle(ts: TaskSet, mode: Mode) -> tuple[int, tuple]:
+    """Reference: the oracle's search before lower bounds and reordering.
+    Every level from ceil(U) up, tasks assigned in input order, bins tried
+    in restricted-growth order; the first complete assignment gives m* and
+    the witness bins (task ids).  Exact bins go through the witness-producing
+    test, which has no shortcut for low density."""
+    if mode is Mode.EXACT:
+        test = lambda b: edf_feasible_exact(TaskSet(tuple(b))).feasible
+    else:
+        test = approx_subset_feasible
+    tasks = list(ts)
+
+    def dfs(i, bins, max_bins):
+        if i == len(tasks):
+            return True
+        for b in range(min(len(bins) + 1, max_bins)):
+            if b == len(bins):
+                bins.append([])
+            bins[b].append(tasks[i])
+            if test(bins[b]) and dfs(i + 1, bins, max_bins):
+                return True
+            bins[b].pop()
+            if not bins[b]:
+                bins.pop()
+        return False
+
+    for m in range(max(1, math.ceil(ts.total_utilization)), len(tasks) + 1):
+        bins = []
+        if dfs(0, bins, m):
+            return m, tuple(tuple(sorted(tsk.id for tsk in b)) for b in bins)
+    raise AssertionError("unreachable for valid sets")
+
+
+def _family_sets():
+    yield from (gen_best_fit_adversary(k) for k in (4, 5))
+    yield from (gen_worst_fit_adversary(k) for k in (4, 5))
+    yield from (gen_speedup_gap(n, F(1, 2)) for n in (3, 6, 9))
+    yield from (dvp_to_tasks(gen_random_dvp(seed, 8)) for seed in range(6))
+    for seed in range(30):
+        cls = list(DeadlineClass)[seed % 3]
+        n = 4 + seed % 7
+        yield _random_set(n, F(n, 2 + seed % 3), seed, cls.value)
+
+
+FAMILY_SETS = list(_family_sets())
+
+
+class TestAgainstInputOrderSearch:
+    """The search from the certified lower bound in conflict-first order
+    reports the m* and the witness of the input-order search from ceil(U)."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
+    def test_same_optimum_and_witness(self, case, mode):
+        ts = FAMILY_SETS[case]
+        result = optimal_partition_bruteforce(ts, mode)
+        assert (result.m_star, result.witness.bins) == input_order_oracle(ts, mode)
+
+    @given(valid_tasksets(max_n=6), st.sampled_from(list(Mode)))
+    def test_same_on_random_sets(self, ts, mode):
+        result = optimal_partition_bruteforce(ts, mode)
+        assert (result.m_star, result.witness.bins) == input_order_oracle(ts, mode)
+
+
+def _bounds(ts: TaskSet, mode: Mode):
+    view = ts.ints
+    test = positions_feasible_exact if mode is Mode.EXACT else positions_feasible_approx
+    search = _Search(lambda positions: test(view, positions))
+    density = [F(c, min(d, t)) for c, d, t in zip(view.c, view.d, view.t)]
+    by_density = sorted(range(len(ts)), key=lambda p: (-density[p], p))
+    return _load_bound(view), _conflict_clique(search, by_density)
+
+
+class TestLowerBounds:
+    @settings(max_examples=100)
+    @given(valid_tasksets(max_n=7))
+    def test_bounds_are_sound(self, ts):
+        load, clique = _bounds(ts, Mode.EXACT)
+        result = optimal_partition_bruteforce(ts)
+        assert load <= result.m_star and len(clique) <= result.m_star
+        for a, b in itertools.combinations(clique, 2):
+            assert not subset_feasible_exact([ts.tasks[a], ts.tasks[b]])
+        bin_of = {tid: k for k, b in enumerate(result.witness.bins) for tid in b}
+        assert len({bin_of[ts.tasks[p].id] for p in clique}) == len(clique)
+
+    @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
+    def test_bounds_are_sound_on_families(self, case):
+        ts = FAMILY_SETS[case]
+        for mode in Mode:
+            load, clique = _bounds(ts, mode)
+            m_star = optimal_partition_bruteforce(ts, mode).m_star
+            assert load <= m_star and len(clique) <= m_star
+
+    @given(valid_tasksets(max_n=7))
+    def test_load_bound_is_the_demand_load(self, ts):
+        points = {tsk.d + k * tsk.t for tsk in ts for k in range(3)}
+        load = max(
+            math.ceil(sum((dbf(tsk, t) for tsk in ts), F(0)) / t) for t in points
+        )
+        assert _load_bound(ts.ints) == max(load, math.ceil(ts.total_utilization))
+
+    def test_clique_decides_the_speedup_gap(self):
+        ts = gen_speedup_gap(8, F(1, 2))
+        load, clique = _bounds(ts, Mode.EXACT)
+        assert load < 8 and len(clique) == 8
+        assert optimal_partition_bruteforce(ts).nodes_explored == 8 * 9 // 2
+
+    def test_witness_is_built_once_on_first_read(self):
+        result = optimal_partition_bruteforce(gen_best_fit_adversary(4), n_cap=8)
+        assert "witness" not in vars(result)
+        assert result.witness is result.witness
+        assert result.nodes_explored == 12
 
 
 @st.composite
