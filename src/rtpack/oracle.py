@@ -87,7 +87,9 @@ class _Search:
             self.memo[mask] = hit
         return hit
 
-    def partition(self, order: Sequence[int], max_bins: int) -> Optional[list[list[int]]]:
+    def partition(
+        self, order: Sequence[int], max_bins: int
+    ) -> Optional[list[list[int]]]:
         """The first partition into at most `max_bins` bins in
         restricted-growth order over `order`, or None."""
         bins: list[list[int]] = []
@@ -138,6 +140,12 @@ def _load_bound(view: IntView) -> int:
     return best
 
 
+def _by_density(view: IntView) -> list[int]:
+    """Positions by decreasing density C/min(D, T), ties by position."""
+    density = [Fraction(c, min(d, t)) for c, d, t in zip(view.c, view.d, view.t)]
+    return sorted(range(len(density)), key=lambda p: (-density[p], p))
+
+
 def _conflict_clique(search: _Search, by_density: list[int]) -> list[int]:
     """Positions of pairwise-conflicting tasks, chosen greedily in the
     order `by_density`: a task joins when it conflicts with every task
@@ -180,8 +188,7 @@ def optimal_partition_bruteforce(
     view = ts.ints
     test = positions_feasible_exact if mode is Mode.EXACT else positions_feasible_approx
     search = _Search(partial(test, view))
-    density = [Fraction(c, min(d, t)) for c, d, t in zip(view.c, view.d, view.t)]
-    by_density = sorted(range(n), key=lambda p: (-density[p], p))
+    by_density = _by_density(view)
     clique = _conflict_clique(search, by_density)
     lower = max(_load_bound(view), len(clique))
     order = clique + [p for p in by_density if p not in clique]

@@ -29,6 +29,7 @@ from rtpack.model import DeadlineClass, Task, TaskSet, dbf, dbf_star, taskset
 from rtpack.oracle import (
     DEFAULT_ORACLE_CAP,
     _Search,
+    _by_density,
     _conflict_clique,
     _load_bound,
     optimal_partition_bruteforce,
@@ -256,9 +257,7 @@ def _bounds(ts: TaskSet, mode: Mode):
     view = ts.ints
     test = positions_feasible_exact if mode is Mode.EXACT else positions_feasible_approx
     search = _Search(lambda positions: test(view, positions))
-    density = [F(c, min(d, t)) for c, d, t in zip(view.c, view.d, view.t)]
-    by_density = sorted(range(len(ts)), key=lambda p: (-density[p], p))
-    return _load_bound(view), _conflict_clique(search, by_density)
+    return _load_bound(view), _conflict_clique(search, _by_density(view))
 
 
 class TestLowerBounds:
