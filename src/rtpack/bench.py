@@ -63,6 +63,11 @@ _INTEGER_KEYS = frozenset({"k", "n", "seed", "count", "den_bound"})
 _CLASSES = tuple(c.value for c in DeadlineClass)
 _STRATEGIES = tuple(s.value for s in Strategy)
 ALGORITHMS = ("dm", "dagger")
+# the keys a config document and one of its algorithm entries may hold
+_CONFIG_KEYS = frozenset(
+    {"instances", "algorithms", "oracle", "n_cap", "alpha_slack", "timing", "threads"}
+)
+_ALGORITHM_KEYS = frozenset({"algo", "strategy"})
 
 
 def _named(*sets: TaskSet) -> list[tuple[str, TaskSet]]:
@@ -474,18 +479,32 @@ def _parse_instance(index: int, entry: dict) -> InstanceSpec:
     return InstanceSpec(family, tuple(sorted(params.items())))
 
 
+def _parse_algorithm(index: int, entry: dict) -> tuple[str, Optional[str]]:
+    if not isinstance(entry, dict):
+        raise ParseError(f"algorithm {index}: expected an object, got {entry!r}")
+    for key in entry:
+        if key not in _ALGORITHM_KEYS:
+            raise ParseError(f"algorithm {index}: unknown key {key!r}")
+    return entry["algo"], entry.get("strategy")
+
+
 def parse_config(data: bytes | str) -> ExperimentConfig:
-    """Parse the experiment configuration document."""
+    """Parse the experiment configuration document; an unknown key, at the
+    top level or in an algorithm entry, is an error."""
     doc = load_json(data, "config")
     if not isinstance(doc, dict):
         raise ParseError("config must be an object")
+    for key in doc:
+        if key not in _CONFIG_KEYS:
+            raise ParseError(f"config: unknown key {key!r}")
     try:
         instances = tuple(
             _parse_instance(i, entry)
             for i, entry in enumerate(doc["instances"], start=1)
         )
         algorithms = tuple(
-            (entry["algo"], entry.get("strategy")) for entry in doc["algorithms"]
+            _parse_algorithm(i, entry)
+            for i, entry in enumerate(doc["algorithms"], start=1)
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed config: {exc}") from exc

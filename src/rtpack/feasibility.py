@@ -80,9 +80,10 @@ class _Scaled:
     """The tasks at `positions` of an integer view: C, D and T at the
     view's `scale`, so that every deadline point is an integer.
 
-    At that scale `whole` is the hyperperiod of these tasks, `share[i]` is
-    u_i * whole and `load` is U * whole, all integers.  A bound comes back
-    as a pair (num, den): the bound times `scale` is num/den.
+    `whole` is the view's hyperperiod, a multiple of these tasks' own,
+    `share[i]` is u_i * whole and `load` is U * whole, all integers read
+    from the view.  A bound comes back as a pair (num, den): the bound
+    times `scale` is num/den.
     """
 
     def __init__(self, view: IntView, positions: Sequence[int]):
@@ -90,8 +91,8 @@ class _Scaled:
         self.cost = [view.c[i] for i in positions]
         self.deadline = [view.d[i] for i in positions]
         self.period = [view.t[i] for i in positions]
-        self.whole = whole = math.lcm(*self.period)
-        self.share = [whole // p * c for p, c in zip(self.period, self.cost)]
+        self.whole = view.whole
+        self.share = [view.share[i] for i in positions]
         self.load = sum(self.share)
 
     def exceeds(self, speed: Fraction) -> bool:
@@ -108,11 +109,13 @@ class _Scaled:
         d_max = max(self.deadline)
         room = speed.numerator * self.whole - speed.denominator * self.load
         if room == 0:
+            # the demand repeats with these tasks' own hyperperiod
+            own = math.lcm(*self.period)
             cap_num, cap_den = hyperperiod_cap.numerator, hyperperiod_cap.denominator
-            if self.whole * cap_den > cap_num * self.scale:
-                hp = Fraction(self.whole, self.scale)
+            if own * cap_den > cap_num * self.scale:
+                hp = Fraction(own, self.scale)
                 raise HorizonOverflow(f"hyperperiod {hp} exceeds cap {hyperperiod_cap}")
-            return self.whole + d_max, 1
+            return own + d_max, 1
         slack = speed.denominator * sum(
             (t - d) * u for t, d, u in zip(self.period, self.deadline, self.share)
         )
@@ -291,10 +294,9 @@ def positions_feasible_exact(
     returns False, both before any sweep, and nothing is rescaled per
     subset.
     """
-    tight = [min(view.d[i], view.t[i]) for i in positions]
-    whole = math.lcm(*tight)
-    density = sum(view.c[i] * (whole // m) for i, m in zip(positions, tight))
-    if speed.denominator * density <= speed.numerator * whole:
+    span_share = view.span_share
+    density = sum(span_share[i] for i in positions)
+    if speed.denominator * density <= speed.numerator * view.span_whole:
         return True
     sc = _Scaled(view, positions)
     if sc.exceeds(speed):

@@ -200,17 +200,46 @@ def _uunifast(rng: random.Random, n: int, target: float) -> list[float]:
     )
 
 
+def _limit_denominator(x: float, bound: int) -> tuple[int, int]:
+    """`Fraction(x).limit_denominator(bound)` as (numerator, denominator)
+    in lowest terms, on ints: the closest fraction to x with a denominator
+    of at most `bound`, from the continued-fraction convergents of x.  A
+    tie between the last convergent p1/q1 and the semiconvergent goes to
+    p1/q1, as in the standard library."""
+    num, den = x.as_integer_ratio()
+    if den <= bound:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    # p1/q1 lies d/(q1*den) from x, and 1/(q1*(q0+k*q1)) from the
+    # semiconvergent on the other side of x
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def gen_random(params: GenParams) -> TaskSet:
     """Seeded random task set near the utilization target.
 
     Periods come from a bounded-denominator grid, deadlines follow the
     requested class, and execution times realize UUniFast shares; a scaling
     pass pulls the exact total utilization within 10% of the target (density
-    clamping permitting), retrying with fresh draws when it cannot.
+    clamping permitting), retrying with fresh draws when it cannot.  A task
+    is drawn and clamped on ints (numerator, denominator), and each of its
+    fields becomes one Fraction.
     """
     rng = random.Random(f"rtpack-gen:{params.seed}")
     q = params.denominator_bound
     n = params.n
+    cls = params.deadline_class
     target = Fraction(params.utilization_target)
     lo, hi = target - target / 10, target + target / 10
 
@@ -220,19 +249,29 @@ def gen_random(params: GenParams) -> TaskSet:
         shares = _uunifast(rng, n, float(target))
         tasks = []
         for i in range(n):
-            period = Fraction(rng.randint(1, 4 * q), rng.randint(1, q))
-            if params.deadline_class is DeadlineClass.IMPLICIT:
-                d = period
-            elif params.deadline_class is DeadlineClass.CONSTRAINED:
-                d = period * Fraction(rng.randint(1, q), q)
+            # period p/r; deadline dn/dd; share sn/sd; execution time cn/cd
+            p, r = rng.randint(1, 4 * q), rng.randint(1, q)
+            if cls is DeadlineClass.IMPLICIT:
+                dn, dd = p, r
+            elif cls is DeadlineClass.CONSTRAINED:
+                dn, dd = p * rng.randint(1, q), r * q
             else:
-                d = period * Fraction(rng.randint(1, 2 * q), q)
-            share = Fraction(shares[i]).limit_denominator(q * q)
-            share = min(max(share, Fraction(1, q * q)), Fraction(1))
-            c = min(share * period, d, period)
-            tasks.append(Task(c=c, d=d, t=period, id=i + 1))
+                dn, dd = p * rng.randint(1, 2 * q), r * q
+            sn, sd = _limit_denominator(shares[i], q * q)
+            if sn * q * q < sd:  # the share is clamped to [1/q^2, 1]
+                sn, sd = 1, q * q
+            elif sn > sd:
+                sn, sd = 1, 1
+            cn, cd = sn * p, sd * r  # c = min(share * period, d, period)
+            if dn * cd < cn * dd:
+                cn, cd = dn, dd
+            if p * cd < cn * r:
+                cn, cd = p, r
+            tasks.append(
+                Task(c=Fraction(cn, cd), d=Fraction(dn, dd), t=Fraction(p, r), id=i + 1)
+            )
+        total = sum((t.utilization for t in tasks), Fraction(0))
         for _ in range(3):
-            total = sum((t.utilization for t in tasks), Fraction(0))
             if lo <= total <= hi:
                 break
             factor = (target / total).limit_denominator(q**3)
@@ -245,7 +284,7 @@ def gen_random(params: GenParams) -> TaskSet:
                 )
                 for t in tasks
             ]
-        total = sum((t.utilization for t in tasks), Fraction(0))
+            total = sum((t.utilization for t in tasks), Fraction(0))
         candidate = TaskSet(tuple(tasks), name=f"random-s{params.seed}")
         if lo <= total <= hi:
             return candidate

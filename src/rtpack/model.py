@@ -50,10 +50,6 @@ class Task:
     def utilization(self) -> Fraction:
         return self.c / self.t
 
-    @property
-    def density(self) -> Fraction:
-        return self.c / min(self.t, self.d)
-
     def __repr__(self) -> str:  # compact, keeps exact values readable
         return f"Task(id={self.id}, c={self.c}, d={self.d}, t={self.t})"
 
@@ -77,6 +73,15 @@ class IntView:
     Quantities compared at one positive scale keep their order, so exact
     tests and fitting decisions can run on these ints; every deadline
     point k*T_i + D_i of the list is an int at this scale too.
+
+    The list's shares and densities over its hyperperiods are ints as
+    well, computed on first use and then kept, and every layer reads them
+    here: `whole` is the lcm of the periods and `share[i]` = u_i * whole;
+    `span_whole` is the lcm of the min(D_i, T_i) and `span_share[i]` =
+    C_i * span_whole / min(D_i, T_i), the density times `span_whole`.  A
+    subset compared against `whole` or `span_whole` decides as against its
+    own hyperperiod, a divisor of it.  These terms assume D, T > 0, which
+    `validate` checks on C, D and T alone.
     """
 
     scale: int
@@ -95,6 +100,24 @@ class IntView:
             tuple(tsk.d.numerator * (scale // tsk.d.denominator) for tsk in tasks),
             tuple(tsk.t.numerator * (scale // tsk.t.denominator) for tsk in tasks),
         )
+
+    @cached_property
+    def whole(self) -> int:
+        return math.lcm(*self.t)
+
+    @cached_property
+    def share(self) -> tuple[int, ...]:
+        whole = self.whole
+        return tuple(whole // t * c for c, t in zip(self.c, self.t))
+
+    @cached_property
+    def span_whole(self) -> int:
+        return math.lcm(*map(min, self.d, self.t))
+
+    @cached_property
+    def span_share(self) -> tuple[int, ...]:
+        whole = self.span_whole
+        return tuple(whole // min(d, t) * c for c, d, t in zip(self.c, self.d, self.t))
 
 
 @dataclass(frozen=True)
@@ -164,13 +187,23 @@ def dbf_star(tsk: Task, tpoint: Fraction) -> Fraction:
 
 
 def lambda_metric(ts: TaskSet) -> Fraction:
-    """max over tasks of max(T/D, 1); equals 1 exactly on implicit-deadline sets."""
-    return max(max(tsk.t / tsk.d, Fraction(1)) for tsk in ts)
+    """max over tasks of max(T/D, 1); equals 1 exactly on implicit-deadline
+    sets.  Compared on the set's integer view, so the set must be valid."""
+    require_valid(ts)
+    view = ts.ints
+    num = den = 1
+    for d, t in zip(view.d, view.t):
+        if t * den > num * d:
+            num, den = t, d
+    return Fraction(num, den)
 
 
 def gamma_metric(ts: TaskSet) -> Fraction:
-    """max over tasks of C/min(T, D) (the largest density)."""
-    return max(tsk.density for tsk in ts)
+    """max over tasks of C/min(T, D) (the largest density), read from the
+    set's integer view, so the set must be valid."""
+    require_valid(ts)
+    view = ts.ints
+    return Fraction(max(view.span_share), view.span_whole)
 
 
 def transform_dagger(ts: TaskSet) -> TaskSet:
@@ -190,9 +223,10 @@ def transform_dagger(ts: TaskSet) -> TaskSet:
 
 
 def classify(ts: TaskSet) -> DeadlineClass:
-    if all(tsk.d == tsk.t for tsk in ts):
+    view = ts.ints
+    if view.d == view.t:
         return DeadlineClass.IMPLICIT
-    if all(tsk.d <= tsk.t for tsk in ts):
+    if all(d <= t for d, t in zip(view.d, view.t)):
         return DeadlineClass.CONSTRAINED
     return DeadlineClass.ARBITRARY
 
@@ -211,19 +245,22 @@ def validate(ts: TaskSet) -> list[Violation]:
     """Check the model assumptions; violations are data, not failures.
 
     Degenerate sets stay loadable for study, but every solver entry point
-    refuses task sets for which this list is nonempty.
+    refuses task sets for which this list is nonempty.  The checks compare
+    C, D and T on the set's integer view; the messages print the task's
+    fractions.
     """
     out: list[Violation] = []
-    for tsk in ts:
-        if tsk.c <= 0:
+    view = ts.ints
+    for tsk, c, d, t in zip(ts, view.c, view.d, view.t):
+        if c <= 0:
             out.append(Violation(tsk.id, "c", f"C = {tsk.c} must be positive"))
-        if tsk.d <= 0:
+        if d <= 0:
             out.append(Violation(tsk.id, "d", f"D = {tsk.d} must be positive"))
-        if tsk.t <= 0:
+        if t <= 0:
             out.append(Violation(tsk.id, "t", f"T = {tsk.t} must be positive"))
-        if tsk.t > 0 and tsk.c / tsk.t > 1:
+        if 0 < t < c:
             out.append(Violation(tsk.id, "c", f"C/T = {tsk.c}/{tsk.t} exceeds 1"))
-        if tsk.d > 0 and tsk.c / tsk.d > 1:
+        if 0 < d < c:
             out.append(Violation(tsk.id, "c", f"C/D = {tsk.c}/{tsk.d} exceeds 1"))
     return out
 

@@ -32,9 +32,7 @@ callers that need only m* never pay for that pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
@@ -132,8 +130,7 @@ def _load_bound(view: IntView) -> int:
     and the max over the points D_i + k*T_i, k < LOAD_POINTS, of
     ceil(sum_j dbf_j(t) / t)."""
     tasks = list(zip(view.c, view.d, view.t))
-    whole = math.lcm(*view.t)
-    best = -(-sum(c * (whole // t) for c, _, t in tasks) // whole)
+    best = -(-sum(view.share) // view.whole)
     for point in {d + k * t for _, d, t in tasks for k in range(LOAD_POINTS)}:
         demand = sum(c * ((point - d) // t + 1) for c, d, t in tasks if d <= point)
         best = max(best, -(-demand // point))
@@ -141,8 +138,9 @@ def _load_bound(view: IntView) -> int:
 
 
 def _by_density(view: IntView) -> list[int]:
-    """Positions by decreasing density C/min(D, T), ties by position."""
-    density = [Fraction(c, min(d, t)) for c, d, t in zip(view.c, view.d, view.t)]
+    """Positions by decreasing density C/min(D, T), ties by position,
+    sorted on the view's density terms."""
+    density = view.span_share
     return sorted(range(len(density)), key=lambda p: (-density[p], p))
 
 

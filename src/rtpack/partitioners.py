@@ -8,7 +8,6 @@ deadlines by task id.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -40,19 +39,17 @@ def _dm_terms(view: IntView, positions: Sequence[int]) -> dict[int, tuple]:
     """Per position, the ints deadline-monotonic admission reads:
     (D, room, u_room, share, offset).
 
-    `whole` is the lcm of the periods at `positions`, so share = u * whole
-    is an int; a bin's sums of share and of offset = (C - u*D) * whole are
-    then ints, and its dbf* at a deadline D, times whole, is the int
-    U*D + A.  room = (D - C) * whole and u_room = whole - share are the
-    largest such demand and utilization sum that still admit the task.
-    Every value carries the same factors, so comparisons are those of the
-    rational quantities.
+    `whole` and share = u * whole are the view's; a bin's sums of share
+    and of offset = (C - u*D) * whole are then ints, and its dbf* at a
+    deadline D, times whole, is the int U*D + A.  room = (D - C) * whole
+    and u_room = whole - share are the largest such demand and utilization
+    sum that still admit the task.  Every value carries the same factors,
+    so comparisons are those of the rational quantities.
     """
-    whole = math.lcm(*(view.t[i] for i in positions))
+    whole, shares = view.whole, view.share
     terms = {}
     for i in positions:
-        c, d = view.c[i], view.d[i]
-        share = whole // view.t[i] * c
+        c, d, share = view.c[i], view.d[i], shares[i]
         terms[i] = (d, (d - c) * whole, whole - share, share, c * whole - share * d)
     return terms
 
@@ -164,17 +161,16 @@ def dagger_greedy(ts: TaskSet, fitting: Strategy) -> Partition:
 
     Each task contributes C/min(T, D); a bin accepts a task iff its load
     stays at most 1, which keeps every bin EDF-feasible for the original
-    tasks.  Tasks go in input order.  Loads are ints over one common
-    denominator, `whole`, the lcm of the tightened periods.
+    tasks.  Tasks go in input order.  Loads are sums of the view's
+    density terms, ints over one common denominator, `span_whole`, the lcm
+    of the tightened periods.
     """
     require_valid(ts)
     view = ts.ints
-    span = [min(d, t) for d, t in zip(view.d, view.t)]
-    whole = math.lcm(*span)
-    share = [whole // m * c for m, c in zip(span, view.c)]
+    whole = view.span_whole
     bins: list[list[int]] = []
     loads: list[int] = []
-    for tsk, u in zip(ts.tasks, share):
+    for tsk, u in zip(ts.tasks, view.span_share):
         fits = {i: load for i, load in enumerate(loads) if load + u <= whole}
         if not fits:
             bins.append([tsk.id])

@@ -38,3 +38,24 @@ def valid_tasks(draw, tid=1):
 def valid_tasksets(draw, min_n=1, max_n=5):
     n = draw(st.integers(min_n, max_n))
     return TaskSet(tuple(draw(valid_tasks(tid=i + 1)) for i in range(n)))
+
+
+@st.composite
+def tasksets_of_each_class(draw, max_n=6):
+    """Task sets whose tasks are, by a draw each, implicit (D = T),
+    constrained (D a fraction of T) or free (D drawn apart from T), so
+    that every deadline class and equal densities occur often."""
+    n = draw(st.integers(1, max_n))
+    tasks = []
+    for i in range(n):
+        period = draw(rationals())
+        kind = draw(st.sampled_from(["implicit", "constrained", "free"]))
+        if kind == "implicit":
+            d = period
+        elif kind == "constrained":
+            d = period * Fraction(draw(st.integers(1, 4)), 4)
+        else:
+            d = draw(rationals())
+        c = min(period, d) * Fraction(draw(st.integers(1, 4)), 4)
+        tasks.append(Task(c=c, d=d, t=period, id=i + 1))
+    return TaskSet(tuple(tasks))

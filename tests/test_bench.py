@@ -279,6 +279,22 @@ class TestConfigParsing:
         with pytest.raises(ParseError, match=match):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "doc,match",
+        [({"orcale": False}, "config: unknown key 'orcale'"),
+         ({"thread": 2}, "config: unknown key 'thread'"),
+         ({"algorithms": [{"algo": "dm", "stratgy": "bf"}]},
+          "algorithm 1: unknown key 'stratgy'"),
+         ({"algorithms": [{"algo": "dm"}, {"algo": "dagger", "strategy": "ff", "fit": "bf"}]},
+          "algorithm 2: unknown key 'fit'"),
+         ({"algorithms": [{"algo": "dm"}, "dagger"]}, "algorithm 2: expected an object")],
+    )  # fmt: skip
+    def test_unknown_config_or_algorithm_key(self, doc, match):
+        # a misspelled key is refused, not dropped in favor of the default
+        base = {"instances": [], "algorithms": [{"algo": "dm"}]}
+        with pytest.raises(ParseError, match=match):
+            parse_config(json.dumps({**base, **doc}))
+
     @pytest.mark.parametrize("key", ["oracle", "timing"])
     @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
     def test_switches_must_be_json_booleans(self, key, value):

@@ -254,7 +254,10 @@ class TestBench:
          ({"algorithms": [{"algo": "dm", "strategy": "xx"}]},
           "algorithm 1 (dm): unknown strategy 'xx'"),
          ({"oracle": "false"}, "oracle"),
-         ({"timing": "no"}, "timing")],
+         ({"timing": "no"}, "timing"),
+         ({"algorithms": [{"algo": "dm"}, {"algo": "dm", "stratgy": "bf"}]},
+          "algorithm 2: unknown key 'stratgy'"),
+         ({"orcale": False}, "config: unknown key 'orcale'")],
     )  # fmt: skip
     def test_parse_time_rejection_exit_two(self, tmp_path, capsys, doc, where):
         base = {"instances": [{"family": "bf-adversary", "k": 4}], "algorithms": [{"algo": "dm"}]}

@@ -15,6 +15,7 @@ from rtpack.errors import (
 from rtpack.feasibility import test_horizon as horizon_bound
 from rtpack.feasibility import (
     Mode,
+    _Scaled,
     deadline_points,
     edf_feasible_exact,
     lemma1_feasible,
@@ -53,6 +54,26 @@ class TestHorizon:
         big = 2**70
         with pytest.raises(HorizonOverflow):
             horizon_bound(taskset([(big, big, big)]))
+
+    @pytest.mark.parametrize(
+        "speed, subset",
+        [(F(1), [(1, 1, 2), (1, 2, 2)]), (F(3, 2), [(1, 1, 2), (2, 2, 2)]),
+         (F(1, 2), [("1/2", 1, 2), ("1/2", 2, 2)])],
+    )  # fmt: skip
+    def test_subset_at_the_speed_uses_its_own_hyperperiod(self, speed, subset):
+        # U of the subset equals the speed and its density exceeds it, so
+        # it is swept to its own hyperperiod 2 plus D_max, not to the set's
+        # hyperperiod 14
+        ts = taskset([*subset, (1, 5, 7)])
+        own = taskset(subset)
+        sc = _Scaled(ts.ints, range(2))
+        assert sc.fraction(*sc.horizon(speed, F(3))) == horizon_bound(own, speed) == 4
+        assert positions_feasible_exact(ts.ints, range(2), speed, hyperperiod_cap=F(3))
+        with pytest.raises(HorizonOverflow) as got:
+            positions_feasible_exact(ts.ints, range(2), speed, hyperperiod_cap=F(1))
+        with pytest.raises(HorizonOverflow) as want:
+            horizon_bound(own, speed, hyperperiod_cap=F(1))
+        assert str(got.value) == str(want.value) == "hyperperiod 2 exceeds cap 1"
 
 
 class TestDeadlinePoints:

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from rtpack.errors import BadParam
 from rtpack.feasibility import (
@@ -25,9 +27,53 @@ from rtpack.generators import (
     gen_worst_fit_adversary,
 )
 from rtpack.io import serialize_taskset
-from rtpack.model import DeadlineClass, Task, classify, validate
+from rtpack.model import DeadlineClass, Task, TaskSet, classify, validate
 
 F = Fraction
+
+
+def reference_gen_random(params: GenParams) -> TaskSet:
+    """`gen_random` with every task field drawn and clamped on Fractions:
+    the same random numbers in the same order, so the same instances."""
+    rng = random.Random(f"rtpack-gen:{params.seed}")
+    q = params.denominator_bound
+    n = params.n
+    target = Fraction(params.utilization_target)
+    lo, hi = target - target / 10, target + target / 10
+
+    best = best_gap = None
+    for _ in range(64):
+        shares = generators._uunifast(rng, n, float(target))
+        tasks = []
+        for i in range(n):
+            period = Fraction(rng.randint(1, 4 * q), rng.randint(1, q))
+            if params.deadline_class is DeadlineClass.IMPLICIT:
+                d = period
+            elif params.deadline_class is DeadlineClass.CONSTRAINED:
+                d = period * Fraction(rng.randint(1, q), q)
+            else:
+                d = period * Fraction(rng.randint(1, 2 * q), q)
+            share = Fraction(shares[i]).limit_denominator(q * q)
+            share = min(max(share, Fraction(1, q * q)), Fraction(1))
+            c = min(share * period, d, period)
+            tasks.append(Task(c=c, d=d, t=period, id=i + 1))
+        for _ in range(3):
+            total = sum((t.utilization for t in tasks), Fraction(0))
+            if lo <= total <= hi:
+                break
+            factor = (target / total).limit_denominator(q**3)
+            tasks = [
+                Task(c=min(max(t.c * factor, Fraction(1, q**3)), t.d, t.t), d=t.d, t=t.t, id=t.id)
+                for t in tasks
+            ]
+        total = sum((t.utilization for t in tasks), Fraction(0))
+        candidate = TaskSet(tuple(tasks), name=f"random-s{params.seed}")
+        if lo <= total <= hi:
+            return candidate
+        gap = abs(total - target)
+        if best_gap is None or gap < best_gap:
+            best, best_gap = candidate, gap
+    return best
 
 
 class TestBestFitAdversary:
@@ -252,6 +298,38 @@ class TestRandom:
             )
         )
         assert hashlib.sha256(serialize_taskset(ts).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("cls", list(DeadlineClass))
+    @pytest.mark.parametrize("den_bound", [5, 8])
+    def test_matches_fraction_reference(self, cls, den_bound):
+        # n from 3 to 20; the targets include some the scaling pass or the
+        # retry loop must reach
+        for seed in range(60):
+            n = 3 + seed % 18
+            target = [F(1, 2), F(1), F(n, 4), F(n, 3)][seed % 4]
+            params = GenParams(seed, n, cls, target, den_bound)
+            assert gen_random(params) == reference_gen_random(params)
+
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            # dyadic values with small denominators, where ties occur
+            st.builds(lambda a, j: a / 2**j, st.integers(-200, 200), st.integers(0, 8)),
+        ),
+        st.integers(1, 1000),
+    )
+    def test_int_limit_denominator_matches_fraction(self, x, bound):
+        want = Fraction(x).limit_denominator(bound)
+        assert generators._limit_denominator(x, bound) == (want.numerator, want.denominator)
+
+    @pytest.mark.parametrize(
+        "x, bound, want",
+        # x lies halfway between two closest fractions; the last convergent wins
+        [(0.75, 2, (1, 1)), (0.25, 2, (0, 1)), (-0.75, 2, (-1, 1)), (2.5, 1, (2, 1))],
+    )
+    def test_int_limit_denominator_ties(self, x, bound, want):
+        lim = Fraction(x).limit_denominator(bound)
+        assert generators._limit_denominator(x, bound) == want == (lim.numerator, lim.denominator)
 
     @pytest.mark.parametrize("n, target", [(1, 0.5), (3, 2.9), (4, 3.6), (100, 25.0)])
     def test_uunifast_matches_uncapped_discard_loop(self, n, target):

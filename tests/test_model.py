@@ -1,8 +1,9 @@
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from rtpack import model
@@ -21,12 +22,19 @@ from rtpack.model import (
     task,
     taskset,
     transform_dagger,
+    Violation,
     validate,
 )
 
 from rtpack.errors import ValidationError
 
-from conftest import rationals, time_points, valid_tasks, valid_tasksets
+from conftest import (
+    rationals,
+    tasksets_of_each_class,
+    time_points,
+    valid_tasks,
+    valid_tasksets,
+)
 
 F = Fraction
 
@@ -109,6 +117,22 @@ class TestDbf:
         assert dbf(tsk, t + tsk.t) == dbf(tsk, t) + tsk.c
 
 
+def reference_lambda(ts):
+    return max(max(tsk.t / tsk.d, F(1)) for tsk in ts)
+
+
+def reference_gamma(ts):
+    return max(tsk.c / min(tsk.t, tsk.d) for tsk in ts)
+
+
+def reference_class(ts):
+    if all(tsk.d == tsk.t for tsk in ts):
+        return DeadlineClass.IMPLICIT
+    if all(tsk.d <= tsk.t for tsk in ts):
+        return DeadlineClass.CONSTRAINED
+    return DeadlineClass.ARBITRARY
+
+
 class TestMetrics:
     def test_lambda_ratio(self):
         assert lambda_metric(taskset([(1, 2, 4)])) == 2
@@ -127,6 +151,20 @@ class TestMetrics:
 
     def test_gamma_max_over_tasks(self):
         assert gamma_metric(taskset([(1, 4, 2), (1, 8, 8)])) == F(1, 2)
+
+    @given(st.one_of(valid_tasksets(), tasksets_of_each_class()))
+    def test_view_matches_fraction_references(self, ts):
+        # lambda, gamma and the class compare ints of the integer view
+        lam, gamma = lambda_metric(ts), gamma_metric(ts)
+        assert (lam, gamma) == (reference_lambda(ts), reference_gamma(ts))
+        assert isinstance(lam, F) and isinstance(gamma, F)
+        assert classify(ts) is reference_class(ts)
+
+    @pytest.mark.parametrize("metric", [lambda_metric, gamma_metric])
+    def test_invalid_sets_are_refused(self, metric):
+        # a negative deadline would flip the cross-multiplied comparison
+        with pytest.raises(ValidationError):
+            metric(TaskSet((Task(F(1), F(-1), F(2), id=1),)))
 
 
 class TestTransform:
@@ -186,6 +224,31 @@ class TestClassify:
         )
 
 
+def reference_validate(ts):
+    """validate's definition on the tasks' Fractions."""
+    out = []
+    for tsk in ts:
+        if tsk.c <= 0:
+            out.append(Violation(tsk.id, "c", f"C = {tsk.c} must be positive"))
+        if tsk.d <= 0:
+            out.append(Violation(tsk.id, "d", f"D = {tsk.d} must be positive"))
+        if tsk.t <= 0:
+            out.append(Violation(tsk.id, "t", f"T = {tsk.t} must be positive"))
+        if tsk.t > 0 and tsk.c / tsk.t > 1:
+            out.append(Violation(tsk.id, "c", f"C/T = {tsk.c}/{tsk.t} exceeds 1"))
+        if tsk.d > 0 and tsk.c / tsk.d > 1:
+            out.append(Violation(tsk.id, "c", f"C/D = {tsk.c}/{tsk.d} exceeds 1"))
+    return out
+
+
+@st.composite
+def any_fields(draw):
+    """Task sets with zero, negative and oversized fields."""
+    field = st.builds(F, st.integers(-4, 8), st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    return TaskSet(tuple(Task(draw(field), draw(field), draw(field), i + 1) for i in range(n)))
+
+
 class TestValidate:
     def test_clean(self):
         assert validate(taskset([(1, 2, 4)])) == []
@@ -227,6 +290,22 @@ class TestValidate:
                 require_valid(ts)
         assert len(calls) == 1
 
+    @settings(max_examples=200)
+    @given(st.one_of(any_fields(), valid_tasksets()))
+    def test_matches_fraction_reference_with_messages(self, ts):
+        got, want = validate(ts), reference_validate(ts)
+        assert got == want
+        assert [str(v) for v in got] == [str(v) for v in want]
+
+    def test_messages_print_the_fractions(self):
+        ts = TaskSet((Task(F(5, 2), F(0), F(-1, 3), id=4), Task(F(3, 2), F(1, 2), F(1), id=5)))
+        assert [str(v) for v in validate(ts)] == [
+            "task 4: D = 0 must be positive",
+            "task 4: T = -1/3 must be positive",
+            "task 5: C/T = 3/2/1 exceeds 1",
+            "task 5: C/D = 3/2/1/2 exceeds 1",
+        ]
+
 
 class TestTaskSet:
     def test_duplicate_ids_rejected(self):
@@ -260,6 +339,18 @@ class TestIntView:
         assert ts == fresh and hash(ts) == hash(fresh)
         copy = pickle.loads(pickle.dumps(ts))
         assert copy == ts and copy.ints == ts.ints
+
+    @given(st.one_of(valid_tasksets(), tasksets_of_each_class()))
+    def test_shares_and_densities_over_the_hyperperiods(self, ts):
+        view = ts.ints
+        periods = [tsk.t * view.scale for tsk in ts]
+        spans = [min(tsk.d, tsk.t) * view.scale for tsk in ts]
+        assert view.whole == math.lcm(*map(int, periods))
+        assert view.span_whole == math.lcm(*map(int, spans))
+        for tsk, share, dens in zip(ts, view.share, view.span_share):
+            assert F(share, view.whole) == tsk.c / tsk.t
+            assert F(dens, view.span_whole) == tsk.c / min(tsk.d, tsk.t)
+        assert view.share is view.share and view.span_share is view.span_share
 
     @given(valid_tasksets())
     def test_values_are_the_scaled_fractions(self, ts):

@@ -36,7 +36,7 @@ from rtpack.oracle import (
 )
 from rtpack.partitioners import Strategy, dagger_greedy, dm_partition
 
-from conftest import rationals, valid_tasks, valid_tasksets
+from conftest import rationals, tasksets_of_each_class, valid_tasks, valid_tasksets
 
 F = Fraction
 
@@ -287,6 +287,12 @@ class TestLowerBounds:
             math.ceil(sum((dbf(tsk, t) for tsk in ts), F(0)) / t) for t in points
         )
         assert _load_bound(ts.ints) == max(load, math.ceil(ts.total_utilization))
+
+    @given(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
+    def test_density_order_matches_fraction_order(self, ts):
+        density = [tsk.c / min(tsk.d, tsk.t) for tsk in ts]
+        want = sorted(range(len(ts)), key=lambda p: (-density[p], p))
+        assert _by_density(ts.ints) == want
 
     def test_clique_decides_the_speedup_gap(self):
         ts = gen_speedup_gap(8, F(1, 2))

@@ -22,7 +22,7 @@ from rtpack.partitioners import (
     dm_partition,
 )
 
-from conftest import valid_tasksets
+from conftest import tasksets_of_each_class, valid_tasksets
 
 F = Fraction
 
@@ -188,7 +188,10 @@ class TestDaggerGreedy:
     def test_deterministic(self, ts, strat):
         assert dagger_greedy(ts, strat) == dagger_greedy(ts, strat)
 
-    @given(valid_tasksets(max_n=8), st.sampled_from(list(Strategy)))
+    @given(
+        st.one_of(valid_tasksets(max_n=8), tasksets_of_each_class(max_n=8)),
+        st.sampled_from(list(Strategy)),
+    )
     def test_matches_fraction_reference(self, ts, strat):
         assert dagger_greedy(ts, strat).bins == reference_dagger_bins(ts, strat)
 
