@@ -18,7 +18,6 @@ def main():
     ap.add_argument("--n", type=int, default=8, help="tasks per instance")
     ap.add_argument("--target-u", default="2", help="utilization target (rational)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("-o", "--output", default="ratio_experiment.csv")
     args = ap.parse_args()
 
@@ -45,7 +44,6 @@ def main():
         ),
         oracle=True,
         n_cap=args.n,
-        threads=args.threads,
     )
     report = run_experiment(cfg)
 

@@ -187,6 +187,7 @@ class ExperimentConfig:
     n_cap: int = DEFAULT_ORACLE_CAP
     alpha_slack: Fraction = DEFAULT_ALPHA_SLACK
     timing: bool = True
+    # ignored (runs are serial); kept while the benchmark still sends it
     threads: int = 1
 
     def __post_init__(self):
@@ -324,19 +325,9 @@ def _bench_instance(
 def run_experiment(cfg: ExperimentConfig) -> BenchReport:
     """Run every selected partitioner on every instance, verify each
     partition exactly, and fill one row per pairing; per-row errors are
-    recorded and the run continues."""
-    instances = resolve_instances(cfg)
-    if cfg.threads > 1:
-        # imported here: every CLI command imports this module, and only a
-        # threaded run needs the executor (about 0.6 MiB of modules)
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(
-                pool.map(lambda x: _bench_instance(*x, cfg=cfg), instances)
-            )
-    else:
-        results = [_bench_instance(*x, cfg=cfg) for x in instances]
+    recorded and the run continues.  Instances run serially, in input
+    order; ``cfg.threads`` has no effect."""
+    results = [_bench_instance(*x, cfg=cfg) for x in resolve_instances(cfg)]
     rows: list[BenchRow] = []
     errors: list[str] = []
     for r, e in results:

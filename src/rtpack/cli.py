@@ -119,8 +119,6 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.config, "rb") as fh:
         cfg = bench_mod.parse_config(fh.read())
-    if args.threads is not None:
-        cfg = dataclasses.replace(cfg, threads=args.threads)
     cfg = dataclasses.replace(cfg, n_cap=_env_ncap(cfg.n_cap))
     report = bench_mod.run_experiment(cfg)
     if args.format:
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run an experiment config")
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--format", choices=["csv", "json"])
-    p_bench.add_argument("--threads", type=int)
     p_bench.add_argument("-o", "--output")
     p_bench.set_defaults(func=cmd_bench)
 

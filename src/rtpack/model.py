@@ -259,9 +259,9 @@ def validate(ts: TaskSet) -> list[Violation]:
         if t <= 0:
             out.append(Violation(tsk.id, "t", f"T = {tsk.t} must be positive"))
         if 0 < t < c:
-            out.append(Violation(tsk.id, "c", f"C/T = {tsk.c}/{tsk.t} exceeds 1"))
+            out.append(Violation(tsk.id, "c", f"C = {tsk.c} exceeds T = {tsk.t}"))
         if 0 < d < c:
-            out.append(Violation(tsk.id, "c", f"C/D = {tsk.c}/{tsk.d} exceeds 1"))
+            out.append(Violation(tsk.id, "c", f"C = {tsk.c} exceeds D = {tsk.d}"))
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -110,20 +111,28 @@ class TestRunExperiment:
             assert row.m_star <= row.m
             assert row.m_star >= math.ceil(row.utilization)
 
-    def test_threads_match_sequential(self):
-        base = dict(
-            instances=(
-                spec("bf-adversary", k=4),
-                spec("wf-adversary", k=4),
-                spec("speedup-gap", n=3, eps="1/2"),
-            ),
-            algorithms=(("dm", "bf"), ("dagger", "ff")),
-            oracle=True,
-            timing=False,
-        )
-        seq = run_experiment(ExperimentConfig(**base, threads=1))
-        par = run_experiment(ExperimentConfig(**base, threads=4))
-        assert seq.rows == par.rows
+    def test_runs_start_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("run_experiment started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        base = {
+            "instances": [
+                {"family": "bf-adversary", "k": 4},
+                {"family": "wf-adversary", "k": 4},
+                {"family": "speedup-gap", "n": 3, "eps": "1/2"},
+            ],
+            "algorithms": [{"algo": "dm", "strategy": "bf"},
+                           {"algo": "dagger", "strategy": "ff"}],
+            "oracle": True,
+            "timing": False,
+        }
+        outputs = set()
+        for extra in ({"threads": 4}, {"threads": 1}, {}):
+            report = run_experiment(parse_config(json.dumps({**base, **extra})))
+            assert report.rows and not report.errors
+            outputs.add((emit_report(report, "json"), emit_report(report, "csv")))
+        assert len(outputs) == 1
 
     def test_at_least_one_algorithm_required(self):
         with pytest.raises(ParseError):

@@ -123,7 +123,7 @@ class TestCheck:
         bad = tmp_path / "bad.json"
         bad.write_text('{"tasks":[{"c":"3","d":"2","t":"4"}]}')
         rc, _, err = run(capsys, "check", str(bad))
-        assert rc == 2 and "C/D" in err
+        assert rc == 2 and "C = 3 exceeds D = 2" in err
 
 
 class TestPartition:
@@ -205,18 +205,21 @@ class TestBench:
         assert cells[0] == "bf-adversary-k4"
         assert cells[9] == "4" and cells[10] == "2" and cells[11] == "2"
 
-    def test_threads_flag_keeps_output_identical(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
+    def test_threads_flag_gone_and_key_ignored(self, tmp_path, capsys):
+        doc = {
             "instances": [{"family": "bf-adversary", "k": 4},
                           {"family": "wf-adversary", "k": 4}],
             "algorithms": [{"algo": "dm", "strategy": "bf"}],
             "oracle": True,
             "timing": False,
-        }))
+        }
+        plain, keyed = tmp_path / "plain.json", tmp_path / "keyed.json"
+        plain.write_text(json.dumps(doc))
+        keyed.write_text(json.dumps({**doc, "threads": 3}))
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(capsys, "bench", "--config", str(cfg), "-o", str(out1))[0] == 0
-        assert run(capsys, "bench", "--config", str(cfg), "--threads", "3", "-o", str(out2))[0] == 0
+        assert run(capsys, "bench", "--config", str(plain), "--threads", "3")[0] == 2
+        assert run(capsys, "bench", "--config", str(plain), "-o", str(out1))[0] == 0
+        assert run(capsys, "bench", "--config", str(keyed), "-o", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_json_format_inferred(self, tmp_path, capsys):

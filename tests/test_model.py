@@ -235,9 +235,9 @@ def reference_validate(ts):
         if tsk.t <= 0:
             out.append(Violation(tsk.id, "t", f"T = {tsk.t} must be positive"))
         if tsk.t > 0 and tsk.c / tsk.t > 1:
-            out.append(Violation(tsk.id, "c", f"C/T = {tsk.c}/{tsk.t} exceeds 1"))
+            out.append(Violation(tsk.id, "c", f"C = {tsk.c} exceeds T = {tsk.t}"))
         if tsk.d > 0 and tsk.c / tsk.d > 1:
-            out.append(Violation(tsk.id, "c", f"C/D = {tsk.c}/{tsk.d} exceeds 1"))
+            out.append(Violation(tsk.id, "c", f"C = {tsk.c} exceeds D = {tsk.d}"))
     return out
 
 
@@ -257,12 +257,12 @@ class TestValidate:
         # C=5, D=2, T=4 breaches both C/D <= 1 and C/T <= 1: one record each
         out = validate(taskset([(5, 2, 4)]))
         assert {v.task_id for v in out} == {1}
-        assert any("C/D" in v.message for v in out)
-        assert any("C/T" in v.message for v in out)
+        assert any("exceeds D" in v.message for v in out)
+        assert any("exceeds T" in v.message for v in out)
 
     def test_utilization_violation(self):
         out = validate(taskset([(5, 6, 4)]))
-        assert len(out) == 1 and "C/T" in out[0].message
+        assert len(out) == 1 and "exceeds T" in out[0].message
 
     def test_nonpositive_fields(self):
         ts = TaskSet((Task(F(0), F(-1), F(0), id=1),))
@@ -302,8 +302,8 @@ class TestValidate:
         assert [str(v) for v in validate(ts)] == [
             "task 4: D = 0 must be positive",
             "task 4: T = -1/3 must be positive",
-            "task 5: C/T = 3/2/1 exceeds 1",
-            "task 5: C/D = 3/2/1/2 exceeds 1",
+            "task 5: C = 3/2 exceeds T = 1",
+            "task 5: C = 3/2 exceeds D = 1/2",
         ]
 
 
