@@ -32,8 +32,6 @@ from .model import (
 )
 from .feasibility import (
     FeasibilityVerdict,
-    Mode,
-    deadline_points,
     edf_feasible_exact,
     lemma1_feasible,
     subset_feasible_exact,
@@ -41,7 +39,7 @@ from .feasibility import (
     verify_partition,
 )
 from .simulate import SimTrace, simulate_edf_synchronous
-from .partitioners import Partition, Strategy, dagger_greedy, dm_admits, dm_partition
+from .partitioners import Partition, Strategy, dagger_greedy, dm_partition
 from .oracle import OracleResult, optimal_partition_bruteforce
 from .generators import (
     DvpInstance,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ParseError, RtpackError
-from .feasibility import Mode, verify_partition
+from .feasibility import verify_partition
 from .generators import (
     DEFAULT_DENOMINATOR_BOUND,
     GenParams,
@@ -175,9 +175,6 @@ class InstanceSpec:
     family: str
     params: tuple[tuple[str, object], ...]
 
-    def get(self, key, default=None):
-        return dict(self.params).get(key, default)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -287,7 +284,7 @@ def _bench_instance(
     m_star: Optional[int] = None
     if cfg.oracle:
         try:
-            m_star = optimal_partition_bruteforce(ts, Mode.EXACT, cfg.n_cap).m_star
+            m_star = optimal_partition_bruteforce(ts, cfg.n_cap).m_star
         except RtpackError as exc:
             errors.append(f"{name}/oracle: {exc}")
 
@@ -299,7 +296,7 @@ def _bench_instance(
             elapsed_ms = (
                 round((time.perf_counter() - start) * 1000, 3) if cfg.timing else 0.0
             )
-            verified = verify_partition(ts, part, Mode.EXACT)
+            verified = verify_partition(ts, part)
             row = BenchRow(
                 instance=name,
                 family=family,

@@ -17,12 +17,7 @@ from fractions import Fraction
 
 from . import bench as bench_mod
 from .errors import ParseError, RtpackError
-from .feasibility import (
-    DEFAULT_HYPERPERIOD_CAP,
-    DEFAULT_POINT_CAP,
-    Mode,
-    edf_feasible_exact,
-)
+from .feasibility import DEFAULT_HYPERPERIOD_CAP, DEFAULT_POINT_CAP, edf_feasible_exact
 from .generators import gen_random_dvp
 from .io import serialize_dvp, serialize_taskset, parse_taskset
 from .model import DeadlineClass, as_rational
@@ -93,7 +88,7 @@ def cmd_partition(args) -> int:
     ts = _read_taskset(args.file)
     if args.algo == "oracle":
         n_cap = _env_ncap(DEFAULT_ORACLE_CAP) if args.n_cap is None else args.n_cap
-        part = optimal_partition_bruteforce(ts, Mode.EXACT, n_cap=n_cap).witness
+        part = optimal_partition_bruteforce(ts, n_cap=n_cap).witness
     else:
         part = bench_mod.run_algorithm(ts, args.algo, args.strategy)
     print(_partition_doc(part), end="")

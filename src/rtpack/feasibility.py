@@ -6,6 +6,8 @@ that changes nowhere else.  For total utilization strictly below the speed
 the standard busy-interval bound caps the sweep; at exactly the speed the
 hyperperiod plus the largest deadline does.  Infeasible sets always come
 with a witness point at which the demand provably exceeds speed * t.
+Every verdict here, partition verification included, is exact; the dbf*
+admission of deadline-monotonic fitting lives in `partitioners`.
 
 Integer scaling.  A task set's integer view (`TaskSet.ints`) holds C, D
 and T multiplied by L, the lcm of all their denominators, computed once
@@ -45,7 +47,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -57,15 +58,10 @@ from .errors import (
     ShapeMismatch,
 )
 from .model import IntView, Task, TaskSet, require_valid
-from .partitioners import Partition, _dm_terms, _fit_load
+from .partitioners import Partition
 
 DEFAULT_POINT_CAP = 10**7
 DEFAULT_HYPERPERIOD_CAP = Fraction(2**64)
-
-
-class Mode(Enum):
-    EXACT = "exact"
-    APPROXIMATE = "approximate"
 
 
 @dataclass(frozen=True)
@@ -150,29 +146,6 @@ def test_horizon(
     """
     sc = _Scaled(ts.ints, range(len(ts)))
     return sc.fraction(*sc.horizon(speed, hyperperiod_cap))
-
-
-def deadline_points(
-    ts: TaskSet, horizon: Fraction, point_cap: int = DEFAULT_POINT_CAP
-) -> list[Fraction]:
-    """All points k*T_i + D_i in (0, horizon], sorted and deduplicated."""
-    if horizon < 0:
-        raise BadParam("horizon must be nonnegative")
-    estimate = 0
-    for tsk in ts:
-        if horizon >= tsk.d:
-            estimate += int((horizon - tsk.d) // tsk.t) + 1
-    if estimate > point_cap:
-        raise PointExplosion(
-            f"{estimate} deadline points before horizon {horizon} exceed cap {point_cap}"
-        )
-    points: set[Fraction] = set()
-    for tsk in ts:
-        p = tsk.d
-        while p <= horizon:
-            points.add(p)
-            p += tsk.t
-    return sorted(points)
 
 
 def _sweep_first_failure(
@@ -370,40 +343,14 @@ def lemma1_feasible(ts: TaskSet) -> bool:
     return strict_work <= 1 and ts.total_utilization <= 1
 
 
-def approx_subset_feasible(tasks: Sequence[Task]) -> bool:
-    """Approximate-admission verdict for a complete bin."""
-    return positions_feasible_approx(IntView.of(tasks), range(len(tasks)))
-
-
-def positions_feasible_approx(view: IntView, positions: Sequence[int]) -> bool:
-    """Approximate-admission verdict for the tasks at `positions` of `view`.
-
-    Replays the deadline-monotonic admission: in nondecreasing-deadline
-    order every task must fit the approximate demand of its predecessors at
-    its own deadline, and the bin utilization must stay at most 1.  The
-    order among equal deadlines does not matter: the last of them sees the
-    largest demand, the same sum in any order.
-    """
-    terms = _dm_terms(view, positions)
-    u_sum = a_sum = 0
-    for i in sorted(positions, key=view.d.__getitem__):
-        _, _, _, share, offset = term = terms[i]
-        if _fit_load(u_sum, a_sum, term) is None:
-            return False
-        u_sum += share
-        a_sum += offset
-    return True
-
-
 def verify_partition(
     ts: TaskSet,
     part: Partition,
-    mode: Mode = Mode.EXACT,
     point_cap: int = DEFAULT_POINT_CAP,
     hyperperiod_cap: Fraction = DEFAULT_HYPERPERIOD_CAP,
 ) -> bool:
-    """True iff `part` is a partition of `ts` whose every bin passes the
-    selected per-processor test."""
+    """True iff `part` is a partition of `ts` whose every bin is
+    EDF-feasible on one processor, by `positions_feasible_exact`."""
     require_valid(ts)
     position = {tsk.id: i for i, tsk in enumerate(ts)}
     seen: set[int] = set()
@@ -422,12 +369,8 @@ def verify_partition(
     view = ts.ints
     for b in part.bins:
         positions = [position[tid] for tid in b]
-        if mode is Mode.EXACT:
-            ok = positions_feasible_exact(
-                view, positions, point_cap=point_cap, hyperperiod_cap=hyperperiod_cap
-            )
-        else:
-            ok = positions_feasible_approx(view, positions)
-        if not ok:
+        if not positions_feasible_exact(
+            view, positions, point_cap=point_cap, hyperperiod_cap=hyperperiod_cap
+        ):
             return False
     return True

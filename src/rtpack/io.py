@@ -12,24 +12,21 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .generators import DvpInstance
-from .model import Task, TaskSet, require_valid
+from .model import Task, TaskSet, as_rational, require_valid
 
 
 def parse_rational(value, where: str = "value") -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
+    """`as_rational` of a JSON value: an int or a string literal."""
     if isinstance(value, float):
         raise ParseError(
             f"{where}: JSON floats are lossy; write the value as a string"
         )
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: not a rational literal: {value!r}") from exc
-    raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
+    try:
+        return as_rational(value)
+    except ValueError as exc:
+        raise ParseError(f"{where}: not a rational literal: {exc}") from exc
 
 
 def load_json(data: bytes | str, what: str):

@@ -19,14 +19,25 @@ from .errors import ValidationError
 
 RationalLike = Union[Fraction, int, str]
 
+# Largest decimal exponent a literal may carry: Python's default limit on
+# the digits of an int made from a string.  A literal's digits are held to
+# that limit already; its exponent would otherwise build 10**exp unbounded.
+MAX_EXPONENT = 4300
+
 
 def as_rational(value: RationalLike) -> Fraction:
     """Convert exactly: ints pass through, strings accept "p/q" and decimal
-    literals ("0.25" becomes 1/4)."""
+    literals ("0.25" becomes 1/4, "2.5e-3" 1/400).  A decimal exponent
+    beyond +-MAX_EXPONENT is a ValueError."""
     if isinstance(value, bool):
         raise TypeError("booleans are not rational quantities")
     if isinstance(value, float):
         raise TypeError("floats are rejected; pass a string or Fraction to stay exact")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        exp = value.lower().rpartition("e")[2].strip().lstrip("+-")
+        exp = exp.replace("_", "").lstrip("0")
+        if exp.isdecimal() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
+            raise ValueError(f"exponent of {value[:40]!r} exceeds {MAX_EXPONENT}")
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:  # "1/0": a malformed value, like "abc"
@@ -155,12 +166,6 @@ class TaskSet:
     def ints(self) -> IntView:
         """The set's C, D and T at one integer scale, by position."""
         return IntView.of(self.tasks)
-
-    def by_id(self, tid: int) -> Task:
-        for tsk in self.tasks:
-            if tsk.id == tid:
-                return tsk
-        raise KeyError(tid)
 
 
 def taskset(triples: Iterable[tuple], name: str = "") -> TaskSet:

@@ -1,8 +1,10 @@
-"""Brute-force minimum-processor oracle.
+"""Brute-force minimum-processor oracle: m*, the fewest processors that
+admit a partition into bins that are each EDF-feasible, by the exact
+demand test (`positions_feasible_exact`).
 
 Set partitions are enumerated as restricted-growth strings in increasing
 bin count, so symmetric relabelings of bins are never visited twice.  A
-branch is pruned as soon as any bin fails the per-bin test; that is sound
+branch is pruned as soon as any bin fails the exact test; that is sound
 because demand only grows when a task is added, so an infeasible bin never
 becomes feasible again.  Per-subset verdicts are memoized across branches
 and levels, keyed by position bitmask.
@@ -15,7 +17,7 @@ are never searched:
   of points t is sound; the points D_i + k*T_i for k < LOAD_POINTS are
   used (Fisher, Baker & Baruah, RTCSA 2006);
 - the size of a greedy clique of pairwise-conflicting tasks: two tasks
-  conflict when they fail the per-bin test together, and no two of a
+  conflict when they fail the exact test together, and no two of a
   clique can share a bin (Gendreau, Laporte & Semet, C&OR 2004).  The pair
   verdicts go into the search memo.
 
@@ -37,7 +39,7 @@ from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 from .errors import CapExceeded
-from .feasibility import Mode, positions_feasible_approx, positions_feasible_exact
+from .feasibility import positions_feasible_exact
 from .model import IntView, TaskSet, require_valid
 from .partitioners import Partition
 
@@ -167,7 +169,7 @@ def _witness(search: _Search, ts: TaskSet, m_star: int) -> Partition:
 
 
 def optimal_partition_bruteforce(
-    ts: TaskSet, mode: Mode = Mode.EXACT, n_cap: int = DEFAULT_ORACLE_CAP
+    ts: TaskSet, n_cap: int = DEFAULT_ORACLE_CAP
 ) -> OracleResult:
     """Minimum number of processors admitting a feasible partition, with a
     witness partition, by exhaustive search.
@@ -184,8 +186,7 @@ def optimal_partition_bruteforce(
         raise CapExceeded(f"N = {n} exceeds the oracle cap {n_cap}")
 
     view = ts.ints
-    test = positions_feasible_exact if mode is Mode.EXACT else positions_feasible_approx
-    search = _Search(partial(test, view))
+    search = _Search(partial(positions_feasible_exact, view))
     by_density = _by_density(view)
     clique = _conflict_clique(search, by_density)
     lower = max(_load_bound(view), len(clique))

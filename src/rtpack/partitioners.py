@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .errors import BadParam
-from .model import IntView, Task, TaskSet, require_valid
+from .model import IntView, TaskSet, require_valid
 
 
 class Strategy(Enum):
@@ -82,39 +81,14 @@ def _pick(strategy: Strategy, loads: dict[int, int]) -> int:
     return min(loads, key=lambda i: (loads[i], i))
 
 
-def dm_admits(bin_tasks: Sequence[Task], cand: Task) -> bool:
-    """Admission test for adding `cand` to a processor already holding
-    `bin_tasks`, all with deadlines no later than cand's.
-
-    Two conditions: the approximate demand of the bin at cand's deadline
-    leaves room for cand's execution time, and total utilization stays
-    within one processor.  Raises BadParam if a bin task has a later
-    deadline, where the affine demand would overstate dbf*.
-    """
-    late = [tsk.id for tsk in bin_tasks if tsk.d > cand.d]
-    if late:
-        raise BadParam(
-            f"bin tasks {late} have deadlines after task {cand.id}'s {cand.d}"
-        )
-    n = len(bin_tasks)
-    terms = _dm_terms(IntView.of([*bin_tasks, cand]), range(n + 1))
-    u_sum = sum(terms[i][3] for i in range(n))
-    a_sum = sum(terms[i][4] for i in range(n))
-    return _fit_load(u_sum, a_sum, terms[n]) is not None
-
-
-def dm_order(ts: TaskSet) -> list[Task]:
-    """Nondecreasing deadline; equal deadlines keep id order.
+def _dm_positions(ts: TaskSet) -> list[int]:
+    """Positions in deadline-monotonic order: nondecreasing deadline, equal
+    deadlines by task id, sorted on the set's integer view.
 
     Id order (= input order) is what makes the known worst-case families
     reproduce their published fitting traces, since those constructions
     index tasks in deadline order with ties.
     """
-    return [ts.tasks[i] for i in _dm_positions(ts)]
-
-
-def _dm_positions(ts: TaskSet) -> list[int]:
-    """The positions of `dm_order`, sorted on the set's integer view."""
     view, tasks = ts.ints, ts.tasks
     return sorted(range(len(tasks)), key=lambda i: (view.d[i], tasks[i].id))
 
@@ -122,11 +96,11 @@ def _dm_positions(ts: TaskSet) -> list[int]:
 def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
     """Deadline-monotonic partitioning with a first/best/worst-fit strategy.
 
-    Tasks are considered in nondecreasing-deadline order; each is placed on
-    an open processor passing `dm_admits`, chosen by the strategy's
+    Tasks are considered in `_dm_positions` order; each is placed on an
+    open processor that admits it (`_fit_load`), chosen by the strategy's
     preference over the bins' approximate demand at the task's deadline, or
     on a new processor if none admits it.  Each bin keeps the two sums
-    `dm_admits` builds, as ints of the set's integer view, so a placement
+    `_fit_load` reads, as ints of the set's integer view, so a placement
     costs O(M) for M open bins.
     """
     require_valid(ts)

@@ -14,7 +14,6 @@ import pytest
 
 from rtpack.cli import dispatch
 from rtpack.feasibility import (
-    Mode,
     edf_feasible_exact,
     lemma1_feasible,
     subset_feasible_exact,
@@ -72,7 +71,7 @@ def random_suite():
             denominator_bound=6,
         )
         ts = gen_random(params)
-        m_star = optimal_partition_bruteforce(ts, Mode.EXACT, n_cap=10).m_star
+        m_star = optimal_partition_bruteforce(ts, n_cap=10).m_star
         dagger = {s: dagger_greedy(ts, s) for s in Strategy}
         dm = {s: dm_partition(ts, s) for s in Strategy}
         records.append((ts, m_star, dagger, dm))
@@ -87,14 +86,14 @@ def _adversary_reproduction(gen, strat):
         expected = tuple(tuple((2 * j - 1, 2 * j)) for j in range(1, k + 1))
         assert part.m == k, f"K={k}: expected {k} processors, got {part.m}"
         assert part.bins == expected, f"K={k}: bins {part.bins} != paired tiers"
-        result = optimal_partition_bruteforce(ts, Mode.EXACT, n_cap=2 * k)
+        result = optimal_partition_bruteforce(ts, n_cap=2 * k)
         assert result.m_star == 2, f"K={k}: oracle found {result.m_star}"
-        assert verify_partition(ts, result.witness, Mode.EXACT)
+        assert verify_partition(ts, result.witness)
         # the published two-processor witness: odds together, evens together
         odds = tuple(range(1, 2 * k + 1, 2))
         evens = tuple(range(2, 2 * k + 1, 2))
         odd_even = Partition(bins=(odds, evens), algorithm="manual")
-        assert verify_partition(ts, odd_even, Mode.EXACT), f"K={k}: odd/even split"
+        assert verify_partition(ts, odd_even), f"K={k}: odd/even split"
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"took {elapsed:.1f}s"
     return elapsed
@@ -129,13 +128,13 @@ def test_criterion_4_two_lambda_bound(random_suite):
         assert len(random_suite) >= 500
         for ts, m_star, dagger, _ in random_suite:
             lam = lambda_metric(ts)
-            dag_ts = transform_dagger(ts)
+            dag_u = {tsk.id: tsk.utilization for tsk in transform_dagger(ts)}
             for strat, part in dagger.items():
                 assert part.m <= 2 * lam * m_star, (
                     f"{ts.name}/{strat}: M={part.m} > 2*{lam}*{m_star}"
                 )
                 loads = [
-                    sum((dag_ts.by_id(t).utilization for t in b), F(0))
+                    sum((dag_u[t] for t in b), F(0))
                     for b in part.bins
                 ]
                 for i in range(len(loads)):

@@ -355,8 +355,8 @@ class TestConfigParsing:
             "algorithms": [{"algo": "dm"}],
             "alpha_slack": "3/2",
         }))  # fmt: skip
-        assert cfg.instances[0].get("eps") == F(1, 2)
-        assert cfg.instances[1].get("h") == F(4096)
+        assert dict(cfg.instances[0].params)["eps"] == F(1, 2)
+        assert dict(cfg.instances[1].params)["h"] == F(4096)
         assert cfg.alpha_slack == F(3, 2)
 
     def test_python_built_specs_keep_working(self):

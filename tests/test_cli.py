@@ -329,6 +329,26 @@ class TestDeterminismGoldens:
         assert out1 == out2
         assert out1 == (GOLDEN / golden).read_text()
 
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_bench_report_bytes(self, tmp_path, capsys, suffix):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instances": [
+                {"family": "bf-adversary", "k": 4},
+                {"family": "speedup-gap", "n": 3, "eps": "1/2"},
+                {"family": "random", "n": 6, "count": 3, "seed": 0,
+                 "class": "constrained", "target_u": "2"},
+                {"family": "dvp", "n": 6},
+            ],
+            "algorithms": [{"algo": "dm", "strategy": s} for s in ("ff", "bf", "wf")]
+            + [{"algo": "dagger", "strategy": "ff"}],
+            "oracle": True,
+            "timing": False,
+        }))  # fmt: skip
+        out = tmp_path / f"report.{suffix}"
+        assert run(capsys, "bench", "--config", str(cfg), "-o", str(out))[0] == 0
+        assert out.read_bytes() == (GOLDEN / f"bench_mixed.{suffix}").read_bytes()
+
 
 class TestDispatch:
     def test_unknown_command(self, capsys):

@@ -14,9 +14,8 @@ from rtpack.errors import (
 )
 from rtpack.feasibility import test_horizon as horizon_bound
 from rtpack.feasibility import (
-    Mode,
+    DEFAULT_POINT_CAP,
     _Scaled,
-    deadline_points,
     edf_feasible_exact,
     lemma1_feasible,
     positions_feasible_exact,
@@ -34,6 +33,23 @@ F = Fraction
 
 def demand(ts, t):
     return sum(dbf(tsk, t) for tsk in ts)
+
+
+def deadline_points(ts, horizon, point_cap=DEFAULT_POINT_CAP):
+    """Reference: all points k*T_i + D_i in (0, horizon], sorted and
+    deduplicated, on Fractions; PointExplosion past `point_cap` points."""
+    if horizon < 0:
+        raise BadParam("horizon must be nonnegative")
+    estimate = sum(int((horizon - tsk.d) // tsk.t) + 1 for tsk in ts if horizon >= tsk.d)
+    if estimate > point_cap:
+        raise PointExplosion(f"{estimate} deadline points exceed cap {point_cap}")
+    points = set()
+    for tsk in ts:
+        p = tsk.d
+        while p <= horizon:
+            points.add(p)
+            p += tsk.t
+    return sorted(points)
 
 
 class TestHorizon:
@@ -255,7 +271,7 @@ class TestDensityAccept:
         ts = taskset([(speed / 2, 1, speed / 2)] * 2)
         assert not positions_feasible_exact(ts.ints, range(2), speed)
         part = Partition(bins=((1, 2),), algorithm="manual")
-        assert verify_partition(ts, part, Mode.EXACT) is False
+        assert verify_partition(ts, part) is False
 
 
 class TestLemma1:
@@ -298,18 +314,17 @@ class TestVerifyPartition:
     def test_adversary_odd_even_split(self):
         ts = gen_best_fit_adversary(4)
         part = Partition(bins=((1, 3, 5, 7), (2, 4, 6, 8)), algorithm="manual")
-        assert verify_partition(ts, part, Mode.EXACT) is True
+        assert verify_partition(ts, part) is True
 
     def test_single_overloaded_bin(self):
         ts = taskset([(1, 1, 2), (1, 1, 2), (1, 1, 2)])
         part = Partition(bins=((1, 2, 3),), algorithm="manual")
-        assert verify_partition(ts, part, Mode.EXACT) is False
+        assert verify_partition(ts, part) is False
 
     def test_singletons_always_verify(self):
         ts = taskset([(1, 1, 2), (1, 1, 2), (1, 1, 2)])
         part = Partition(bins=((1,), (2,), (3,)), algorithm="manual")
-        assert verify_partition(ts, part, Mode.EXACT) is True
-        assert verify_partition(ts, part, Mode.APPROXIMATE) is True
+        assert verify_partition(ts, part) is True
 
     def test_missing_id(self):
         ts = taskset([(1, 2, 2), (1, 3, 3)])

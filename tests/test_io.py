@@ -97,9 +97,17 @@ class TestParseRational:
         assert parse_rational(7) == 7
 
     def test_rejections(self):
-        for bad in (True, 0.5, [1], "x"):
+        for bad in (True, 0.5, [1], "x", "1/0"):
             with pytest.raises(ParseError):
                 parse_rational(bad)
+
+    def test_decimal_exponents(self):
+        assert parse_rational("1e2") == 100
+        assert parse_rational("2.5e-3") == F(1, 400)
+
+    def test_huge_exponent_refused_naming_where(self):
+        with pytest.raises(ParseError, match="task 1, field 'c'.*exponent"):
+            parse_rational("1e-999999999", where="task 1, field 'c'")
 
 
 class TestParseDvp:

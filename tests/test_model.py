@@ -61,6 +61,17 @@ class TestRationalConversion:
         with pytest.raises(ValueError, match="zero denominator"):
             as_rational("1/0")
 
+    def test_decimal_exponents(self):
+        assert as_rational("1e2") == 100
+        assert as_rational("2.5e-3") == F(1, 400)
+        assert as_rational("1E+3") == 1000
+        assert as_rational("1e-0_004_300") == F(1, 10**4300)
+
+    @pytest.mark.parametrize("huge", ["1e-999999999", "1e999999999", "1e-5000", " 2E+4301 "])
+    def test_exponent_past_the_limit_is_a_value_error(self, huge):
+        with pytest.raises(ValueError, match="exponent"):
+            as_rational(huge)
+
 
 class TestUtilization:
     def test_quarter(self):
@@ -319,12 +330,6 @@ class TestTaskSet:
     def test_ids_assigned_in_order(self):
         ts = taskset([(1, 2, 2), (1, 3, 3)])
         assert [t.id for t in ts] == [1, 2]
-
-    def test_by_id(self):
-        ts = taskset([(1, 2, 2), (1, 3, 3)])
-        assert ts.by_id(2).d == 3
-        with pytest.raises(KeyError):
-            ts.by_id(99)
 
 
 class TestIntView:

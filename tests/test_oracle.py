@@ -8,10 +8,7 @@ import hypothesis.strategies as st
 
 from rtpack.errors import CapExceeded, ValidationError
 from rtpack.feasibility import (
-    Mode,
-    approx_subset_feasible,
     edf_feasible_exact,
-    positions_feasible_approx,
     positions_feasible_exact,
     subset_feasible_exact,
     verify_partition,
@@ -25,7 +22,7 @@ from rtpack.generators import (
     gen_speedup_gap,
     gen_worst_fit_adversary,
 )
-from rtpack.model import DeadlineClass, Task, TaskSet, dbf, dbf_star, taskset
+from rtpack.model import DeadlineClass, Task, TaskSet, dbf, taskset
 from rtpack.oracle import (
     DEFAULT_ORACLE_CAP,
     _Search,
@@ -41,17 +38,16 @@ from conftest import rationals, tasksets_of_each_class, valid_tasks, valid_tasks
 F = Fraction
 
 
-def naive_minimum(ts: TaskSet, mode: Mode) -> int:
+def naive_minimum(ts: TaskSet) -> int:
     """Independent reference: try every assignment map into m bins for
     growing m."""
     tasks = list(ts)
-    check = subset_feasible_exact if mode is Mode.EXACT else approx_subset_feasible
     for m in range(1, len(tasks) + 1):
         for assignment in itertools.product(range(m), repeat=len(tasks)):
             bins = [[] for _ in range(m)]
             for tsk, b in zip(tasks, assignment):
                 bins[b].append(tsk)
-            if all(check(b) for b in bins if b):
+            if all(subset_feasible_exact(b) for b in bins if b):
                 return m
     raise AssertionError("unreachable for valid sets")
 
@@ -79,7 +75,7 @@ class TestOracle:
     def test_witness_verifies(self):
         ts = gen_best_fit_adversary(4)
         result = optimal_partition_bruteforce(ts, n_cap=8)
-        assert verify_partition(ts, result.witness, Mode.EXACT)
+        assert verify_partition(ts, result.witness)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_naive_enumeration_exact(self, seed):
@@ -92,24 +88,9 @@ class TestOracle:
                 denominator_bound=4,
             )
         )
-        result = optimal_partition_bruteforce(ts, Mode.EXACT)
-        assert result.m_star == naive_minimum(ts, Mode.EXACT)
-        assert verify_partition(ts, result.witness, Mode.EXACT)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_naive_enumeration_approx(self, seed):
-        ts = gen_random(
-            GenParams(
-                seed=seed,
-                n=5,
-                deadline_class=DeadlineClass.ARBITRARY,
-                utilization_target=F(2),
-                denominator_bound=4,
-            )
-        )
-        result = optimal_partition_bruteforce(ts, Mode.APPROXIMATE)
-        assert result.m_star == naive_minimum(ts, Mode.APPROXIMATE)
-        assert verify_partition(ts, result.witness, Mode.APPROXIMATE)
+        result = optimal_partition_bruteforce(ts)
+        assert result.m_star == naive_minimum(ts)
+        assert verify_partition(ts, result.witness)
 
     @given(valid_tasksets(max_n=5))
     def test_lower_bounds_and_heuristics(self, ts):
@@ -120,12 +101,6 @@ class TestOracle:
             assert dm_partition(ts, strat).m >= result.m_star
             assert dagger_greedy(ts, strat).m >= result.m_star
 
-    @given(valid_tasksets(max_n=5))
-    def test_approx_mode_never_below_exact(self, ts):
-        exact = optimal_partition_bruteforce(ts, Mode.EXACT)
-        approx = optimal_partition_bruteforce(ts, Mode.APPROXIMATE)
-        assert approx.m_star >= exact.m_star
-
 
 def _random_set(n, target_u, seed, cls):
     return gen_random(
@@ -133,33 +108,32 @@ def _random_set(n, target_u, seed, cls):
     )
 
 
-# (instance, exact m*, exact nodes, exact witness bins, approximate m*,
-# approximate nodes).  m* and the witnesses were recorded by the input-order
-# search that started at ceil(U); the node counts are those of the search
-# from the certified lower bound in conflict-first order
+# (instance, m*, nodes, witness bins).  m* and the witnesses were recorded
+# by the input-order search that started at ceil(U); the node counts are
+# those of the search from the certified lower bound in conflict-first order
 PINNED = [
     (lambda: _random_set(9, 3, 0, "implicit"), 4, 46,
-     ((1, 2, 3), (4, 5, 6), (7, 8), (9,)), 4, 46),
+     ((1, 2, 3), (4, 5, 6), (7, 8), (9,))),
     (lambda: _random_set(9, 2, 1, "constrained"), 3, 17,
-     ((1, 2, 8, 9), (3, 4, 6), (5, 7)), 4, 31),
+     ((1, 2, 8, 9), (3, 4, 6), (5, 7))),
     (lambda: _random_set(10, 2, 0, "constrained"), 4, 38,
-     ((1, 3, 4, 5, 6, 9), (2,), (7, 10), (8,)), 4, 22),
+     ((1, 3, 4, 5, 6, 9), (2,), (7, 10), (8,))),
     (lambda: _random_set(10, 3, 1, "arbitrary"), 4, 20,
-     ((1, 2, 3, 5, 9), (4, 6, 7), (8,), (10,)), 4, 20),
+     ((1, 2, 3, 5, 9), (4, 6, 7), (8,), (10,))),
     (lambda: _random_set(11, 3, 2, "constrained"), 5, 58,
-     ((1, 5, 6, 9), (2, 10), (3,), (4, 8, 11), (7,)), 6, 51),
+     ((1, 5, 6, 9), (2, 10), (3,), (4, 8, 11), (7,))),
     (lambda: _random_set(11, 4, 1, "implicit"), 5, 193,
-     ((1, 2, 3, 4, 9), (5, 6), (7, 8), (10,), (11,)), 5, 193),
+     ((1, 2, 3, 4, 9), (5, 6), (7, 8), (10,), (11,))),
     (lambda: _random_set(12, 2, 2, "arbitrary"), 4, 24,
-     ((1, 2, 3, 4, 5, 8, 9), (6, 10, 12), (7,), (11,)), 4, 24),
+     ((1, 2, 3, 4, 5, 8, 9), (6, 10, 12), (7,), (11,))),
     (lambda: _random_set(12, 3, 1, "constrained"), 4, 29,
-     ((1, 2, 4, 5, 6, 9), (3, 7, 11), (8, 10), (12,)), 4, 31),
-    (lambda: gen_best_fit_adversary(4), 2, 12, ((1, 3, 5, 7), (2, 4, 6, 8)), 2, 12),
-    (lambda: gen_best_fit_adversary(5), 2, 15, ((1, 3, 5, 7, 9), (2, 4, 6, 8, 10)), 3, 94),
+     ((1, 2, 4, 5, 6, 9), (3, 7, 11), (8, 10), (12,))),
+    (lambda: gen_best_fit_adversary(4), 2, 12, ((1, 3, 5, 7), (2, 4, 6, 8))),
+    (lambda: gen_best_fit_adversary(5), 2, 15, ((1, 3, 5, 7, 9), (2, 4, 6, 8, 10))),
     (lambda: gen_best_fit_adversary(6), 2, 18,
-     ((1, 3, 5, 7, 9, 11), (2, 4, 6, 8, 10, 12)), 3, 153),
+     ((1, 3, 5, 7, 9, 11), (2, 4, 6, 8, 10, 12))),
 ] + [
-    (lambda n=n: gen_speedup_gap(n, F(1, 2)), n, nodes, tuple((i,) for i in range(1, n + 1)), n, nodes)
+    (lambda n=n: gen_speedup_gap(n, F(1, 2)), n, nodes, tuple((i,) for i in range(1, n + 1)))
     for n, nodes in [(6, 21), (7, 28), (8, 36), (9, 45), (10, 55)]
 ]  # fmt: skip
 
@@ -170,12 +144,9 @@ class TestPinnedSearch:
 
     @pytest.mark.parametrize("case", range(len(PINNED)))
     def test_matches_recorded_results(self, case):
-        make, m_star, nodes, bins, approx_m, approx_nodes = PINNED[case]
-        ts = make()
-        exact = optimal_partition_bruteforce(ts, Mode.EXACT)
-        assert (exact.m_star, exact.nodes_explored, exact.witness.bins) == (m_star, nodes, bins)
-        approx = optimal_partition_bruteforce(ts, Mode.APPROXIMATE)
-        assert (approx.m_star, approx.nodes_explored) == (approx_m, approx_nodes)
+        make, m_star, nodes, bins = PINNED[case]
+        result = optimal_partition_bruteforce(make())
+        assert (result.m_star, result.nodes_explored, result.witness.bins) == (m_star, nodes, bins)
 
     def test_ids_are_not_bit_positions(self):
         # negative and sparse ids: the memo keys on positions, and the
@@ -186,19 +157,16 @@ class TestPinnedSearch:
         result = optimal_partition_bruteforce(ts)
         assert (result.m_star, result.nodes_explored) == (2, 12)
         assert result.witness.bins == ((-7, 3, 12, 1000), (-300, -1, 0, 40))
-        assert verify_partition(ts, result.witness, Mode.EXACT)
+        assert verify_partition(ts, result.witness)
 
 
-def input_order_oracle(ts: TaskSet, mode: Mode) -> tuple[int, tuple]:
+def input_order_oracle(ts: TaskSet) -> tuple[int, tuple]:
     """Reference: the oracle's search before lower bounds and reordering.
     Every level from ceil(U) up, tasks assigned in input order, bins tried
     in restricted-growth order; the first complete assignment gives m* and
-    the witness bins (task ids).  Exact bins go through the witness-producing
+    the witness bins (task ids).  Bins go through the witness-producing
     test, which has no shortcut for low density."""
-    if mode is Mode.EXACT:
-        test = lambda b: edf_feasible_exact(TaskSet(tuple(b))).feasible
-    else:
-        test = approx_subset_feasible
+    test = lambda b: edf_feasible_exact(TaskSet(tuple(b))).feasible
     tasks = list(ts)
 
     def dfs(i, bins, max_bins):
@@ -240,23 +208,21 @@ class TestAgainstInputOrderSearch:
     """The search from the certified lower bound in conflict-first order
     reports the m* and the witness of the input-order search from ceil(U)."""
 
-    @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
-    def test_same_optimum_and_witness(self, case, mode):
+    def test_same_optimum_and_witness(self, case):
         ts = FAMILY_SETS[case]
-        result = optimal_partition_bruteforce(ts, mode)
-        assert (result.m_star, result.witness.bins) == input_order_oracle(ts, mode)
+        result = optimal_partition_bruteforce(ts)
+        assert (result.m_star, result.witness.bins) == input_order_oracle(ts)
 
-    @given(valid_tasksets(max_n=6), st.sampled_from(list(Mode)))
-    def test_same_on_random_sets(self, ts, mode):
-        result = optimal_partition_bruteforce(ts, mode)
-        assert (result.m_star, result.witness.bins) == input_order_oracle(ts, mode)
+    @given(valid_tasksets(max_n=6))
+    def test_same_on_random_sets(self, ts):
+        result = optimal_partition_bruteforce(ts)
+        assert (result.m_star, result.witness.bins) == input_order_oracle(ts)
 
 
-def _bounds(ts: TaskSet, mode: Mode):
+def _bounds(ts: TaskSet):
     view = ts.ints
-    test = positions_feasible_exact if mode is Mode.EXACT else positions_feasible_approx
-    search = _Search(lambda positions: test(view, positions))
+    search = _Search(lambda positions: positions_feasible_exact(view, positions))
     return _load_bound(view), _conflict_clique(search, _by_density(view))
 
 
@@ -264,7 +230,7 @@ class TestLowerBounds:
     @settings(max_examples=100)
     @given(valid_tasksets(max_n=7))
     def test_bounds_are_sound(self, ts):
-        load, clique = _bounds(ts, Mode.EXACT)
+        load, clique = _bounds(ts)
         result = optimal_partition_bruteforce(ts)
         assert load <= result.m_star and len(clique) <= result.m_star
         for a, b in itertools.combinations(clique, 2):
@@ -275,10 +241,9 @@ class TestLowerBounds:
     @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
     def test_bounds_are_sound_on_families(self, case):
         ts = FAMILY_SETS[case]
-        for mode in Mode:
-            load, clique = _bounds(ts, mode)
-            m_star = optimal_partition_bruteforce(ts, mode).m_star
-            assert load <= m_star and len(clique) <= m_star
+        load, clique = _bounds(ts)
+        m_star = optimal_partition_bruteforce(ts).m_star
+        assert load <= m_star and len(clique) <= m_star
 
     @given(valid_tasksets(max_n=7))
     def test_load_bound_is_the_demand_load(self, ts):
@@ -296,7 +261,7 @@ class TestLowerBounds:
 
     def test_clique_decides_the_speedup_gap(self):
         ts = gen_speedup_gap(8, F(1, 2))
-        load, clique = _bounds(ts, Mode.EXACT)
+        load, clique = _bounds(ts)
         assert load < 8 and len(clique) == 8
         assert optimal_partition_bruteforce(ts).nodes_explored == 8 * 9 // 2
 
@@ -324,19 +289,6 @@ def sets_with_subsets(draw):
     return TaskSet(tuple(tasks)), positions
 
 
-def reference_approx(tasks):
-    """The approximate admission on Fractions: in deadline order each task
-    fits the summed dbf* of its predecessors at its deadline, and the total
-    utilization is at most 1."""
-    ordered = sorted(tasks, key=lambda tsk: (tsk.d, tsk.id))
-    if sum((tsk.utilization for tsk in ordered), F(0)) > 1:
-        return False
-    return all(
-        tsk.c + sum((dbf_star(prev, tsk.d) for prev in ordered[:i]), F(0)) <= tsk.d
-        for i, tsk in enumerate(ordered)
-    )
-
-
 class TestPositionView:
     @settings(max_examples=200)
     @given(sets_with_subsets(), st.sampled_from([F(1), F(1, 2), F(3, 2), F(5, 6)]))
@@ -346,11 +298,3 @@ class TestPositionView:
         assert positions_feasible_exact(ts.ints, positions, speed) == subset_feasible_exact(
             subset, speed
         )
-
-    @settings(max_examples=200)
-    @given(sets_with_subsets())
-    def test_approximate_matches_bare_list_and_reference(self, case):
-        ts, positions = case
-        subset = [ts.tasks[i] for i in positions]
-        got = positions_feasible_approx(ts.ints, positions)
-        assert got == approx_subset_feasible(subset) == reference_approx(subset)

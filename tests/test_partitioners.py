@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from rtpack.errors import BadParam, ValidationError
-from rtpack.feasibility import Mode, verify_partition
+from rtpack.errors import ValidationError
+from rtpack.feasibility import verify_partition
 from rtpack.generators import (
     GenParams,
     gen_best_fit_adversary,
@@ -16,15 +16,30 @@ from rtpack.generators import (
 from rtpack.model import DeadlineClass, dbf_star, task, taskset, transform_dagger
 from rtpack.partitioners import (
     Strategy,
+    _dm_terms,
+    _fit_load,
     dagger_greedy,
-    dm_admits,
-    dm_order,
     dm_partition,
 )
 
 from conftest import tasksets_of_each_class, valid_tasksets
 
 F = Fraction
+
+
+def dm_order(ts):
+    """Nondecreasing deadline, equal deadlines by id."""
+    return sorted(ts, key=lambda tsk: (tsk.d, tsk.id))
+
+
+def dm_admits(bin_tasks, cand):
+    """Deadline-monotonic admission on Fractions, for a bin whose deadlines
+    are all at most cand's: the bin's dbf* at cand's deadline leaves room
+    for cand's C, and the total utilization stays within one processor."""
+    assert all(tsk.d <= cand.d for tsk in bin_tasks)
+    demand = cand.c + sum((dbf_star(tsk, cand.d) for tsk in bin_tasks), F(0))
+    load = cand.utilization + sum((tsk.utilization for tsk in bin_tasks), F(0))
+    return demand <= cand.d and load <= 1
 
 
 def reference_dm_bins(ts, strat):
@@ -71,12 +86,16 @@ def reference_dagger_bins(ts, strat):
 class TestDmAdmits:
     @given(valid_tasksets(), st.data())
     def test_matches_dbf_star_admission(self, ts, data):
+        """`_fit_load` on the integer view agrees with `dm_admits`."""
         ordered = dm_order(ts)
         cand = ordered[-1]
         held = [tsk for tsk in ordered[:-1] if data.draw(st.booleans())]
-        demand = cand.c + sum((dbf_star(tsk, cand.d) for tsk in held), F(0))
-        load = cand.utilization + sum((tsk.utilization for tsk in held), F(0))
-        assert dm_admits(held, cand) == (demand <= cand.d and load <= 1)
+        pos = {tsk.id: i for i, tsk in enumerate(ts)}
+        terms = _dm_terms(ts.ints, range(len(ts)))
+        u_sum = sum(terms[pos[tsk.id]][3] for tsk in held)
+        a_sum = sum(terms[pos[tsk.id]][4] for tsk in held)
+        got = _fit_load(u_sum, a_sum, terms[pos[cand.id]])
+        assert (got is not None) == dm_admits(held, cand)
 
     def test_roomy_bin(self):
         assert dm_admits([task(1, 2, 4)], task(1, 3, 6)) is True
@@ -86,11 +105,6 @@ class TestDmAdmits:
 
     def test_utilization_overflow(self):
         assert dm_admits([task(1, 1, 1)], task(1, 2, 2)) is False
-
-    def test_later_deadline_bin_task_refused(self):
-        # dbf* of the held task at 2 is 0; U*2 + A would count 3/4
-        with pytest.raises(BadParam, match="deadlines after"):
-            dm_admits([task(1, 3, 4)], task(1, 2, 4))
 
 
 class TestDmPartition:
@@ -121,10 +135,9 @@ class TestDmPartition:
         assert wf.bins == ((1, 2), (3, 4))
 
     @given(valid_tasksets(), st.sampled_from(list(Strategy)))
-    def test_output_verifies_in_both_modes(self, ts, strat):
+    def test_output_verifies_exact(self, ts, strat):
         part = dm_partition(ts, strat)
-        assert verify_partition(ts, part, Mode.APPROXIMATE)
-        assert verify_partition(ts, part, Mode.EXACT)
+        assert verify_partition(ts, part)
 
     @given(valid_tasksets(), st.sampled_from(list(Strategy)))
     def test_deterministic(self, ts, strat):
@@ -171,15 +184,13 @@ class TestDaggerGreedy:
     @given(valid_tasksets(), st.sampled_from(list(Strategy)))
     def test_output_verifies_exact(self, ts, strat):
         part = dagger_greedy(ts, strat)
-        assert verify_partition(ts, part, Mode.EXACT)
+        assert verify_partition(ts, part)
 
     @given(valid_tasksets(), st.sampled_from(list(Strategy)))
     def test_any_fit_pairwise_load_property(self, ts, strat):
         part = dagger_greedy(ts, strat)
-        dag = transform_dagger(ts)
-        loads = [
-            sum((dag.by_id(tid).utilization for tid in b), F(0)) for b in part.bins
-        ]
+        u = {tsk.id: tsk.utilization for tsk in transform_dagger(ts)}
+        loads = [sum((u[tid] for tid in b), F(0)) for b in part.bins]
         for i in range(len(loads)):
             for j in range(i + 1, len(loads)):
                 assert loads[i] + loads[j] > 1
