@@ -208,7 +208,11 @@ class TestAgainstInputOrderSearch:
     """The search from the certified lower bound in conflict-first order
     reports the m* and the witness of the input-order search from ceil(U)."""
 
-    @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
+    # The ids keep the names these cases had when an approximate-mode half
+    # ran beside them.
+    @pytest.mark.parametrize(
+        "case", range(len(FAMILY_SETS)), ids=lambda case: f"{case}-Mode.EXACT"
+    )
     def test_same_optimum_and_witness(self, case):
         ts = FAMILY_SETS[case]
         result = optimal_partition_bruteforce(ts)
