@@ -57,14 +57,11 @@ from .bench import (
     BenchRow,
     ExperimentConfig,
     InstanceSpec,
-    check_bounds,
     emit_report,
     parse_config,
-    parse_report,
     run_experiment,
 )
 from .io import (
-    parse_dvp,
     parse_taskset,
     serialize_dvp,
     serialize_taskset,

@@ -292,10 +292,7 @@ def _bench_instance(
         try:
             start = time.perf_counter()
             part = run_algorithm(ts, algo, strategy)
-            # rounded at capture so emitted reports parse back identically
-            elapsed_ms = (
-                round((time.perf_counter() - start) * 1000, 3) if cfg.timing else 0.0
-            )
+            elapsed_ms = (time.perf_counter() - start) * 1000 if cfg.timing else 0.0
             verified = verify_partition(ts, part)
             row = BenchRow(
                 instance=name,
@@ -331,25 +328,6 @@ def run_experiment(cfg: ExperimentConfig) -> BenchReport:
         rows.extend(r)
         errors.extend(e)
     return BenchReport(rows=tuple(rows), errors=tuple(errors))
-
-
-def check_bounds(
-    report: BenchReport, alpha_slack: Fraction = DEFAULT_ALPHA_SLACK
-) -> list[str]:
-    """Re-derive every bound flag from the report rows.
-
-    Hard flags: a transformed-greedy row beyond 2*lambda times the optimum,
-    or a row below the optimum.  Soft flags report rows beyond the
-    asymptotic deadline-monotonic bound plus the slack; they are
-    informational because the additive constant is not pinned down.
-    Partitions are not re-verified: a row carries the verdict of its run in
-    `violations`.
-    """
-    return [
-        f"{row.instance}/{row.algorithm}-{row.strategy}: {v}"
-        for row in report.rows
-        for v in _row_violations(row, True, alpha_slack)
-    ]
 
 
 def _decimal6(value: Fraction) -> str:
@@ -406,34 +384,6 @@ def emit_report(report: BenchReport, format: str = "csv") -> bytes:
         doc = {"rows": rows, "errors": list(report.errors)}
         return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     raise ParseError(f"unknown report format {format!r}")
-
-
-def parse_report(data: bytes | str) -> BenchReport:
-    """Inverse of the JSON emission; the derived keys are not read."""
-    doc = load_json(data, "report")
-    try:
-        rows = tuple(
-            BenchRow(
-                instance=r["instance"],
-                family=r["family"],
-                n=int(r["N"]),
-                deadline_class=r["class"],
-                lam=Fraction(r["lambda"]),
-                gamma=Fraction(r["gamma"]),
-                utilization=Fraction(r["U"]),
-                algorithm=r["algorithm"],
-                strategy=r["strategy"],
-                m=int(r["M"]),
-                m_star=None if r["m_star"] is None else int(r["m_star"]),
-                violations=tuple(r["violations"]),
-                runtime_ms=float(r["runtime_ms"]),
-            )
-            for r in doc["rows"]
-        )
-        errors = tuple(doc.get("errors", ()))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"malformed report: {exc}") from exc
-    return BenchReport(rows=rows, errors=errors)
 
 
 def _parse_int(value, where: str) -> int:

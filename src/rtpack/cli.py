@@ -9,14 +9,13 @@ an atomic rename, never partially.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from fractions import Fraction
 
 from . import bench as bench_mod
-from .errors import ParseError, RtpackError
+from .errors import RtpackError
 from .feasibility import DEFAULT_HYPERPERIOD_CAP, DEFAULT_POINT_CAP, edf_feasible_exact
 from .generators import gen_random_dvp
 from .io import serialize_dvp, serialize_taskset, parse_taskset
@@ -24,18 +23,6 @@ from .model import DeadlineClass, as_rational
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy
 from .simulate import DEFAULT_EVENT_CAP, simulate_edf_synchronous
-
-
-def _env_ncap(default: int) -> int:
-    """The oracle's task-count cap from RTP_NCAP, or `default` when it is
-    unset or empty.  Read when a command needs it, so that a malformed value
-    fails only the commands that use it."""
-    env = os.environ.get("RTP_NCAP")
-    if not env:
-        return default
-    if not (env.isascii() and env.isdigit()):
-        raise ParseError(f"RTP_NCAP must be a nonnegative integer, got {env!r}")
-    return int(env)
 
 
 def _write_output(path: str | None, content: str | bytes) -> None:
@@ -87,8 +74,7 @@ def cmd_check(args) -> int:
 def cmd_partition(args) -> int:
     ts = _read_taskset(args.file)
     if args.algo == "oracle":
-        n_cap = _env_ncap(DEFAULT_ORACLE_CAP) if args.n_cap is None else args.n_cap
-        part = optimal_partition_bruteforce(ts, n_cap=n_cap).witness
+        part = optimal_partition_bruteforce(ts, n_cap=args.n_cap).witness
     else:
         part = bench_mod.run_algorithm(ts, args.algo, args.strategy)
     print(_partition_doc(part), end="")
@@ -114,7 +100,6 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.config, "rb") as fh:
         cfg = bench_mod.parse_config(fh.read())
-    cfg = dataclasses.replace(cfg, n_cap=_env_ncap(cfg.n_cap))
     report = bench_mod.run_experiment(cfg)
     if args.format:
         fmt = args.format
@@ -166,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo", choices=[*bench_mod.ALGORITHMS, "oracle"], required=True
     )
     p_part.add_argument("--strategy", choices=[s.value for s in Strategy], default="ff")
-    p_part.add_argument("--n-cap", type=int)
+    p_part.add_argument("--n-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p_part.set_defaults(func=cmd_partition)
 
     p_gen = sub.add_parser("generate", help="emit an instance as task-set JSON")

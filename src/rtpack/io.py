@@ -1,8 +1,9 @@
 """Canonical JSON serialization for task sets and vector instances.
 
 Rationals travel as strings ("p/q" or a decimal literal) because instance
-values routinely exceed double precision; parsing is exact and
-serialize/parse round-trips bit-identically.
+values routinely exceed double precision; task-set parsing is exact and
+serialize/parse round-trips bit-identically.  Vector instances are only
+written.
 """
 
 from __future__ import annotations
@@ -82,25 +83,6 @@ def serialize_taskset(ts: TaskSet) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def parse_dvp(data: bytes | str) -> DvpInstance:
-    doc = load_json(data, "vectors")
-    if not isinstance(doc, dict) or "vectors" not in doc:
-        raise ParseError('document must be an object with a "vectors" list')
-    if not isinstance(doc["vectors"], list):
-        raise ParseError('"vectors" must be a list')
-    vectors = []
-    for i, pair in enumerate(doc["vectors"], start=1):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"vector {i}: expected a [v1, v2] pair")
-        vectors.append(
-            (
-                parse_rational(pair[0], where=f"vector {i}, v1"),
-                parse_rational(pair[1], where=f"vector {i}, v2"),
-            )
-        )
-    return DvpInstance(tuple(vectors))
 
 
 def serialize_dvp(dvp: DvpInstance) -> str:

@@ -19,16 +19,19 @@ from .errors import ValidationError
 
 RationalLike = Union[Fraction, int, str]
 
-# Largest decimal exponent a literal may carry: Python's default limit on
-# the digits of an int made from a string.  A literal's digits are held to
-# that limit already; its exponent would otherwise build 10**exp unbounded.
+# Largest decimal exponent a literal may carry, and the most digits its
+# numerator and denominator may have: Python's default limit on the digits
+# of an int converted to or from a string.  The exponent would otherwise
+# build 10**exp unbounded, and a longer value could not be printed.
 MAX_EXPONENT = 4300
+_DIGIT_LIMIT = 10**MAX_EXPONENT
 
 
 def as_rational(value: RationalLike) -> Fraction:
     """Convert exactly: ints pass through, strings accept "p/q" and decimal
     literals ("0.25" becomes 1/4, "2.5e-3" 1/400).  A decimal exponent
-    beyond +-MAX_EXPONENT is a ValueError."""
+    beyond +-MAX_EXPONENT, or a literal whose numerator or denominator has
+    more than MAX_EXPONENT digits, is a ValueError."""
     if isinstance(value, bool):
         raise TypeError("booleans are not rational quantities")
     if isinstance(value, float):
@@ -39,9 +42,14 @@ def as_rational(value: RationalLike) -> Fraction:
         if exp.isdecimal() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
             raise ValueError(f"exponent of {value[:40]!r} exceeds {MAX_EXPONENT}")
     try:
-        return Fraction(value)
+        out = Fraction(value)
     except ZeroDivisionError as exc:  # "1/0": a malformed value, like "abc"
         raise ValueError(f"zero denominator in {value!r}") from exc
+    if isinstance(value, str) and (
+        abs(out.numerator) >= _DIGIT_LIMIT or out.denominator >= _DIGIT_LIMIT
+    ):
+        raise ValueError(f"{value[:40]!r} has more than {MAX_EXPONENT} digits")
+    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,18 +1,22 @@
 import json
 import math
+import runpy
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rtpack.bench as bench_mod
 from rtpack.bench import (
+    DEFAULT_ALPHA_SLACK,
     BenchReport,
     BenchRow,
     ExperimentConfig,
-    check_bounds,
+    _row_violations,
     emit_report,
     parse_config,
-    parse_report,
     run_experiment,
     spec,
 )
@@ -21,6 +25,7 @@ from rtpack.generators import gen_best_fit_adversary
 from rtpack.model import gamma_metric
 
 F = Fraction
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def make_row(**overrides):
@@ -148,15 +153,21 @@ class TestRunExperiment:
             ExperimentConfig(instances=(), algorithms=algorithms)
 
 
+def flags(row, verified=True):
+    return _row_violations(row, verified, DEFAULT_ALPHA_SLACK)
+
+
 class TestCheckBounds:
+    """The bound flags a row gets at run time; they are emitted in its
+    JSON `violations`."""
+
     def test_within_bound(self):
-        report = BenchReport(rows=(make_row(m=3, m_star=2, lam=F(1)),))
-        assert check_bounds(report) == []
+        assert flags(make_row(m=3, m_star=2, lam=F(1))) == ()
 
     def test_hard_violation(self):
-        report = BenchReport(rows=(make_row(m=5, m_star=2, lam=F(1)),))
-        flags = check_bounds(report)
-        assert len(flags) == 1 and "hard" in flags[0]
+        assert flags(make_row(m=5, m_star=2, lam=F(1))) == (
+            "hard: M=5 exceeds 2*lambda*M*=4",
+        )
 
     def test_adversary_rows_consistent_with_asymptotic_blowup(self):
         # ratio K/2 with gamma close to 1: 2/(1-gamma) must dominate K/2
@@ -168,8 +179,35 @@ class TestCheckBounds:
 
     def test_soft_flag_reported(self):
         row = make_row(algorithm="dm", m=9, m_star=1, gamma=F(1, 2), lam=F(1))
-        flags = check_bounds(BenchReport(rows=(row,)))
-        assert len(flags) == 1 and "soft" in flags[0]
+        assert flags(row) == ("soft: M=9 exceeds asymptotic bound 5",)
+
+    def test_failed_verification_is_hard(self):
+        assert flags(make_row(m=3, m_star=2), verified=False) == (
+            "hard: partition failed exact verification",
+        )
+
+    def test_below_optimum_is_hard(self):
+        assert flags(make_row(algorithm="dm", m=1, m_star=2)) == (
+            "hard: M=1 below the optimum 2",
+        )
+
+    def test_no_optimum_checks_only_verification(self):
+        assert flags(make_row(m=9, m_star=None)) == ()
+        assert flags(make_row(m=9, m_star=None), verified=False) == (
+            "hard: partition failed exact verification",
+        )
+
+
+class TestRatioExperimentScript:
+    def test_failed_verification_counts_as_hard(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bench_mod, "verify_partition", lambda ts, part: False)
+        argv = ["ratio_experiment.py", "--count", "1", "--n", "4", "-o", str(tmp_path / "r.csv")]
+        monkeypatch.setattr(sys, "argv", argv)
+        runpy.run_path(str(SCRIPTS / "ratio_experiment.py"), run_name="__main__")
+        out = capsys.readouterr().out
+        # 3 instances (one per class) times 6 algorithm-strategy pairs
+        assert "hard bound violations: 18\n" in out
+        assert "/dagger-ff: hard: partition failed exact verification" in out
 
 
 class TestEmit:
@@ -189,27 +227,6 @@ class TestEmit:
     def test_rationals_rendered_exactly(self):
         data = emit_report(BenchReport(rows=(make_row(),)), "csv").decode()
         assert "3/2" in data
-
-    def test_json_round_trip(self):
-        report = BenchReport(rows=(make_row(), make_row(instance="y", m_star=None)))
-        assert parse_report(emit_report(report, "json")) == report
-
-    @pytest.mark.parametrize("data", [b"{", b'{"rows": [{}]}', b"[]", b"\xff"])
-    def test_malformed_report_is_a_parse_error(self, data):
-        with pytest.raises(ParseError):
-            parse_report(data)
-
-    def test_json_round_trip_with_live_timings(self):
-        cfg = ExperimentConfig(
-            instances=(spec("bf-adversary", k=4),),
-            algorithms=(("dm", "bf"),),
-            oracle=True,
-            timing=True,
-        )
-        report = run_experiment(cfg)
-        assert parse_report(emit_report(report, "json")) == BenchReport(
-            rows=report.rows, errors=report.errors
-        )
 
     def test_emission_deterministic(self):
         report = BenchReport(rows=(make_row(),))

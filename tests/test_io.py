@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given
 
 from rtpack.errors import ParseError, ValidationError
-from rtpack.generators import DvpInstance, gen_best_fit_adversary, gen_random_dvp
-from rtpack.io import (
-    parse_dvp,
-    parse_rational,
-    parse_taskset,
-    serialize_dvp,
-    serialize_taskset,
-)
+from rtpack.generators import gen_best_fit_adversary
+from rtpack.io import parse_rational, parse_taskset, serialize_taskset
 
 from conftest import valid_tasksets
 
@@ -81,10 +75,6 @@ class TestRoundTrip:
         ts = gen_best_fit_adversary(8)
         assert parse_taskset(serialize_taskset(ts)) == ts
 
-    def test_dvp_round_trip(self):
-        dvp = gen_random_dvp(11, 6)
-        assert parse_dvp(serialize_dvp(dvp)) == dvp
-
     def test_serialized_form_is_strings(self):
         text = serialize_taskset(parse_taskset(b'{"tasks":[{"c":"0.25","d":"1","t":"2"}]}'))
         assert '"c": "1/4"' in text
@@ -108,20 +98,3 @@ class TestParseRational:
     def test_huge_exponent_refused_naming_where(self):
         with pytest.raises(ParseError, match="task 1, field 'c'.*exponent"):
             parse_rational("1e-999999999", where="task 1, field 'c'")
-
-
-class TestParseDvp:
-    def test_list_of_pairs_form(self):
-        dvp = parse_dvp(b'{"vectors": [["3/10", "3/5"], ["1/4", "0"]]}')
-        assert dvp.vectors == ((F(3, 10), F(3, 5)), (F(1, 4), F(0)))
-
-    def test_bad_pair(self):
-        with pytest.raises(ParseError):
-            parse_dvp(b'{"vectors": [["1/2"]]}')
-        with pytest.raises(ParseError):
-            parse_dvp(b'{"nope": 1}')
-
-    @pytest.mark.parametrize("vectors", ["5", '"3/10"', '{"v": 1}', "null"])
-    def test_vectors_must_be_a_list(self, vectors):
-        with pytest.raises(ParseError, match='"vectors" must be a list'):
-            parse_dvp('{"vectors": %s}' % vectors)

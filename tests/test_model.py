@@ -65,12 +65,29 @@ class TestRationalConversion:
         assert as_rational("1e2") == 100
         assert as_rational("2.5e-3") == F(1, 400)
         assert as_rational("1E+3") == 1000
-        assert as_rational("1e-0_004_300") == F(1, 10**4300)
+        assert as_rational("1e-0_004_299") == F(1, 10**4299)
 
     @pytest.mark.parametrize("huge", ["1e-999999999", "1e999999999", "1e-5000", " 2E+4301 "])
     def test_exponent_past_the_limit_is_a_value_error(self, huge):
         with pytest.raises(ValueError, match="exponent"):
             as_rational(huge)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1e4299", "1e-4299", pytest.param("9" * 4300, id="9*4300"),
+         pytest.param("1/" + "9" * 4300, id="1/9*4300")],
+    )  # fmt: skip
+    def test_values_up_to_the_digit_limit_print(self, value):
+        assert as_rational(str(as_rational(value))) == as_rational(value)
+
+    @pytest.mark.parametrize(
+        "huge",
+        ["1e4300", "1e-4300", "-1e4300", pytest.param("9" * 4300 + "e4299", id="9*4300e4299")],
+    )  # fmt: skip
+    def test_values_past_the_digit_limit_are_a_value_error(self, huge):
+        with pytest.raises(ValueError) as exc:
+            as_rational(huge)
+        assert str(exc.value) == f"{huge[:40]!r} has more than 4300 digits"
 
 
 class TestUtilization:
