@@ -1,11 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
 from rtpack.errors import ParseError, ValidationError
-from rtpack.generators import gen_best_fit_adversary
-from rtpack.io import parse_rational, parse_taskset, serialize_taskset
+from rtpack.generators import DvpInstance, gen_best_fit_adversary, gen_random_dvp
+from rtpack.io import parse_rational, parse_taskset, serialize_dvp, serialize_taskset
 
 from conftest import valid_tasksets
 
@@ -74,6 +75,14 @@ class TestRoundTrip:
     def test_adversary_round_trip_with_huge_values(self):
         ts = gen_best_fit_adversary(8)
         assert parse_taskset(serialize_taskset(ts)) == ts
+
+    def test_dvp_round_trip(self):
+        dvp = gen_random_dvp(11, 6)
+        doc = json.loads(serialize_dvp(dvp))
+        vectors = tuple(
+            (parse_rational(v1), parse_rational(v2)) for v1, v2 in doc["vectors"]
+        )
+        assert DvpInstance(vectors) == dvp
 
     def test_serialized_form_is_strings(self):
         text = serialize_taskset(parse_taskset(b'{"tasks":[{"c":"0.25","d":"1","t":"2"}]}'))
