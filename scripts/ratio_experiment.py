@@ -4,10 +4,12 @@
 Runs the transformed-utilization greedy and deadline-monotonic partitioning
 against the brute-force optimum, prints the hard flags of the rows (beyond
 2*lambda, below the optimum, or failed exact verification), and summarizes
-the realized ratios and the slack against the asymptotic bound.
+the realized ratios and the slack against the asymptotic bound.  Exits 1
+when it prints any hard flag, else 0.
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from rtpack.bench import ExperimentConfig, emit_report, run_experiment, spec
@@ -78,7 +80,8 @@ def main():
             f"dm slack vs asymptotic bound (gamma<0.9): max {float(max(slacks)):.3f} "
             f"over {len(slacks)} rows"
         )
+    return 1 if hard else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

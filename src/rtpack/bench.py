@@ -16,10 +16,9 @@ import glob as globmod
 import io as stringio
 import json
 import time
-from dataclasses import dataclass, replace
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError, RtpackError
 from .feasibility import verify_partition
@@ -252,20 +251,35 @@ def run_algorithm(ts: TaskSet, algo: str, strategy: Optional[str]) -> Partition:
     raise ParseError(f"unknown algorithm {algo!r}")
 
 
+def _bounds(
+    lam: Fraction, gamma: Fraction, m_star: Optional[int], alpha_slack: Fraction
+) -> tuple[Optional[Fraction], Optional[Fraction]]:
+    """The processor counts the rows of one instance are held to: dagger's
+    2*lambda*m*, and deadline-monotonic fitting's 2/(1-gamma)*m* + alpha
+    (None when gamma is 1); both None without an optimum."""
+    if m_star is None:
+        return None, None
+    dm_bound = 2 / (1 - gamma) * m_star + alpha_slack if gamma < 1 else None
+    return 2 * lam * m_star, dm_bound
+
+
 def _row_violations(
-    row: BenchRow, verified: bool, alpha_slack: Fraction
+    algorithm: str,
+    m: int,
+    m_star: Optional[int],
+    verified: bool,
+    dagger_bound: Optional[Fraction],
+    dm_bound: Optional[Fraction],
 ) -> tuple[str, ...]:
+    """The bound flags of one row, given its instance's `_bounds`."""
     out = []
     if not verified:
         out.append("hard: partition failed exact verification")
-    m, m_star = row.m, row.m_star
     if m_star is not None:
-        if row.algorithm == "dagger" and m > row.bound_2lambda * m_star:
-            out.append(f"hard: M={m} exceeds 2*lambda*M*={row.bound_2lambda * m_star}")
-        if row.algorithm == "dm" and row.bound_asymptotic is not None:
-            bound = row.bound_asymptotic * m_star + alpha_slack
-            if m > bound:
-                out.append(f"soft: M={m} exceeds asymptotic bound {bound}")
+        if algorithm == "dagger" and m > dagger_bound:
+            out.append(f"hard: M={m} exceeds 2*lambda*M*={dagger_bound}")
+        if algorithm == "dm" and dm_bound is not None and m > dm_bound:
+            out.append(f"soft: M={m} exceeds asymptotic bound {dm_bound}")
         if m < m_star:
             out.append(f"hard: M={m} below the optimum {m_star}")
     return tuple(out)
@@ -287,6 +301,7 @@ def _bench_instance(
             m_star = optimal_partition_bruteforce(ts, cfg.n_cap).m_star
         except RtpackError as exc:
             errors.append(f"{name}/oracle: {exc}")
+    bounds = _bounds(lam, gamma, m_star, cfg.alpha_slack)
 
     for algo, strategy in cfg.algorithms:
         try:
@@ -294,23 +309,23 @@ def _bench_instance(
             part = run_algorithm(ts, algo, strategy)
             elapsed_ms = (time.perf_counter() - start) * 1000 if cfg.timing else 0.0
             verified = verify_partition(ts, part)
-            row = BenchRow(
-                instance=name,
-                family=family,
-                n=len(ts),
-                deadline_class=cls,
-                lam=lam,
-                gamma=gamma,
-                utilization=util,
-                algorithm=algo,
-                strategy=strategy,
-                m=part.m,
-                m_star=m_star,
-                violations=(),
-                runtime_ms=elapsed_ms,
+            rows.append(
+                BenchRow(
+                    instance=name,
+                    family=family,
+                    n=len(ts),
+                    deadline_class=cls,
+                    lam=lam,
+                    gamma=gamma,
+                    utilization=util,
+                    algorithm=algo,
+                    strategy=strategy,
+                    m=part.m,
+                    m_star=m_star,
+                    violations=_row_violations(algo, part.m, m_star, verified, *bounds),
+                    runtime_ms=elapsed_ms,
+                )
             )
-            violations = _row_violations(row, verified, cfg.alpha_slack)
-            rows.append(replace(row, violations=violations))
         except RtpackError as exc:
             errors.append(f"{name}/{algo}-{strategy}: {exc}")
     return rows, errors
@@ -331,35 +346,57 @@ def run_experiment(cfg: ExperimentConfig) -> BenchReport:
 
 
 def _decimal6(value: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 60
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-        return str(dec.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+    """`value` rounded half-to-even to 6 decimal places, as [-]i.dddddd."""
+    den = value.denominator
+    units, rest = divmod(abs(value.numerator) * 10**6, den)
+    if 2 * rest > den or (2 * rest == den and units % 2):
+        units += 1
+    whole, frac = divmod(units, 10**6)
+    return f"{'-' if value < 0 else ''}{whole}.{frac:06d}"
 
 
-def _row_doc(row: BenchRow) -> dict:
-    """The JSON object of one row.  `ratio`, `ratio_decimal`,
-    `bound_2lambda` and `bound_asymptotic` are derived from the others."""
-    ratio, asym = row.ratio, row.bound_asymptotic
-    return {
-        "instance": row.instance,
-        "family": row.family,
-        "N": row.n,
-        "class": row.deadline_class,
-        "lambda": str(row.lam),
-        "gamma": str(row.gamma),
-        "U": str(row.utilization),
-        "algorithm": row.algorithm,
-        "strategy": row.strategy,
-        "M": row.m,
-        "m_star": row.m_star,
-        "ratio": None if ratio is None else str(ratio),
-        "ratio_decimal": None if ratio is None else _decimal6(ratio),
-        "bound_2lambda": str(row.bound_2lambda),
-        "bound_asymptotic": None if asym is None else str(asym),
-        "violations": list(row.violations),
-        "runtime_ms": round(row.runtime_ms, 3),
-    }
+def _row_docs(rows: Iterable[BenchRow]) -> Iterator[dict]:
+    """The JSON object of each row.  `ratio`, `ratio_decimal`,
+    `bound_2lambda` and `bound_asymptotic` are derived from the others.
+    The instance metrics are rendered once for each run of rows that share
+    them, and each distinct (M, m*) once."""
+    ratios: dict = {}  # (M, m*) -> (ratio, ratio_decimal)
+    key = metrics = None
+    for row in rows:
+        if (row.lam, row.gamma, row.utilization) != key:
+            key = (row.lam, row.gamma, row.utilization)
+            asym = row.bound_asymptotic
+            metrics = (
+                *map(str, key),
+                str(row.bound_2lambda),
+                None if asym is None else str(asym),
+            )
+        lam, gamma, util, bound_2lambda, bound_asym = metrics
+        ratio = ratios.get((row.m, row.m_star))
+        if ratio is None:
+            value = row.ratio
+            ratio = ratios[row.m, row.m_star] = (
+                (None, None) if value is None else (str(value), _decimal6(value))
+            )
+        yield {
+            "instance": row.instance,
+            "family": row.family,
+            "N": row.n,
+            "class": row.deadline_class,
+            "lambda": lam,
+            "gamma": gamma,
+            "U": util,
+            "algorithm": row.algorithm,
+            "strategy": row.strategy,
+            "M": row.m,
+            "m_star": row.m_star,
+            "ratio": ratio[0],
+            "ratio_decimal": ratio[1],
+            "bound_2lambda": bound_2lambda,
+            "bound_asymptotic": bound_asym,
+            "violations": list(row.violations),
+            "runtime_ms": round(row.runtime_ms, 3),
+        }
 
 
 def _csv_cell(value) -> str:
@@ -375,13 +412,11 @@ def emit_report(report: BenchReport, format: str = "csv") -> bytes:
         buf = stringio.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in report.rows:
-            doc = _row_doc(row)
+        for doc in _row_docs(report.rows):
             writer.writerow([_csv_cell(doc[key]) for key in CSV_COLUMNS])
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        rows = [_row_doc(row) for row in report.rows]
-        doc = {"rows": rows, "errors": list(report.errors)}
+        doc = {"rows": list(_row_docs(report.rows)), "errors": list(report.errors)}
         return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     raise ParseError(f"unknown report format {format!r}")
 

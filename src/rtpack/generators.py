@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParam
-from .model import DeadlineClass, Task, TaskSet, as_rational
+from .model import DeadlineClass, Task, TaskSet, as_rational, ratio_sum
 
 DEFAULT_DENOMINATOR_BOUND = 8
 UUNIFAST_MAX_RANDOMS = 20_000_000
@@ -226,30 +226,48 @@ def _limit_denominator(x: float, bound: int) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
+def _random_taskset(tasks: list[list[int]], name: str) -> TaskSet:
+    return TaskSet(
+        tuple(
+            Task(c=Fraction(cn, cd), d=Fraction(dn, dd), t=Fraction(p, r), id=i)
+            for i, (cn, cd, dn, dd, p, r) in enumerate(tasks, start=1)
+        ),
+        name=name,
+    )
+
+
 def gen_random(params: GenParams) -> TaskSet:
     """Seeded random task set near the utilization target.
 
     Periods come from a bounded-denominator grid, deadlines follow the
     requested class, and execution times realize UUniFast shares; a scaling
     pass pulls the exact total utilization within 10% of the target (density
-    clamping permitting), retrying with fresh draws when it cannot.  A task
-    is drawn and clamped on ints (numerator, denominator), and each of its
-    fields becomes one Fraction.
+    clamping permitting), retrying with fresh draws when it cannot.  Tasks
+    are drawn, totalled, scaled and clamped on ints (numerator, denominator),
+    and each field of the returned set becomes one Fraction.
     """
     rng = random.Random(f"rtpack-gen:{params.seed}")
     q = params.denominator_bound
     n = params.n
     cls = params.deadline_class
     target = Fraction(params.utilization_target)
-    lo, hi = target - target / 10, target + target / 10
+    tn, td = target.numerator, target.denominator
+    floor_den = q**3  # the scaling pass keeps C at least 1/q^3
 
-    best: TaskSet | None = None
+    def utilization(tasks: list[list[int]]) -> tuple[int, int]:
+        return ratio_sum((cn * r, cd * p) for cn, cd, _, _, p, r in tasks)
+
+    def within(num: int, den: int) -> bool:  # |num/den - target| <= target/10
+        return 9 * tn * den <= 10 * num * td <= 11 * tn * den
+
+    best: list[list[int]] | None = None
     best_gap: Fraction | None = None
     for _ in range(64):
         shares = _uunifast(rng, n, float(target))
+        # per task [cn, cd, dn, dd, p, r]: execution time cn/cd, deadline
+        # dn/dd, period p/r
         tasks = []
         for i in range(n):
-            # period p/r; deadline dn/dd; share sn/sd; execution time cn/cd
             p, r = rng.randint(1, 4 * q), rng.randint(1, q)
             if cls is DeadlineClass.IMPLICIT:
                 dn, dd = p, r
@@ -267,32 +285,32 @@ def gen_random(params: GenParams) -> TaskSet:
                 cn, cd = dn, dd
             if p * cd < cn * r:
                 cn, cd = p, r
-            tasks.append(
-                Task(c=Fraction(cn, cd), d=Fraction(dn, dd), t=Fraction(p, r), id=i + 1)
-            )
-        total = sum((t.utilization for t in tasks), Fraction(0))
+            tasks.append([cn, cd, dn, dd, p, r])
+        num, den = utilization(tasks)
         for _ in range(3):
-            if lo <= total <= hi:
+            if within(num, den):
                 break
-            factor = (target / total).limit_denominator(q**3)
-            tasks = [
-                Task(
-                    c=min(max(t.c * factor, Fraction(1, q**3)), t.d, t.t),
-                    d=t.d,
-                    t=t.t,
-                    id=t.id,
-                )
-                for t in tasks
-            ]
-            total = sum((t.utilization for t in tasks), Fraction(0))
-        candidate = TaskSet(tuple(tasks), name=f"random-s{params.seed}")
-        if lo <= total <= hi:
-            return candidate
-        gap = abs(total - target)
+            # c = min(max(c * factor, 1/q^3), d, period)
+            factor = Fraction(tn * den, td * num).limit_denominator(floor_den)
+            fn, fd = factor.numerator, factor.denominator
+            for tsk in tasks:
+                cn, cd, dn, dd, p, r = tsk
+                cn, cd = cn * fn, cd * fd
+                if cn * floor_den < cd:
+                    cn, cd = 1, floor_den
+                if dn * cd < cn * dd:
+                    cn, cd = dn, dd
+                if p * cd < cn * r:
+                    cn, cd = p, r
+                tsk[0], tsk[1] = cn, cd
+            num, den = utilization(tasks)
+        if within(num, den):
+            return _random_taskset(tasks, f"random-s{params.seed}")
+        gap = abs(Fraction(num, den) - target)
         if best_gap is None or gap < best_gap:
-            best, best_gap = candidate, gap
+            best, best_gap = tasks, gap
     assert best is not None
-    return best
+    return _random_taskset(best, f"random-s{params.seed}")
 
 
 def gen_lemma1_shaped(

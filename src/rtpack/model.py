@@ -52,6 +52,15 @@ def as_rational(value: RationalLike) -> Fraction:
     return out
 
 
+def ratio_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The exact sum of the fractions num/den of (num, den) int pairs, as
+    (numerator, lcm of the denominators), not reduced; a zero denominator
+    raises ZeroDivisionError."""
+    pairs = list(pairs)
+    whole = math.lcm(*(den for _, den in pairs))
+    return sum(num * (whole // den) for num, den in pairs), whole
+
+
 @dataclass(frozen=True, slots=True)
 class Task:
     """A sporadic task: worst-case execution time c, relative deadline d,
@@ -163,7 +172,15 @@ class TaskSet:
 
     @property
     def total_utilization(self) -> Fraction:
-        return sum((tsk.utilization for tsk in self.tasks), Fraction(0))
+        """The sum of C/T, on ints; a period of 0 raises ZeroDivisionError.
+        It leaves the integer view uncomputed, so reading U does not keep
+        one per set."""
+        return Fraction(
+            *ratio_sum(
+                (tsk.c.numerator * tsk.t.denominator, tsk.c.denominator * tsk.t.numerator)
+                for tsk in self.tasks
+            )
+        )
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:

@@ -3,10 +3,13 @@ import math
 import runpy
 import sys
 import threading
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import rtpack.bench as bench_mod
 from rtpack.bench import (
@@ -14,6 +17,8 @@ from rtpack.bench import (
     BenchReport,
     BenchRow,
     ExperimentConfig,
+    _bounds,
+    _decimal6,
     _row_violations,
     emit_report,
     parse_config,
@@ -154,7 +159,8 @@ class TestRunExperiment:
 
 
 def flags(row, verified=True):
-    return _row_violations(row, verified, DEFAULT_ALPHA_SLACK)
+    bounds = _bounds(row.lam, row.gamma, row.m_star, DEFAULT_ALPHA_SLACK)
+    return _row_violations(row.algorithm, row.m, row.m_star, verified, *bounds)
 
 
 class TestCheckBounds:
@@ -203,11 +209,21 @@ class TestRatioExperimentScript:
         monkeypatch.setattr(bench_mod, "verify_partition", lambda ts, part: False)
         argv = ["ratio_experiment.py", "--count", "1", "--n", "4", "-o", str(tmp_path / "r.csv")]
         monkeypatch.setattr(sys, "argv", argv)
-        runpy.run_path(str(SCRIPTS / "ratio_experiment.py"), run_name="__main__")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(SCRIPTS / "ratio_experiment.py"), run_name="__main__")
+        assert exc.value.code == 1
         out = capsys.readouterr().out
         # 3 instances (one per class) times 6 algorithm-strategy pairs
         assert "hard bound violations: 18\n" in out
         assert "/dagger-ff: hard: partition failed exact verification" in out
+
+    def test_run_without_hard_flags_exits_zero(self, tmp_path, monkeypatch, capsys):
+        argv = ["ratio_experiment.py", "--count", "1", "--n", "4", "-o", str(tmp_path / "r.csv")]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(SCRIPTS / "ratio_experiment.py"), run_name="__main__")
+        assert exc.value.code == 0
+        assert "hard bound violations: 0\n" in capsys.readouterr().out
 
 
 class TestEmit:
@@ -245,6 +261,41 @@ class TestEmit:
     def test_unknown_format(self):
         with pytest.raises(ParseError):
             emit_report(BenchReport(rows=()), "xml")
+
+
+def decimal6_reference(value: Fraction) -> str:
+    """The `ratio_decimal` rendering through the decimal module: the
+    quotient to 60 significant digits, quantized half-to-even."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dec = Decimal(value.numerator) / Decimal(value.denominator)
+        return str(dec.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+
+
+class TestDecimal6:
+    @pytest.mark.parametrize(
+        "value, want",
+        [
+            (F(1, 2000000), "0.000000"),  # ties go to the even neighbour
+            (F(3, 2000000), "0.000002"),
+            (F(5, 2000000), "0.000002"),
+            (F(2000001, 2000000), "1.000000"),
+            (F(2000003, 2000000), "1.000002"),
+            (F(1, 3), "0.333333"),
+            (F(2, 3), "0.666667"),
+            (F(0), "0.000000"),
+            (F(7), "7.000000"),
+            (F(-1, 3), "-0.333333"),
+            (F(-1, 3000000), "-0.000000"),
+        ],
+    )
+    def test_pinned_values_match_the_decimal_rendering(self, value, want):
+        assert _decimal6(value) == decimal6_reference(value) == want
+
+    @given(st.integers(1, 10**30 - 1), st.integers(1, 10**12))
+    def test_matches_the_decimal_rendering(self, num, den):
+        value = F(num, den)
+        assert _decimal6(value) == decimal6_reference(value)
 
 
 class TestConfigParsing:

@@ -361,6 +361,41 @@ class TestDeterminismGoldens:
         assert run(capsys, "bench", "--config", str(cfg), "-o", str(out))[0] == 0
         assert out.read_bytes() == (GOLDEN / f"bench_mixed.{suffix}").read_bytes()
 
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_bench_report_bytes_across_classes_flags_and_errors(self, tmp_path, capsys, suffix):
+        # random sets of every deadline class whose targets need the scaling
+        # pass (implicit at den_bound 2) or the closest-set fallback (n = 3,
+        # U = 1/2 at den_bound 1); a negative alpha_slack gives dm rows soft
+        # flags; n_cap 8 leaves dvp-s2 (N = 9) without an optimum
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instances": [
+                {"family": "random", "n": 5, "count": 2, "seed": 0,
+                 "class": "implicit", "target_u": "3/2", "den_bound": 2},
+                {"family": "random", "n": 3, "seed": 0, "class": "implicit",
+                 "target_u": "1/2", "den_bound": 1},
+                {"family": "random", "n": 5, "count": 2, "seed": 0,
+                 "class": "constrained", "target_u": "3"},
+                {"family": "random", "n": 5, "count": 2, "seed": 0,
+                 "class": "arbitrary", "target_u": "3"},
+                {"family": "dvp", "n": 6, "seed": 1},
+                {"family": "dvp", "n": 9, "seed": 2},
+                {"family": "bf-adversary", "k": 4},
+                {"family": "wf-adversary", "k": 4},
+            ],
+            "algorithms": [{"algo": "dm", "strategy": s} for s in ("ff", "bf", "wf")]
+            + [{"algo": "dagger", "strategy": s} for s in ("ff", "wf")],
+            "oracle": True,
+            "n_cap": 8,
+            "alpha_slack": "-14",
+            "timing": False,
+        }))  # fmt: skip
+        out = tmp_path / f"report.{suffix}"
+        rc, _, err = run(capsys, "bench", "--config", str(cfg), "-o", str(out))
+        assert rc == 0
+        assert "dvp-s2/oracle: N = 9 exceeds the oracle cap 8" in err
+        assert out.read_bytes() == (GOLDEN / f"bench_classes.{suffix}").read_bytes()
+
 
 class TestDispatch:
     def test_unknown_command(self, capsys):

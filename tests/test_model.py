@@ -100,6 +100,31 @@ class TestUtilization:
     def test_tiny_long_period(self):
         assert task("1/4", 1, 4096).utilization == F(1, 16384)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(-5, 20, max_denominator=12),
+                st.fractions(-5, 20, max_denominator=12),
+                st.fractions(-5, 20, max_denominator=12).filter(lambda t: t != 0),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_total_matches_the_fraction_sum(self, triples):
+        # invalid sets too (C > T, D <= 0, negative values): the total is
+        # the plain sum of C/T whatever validate says
+        ts = TaskSet(tuple(Task(c, d, t, id=i) for i, (c, d, t) in enumerate(triples)))
+        assert ts.total_utilization == sum((c / t for c, _, t in triples), F(0))
+
+    @pytest.mark.parametrize("periods", [(0,), (2, 0), (0, F(1, 2))])
+    def test_zero_period_raises_as_the_fraction_sum_does(self, periods):
+        ts = TaskSet(tuple(Task(F(1), F(1), F(t), id=i) for i, t in enumerate(periods)))
+        with pytest.raises(ZeroDivisionError):
+            sum((tsk.c / tsk.t for tsk in ts), F(0))
+        with pytest.raises(ZeroDivisionError):
+            ts.total_utilization
+
 
 class TestDbf:
     def test_before_deadline(self):
