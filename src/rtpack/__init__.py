@@ -27,15 +27,12 @@ from .model import (
     lambda_metric,
     task,
     taskset,
-    transform_dagger,
     validate,
 )
 from .feasibility import (
     FeasibilityVerdict,
     edf_feasible_exact,
     lemma1_feasible,
-    subset_feasible_exact,
-    test_horizon,
     verify_partition,
 )
 from .simulate import SimTrace, simulate_edf_synchronous

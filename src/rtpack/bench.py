@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .errors import ParseError, RtpackError
+from .errors import BadParam, ParseError, RtpackError
 from .feasibility import verify_partition
 from .generators import (
     DEFAULT_DENOMINATOR_BOUND,
@@ -82,6 +82,8 @@ def _speedup_gap(p: dict) -> list[tuple[str, TaskSet]]:
 
 
 def _seeds(p: dict) -> range:
+    if p["count"] < 1:
+        raise BadParam(f"count must be at least 1, got {p['count']}")
     return range(p["seed"], p["seed"] + p["count"])
 
 

@@ -1,13 +1,19 @@
 """Exact uniprocessor EDF feasibility via the processor-demand criterion.
 
+Three exact entry points share one sweep kernel: `edf_feasible_exact`
+tests a task set at a speed and reports a witness (the `check` command);
+`positions_feasible_exact` tests the tasks at some positions of a set's
+integer view at unit speed (the oracle's bin test); `verify_partition`
+tests every bin of a partition with it.  `lemma1_feasible` is a closed
+form for one shape of set.  Every verdict here is exact; the dbf*
+admission of deadline-monotonic fitting lives in `partitioners`.
+
 The demand criterion quantifies over all t >= 0; only the deadline points
 k*T_i + D_i matter because the demand is a right-continuous step function
 that changes nowhere else.  For total utilization strictly below the speed
 the standard busy-interval bound caps the sweep; at exactly the speed the
 hyperperiod plus the largest deadline does.  Infeasible sets always come
 with a witness point at which the demand provably exceeds speed * t.
-Every verdict here, partition verification included, is exact; the dbf*
-admission of deadline-monotonic fitting lives in `partitioners`.
 
 Integer scaling.  A task set's integer view (`TaskSet.ints`) holds C, D
 and T multiplied by L, the lcm of all their denominators, computed once
@@ -21,10 +27,9 @@ reported witness or horizon is turned back into a fraction.
 
 Density accept.  dbf_i(t) <= t * C_i / min(D_i, T_i) at every t, for any
 deadline class, so a set whose total density sum C_i / min(D_i, T_i) is at
-most the speed is feasible without a sweep.  The subset test of the oracle
-and of partition verification (`positions_feasible_exact`) returns True
-there, compared on ints by cross-multiplying; the witness-producing test
-(`edf_feasible_exact`) always sweeps.
+most the speed is feasible without a sweep.  `positions_feasible_exact`
+returns True there, compared on ints; the witness-producing
+`edf_feasible_exact` always sweeps.
 
 Incremental demand.  The points of all tasks come off one heap in
 ascending order.  Every heap entry equal to t is popped before t is
@@ -57,11 +62,12 @@ from .errors import (
     PointExplosion,
     ShapeMismatch,
 )
-from .model import IntView, Task, TaskSet, require_valid
+from .model import IntView, TaskSet, require_valid
 from .partitioners import Partition
 
 DEFAULT_POINT_CAP = 10**7
 DEFAULT_HYPERPERIOD_CAP = Fraction(2**64)
+_UNIT_SPEED = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -96,12 +102,11 @@ class _Scaled:
         return speed.denominator * self.load > speed.numerator * self.whole
 
     def horizon(self, speed: Fraction, hyperperiod_cap: Fraction) -> tuple[int, int]:
-        """The sweep bound of `test_horizon`."""
-        if self.exceeds(speed):
-            raise BadParam(
-                f"utilization {Fraction(self.load, self.whole)} exceeds speed {speed};"
-                " no finite horizon bounds an unconditionally failing set"
-            )
+        """Sound sweep bound for the demand criterion at `speed`, for total
+        utilization at most the speed.  Below it, any failing point t
+        satisfies (speed - U) * t < sum (T_i - D_i) * u_i, clamped from
+        below by the largest deadline; at equality the demand repeats with
+        period lcm(T_i), so hyperperiod + D_max suffices."""
         d_max = max(self.deadline)
         room = speed.numerator * self.whole - speed.denominator * self.load
         if room == 0:
@@ -130,22 +135,6 @@ class _Scaled:
     def fraction(self, num: int, den: int = 1) -> Fraction:
         """num/den at this scale, in time units."""
         return Fraction(num, den * self.scale)
-
-
-def test_horizon(
-    ts: TaskSet,
-    speed: Fraction = Fraction(1),
-    hyperperiod_cap: Fraction = DEFAULT_HYPERPERIOD_CAP,
-) -> Fraction:
-    """Sound sweep bound for the demand criterion at the given speed.
-
-    Requires total utilization at most the speed.  Below it, any failing
-    point t satisfies (speed - U) * t < sum (T_i - D_i) * u_i, clamped from
-    below by the largest deadline; at equality the demand repeats with
-    period lcm(T_i), so hyperperiod + D_max suffices.
-    """
-    sc = _Scaled(ts.ints, range(len(ts)))
-    return sc.fraction(*sc.horizon(speed, hyperperiod_cap))
 
 
 def _sweep_first_failure(
@@ -239,43 +228,24 @@ def _sweep_first_failure(
             return point, checked
 
 
-def subset_feasible_exact(
-    tasks: Sequence[Task],
-    speed: Fraction = Fraction(1),
-    point_cap: int = DEFAULT_POINT_CAP,
-    hyperperiod_cap: Fraction = DEFAULT_HYPERPERIOD_CAP,
-) -> bool:
-    """Exact EDF feasibility of a bare task list, without witness search."""
-    if not tasks:
-        return True
-    return positions_feasible_exact(
-        IntView.of(tasks), range(len(tasks)), speed, point_cap, hyperperiod_cap
-    )
-
-
-def positions_feasible_exact(
-    view: IntView,
-    positions: Sequence[int],
-    speed: Fraction = Fraction(1),
-    point_cap: int = DEFAULT_POINT_CAP,
-    hyperperiod_cap: Fraction = DEFAULT_HYPERPERIOD_CAP,
-) -> bool:
-    """`subset_feasible_exact` of the tasks at `positions` of `view`.
+def positions_feasible_exact(view: IntView, positions: Sequence[int]) -> bool:
+    """Exact EDF feasibility of the tasks at `positions` of `view` on one
+    unit-speed processor, without witness search.
 
     This is the inner loop of the oracle and of partition verification: a
-    total density within the speed returns True and a utilization overrun
-    returns False, both before any sweep, and nothing is rescaled per
-    subset.
+    total density within 1 returns True and a utilization overrun returns
+    False, both before any sweep, and nothing is rescaled per subset.
     """
     span_share = view.span_share
-    density = sum(span_share[i] for i in positions)
-    if speed.denominator * density <= speed.numerator * view.span_whole:
+    if sum(span_share[i] for i in positions) <= view.span_whole:
         return True
     sc = _Scaled(view, positions)
-    if sc.exceeds(speed):
+    if sc.exceeds(_UNIT_SPEED):
         return False
-    bound = sc.horizon(speed, hyperperiod_cap)
-    witness, _ = _sweep_first_failure(sc, speed, bound, point_cap, beyond=False)
+    bound = sc.horizon(_UNIT_SPEED, DEFAULT_HYPERPERIOD_CAP)
+    witness, _ = _sweep_first_failure(
+        sc, _UNIT_SPEED, bound, DEFAULT_POINT_CAP, beyond=False
+    )
     return witness is None
 
 
@@ -343,12 +313,7 @@ def lemma1_feasible(ts: TaskSet) -> bool:
     return strict_work <= 1 and ts.total_utilization <= 1
 
 
-def verify_partition(
-    ts: TaskSet,
-    part: Partition,
-    point_cap: int = DEFAULT_POINT_CAP,
-    hyperperiod_cap: Fraction = DEFAULT_HYPERPERIOD_CAP,
-) -> bool:
+def verify_partition(ts: TaskSet, part: Partition) -> bool:
     """True iff `part` is a partition of `ts` whose every bin is
     EDF-feasible on one processor, by `positions_feasible_exact`."""
     require_valid(ts)
@@ -368,9 +333,6 @@ def verify_partition(
         raise CoverageError(f"partition misses task ids {missing}")
     view = ts.ints
     for b in part.bins:
-        positions = [position[tid] for tid in b]
-        if not positions_feasible_exact(
-            view, positions, point_cap=point_cap, hyperperiod_cap=hyperperiod_cap
-        ):
+        if not positions_feasible_exact(view, [position[tid] for tid in b]):
             return False
     return True

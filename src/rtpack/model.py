@@ -236,22 +236,6 @@ def gamma_metric(ts: TaskSet) -> Fraction:
     return Fraction(max(view.span_share), view.span_whole)
 
 
-def transform_dagger(ts: TaskSet) -> TaskSet:
-    """Tighten each task to an implicit-deadline one.
-
-    T >= D: keep (C, D) and shrink the period to D.  T < D: keep (C, T) and
-    shrink the deadline to T.  Ids are preserved; the result is a fixed point
-    of the transform.
-    """
-    out = []
-    for tsk in ts:
-        if tsk.t >= tsk.d:
-            out.append(Task(tsk.c, tsk.d, tsk.d, tsk.id))
-        else:
-            out.append(Task(tsk.c, tsk.t, tsk.t, tsk.id))
-    return TaskSet(tuple(out), name=ts.name)
-
-
 def classify(ts: TaskSet) -> DeadlineClass:
     view = ts.ints
     if view.d == view.t:

@@ -1,6 +1,7 @@
-"""Brute-force minimum-processor oracle: m*, the fewest processors that
-admit a partition into bins that are each EDF-feasible, by the exact
-demand test (`positions_feasible_exact`).
+"""Brute-force minimum-processor oracle: m*, the fewest unit-speed
+processors that admit a partition into bins that are each EDF-feasible.
+Each bin is decided by `positions_feasible_exact`, the exact demand test
+of the bin's positions in the set's integer view, at its default caps.
 
 Set partitions are enumerated as restricted-growth strings in increasing
 bin count, so symmetric relabelings of bins are never visited twice.  A

@@ -3,7 +3,8 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from rtpack.model import Task, TaskSet
+from rtpack.feasibility import positions_feasible_exact
+from rtpack.model import IntView, Task, TaskSet
 
 settings.register_profile(
     "default",
@@ -59,3 +60,19 @@ def tasksets_of_each_class(draw, max_n=6):
         c = min(period, d) * Fraction(draw(st.integers(1, 4)), 4)
         tasks.append(Task(c=c, d=d, t=period, id=i + 1))
     return TaskSet(tuple(tasks))
+
+
+def subset_feasible(tasks) -> bool:
+    """Exact EDF feasibility of a bare task list on one unit-speed
+    processor, tested on the list's own integer view; an empty list is
+    feasible."""
+    if not tasks:
+        return True
+    return positions_feasible_exact(IntView.of(tasks), range(len(tasks)))
+
+
+def tightened_utilizations(ts) -> dict[int, Fraction]:
+    """Reference for the paper's tightening transform, on Fractions: by
+    task id, the utilization C/min(D, T) of the implicit-deadline task
+    that keeps C and takes min(D, T) as deadline and period."""
+    return {tsk.id: tsk.c / min(tsk.d, tsk.t) for tsk in ts}

@@ -16,7 +16,6 @@ from rtpack.cli import dispatch
 from rtpack.feasibility import (
     edf_feasible_exact,
     lemma1_feasible,
-    subset_feasible_exact,
     verify_partition,
 )
 from rtpack.generators import (
@@ -34,11 +33,12 @@ from rtpack.model import (
     TaskSet,
     gamma_metric,
     lambda_metric,
-    transform_dagger,
 )
 from rtpack.oracle import optimal_partition_bruteforce
 from rtpack.partitioners import Partition, Strategy, dagger_greedy, dm_partition
 from rtpack.simulate import simulate_edf_synchronous
+
+from conftest import subset_feasible, tightened_utilizations
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,7 +115,7 @@ def test_criterion_3_speedup_gap_family():
             for eps in (F(1, 4), F(1, 2)):
                 ts = gen_speedup_gap(n, eps)
                 for a, b in itertools.combinations(ts, 2):
-                    assert not subset_feasible_exact([a, b]), (n, eps, a.id, b.id)
+                    assert not subset_feasible([a, b]), (n, eps, a.id, b.id)
                 for strat in Strategy:
                     assert dm_partition(ts, strat).m == n
                     assert dagger_greedy(ts, strat).m == n
@@ -128,7 +128,7 @@ def test_criterion_4_two_lambda_bound(random_suite):
         assert len(random_suite) >= 500
         for ts, m_star, dagger, _ in random_suite:
             lam = lambda_metric(ts)
-            dag_u = {tsk.id: tsk.utilization for tsk in transform_dagger(ts)}
+            dag_u = tightened_utilizations(ts)
             for strat, part in dagger.items():
                 assert part.m <= 2 * lam * m_star, (
                     f"{ts.name}/{strat}: M={part.m} > 2*{lam}*{m_star}"
@@ -191,7 +191,7 @@ def test_criterion_7_dvp_reduction_fidelity():
                         and sum(dvp.vectors[i][1] for i in idx) <= 1
                     )
                     subset = [ts.tasks[i] for i in idx]
-                    assert subset_feasible_exact(subset) == fits, (seed, idx)
+                    assert subset_feasible(subset) == fits, (seed, idx)
                     sub_ts = TaskSet(tuple(subset))
                     assert lemma1_feasible(sub_ts) == fits, (seed, idx)
 

@@ -25,7 +25,7 @@ from rtpack.bench import (
     run_experiment,
     spec,
 )
-from rtpack.errors import ParseError
+from rtpack.errors import BadParam, ParseError
 from rtpack.generators import gen_best_fit_adversary
 from rtpack.model import gamma_metric
 
@@ -143,6 +143,16 @@ class TestRunExperiment:
             assert report.rows and not report.errors
             outputs.add((emit_report(report, "json"), emit_report(report, "csv")))
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("count", [0, -2])
+    @pytest.mark.parametrize("family", ["random", "dvp"])
+    def test_count_below_one_refused(self, family, count):
+        cfg = ExperimentConfig(
+            instances=(spec(family, n=3, count=count),), algorithms=(("dm", "ff"),)
+        )
+        where = f"instance 1 \\({family}\\): count must be at least 1, got {count}"
+        with pytest.raises(BadParam, match=where):
+            run_experiment(cfg)
 
     def test_at_least_one_algorithm_required(self):
         with pytest.raises(ParseError):

@@ -294,6 +294,41 @@ class TestBench:
         rc, out, err = run(capsys, "bench", "--config", str(cfg))
         assert rc == 2 and out == "" and where in err
 
+    @pytest.mark.parametrize("count", [0, -2])
+    @pytest.mark.parametrize("family", ["random", "dvp"])
+    def test_count_below_one_exit_two(self, tmp_path, capsys, family, count):
+        instances = [{"family": "bf-adversary", "k": 4}, {"family": family, "n": 3, "count": count}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": instances, "algorithms": [{"algo": "dm"}]}))
+        rc, out, err = run(capsys, "bench", "--config", str(cfg))
+        where = f"instance 2 ({family}): count must be at least 1, got {count}"
+        assert rc == 2 and out == "" and where in err
+
+    def test_oracle_error_noted_and_run_goes_on(self, tmp_path, capsys):
+        # C = T/2 and D = 3T/4 for T = 2^40 and 2^40 + 1: U = 1 and the
+        # density is 4/3, so the oracle sweeps both tasks together to
+        # their hyperperiod, which passes the default cap of 2^64
+        periods = (2**40, 2**40 + 1)
+        ts = taskset([(Fraction(t, 2), Fraction(3 * t, 4), t) for t in periods], name="huge")
+        (tmp_path / "huge.json").write_text(serialize_taskset(ts))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instances": [{"family": "file", "path": str(tmp_path / "huge.json")},
+                          {"family": "speedup-gap", "n": 3, "eps": "1/2"}],
+            "algorithms": [{"algo": "dm"}, {"algo": "dagger"}],
+            "timing": False,
+        }))  # fmt: skip
+        out = tmp_path / "report.json"
+        rc, _, err = run(capsys, "bench", "--config", str(cfg), "-o", str(out))
+        hp = periods[0] * periods[1]
+        assert rc == 0 and err == f"note: huge/oracle: hyperperiod {hp} exceeds cap {2**64}\n"
+        rows = json.loads(out.read_text())["rows"]
+        assert [(r["instance"], r["m_star"]) for r in rows] == [
+            ("huge", None), ("huge", None), ("speedup-gap-n3", 3), ("speedup-gap-n3", 3)
+        ]
+        rc, _, err = run(capsys, "partition", str(tmp_path / "huge.json"), "--algo", "oracle")
+        assert rc == 2 and "exceeds cap" in err
+
 
 class TestDeterminismGoldens:
     """Reruns must be byte-identical, and must match the committed goldens."""

@@ -12,21 +12,19 @@ from rtpack.errors import (
     ShapeMismatch,
     ValidationError,
 )
-from rtpack.feasibility import test_horizon as horizon_bound
 from rtpack.feasibility import (
     DEFAULT_POINT_CAP,
     _Scaled,
     edf_feasible_exact,
     lemma1_feasible,
     positions_feasible_exact,
-    subset_feasible_exact,
     verify_partition,
 )
 from rtpack.generators import gen_best_fit_adversary, gen_lemma1_shaped, gen_speedup_gap
 from rtpack.model import Task, TaskSet, dbf, taskset
 from rtpack.partitioners import Partition
 
-from conftest import valid_tasks, valid_tasksets
+from conftest import subset_feasible, valid_tasks, valid_tasksets
 
 F = Fraction
 
@@ -54,22 +52,18 @@ def deadline_points(ts, horizon, point_cap=DEFAULT_POINT_CAP):
 
 class TestHorizon:
     def test_implicit_set_clamps_to_deadline(self):
-        assert horizon_bound(taskset([(1, 2, 2)])) == 2
+        assert edf_feasible_exact(taskset([(1, 2, 2)])).horizon == 2
 
     def test_slack_term(self):
-        assert horizon_bound(taskset([(1, 1, 2), (1, 2, 4)])) == 4
+        assert edf_feasible_exact(taskset([(1, 1, 2), (1, 2, 4)])).horizon == 4
 
     def test_full_utilization_uses_hyperperiod(self):
-        assert horizon_bound(taskset([(1, 1, 1)])) == 2
-
-    def test_overutilized_rejected(self):
-        with pytest.raises(BadParam):
-            horizon_bound(taskset([(1, 1, 1), (1, 1, 1)]))
+        assert edf_feasible_exact(taskset([(1, 1, 1)])).horizon == 2
 
     def test_hyperperiod_overflow(self):
         big = 2**70
         with pytest.raises(HorizonOverflow):
-            horizon_bound(taskset([(big, big, big)]))
+            edf_feasible_exact(taskset([(big, big, big)]))
 
     @pytest.mark.parametrize(
         "speed, subset",
@@ -83,13 +77,33 @@ class TestHorizon:
         ts = taskset([*subset, (1, 5, 7)])
         own = taskset(subset)
         sc = _Scaled(ts.ints, range(2))
-        assert sc.fraction(*sc.horizon(speed, F(3))) == horizon_bound(own, speed) == 4
-        assert positions_feasible_exact(ts.ints, range(2), speed, hyperperiod_cap=F(3))
+        horizon = edf_feasible_exact(own, speed).horizon
+        assert sc.fraction(*sc.horizon(speed, F(3))) == horizon == 4
         with pytest.raises(HorizonOverflow) as got:
-            positions_feasible_exact(ts.ints, range(2), speed, hyperperiod_cap=F(1))
+            sc.horizon(speed, F(1))
         with pytest.raises(HorizonOverflow) as want:
-            horizon_bound(own, speed, hyperperiod_cap=F(1))
+            edf_feasible_exact(own, speed, hyperperiod_cap=F(1))
         assert str(got.value) == str(want.value) == "hyperperiod 2 exceeds cap 1"
+
+    def test_unit_speed_subset_uses_its_own_hyperperiod(self):
+        # with U = 1 and density above 1, a subset is swept to its own
+        # hyperperiod: 2 for the first two tasks, although the set's passes
+        # the default cap of 2^64
+        big = 2**64 + 1
+        ts = taskset([(1, 1, 2), (1, 2, 2), (1, big, big)])
+        assert positions_feasible_exact(ts.ints, range(2))
+        # periods 2^40 and 2^40 + 1: the subset's own hyperperiod passes
+        # the cap, as edf_feasible_exact reports for the subset alone
+        periods = (2**40, 2**40 + 1)
+        ts = taskset([(F(periods[0], 2), F(periods[0], 2), periods[0]),
+                      (F(periods[1], 2), periods[1], periods[1]), (1, 5, 7)])
+        with pytest.raises(HorizonOverflow) as got:
+            positions_feasible_exact(ts.ints, range(2))
+        with pytest.raises(HorizonOverflow) as want:
+            edf_feasible_exact(TaskSet(ts.tasks[:2]))
+        assert str(got.value) == str(want.value) == (
+            f"hyperperiod {periods[0] * periods[1]} exceeds cap {2**64}"
+        )
 
 
 class TestDeadlinePoints:
@@ -165,12 +179,12 @@ class TestExactTest:
         speed = u + (density - u) * F(step, 4)
         assume(edf_feasible_exact(ts, speed=speed).feasible)
         drop = data.draw(st.integers(1, len(ts)))
-        rest = [tsk for tsk in ts if tsk.id != drop]
-        assert subset_feasible_exact(rest, speed=speed)
+        rest = TaskSet(tuple(tsk for tsk in ts if tsk.id != drop))
+        assert edf_feasible_exact(rest, speed).feasible
 
     @given(valid_tasksets())
     def test_subset_helper_agrees_with_verdict(self, ts):
-        assert subset_feasible_exact(list(ts)) == edf_feasible_exact(ts).feasible
+        assert subset_feasible(list(ts)) == edf_feasible_exact(ts).feasible
 
     @settings(max_examples=300)  # fewer let an off-by-one fast-forward pass
     @given(valid_tasksets(), st.sampled_from([F(1), F(3, 2), F(4, 5)]))
@@ -178,8 +192,9 @@ class TestExactTest:
         """Verdict and earliest witness equal a plain Fraction scan of the
         summed dbf over every deadline point."""
         total_u = ts.total_utilization
+        verdict = edf_feasible_exact(ts, speed)
         if total_u <= speed:
-            horizon = horizon_bound(ts, speed)
+            horizon = verdict.horizon
         else:
             # failure is certain at the first point past this bound, and
             # every task has a point within one period after it
@@ -191,7 +206,6 @@ class TestExactTest:
         except PointExplosion:
             assume(False)
         failing = [p for p in points if demand(ts, p) > speed * p]
-        verdict = edf_feasible_exact(ts, speed)
         assert verdict.feasible == (not failing)
         assert verdict.witness == (failing[0] if failing else None)
 
@@ -221,55 +235,51 @@ class TestExactTest:
         assert edf_feasible_exact(ts, speed).points_checked == checked
 
 
-SPEEDS = [F(1), F(3, 2), F(2, 3)]
-
-
 @st.composite
 def sets_near_density(draw):
-    """A task set, a subset of its positions and a speed.  Often the
-    subset's C values are rescaled so that its total density
-    sum C_i/min(D_i, T_i) lands on the speed or just beside it."""
+    """A task set and a subset of its positions.  Often the subset's C
+    values are rescaled so that its total density sum C_i/min(D_i, T_i)
+    lands on 1 or just beside it."""
     n = draw(st.integers(1, 6))
     tasks = [draw(valid_tasks(tid=i + 1)) for i in range(n)]
     positions = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    speed = draw(st.sampled_from(SPEEDS))
-    target = speed * draw(st.sampled_from([F(1), F(1), F(11, 12), F(13, 12), F(1, 2)]))
+    target = draw(st.sampled_from([F(1), F(1), F(11, 12), F(13, 12), F(1, 2)]))
     dens = {i: tasks[i].c / min(tasks[i].d, tasks[i].t) for i in positions}
     scale = target / sum(dens.values())
     if draw(st.integers(0, 3)) and scale * max(dens.values()) <= 1:
         for i in positions:
             t = tasks[i]
             tasks[i] = Task(t.c * scale, t.d, t.t, t.id)
-    return TaskSet(tuple(tasks)), positions, speed
+    return TaskSet(tuple(tasks)), positions
 
 
 class TestDensityAccept:
-    """A bin whose total density is at most the speed is feasible under
-    EDF for any deadline class: dbf_i(t) <= t * C_i/min(D_i, T_i)."""
+    """A bin whose total density is at most 1 is feasible under EDF on a
+    unit-speed processor for any deadline class:
+    dbf_i(t) <= t * C_i/min(D_i, T_i)."""
 
     @settings(max_examples=300)
     @given(sets_near_density())
     def test_matches_witness_producing_test(self, case):
-        ts, positions, speed = case
+        ts, positions = case
         subset = TaskSet(tuple(ts.tasks[i] for i in positions))
-        assert positions_feasible_exact(ts.ints, positions, speed) == (
-            edf_feasible_exact(subset, speed).feasible
+        assert positions_feasible_exact(ts.ints, positions) == (
+            edf_feasible_exact(subset).feasible
         )
 
-    @pytest.mark.parametrize("speed", SPEEDS)
-    def test_density_at_the_speed_needs_no_sweep(self, speed):
-        # total density exactly the speed, hyperperiod 6 past the cap: only
-        # a sweep would need the hyperperiod
-        ts = taskset([(speed, 2, 2), (speed, 3, 3), (speed, 6, 6)])
-        assert positions_feasible_exact(ts.ints, range(3), speed, hyperperiod_cap=F(1))
+    def test_density_at_the_speed_needs_no_sweep(self):
+        # total density and U exactly 1, and periods 2^40 and 2^40 + 1,
+        # whose lcm passes the default hyperperiod cap: only a sweep would
+        # need the hyperperiod
+        ts = taskset([(F(t, 2), t, t) for t in (2**40, 2**40 + 1)])
+        assert positions_feasible_exact(ts.ints, range(2))
         with pytest.raises(HorizonOverflow):
-            edf_feasible_exact(ts, speed, hyperperiod_cap=F(1))
+            edf_feasible_exact(ts)
 
-    @pytest.mark.parametrize("speed", SPEEDS)
-    def test_density_uses_the_shorter_of_deadline_and_period(self, speed):
-        # C/D sums to the speed, but C/T (the utilization) is 2
-        ts = taskset([(speed / 2, 1, speed / 2)] * 2)
-        assert not positions_feasible_exact(ts.ints, range(2), speed)
+    def test_density_uses_the_shorter_of_deadline_and_period(self):
+        # C/D sums to 1, but C/T (the utilization) is 2
+        ts = taskset([("1/2", 1, "1/2")] * 2)
+        assert not positions_feasible_exact(ts.ints, range(2))
         part = Partition(bins=((1, 2),), algorithm="manual")
         assert verify_partition(ts, part) is False
 

@@ -9,11 +9,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from rtpack.errors import BadParam
-from rtpack.feasibility import (
-    edf_feasible_exact,
-    lemma1_feasible,
-    subset_feasible_exact,
-)
+from rtpack.feasibility import edf_feasible_exact, lemma1_feasible
 from rtpack import generators
 from rtpack.generators import (
     DvpInstance,
@@ -28,6 +24,8 @@ from rtpack.generators import (
 )
 from rtpack.io import serialize_taskset
 from rtpack.model import DeadlineClass, Task, TaskSet, classify, validate
+
+from conftest import subset_feasible
 
 F = Fraction
 
@@ -190,7 +188,7 @@ class TestDvp:
                     and sum(dvp.vectors[i][1] for i in idx) <= 1
                 )
                 subset = [ts.tasks[i] for i in idx]
-                assert subset_feasible_exact(subset) == fits
+                assert subset_feasible(subset) == fits
 
     def test_invariants_enforced(self):
         with pytest.raises(BadParam):

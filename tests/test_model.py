@@ -21,7 +21,6 @@ from rtpack.model import (
     require_valid,
     task,
     taskset,
-    transform_dagger,
     Violation,
     validate,
 )
@@ -29,8 +28,8 @@ from rtpack.model import (
 from rtpack.errors import ValidationError
 
 from conftest import (
-    rationals,
     tasksets_of_each_class,
+    tightened_utilizations,
     time_points,
     valid_tasks,
     valid_tasksets,
@@ -221,44 +220,12 @@ class TestMetrics:
 
 
 class TestTransform:
-    def test_period_shrinks_to_deadline(self):
-        out = transform_dagger(taskset([(2, 4, 10)]))
-        assert out.tasks[0] == Task(F(2), F(4), F(4), id=1)
-
-    def test_deadline_shrinks_to_period(self):
-        out = transform_dagger(taskset([(1, 5, 3)]))
-        assert out.tasks[0] == Task(F(1), F(3), F(3), id=1)
-
-    def test_implicit_fixed_point(self):
-        ts = taskset([(1, 3, 3)])
-        assert transform_dagger(ts) == ts
-
-    @given(valid_tasksets())
-    def test_idempotent(self, ts):
-        once = transform_dagger(ts)
-        assert transform_dagger(once) == once
-
-    @given(valid_tasksets())
-    def test_tightened_utilization_is_density(self, ts):
-        out = transform_dagger(ts)
-        for before, after in zip(ts, out):
-            assert after.utilization == before.c / min(before.t, before.d)
-            assert after.d <= before.d
-            assert after.t <= before.t
-            assert after.id == before.id
-
-    @given(valid_tasksets())
-    def test_result_implicit_and_lambda_one(self, ts):
-        out = transform_dagger(ts)
-        assert classify(out) is DeadlineClass.IMPLICIT
-        assert lambda_metric(out) == 1
-
     @given(valid_tasksets())
     def test_utilization_within_lambda_factor(self, ts):
         lam = lambda_metric(ts)
-        out = transform_dagger(ts)
-        for before, after in zip(ts, out):
-            assert before.utilization >= after.utilization / lam
+        tightened = tightened_utilizations(ts)
+        for tsk in ts:
+            assert tsk.utilization >= tightened[tsk.id] / lam
 
 
 class TestClassify:

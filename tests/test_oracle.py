@@ -10,7 +10,6 @@ from rtpack.errors import CapExceeded, ValidationError
 from rtpack.feasibility import (
     edf_feasible_exact,
     positions_feasible_exact,
-    subset_feasible_exact,
     verify_partition,
 )
 from rtpack.generators import (
@@ -33,7 +32,13 @@ from rtpack.oracle import (
 )
 from rtpack.partitioners import Strategy, dagger_greedy, dm_partition
 
-from conftest import rationals, tasksets_of_each_class, valid_tasks, valid_tasksets
+from conftest import (
+    rationals,
+    subset_feasible,
+    tasksets_of_each_class,
+    valid_tasks,
+    valid_tasksets,
+)
 
 F = Fraction
 
@@ -47,7 +52,7 @@ def naive_minimum(ts: TaskSet) -> int:
             bins = [[] for _ in range(m)]
             for tsk, b in zip(tasks, assignment):
                 bins[b].append(tsk)
-            if all(subset_feasible_exact(b) for b in bins if b):
+            if all(subset_feasible(b) for b in bins):
                 return m
     raise AssertionError("unreachable for valid sets")
 
@@ -238,7 +243,7 @@ class TestLowerBounds:
         result = optimal_partition_bruteforce(ts)
         assert load <= result.m_star and len(clique) <= result.m_star
         for a, b in itertools.combinations(clique, 2):
-            assert not subset_feasible_exact([ts.tasks[a], ts.tasks[b]])
+            assert not subset_feasible([ts.tasks[a], ts.tasks[b]])
         bin_of = {tid: k for k, b in enumerate(result.witness.bins) for tid in b}
         assert len({bin_of[ts.tasks[p].id] for p in clique}) == len(clique)
 
@@ -295,10 +300,8 @@ def sets_with_subsets(draw):
 
 class TestPositionView:
     @settings(max_examples=200)
-    @given(sets_with_subsets(), st.sampled_from([F(1), F(1, 2), F(3, 2), F(5, 6)]))
-    def test_exact_matches_bare_list(self, case, speed):
+    @given(sets_with_subsets())
+    def test_exact_matches_bare_list(self, case):
         ts, positions = case
         subset = [ts.tasks[i] for i in positions]
-        assert positions_feasible_exact(ts.ints, positions, speed) == subset_feasible_exact(
-            subset, speed
-        )
+        assert positions_feasible_exact(ts.ints, positions) == subset_feasible(subset)

@@ -13,7 +13,7 @@ from rtpack.generators import (
     gen_speedup_gap,
     gen_worst_fit_adversary,
 )
-from rtpack.model import DeadlineClass, dbf_star, task, taskset, transform_dagger
+from rtpack.model import DeadlineClass, dbf_star, task, taskset
 from rtpack.partitioners import (
     Strategy,
     _dm_terms,
@@ -22,7 +22,7 @@ from rtpack.partitioners import (
     dm_partition,
 )
 
-from conftest import tasksets_of_each_class, valid_tasksets
+from conftest import tasksets_of_each_class, tightened_utilizations, valid_tasksets
 
 F = Fraction
 
@@ -65,11 +65,10 @@ def reference_dm_bins(ts, strat):
 def reference_dagger_bins(ts, strat):
     """dagger_greedy's definition on Fraction loads of the tightened set."""
     bins, loads = [], []
-    for tsk in transform_dagger(ts):
-        u = tsk.utilization
+    for tid, u in tightened_utilizations(ts).items():
         fits = [i for i in range(len(bins)) if loads[i] + u <= 1]
         if not fits:
-            bins.append([tsk.id])
+            bins.append([tid])
             loads.append(u)
             continue
         if strat is Strategy.FIRST_FIT:
@@ -78,7 +77,7 @@ def reference_dagger_bins(ts, strat):
             pick = max(fits, key=lambda i: (loads[i], -i))
         else:
             pick = min(fits, key=lambda i: (loads[i], i))
-        bins[pick].append(tsk.id)
+        bins[pick].append(tid)
         loads[pick] += u
     return tuple(tuple(sorted(b)) for b in bins)
 
@@ -189,7 +188,7 @@ class TestDaggerGreedy:
     @given(valid_tasksets(), st.sampled_from(list(Strategy)))
     def test_any_fit_pairwise_load_property(self, ts, strat):
         part = dagger_greedy(ts, strat)
-        u = {tsk.id: tsk.utilization for tsk in transform_dagger(ts)}
+        u = tightened_utilizations(ts)
         loads = [sum((u[tid] for tid in b), F(0)) for b in part.bins]
         for i in range(len(loads)):
             for j in range(i + 1, len(loads)):
