@@ -17,13 +17,16 @@ with a witness point at which the demand provably exceeds speed * t.
 
 Integer scaling.  A task set's integer view (`TaskSet.ints`) holds C, D
 and T multiplied by L, the lcm of all their denominators, computed once
-per set; a test reads the tasks it needs by position.  Deadline points,
-demands, the hyperperiod and the horizon are then Python ints: a point
-lies past the horizon iff it exceeds floor(bound * L), and speed p/q
-covers the demand at t iff q * demand <= p * t.  A subset tested at its
-set's L, a multiple of its own, decides and counts exactly as at its own:
-every compared quantity scales by the same positive factor.  Only a
-reported witness or horizon is turned back into a fraction.
+per set.  The kernel, `_sweep_first_failure`, and its bounds read C, D,
+T and the shares of the tested positions from the view in place, with no
+per-test copies; only the load, the sum of the shares, is computed per
+test.  Deadline points, demands, the hyperperiod and the horizon are then
+Python ints: a point lies past the horizon iff it exceeds
+floor(bound * L), and speed p/q covers the demand at t iff
+q * demand <= p * t.  A subset tested at its set's L, a multiple of its
+own, decides and counts exactly as at its own: every compared quantity
+scales by the same positive factor.  Only a reported witness or horizon
+is turned back into a fraction.
 
 Density accept.  dbf_i(t) <= t * C_i / min(D_i, T_i) at every t, for any
 deadline class, so a set whose total density sum C_i / min(D_i, T_i) is at
@@ -78,81 +81,72 @@ class FeasibilityVerdict:
     points_checked: int
 
 
-class _Scaled:
-    """The tasks at `positions` of an integer view: C, D and T at the
-    view's `scale`, so that every deadline point is an integer.
+def _exceeds(view: IntView, load: int, speed: Fraction) -> bool:
+    """Total utilization, `load` / `view.whole`, above the speed."""
+    return speed.denominator * load > speed.numerator * view.whole
 
-    `whole` is the view's hyperperiod, a multiple of these tasks' own,
-    `share[i]` is u_i * whole and `load` is U * whole, all integers read
-    from the view.  A bound comes back as a pair (num, den): the bound
-    times `scale` is num/den.
-    """
 
-    def __init__(self, view: IntView, positions: Sequence[int]):
-        self.scale = view.scale
-        self.cost = [view.c[i] for i in positions]
-        self.deadline = [view.d[i] for i in positions]
-        self.period = [view.t[i] for i in positions]
-        self.whole = view.whole
-        self.share = [view.share[i] for i in positions]
-        self.load = sum(self.share)
+def _horizon(
+    view: IntView,
+    positions: Sequence[int],
+    load: int,
+    speed: Fraction,
+    hyperperiod_cap: Fraction,
+) -> tuple[int, int]:
+    """Sound sweep bound for the demand criterion at `speed`, for total
+    utilization at most the speed.  Below it, any failing point t
+    satisfies (speed - U) * t < sum (T_i - D_i) * u_i, clamped from below
+    by the largest deadline; at equality the demand repeats with period
+    lcm(T_i), so hyperperiod + D_max suffices."""
+    d, t, share = view.d, view.t, view.share
+    d_max = max(d[i] for i in positions)
+    room = speed.numerator * view.whole - speed.denominator * load
+    if room == 0:
+        # the demand repeats with these tasks' own hyperperiod
+        own = math.lcm(*(t[i] for i in positions))
+        cap_num, cap_den = hyperperiod_cap.numerator, hyperperiod_cap.denominator
+        if own * cap_den > cap_num * view.scale:
+            hp = Fraction(own, view.scale)
+            raise HorizonOverflow(f"hyperperiod {hp} exceeds cap {hyperperiod_cap}")
+        return own + d_max, 1
+    slack = speed.denominator * sum((t[i] - d[i]) * share[i] for i in positions)
+    return (d_max, 1) if d_max * room >= slack else (slack, room)
 
-    def exceeds(self, speed: Fraction) -> bool:
-        """Total utilization above the speed."""
-        return speed.denominator * self.load > speed.numerator * self.whole
 
-    def horizon(self, speed: Fraction, hyperperiod_cap: Fraction) -> tuple[int, int]:
-        """Sound sweep bound for the demand criterion at `speed`, for total
-        utilization at most the speed.  Below it, any failing point t
-        satisfies (speed - U) * t < sum (T_i - D_i) * u_i, clamped from
-        below by the largest deadline; at equality the demand repeats with
-        period lcm(T_i), so hyperperiod + D_max suffices."""
-        d_max = max(self.deadline)
-        room = speed.numerator * self.whole - speed.denominator * self.load
-        if room == 0:
-            # the demand repeats with these tasks' own hyperperiod
-            own = math.lcm(*self.period)
-            cap_num, cap_den = hyperperiod_cap.numerator, hyperperiod_cap.denominator
-            if own * cap_den > cap_num * self.scale:
-                hp = Fraction(own, self.scale)
-                raise HorizonOverflow(f"hyperperiod {hp} exceeds cap {hyperperiod_cap}")
-            return own + d_max, 1
-        slack = speed.denominator * sum(
-            (t - d) * u for t, d, u in zip(self.period, self.deadline, self.share)
-        )
-        return (d_max, 1) if d_max * room >= slack else (slack, room)
+def _overshoot_bound(
+    view: IntView, positions: Sequence[int], load: int, speed: Fraction
+) -> tuple[int, int]:
+    """For U > speed: every t past this bound has demand at least
+    U*t - sum(u_i * D_i) > speed * t."""
+    d, share = view.d, view.share
+    d_max = max(d[i] for i in positions)
+    excess = speed.denominator * load - speed.numerator * view.whole
+    overshoot = speed.denominator * sum(d[i] * share[i] for i in positions)
+    return (d_max, 1) if d_max * excess >= overshoot else (overshoot, excess)
 
-    def overshoot_bound(self, speed: Fraction) -> tuple[int, int]:
-        """For U > speed: every t past this bound has demand at least
-        U*t - sum(u_i * D_i) > speed * t."""
-        d_max = max(self.deadline)
-        excess = speed.denominator * self.load - speed.numerator * self.whole
-        overshoot = speed.denominator * sum(
-            d * u for d, u in zip(self.deadline, self.share)
-        )
-        return (d_max, 1) if d_max * excess >= overshoot else (overshoot, excess)
 
-    def fraction(self, num: int, den: int = 1) -> Fraction:
-        """num/den at this scale, in time units."""
-        return Fraction(num, den * self.scale)
+def _fraction(view: IntView, num: int, den: int = 1) -> Fraction:
+    """num/den at the view's scale, in time units."""
+    return Fraction(num, den * view.scale)
 
 
 def _sweep_first_failure(
-    sc: _Scaled,
+    view: IntView,
+    positions: Sequence[int],
     speed: Fraction,
     bound: tuple[int, int],
     point_cap: int,
     beyond: bool,
 ) -> tuple[Optional[int], int]:
-    """First deadline point with demand > speed * t, scanning (0, bound],
-    at the scale of `sc`.
+    """First deadline point with demand > speed * t of the tasks at
+    `positions` of `view`, scanning (0, bound], at the view's scale.
 
     With `beyond`, the first point past the bound is also evaluated; callers
     use this when failure beyond the bound is guaranteed by a utilization
     argument, so a witness is always produced.
     """
-    cost, deadline, period, share = sc.cost, sc.deadline, sc.period, sc.share
-    n = len(cost)
+    cost, deadline, period = view.c, view.d, view.t
+    share, whole = view.share, view.whole
     horizon = bound[0] // bound[1]
     s_num, s_den = speed.numerator, speed.denominator
 
@@ -164,11 +158,11 @@ def _sweep_first_failure(
     kinks: list[int] = []
     ff_at: list[int] = []
     never = horizon + 1
-    slope = offset = 0  # U_k and A_k of the segment, times sc.whole
-    for i in sorted(range(n), key=deadline.__getitem__):
+    slope = offset = 0  # U_k and A_k of the segment, times whole
+    for i in sorted(positions, key=deadline.__getitem__):
         slope += share[i]
-        offset += cost[i] * sc.whole - share[i] * deadline[i]
-        room = s_num * sc.whole - s_den * slope
+        offset += cost[i] * whole - share[i] * deadline[i]
+        room = s_num * whole - s_den * slope
         excess = s_den * offset
         if room > 0:
             at = -(-excess // room)
@@ -181,7 +175,7 @@ def _sweep_first_failure(
             ff_at.append(at)
     last_seg = len(kinks) - 1
 
-    heap = [(deadline[i], i) for i in range(n)]
+    heap = [(deadline[i], i) for i in positions]
     heapq.heapify(heap)
     push = heapq.heapreplace
     demand = 0  # exact demand at `point`, at scale
@@ -205,7 +199,8 @@ def _sweep_first_failure(
         checked += 1
         if checked > point_cap:
             raise PointExplosion(
-                f"demand sweep exceeded {point_cap} points before {sc.fraction(*bound)}"
+                f"demand sweep exceeded {point_cap} points before "
+                f"{_fraction(view, *bound)}"
             )
         while seg < last_seg and kinks[seg + 1] <= point:
             seg += 1
@@ -217,11 +212,14 @@ def _sweep_first_failure(
             target = kinks[seg + 1]
             heap = []
             demand = 0
-            for i in range(n):
-                # points of task i below target: ceil((target - D) / T), or 0
-                jobs = max(0, -((deadline[i] - target) // period[i]))
-                demand += jobs * cost[i]
-                heap.append((deadline[i] + jobs * period[i], i))
+            for i in positions:
+                d = deadline[i]
+                if d < target:
+                    # points of task i below target: ceil((target - D) / T)
+                    jobs = -((d - target) // period[i])
+                    demand += jobs * cost[i]
+                    d += jobs * period[i]
+                heap.append((d, i))
             heapq.heapify(heap)
             continue
         if s_den * demand > s_num * point:
@@ -239,12 +237,13 @@ def positions_feasible_exact(view: IntView, positions: Sequence[int]) -> bool:
     span_share = view.span_share
     if sum(span_share[i] for i in positions) <= view.span_whole:
         return True
-    sc = _Scaled(view, positions)
-    if sc.exceeds(_UNIT_SPEED):
+    share = view.share
+    load = sum(share[i] for i in positions)
+    if _exceeds(view, load, _UNIT_SPEED):
         return False
-    bound = sc.horizon(_UNIT_SPEED, DEFAULT_HYPERPERIOD_CAP)
+    bound = _horizon(view, positions, load, _UNIT_SPEED, DEFAULT_HYPERPERIOD_CAP)
     witness, _ = _sweep_first_failure(
-        sc, _UNIT_SPEED, bound, DEFAULT_POINT_CAP, beyond=False
+        view, positions, _UNIT_SPEED, bound, DEFAULT_POINT_CAP, beyond=False
     )
     return witness is None
 
@@ -264,21 +263,23 @@ def edf_feasible_exact(
     require_valid(ts)
     if speed <= 0:
         raise BadParam(f"speed must be positive, got {speed}")
-    sc = _Scaled(ts.ints, range(len(ts)))
-    if sc.exceeds(speed):
-        bound = sc.overshoot_bound(speed)
-        witness, checked = _sweep_first_failure(
-            sc, speed, bound, point_cap, beyond=True
-        )
+    if point_cap < 1:
+        raise BadParam(f"point cap must be at least 1, got {point_cap}")
+    view = ts.ints
+    positions = range(len(ts))
+    load = sum(view.share)
+    beyond = _exceeds(view, load, speed)
+    if beyond:
+        bound = _overshoot_bound(view, positions, load, speed)
     else:
-        bound = sc.horizon(speed, hyperperiod_cap)
-        witness, checked = _sweep_first_failure(
-            sc, speed, bound, point_cap, beyond=False
-        )
+        bound = _horizon(view, positions, load, speed, hyperperiod_cap)
+    witness, checked = _sweep_first_failure(
+        view, positions, speed, bound, point_cap, beyond
+    )
     return FeasibilityVerdict(
         witness is None,
-        None if witness is None else sc.fraction(witness),
-        sc.fraction(*bound),
+        None if witness is None else _fraction(view, witness),
+        _fraction(view, *bound),
         checked,
     )
 

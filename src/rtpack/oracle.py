@@ -16,7 +16,9 @@ are never searched:
 - the demand load: a bin holds demand of at most t by every time t, so at
   least ceil(sum_i dbf_i(t) / t) bins are needed at any t.  Any finite set
   of points t is sound; the points D_i + k*T_i for k < LOAD_POINTS are
-  used (Fisher, Baker & Baruah, RTCSA 2006);
+  used (Fisher, Baker & Baruah, RTCSA 2006).  As dbf_i <= dbf*_i for
+  every deadline class, a point whose summed dbf* is within the best bound
+  found so far cannot raise it, and its exact demand is never computed;
 - the size of a greedy clique of pairwise-conflicting tasks: two tasks
   conflict when they fail the exact test together, and no two of a
   clique can share a bin (Gendreau, Laporte & Semet, C&OR 2004).  The pair
@@ -131,11 +133,30 @@ class _Search:
 def _load_bound(view: IntView) -> int:
     """The demand load bound on the integer view: the larger of ceil(U)
     and the max over the points D_i + k*T_i, k < LOAD_POINTS, of
-    ceil(sum_j dbf_j(t) / t)."""
-    tasks = list(zip(view.c, view.d, view.t))
-    best = -(-sum(view.share) // view.whole)
-    for point in {d + k * t for _, d, t in tasks for k in range(LOAD_POINTS)}:
-        demand = sum(c * ((point - d) // t + 1) for c, d, t in tasks if d <= point)
+    ceil(sum_j dbf_j(t) / t).
+
+    The points are walked in ascending order with the running dbf* sum,
+    times `whole`, of the tasks with D_j <= t: slope * t + offset, with
+    `slope` = sum share_j and `offset` = sum (C_j * whole - share_j * D_j).
+    The exact demand is evaluated only where that sum passes
+    best * t * whole (see the module docstring)."""
+    c, d, t, share, whole = view.c, view.d, view.t, view.share, view.whole
+    best = -(-sum(share) // whole)
+    by_deadline = sorted(range(len(d)), key=d.__getitem__)
+    active = 0  # tasks of by_deadline with D <= point
+    slope = offset = 0
+    points = {d[i] + k * t[i] for i in range(len(d)) for k in range(LOAD_POINTS)}
+    for point in sorted(points):
+        while active < len(by_deadline) and d[by_deadline[active]] <= point:
+            i = by_deadline[active]
+            slope += share[i]
+            offset += c[i] * whole - share[i] * d[i]
+            active += 1
+        if slope * point + offset <= best * point * whole:
+            continue
+        demand = sum(
+            c[i] * ((point - d[i]) // t[i] + 1) for i in by_deadline[:active]
+        )
         best = max(best, -(-demand // point))
     return best
 

@@ -142,6 +142,14 @@ class TestCheck:
         rc, _, err = run(capsys, "check", str(bad))
         assert rc == 2 and "C = 3 exceeds D = 2" in err
 
+    @pytest.mark.parametrize("cap", ["-5", "0"])
+    def test_point_cap_below_one_exit_two_naming_it(self, capsys, cap):
+        rc, text, err = run(
+            capsys, "check", str(GOLDEN / "speedup_gap_n3.json"), "--point-cap", cap
+        )
+        assert (rc, text) == (2, "")
+        assert err == f"error: point cap must be at least 1, got {cap}\n"
+
 
 class TestPartition:
     def test_oracle_cap_exit_two(self, tmp_path, capsys):

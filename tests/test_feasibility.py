@@ -14,7 +14,8 @@ from rtpack.errors import (
 )
 from rtpack.feasibility import (
     DEFAULT_POINT_CAP,
-    _Scaled,
+    _fraction,
+    _horizon,
     edf_feasible_exact,
     lemma1_feasible,
     positions_feasible_exact,
@@ -76,11 +77,13 @@ class TestHorizon:
         # hyperperiod 14
         ts = taskset([*subset, (1, 5, 7)])
         own = taskset(subset)
-        sc = _Scaled(ts.ints, range(2))
+        view, positions = ts.ints, range(2)
+        load = sum(view.share[i] for i in positions)
         horizon = edf_feasible_exact(own, speed).horizon
-        assert sc.fraction(*sc.horizon(speed, F(3))) == horizon == 4
+        bound = _horizon(view, positions, load, speed, F(3))
+        assert _fraction(view, *bound) == horizon == 4
         with pytest.raises(HorizonOverflow) as got:
-            sc.horizon(speed, F(1))
+            _horizon(view, positions, load, speed, F(1))
         with pytest.raises(HorizonOverflow) as want:
             edf_feasible_exact(own, speed, hyperperiod_cap=F(1))
         assert str(got.value) == str(want.value) == "hyperperiod 2 exceeds cap 1"

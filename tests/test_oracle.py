@@ -229,6 +229,14 @@ class TestAgainstInputOrderSearch:
         assert (result.m_star, result.witness.bins) == input_order_oracle(ts)
 
 
+def _demand_load(ts: TaskSet) -> int:
+    """Reference for the load bound, on Fractions: ceil(U), or the largest
+    ceil(sum dbf(t) / t) over t = D_i + k*T_i, k < 3."""
+    points = {tsk.d + k * tsk.t for tsk in ts for k in range(3)}
+    load = max(math.ceil(sum((dbf(tsk, t) for tsk in ts), F(0)) / t) for t in points)
+    return max(load, math.ceil(ts.total_utilization))
+
+
 def _bounds(ts: TaskSet):
     view = ts.ints
     search = _Search(lambda positions: positions_feasible_exact(view, positions))
@@ -254,13 +262,33 @@ class TestLowerBounds:
         m_star = optimal_partition_bruteforce(ts).m_star
         assert load <= m_star and len(clique) <= m_star
 
-    @given(valid_tasksets(max_n=7))
+    @given(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
     def test_load_bound_is_the_demand_load(self, ts):
+        assert _load_bound(ts.ints) == _demand_load(ts)
+
+    # sets whose load bound is strictly above both ceil(U) and the clique
+    @pytest.mark.parametrize(
+        "rows, load, ceil_u, clique",
+        [
+            ([(1, 3, 6), (2, 3, 8), (2, 4, 6)], 2, 1, 1),
+            ([(1, 7, 6), (1, 2, 7), (2, 3, 8), (1, 3, 5)], 2, 1, 1),
+            ([(1, 2, 4), (1, 2, 4), (1, 1, 5), (1, 2, 8), (1, 2, 2)], 3, 2, 1),
+        ],
+    )
+    def test_load_bound_above_the_other_bounds(self, rows, load, ceil_u, clique):
+        ts = taskset(rows)
+        assert math.ceil(ts.total_utilization) == ceil_u
+        assert len(_bounds(ts)[1]) == clique
+        assert _load_bound(ts.ints) == _demand_load(ts) == load
+        # dbf* (which bounds dbf) rules out some points whatever bound has
+        # been reached there, and the exact demand of others raises it
         points = {tsk.d + k * tsk.t for tsk in ts for k in range(3)}
-        load = max(
-            math.ceil(sum((dbf(tsk, t) for tsk in ts), F(0)) / t) for t in points
-        )
-        assert _load_bound(ts.ints) == max(load, math.ceil(ts.total_utilization))
+        dbf_star = {
+            t: sum(tsk.c + tsk.utilization * (t - tsk.d) for tsk in ts if tsk.d <= t)
+            for t in points
+        }
+        assert any(dbf_star[t] <= ceil_u * t for t in points)
+        assert any(sum(dbf(tsk, t) for tsk in ts) > ceil_u * t for t in points)
 
     @given(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
     def test_density_order_matches_fraction_order(self, ts):
