@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import bench as bench_mod
 from .errors import RtpackError
-from .feasibility import DEFAULT_HYPERPERIOD_CAP, DEFAULT_POINT_CAP, edf_feasible_exact
+from .feasibility import DEFAULT_POINT_CAP, edf_feasible_exact
 from .generators import gen_random_dvp
 from .io import serialize_dvp, serialize_taskset, parse_taskset
 from .model import DeadlineClass, as_rational
@@ -53,12 +53,7 @@ def _partition_doc(part: Partition) -> str:
 
 def cmd_check(args) -> int:
     ts = _read_taskset(args.file)
-    verdict = edf_feasible_exact(
-        ts,
-        speed=args.speed,
-        point_cap=args.point_cap,
-        hyperperiod_cap=args.horizon_cap,
-    )
+    verdict = edf_feasible_exact(ts, speed=args.speed, point_cap=args.point_cap)
     doc = {
         "name": ts.name,
         "speed": str(args.speed),
@@ -140,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file")
     p_check.add_argument("--speed", type=as_rational, default=Fraction(1))
     p_check.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
-    p_check.add_argument(
-        "--horizon-cap", type=as_rational, default=DEFAULT_HYPERPERIOD_CAP
-    )
     p_check.set_defaults(func=cmd_check)
 
     p_part = sub.add_parser("partition", help="partition a task set")

@@ -10,10 +10,18 @@ admission of deadline-monotonic fitting lives in `partitioners`.
 
 The demand criterion quantifies over all t >= 0; only the deadline points
 k*T_i + D_i matter because the demand is a right-continuous step function
-that changes nowhere else.  For total utilization strictly below the speed
-the standard busy-interval bound caps the sweep; at exactly the speed the
-hyperperiod plus the largest deadline does.  Infeasible sets always come
-with a witness point at which the demand provably exceeds speed * t.
+that changes nowhere else.  One bound, `_bound`, caps the sweep at every
+total utilization U, each clamped below by the largest deadline D_max.
+Below the speed it is the standard busy-interval bound
+sum (T_i - D_i) * u_i / (speed - U); at exactly the speed the demand
+repeats with the hyperperiod, so hyperperiod + D_max suffices.  Above the
+speed it is sum u_i * D_i / (U - speed): for t >= D_max,
+dbf(t) > U * t - sum u_i * D_i, which is at least speed * t from the bound
+on, so the last deadline point at or below the bound fails.  The sweep
+reaches that point, because the fast-forward never jumps in the last
+segment, whose slope U exceeds the speed.  Infeasible sets therefore
+always come with a witness point within the bound at which the demand
+exceeds speed * t.
 
 Integer scaling.  A task set's integer view (`TaskSet.ints`) holds C, D
 and T multiplied by L, the lcm of all their denominators, computed once
@@ -69,7 +77,7 @@ from .model import IntView, TaskSet, require_valid
 from .partitioners import Partition
 
 DEFAULT_POINT_CAP = 10**7
-DEFAULT_HYPERPERIOD_CAP = Fraction(2**64)
+DEFAULT_HYPERPERIOD_CAP = 2**64
 _UNIT_SPEED = Fraction(1)
 
 
@@ -81,48 +89,31 @@ class FeasibilityVerdict:
     points_checked: int
 
 
-def _exceeds(view: IntView, load: int, speed: Fraction) -> bool:
-    """Total utilization, `load` / `view.whole`, above the speed."""
-    return speed.denominator * load > speed.numerator * view.whole
-
-
-def _horizon(
-    view: IntView,
-    positions: Sequence[int],
-    load: int,
-    speed: Fraction,
-    hyperperiod_cap: Fraction,
+def _bound(
+    view: IntView, positions: Sequence[int], load: int, speed: Fraction
 ) -> tuple[int, int]:
-    """Sound sweep bound for the demand criterion at `speed`, for total
-    utilization at most the speed.  Below it, any failing point t
-    satisfies (speed - U) * t < sum (T_i - D_i) * u_i, clamped from below
-    by the largest deadline; at equality the demand repeats with period
-    lcm(T_i), so hyperperiod + D_max suffices."""
+    """Sound sweep bound (num, den) at the view's scale for the tasks at
+    `positions` at `speed`, where `load` / `view.whole` is their total
+    utilization U (see the module docstring).  At U equal to the speed
+    the tasks' own hyperperiod must stay within DEFAULT_HYPERPERIOD_CAP."""
     d, t, share = view.d, view.t, view.share
     d_max = max(d[i] for i in positions)
     room = speed.numerator * view.whole - speed.denominator * load
     if room == 0:
-        # the demand repeats with these tasks' own hyperperiod
         own = math.lcm(*(t[i] for i in positions))
-        cap_num, cap_den = hyperperiod_cap.numerator, hyperperiod_cap.denominator
-        if own * cap_den > cap_num * view.scale:
+        if own > DEFAULT_HYPERPERIOD_CAP * view.scale:
             hp = Fraction(own, view.scale)
-            raise HorizonOverflow(f"hyperperiod {hp} exceeds cap {hyperperiod_cap}")
+            raise HorizonOverflow(
+                f"hyperperiod {hp} exceeds cap {DEFAULT_HYPERPERIOD_CAP}"
+            )
         return own + d_max, 1
-    slack = speed.denominator * sum((t[i] - d[i]) * share[i] for i in positions)
+    if room > 0:
+        slack = sum((t[i] - d[i]) * share[i] for i in positions)
+    else:
+        slack = sum(d[i] * share[i] for i in positions)
+        room = -room
+    slack *= speed.denominator
     return (d_max, 1) if d_max * room >= slack else (slack, room)
-
-
-def _overshoot_bound(
-    view: IntView, positions: Sequence[int], load: int, speed: Fraction
-) -> tuple[int, int]:
-    """For U > speed: every t past this bound has demand at least
-    U*t - sum(u_i * D_i) > speed * t."""
-    d, share = view.d, view.share
-    d_max = max(d[i] for i in positions)
-    excess = speed.denominator * load - speed.numerator * view.whole
-    overshoot = speed.denominator * sum(d[i] * share[i] for i in positions)
-    return (d_max, 1) if d_max * excess >= overshoot else (overshoot, excess)
 
 
 def _fraction(view: IntView, num: int, den: int = 1) -> Fraction:
@@ -136,15 +127,9 @@ def _sweep_first_failure(
     speed: Fraction,
     bound: tuple[int, int],
     point_cap: int,
-    beyond: bool,
 ) -> tuple[Optional[int], int]:
     """First deadline point with demand > speed * t of the tasks at
-    `positions` of `view`, scanning (0, bound], at the view's scale.
-
-    With `beyond`, the first point past the bound is also evaluated; callers
-    use this when failure beyond the bound is guaranteed by a utilization
-    argument, so a witness is always produced.
-    """
+    `positions` of `view`, scanning (0, bound], at the view's scale."""
     cost, deadline, period = view.c, view.d, view.t
     share, whole = view.share, view.whole
     horizon = bound[0] // bound[1]
@@ -188,14 +173,7 @@ def _sweep_first_failure(
             push(heap, (point + period[i], i))
             demand += cost[i]
         if point > horizon:
-            if not beyond:
-                return None, checked
-            checked += 1
-            if s_den * demand > s_num * point:
-                return point, checked
-            raise RuntimeError(
-                "no failure past the guaranteed bound; unreachable for U > speed"
-            )
+            return None, checked
         checked += 1
         if checked > point_cap:
             raise PointExplosion(
@@ -239,11 +217,11 @@ def positions_feasible_exact(view: IntView, positions: Sequence[int]) -> bool:
         return True
     share = view.share
     load = sum(share[i] for i in positions)
-    if _exceeds(view, load, _UNIT_SPEED):
+    if load > view.whole:
         return False
-    bound = _horizon(view, positions, load, _UNIT_SPEED, DEFAULT_HYPERPERIOD_CAP)
+    bound = _bound(view, positions, load, _UNIT_SPEED)
     witness, _ = _sweep_first_failure(
-        view, positions, _UNIT_SPEED, bound, DEFAULT_POINT_CAP, beyond=False
+        view, positions, _UNIT_SPEED, bound, DEFAULT_POINT_CAP
     )
     return witness is None
 
@@ -252,7 +230,6 @@ def edf_feasible_exact(
     ts: TaskSet,
     speed: Fraction = Fraction(1),
     point_cap: int = DEFAULT_POINT_CAP,
-    hyperperiod_cap: Fraction = DEFAULT_HYPERPERIOD_CAP,
 ) -> FeasibilityVerdict:
     """Exact EDF test on one processor running at `speed`.
 
@@ -267,15 +244,8 @@ def edf_feasible_exact(
         raise BadParam(f"point cap must be at least 1, got {point_cap}")
     view = ts.ints
     positions = range(len(ts))
-    load = sum(view.share)
-    beyond = _exceeds(view, load, speed)
-    if beyond:
-        bound = _overshoot_bound(view, positions, load, speed)
-    else:
-        bound = _horizon(view, positions, load, speed, hyperperiod_cap)
-    witness, checked = _sweep_first_failure(
-        view, positions, speed, bound, point_cap, beyond
-    )
+    bound = _bound(view, positions, sum(view.share), speed)
+    witness, checked = _sweep_first_failure(view, positions, speed, bound, point_cap)
     return FeasibilityVerdict(
         witness is None,
         None if witness is None else _fraction(view, witness),

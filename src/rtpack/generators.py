@@ -276,15 +276,11 @@ def gen_random(params: GenParams) -> TaskSet:
             else:
                 dn, dd = p * rng.randint(1, 2 * q), r * q
             sn, sd = _limit_denominator(shares[i], q * q)
-            if sn * q * q < sd:  # the share is clamped to [1/q^2, 1]
+            if sn * q * q < sd:  # the share, at most 1, is raised to 1/q^2
                 sn, sd = 1, q * q
-            elif sn > sd:
-                sn, sd = 1, 1
-            cn, cd = sn * p, sd * r  # c = min(share * period, d, period)
+            cn, cd = sn * p, sd * r  # c = min(share * period, d), at most the period
             if dn * cd < cn * dd:
                 cn, cd = dn, dd
-            if p * cd < cn * r:
-                cn, cd = p, r
             tasks.append([cn, cd, dn, dd, p, r])
         num, den = utilization(tasks)
         for _ in range(3):

@@ -48,6 +48,8 @@ def simulate_edf_synchronous(
         raise BadParam(f"horizon must be positive, got {horizon}")
     if speed <= 0:
         raise BadParam(f"speed must be positive, got {speed}")
+    if event_cap < 1:
+        raise BadParam(f"event cap must be at least 1, got {event_cap}")
 
     tasks = list(ts)
     next_release = {tsk.id: Fraction(0) for tsk in tasks}

@@ -150,6 +150,13 @@ class TestCheck:
         assert (rc, text) == (2, "")
         assert err == f"error: point cap must be at least 1, got {cap}\n"
 
+    def test_horizon_cap_is_not_a_flag(self, capsys):
+        rc, text, err = run(
+            capsys, "check", str(GOLDEN / "speedup_gap_n3.json"), "--horizon-cap", "5"
+        )
+        assert (rc, text) == (2, "")
+        assert "unrecognized arguments: --horizon-cap 5" in err
+
 
 class TestPartition:
     def test_oracle_cap_exit_two(self, tmp_path, capsys):
@@ -205,6 +212,14 @@ class TestSimulate:
         )
         assert rc == 1
         assert json.loads(text)["misses"]
+
+    def test_event_cap_zero_exit_two_naming_it(self, capsys):
+        rc, text, err = run(
+            capsys, "simulate", str(GOLDEN / "speedup_gap_n3.json"),
+            "--horizon", "12", "--event-cap", "0",
+        )
+        assert (rc, text) == (2, "")
+        assert err == "error: event cap must be at least 1, got 0\n"
 
 
 class TestBench:

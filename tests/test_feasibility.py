@@ -14,8 +14,8 @@ from rtpack.errors import (
 )
 from rtpack.feasibility import (
     DEFAULT_POINT_CAP,
+    _bound,
     _fraction,
-    _horizon,
     edf_feasible_exact,
     lemma1_feasible,
     positions_feasible_exact,
@@ -80,13 +80,8 @@ class TestHorizon:
         view, positions = ts.ints, range(2)
         load = sum(view.share[i] for i in positions)
         horizon = edf_feasible_exact(own, speed).horizon
-        bound = _horizon(view, positions, load, speed, F(3))
+        bound = _bound(view, positions, load, speed)
         assert _fraction(view, *bound) == horizon == 4
-        with pytest.raises(HorizonOverflow) as got:
-            _horizon(view, positions, load, speed, F(1))
-        with pytest.raises(HorizonOverflow) as want:
-            edf_feasible_exact(own, speed, hyperperiod_cap=F(1))
-        assert str(got.value) == str(want.value) == "hyperperiod 2 exceeds cap 1"
 
     def test_unit_speed_subset_uses_its_own_hyperperiod(self):
         # with U = 1 and density above 1, a subset is swept to its own
@@ -165,6 +160,16 @@ class TestExactTest:
             for p in deadline_points(ts, w):
                 if p < w:
                     assert demand(ts, p) <= p
+
+    @given(valid_tasksets(), st.integers(1, 9))
+    def test_infeasible_within_the_bound_below_u(self, ts, tenths):
+        # at a speed below U the sweep bound is sum u_i * D_i / (U - speed),
+        # and the last deadline point at or below it already fails
+        speed = ts.total_utilization * F(tenths, 10)
+        verdict = edf_feasible_exact(ts, speed)
+        assert not verdict.feasible
+        assert verdict.witness <= verdict.horizon
+        assert demand(ts, verdict.witness) > speed * verdict.witness
 
     @given(valid_tasksets(), st.integers(1, 4), st.integers(1, 3))
     def test_speed_monotone(self, ts, num, den):

@@ -66,6 +66,12 @@ class TestGuards:
         with pytest.raises(BadParam):
             simulate_edf_synchronous(taskset([(1, 1, 1)]), F(1), speed=F(0))
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_event_cap_below_one(self, cap):
+        with pytest.raises(BadParam) as err:
+            simulate_edf_synchronous(taskset([(1, 1, 1)]), F(1), event_cap=cap)
+        assert str(err.value) == f"event cap must be at least 1, got {cap}"
+
     def test_event_cap(self):
         with pytest.raises(EventExplosion):
             simulate_edf_synchronous(taskset([(1, 1, 1)]), F(100), event_cap=5)
