@@ -191,6 +191,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.algorithms:
             raise ParseError("at least one algorithm must be selected")
+        if self.n_cap < 1:
+            raise ParseError(f"n_cap: oracle cap must be at least 1, got {self.n_cap}")
         for i, (algo, strategy) in enumerate(self.algorithms, start=1):
             if algo not in ALGORITHMS:
                 raise ParseError(f"algorithm {i}: unknown algorithm {algo!r}")

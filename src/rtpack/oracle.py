@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
-from .errors import CapExceeded
+from .errors import BadParam, CapExceeded
 from .feasibility import positions_feasible_exact
 from .model import IntView, TaskSet, require_valid
 from .partitioners import Partition
@@ -203,6 +203,8 @@ def optimal_partition_bruteforce(
     tested as position lists of the set's integer view.
     """
     require_valid(ts)
+    if n_cap < 1:
+        raise BadParam(f"oracle cap must be at least 1, got {n_cap}")
     n = len(ts)
     if n > n_cap:
         raise CapExceeded(f"N = {n} exceeds the oracle cap {n_cap}")

@@ -1,4 +1,4 @@
-"""Event-driven preemptive EDF simulation on exact rational time.
+"""Event-driven preemptive EDF simulation on exact integer time.
 
 All first jobs are released synchronously at time 0 and every later job as
 early as its period allows, which is the worst-case arrival pattern for
@@ -6,6 +6,13 @@ sporadic tasks.  Ties in absolute deadline go to the smaller task id; that
 choice never affects whether deadlines are met, it only pins the trace.
 A job that reaches its deadline unfinished is recorded as a miss and
 dropped, so later behavior stays meaningful.
+
+The loop runs on the set's integer view, in ticks of 1/(scale * p * hd)
+time units at speed p/q and a horizon of denominator hd: a job of cost C
+takes C * scale * q * hd ticks, one unit of work each, so no step divides.
+Missed deadlines and idle intervals become exact rationals only in the
+returned trace.  The simulator shares no code with the demand sweep that
+it cross-checks.
 """
 
 from __future__ import annotations
@@ -51,87 +58,59 @@ def simulate_edf_synchronous(
     if event_cap < 1:
         raise BadParam(f"event cap must be at least 1, got {event_cap}")
 
-    tasks = list(ts)
-    next_release = {tsk.id: Fraction(0) for tsk in tasks}
-    # active jobs: (abs_deadline, task_id, seq) -> remaining work
-    active: list[tuple[Fraction, int, int]] = []
-    remaining: dict[tuple[Fraction, int, int], Fraction] = {}
-    seq = 0
-    misses: list[tuple[int, Fraction]] = []
-    idle: list[tuple[Fraction, Fraction]] = []
-    preemptions = 0
-    current: tuple[Fraction, int, int] | None = None
-    now = Fraction(0)
-    events = 0
+    view = ts.ints
+    p, q, hd = speed.numerator, speed.denominator, horizon.denominator
+    unit = view.scale * p * hd
+    end = horizon.numerator * view.scale * p
+    work = [c * q * hd for c in view.c]
+    due_in = [d * p * hd for d in view.d]
+    period = [t * p * hd for t in view.t]
+    releases = [(0, tsk.id, i) for i, tsk in enumerate(ts)]
+    # ready jobs [abs deadline, task id, work left]; no two share (deadline, id)
+    ready: list[list[int]] = []
+    misses: list[tuple[int, int]] = []
+    idle: list[tuple[int, int]] = []
+    current: list[int] | None = None
+    now = events = preemptions = 0
 
-    def release_due(at: Fraction) -> None:
-        nonlocal seq
-        for tsk in tasks:
-            while next_release[tsk.id] <= at and next_release[tsk.id] < horizon:
-                r = next_release[tsk.id]
-                job = (r + tsk.d, tsk.id, seq)
-                seq += 1
-                heapq.heappush(active, job)
-                remaining[job] = tsk.c
-                next_release[tsk.id] = r + tsk.t
-
-    release_due(now)
-    while now < horizon:
+    while now < end:
+        while releases[0][0] <= now:
+            release, tid, i = releases[0]
+            heapq.heappush(ready, [release + due_in[i], tid, work[i]])
+            heapq.heapreplace(releases, (release + period[i], tid, i))
         events += 1
         if events > event_cap:
             raise EventExplosion(f"simulation exceeded {event_cap} events")
 
-        if not active:
-            upcoming = min(next_release[tsk.id] for tsk in tasks)
-            resume = min(upcoming, horizon)
-            if resume > now:
-                idle.append((now, resume))
-            if resume >= horizon:
-                break
-            now = resume
-            current = None
-            release_due(now)
+        upcoming = min(releases[0][0], end)
+        if not ready:
+            idle.append((now, upcoming))
+            now = upcoming
             continue
 
-        job = active[0]
-        deadline, task_id, _ = job
-        if current is not None and current != job and remaining.get(current, Fraction(0)) > 0:
+        job = ready[0]
+        due, tid, left = job
+        if current is not None and current is not job:
             preemptions += 1
-        current = job
-
-        finish = now + remaining[job] / speed
-        upcoming = min(next_release[tsk.id] for tsk in tasks)
-        step = min(finish, upcoming, deadline, horizon)
-
-        remaining[job] -= (step - now) * speed
+        step = min(now + left, upcoming, due)
+        job[2] -= step - now
         now = step
-
-        if remaining[job] == 0:
-            heapq.heappop(active)
-            del remaining[job]
-            current = None
-        elif now == deadline:
-            if deadline <= horizon:
-                misses.append((task_id, deadline))
-            heapq.heappop(active)
-            del remaining[job]
+        current = job
+        if job[2] == 0 or now == due:
+            if job[2]:
+                misses.append((tid, due))
+            heapq.heappop(ready)
             current = None
         # any waiting job whose deadline passed while another ran has the
         # earliest deadline, so it becomes `job` before its deadline elapses;
         # only the head of the queue can ever reach its deadline.
 
-        if now < horizon:
-            release_due(now)
-
     # a job can reach its deadline exactly when the window closes
-    for job in sorted(active):
-        deadline, task_id, _ = job
-        if deadline <= horizon and remaining.get(job, Fraction(0)) > 0:
-            misses.append((task_id, deadline))
+    misses += [(tid, due) for due, tid, _ in sorted(ready) if due <= end]
 
     return SimTrace(
         horizon=horizon,
-        misses=tuple(misses),
+        misses=tuple((tid, Fraction(due, unit)) for tid, due in misses),
         preemptions=preemptions,
-        idle=tuple(idle),
+        idle=tuple((Fraction(a, unit), Fraction(b, unit)) for a, b in idle),
     )

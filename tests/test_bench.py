@@ -331,6 +331,17 @@ class TestConfigParsing:
         report = run_experiment(cfg)
         assert len(report.rows) == 6
 
+    @pytest.mark.parametrize("n_cap", [0, -1])
+    def test_oracle_cap_below_one_refused(self, n_cap):
+        want = f"n_cap: oracle cap must be at least 1, got {n_cap}"
+        doc = {"instances": [], "algorithms": [{"algo": "dm"}], "n_cap": n_cap}
+        with pytest.raises(ParseError) as err:
+            parse_config(json.dumps(doc))
+        assert str(err.value) == want
+        with pytest.raises(ParseError) as err:
+            ExperimentConfig(instances=(), algorithms=(("dm", None),), n_cap=n_cap)
+        assert str(err.value) == want
+
     def test_malformed(self):
         with pytest.raises(ParseError):
             parse_config(b"{")

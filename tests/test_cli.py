@@ -166,6 +166,15 @@ class TestPartition:
         rc, _, err = run(capsys, "partition", str(f), "--algo", "oracle")
         assert rc == 2 and "cap" in err
 
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_oracle_cap_below_one_exit_two_naming_it(self, capsys, cap):
+        rc, text, err = run(
+            capsys, "partition", str(GOLDEN / "bf_adversary_k4.json"), "--algo", "oracle",
+            "--n-cap", cap,
+        )
+        assert (rc, text) == (2, "")
+        assert err == f"error: oracle cap must be at least 1, got {cap}\n"
+
     def test_cap_is_not_read_from_the_environment(self, tmp_path, capsys, monkeypatch):
         ts = taskset([(1, 100, 100)] * (DEFAULT_ORACLE_CAP + 1), name="wide")
         f = tmp_path / "wide.json"
@@ -295,7 +304,9 @@ class TestBench:
          ({"timing": "no"}, "timing"),
          ({"algorithms": [{"algo": "dm"}, {"algo": "dm", "stratgy": "bf"}]},
           "algorithm 2: unknown key 'stratgy'"),
-         ({"orcale": False}, "config: unknown key 'orcale'")],
+         ({"orcale": False}, "config: unknown key 'orcale'"),
+         ({"n_cap": 0}, "n_cap: oracle cap must be at least 1, got 0"),
+         ({"n_cap": -1}, "n_cap: oracle cap must be at least 1, got -1")],
     )  # fmt: skip
     def test_parse_time_rejection_exit_two(self, tmp_path, capsys, doc, where):
         base = {"instances": [{"family": "bf-adversary", "k": 4}], "algorithms": [{"algo": "dm"}]}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rtpack.errors import CapExceeded, ValidationError
+from rtpack.errors import BadParam, CapExceeded, ValidationError
 from rtpack.feasibility import (
     edf_feasible_exact,
     positions_feasible_exact,
@@ -72,6 +72,13 @@ class TestOracle:
         ts = taskset([(1, 100, 100)] * (DEFAULT_ORACLE_CAP + 1))
         with pytest.raises(CapExceeded):
             optimal_partition_bruteforce(ts)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one(self, cap):
+        # refused as a parameter, before the set's size is compared with it
+        with pytest.raises(BadParam) as err:
+            optimal_partition_bruteforce(gen_best_fit_adversary(4), n_cap=cap)
+        assert str(err.value) == f"oracle cap must be at least 1, got {cap}"
 
     def test_rejects_invalid(self):
         with pytest.raises(ValidationError):

@@ -52,6 +52,60 @@ class TestImports:
         assert unused_imports(source) == unused
 
 
+SWEEP_TERMS = {"share", "whole", "span_share", "span_whole"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that `source` imports from, as written:
+    `.model` for a relative import, `rtpack.model` for an absolute one."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.partition(".")[0] == "rtpack":
+                found.add(module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.partition(".")[0] == "rtpack"}
+    return found
+
+
+def sweep_terms_read(source: str) -> set[str]:
+    """The integer-view terms of the demand sweep that `source` names."""
+    tree = ast.parse(source)
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names & SWEEP_TERMS
+
+
+class TestSimulatorIndependence:
+    """The simulator cross-checks the demand sweep, so it must not share
+    the sweep's code or its precomputed terms."""
+
+    SOURCE = (SRC / "simulate.py").read_text()
+
+    def test_imports_only_errors_and_model(self):
+        assert package_imports(self.SOURCE) == {".errors", ".model"}
+
+    def test_reads_no_sweep_terms(self):
+        assert sweep_terms_read(self.SOURCE) == set()
+
+    @pytest.mark.parametrize(
+        "source, imports, terms",
+        [
+            ("from .feasibility import _bound\n", {".feasibility"}, set()),
+            ("from . import feasibility\n", {"."}, set()),
+            ("import rtpack.feasibility\nimport heapq\n", {"rtpack.feasibility"}, set()),
+            ("from rtpack.model import IntView\n", {"rtpack.model"}, set()),
+            ("from fractions import Fraction\nx = view.c\n", set(), set()),
+            ("x = ts.ints.share[0] + view.whole\n", set(), {"share", "whole"}),
+            ("y = span_whole * sum(view.span_share)\n", set(), {"span_share", "span_whole"}),
+        ],
+    )  # fmt: skip
+    def test_finds_imports_and_terms(self, source, imports, terms):
+        assert package_imports(source) == imports
+        assert sweep_terms_read(source) == terms
+
+
 def cli_flags() -> list[tuple[str, list[str]]]:
     """(command, option strings) of every optional, non-help action of
     each subcommand of `cli.build_parser()`."""
