@@ -22,7 +22,7 @@ from .io import serialize_dvp, serialize_taskset, parse_taskset
 from .model import DeadlineClass, as_rational
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy
-from .simulate import DEFAULT_EVENT_CAP, simulate_edf_synchronous
+from .simulate import DEFAULT_EVENT_CAP, SimTrace, simulate_edf_synchronous
 
 
 def _write_output(path: str | None, content: str | bytes) -> None:
@@ -49,6 +49,40 @@ def _partition_doc(part: Partition) -> str:
         "bins": [list(b) for b in part.bins],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _simulate_doc(name: str, speed: Fraction, trace: SimTrace) -> str:
+    """The simulate document with the bytes of `json.dumps(doc, indent=2)`.
+
+    Any indent makes the json module fall back to its pure-Python encoder,
+    which is slow on a trace of many misses, so each scalar is rendered by
+    `json.dumps` and the indented lines are laid out here.  A task id is
+    rendered once per task.
+    """
+    dump = json.dumps
+    task = {tid: dump(tid) for tid in {tid for tid, _ in trace.misses}}
+    misses = [
+        f'    {{\n      "task": {task[tid]},\n      "deadline": {dump(str(d))}\n    }}'
+        for tid, d in trace.misses
+    ]
+    idle = [
+        f"    [\n      {dump(str(a))},\n      {dump(str(b))}\n    ]"
+        for a, b in trace.idle
+    ]
+    return (
+        f'{{\n  "name": {dump(name)},\n'
+        f'  "horizon": {dump(str(trace.horizon))},\n'
+        f'  "speed": {dump(str(speed))},\n'
+        f'  "schedulable": {dump(trace.schedulable)},\n'
+        f'  "misses": {_block(misses)},\n'
+        f'  "preemptions": {dump(trace.preemptions)},\n'
+        f'  "idle": {_block(idle)}\n}}'
+    )
+
+
+def _block(items: list[str]) -> str:
+    """A list at indent level 1 whose items are already laid out."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def cmd_check(args) -> int:
@@ -111,16 +145,7 @@ def cmd_simulate(args) -> int:
     trace = simulate_edf_synchronous(
         ts, horizon=args.horizon, speed=args.speed, event_cap=args.event_cap
     )
-    doc = {
-        "name": ts.name,
-        "horizon": str(trace.horizon),
-        "speed": str(args.speed),
-        "schedulable": trace.schedulable,
-        "misses": [{"task": tid, "deadline": str(d)} for tid, d in trace.misses],
-        "preemptions": trace.preemptions,
-        "idle": [[str(a), str(b)] for a, b in trace.idle],
-    }
-    print(json.dumps(doc, indent=2))
+    print(_simulate_doc(ts.name, args.speed, trace))
     return 0 if trace.schedulable else 1
 
 

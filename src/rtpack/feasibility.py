@@ -10,8 +10,8 @@ admission of deadline-monotonic fitting lives in `partitioners`.
 
 The demand criterion quantifies over all t >= 0; only the deadline points
 k*T_i + D_i matter because the demand is a right-continuous step function
-that changes nowhere else.  One bound, `_bound`, caps the sweep at every
-total utilization U, each clamped below by the largest deadline D_max.
+that changes nowhere else.  One bound caps the sweep at every total
+utilization U, each clamped below by the largest deadline D_max.
 Below the speed it is the standard busy-interval bound
 sum (T_i - D_i) * u_i / (speed - U); at exactly the speed the demand
 repeats with the hyperperiod, so hyperperiod + D_max suffices.  Above the
@@ -25,12 +25,16 @@ exceeds speed * t.
 
 Integer scaling.  A task set's integer view (`TaskSet.ints`) holds C, D
 and T multiplied by L, the lcm of all their denominators, computed once
-per set.  The kernel, `_sweep_first_failure`, and its bounds read C, D,
-T and the shares of the tested positions from the view in place, with no
-per-test copies; only the load, the sum of the shares, is computed per
-test.  Deadline points, demands, the hyperperiod and the horizon are then
-Python ints: a point lies past the horizon iff it exceeds
-floor(bound * L), and speed p/q covers the demand at t iff
+per set.  The kernel, `_sweep_first_failure`, reads C, D, T and the
+shares of the tested positions from the view in place, with no per-test
+copies.  One pass over the positions in deadline order yields the dbf*
+segments below and every sum the bound needs: D_max, the load (the sum
+of the shares), sum (T_i - D_i) * share_i and sum D_i * share_i.  The
+kernel returns the bound with its verdict; at U equal to the speed it
+computes the hyperperiod, and refuses one past DEFAULT_HYPERPERIOD_CAP,
+before it tests any point.  Deadline points, demands, the hyperperiod and
+the horizon are then Python ints: a point lies past the horizon iff it
+exceeds floor(bound * L), and speed p/q covers the demand at t iff
 q * demand <= p * t.  A subset tested at its set's L, a multiple of its
 own, decides and counts exactly as at its own: every compared quantity
 scales by the same positive factor.  Only a reported witness or horizon
@@ -48,14 +52,20 @@ tested, and each adds its task's C to a running exact demand, so a point
 costs O(log N) heap work instead of N demand-bound evaluations; the sum is
 recomputed only after a fast-forward.
 
-Fast-forward by dbf* thresholds.  Between two task deadlines the linear
-demand approximation dbf* is affine, U_k * t + A_k, where U_k sums u_i and
-A_k sums C_i - u_i * D_i over the tasks with deadline at or before the
-segment's start.  When U_k <= speed, dbf* <= speed * t holds from the
-integer threshold ceil(A_k / (speed - U_k)) to the segment's end, and as
-dbf <= dbf* every point there is certified at once: the sweep jumps to
-the next task deadline.  This never changes the decided predicate or the
-points visited, it only avoids touching points that cannot fail.
+Fast-forward by dbf* thresholds.  Between two task deadlines, the kinks,
+the linear demand approximation dbf* is affine, U_k * t + A_k, where U_k
+sums u_i and A_k sums C_i - u_i * D_i over the tasks with deadline at or
+before the segment's start.  When U_k <= speed, dbf* <= speed * t holds
+from the integer threshold ceil(A_k / (speed - U_k)) to the segment's
+end, and as dbf <= dbf* every point there is certified at once.  The
+sweep starts, and restarts after each certified point, at the first kink
+whose threshold lies past the kink itself: each kink passed over is
+certified from its start and counts as one checked point, and the
+restart puts every task at its first point at or after that kink, with
+the demand of the points before it.  A set certified at every kink is
+decided without a heap, in as many points as it has distinct deadlines.
+This never changes the decided predicate or the points counted, it only
+avoids touching points that cannot fail.
 """
 
 from __future__ import annotations
@@ -89,63 +99,49 @@ class FeasibilityVerdict:
     points_checked: int
 
 
-def _bound(
-    view: IntView, positions: Sequence[int], load: int, speed: Fraction
-) -> tuple[int, int]:
-    """Sound sweep bound (num, den) at the view's scale for the tasks at
-    `positions` at `speed`, where `load` / `view.whole` is their total
-    utilization U (see the module docstring).  At U equal to the speed
-    the tasks' own hyperperiod must stay within DEFAULT_HYPERPERIOD_CAP."""
-    d, t, share = view.d, view.t, view.share
-    d_max = max(d[i] for i in positions)
-    room = speed.numerator * view.whole - speed.denominator * load
-    if room == 0:
-        own = math.lcm(*(t[i] for i in positions))
-        if own > DEFAULT_HYPERPERIOD_CAP * view.scale:
-            hp = Fraction(own, view.scale)
-            raise HorizonOverflow(
-                f"hyperperiod {hp} exceeds cap {DEFAULT_HYPERPERIOD_CAP}"
-            )
-        return own + d_max, 1
-    if room > 0:
-        slack = sum((t[i] - d[i]) * share[i] for i in positions)
-    else:
-        slack = sum(d[i] * share[i] for i in positions)
-        room = -room
-    slack *= speed.denominator
-    return (d_max, 1) if d_max * room >= slack else (slack, room)
-
-
 def _fraction(view: IntView, num: int, den: int = 1) -> Fraction:
     """num/den at the view's scale, in time units."""
     return Fraction(num, den * view.scale)
+
+
+def _explosion(view: IntView, point_cap: int, bound: tuple[int, int]) -> PointExplosion:
+    return PointExplosion(
+        f"demand sweep exceeded {point_cap} points before {_fraction(view, *bound)}"
+    )
 
 
 def _sweep_first_failure(
     view: IntView,
     positions: Sequence[int],
     speed: Fraction,
-    bound: tuple[int, int],
     point_cap: int,
-) -> tuple[Optional[int], int]:
-    """First deadline point with demand > speed * t of the tasks at
-    `positions` of `view`, scanning (0, bound], at the view's scale."""
+) -> tuple[Optional[int], int, tuple[int, int]]:
+    """(witness, points checked, bound) of the tasks at `positions` of
+    `view` at `speed`: the first deadline point with demand > speed * t,
+    scanning (0, bound], all at the view's scale.  The bound (num, den) is
+    computed before any point is tested, from the pass that finds the
+    kinks (see the module docstring); at U equal to the speed the tasks'
+    own hyperperiod must stay within DEFAULT_HYPERPERIOD_CAP.  The sweep
+    starts, and after each certified point restarts, at the first kink
+    from which dbf* does not certify its segment."""
     cost, deadline, period = view.c, view.d, view.t
     share, whole = view.share, view.whole
-    horizon = bound[0] // bound[1]
     s_num, s_den = speed.numerator, speed.denominator
 
     # Segment k covers [kinks[k], kinks[k+1]).  From ff_at[k] on, dbf* of
-    # the segment stays at or below speed * t (see the module docstring);
-    # `never` marks segments whose slope exceeds the speed.  Where a point
-    # is below ff_at[k], the exact demand decides: a dbf* pass there would
-    # be an exact pass too, as dbf <= dbf*.
+    # the segment stays at or below speed * t; `never` marks segments
+    # whose slope exceeds the speed.  Where a point is below ff_at[k], the
+    # exact demand decides: a dbf* pass there would be an exact pass too,
+    # as dbf <= dbf*.  As T * share = C * whole, at the end `offset` is
+    # sum (T - D) * share and `work * whole - offset` is sum D * share.
     kinks: list[int] = []
-    ff_at: list[int] = []
-    never = horizon + 1
+    ff_at: list[int | float] = []
+    never = math.inf
     slope = offset = 0  # U_k and A_k of the segment, times whole
+    work = 0  # sum C
     for i in sorted(positions, key=deadline.__getitem__):
         slope += share[i]
+        work += cost[i]
         offset += cost[i] * whole - share[i] * deadline[i]
         room = s_num * whole - s_den * slope
         excess = s_den * offset
@@ -160,48 +156,66 @@ def _sweep_first_failure(
             ff_at.append(at)
     last_seg = len(kinks) - 1
 
-    heap = [(deadline[i], i) for i in positions]
-    heapq.heapify(heap)
+    d_max = kinks[-1]  # and `room` is now s_den * (speed * whole - load)
+    if room == 0:
+        own = math.lcm(*(period[i] for i in positions))
+        if own > DEFAULT_HYPERPERIOD_CAP * view.scale:
+            hp = Fraction(own, view.scale)
+            raise HorizonOverflow(
+                f"hyperperiod {hp} exceeds cap {DEFAULT_HYPERPERIOD_CAP}"
+            )
+        bound = own + d_max, 1
+    else:
+        # below the speed sum (T - D) * share, above it sum D * share
+        slack = s_den * (offset if room > 0 else work * whole - offset)
+        room = abs(room)
+        bound = (d_max, 1) if d_max * room >= slack else (slack, room)
+    horizon = bound[0] // bound[1]
+
     push = heapq.heapreplace
-    demand = 0  # exact demand at `point`, at scale
     checked = 0
     seg = 0
     while True:
-        point = heap[0][0]
-        while heap[0][0] == point:
-            i = heap[0][1]
-            push(heap, (point + period[i], i))
-            demand += cost[i]
-        if point > horizon:
-            return None, checked
-        checked += 1
-        if checked > point_cap:
-            raise PointExplosion(
-                f"demand sweep exceeded {point_cap} points before "
-                f"{_fraction(view, *bound)}"
-            )
-        while seg < last_seg and kinks[seg + 1] <= point:
+        # restart at the first kink whose segment dbf* does not certify
+        # from its start; each kink passed over is one checked point
+        while seg <= last_seg and ff_at[seg] <= kinks[seg]:
+            checked += 1
+            if checked > point_cap:
+                raise _explosion(view, point_cap, bound)
             seg += 1
-        if point >= ff_at[seg]:
-            if seg == last_seg:
-                return None, checked
-            # jump to the next kink: restart each task at its first point
-            # there, with the demand of the points before it
-            target = kinks[seg + 1]
-            heap = []
-            demand = 0
-            for i in positions:
-                d = deadline[i]
-                if d < target:
-                    # points of task i below target: ceil((target - D) / T)
-                    jobs = -((d - target) // period[i])
-                    demand += jobs * cost[i]
-                    d += jobs * period[i]
-                heap.append((d, i))
-            heapq.heapify(heap)
-            continue
-        if s_den * demand > s_num * point:
-            return point, checked
+        if seg > last_seg:
+            return None, checked, bound
+        # each task at its first point at or after the kink, with the
+        # demand of its points before it: ceil((target - D) / T) jobs
+        target = kinks[seg]
+        heap = []
+        demand = 0  # exact demand at `point`, at scale
+        for i in positions:
+            d = deadline[i]
+            if d < target:
+                jobs = -((d - target) // period[i])
+                demand += jobs * cost[i]
+                d += jobs * period[i]
+            heap.append((d, i))
+        heapq.heapify(heap)
+        while True:
+            point = heap[0][0]
+            while heap[0][0] == point:
+                i = heap[0][1]
+                push(heap, (point + period[i], i))
+                demand += cost[i]
+            if point > horizon:
+                return None, checked, bound
+            checked += 1
+            if checked > point_cap:
+                raise _explosion(view, point_cap, bound)
+            while seg < last_seg and kinks[seg + 1] <= point:
+                seg += 1
+            if point >= ff_at[seg]:
+                seg += 1
+                break
+            if s_den * demand > s_num * point:
+                return point, checked, bound
 
 
 def positions_feasible_exact(view: IntView, positions: Sequence[int]) -> bool:
@@ -212,16 +226,12 @@ def positions_feasible_exact(view: IntView, positions: Sequence[int]) -> bool:
     total density within 1 returns True and a utilization overrun returns
     False, both before any sweep, and nothing is rescaled per subset.
     """
-    span_share = view.span_share
-    if sum(span_share[i] for i in positions) <= view.span_whole:
+    if sum(map(view.span_share.__getitem__, positions)) <= view.span_whole:
         return True
-    share = view.share
-    load = sum(share[i] for i in positions)
-    if load > view.whole:
+    if sum(map(view.share.__getitem__, positions)) > view.whole:
         return False
-    bound = _bound(view, positions, load, _UNIT_SPEED)
-    witness, _ = _sweep_first_failure(
-        view, positions, _UNIT_SPEED, bound, DEFAULT_POINT_CAP
+    witness, _, _ = _sweep_first_failure(
+        view, positions, _UNIT_SPEED, DEFAULT_POINT_CAP
     )
     return witness is None
 
@@ -243,9 +253,9 @@ def edf_feasible_exact(
     if point_cap < 1:
         raise BadParam(f"point cap must be at least 1, got {point_cap}")
     view = ts.ints
-    positions = range(len(ts))
-    bound = _bound(view, positions, sum(view.share), speed)
-    witness, checked = _sweep_first_failure(view, positions, speed, bound, point_cap)
+    witness, checked, bound = _sweep_first_failure(
+        view, range(len(ts)), speed, point_cap
+    )
     return FeasibilityVerdict(
         witness is None,
         None if witness is None else _fraction(view, witness),

@@ -7,14 +7,15 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from rtpack.bench import FAMILIES, make_instances
-from rtpack.cli import dispatch
+from rtpack.cli import _simulate_doc, dispatch
 from rtpack.generators import gen_random_dvp
 from rtpack.io import serialize_dvp, serialize_taskset
 from rtpack.model import as_rational, taskset
 from rtpack.oracle import DEFAULT_ORACLE_CAP
+from rtpack.simulate import SimTrace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -229,6 +230,39 @@ class TestSimulate:
         )
         assert (rc, text) == (2, "")
         assert err == "error: event cap must be at least 1, got 0\n"
+
+
+times = st.fractions(min_value=0, max_value=10**6, max_denominator=10**3)
+
+
+class TestSimulateDoc:
+    @example("", Fraction(1), SimTrace(Fraction(12), (), 0, ()))
+    @example(
+        "gap", Fraction(3, 2),
+        SimTrace(Fraction(7), ((2, Fraction(5, 2)),), 3, ((Fraction(0), Fraction(1)),)),
+    )  # fmt: skip
+    @given(
+        st.text(),
+        times.filter(bool),
+        st.builds(
+            SimTrace,
+            times,
+            st.lists(st.tuples(st.integers(), times), max_size=4).map(tuple),
+            st.integers(min_value=0),
+            st.lists(st.tuples(times, times), max_size=4).map(tuple),
+        ),
+    )
+    def test_same_bytes_as_json_dumps(self, name, speed, trace):
+        doc = {
+            "name": name,
+            "horizon": str(trace.horizon),
+            "speed": str(speed),
+            "schedulable": trace.schedulable,
+            "misses": [{"task": tid, "deadline": str(d)} for tid, d in trace.misses],
+            "preemptions": trace.preemptions,
+            "idle": [[str(a), str(b)] for a, b in trace.idle],
+        }
+        assert _simulate_doc(name, speed, trace) == json.dumps(doc, indent=2)
 
 
 class TestBench:

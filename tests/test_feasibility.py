@@ -14,8 +14,8 @@ from rtpack.errors import (
 )
 from rtpack.feasibility import (
     DEFAULT_POINT_CAP,
-    _bound,
     _fraction,
+    _sweep_first_failure,
     edf_feasible_exact,
     lemma1_feasible,
     positions_feasible_exact,
@@ -78,9 +78,8 @@ class TestHorizon:
         ts = taskset([*subset, (1, 5, 7)])
         own = taskset(subset)
         view, positions = ts.ints, range(2)
-        load = sum(view.share[i] for i in positions)
         horizon = edf_feasible_exact(own, speed).horizon
-        bound = _bound(view, positions, load, speed)
+        _, _, bound = _sweep_first_failure(view, positions, speed, DEFAULT_POINT_CAP)
         assert _fraction(view, *bound) == horizon == 4
 
     def test_unit_speed_subset_uses_its_own_hyperperiod(self):

@@ -18,12 +18,12 @@ from rtpack.errors import HorizonOverflow, PointExplosion
 from rtpack.feasibility import (
     DEFAULT_HYPERPERIOD_CAP,
     DEFAULT_POINT_CAP,
-    _bound,
+    _fraction,
     _sweep_first_failure,
     edf_feasible_exact,
     positions_feasible_exact,
 )
-from rtpack.model import IntView, Task, TaskSet
+from rtpack.model import IntView, Task, TaskSet, taskset
 
 from conftest import rationals, tasksets_of_each_class, valid_tasksets
 from test_oracle import FAMILY_SETS
@@ -166,22 +166,20 @@ def _edf_fields(ts, speed, point_cap=DEFAULT_POINT_CAP):
     return v.feasible, v.witness, v.horizon, v.points_checked
 
 
-def _kernel(view, positions, speed):
+def _kernel(view, positions, speed, point_cap=DEFAULT_POINT_CAP):
     """(bound, witness, points) of the kernel on `positions`."""
-    load = sum(view.share[i] for i in positions)
-    bound = _bound(view, positions, load, speed)
-    sweep = _sweep_first_failure(view, positions, speed, bound, DEFAULT_POINT_CAP)
-    return bound, *sweep
+    witness, checked, bound = _sweep_first_failure(view, positions, speed, point_cap)
+    return bound, witness, checked
 
 
-def _ref_kernel(view, positions, speed):
+def _ref_kernel(view, positions, speed, point_cap=DEFAULT_POINT_CAP):
     sc = _RefScaled(view, positions)
     beyond = sc.exceeds(speed)
     if beyond:
         bound = sc.overshoot_bound(speed)
     else:
         bound = sc.horizon(speed, DEFAULT_HYPERPERIOD_CAP)
-    return bound, *_ref_sweep(sc, speed, bound, DEFAULT_POINT_CAP, beyond)
+    return bound, *_ref_sweep(sc, speed, bound, point_cap, beyond)
 
 
 def _assert_same_verdict(ts, speed):
@@ -243,3 +241,35 @@ class TestPositions:
         assert got == want
         if speed == 1 and not isinstance(want[0], str):  # no error raised
             assert positions_feasible_exact(ts.ints, positions) == (want[1] is None)
+
+    @settings(max_examples=200)
+    @given(subsets_with_equal_deadlines(), st.sampled_from(SPEEDS), st.integers(1, 4))
+    def test_same_errors_on_subsets_at_small_caps(self, case, speed, point_cap):
+        # the drawn densities sum to at most 1, so at speeds 1 and 3/2
+        # dbf* certifies every kink and the cap falls among the kinks the
+        # sweep passes over before it builds a heap
+        ts, positions = case
+        got = _outcome(lambda: _kernel(ts.ints, positions, speed, point_cap))
+        want = _outcome(lambda: _ref_kernel(ts.ints, positions, speed, point_cap))
+        assert got == want
+
+
+# three tasks with two distinct deadlines, 4 and 6, and U = 3/8; dbf*
+# stays within t from each deadline on (thresholds 4/3 and 2)
+CERTIFIED = taskset([(1, 4, 8), (1, 4, 8), (1, 6, 8)])
+
+
+class TestCertifiedKinks:
+    def test_every_kink_certified_counts_each_deadline_once(self):
+        view, positions = CERTIFIED.ints, range(3)
+        got = _kernel(view, positions, F(1))
+        assert got == _ref_kernel(view, positions, F(1))
+        bound, witness, points = got
+        assert witness is None and points == 2
+        assert _fraction(view, *bound) == 6
+
+    def test_cap_below_the_certified_kinks(self):
+        view, positions = CERTIFIED.ints, range(3)
+        got = _outcome(lambda: _kernel(view, positions, F(1), 1))
+        assert got == _outcome(lambda: _ref_kernel(view, positions, F(1), 1))
+        assert got == ("PointExplosion", "demand sweep exceeded 1 points before 6")
