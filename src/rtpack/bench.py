@@ -112,8 +112,12 @@ def _files(p: dict) -> list[tuple[str, TaskSet]]:
         raise ParseError(f"no files match {p['path']!r}")
     out = []
     for path in paths:
-        with open(path, "rb") as fh:
-            ts = parse_taskset(fh.read())
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
+        ts = parse_taskset(data)
         out.append((ts.name or path, ts))
     return out
 

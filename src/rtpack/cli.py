@@ -9,6 +9,7 @@ an atomic rename, never partially.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -31,9 +32,15 @@ def _write_output(path: str | None, content: str | bytes) -> None:
         sys.stdout.write(data.decode("utf-8"))
         return
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_taskset(path: str):

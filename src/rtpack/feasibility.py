@@ -53,10 +53,10 @@ costs O(log N) heap work instead of N demand-bound evaluations; the sum is
 recomputed only after a fast-forward.
 
 Fast-forward by dbf* thresholds.  Between two task deadlines, the kinks,
-the linear demand approximation dbf* is affine, U_k * t + A_k, where U_k
-sums u_i and A_k sums C_i - u_i * D_i over the tasks with deadline at or
-before the segment's start.  When U_k <= speed, dbf* <= speed * t holds
-from the integer threshold ceil(A_k / (speed - U_k)) to the segment's
+the linear demand approximation dbf* is affine, U_k * t + A_k: the sum
+of the view's dbf* lines (`IntView.offset`) over the tasks with deadline
+at or before the segment's start.  When U_k <= speed, dbf* <= speed * t
+holds from the integer threshold ceil(A_k / (speed - U_k)) to the segment's
 end, and as dbf <= dbf* every point there is certified at once.  The
 sweep starts, and restarts after each certified point, at the first kink
 whose threshold lies past the kink itself: each kink passed over is
@@ -125,7 +125,7 @@ def _sweep_first_failure(
     starts, and after each certified point restarts, at the first kink
     from which dbf* does not certify its segment."""
     cost, deadline, period = view.c, view.d, view.t
-    share, whole = view.share, view.whole
+    share, intercept, whole = view.share, view.offset, view.whole
     s_num, s_den = speed.numerator, speed.denominator
 
     # Segment k covers [kinks[k], kinks[k+1]).  From ff_at[k] on, dbf* of
@@ -142,7 +142,7 @@ def _sweep_first_failure(
     for i in sorted(positions, key=deadline.__getitem__):
         slope += share[i]
         work += cost[i]
-        offset += cost[i] * whole - share[i] * deadline[i]
+        offset += intercept[i]
         room = s_num * whole - s_den * slope
         excess = s_den * offset
         if room > 0:

@@ -14,10 +14,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParam
-from .model import DeadlineClass, Task, TaskSet, as_rational, ratio_sum
+from .model import (
+    DIGIT_LIMIT,
+    MAX_EXPONENT,
+    DeadlineClass,
+    Task,
+    TaskSet,
+    as_rational,
+    ratio_sum,
+)
 
 DEFAULT_DENOMINATOR_BOUND = 8
 UUNIFAST_MAX_RANDOMS = 20_000_000
+
+
+def _printable_power(base: int, exp: int, factor: int = 1) -> bool:
+    """Whether factor * base**exp, for positive ints, stays below
+    DIGIT_LIMIT, so that it can be printed; no value past that limit is
+    built."""
+    value = factor
+    if base > 1:
+        for _ in range(exp):
+            value *= base
+            if value >= DIGIT_LIMIT:
+                return False
+    return value < DIGIT_LIMIT
 
 
 def _default_h(k: int) -> Fraction:
@@ -30,6 +51,10 @@ def _fit_adversary(k: int, h: Fraction | None, shift: int, name: str) -> TaskSet
     and filler i (odd, j = (i-1)/2) C = K^j - K^(j-1) with D = K^j."""
     if not isinstance(k, int) or k < 4:
         raise BadParam(f"need integer k >= 4, got {k!r}")
+    if not _printable_power(k, k + 2):
+        raise BadParam(
+            f"k = {k} is too large: k^(k+2) has more than {MAX_EXPONENT} digits"
+        )
     h = _default_h(k) if h is None else as_rational(h)
     if h < _default_h(k):
         raise BadParam(f"h must be at least k^(k+2) = {_default_h(k)}, got {h}")
@@ -76,6 +101,14 @@ def gen_speedup_gap(n: int, eps: Fraction) -> TaskSet:
     eps = as_rational(eps)
     if not 0 < eps < 1:
         raise BadParam(f"need 0 < eps < 1, got {eps}")
+    # eps = p/q in lowest terms makes the period (p+q)^(n-2) * q / p^(n-1),
+    # also in lowest terms, and with p < q its numerator is the larger part
+    p, q = eps.numerator, eps.denominator
+    if not _printable_power(p + q, n - 2, q):
+        raise BadParam(
+            f"n = {n} is too large for eps = {eps}: the period"
+            f" (1+eps)^(n-2)/eps^(n-1) has more than {MAX_EXPONENT} digits"
+        )
     period = (1 + eps) ** (n - 2) / eps ** (n - 1)
     tasks = [Task(c=Fraction(1), d=Fraction(1), t=period, id=1)]
     for i in range(2, n + 1):

@@ -24,7 +24,7 @@ RationalLike = Union[Fraction, int, str]
 # of an int converted to or from a string.  The exponent would otherwise
 # build 10**exp unbounded, and a longer value could not be printed.
 MAX_EXPONENT = 4300
-_DIGIT_LIMIT = 10**MAX_EXPONENT
+DIGIT_LIMIT = 10**MAX_EXPONENT
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -46,7 +46,7 @@ def as_rational(value: RationalLike) -> Fraction:
     except ZeroDivisionError as exc:  # "1/0": a malformed value, like "abc"
         raise ValueError(f"zero denominator in {value!r}") from exc
     if isinstance(value, str) and (
-        abs(out.numerator) >= _DIGIT_LIMIT or out.denominator >= _DIGIT_LIMIT
+        abs(out.numerator) >= DIGIT_LIMIT or out.denominator >= DIGIT_LIMIT
     ):
         raise ValueError(f"{value[:40]!r} has more than {MAX_EXPONENT} digits")
     return out
@@ -110,6 +110,13 @@ class IntView:
     subset compared against `whole` or `span_whole` decides as against its
     own hyperperiod, a divisor of it.  These terms assume D, T > 0, which
     `validate` checks on C, D and T alone.
+
+    Each task's linear demand approximation is a line in these terms:
+    from D_i on, dbf*_i(t) * whole = share[i] * t + offset[i], with
+    `offset[i]` = C_i * whole - share[i] * D_i.  A sum of such lines over
+    tasks whose deadlines are all at most t is dbf* of the sum at t; the
+    demand sweep's fast-forward, the oracle's load bound and
+    deadline-monotonic admission read the slopes and intercepts here.
     """
 
     scale: int
@@ -137,6 +144,11 @@ class IntView:
     def share(self) -> tuple[int, ...]:
         whole = self.whole
         return tuple(whole // t * c for c, t in zip(self.c, self.t))
+
+    @cached_property
+    def offset(self) -> tuple[int, ...]:
+        whole = self.whole
+        return tuple(c * whole - s * d for c, d, s in zip(self.c, self.d, self.share))
 
     @cached_property
     def span_whole(self) -> int:

@@ -135,12 +135,12 @@ def _load_bound(view: IntView) -> int:
     and the max over the points D_i + k*T_i, k < LOAD_POINTS, of
     ceil(sum_j dbf_j(t) / t).
 
-    The points are walked in ascending order with the running dbf* sum,
-    times `whole`, of the tasks with D_j <= t: slope * t + offset, with
-    `slope` = sum share_j and `offset` = sum (C_j * whole - share_j * D_j).
+    The points are walked in ascending order with the running sum of the
+    view's dbf* lines (`IntView.offset`) over the tasks with D_j <= t.
     The exact demand is evaluated only where that sum passes
     best * t * whole (see the module docstring)."""
     c, d, t, share, whole = view.c, view.d, view.t, view.share, view.whole
+    intercept = view.offset
     best = -(-sum(share) // whole)
     by_deadline = sorted(range(len(d)), key=d.__getitem__)
     active = 0  # tasks of by_deadline with D <= point
@@ -150,7 +150,7 @@ def _load_bound(view: IntView) -> int:
         while active < len(by_deadline) and d[by_deadline[active]] <= point:
             i = by_deadline[active]
             slope += share[i]
-            offset += c[i] * whole - share[i] * d[i]
+            offset += intercept[i]
             active += 1
         if slope * point + offset <= best * point * whole:
             continue

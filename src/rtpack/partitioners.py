@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
-from .model import IntView, TaskSet, require_valid
+from .model import TaskSet, require_valid
 
 
 class Strategy(Enum):
@@ -32,42 +32,6 @@ class Partition:
     @property
     def m(self) -> int:
         return len(self.bins)
-
-
-def _dm_terms(view: IntView, positions: Sequence[int]) -> dict[int, tuple]:
-    """Per position, the ints deadline-monotonic admission reads:
-    (D, room, u_room, share, offset).
-
-    `whole` and share = u * whole are the view's; a bin's sums of share
-    and of offset = (C - u*D) * whole are then ints, and its dbf* at a
-    deadline D, times whole, is the int U*D + A.  room = (D - C) * whole
-    and u_room = whole - share are the largest such demand and utilization
-    sum that still admit the task.  Every value carries the same factors,
-    so comparisons are those of the rational quantities.
-    """
-    whole, shares = view.whole, view.share
-    terms = {}
-    for i in positions:
-        c, d, share = view.c[i], view.d[i], shares[i]
-        terms[i] = (d, (d - c) * whole, whole - share, share, c * whole - share * d)
-    return terms
-
-
-def _fit_load(u_sum: int, a_sum: int, cand: tuple) -> Optional[int]:
-    """The bin's approximate demand at cand's deadline if the bin admits
-    cand, else None.
-
-    `u_sum` and `a_sum` are the bin's sums of share and offset, and `cand`
-    the candidate's `_dm_terms` entry.  With every bin deadline at most
-    cand's, the bin's dbf* at cand's deadline is the affine U*D + A.
-    Admission needs room for cand's execution time under that demand and
-    total utilization within one processor.
-    """
-    d, room, u_room = cand[0], cand[1], cand[2]
-    load = u_sum * d + a_sum
-    if load > room or u_sum > u_room:
-        return None
-    return load
 
 
 def _pick(strategy: Strategy, loads: dict[int, int]) -> int:
@@ -97,22 +61,28 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
     """Deadline-monotonic partitioning with a first/best/worst-fit strategy.
 
     Tasks are considered in `_dm_positions` order; each is placed on an
-    open processor that admits it (`_fit_load`), chosen by the strategy's
-    preference over the bins' approximate demand at the task's deadline, or
-    on a new processor if none admits it.  Each bin keeps the two sums
-    `_fit_load` reads, as ints of the set's integer view, so a placement
-    costs O(M) for M open bins.
+    open processor that admits it, chosen by the strategy's preference
+    over the bins' approximate demand at the task's deadline, or on a new
+    processor if none admits it.  A bin admits the task when its total
+    utilization stays within one processor and its dbf* at the task's
+    deadline leaves room for the task's execution time.  Every bin
+    deadline is at most the task's, so that dbf* is the sum of the bin's
+    dbf* lines on the set's integer view (`IntView.offset`): each bin
+    keeps the sums of their slopes and intercepts, and a placement costs
+    O(M) for M open bins.
     """
     require_valid(ts)
-    terms = _dm_terms(ts.ints, range(len(ts)))
+    view = ts.ints
+    whole = view.whole
     bins: list[list[int]] = []
     sums: list[list[int]] = []  # per bin: sum of share, sum of offset
     for pos in _dm_positions(ts):
-        term = terms[pos]
-        loads: dict[int, int] = {}  # bin -> dbf* at the deadline, admitting bins only
+        d, share = view.d[pos], view.share[pos]
+        u_room, room = whole - share, (d - view.c[pos]) * whole
+        loads: dict[int, int] = {}  # bin -> dbf* at d, admitting bins only
         for i, (u_sum, a_sum) in enumerate(sums):
-            load = _fit_load(u_sum, a_sum, term)
-            if load is not None:
+            load = u_sum * d + a_sum
+            if u_sum <= u_room and load <= room:
                 loads[i] = load
         if not loads:
             bins.append([])
@@ -121,8 +91,8 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
         else:
             pick = _pick(strat, loads)
         bins[pick].append(ts.tasks[pos].id)
-        sums[pick][0] += term[3]
-        sums[pick][1] += term[4]
+        sums[pick][0] += share
+        sums[pick][1] += view.offset[pos]
     return Partition(
         bins=tuple(tuple(sorted(b)) for b in bins),
         algorithm="dm",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import runpy
 import sys
 import threading
@@ -152,6 +153,30 @@ class TestRunExperiment:
         )
         where = f"instance 1 \\({family}\\): count must be at least 1, got {count}"
         with pytest.raises(BadParam, match=where):
+            run_experiment(cfg)
+
+    def test_unreadable_file_names_its_instance_and_path(self, tmp_path):
+        (tmp_path / "a.json").write_text('{"tasks": [{"c": 1, "d": 2, "t": 2}]}')
+        (tmp_path / "sub.json").mkdir()
+        cfg = ExperimentConfig(
+            instances=(spec("bf-adversary", k=4), spec("file", path=str(tmp_path / "*.json"))),
+            algorithms=(("dm", "ff"),),
+        )
+        where = f"instance 2 (file): cannot read '{tmp_path / 'sub.json'}'"
+        with pytest.raises(ParseError, match=re.escape(where)):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "family, params, name",
+        [("bf-adversary", {"k": 20000}, "k = 20000"),
+         ("wf-adversary", {"k": 10**9}, "k = 1000000000"),
+         ("speedup-gap", {"n": 40000, "eps": "1/2"}, "n = 40000")],
+    )  # fmt: skip
+    def test_unprintable_instance_names_its_instance(self, family, params, name):
+        cfg = ExperimentConfig(
+            instances=(spec(family, **params),), algorithms=(("dm", "ff"),)
+        )
+        with pytest.raises(BadParam, match=f"instance 1 \\({family}\\): {name} "):
             run_experiment(cfg)
 
     def test_at_least_one_algorithm_required(self):

@@ -97,6 +97,13 @@ class TestGenerate:
         run(capsys, "generate", "--family", "wf-adversary", "--k", "4", "-o", str(out))
         assert out.exists()
         assert not (tmp_path / "x.json.tmp").exists()
+        # a write whose rename fails, onto a directory, removes its temp file
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        rc, _, err = run(capsys, "generate", "--family", "bf-adversary", "--k", "4", "-o", str(outdir))
+        assert rc == 2 and err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "x.json"]
+        assert list(outdir.iterdir()) == []
 
 
 class TestCheck:

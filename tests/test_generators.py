@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from rtpack.errors import BadParam
@@ -21,9 +21,18 @@ from rtpack.generators import (
     gen_random_dvp,
     gen_speedup_gap,
     gen_worst_fit_adversary,
+    _printable_power,
 )
 from rtpack.io import serialize_taskset
-from rtpack.model import DeadlineClass, Task, TaskSet, classify, validate
+from rtpack.model import (
+    DIGIT_LIMIT,
+    MAX_EXPONENT,
+    DeadlineClass,
+    Task,
+    TaskSet,
+    classify,
+    validate,
+)
 
 from conftest import subset_feasible
 
@@ -119,6 +128,47 @@ class TestWorstFitAdversary:
     def test_bad_k(self):
         with pytest.raises(BadParam):
             gen_worst_fit_adversary(2)
+
+
+class TestPrintableLimit:
+    """Instances whose largest value would pass the digits an int may print
+    with are refused before any task is built, naming the parameter."""
+
+    @pytest.mark.parametrize(
+        "base, exp, factor",
+        [(1368, 1370, 1), (1369, 1371, 1), (3, 9011, 2), (3, 9012, 2),
+         (2, 14284, 1), (2, 14285, 1), (1, 10**12, 7), (10**2150, 2, 1)],
+    )  # fmt: skip
+    def test_power_check_matches_the_digit_count(self, base, exp, factor):
+        assert _printable_power(base, exp, factor) == (factor * base**exp < DIGIT_LIMIT)
+
+    @pytest.mark.parametrize("gen", [gen_best_fit_adversary, gen_worst_fit_adversary])
+    def test_adversaries_up_to_the_limit(self, gen):
+        ts = gen(1368)
+        assert len(str(max(t.t for t in ts))) <= MAX_EXPONENT
+        with pytest.raises(BadParam, match="k = 1369 is too large"):
+            gen(1369)
+        with pytest.raises(BadParam, match="k = 1000000000 is too large"):
+            gen(10**9)
+
+    def test_speedup_gap_up_to_the_limit(self):
+        ts = gen_speedup_gap(9013, F(1, 2))
+        assert len(str(ts.tasks[-1].t)) == MAX_EXPONENT
+        with pytest.raises(BadParam, match="n = 9014 is too large"):
+            gen_speedup_gap(9014, F(1, 2))
+        with pytest.raises(BadParam, match="n = 1000000000 is too large"):
+            gen_speedup_gap(10**9, F(1, 2))
+        # (1 + 10^2000)^2 * 10^2000 has 6,001 digits
+        with pytest.raises(BadParam, match="n = 4 is too large"):
+            gen_speedup_gap(4, F(1, 10**2000))
+
+    @given(st.integers(2, 40), st.fractions(0, 1, max_denominator=50))
+    def test_speedup_gap_period_numerator_is_the_larger_part(self, n, eps):
+        assume(0 < eps < 1)
+        period = gen_speedup_gap(n, eps).tasks[-1].t
+        p, q = eps.numerator, eps.denominator
+        assert (period.numerator, period.denominator) == ((p + q) ** (n - 2) * q, p ** (n - 1))
+        assert period.numerator > period.denominator
 
 
 class TestSpeedupGap:

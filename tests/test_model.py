@@ -361,10 +361,13 @@ class TestIntView:
         spans = [min(tsk.d, tsk.t) * view.scale for tsk in ts]
         assert view.whole == math.lcm(*map(int, periods))
         assert view.span_whole == math.lcm(*map(int, spans))
-        for tsk, share, dens in zip(ts, view.share, view.span_share):
+        for tsk, share, off, dens in zip(ts, view.share, view.offset, view.span_share):
             assert F(share, view.whole) == tsk.c / tsk.t
+            # the intercept of the dbf* line, at the view's scale
+            assert F(off, view.scale) == (tsk.c - tsk.c / tsk.t * tsk.d) * view.whole
             assert F(dens, view.span_whole) == tsk.c / min(tsk.d, tsk.t)
         assert view.share is view.share and view.span_share is view.span_share
+        assert view.offset is view.offset
 
     @given(valid_tasksets())
     def test_values_are_the_scaled_fractions(self, ts):

@@ -14,13 +14,7 @@ from rtpack.generators import (
     gen_worst_fit_adversary,
 )
 from rtpack.model import DeadlineClass, dbf_star, task, taskset
-from rtpack.partitioners import (
-    Strategy,
-    _dm_terms,
-    _fit_load,
-    dagger_greedy,
-    dm_partition,
-)
+from rtpack.partitioners import Strategy, dagger_greedy, dm_partition
 
 from conftest import tasksets_of_each_class, tightened_utilizations, valid_tasksets
 
@@ -83,19 +77,6 @@ def reference_dagger_bins(ts, strat):
 
 
 class TestDmAdmits:
-    @given(valid_tasksets(), st.data())
-    def test_matches_dbf_star_admission(self, ts, data):
-        """`_fit_load` on the integer view agrees with `dm_admits`."""
-        ordered = dm_order(ts)
-        cand = ordered[-1]
-        held = [tsk for tsk in ordered[:-1] if data.draw(st.booleans())]
-        pos = {tsk.id: i for i, tsk in enumerate(ts)}
-        terms = _dm_terms(ts.ints, range(len(ts)))
-        u_sum = sum(terms[pos[tsk.id]][3] for tsk in held)
-        a_sum = sum(terms[pos[tsk.id]][4] for tsk in held)
-        got = _fit_load(u_sum, a_sum, terms[pos[cand.id]])
-        assert (got is not None) == dm_admits(held, cand)
-
     def test_roomy_bin(self):
         assert dm_admits([task(1, 2, 4)], task(1, 3, 6)) is True
 
@@ -104,6 +85,31 @@ class TestDmAdmits:
 
     def test_utilization_overflow(self):
         assert dm_admits([task(1, 1, 1)], task(1, 2, 2)) is False
+
+
+class TestDmAdmissionEdges:
+    """A bin holding the first task admits the second exactly at the edge
+    of the demand or the utilization test, and opens a second bin one unit
+    of the integer view past it.  Each set is at scale 1 with `whole` 10."""
+
+    @pytest.mark.parametrize("strat", list(Strategy))
+    @pytest.mark.parametrize(
+        "triples, gaps, bins",
+        [([(1, 4, 10), (3, 4, 5)], (0, -3), ((1, 2),)),
+         ([(1, 3, 10), (3, 4, 5)], (1, -3), ((1,), (2,))),
+         ([(4, 10, 10), (6, 20, 10)], (-60, 0), ((1, 2),)),
+         ([(5, 10, 10), (6, 20, 10)], (-40, 1), ((1,), (2,)))],
+    )  # fmt: skip
+    def test_admits_at_the_edge_and_opens_a_bin_past_it(self, triples, gaps, bins, strat):
+        ts = taskset(triples)
+        view = ts.ints
+        assert (view.scale, view.whole) == (1, 10)
+        # how far the first task's dbf* at the second's deadline, and its
+        # share, pass the most that still admits the second, times whole
+        demand = view.share[0] * view.d[1] + view.offset[0]
+        room = (view.d[1] - view.c[1]) * view.whole
+        assert (demand - room, view.share[0] - (view.whole - view.share[1])) == gaps
+        assert dm_partition(ts, strat).bins == bins
 
 
 class TestDmPartition:

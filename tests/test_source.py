@@ -52,7 +52,7 @@ class TestImports:
         assert unused_imports(source) == unused
 
 
-SWEEP_TERMS = {"share", "whole", "span_share", "span_whole"}
+SWEEP_TERMS = {"share", "whole", "offset", "span_share", "span_whole"}
 
 
 def package_imports(source: str) -> set[str]:
