@@ -6,7 +6,10 @@ any bound violations.  Ratios stay exact rationals end to end; the decimal
 rendering in the JSON output is display-only.  Reports are deterministic
 given the configuration; wall-clock runtimes are recorded for performance
 reading but never enter a correctness check (and can be disabled to make
-output files reproducible byte for byte).
+output files reproducible byte for byte).  The JSON report is laid out by a
+fixed template, one row object at a time, and keeps the bytes of
+`json.dumps(doc, indent=2)`, whose indented form runs the pure-Python
+encoder.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .generators import (
     gen_speedup_gap,
     gen_worst_fit_adversary,
 )
-from .io import load_json, parse_rational, parse_taskset
+from .io import json_list, load_json, parse_rational, parse_taskset
 from .model import DeadlineClass, TaskSet, classify, gamma_metric, lambda_metric
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy, dagger_greedy, dm_partition
@@ -407,6 +410,45 @@ def _row_docs(rows: Iterable[BenchRow]) -> Iterator[dict]:
         }
 
 
+def _quoted(text: Optional[str]) -> str:
+    """A string that needs no escaping, or None, as JSON."""
+    return "null" if text is None else f'"{text}"'
+
+
+def _row_json(docs: Iterable[dict]) -> Iterator[str]:
+    """Each row object of `_row_docs` as `json.dumps(..., indent=2)` lays
+    it out in the report's "rows" list.  Rationals, `ratio_decimal` and the
+    class, algorithm and strategy names need no escaping and are quoted
+    here; the instance and family go through `json.dumps` once for each run
+    of rows that share them, and every violation through `json.dumps`."""
+    key = names = None
+    for doc in docs:
+        if (doc["instance"], doc["family"]) != key:
+            key = (doc["instance"], doc["family"])
+            names = tuple(map(json.dumps, key))
+        m_star = doc["m_star"]
+        violations = json_list(list(map(json.dumps, doc["violations"])), 3)
+        yield (
+            f'{{\n      "instance": {names[0]},\n'
+            f'      "family": {names[1]},\n'
+            f'      "N": {doc["N"]},\n'
+            f'      "class": "{doc["class"]}",\n'
+            f'      "lambda": "{doc["lambda"]}",\n'
+            f'      "gamma": "{doc["gamma"]}",\n'
+            f'      "U": "{doc["U"]}",\n'
+            f'      "algorithm": "{doc["algorithm"]}",\n'
+            f'      "strategy": {_quoted(doc["strategy"])},\n'
+            f'      "M": {doc["M"]},\n'
+            f'      "m_star": {"null" if m_star is None else m_star},\n'
+            f'      "ratio": {_quoted(doc["ratio"])},\n'
+            f'      "ratio_decimal": {_quoted(doc["ratio_decimal"])},\n'
+            f'      "bound_2lambda": "{doc["bound_2lambda"]}",\n'
+            f'      "bound_asymptotic": {_quoted(doc["bound_asymptotic"])},\n'
+            f'      "violations": {violations},\n'
+            f'      "runtime_ms": {float.__repr__(doc["runtime_ms"])}\n    }}'
+        )
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -424,8 +466,9 @@ def emit_report(report: BenchReport, format: str = "csv") -> bytes:
             writer.writerow([_csv_cell(doc[key]) for key in CSV_COLUMNS])
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        doc = {"rows": list(_row_docs(report.rows)), "errors": list(report.errors)}
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        rows = json_list(list(_row_json(_row_docs(report.rows))))
+        errors = json_list([json.dumps(err) for err in report.errors])
+        return f'{{\n  "rows": {rows},\n  "errors": {errors}\n}}\n'.encode()
     raise ParseError(f"unknown report format {format!r}")
 
 

@@ -19,7 +19,7 @@ from . import bench as bench_mod
 from .errors import RtpackError
 from .feasibility import DEFAULT_POINT_CAP, edf_feasible_exact
 from .generators import gen_random_dvp
-from .io import serialize_dvp, serialize_taskset, parse_taskset
+from .io import json_list, parse_taskset, serialize_dvp, serialize_taskset
 from .model import DeadlineClass, as_rational
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy
@@ -49,6 +49,8 @@ def _read_taskset(path: str):
 
 
 def _partition_doc(part: Partition) -> str:
+    # this and `cmd_check` stay on json.dumps(doc, indent=2) until the
+    # benchmark's peak RSS stops growing with speed (ROADMAP item 6)
     doc = {
         "algorithm": part.algorithm,
         "strategy": part.strategy,
@@ -61,35 +63,26 @@ def _partition_doc(part: Partition) -> str:
 def _simulate_doc(name: str, speed: Fraction, trace: SimTrace) -> str:
     """The simulate document with the bytes of `json.dumps(doc, indent=2)`.
 
-    Any indent makes the json module fall back to its pure-Python encoder,
-    which is slow on a trace of many misses, so each scalar is rendered by
-    `json.dumps` and the indented lines are laid out here.  A task id is
-    rendered once per task.
+    A trace can hold many misses, so each scalar is rendered by
+    `json.dumps` and the lines are laid out by a template and
+    `io.json_list`.  A task id is rendered once per task.
     """
     dump = json.dumps
     task = {tid: dump(tid) for tid in {tid for tid, _ in trace.misses}}
     misses = [
-        f'    {{\n      "task": {task[tid]},\n      "deadline": {dump(str(d))}\n    }}'
+        f'{{\n      "task": {task[tid]},\n      "deadline": {dump(str(d))}\n    }}'
         for tid, d in trace.misses
     ]
-    idle = [
-        f"    [\n      {dump(str(a))},\n      {dump(str(b))}\n    ]"
-        for a, b in trace.idle
-    ]
+    idle = [json_list([dump(str(a)), dump(str(b))], 2) for a, b in trace.idle]
     return (
         f'{{\n  "name": {dump(name)},\n'
         f'  "horizon": {dump(str(trace.horizon))},\n'
         f'  "speed": {dump(str(speed))},\n'
         f'  "schedulable": {dump(trace.schedulable)},\n'
-        f'  "misses": {_block(misses)},\n'
+        f'  "misses": {json_list(misses)},\n'
         f'  "preemptions": {dump(trace.preemptions)},\n'
-        f'  "idle": {_block(idle)}\n}}'
+        f'  "idle": {json_list(idle)}\n}}'
     )
-
-
-def _block(items: list[str]) -> str:
-    """A list at indent level 1 whose items are already laid out."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def cmd_check(args) -> int:

@@ -70,25 +70,46 @@ def parse_taskset(data: bytes | str) -> TaskSet:
     return ts
 
 
+def json_list(items: list[str], level: int = 1) -> str:
+    """The JSON list of the already rendered `items`, laid out as
+    `json.dumps(..., indent=2)` lays out a list at indent level `level`:
+    one item a line, one level deeper.  An item's later lines carry their
+    own indentation.
+
+    Any indent makes the json module fall back to its pure-Python encoder,
+    so the fixed-schema writers render each scalar themselves and lay out
+    the lines with this.
+    """
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    return f"[{inner}{(',' + inner).join(items)}\n{'  ' * level}]"
+
+
+def _rendered(values) -> dict:
+    """Each distinct rational of `values` as its JSON string.  `str` of a
+    Fraction is quadratic in its digits, and generated sets repeat large
+    values (one shared period, C equal to D), so each is rendered once."""
+    text = dict.fromkeys(values)
+    for value in text:
+        text[value] = f'"{value}"'
+    return text
+
+
 def serialize_taskset(ts: TaskSet) -> str:
-    doc = {
-        "name": ts.name,
-        "tasks": [
-            {
-                "c": str(tsk.c),
-                "d": str(tsk.d),
-                "t": str(tsk.t),
-            }
-            for tsk in ts
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The task-set document, with the bytes of `json.dumps(doc, indent=2)`."""
+    text = _rendered(v for tsk in ts for v in (tsk.c, tsk.d, tsk.t))
+    tasks = [
+        f'{{\n      "c": {text[tsk.c]},\n      "d": {text[tsk.d]},\n'
+        f'      "t": {text[tsk.t]}\n    }}'
+        for tsk in ts
+    ]
+    return f'{{\n  "name": {json.dumps(ts.name)},\n  "tasks": {json_list(tasks)}\n}}\n'
 
 
 def serialize_dvp(dvp: DvpInstance) -> str:
-    doc = {
-        "vectors": [
-            [str(v1), str(v2)] for v1, v2 in dvp.vectors
-        ]
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The vector-instance document, with the bytes of
+    `json.dumps(doc, indent=2)`."""
+    text = _rendered(v for pair in dvp.vectors for v in pair)
+    vectors = [json_list([text[v1], text[v2]], 2) for v1, v2 in dvp.vectors]
+    return f'{{\n  "vectors": {json_list(vectors)}\n}}\n'

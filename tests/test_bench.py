@@ -10,16 +10,18 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import rtpack.bench as bench_mod
 from rtpack.bench import (
+    ALGORITHMS,
     DEFAULT_ALPHA_SLACK,
     BenchReport,
     BenchRow,
     ExperimentConfig,
     _bounds,
     _decimal6,
+    _row_docs,
     _row_violations,
     emit_report,
     parse_config,
@@ -28,7 +30,8 @@ from rtpack.bench import (
 )
 from rtpack.errors import BadParam, ParseError
 from rtpack.generators import gen_best_fit_adversary
-from rtpack.model import gamma_metric
+from rtpack.model import DeadlineClass, gamma_metric
+from rtpack.partitioners import Strategy
 
 F = Fraction
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -296,6 +299,85 @@ class TestEmit:
     def test_unknown_format(self):
         with pytest.raises(ParseError):
             emit_report(BenchReport(rows=()), "xml")
+
+
+# names and messages that json.dumps must escape: quotes, backslashes,
+# control characters and non-ASCII text
+AWKWARD = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "λ≤2 ☃ \U0001f600", ""]
+texts = st.one_of(st.sampled_from(AWKWARD), st.text())
+rationals = st.one_of(
+    st.fractions(max_denominator=10**6), st.integers(-(10**40), 10**40).map(F)
+)
+
+
+@st.composite
+def bench_rows(draw, names):
+    return BenchRow(
+        *draw(st.sampled_from(names)),
+        n=draw(st.integers(min_value=0)),
+        deadline_class=draw(st.sampled_from([c.value for c in DeadlineClass])),
+        lam=draw(rationals),
+        gamma=draw(st.one_of(st.just(F(1)), rationals)),  # 1: no asymptotic bound
+        utilization=draw(rationals),
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+        strategy=draw(st.one_of(st.none(), st.sampled_from([s.value for s in Strategy]))),
+        m=draw(st.integers(0, 40)),
+        m_star=draw(st.one_of(st.none(), st.integers(0, 40))),
+        violations=tuple(draw(st.lists(texts, max_size=3))),
+        runtime_ms=draw(
+            st.one_of(
+                st.sampled_from([0.0, 1234.567, 1e16, 1e-7]),
+                st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+            )
+        ),
+    )
+
+
+@st.composite
+def reports(draw):
+    """Rows drawn from a few (instance, family) pairs, so that runs of rows
+    share an instance as they do in a real report."""
+    names = draw(st.lists(st.tuples(texts, texts), min_size=1, max_size=3))
+    rows = draw(st.lists(bench_rows(names), max_size=6))
+    return BenchReport(rows=tuple(rows), errors=tuple(draw(st.lists(texts, max_size=3))))
+
+
+class TestEmitJson:
+    """The JSON report is laid out by template; it must keep the bytes of
+    `json.dumps(doc, indent=2)` of the `_row_docs` document."""
+
+    @example(BenchReport(rows=()))
+    @example(BenchReport(rows=(), errors=('x/oracle: "cap" \\ \n é',)))
+    @example(
+        BenchReport(
+            rows=(
+                make_row(instance="a", family="file"),
+                make_row(instance="a", family="random", strategy=None, m_star=None),
+                make_row(instance="b\\", gamma=F(1), violations=("hard: M=3", 'q"')),
+                make_row(instance="b\\", runtime_ms=1e16, m=0, m_star=0),  # 0, not null
+            )
+        )
+    )
+    @given(reports())
+    def test_same_bytes_as_json_dumps(self, report):
+        doc = {"rows": list(_row_docs(report.rows)), "errors": list(report.errors)}
+        want = (json.dumps(doc, indent=2) + "\n").encode()
+        assert emit_report(report, "json") == want
+
+    def test_real_run_with_timings(self):
+        cfg = ExperimentConfig(
+            instances=(
+                spec("bf-adversary", k=4),
+                spec("speedup-gap", n=6, eps=F(1, 2)),
+                spec("random", n=18, seed=3, count=2, target_u=F(5, 2), **{"class": "arbitrary"}),
+            ),
+            algorithms=(("dm", "bf"), ("dagger", None)),
+            n_cap=8,
+        )
+        report = run_experiment(cfg)
+        assert report.errors and any(r.runtime_ms for r in report.rows)
+        doc = {"rows": list(_row_docs(report.rows)), "errors": list(report.errors)}
+        assert emit_report(report, "json") == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 def decimal6_reference(value: Fraction) -> str:

@@ -2,11 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import example, given
 
 from rtpack.errors import ParseError, ValidationError
 from rtpack.generators import DvpInstance, gen_best_fit_adversary, gen_random_dvp
 from rtpack.io import parse_rational, parse_taskset, serialize_dvp, serialize_taskset
+from rtpack.model import Task, TaskSet
 
 from conftest import valid_tasksets
 
@@ -87,6 +89,43 @@ class TestRoundTrip:
     def test_serialized_form_is_strings(self):
         text = serialize_taskset(parse_taskset(b'{"tasks":[{"c":"0.25","d":"1","t":"2"}]}'))
         assert '"c": "1/4"' in text
+
+
+names = st.one_of(st.sampled_from(['say "hi"', "back\\slash", "\x00\t\n", "é ☃", ""]), st.text())
+values = st.one_of(
+    st.sampled_from([F(0), F(1), F(1, 2), F(10**60 + 1, 3)]),
+    st.fractions(max_denominator=10**9),
+)
+unit_values = st.fractions(min_value=0, max_value=1, max_denominator=10**9).filter(bool)
+
+
+def vector(pair):
+    """A dominated vector from two values in (0, 1]: v2 = 0 when they tie."""
+    lo, hi = sorted(pair)
+    return (lo, hi if hi > lo else F(0))
+
+
+class TestSerializedBytes:
+    """The writers lay out lines by template; they must keep the bytes of
+    `json.dumps(doc, indent=2)`."""
+
+    @example("", ((F(1), F(1), F(2)),))
+    @example('a "b"\\', ((F(1), F(2), F(2)), (F(1), F(2), F(2)), (F(3), F(2), F(5))))
+    @given(names, st.lists(st.tuples(values, values, values), min_size=1, max_size=5))
+    def test_taskset_same_bytes_as_json_dumps(self, name, cdt):
+        ts = TaskSet(tuple(Task(c, d, t, id=i) for i, (c, d, t) in enumerate(cdt)), name=name)
+        doc = {
+            "name": name,
+            "tasks": [{"c": str(c), "d": str(d), "t": str(t)} for c, d, t in cdt],
+        }
+        assert serialize_taskset(ts) == json.dumps(doc, indent=2) + "\n"
+
+    @example([])
+    @example([(F(1, 2), F(0)), (F(1, 2), F(1)), (F(1, 2), F(0))])
+    @given(st.lists(st.tuples(unit_values, unit_values).map(vector), max_size=5))
+    def test_dvp_same_bytes_as_json_dumps(self, vectors):
+        doc = {"vectors": [[str(v1), str(v2)] for v1, v2 in vectors]}
+        assert serialize_dvp(DvpInstance(tuple(vectors))) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestParseRational:
