@@ -109,11 +109,14 @@ def gen_speedup_gap(n: int, eps: Fraction) -> TaskSet:
             f"n = {n} is too large for eps = {eps}: the period"
             f" (1+eps)^(n-2)/eps^(n-1) has more than {MAX_EXPONENT} digits"
         )
-    period = (1 + eps) ** (n - 2) / eps ** (n - 1)
+    # task i >= 2 has D = (1+eps)^(i-2) / eps^(i-1), one running product
+    ratio = (1 + eps) / eps
+    deadlines = [1 / eps]
+    for _ in range(3, n + 1):
+        deadlines.append(deadlines[-1] * ratio)
+    period = deadlines[-1]
     tasks = [Task(c=Fraction(1), d=Fraction(1), t=period, id=1)]
-    for i in range(2, n + 1):
-        d = (1 + eps) ** (i - 2) / eps ** (i - 1)
-        tasks.append(Task(c=d, d=d, t=period, id=i))
+    tasks += (Task(c=d, d=d, t=period, id=i) for i, d in enumerate(deadlines, start=2))
     return TaskSet(tuple(tasks), name=f"speedup-gap-n{n}")
 
 

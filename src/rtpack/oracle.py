@@ -1,14 +1,20 @@
 """Brute-force minimum-processor oracle: m*, the fewest unit-speed
 processors that admit a partition into bins that are each EDF-feasible.
-Each bin is decided by `positions_feasible_exact`, the exact demand test
-of the bin's positions in the set's integer view, at its default caps.
+
+Bin verdicts.  Each open bin keeps the sums of its tasks' density and
+utilization terms on the set's integer view as it grows.  A bin whose
+density sum is within one processor is feasible, and one whose
+utilization passes it is not, in O(1) from those sums.  Every other bin
+is decided by `positions_feasible_exact`, the exact demand test of the
+bin's positions in the view, at its default caps; the memo holds only
+these swept verdicts, across branches and levels, keyed by position
+bitmask.
 
 Set partitions are enumerated as restricted-growth strings in increasing
 bin count, so symmetric relabelings of bins are never visited twice.  A
 branch is pruned as soon as any bin fails the exact test; that is sound
 because demand only grows when a task is added, so an infeasible bin never
-becomes feasible again.  Per-subset verdicts are memoized across branches
-and levels, keyed by position bitmask.
+becomes feasible again.
 
 Start level.  Levels below the largest of three sound lower bounds on m*
 are never searched:
@@ -65,68 +71,90 @@ class OracleResult:
         return self._build_witness()
 
 
-class _Search:
-    """Depth-first assignment of task positions, in a given order, to at
-    most `max_bins` bins, with per-subset verdicts memoized across
-    branches.
+def _positions(mask: int) -> list[int]:
+    """The positions whose bits are set in `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    A memo key is the bitmask of the subset's positions in the task set
-    (task ids are arbitrary ints, so they are not used as bit indices); a
-    verdict does not depend on the order the positions were assigned in.
-    An object rather than nested closures: a recursive closure is a
-    reference cycle, which keeps the memo alive until the cyclic garbage
-    collector runs instead of freeing it when the result is dropped.
+
+class _Search:
+    """Depth-first assignment of task positions of `view`, in a given
+    order, to at most `max_bins` bins.
+
+    An open bin is the bitmask of its positions in the task set (task ids
+    are arbitrary ints, so they are not used as bit indices), kept with
+    the sums of its `span_share` and `share` as it grows; the memo of
+    swept verdicts is keyed by that mask.  An object rather than nested
+    closures: a recursive closure is a reference cycle, which keeps the
+    memo alive until the cyclic garbage collector runs instead of freeing
+    it when the result is dropped.
     """
 
-    def __init__(self, bin_ok: Callable[[list[int]], bool]):
-        self.bin_ok = bin_ok
+    def __init__(self, view: IntView):
+        self.view = view
+        self.span_whole, self.whole = view.span_whole, view.whole
         self.memo: dict[int, bool] = {}
         self.nodes = 0
 
-    def feasible_bin(self, positions: list[int], mask: int) -> bool:
+    def feasible_bin(self, mask: int, density: int, load: int) -> bool:
+        """The verdict on the bin `mask` whose sums of `span_share` and
+        `share` are `density` and `load`: feasible at a density sum within
+        `span_whole`, infeasible at a share sum past `whole`, and
+        otherwise the memoized sweep of its positions, whose verdict does
+        not depend on the order they were assigned in."""
+        if density <= self.span_whole:
+            return True
+        if load > self.whole:
+            return False
         hit = self.memo.get(mask)
         if hit is None:
-            hit = self.bin_ok(positions)
+            hit = positions_feasible_exact(self.view, _positions(mask))
             self.memo[mask] = hit
         return hit
 
-    def partition(
-        self, order: Sequence[int], max_bins: int
-    ) -> Optional[list[list[int]]]:
-        """The first partition into at most `max_bins` bins in
-        restricted-growth order over `order`, or None."""
-        bins: list[list[int]] = []
-        return bins if self.dfs(order, 0, bins, [], max_bins) else None
+    def partition(self, order: Sequence[int], max_bins: int) -> Optional[list[int]]:
+        """The bins, as masks in bin order, of the first partition into at
+        most `max_bins` bins in restricted-growth order over `order`, or
+        None."""
+        masks: list[int] = []
+        return masks if self.dfs(order, 0, masks, [], [], max_bins) else None
 
     def dfs(
         self,
         order: Sequence[int],
         i: int,
-        bins: list[list[int]],
         masks: list[int],
+        densities: list[int],
+        loads: list[int],
         max_bins: int,
     ) -> bool:
         if i == len(order):
             return True
         pos = order[i]
         bit = 1 << pos
-        choices = len(bins) + 1 if len(bins) < max_bins else len(bins)
-        for b in range(choices):
-            if b == len(bins):
-                bins.append([])
+        density, share = self.view.span_share[pos], self.view.share[pos]
+        opened = len(masks)
+        for b in range(opened + 1 if opened < max_bins else opened):
+            if b == opened:
                 masks.append(0)
-            bins[b].append(pos)
-            masks[b] |= bit
+                densities.append(0)
+                loads.append(0)
+            old = masks[b], densities[b], loads[b]
+            new = old[0] | bit, old[1] + density, old[2] + share
             self.nodes += 1
-            if self.feasible_bin(bins[b], masks[b]) and self.dfs(
-                order, i + 1, bins, masks, max_bins
-            ):
-                return True
-            bins[b].pop()
-            masks[b] ^= bit
-            if not bins[b]:
-                bins.pop()
-                masks.pop()
+            if self.feasible_bin(*new):
+                masks[b], densities[b], loads[b] = new
+                if self.dfs(order, i + 1, masks, densities, loads, max_bins):
+                    return True
+                masks[b], densities[b], loads[b] = old
+        if len(masks) > opened:
+            masks.pop()
+            densities.pop()
+            loads.pop()
         return False
 
 
@@ -172,19 +200,27 @@ def _conflict_clique(search: _Search, by_density: list[int]) -> list[int]:
     """Positions of pairwise-conflicting tasks, chosen greedily in the
     order `by_density`: a task joins when it conflicts with every task
     chosen before it."""
+    density, share = search.view.span_share, search.view.share
     clique: list[int] = []
     for pos in by_density:
-        if not any(search.feasible_bin([q, pos], 1 << q | 1 << pos) for q in clique):
+        if not any(
+            search.feasible_bin(
+                1 << q | 1 << pos, density[q] + density[pos], share[q] + share[pos]
+            )
+            for q in clique
+        ):
             clique.append(pos)
     return clique
 
 
 def _witness(search: _Search, ts: TaskSet, m_star: int) -> Partition:
-    bins = search.partition(range(len(ts)), m_star)
-    if bins is None:
+    masks = search.partition(range(len(ts)), m_star)
+    if masks is None:
         raise RuntimeError("unreachable: level m* has a partition in every order")
     return Partition(
-        bins=tuple(tuple(sorted(ts.tasks[i].id for i in b)) for b in bins),
+        bins=tuple(
+            tuple(sorted(ts.tasks[i].id for i in _positions(mask))) for mask in masks
+        ),
         algorithm="oracle",
         strategy=None,
     )
@@ -210,7 +246,7 @@ def optimal_partition_bruteforce(
         raise CapExceeded(f"N = {n} exceeds the oracle cap {n_cap}")
 
     view = ts.ints
-    search = _Search(partial(positions_feasible_exact, view))
+    search = _Search(view)
     by_density = _by_density(view)
     clique = _conflict_clique(search, by_density)
     lower = max(_load_bound(view), len(clique))

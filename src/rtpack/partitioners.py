@@ -1,9 +1,14 @@
 """Partitioning heuristics: deadline-monotonic fitting and the
 transform-then-pack greedy.
 
-Both are deterministic: every tie among equally preferred bins is broken by
-the lowest bin index, and the deadline-monotonic order breaks equal
-deadlines by task id.
+Both place each task by one inline scan of the open bins, on int sums
+that every bin keeps as it grows, with no per-task container: first fit
+stops at the first bin that admits the task, best fit keeps the admitting
+bin of largest load seen so far and worst fit the one of smallest.  Both
+are deterministic: a later bin replaces the pick only on a strictly
+better load, so every tie among equally preferred bins goes to the lowest
+bin index, and the deadline-monotonic order breaks equal deadlines by
+task id.
 """
 
 from __future__ import annotations
@@ -34,15 +39,9 @@ class Partition:
         return len(self.bins)
 
 
-def _pick(strategy: Strategy, loads: dict[int, int]) -> int:
-    """The bin `strategy` chooses among the admitting bins, given as
-    bin index -> load: first fit the lowest index, best fit the largest
-    load and worst fit the smallest, ties to the lowest index."""
-    if strategy is Strategy.FIRST_FIT:
-        return min(loads)
-    if strategy is Strategy.BEST_FIT:
-        return max(loads, key=lambda i: (loads[i], -i))
-    return min(loads, key=lambda i: (loads[i], i))
+# best fit maximizes a bin's load and worst fit its negation; first fit
+# takes the first admitting bin, so its sign never matters
+_SIGN = {Strategy.FIRST_FIT: 0, Strategy.BEST_FIT: 1, Strategy.WORST_FIT: -1}
 
 
 def _dm_positions(ts: TaskSet) -> list[int]:
@@ -68,31 +67,36 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
     deadline leaves room for the task's execution time.  Every bin
     deadline is at most the task's, so that dbf* is the sum of the bin's
     dbf* lines on the set's integer view (`IntView.offset`): each bin
-    keeps the sums of their slopes and intercepts, and a placement costs
-    O(M) for M open bins.
+    keeps the sums of their slopes and intercepts, and a placement is one
+    scan of the M open bins with no per-task dict, which first fit stops
+    at the first bin that admits the task.
     """
     require_valid(ts)
     view = ts.ints
     whole = view.whole
+    sign = _SIGN[strat]
     bins: list[list[int]] = []
-    sums: list[list[int]] = []  # per bin: sum of share, sum of offset
+    u_sums: list[int] = []  # per bin: sum of share
+    a_sums: list[int] = []  # per bin: sum of offset
+    best = 0
     for pos in _dm_positions(ts):
         d, share = view.d[pos], view.share[pos]
         u_room, room = whole - share, (d - view.c[pos]) * whole
-        loads: dict[int, int] = {}  # bin -> dbf* at d, admitting bins only
-        for i, (u_sum, a_sum) in enumerate(sums):
-            load = u_sum * d + a_sum
-            if u_sum <= u_room and load <= room:
-                loads[i] = load
-        if not loads:
+        pick = -1
+        for i, u_sum in enumerate(u_sums):
+            load = u_sum * d + a_sums[i]  # the bin's dbf* at d
+            if u_sum <= u_room and load <= room and (pick < 0 or sign * load > best):
+                pick, best = i, sign * load
+                if not sign:
+                    break
+        if pick < 0:
+            pick = len(bins)
             bins.append([])
-            sums.append([0, 0])
-            pick = len(bins) - 1
-        else:
-            pick = _pick(strat, loads)
+            u_sums.append(0)
+            a_sums.append(0)
         bins[pick].append(ts.tasks[pos].id)
-        sums[pick][0] += share
-        sums[pick][1] += view.offset[pos]
+        u_sums[pick] += share
+        a_sums[pick] += view.offset[pos]
     return Partition(
         bins=tuple(tuple(sorted(b)) for b in bins),
         algorithm="dm",
@@ -112,15 +116,22 @@ def dagger_greedy(ts: TaskSet, fitting: Strategy) -> Partition:
     require_valid(ts)
     view = ts.ints
     whole = view.span_whole
+    sign = _SIGN[fitting]
     bins: list[list[int]] = []
     loads: list[int] = []
+    best = 0
     for tsk, u in zip(ts.tasks, view.span_share):
-        fits = {i: load for i, load in enumerate(loads) if load + u <= whole}
-        if not fits:
-            bins.append([tsk.id])
-            loads.append(u)
-            continue
-        pick = _pick(fitting, fits)
+        room = whole - u
+        pick = -1
+        for i, load in enumerate(loads):
+            if load <= room and (pick < 0 or sign * load > best):
+                pick, best = i, sign * load
+                if not sign:
+                    break
+        if pick < 0:
+            pick = len(bins)
+            bins.append([])
+            loads.append(0)
         bins[pick].append(tsk.id)
         loads[pick] += u
     return Partition(

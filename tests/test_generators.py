@@ -180,6 +180,12 @@ class TestSpeedupGap:
             (F(6), F(6), F(6)),
         ]
 
+    @given(st.integers(2, 30), st.fractions(0, 1, max_denominator=50))
+    def test_deadlines_match_the_closed_form(self, n, eps):
+        assume(0 < eps < 1)
+        want = [F(1)] + [(1 + eps) ** (i - 2) / eps ** (i - 1) for i in range(2, n + 1)]
+        assert [t.d for t in gen_speedup_gap(n, eps)] == want
+
     def test_execution_equals_deadline_everywhere(self):
         for n, eps in [(2, F(1, 4)), (5, F(1, 2)), (7, F(3, 4))]:
             ts = gen_speedup_gap(n, eps)

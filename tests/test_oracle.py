@@ -236,6 +236,103 @@ class TestAgainstInputOrderSearch:
         assert (result.m_star, result.witness.bins) == input_order_oracle(ts)
 
 
+class MemoEverySearch:
+    """The oracle's search before its bins kept their sums, as a
+    reference: a bin is the list of its positions with their bitmask, and
+    every verdict, one a density or share sum settles included, is looked
+    up in the memo and on a miss computed by `positions_feasible_exact`."""
+
+    def __init__(self, view):
+        self.view = view
+        self.memo = {}
+        self.nodes = 0
+
+    def feasible_bin(self, positions, mask):
+        hit = self.memo.get(mask)
+        if hit is None:
+            hit = self.memo[mask] = positions_feasible_exact(self.view, positions)
+        return hit
+
+    def partition(self, order, max_bins):
+        bins = []
+        return bins if self.dfs(order, 0, bins, [], max_bins) else None
+
+    def dfs(self, order, i, bins, masks, max_bins):
+        if i == len(order):
+            return True
+        pos = order[i]
+        for b in range(len(bins) + 1 if len(bins) < max_bins else len(bins)):
+            if b == len(bins):
+                bins.append([])
+                masks.append(0)
+            bins[b].append(pos)
+            masks[b] |= 1 << pos
+            self.nodes += 1
+            if self.feasible_bin(bins[b], masks[b]) and self.dfs(
+                order, i + 1, bins, masks, max_bins
+            ):
+                return True
+            bins[b].pop()
+            masks[b] ^= 1 << pos
+            if not bins[b]:
+                bins.pop()
+                masks.pop()
+        return False
+
+
+def memo_every_oracle(ts: TaskSet) -> tuple[list[int], int, int, tuple]:
+    """Reference: the clique, m*, the nodes explored and the witness bins
+    of the oracle's search run on `MemoEverySearch`."""
+    view = ts.ints
+    search = MemoEverySearch(view)
+    by_density = _by_density(view)
+    clique = []
+    for pos in by_density:
+        if not any(search.feasible_bin([q, pos], 1 << q | 1 << pos) for q in clique):
+            clique.append(pos)
+    order = clique + [p for p in by_density if p not in clique]
+    m = max(_load_bound(view), len(clique))
+    while search.partition(order, m) is None:
+        m += 1
+    nodes = search.nodes
+    bins = search.partition(range(len(ts)), m)
+    witness = tuple(tuple(sorted(ts.tasks[i].id for i in b)) for b in bins)
+    return clique, m, nodes, witness
+
+
+class TestAgainstMemoEverySearch:
+    """Deciding bins on their running sums, with only swept verdicts in
+    the memo, explores the same nodes and finds the same clique, m* and
+    witness as a search that memoizes every verdict."""
+
+    @staticmethod
+    def same(ts):
+        result = optimal_partition_bruteforce(ts)
+        got = _bounds(ts)[1], result.m_star, result.nodes_explored, result.witness.bins
+        assert got == memo_every_oracle(ts)
+
+    @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
+    def test_same_search_on_families(self, case):
+        self.same(FAMILY_SETS[case])
+
+    @given(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
+    def test_same_search_on_random_sets(self, ts):
+        self.same(ts)
+
+    @given(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
+    def test_memo_holds_only_swept_verdicts(self, ts):
+        view = ts.ints
+        search = _Search(view)
+        order = _conflict_clique(search, _by_density(view))
+        order += [p for p in range(len(ts)) if p not in order]
+        for m in range(1, len(ts) + 1):
+            search.partition(order, m)
+        for mask in search.memo:
+            positions = [p for p in range(len(ts)) if mask >> p & 1]
+            assert sum(view.span_share[p] for p in positions) > view.span_whole
+            assert sum(view.share[p] for p in positions) <= view.whole
+
+
 def _demand_load(ts: TaskSet) -> int:
     """Reference for the load bound, on Fractions: ceil(U), or the largest
     ceil(sum dbf(t) / t) over t = D_i + k*T_i, k < 3."""
@@ -246,7 +343,7 @@ def _demand_load(ts: TaskSet) -> int:
 
 def _bounds(ts: TaskSet):
     view = ts.ints
-    search = _Search(lambda positions: positions_feasible_exact(view, positions))
+    search = _Search(view)
     return _load_bound(view), _conflict_clique(search, _by_density(view))
 
 

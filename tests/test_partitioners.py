@@ -76,6 +76,29 @@ def reference_dagger_bins(ts, strat):
     return tuple(tuple(sorted(b)) for b in bins)
 
 
+# Three implicit tasks with D = T = 10 open three bins, and a fourth of
+# utilization 3/10 fits some of them.  Implicit tasks make both
+# partitioners' loads proportional to the bins' utilizations, in tenths
+# below.  In each set the two preferred loads tie at bins 1 and 2, so a
+# later bin that replaced the pick on an equal load would take bin 2.
+TIED_AT_BINS_1_AND_2 = [
+    # loads 6, 7, 7: best fit ties at bins 1 and 2
+    ([6, 7, 7, 3], {"ff": ((1, 4), (2,), (3,)), "bf": ((1,), (2, 4), (3,)),
+                    "wf": ((1, 4), (2,), (3,))}),
+    # loads 7, 6, 6: worst fit ties at bins 1 and 2
+    ([7, 6, 6, 3], {"ff": ((1, 4), (2,), (3,)), "bf": ((1, 4), (2,), (3,)),
+                    "wf": ((1,), (2, 4), (3,))}),
+    # loads 9, 6, 6: bin 0 refuses, and every strategy ties at bins 1 and 2
+    ([9, 6, 6, 3], {"ff": ((1,), (2, 4), (3,)), "bf": ((1,), (2, 4), (3,)),
+                    "wf": ((1,), (2, 4), (3,))}),
+]  # fmt: skip
+
+
+def tied_case(case, strat):
+    tenths, want = TIED_AT_BINS_1_AND_2[case]
+    return taskset([(c, 10, 10) for c in tenths]), want[strat.value]
+
+
 class TestDmAdmits:
     def test_roomy_bin(self):
         assert dm_admits([task(1, 2, 4)], task(1, 3, 6)) is True
@@ -171,6 +194,20 @@ class TestDmPartition:
         assert reference_dm_bins(ts, strat) == ((1, 3), (2,))
 
 
+    @given(
+        st.one_of(valid_tasksets(max_n=8), tasksets_of_each_class(max_n=8)),
+        st.sampled_from(list(Strategy)),
+    )
+    def test_matches_reference(self, ts, strat):
+        assert dm_partition(ts, strat).bins == reference_dm_bins(ts, strat)
+
+    @pytest.mark.parametrize("strat", list(Strategy))
+    @pytest.mark.parametrize("case", range(len(TIED_AT_BINS_1_AND_2)))
+    def test_tied_loads_at_bins_1_and_2(self, case, strat):
+        ts, want = tied_case(case, strat)
+        assert dm_partition(ts, strat).bins == reference_dm_bins(ts, strat) == want
+
+
 class TestDaggerGreedy:
     def test_first_fit_on_loads(self):
         # tightened utilizations 3/5, 3/5, 2/5: first and third share a bin
@@ -228,3 +265,9 @@ class TestDaggerGreedy:
         ts = taskset([("3/5", 1, 1), ("6/5", 2, 2), ("1/5", 1, 1), ("1/5", "1/2", 1)])
         got = dagger_greedy(ts, strat).bins
         assert got == reference_dagger_bins(ts, strat) == ((1, 3), (2, 4))
+
+    @pytest.mark.parametrize("strat", list(Strategy))
+    @pytest.mark.parametrize("case", range(len(TIED_AT_BINS_1_AND_2)))
+    def test_tied_loads_at_bins_1_and_2(self, case, strat):
+        ts, want = tied_case(case, strat)
+        assert dagger_greedy(ts, strat).bins == reference_dagger_bins(ts, strat) == want
