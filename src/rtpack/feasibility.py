@@ -46,6 +46,19 @@ most the speed is feasible without a sweep.  `positions_feasible_exact`
 returns True there, compared on ints; the witness-producing
 `edf_feasible_exact` always sweeps.
 
+Two tasks.  A pair that neither the density accept nor the share refusal
+decides is, where its U is below 1, mostly decided in O(1) by
+`positions_feasible_exact`.  Name the tasks so that D_a <= D_b.  Each
+task alone is feasible, as C <= min(D, T), and before D_b only task a has
+demand, so only points t >= D_b can fail.  From D_b on both dbf* lines
+apply: where offset_a + offset_b <= D_b * (whole - load), dbf* stays
+within t at D_b and, its slope U being below 1, at every later t, so the
+pair is feasible; this is the threshold the kernel computes at its last
+kink.  Where C_b + C_a * (floor((D_b - D_a) / T_a) + 1), the demand at
+D_b, exceeds D_b, D_b is a failing point.  Every other pair is swept.  At
+U = 1 the pair is always swept, so that a hyperperiod past
+DEFAULT_HYPERPERIOD_CAP still raises HorizonOverflow.
+
 Incremental demand.  The points of all tasks come off one heap in
 ascending order.  Every heap entry equal to t is popped before t is
 tested, and each adds its task's C to a running exact demand, so a point
@@ -224,12 +237,22 @@ def positions_feasible_exact(view: IntView, positions: Sequence[int]) -> bool:
 
     This is the inner loop of the oracle and of partition verification: a
     total density within 1 returns True and a utilization overrun returns
-    False, both before any sweep, and nothing is rescaled per subset.
+    False, both before any sweep, and nothing is rescaled per subset.  Two
+    tasks of U below 1 are mostly decided at their later deadline, also
+    before any sweep (see "Two tasks" in the module docstring).
     """
     if sum(map(view.span_share.__getitem__, positions)) <= view.span_whole:
         return True
-    if sum(map(view.share.__getitem__, positions)) > view.whole:
+    load, whole = sum(map(view.share.__getitem__, positions)), view.whole
+    if load > whole:
         return False
+    if len(positions) == 2 and load < whole:
+        a, b = sorted(positions, key=view.d.__getitem__)
+        d_b = view.d[b]
+        if view.offset[a] + view.offset[b] <= d_b * (whole - load):
+            return True
+        if view.c[b] + view.c[a] * ((d_b - view.d[a]) // view.t[a] + 1) > d_b:
+            return False
     witness, _, _ = _sweep_first_failure(
         view, positions, _UNIT_SPEED, DEFAULT_POINT_CAP
     )

@@ -6,9 +6,10 @@ utilization terms on the set's integer view as it grows.  A bin whose
 density sum is within one processor is feasible, and one whose
 utilization passes it is not, in O(1) from those sums.  Every other bin
 is decided by `positions_feasible_exact`, the exact demand test of the
-bin's positions in the view, at its default caps; the memo holds only
-these swept verdicts, across branches and levels, keyed by position
-bitmask.
+bin's positions in the view, at its default caps, which settles most
+two-task bins at their later deadline and sweeps the rest; the memo
+holds only these verdicts, across branches and levels, keyed by
+position bitmask.
 
 Set partitions are enumerated as restricted-growth strings in increasing
 bin count, so symmetric relabelings of bins are never visited twice.  A
@@ -88,7 +89,7 @@ class _Search:
     An open bin is the bitmask of its positions in the task set (task ids
     are arbitrary ints, so they are not used as bit indices), kept with
     the sums of its `span_share` and `share` as it grows; the memo of
-    swept verdicts is keyed by that mask.  An object rather than nested
+    exact verdicts is keyed by that mask.  An object rather than nested
     closures: a recursive closure is a reference cycle, which keeps the
     memo alive until the cyclic garbage collector runs instead of freeing
     it when the result is dropped.
@@ -104,8 +105,8 @@ class _Search:
         """The verdict on the bin `mask` whose sums of `span_share` and
         `share` are `density` and `load`: feasible at a density sum within
         `span_whole`, infeasible at a share sum past `whole`, and
-        otherwise the memoized sweep of its positions, whose verdict does
-        not depend on the order they were assigned in."""
+        otherwise the memoized `positions_feasible_exact` of its positions,
+        whose verdict does not depend on the order they were assigned in."""
         if density <= self.span_whole:
             return True
         if load > self.whole:
@@ -203,12 +204,11 @@ def _conflict_clique(search: _Search, by_density: list[int]) -> list[int]:
     density, share = search.view.span_share, search.view.share
     clique: list[int] = []
     for pos in by_density:
-        if not any(
-            search.feasible_bin(
-                1 << q | 1 << pos, density[q] + density[pos], share[q] + share[pos]
-            )
-            for q in clique
-        ):
+        bit, dens, sh = 1 << pos, density[pos], share[pos]
+        for q in clique:
+            if search.feasible_bin(1 << q | bit, density[q] + dens, share[q] + sh):
+                break
+        else:
             clique.append(pos)
     return clique
 

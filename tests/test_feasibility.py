@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from rtpack import feasibility
 from rtpack.errors import (
     BadParam,
     CoverageError,
@@ -25,7 +27,7 @@ from rtpack.generators import gen_best_fit_adversary, gen_lemma1_shaped, gen_spe
 from rtpack.model import Task, TaskSet, dbf, taskset
 from rtpack.partitioners import Partition
 
-from conftest import subset_feasible, valid_tasks, valid_tasksets
+from conftest import subset_feasible, tasksets_of_each_class, valid_tasks, valid_tasksets
 
 F = Fraction
 
@@ -289,6 +291,86 @@ class TestDensityAccept:
         assert not positions_feasible_exact(ts.ints, range(2))
         part = Partition(bins=((1, 2),), algorithm="manual")
         assert verify_partition(ts, part) is False
+
+
+class TestTwoTasks:
+    """`positions_feasible_exact` settles a pair with U < 1 from its later
+    deadline D_b: the dbf* line certifies every point from D_b on, or the
+    demand at D_b refutes it.  Only the other pairs reach the sweep."""
+
+    @staticmethod
+    def sweeps(monkeypatch) -> list:
+        """The position lists `positions_feasible_exact` sweeps from now on."""
+        seen = []
+        real = feasibility._sweep_first_failure
+
+        def spy(view, positions, speed, point_cap):
+            seen.append(list(positions))
+            return real(view, positions, speed, point_cap)
+
+        monkeypatch.setattr(feasibility, "_sweep_first_failure", spy)
+        return seen
+
+    @settings(max_examples=200)
+    @given(st.one_of(valid_tasksets(min_n=2), tasksets_of_each_class()))
+    def test_matches_the_kernel_on_every_pair(self, ts):
+        view = ts.ints
+        for pair in itertools.permutations(range(len(ts)), 2):
+            swept = _sweep_first_failure(view, pair, F(1), DEFAULT_POINT_CAP)
+            assert positions_feasible_exact(view, pair) == (swept[0] is None)
+
+    @pytest.mark.parametrize("pair", [[0, 1], [1, 0]])
+    def test_certificate_holding_with_equality(self, monkeypatch, pair):
+        # offsets 1/2 + 1/2 = D_b * (1 - U) = 3 * (1 - 2/3), density 4/3;
+        # the demand at D_b = 3 is 3, so no refutation applies either
+        ts = taskset([(1, 1, 2), (1, 3, 6)])
+        swept = self.sweeps(monkeypatch)
+        assert positions_feasible_exact(ts.ints, pair)
+        assert swept == []
+
+    @pytest.mark.parametrize("pair", [[0, 1], [1, 0]])
+    def test_demand_at_the_later_deadline(self, monkeypatch, pair):
+        # a third task sets the view's scale to 3.  dbf*(2) = 5/2 > 2 does
+        # not certify, and the demand at D_b = 2 is exactly 2: feasible,
+        # by the sweep
+        ts = taskset([(1, 1, 2), (1, 2, 4), ("1/3", 5, 7)])
+        assert ts.ints.scale == 3
+        swept = self.sweeps(monkeypatch)
+        assert positions_feasible_exact(ts.ints, pair)
+        assert swept == [pair]
+        # one unit more of C_b at that scale fails at D_b, with no sweep
+        ts = taskset([(1, 1, 2), ("4/3", 2, 4), ("1/3", 5, 7)])
+        swept.clear()
+        assert not positions_feasible_exact(ts.ints, pair)
+        assert swept == []
+        assert edf_feasible_exact(TaskSet(ts.tasks[:2])).witness == 2
+
+    @pytest.mark.parametrize("pair", [[0, 1], [1, 0]])
+    @pytest.mark.parametrize(
+        "rows, feasible",
+        [([("1/2", 2, 1), ("3/2", 2, 4)], True),
+         ([(1, 2, 4), ("3/2", 2, 6)], False)],
+    )  # fmt: skip
+    def test_tied_deadlines_are_settled(self, monkeypatch, pair, rows, feasible):
+        # with D_a = D_b the step decides C_a + C_b <= D either way
+        ts = taskset(rows)
+        swept = self.sweeps(monkeypatch)
+        assert positions_feasible_exact(ts.ints, pair) is feasible
+        assert swept == []
+        assert edf_feasible_exact(ts).feasible is feasible
+
+    def test_full_utilization_reaches_the_sweep(self, monkeypatch):
+        # U = 1 and offsets P0/4 + (P1/2 - P1) < 0, so the dbf* line would
+        # certify the pair; but its hyperperiod P0 * P1 passes the cap of
+        # 2^64, which only the sweep reports
+        periods = (2**40, 2**40 + 1)
+        ts = taskset([(F(periods[0], 2), F(periods[0], 2), periods[0]),
+                      (F(periods[1], 2), 2 * periods[1], periods[1])])  # fmt: skip
+        assert ts.total_utilization == 1
+        swept = self.sweeps(monkeypatch)
+        with pytest.raises(HorizonOverflow):
+            positions_feasible_exact(ts.ints, [0, 1])
+        assert swept == [[0, 1]]
 
 
 class TestLemma1:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from rtpack import feasibility
 from rtpack.errors import BadParam, CapExceeded, ValidationError
 from rtpack.feasibility import (
     edf_feasible_exact,
@@ -331,6 +332,38 @@ class TestAgainstMemoEverySearch:
             positions = [p for p in range(len(ts)) if mask >> p & 1]
             assert sum(view.span_share[p] for p in positions) > view.span_whole
             assert sum(view.share[p] for p in positions) <= view.whole
+
+
+class TestPairSweeps:
+    """Two-task bins with U < 1 are settled before the demand sweep, so
+    the conflict clique and the search sweep almost no pairs.  Each case
+    bounds the two-task sweeps of one whole search; sweeping every pair
+    past the density accept and the share refusal took 10, 36, 78, 2, 6
+    and 15 of them, in the order below."""
+
+    @pytest.mark.parametrize(
+        "make, at_most",
+        [(lambda: gen_speedup_gap(6, F(1, 2)), 0),
+         (lambda: gen_speedup_gap(10, F(1, 2)), 0),
+         (lambda: gen_speedup_gap(14, F(1, 2)), 0),
+         (lambda: gen_best_fit_adversary(4), 0),
+         (lambda: gen_best_fit_adversary(8), 0),
+         (lambda: gen_worst_fit_adversary(8), 1)],
+        ids=["gap-6", "gap-10", "gap-14", "bf-4", "bf-8", "wf-8"],
+    )  # fmt: skip
+    def test_two_task_sweeps(self, monkeypatch, make, at_most):
+        ts = make()
+        pairs = []
+        real = feasibility._sweep_first_failure
+
+        def spy(view, positions, speed, point_cap):
+            if len(positions) == 2:
+                pairs.append(list(positions))
+            return real(view, positions, speed, point_cap)
+
+        monkeypatch.setattr(feasibility, "_sweep_first_failure", spy)
+        optimal_partition_bruteforce(ts)
+        assert len(pairs) <= at_most
 
 
 def _demand_load(ts: TaskSet) -> int:
