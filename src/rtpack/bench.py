@@ -299,47 +299,56 @@ def _row_violations(
 def _bench_instance(
     name: str, family: str, ts: TaskSet, cfg: ExperimentConfig
 ) -> tuple[list[BenchRow], list[str]]:
-    rows: list[BenchRow] = []
-    errors: list[str] = []
+    """The rows and errors of one instance.  The partitioners run and are
+    verified first, so that the fewest bins of a verified partition can
+    spare the oracle its search of that level; the errors still list the
+    oracle's first, then the algorithms' in config order."""
     lam = lambda_metric(ts)
     gamma = gamma_metric(ts)
     cls = classify(ts).value
     util = ts.total_utilization
 
-    m_star: Optional[int] = None
-    if cfg.oracle:
-        try:
-            m_star = optimal_partition_bruteforce(ts, cfg.n_cap).m_star
-        except RtpackError as exc:
-            errors.append(f"{name}/oracle: {exc}")
-    bounds = _bounds(lam, gamma, m_star, cfg.alpha_slack)
-
+    runs = []  # (algorithm, strategy, M, verified, runtime in ms)
+    algo_errors: list[str] = []
     for algo, strategy in cfg.algorithms:
         try:
             start = time.perf_counter()
             part = run_algorithm(ts, algo, strategy)
             elapsed_ms = (time.perf_counter() - start) * 1000 if cfg.timing else 0.0
-            verified = verify_partition(ts, part)
-            rows.append(
-                BenchRow(
-                    instance=name,
-                    family=family,
-                    n=len(ts),
-                    deadline_class=cls,
-                    lam=lam,
-                    gamma=gamma,
-                    utilization=util,
-                    algorithm=algo,
-                    strategy=strategy,
-                    m=part.m,
-                    m_star=m_star,
-                    violations=_row_violations(algo, part.m, m_star, verified, *bounds),
-                    runtime_ms=elapsed_ms,
-                )
-            )
+            runs.append((algo, strategy, part.m, verify_partition(ts, part), elapsed_ms))
         except RtpackError as exc:
-            errors.append(f"{name}/{algo}-{strategy}: {exc}")
-    return rows, errors
+            algo_errors.append(f"{name}/{algo}-{strategy}: {exc}")
+
+    errors: list[str] = []
+    m_star: Optional[int] = None
+    if cfg.oracle:
+        upper = min((m for _, _, m, verified, _ in runs if verified), default=None)
+        try:
+            # positional: perfbench's traced wrapper takes no keywords
+            m_star = optimal_partition_bruteforce(ts, cfg.n_cap, upper).m_star
+        except RtpackError as exc:
+            errors.append(f"{name}/oracle: {exc}")
+    bounds = _bounds(lam, gamma, m_star, cfg.alpha_slack)
+
+    rows = [
+        BenchRow(
+            instance=name,
+            family=family,
+            n=len(ts),
+            deadline_class=cls,
+            lam=lam,
+            gamma=gamma,
+            utilization=util,
+            algorithm=algo,
+            strategy=strategy,
+            m=m,
+            m_star=m_star,
+            violations=_row_violations(algo, m, m_star, verified, *bounds),
+            runtime_ms=elapsed_ms,
+        )
+        for algo, strategy, m, verified, elapsed_ms in runs
+    ]
+    return rows, errors + algo_errors
 
 
 def run_experiment(cfg: ExperimentConfig) -> BenchReport:

@@ -19,22 +19,36 @@ becomes feasible again.
 
 Start level.  Levels below the largest of three sound lower bounds on m*
 are never searched:
-- ceil(U);
+- ceil(U), from the sum of the view's shares;
+- the size of a greedy clique of pairwise-conflicting tasks: two tasks
+  conflict when they fail the exact test together, and no two of a
+  clique can share a bin (Gendreau, Laporte & Semet, C&OR 2004).  The pair
+  verdicts go into the search memo;
 - the demand load: a bin holds demand of at most t by every time t, so at
   least ceil(sum_i dbf_i(t) / t) bins are needed at any t.  Any finite set
   of points t is sound; the points D_i + k*T_i for k < LOAD_POINTS are
   used (Fisher, Baker & Baruah, RTCSA 2006).  As dbf_i <= dbf*_i for
   every deadline class, a point whose summed dbf* is within the best bound
-  found so far cannot raise it, and its exact demand is never computed;
-- the size of a greedy clique of pairwise-conflicting tasks: two tasks
-  conflict when they fail the exact test together, and no two of a
-  clique can share a bin (Gendreau, Laporte & Semet, C&OR 2004).  The pair
-  verdicts go into the search memo.
+  found so far cannot raise it, and its exact demand is never computed.
+
+Known upper bound.  A caller may pass `upper`, the bin count of a
+partition of the set that `verify_partition` accepted, so m* <= upper
+(the bench passes its partitioners' fewest bins).  The bounds are taken
+cheapest first, in the order above, and the first that reaches `upper`
+settles m* = upper.  Otherwise only the levels below `upper` are
+searched, and if all are exhausted m* = upper, so level `upper` is never
+searched (the incumbent of a bin-packing branch and bound; Martello &
+Toth, Knapsack Problems, 1990, ch. 8).  An `upper` above N, or below a
+bound taken before one reaches it, is no partition's bin count; it is
+ignored and the search runs as without it, so that a partitioner or
+verification fault still shows as an M below m*.  A wrong `upper` that
+some bound equals is not caught: the dearer bounds are never taken.
 
 Search order.  The clique tasks are assigned first, so the
 restricted-growth order puts them in distinct bins at once, then the rest
 by decreasing density C/min(D, T), ties by position.  `nodes_explored`
-counts the nodes of this search.
+counts the nodes of this search: 0 when a bound meets `upper`, and
+without the nodes of level `upper` when it is settled by exhaustion.
 
 Witness.  The witness is the first partition of restricted-growth order in
 input order at level m*.  It is built by one more depth-first pass in
@@ -46,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BadParam, CapExceeded
 from .feasibility import positions_feasible_exact
@@ -159,6 +173,11 @@ class _Search:
         return False
 
 
+def _ceil_u(view: IntView) -> int:
+    """ceil(U), from the share sum of the integer view."""
+    return -(-sum(view.share) // view.whole)
+
+
 def _load_bound(view: IntView) -> int:
     """The demand load bound on the integer view: the larger of ceil(U)
     and the max over the points D_i + k*T_i, k < LOAD_POINTS, of
@@ -170,7 +189,7 @@ def _load_bound(view: IntView) -> int:
     best * t * whole (see the module docstring)."""
     c, d, t, share, whole = view.c, view.d, view.t, view.share, view.whole
     intercept = view.offset
-    best = -(-sum(share) // whole)
+    best = _ceil_u(view)
     by_deadline = sorted(range(len(d)), key=d.__getitem__)
     active = 0  # tasks of by_deadline with D <= point
     slope = offset = 0
@@ -213,6 +232,18 @@ def _conflict_clique(search: _Search, by_density: list[int]) -> list[int]:
     return clique
 
 
+def _lower_bounds(
+    search: _Search, by_density: list[int], clique: list[int]
+) -> Iterator[int]:
+    """The lower bounds on m* of the module docstring, cheapest first:
+    ceil(U), the size of the conflict clique, whose positions are appended
+    to `clique`, and the load bound."""
+    yield _ceil_u(search.view)
+    clique += _conflict_clique(search, by_density)
+    yield len(clique)
+    yield _load_bound(search.view)
+
+
 def _witness(search: _Search, ts: TaskSet, m_star: int) -> Partition:
     masks = search.partition(range(len(ts)), m_star)
     if masks is None:
@@ -226,8 +257,16 @@ def _witness(search: _Search, ts: TaskSet, m_star: int) -> Partition:
     )
 
 
+def _result(search: _Search, ts: TaskSet, m_star: int) -> OracleResult:
+    return OracleResult(
+        m_star=m_star,
+        nodes_explored=search.nodes,
+        _build_witness=partial(_witness, search, ts, m_star),
+    )
+
+
 def optimal_partition_bruteforce(
-    ts: TaskSet, n_cap: int = DEFAULT_ORACLE_CAP
+    ts: TaskSet, n_cap: int = DEFAULT_ORACLE_CAP, upper: Optional[int] = None
 ) -> OracleResult:
     """Minimum number of processors admitting a feasible partition, with a
     witness partition, by exhaustive search.
@@ -235,8 +274,11 @@ def optimal_partition_bruteforce(
     The bin count starts at the largest lower bound of the module
     docstring; the first bin count with a complete assignment is optimal
     because every partition into fewer bins embeds into an earlier, fully
-    explored level, or into a level that a bound rules out.  Bins are
-    tested as position lists of the set's integer view.
+    explored level, or into a level that a bound rules out.  `upper`, when
+    given, is the bin count of a partition of `ts` that `verify_partition`
+    accepted; the level it names is never searched (see the module
+    docstring).  Bins are tested as position lists of the set's integer
+    view.
     """
     require_valid(ts)
     if n_cap < 1:
@@ -245,17 +287,20 @@ def optimal_partition_bruteforce(
     if n > n_cap:
         raise CapExceeded(f"N = {n} exceeds the oracle cap {n_cap}")
 
-    view = ts.ints
-    search = _Search(view)
-    by_density = _by_density(view)
-    clique = _conflict_clique(search, by_density)
-    lower = max(_load_bound(view), len(clique))
+    search = _Search(ts.ints)
+    by_density = _by_density(search.view)
+    clique: list[int] = []
+    lower = 0
+    for bound in _lower_bounds(search, by_density, clique):
+        lower = max(lower, bound)
+        if upper is not None and not lower <= upper <= n:
+            upper = None  # no partition has this many bins: search without it
+        if lower == upper:
+            return _result(search, ts, upper)
     order = clique + [p for p in by_density if p not in clique]
-    for m in range(lower, n + 1):
+    for m in range(lower, n + 1 if upper is None else upper):
         if search.partition(order, m) is not None:
-            return OracleResult(
-                m_star=m,
-                nodes_explored=search.nodes,
-                _build_witness=partial(_witness, search, ts, m),
-            )
-    raise RuntimeError("unreachable: singleton bins are feasible for a valid set")
+            return _result(search, ts, m)
+    if upper is None:
+        raise RuntimeError("unreachable: singleton bins are feasible for a valid set")
+    return _result(search, ts, upper)

@@ -30,7 +30,9 @@ from rtpack.bench import (
 )
 from rtpack.errors import BadParam, ParseError
 from rtpack.generators import gen_best_fit_adversary
-from rtpack.model import DeadlineClass, gamma_metric
+from rtpack.io import serialize_taskset
+from rtpack.model import DeadlineClass, gamma_metric, taskset
+from rtpack.oracle import optimal_partition_bruteforce
 from rtpack.partitioners import Strategy
 
 F = Fraction
@@ -55,6 +57,36 @@ def make_row(**overrides):
     )
     base.update(overrides)
     return BenchRow(**base)
+
+
+_PAIRS = [(algo, strat) for algo in ALGORITHMS for strat in (None, "ff", "bf", "wf")]
+
+
+@st.composite
+def configs(draw):
+    """Small experiment configs over seeded and fixed families, with the
+    oracle on and timing off."""
+    n = draw(st.integers(2, 8))
+    random_spec = spec(
+        "random",
+        n=n,
+        seed=draw(st.integers(0, 10**6)),
+        count=draw(st.integers(1, 3)),
+        target_u=F(n, draw(st.integers(1, 4))),
+        den_bound=draw(st.sampled_from([4, 8, 100])),
+        **{"class": draw(st.sampled_from([c.value for c in DeadlineClass]))},
+    )
+    fixed = st.sampled_from([
+        spec("dvp", n=n, seed=draw(st.integers(0, 10**6)), count=2),
+        spec("bf-adversary", k=4),
+        spec("wf-adversary", k=4),
+        spec("speedup-gap", n=n, eps=F(1, 2)),
+    ])  # fmt: skip
+    instances = draw(st.lists(st.one_of(st.just(random_spec), fixed), min_size=1, max_size=3))
+    algorithms = draw(st.lists(st.sampled_from(_PAIRS), min_size=1, max_size=4, unique=True))
+    return ExperimentConfig(
+        instances=tuple(instances), algorithms=tuple(algorithms), timing=False
+    )
 
 
 class TestRunExperiment:
@@ -124,6 +156,41 @@ class TestRunExperiment:
             assert row.m_star is not None
             assert row.m_star <= row.m
             assert row.m_star >= math.ceil(row.utilization)
+
+    def test_errors_list_the_oracle_first(self, tmp_path):
+        # U = 1 and a density sum of 7/6, so dm puts both tasks in one bin
+        # and its verification, like the oracle's pair test, sweeps to the
+        # hyperperiod, which passes the cap of 2^64; dagger opens two bins
+        a, b = 2**40, 2**40 + 1
+        ts = taskset([(F(a, 2), F(3 * a, 4), a), (F(b, 2), 2 * b, b)], name="huge")
+        (tmp_path / "huge.json").write_text(serialize_taskset(ts))
+        cfg = ExperimentConfig(
+            instances=(spec("file", path=str(tmp_path / "huge.json")),),
+            algorithms=(("dm", None), ("dagger", None), ("dm", "bf")),
+            timing=False,
+        )
+        report = run_experiment(cfg)
+        overflow = f"hyperperiod {a * b} exceeds cap {2**64}"
+        assert report.errors == (
+            f"huge/oracle: {overflow}",
+            f"huge/dm-None: {overflow}",
+            f"huge/dm-bf: {overflow}",
+        )
+        assert [(r.algorithm, r.m, r.m_star, r.violations) for r in report.rows] == [
+            ("dagger", 2, None, ())
+        ]
+
+    @given(configs())
+    def test_same_rows_as_the_unhinted_oracle(self, cfg):
+        # the oracle as it ran before it was passed the partitioners' bins
+        def unhinted(ts, n_cap, upper=None):
+            return optimal_partition_bruteforce(ts, n_cap)
+
+        report = run_experiment(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench_mod, "optimal_partition_bruteforce", unhinted)
+            plain = run_experiment(cfg)
+        assert report == plain
 
     def test_runs_start_no_thread(self, monkeypatch):
         def refuse(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rtpack import feasibility
+from rtpack import feasibility, oracle
 from rtpack.errors import BadParam, CapExceeded, ValidationError
 from rtpack.feasibility import (
     edf_feasible_exact,
@@ -27,6 +27,7 @@ from rtpack.oracle import (
     DEFAULT_ORACLE_CAP,
     _Search,
     _by_density,
+    _ceil_u,
     _conflict_clique,
     _load_bound,
     optimal_partition_bruteforce,
@@ -444,6 +445,72 @@ class TestLowerBounds:
         assert "witness" not in vars(result)
         assert result.witness is result.witness
         assert result.nodes_explored == 12
+
+
+def _best_heuristic(ts: TaskSet) -> int:
+    """The fewest bins of a verified partition by either partitioner
+    under any strategy, as the bench passes it to the oracle."""
+    parts = [make(ts, strat) for make in (dm_partition, dagger_greedy) for strat in Strategy]
+    return min(p.m for p in parts if verify_partition(ts, p))
+
+
+class TestUpperBound:
+    """A known upper bound on m* changes neither m* nor the witness, never
+    raises the node count, and is ignored where it is no partition's bin
+    count."""
+
+    @staticmethod
+    def check(ts):
+        plain = optimal_partition_bruteforce(ts)
+        m_star, nodes = plain.m_star, plain.nodes_explored
+        for upper in (_best_heuristic(ts), m_star):
+            hinted = optimal_partition_bruteforce(ts, DEFAULT_ORACLE_CAP, upper)
+            assert hinted.m_star == m_star and hinted.nodes_explored <= nodes
+            assert hinted.witness.bins == plain.witness.bins
+        # the running maxima of the bounds, cheapest first; an upper below
+        # the last is ignored unless an earlier one stops at it
+        load, clique = _bounds(ts)
+        ceil_u = _ceil_u(ts.ints)
+        stops = {ceil_u, max(ceil_u, len(clique))}
+        lower = max(ceil_u, len(clique), load)
+        below = [u for u in range(-1, lower) if u not in stops]
+        for upper in (*below, len(ts) + 1, len(ts) + 5):
+            ignored = optimal_partition_bruteforce(ts, DEFAULT_ORACLE_CAP, upper)
+            assert (ignored.m_star, ignored.nodes_explored) == (m_star, nodes)
+
+    @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
+    def test_same_optimum_on_families(self, case):
+        self.check(FAMILY_SETS[case])
+
+    @given(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
+    def test_same_optimum_on_random_sets(self, ts):
+        self.check(ts)
+
+    # one instance settled by each step: (set, upper, dearer bounds
+    # computed, nodes with upper, nodes without)
+    @pytest.mark.parametrize(
+        "make, upper, computed, nodes, plain_nodes",
+        [(lambda: gen_worst_fit_adversary(4), 2, [], 0, 11),
+         (lambda: gen_speedup_gap(6, F(1, 2)), 6, ["clique"], 0, 21),
+         (lambda: taskset([(1, 3, 6), (2, 3, 8), (2, 4, 6)]), 2, ["clique", "load"], 0, 4),
+         (lambda: _random_set(8, F(8, 3), 25, "constrained"), 4, ["clique", "load"], 12, 30)],
+        ids=["ceil-u", "clique", "load", "exhausted"],
+    )  # fmt: skip
+    def test_settled_by(self, monkeypatch, make, upper, computed, nodes, plain_nodes):
+        ts = make()
+        assert optimal_partition_bruteforce(ts).nodes_explored == plain_nodes
+        called = []
+        for name, step in (("_conflict_clique", "clique"), ("_load_bound", "load")):
+            real = getattr(oracle, name)
+
+            def spy(*args, real=real, step=step):
+                called.append(step)
+                return real(*args)
+
+            monkeypatch.setattr(oracle, name, spy)
+        result = optimal_partition_bruteforce(ts, DEFAULT_ORACLE_CAP, upper)
+        assert (result.m_star, result.nodes_explored, called) == (upper, nodes, computed)
+        assert verify_partition(ts, result.witness) and result.witness.m == upper
 
 
 @st.composite
