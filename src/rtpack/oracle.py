@@ -135,41 +135,39 @@ class _Search:
         """The bins, as masks in bin order, of the first partition into at
         most `max_bins` bins in restricted-growth order over `order`, or
         None."""
-        masks: list[int] = []
-        return masks if self.dfs(order, 0, masks, [], [], max_bins) else None
+        bins: list[tuple[int, int, int]] = []
+        return [b[0] for b in bins] if self.dfs(order, 0, bins, max_bins) else None
 
     def dfs(
         self,
         order: Sequence[int],
         i: int,
-        masks: list[int],
-        densities: list[int],
-        loads: list[int],
+        bins: list[tuple[int, int, int]],
         max_bins: int,
     ) -> bool:
+        """Assign `order[i:]` to the open `bins`, each a (mask, sum of
+        `span_share`, sum of `share`) tuple, opening at most `max_bins`;
+        on failure `bins` is as it was on entry."""
         if i == len(order):
             return True
         pos = order[i]
         bit = 1 << pos
         density, share = self.view.span_share[pos], self.view.share[pos]
-        opened = len(masks)
-        for b in range(opened + 1 if opened < max_bins else opened):
-            if b == opened:
-                masks.append(0)
-                densities.append(0)
-                loads.append(0)
-            old = masks[b], densities[b], loads[b]
+        for b, old in enumerate(bins):
             new = old[0] | bit, old[1] + density, old[2] + share
             self.nodes += 1
             if self.feasible_bin(*new):
-                masks[b], densities[b], loads[b] = new
-                if self.dfs(order, i + 1, masks, densities, loads, max_bins):
+                bins[b] = new
+                if self.dfs(order, i + 1, bins, max_bins):
                     return True
-                masks[b], densities[b], loads[b] = old
-        if len(masks) > opened:
-            masks.pop()
-            densities.pop()
-            loads.pop()
+                bins[b] = old
+        if len(bins) < max_bins:
+            # a one-task bin is feasible: C <= min(D, T) for a valid set
+            self.nodes += 1
+            bins.append((bit, density, share))
+            if self.dfs(order, i + 1, bins, max_bins):
+                return True
+            bins.pop()
         return False
 
 

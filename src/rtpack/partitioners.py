@@ -1,21 +1,39 @@
 """Partitioning heuristics: deadline-monotonic fitting and the
-transform-then-pack greedy.
+transform-then-pack greedy, both run by one any-fit packer.
 
-Both place each task by one inline scan of the open bins, on int sums
-that every bin keeps as it grows, with no per-task container: first fit
-stops at the first bin that admits the task, best fit keeps the admitting
-bin of largest load seen so far and worst fit the one of smallest.  Both
-are deterministic: a later bin replaces the pick only on a strictly
-better load, so every tie among equally preferred bins goes to the lowest
-bin index, and the deadline-monotonic order breaks equal deadlines by
-task id.
+The packer places each task, in a given order, on an open bin that admits
+it, or on a new bin if none does.  On the set's integer view, every bin
+keeps the sums of its tasks' demand lines, slopes and intercepts over one
+common denominator `whole`.  A bin admits the task when its slope sum
+stays within `whole` with the task's slope added, and its line sum at the
+task's point leaves room for the task's execution time.  A placement is
+one scan of the open bins, evaluating the line only for bins whose slope
+sum fits: first fit stops at the first admitting bin, best fit keeps the
+admitting bin of largest line sum and worst fit the one of smallest.  A
+later bin replaces the pick only on a strictly better line sum, so ties
+go to the lowest bin index.
+
+Deadline-monotonic fitting (Fisher, Baker & Baruah, RTCSA 2006) packs in
+`_dm_positions` order, at each task's deadline, with the dbf* lines of
+`IntView.share` and `IntView.offset`.  Every bin deadline is at most the
+task's, so the line sum there is the bin's dbf*.
+
+The dagger greedy tightens each task to the implicit task
+(C, D', D'), D' = min(D, T), and packs the result in input order.  An
+implicit task's dbf* line passes through the origin, with the density
+(`IntView.span_share` over `span_whole`) as slope.  At the D' of the task
+being placed, a bin's line sum is its density sum times D', and the room
+is (D' - C) * span_whole = D' * (span_whole - span_share).  So both tests
+are one utilization test of the tightened set in any order, which keeps
+every bin EDF-feasible for the original tasks, and best and worst fit
+rank bins, ties included, by their density sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .model import TaskSet, require_valid
 
@@ -39,8 +57,8 @@ class Partition:
         return len(self.bins)
 
 
-# best fit maximizes a bin's load and worst fit its negation; first fit
-# takes the first admitting bin, so its sign never matters
+# best fit maximizes a bin's line sum and worst fit its negation; first
+# fit takes the first admitting bin, so its sign never matters
 _SIGN = {Strategy.FIRST_FIT: 0, Strategy.BEST_FIT: 1, Strategy.WORST_FIT: -1}
 
 
@@ -56,86 +74,63 @@ def _dm_positions(ts: TaskSet) -> list[int]:
     return sorted(range(len(tasks)), key=lambda i: (view.d[i], tasks[i].id))
 
 
-def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
-    """Deadline-monotonic partitioning with a first/best/worst-fit strategy.
-
-    Tasks are considered in `_dm_positions` order; each is placed on an
-    open processor that admits it, chosen by the strategy's preference
-    over the bins' approximate demand at the task's deadline, or on a new
-    processor if none admits it.  A bin admits the task when its total
-    utilization stays within one processor and its dbf* at the task's
-    deadline leaves room for the task's execution time.  Every bin
-    deadline is at most the task's, so that dbf* is the sum of the bin's
-    dbf* lines on the set's integer view (`IntView.offset`): each bin
-    keeps the sums of their slopes and intercepts, and a placement is one
-    scan of the M open bins with no per-task dict, which first fit stops
-    at the first bin that admits the task.
-    """
-    require_valid(ts)
-    view = ts.ints
-    whole = view.whole
+def _any_fit(
+    ts: TaskSet, order: Iterable[int], slope: Sequence[int], offset: Sequence[int],
+    whole: int, point: Sequence[int], strat: Strategy, algorithm: str,
+) -> Partition:
+    """Pack the positions of `order` by `strat` (see the module
+    docstring): by position, `slope` and `offset` are each task's demand
+    line over the denominator `whole`, and `point` the view-scale time at
+    which a bin's line sum is tested when that task is placed."""
+    c = ts.ints.c
     sign = _SIGN[strat]
     bins: list[list[int]] = []
-    u_sums: list[int] = []  # per bin: sum of share
-    a_sums: list[int] = []  # per bin: sum of offset
+    slopes: list[int] = []  # per bin: sum of slope
+    offsets: list[int] = []  # per bin: sum of offset
     best = 0
-    for pos in _dm_positions(ts):
-        d, share = view.d[pos], view.share[pos]
-        u_room, room = whole - share, (d - view.c[pos]) * whole
+    for pos in order:
+        at, share = point[pos], slope[pos]
+        slope_room, room = whole - share, (at - c[pos]) * whole
         pick = -1
-        for i, u_sum in enumerate(u_sums):
-            load = u_sum * d + a_sums[i]  # the bin's dbf* at d
-            if u_sum <= u_room and load <= room and (pick < 0 or sign * load > best):
-                pick, best = i, sign * load
-                if not sign:
-                    break
+        for i, s in enumerate(slopes):
+            if s <= slope_room:
+                line = s * at + offsets[i]  # the bin's line sum at `at`
+                if line <= room and (pick < 0 or sign * line > best):
+                    pick, best = i, sign * line
+                    if not sign:
+                        break
         if pick < 0:
             pick = len(bins)
             bins.append([])
-            u_sums.append(0)
-            a_sums.append(0)
+            slopes.append(0)
+            offsets.append(0)
         bins[pick].append(ts.tasks[pos].id)
-        u_sums[pick] += share
-        a_sums[pick] += view.offset[pos]
+        slopes[pick] += share
+        offsets[pick] += offset[pos]
     return Partition(
         bins=tuple(tuple(sorted(b)) for b in bins),
-        algorithm="dm",
+        algorithm=algorithm,
         strategy=strat.value,
     )
 
 
-def dagger_greedy(ts: TaskSet, fitting: Strategy) -> Partition:
-    """Greedy packing on the utilizations of the tightened task set.
-
-    Each task contributes C/min(T, D); a bin accepts a task iff its load
-    stays at most 1, which keeps every bin EDF-feasible for the original
-    tasks.  Tasks go in input order.  Loads are sums of the view's
-    density terms, ints over one common denominator, `span_whole`, the lcm
-    of the tightened periods.
-    """
+def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
+    """Deadline-monotonic partitioning with a first/best/worst-fit strategy,
+    admitting on utilization and on dbf* at each task's deadline."""
     require_valid(ts)
     view = ts.ints
-    whole = view.span_whole
-    sign = _SIGN[fitting]
-    bins: list[list[int]] = []
-    loads: list[int] = []
-    best = 0
-    for tsk, u in zip(ts.tasks, view.span_share):
-        room = whole - u
-        pick = -1
-        for i, load in enumerate(loads):
-            if load <= room and (pick < 0 or sign * load > best):
-                pick, best = i, sign * load
-                if not sign:
-                    break
-        if pick < 0:
-            pick = len(bins)
-            bins.append([])
-            loads.append(0)
-        bins[pick].append(tsk.id)
-        loads[pick] += u
-    return Partition(
-        bins=tuple(tuple(sorted(b)) for b in bins),
-        algorithm="dagger",
-        strategy=fitting.value,
+    return _any_fit(
+        ts, _dm_positions(ts), view.share, view.offset, view.whole, view.d, strat, "dm"
+    )
+
+
+def dagger_greedy(ts: TaskSet, fitting: Strategy) -> Partition:
+    """Greedy packing in input order on the utilizations C/min(D, T) of the
+    tightened task set: a bin accepts a task iff its load stays at most 1."""
+    require_valid(ts)
+    view = ts.ints
+    spans = tuple(map(min, view.d, view.t))
+    zero = (0,) * len(ts)
+    return _any_fit(
+        ts, range(len(ts)), view.span_share, zero, view.span_whole, spans, fitting, "dagger"
     )

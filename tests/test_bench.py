@@ -90,6 +90,10 @@ def configs(draw):
 
 
 class TestRunExperiment:
+    def test_run_algorithm_refuses_an_unknown_algorithm(self):
+        with pytest.raises(ParseError, match="unknown algorithm 'bogus'"):
+            bench_mod.run_algorithm(taskset([(1, 2, 2)]), "bogus", None)
+
     def test_adversary_family_rows(self):
         cfg = ExperimentConfig(
             instances=tuple(spec("bf-adversary", k=k) for k in (4, 5, 6)),

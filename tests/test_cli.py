@@ -68,6 +68,15 @@ class TestGenerate:
         assert rc == 2 and "denominator_bound" in err
 
     @pytest.mark.parametrize(
+        "flags,message",
+        [(["--family", "dvp", "--n", "0"], "error: need n >= 1, got 0\n"),
+         (["--family", "random", "--n", "4", "--den-bound", "0"],
+          "error: denominator bound must be at least 1\n")],
+    )  # fmt: skip
+    def test_size_below_one_exit_two(self, capsys, flags, message):
+        assert run(capsys, "generate", *flags) == (2, "", message)
+
+    @pytest.mark.parametrize(
         "family,flags,params",
         [("bf-adversary", ["--k", "5"], {"k": 5}),
          ("wf-adversary", ["--k", "4", "--h", "5000"], {"k": 4, "h": Fraction(5000)}),
@@ -321,6 +330,29 @@ class TestBench:
         doc = json.loads(out.read_text())
         assert doc["rows"][0]["M"] == 3 and doc["rows"][0]["m_star"] == 3
 
+
+    def test_format_flag_overrides_the_json_suffix(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instances": [{"family": "speedup-gap", "n": 3, "eps": "1/2"}],
+            "algorithms": [{"algo": "dagger"}],
+            "timing": False,
+        }))  # fmt: skip
+        out = tmp_path / "r.json"
+        rc, _, _ = run(capsys, "bench", "--config", str(cfg), "--format", "csv", "-o", str(out))
+        lines = out.read_text().splitlines()
+        assert rc == 0 and len(lines) == 2
+        assert lines[0].startswith("instance,family,N,")
+        assert lines[1].startswith("speedup-gap-n3,speedup-gap,3,")
+
+    def test_file_glob_matching_nothing_exit_two(self, tmp_path, capsys):
+        pattern = str(tmp_path / "none*.json")
+        cfg = tmp_path / "cfg.json"
+        instances = [{"family": "file", "path": pattern}]
+        cfg.write_text(json.dumps({"instances": instances, "algorithms": [{"algo": "dm"}]}))
+        rc, out, err = run(capsys, "bench", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert err == f"error: instance 1 (file): no files match {pattern!r}\n"
 
     @pytest.mark.parametrize(
         "entry", [{"family": "speedup-gap", "n": 3, "eps": 0.1}, {"family": "bf-adversary", "k": 4.7}]

@@ -415,6 +415,10 @@ class TestLemma1Shaped:
             lemma1_feasible(ts)  # must not raise ShapeMismatch
             assert validate(ts) == []
 
+    def test_no_tasks_refused(self):
+        with pytest.raises(BadParam, match="need at least one task"):
+            gen_lemma1_shaped(5, 0, 0)
+
     def test_produces_both_verdicts(self):
         verdicts = {
             lemma1_feasible(gen_lemma1_shaped(seed, 2, 2)) for seed in range(40)

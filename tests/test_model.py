@@ -369,6 +369,21 @@ class TestIntView:
         assert view.share is view.share and view.span_share is view.span_share
         assert view.offset is view.offset
 
+    @given(valid_tasksets(), st.data())
+    def test_demand_lines_are_dbf_star(self, ts, data):
+        view = ts.ints
+        for i, tsk in enumerate(ts):
+            # from D on, dbf* is the line of share and offset over whole
+            t = view.d[i] + data.draw(st.integers(0, 3 * view.t[i]))
+            line = view.share[i] * t + view.offset[i]
+            assert dbf_star(tsk, F(t, view.scale)) * view.scale * view.whole == line
+            # the tightened task (C, D', D'), D' = min(D, T), has the line
+            # of span_share through the origin, which the dagger packer reads
+            span = min(tsk.d, tsk.t)
+            t = min(view.d[i], view.t[i]) + data.draw(st.integers(0, 3 * view.t[i]))
+            tight = dbf_star(Task(tsk.c, span, span, tsk.id), F(t, view.scale))
+            assert tight * view.scale * view.span_whole == view.span_share[i] * t
+
     @given(valid_tasksets())
     def test_values_are_the_scaled_fractions(self, ts):
         view = ts.ints
