@@ -5,7 +5,8 @@ Runs the transformed-utilization greedy and deadline-monotonic partitioning
 against the brute-force optimum, prints the hard flags of the rows (beyond
 2*lambda, below the optimum, or failed exact verification), and summarizes
 the realized ratios and the slack against the asymptotic bound.  Exits 1
-when it prints any hard flag, else 0.
+when it prints any hard flag, 2 on bad input (after printing "error: ..."
+to stderr), else 0.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from rtpack.bench import ExperimentConfig, emit_report, run_experiment, spec
+from rtpack.errors import RtpackError
 
 
 def main():
@@ -84,4 +86,9 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+    except RtpackError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)

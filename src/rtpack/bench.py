@@ -19,7 +19,7 @@ import glob as globmod
 import io as stringio
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -36,7 +36,8 @@ from .generators import (
     gen_worst_fit_adversary,
 )
 from .io import json_list, load_json, parse_rational, parse_taskset
-from .model import DeadlineClass, TaskSet, classify, gamma_metric, lambda_metric
+from .model import DeadlineClass, TaskSet, as_rational, classify
+from .model import gamma_metric, lambda_metric
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy, dagger_greedy, dm_partition
 
@@ -59,17 +60,9 @@ CSV_COLUMNS = [
 
 DEFAULT_ALPHA_SLACK = Fraction(1)
 
-# instance keys whose config values must be exact rationals or integers
-_RATIONAL_KEYS = frozenset({"target_u", "eps", "h"})
-_INTEGER_KEYS = frozenset({"k", "n", "seed", "count", "den_bound"})
 _CLASSES = tuple(c.value for c in DeadlineClass)
 _STRATEGIES = tuple(s.value for s in Strategy)
 ALGORITHMS = ("dm", "dagger")
-# the keys a config document and one of its algorithm entries may hold
-_CONFIG_KEYS = frozenset(
-    {"instances", "algorithms", "oracle", "n_cap", "alpha_slack", "timing", "threads"}
-)
-_ALGORITHM_KEYS = frozenset({"algo", "strategy"})
 
 
 def _named(*sets: TaskSet) -> list[tuple[str, TaskSet]]:
@@ -77,11 +70,11 @@ def _named(*sets: TaskSet) -> list[tuple[str, TaskSet]]:
 
 
 def _adversary(gen):
-    return lambda p: _named(gen(int(p["k"]), p["h"]))
+    return lambda p: _named(gen(p["k"], p["h"]))
 
 
 def _speedup_gap(p: dict) -> list[tuple[str, TaskSet]]:
-    return _named(gen_speedup_gap(int(p["n"]), Fraction(p["eps"])))
+    return _named(gen_speedup_gap(p["n"], p["eps"]))
 
 
 def _seeds(p: dict) -> range:
@@ -92,25 +85,19 @@ def _seeds(p: dict) -> range:
 
 def _random(p: dict) -> list[tuple[str, TaskSet]]:
     params = [
-        GenParams(
-            seed=s,
-            n=int(p["n"]),
-            deadline_class=DeadlineClass(p["class"]),
-            utilization_target=Fraction(p["target_u"]),
-            denominator_bound=int(p["den_bound"]),
-        )
+        GenParams(s, p["n"], DeadlineClass(p["class"]), p["target_u"], p["den_bound"])
         for s in _seeds(p)
     ]
     return _named(*map(gen_random, params))
 
 
 def _dvp(p: dict) -> list[tuple[str, TaskSet]]:
-    n, q = int(p["n"]), int(p["den_bound"])
+    n, q = p["n"], p["den_bound"]
     return [(f"dvp-s{s}", dvp_to_tasks(gen_random_dvp(s, n, q))) for s in _seeds(p)]
 
 
 def _files(p: dict) -> list[tuple[str, TaskSet]]:
-    paths = sorted(globmod.glob(str(p["path"])))
+    paths = sorted(globmod.glob(p["path"]))
     if not paths:
         raise ParseError(f"no files match {p['path']!r}")
     out = []
@@ -186,6 +173,8 @@ class InstanceSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment.  Its values are checked here, as a config document's
+    are, whether or not `parse_config` built it, and stored converted."""
     instances: tuple[InstanceSpec, ...]
     algorithms: tuple[tuple[str, Optional[str]], ...]
     oracle: bool = True
@@ -196,9 +185,21 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        instances = []
+        for i, sp in enumerate(self.instances, start=1):
+            where = f"instance {i} ({sp.family})"
+            params = _check_instance(sp.family, dict(sp.params), where)
+            instances.append(InstanceSpec(sp.family, tuple(params.items())))
+        object.__setattr__(self, "instances", tuple(instances))
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        slack = parse_rational(self.alpha_slack, "alpha_slack")
+        object.__setattr__(self, "alpha_slack", slack)
+        _parse_bool(self.oracle, "oracle")
+        _parse_bool(self.timing, "timing")
+        _parse_int(self.threads, "threads")
         if not self.algorithms:
             raise ParseError("at least one algorithm must be selected")
-        if self.n_cap < 1:
+        if _parse_int(self.n_cap, "n_cap") < 1:
             raise ParseError(f"n_cap: oracle cap must be at least 1, got {self.n_cap}")
         for i, (algo, strategy) in enumerate(self.algorithms, start=1):
             if algo not in ALGORITHMS:
@@ -210,28 +211,34 @@ class ExperimentConfig:
 
 
 def spec(family: str, **params) -> InstanceSpec:
+    """An instance entry as in a config document; a rational may also be a Fraction."""
     return InstanceSpec(family, tuple(sorted(params.items())))
 
 
-def _family(family, keys, where: str):
-    """The table entry of `family`; raises ParseError naming `where` for an
-    unknown family, or for a key it needs and lacks or does not take."""
+def _check_instance(family: str, params: dict, where: str) -> dict:
+    """`params` of a `family` instance, each converted by its key's kind in
+    INSTANCE_KEYS; a refusal raises ParseError naming `where`."""
+    if not isinstance(family, str):
+        raise ParseError(f"{where}: family must be a string, got {family!r}")
     if family not in FAMILIES:
         raise ParseError(f"{where}: unknown family {family!r}")
     required, optional, _ = FAMILIES[family]
     for key in required:
-        if key not in keys:
+        if key not in params:
             raise ParseError(f"{where}: missing {key!r}")
-    for key in keys:
+    out = {}
+    for key, value in params.items():
         if key not in required and key not in optional:
             raise ParseError(f"{where}: unknown key {key!r}")
-    return FAMILIES[family]
+        out[key] = INSTANCE_KEYS[key][0](value, f"{where}, {key!r}")
+    return out
 
 
 def make_instances(family: str, params: dict) -> list[tuple[str, TaskSet]]:
     """The (name, task set) pairs of one instance spec, deterministically;
     keys left out take the family's defaults."""
-    _, optional, make = _family(family, params, family)
+    params = _check_instance(family, params, family)
+    _, optional, make = FAMILIES[family]
     return make({**optional, **params})
 
 
@@ -240,12 +247,11 @@ def resolve_instances(cfg: ExperimentConfig) -> list[tuple[str, str, TaskSet]]:
     an error names the spec by its 1-based index."""
     out = []
     for i, sp in enumerate(cfg.instances, start=1):
-        where, params = f"instance {i} ({sp.family})", dict(sp.params)
-        _, optional, make = _family(sp.family, params, where)
+        _, optional, make = FAMILIES[sp.family]
         try:
-            pairs = make({**optional, **params})
+            pairs = make({**optional, **dict(sp.params)})
         except RtpackError as exc:
-            exc.args = (f"{where}: {exc}",)  # keeps the error's type
+            exc.args = (f"instance {i} ({sp.family}): {exc}",)  # keeps its type
             raise
         out.extend((name, sp.family, ts) for name, ts in pairs)
     return out
@@ -482,71 +488,71 @@ def emit_report(report: BenchReport, format: str = "csv") -> bytes:
 
 
 def _parse_int(value, where: str) -> int:
-    """A JSON integer; booleans, floats and strings are refused, not cast."""
+    """An integer; booleans, floats and strings are refused, not cast."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
 def _parse_bool(value, where: str) -> bool:
-    """A JSON boolean; strings, numbers and null are refused."""
+    """A boolean; strings, numbers and null are refused."""
     if not isinstance(value, bool):
         raise ParseError(f"{where}: expected true or false, got {value!r}")
     return value
 
 
-def _parse_instance(index: int, entry: dict) -> InstanceSpec:
-    family = entry["family"]
-    if not isinstance(family, str):
-        raise ParseError(f"instance {index}: family must be a string, got {family!r}")
-    params = {key: value for key, value in entry.items() if key != "family"}
-    _family(family, params, f"instance {index} ({family})")
-    for key, value in params.items():
-        where = f"instance {index} ({family}), {key!r}"
-        if key in _RATIONAL_KEYS:
-            params[key] = parse_rational(value, where)
-        elif key in _INTEGER_KEYS:
-            params[key] = _parse_int(value, where)
-        elif key == "class" and value not in _CLASSES:
-            raise ParseError(f"{where}: unknown class {value!r}")
-    return InstanceSpec(family, tuple(sorted(params.items())))
+def _parse_class(value, where: str) -> str:
+    if value not in _CLASSES:
+        raise ParseError(f"{where}: unknown class {value!r}")
+    return value
 
 
-def _parse_algorithm(index: int, entry: dict) -> tuple[str, Optional[str]]:
-    if not isinstance(entry, dict):
-        raise ParseError(f"algorithm {index}: expected an object, got {entry!r}")
-    for key in entry:
-        if key not in _ALGORITHM_KEYS:
-            raise ParseError(f"algorithm {index}: unknown key {key!r}")
-    return entry["algo"], entry.get("strategy")
+def _parse_path(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a path string, got {value!r}")
+    return value
+
+
+# instance key -> kind: the check of every value (config, `spec` or flag) and
+# the argparse keywords of its `generate` flag, None for `count` and `path`
+_INT, _RATIONAL = (_parse_int, {"type": int}), (parse_rational, {"type": as_rational})
+INSTANCE_KEYS = {
+    "k": _INT, "h": _RATIONAL, "n": _INT, "eps": _RATIONAL, "seed": _INT,
+    "count": (_parse_int, None), "target_u": _RATIONAL,
+    "class": (_parse_class, {"choices": _CLASSES}), "den_bound": _INT,
+    "path": (_parse_path, None),
+}  # fmt: skip
+
+
+def _entries(doc: dict, key: str, required: str) -> list[dict]:
+    """The list `doc[key]` of objects holding `required`, named as "instance 1"."""
+    if key not in doc:
+        raise ParseError(f"config: missing {key!r}")
+    if not isinstance(doc[key], list):
+        raise ParseError(f"config: {key!r} must be a list")
+    for i, entry in enumerate(doc[key], start=1):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{key[:-1]} {i}: expected an object, got {entry!r}")
+        if required not in entry:
+            raise ParseError(f"{key[:-1]} {i}: missing {required!r}")
+    return doc[key]
 
 
 def parse_config(data: bytes | str) -> ExperimentConfig:
-    """Parse the experiment configuration document; an unknown key, at the
-    top level or in an algorithm entry, is an error."""
+    """Read the experiment configuration document and check its shape and
+    keys; the ExperimentConfig checks the values and holds the defaults."""
     doc = load_json(data, "config")
     if not isinstance(doc, dict):
         raise ParseError("config must be an object")
+    names = {f.name for f in fields(ExperimentConfig)}
     for key in doc:
-        if key not in _CONFIG_KEYS:
+        if key not in names:
             raise ParseError(f"config: unknown key {key!r}")
-    try:
-        instances = tuple(
-            _parse_instance(i, entry)
-            for i, entry in enumerate(doc["instances"], start=1)
-        )
-        algorithms = tuple(
-            _parse_algorithm(i, entry)
-            for i, entry in enumerate(doc["algorithms"], start=1)
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed config: {exc}") from exc
-    return ExperimentConfig(
-        instances=instances,
-        algorithms=algorithms,
-        oracle=_parse_bool(doc.get("oracle", True), "oracle"),
-        n_cap=_parse_int(doc.get("n_cap", DEFAULT_ORACLE_CAP), "n_cap"),
-        alpha_slack=parse_rational(doc.get("alpha_slack", "1"), "alpha_slack"),
-        timing=_parse_bool(doc.get("timing", True), "timing"),
-        threads=_parse_int(doc.get("threads", 1), "threads"),
-    )
+    instances = [spec(**e) for e in _entries(doc, "instances", "family")]
+    algorithms = []
+    for i, entry in enumerate(_entries(doc, "algorithms", "algo"), start=1):
+        for key in entry:
+            if key not in ("algo", "strategy"):
+                raise ParseError(f"algorithm {i}: unknown key {key!r}")
+        algorithms.append((entry["algo"], entry.get("strategy")))
+    return ExperimentConfig(**{**doc, "instances": instances, "algorithms": algorithms})

@@ -20,7 +20,7 @@ from .errors import RtpackError
 from .feasibility import DEFAULT_POINT_CAP, edf_feasible_exact
 from .generators import gen_random_dvp
 from .io import json_list, parse_taskset, serialize_dvp, serialize_taskset
-from .model import DeadlineClass, as_rational
+from .model import as_rational
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy
 from .simulate import DEFAULT_EVENT_CAP, SimTrace, simulate_edf_synchronous
@@ -179,14 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[f for f in bench_mod.FAMILIES if f != "file"],
         required=True,
     )
-    p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--h", type=as_rational)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--eps", type=as_rational)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--target-u", type=as_rational)
-    p_gen.add_argument("--class", choices=[c.value for c in DeadlineClass])
-    p_gen.add_argument("--den-bound", type=int)
+    for key, (_, flag) in bench_mod.INSTANCE_KEYS.items():
+        if flag is not None:
+            p_gen.add_argument("--" + key.replace("_", "-"), **flag)
     p_gen.add_argument("--dvp-out")
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=cmd_generate)

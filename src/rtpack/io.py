@@ -17,12 +17,10 @@ from .model import Task, TaskSet, as_rational, require_valid
 
 
 def parse_rational(value, where: str = "value") -> Fraction:
-    """`as_rational` of a JSON value: an int or a string literal."""
+    """`as_rational` of a JSON value (an int or a string literal) or a Fraction."""
     if isinstance(value, float):
-        raise ParseError(
-            f"{where}: JSON floats are lossy; write the value as a string"
-        )
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ParseError(f"{where}: floats are lossy; write the value as a string")
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
         raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
     try:
         return as_rational(value)

@@ -4,6 +4,7 @@ import re
 import runpy
 import sys
 import threading
+import time
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -334,6 +335,21 @@ class TestRatioExperimentScript:
         assert exc.value.code == 0
         assert "hard bound violations: 0\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--target-u", "x/2"],
+          "error: instance 1 (random), 'target_u': not a rational literal: "),
+         (["--count", "0"], "error: instance 1 (random): count must be at least 1, got 0\n")],
+    )  # fmt: skip
+    def test_bad_input_exits_two(self, tmp_path, monkeypatch, capsys, flags, message):
+        # 2 is the error code; 1 would read as "a hard flag was printed"
+        argv = ["ratio_experiment.py", "--n", "4", *flags, "-o", str(tmp_path / "r.csv")]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(SCRIPTS / "ratio_experiment.py"), run_name="__main__")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(message)
+
 
 class TestEmit:
     def test_empty_csv_has_header_only(self):
@@ -486,6 +502,22 @@ class TestDecimal6:
         assert _decimal6(value) == decimal6_reference(value)
 
 
+def refusal(doc: dict) -> str:
+    """The message of the ParseError with which both entry points refuse
+    `doc`: `parse_config` reading it as JSON, and ExperimentConfig built from
+    `spec` calls in Python."""
+    with pytest.raises(ParseError) as from_json:
+        parse_config(json.dumps(doc))
+    with pytest.raises(ParseError) as from_python:
+        ExperimentConfig(
+            instances=tuple(spec(**entry) for entry in doc["instances"]),
+            algorithms=tuple((a["algo"], a.get("strategy")) for a in doc["algorithms"]),
+            **{k: v for k, v in doc.items() if k not in ("instances", "algorithms")},
+        )
+    assert str(from_python.value) == str(from_json.value)
+    return str(from_json.value)
+
+
 class TestConfigParsing:
     def test_full_config(self):
         cfg = parse_config(
@@ -575,8 +607,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
     def test_switches_must_be_json_booleans(self, key, value):
         doc = {"instances": [], "algorithms": [{"algo": "dm"}], key: value}
-        with pytest.raises(ParseError, match=key):
-            parse_config(json.dumps(doc))
+        assert refusal(doc) == f"{key}: expected true or false, got {value!r}"
 
     def test_family_must_be_a_string(self):
         doc = {"instances": [{"family": ["random"]}], "algorithms": [{"algo": "dm"}]}
@@ -586,24 +617,32 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "key,value",
         [("eps", 0.1), ("eps", True), ("eps", None), ("eps", "x/2"), ("n", 4.7),
-         ("n", True), ("n", "4"), ("n", 4.0)],
+         ("n", True), ("n", "4"), ("n", 4.0), ("n", 4.9)],
     )  # fmt: skip
     def test_instance_values_must_be_exact(self, key, value):
         entry = {"family": "speedup-gap", "n": 3, "eps": "1/2", key: value}
         doc = {"instances": [entry], "algorithms": [{"algo": "dm"}]}
-        with pytest.raises(ParseError, match=f"instance 1 \\(speedup-gap\\), '{key}'"):
-            parse_config(json.dumps(doc))
+        assert refusal(doc).startswith(f"instance 1 (speedup-gap), '{key}': ")
+
+    def test_huge_exponent_refused_at_once(self):
+        # a spec built in Python used to take this literal and spend seconds
+        # at run time before failing
+        entry = {"family": "speedup-gap", "n": 3, "eps": "1e20000000"}
+        start = time.perf_counter()
+        message = refusal({"instances": [entry], "algorithms": [{"algo": "dm"}]})
+        assert time.perf_counter() - start < 0.5
+        assert "exponent of '1e20000000' exceeds 4300" in message
 
     @pytest.mark.parametrize(
         "entry",
         [{"family": "bf-adversary", "k": 4.7}, {"family": "bf-adversary", "k": 4, "h": 1e9},
          {"family": "random", "n": 5, "target_u": 1.5}, {"family": "random", "n": 5, "seed": 1.0},
-         {"family": "random", "n": 5, "count": "2"}, {"family": "dvp", "n": 5, "den_bound": 8.0}],
+         {"family": "random", "n": 5, "count": "2"}, {"family": "dvp", "n": 5, "den_bound": 8.0},
+         {"family": "random", "n": 4.9}, {"family": "file", "path": 5}],
     )  # fmt: skip
     def test_every_family_key_checked(self, entry):
         doc = {"instances": [entry], "algorithms": [{"algo": "dm"}]}
-        with pytest.raises(ParseError):
-            parse_config(json.dumps(doc))
+        assert refusal(doc).startswith(f"instance 1 ({entry['family']}), '")
 
     @pytest.mark.parametrize(
         "key,value",
@@ -612,8 +651,25 @@ class TestConfigParsing:
     )  # fmt: skip
     def test_top_level_values_must_be_exact(self, key, value):
         doc = {"instances": [], "algorithms": [{"algo": "dm"}], key: value}
-        with pytest.raises(ParseError, match=key):
+        assert refusal(doc).startswith(f"{key}: ")
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [({"algorithms": [{"algo": "dm"}]}, "config: missing 'instances'"),
+         ({"instances": []}, "config: missing 'algorithms'"),
+         ({"instances": 5, "algorithms": [{"algo": "dm"}]}, "config: 'instances' must be a list"),
+         ({"instances": [], "algorithms": {"algo": "dm"}}, "config: 'algorithms' must be a list"),
+         ({"instances": [], "algorithms": [{"algo": "dm"}, {"strategy": "bf"}]},
+          "algorithm 2: missing 'algo'"),
+         ({"instances": [{"n": 3}], "algorithms": [{"algo": "dm"}]},
+          "instance 1: missing 'family'"),
+         ({"instances": ["random"], "algorithms": [{"algo": "dm"}]},
+          "instance 1: expected an object, got 'random'")],
+    )  # fmt: skip
+    def test_missing_or_misshapen_entries_named(self, doc, message):
+        with pytest.raises(ParseError) as err:
             parse_config(json.dumps(doc))
+        assert str(err.value) == message
 
     def test_exact_values_parse_to_rationals(self):
         cfg = parse_config(json.dumps({
