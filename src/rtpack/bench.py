@@ -2,14 +2,18 @@
 
 Each row pairs one instance with one partitioner run: instance metrics, the
 processor count, the oracle optimum when enabled, the realized ratio, and
-any bound violations.  Ratios stay exact rationals end to end; the decimal
-rendering in the JSON output is display-only.  Reports are deterministic
-given the configuration; wall-clock runtimes are recorded for performance
-reading but never enter a correctness check (and can be disabled to make
-output files reproducible byte for byte).  The JSON report is laid out by a
-fixed template, one row object at a time, and keeps the bytes of
-`json.dumps(doc, indent=2)`, whose indented form runs the pure-Python
-encoder.
+any bound violations.  Each instance gets one exact-verdict store, a dict
+keyed by bin position bitmask: verification of every partition fills it,
+the oracle's search reads and extends it, and it is dropped when the
+instance ends, so no bin reaches the exact test twice within an instance
+and no verdict outlives it.  Ratios stay exact rationals end to end; the
+decimal rendering in the JSON output is display-only.  Reports are
+deterministic given the configuration; wall-clock runtimes are recorded
+for performance reading but never enter a correctness check (and can be
+disabled to make output files reproducible byte for byte).  The JSON
+report is laid out by a fixed template, one row object at a time, and
+keeps the bytes of `json.dumps(doc, indent=2)`, whose indented form runs
+the pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -191,7 +195,14 @@ class ExperimentConfig:
             params = _check_instance(sp.family, dict(sp.params), where)
             instances.append(InstanceSpec(sp.family, tuple(params.items())))
         object.__setattr__(self, "instances", tuple(instances))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        algorithms = []
+        for i, entry in enumerate(self.algorithms, start=1):
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise ParseError(
+                    f"algorithm {i}: expected an (algo, strategy) pair, got {entry!r}"
+                )
+            algorithms.append(tuple(entry))
+        object.__setattr__(self, "algorithms", tuple(algorithms))
         slack = parse_rational(self.alpha_slack, "alpha_slack")
         object.__setattr__(self, "alpha_slack", slack)
         _parse_bool(self.oracle, "oracle")
@@ -307,13 +318,17 @@ def _bench_instance(
 ) -> tuple[list[BenchRow], list[str]]:
     """The rows and errors of one instance.  The partitioners run and are
     verified first, so that the fewest bins of a verified partition can
-    spare the oracle its search of that level; the errors still list the
-    oracle's first, then the algorithms' in config order."""
+    spare the oracle its search of that level, and so that the oracle
+    reads the bin verdicts verification left in the instance's store; the
+    errors still list the oracle's first, then the algorithms' in config
+    order."""
     lam = lambda_metric(ts)
     gamma = gamma_metric(ts)
     cls = classify(ts).value
-    util = ts.total_utilization
+    view = ts.ints
+    util = Fraction(sum(view.share), view.whole)
 
+    store: dict[int, bool] = {}  # the instance's exact verdicts, by bin bitmask
     runs = []  # (algorithm, strategy, M, verified, runtime in ms)
     algo_errors: list[str] = []
     for algo, strategy in cfg.algorithms:
@@ -321,7 +336,8 @@ def _bench_instance(
             start = time.perf_counter()
             part = run_algorithm(ts, algo, strategy)
             elapsed_ms = (time.perf_counter() - start) * 1000 if cfg.timing else 0.0
-            runs.append((algo, strategy, part.m, verify_partition(ts, part), elapsed_ms))
+            verified = verify_partition(ts, part, store)
+            runs.append((algo, strategy, part.m, verified, elapsed_ms))
         except RtpackError as exc:
             algo_errors.append(f"{name}/{algo}-{strategy}: {exc}")
 
@@ -331,7 +347,7 @@ def _bench_instance(
         upper = min((m for _, _, m, verified, _ in runs if verified), default=None)
         try:
             # positional: perfbench's traced wrapper takes no keywords
-            m_star = optimal_partition_bruteforce(ts, cfg.n_cap, upper).m_star
+            m_star = optimal_partition_bruteforce(ts, cfg.n_cap, upper, store).m_star
         except RtpackError as exc:
             errors.append(f"{name}/oracle: {exc}")
     bounds = _bounds(lam, gamma, m_star, cfg.alpha_slack)

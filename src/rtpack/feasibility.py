@@ -3,10 +3,12 @@
 Three exact entry points share one sweep kernel: `edf_feasible_exact`
 tests a task set at a speed and reports a witness (the `check` command);
 `positions_feasible_exact` tests the tasks at some positions of a set's
-integer view at unit speed (the oracle's bin test); `verify_partition`
-tests every bin of a partition with it.  `lemma1_feasible` is a closed
-form for one shape of set.  Every verdict here is exact; the dbf*
-admission of deadline-monotonic fitting lives in `partitioners`.
+integer view at unit speed, by two O(1) gates and then
+`feasible_past_gates`, the step that the oracle's bins call directly;
+`verify_partition` tests every bin of a partition with the same gates and
+step, through a verdict store.  `lemma1_feasible` is a closed form for
+one shape of set.  Every verdict here is exact; the dbf* admission of
+deadline-monotonic fitting lives in `partitioners`.
 
 The demand criterion quantifies over all t >= 0; only the deadline points
 k*T_i + D_i matter because the demand is a right-continuous step function
@@ -48,7 +50,7 @@ returns True there, compared on ints; the witness-producing
 
 Two tasks.  A pair that neither the density accept nor the share refusal
 decides is, where its U is below 1, mostly decided in O(1) by
-`positions_feasible_exact`.  Name the tasks so that D_a <= D_b.  Each
+`feasible_past_gates`.  Name the tasks so that D_a <= D_b.  Each
 task alone is feasible, as C <= min(D, T), and before D_b only task a has
 demand, so only points t >= D_b can fail.  From D_b on both dbf* lines
 apply: where offset_a + offset_b <= D_b * (whole - load), dbf* stays
@@ -58,6 +60,16 @@ kink.  Where C_b + C_a * (floor((D_b - D_a) / T_a) + 1), the demand at
 D_b, exceeds D_b, D_b is a failing point.  Every other pair is swept.  At
 U = 1 the pair is always swept, so that a hyperperiod past
 DEFAULT_HYPERPERIOD_CAP still raises HorizonOverflow.
+
+Verdict store.  A bin's verdict depends only on its set of positions in
+the view, so the bench gives each instance one store: a plain dict from a
+bin's position bitmask to its verdict, which `verify_partition` fills for
+every partition of the instance and the oracle's search then reads and
+extends as its memo.  The store lives for one instance and is dropped
+with it; it is never kept on the task set or its view.  It holds only
+verdicts of bins past both O(1) gates, so within one instance no bin
+reaches `feasible_past_gates` twice.  Coverage faults raise on every call
+and are never stored.
 
 Incremental demand.  The points of all tasks come off one heap in
 ascending order.  Every heap entry equal to t is popped before t is
@@ -235,17 +247,29 @@ def positions_feasible_exact(view: IntView, positions: Sequence[int]) -> bool:
     """Exact EDF feasibility of the tasks at `positions` of `view` on one
     unit-speed processor, without witness search.
 
-    This is the inner loop of the oracle and of partition verification: a
-    total density within 1 returns True and a utilization overrun returns
-    False, both before any sweep, and nothing is rescaled per subset.  Two
-    tasks of U below 1 are mostly decided at their later deadline, also
-    before any sweep (see "Two tasks" in the module docstring).
+    Two O(1) gates come first: a total density within 1 returns True and
+    a utilization overrun returns False, both before any sweep, and
+    nothing is rescaled per subset.  Every other subset goes to
+    `feasible_past_gates`.
     """
     if sum(map(view.span_share.__getitem__, positions)) <= view.span_whole:
         return True
-    load, whole = sum(map(view.share.__getitem__, positions)), view.whole
-    if load > whole:
+    load = sum(map(view.share.__getitem__, positions))
+    if load > view.whole:
         return False
+    return feasible_past_gates(view, positions, load)
+
+
+def feasible_past_gates(view: IntView, positions: Sequence[int], load: int) -> bool:
+    """The verdict of `positions_feasible_exact` on the tasks at
+    `positions` of `view`, whose share sum is `load`, for a subset that
+    neither O(1) gate decides: its density sum exceeds `span_whole` and
+    `load` is at most `whole`.  Two tasks of U below 1 are mostly decided
+    at their later deadline (see "Two tasks" in the module docstring);
+    the rest are swept.  Callers that already hold the sums, the oracle's
+    bins and `verify_partition`, call this step directly.
+    """
+    whole = view.whole
     if len(positions) == 2 and load < whole:
         a, b = sorted(positions, key=view.d.__getitem__)
         d_b = view.d[b]
@@ -317,26 +341,54 @@ def lemma1_feasible(ts: TaskSet) -> bool:
     return strict_work <= 1 and ts.total_utilization <= 1
 
 
-def verify_partition(ts: TaskSet, part: Partition) -> bool:
+def verify_partition(
+    ts: TaskSet, part: Partition, store: Optional[dict[int, bool]] = None
+) -> bool:
     """True iff `part` is a partition of `ts` whose every bin is
-    EDF-feasible on one processor, by `positions_feasible_exact`."""
+    EDF-feasible on one processor.
+
+    Coverage is checked on every call, before any verdict is read.  A bin
+    whose density sum is within one processor is accepted on it; any other
+    bin's verdict is looked up in `store`, the instance's verdict store
+    keyed by the bin's position bitmask (see the module docstring), and on
+    a miss decided by the share refusal and `feasible_past_gates`.  Only
+    verdicts past both gates enter `store`; without one, a fresh store is
+    used for this call.
+    """
     require_valid(ts)
-    position = {tsk.id: i for i, tsk in enumerate(ts)}
-    seen: set[int] = set()
+    position = ts.position
+    bins: list[tuple[list[int], int]] = []  # (positions, bitmask) per bin
+    seen = 0
     for b in part.bins:
         if not b:
             raise CoverageError("empty bin in partition")
+        positions, mask = [], 0
         for tid in b:
-            if tid not in position:
+            pos = position.get(tid)
+            if pos is None:
                 raise CoverageError(f"unknown task id {tid} in partition")
-            if tid in seen:
+            bit = 1 << pos
+            if seen & bit:
                 raise CoverageError(f"task id {tid} assigned twice")
-            seen.add(tid)
-    if len(seen) != len(position):
-        missing = sorted(position.keys() - seen)
+            seen |= bit
+            mask |= bit
+            positions.append(pos)
+        bins.append((positions, mask))
+    if seen != (1 << len(ts)) - 1:
+        missing = sorted(tsk.id for i, tsk in enumerate(ts) if not seen >> i & 1)
         raise CoverageError(f"partition misses task ids {missing}")
     view = ts.ints
-    for b in part.bins:
-        if not positions_feasible_exact(view, [position[tid] for tid in b]):
+    if store is None:
+        store = {}
+    for positions, mask in bins:
+        if sum(map(view.span_share.__getitem__, positions)) <= view.span_whole:
+            continue
+        verdict = store.get(mask)
+        if verdict is None:
+            load = sum(map(view.share.__getitem__, positions))
+            if load > view.whole:
+                return False
+            verdict = store[mask] = feasible_past_gates(view, positions, load)
+        if not verdict:
             return False
     return True

@@ -105,11 +105,11 @@ class IntView:
     The list's shares and densities over its hyperperiods are ints as
     well, computed on first use and then kept, and every layer reads them
     here: `whole` is the lcm of the periods and `share[i]` = u_i * whole;
-    `span_whole` is the lcm of the min(D_i, T_i) and `span_share[i]` =
-    C_i * span_whole / min(D_i, T_i), the density times `span_whole`.  A
-    subset compared against `whole` or `span_whole` decides as against its
-    own hyperperiod, a divisor of it.  These terms assume D, T > 0, which
-    `validate` checks on C, D and T alone.
+    `span[i]` is min(D_i, T_i), `span_whole` the lcm of the spans and
+    `span_share[i]` = C_i * span_whole / span[i], the density times
+    `span_whole`.  A subset compared against `whole` or `span_whole`
+    decides as against its own hyperperiod, a divisor of it.  These terms
+    assume D, T > 0, which `validate` checks on C, D and T alone.
 
     Each task's linear demand approximation is a line in these terms:
     from D_i on, dbf*_i(t) * whole = share[i] * t + offset[i], with
@@ -151,20 +151,24 @@ class IntView:
         return tuple(c * whole - s * d for c, d, s in zip(self.c, self.d, self.share))
 
     @cached_property
+    def span(self) -> tuple[int, ...]:
+        return tuple(map(min, self.d, self.t))
+
+    @cached_property
     def span_whole(self) -> int:
-        return math.lcm(*map(min, self.d, self.t))
+        return math.lcm(*self.span)
 
     @cached_property
     def span_share(self) -> tuple[int, ...]:
         whole = self.span_whole
-        return tuple(whole // min(d, t) * c for c, d, t in zip(self.c, self.d, self.t))
+        return tuple(whole // span * c for c, span in zip(self.c, self.span))
 
 
 @dataclass(frozen=True)
 class TaskSet:
-    """An immutable task list.  Its validation verdict and integer view
-    are computed on first use and then kept: nothing they depend on can
-    change."""
+    """An immutable task list.  Its validation verdict, integer view and
+    id-to-position index are computed on first use and then kept: nothing
+    they depend on can change."""
 
     tasks: tuple[Task, ...]
     name: str = ""
@@ -203,6 +207,11 @@ class TaskSet:
     def ints(self) -> IntView:
         """The set's C, D and T at one integer scale, by position."""
         return IntView.of(self.tasks)
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Each task id's position in the set."""
+        return {tsk.id: i for i, tsk in enumerate(self.tasks)}
 
 
 def taskset(triples: Iterable[tuple], name: str = "") -> TaskSet:

@@ -5,11 +5,16 @@ Bin verdicts.  Each open bin keeps the sums of its tasks' density and
 utilization terms on the set's integer view as it grows.  A bin whose
 density sum is within one processor is feasible, and one whose
 utilization passes it is not, in O(1) from those sums.  Every other bin
-is decided by `positions_feasible_exact`, the exact demand test of the
-bin's positions in the view, at its default caps, which settles most
-two-task bins at their later deadline and sweeps the rest; the memo
-holds only these verdicts, across branches and levels, keyed by
-position bitmask.
+is decided by `feasibility.feasible_past_gates`, the exact demand test of
+the bin's positions in the view past those two gates, at its default
+caps, which settles most two-task bins at their later deadline and
+sweeps the rest; the memo holds only these verdicts, across branches and
+levels, keyed by position bitmask.  A caller may pass the memo in as
+`store`: the bench passes each instance's verdict store, which
+`verify_partition` has filled with the verdicts of the partitioners'
+bins, so that a bin already decided there is not tested again, and drops
+it when the instance ends.  The store changes no verdict, node count or
+witness.
 
 Set partitions are enumerated as restricted-growth strings in increasing
 bin count, so symmetric relabelings of bins are never visited twice.  A
@@ -63,7 +68,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BadParam, CapExceeded
-from .feasibility import positions_feasible_exact
+from .feasibility import feasible_past_gates
 from .model import IntView, TaskSet, require_valid
 from .partitioners import Partition
 
@@ -103,23 +108,24 @@ class _Search:
     An open bin is the bitmask of its positions in the task set (task ids
     are arbitrary ints, so they are not used as bit indices), kept with
     the sums of its `span_share` and `share` as it grows; the memo of
-    exact verdicts is keyed by that mask.  An object rather than nested
-    closures: a recursive closure is a reference cycle, which keeps the
-    memo alive until the cyclic garbage collector runs instead of freeing
-    it when the result is dropped.
+    exact verdicts, the caller's verdict store if it gives one, is keyed
+    by that mask.  An object rather than nested closures: a recursive
+    closure is a reference cycle, which keeps the memo alive until the
+    cyclic garbage collector runs instead of freeing it when the result is
+    dropped.
     """
 
-    def __init__(self, view: IntView):
+    def __init__(self, view: IntView, memo: Optional[dict[int, bool]] = None):
         self.view = view
         self.span_whole, self.whole = view.span_whole, view.whole
-        self.memo: dict[int, bool] = {}
+        self.memo: dict[int, bool] = {} if memo is None else memo
         self.nodes = 0
 
     def feasible_bin(self, mask: int, density: int, load: int) -> bool:
         """The verdict on the bin `mask` whose sums of `span_share` and
         `share` are `density` and `load`: feasible at a density sum within
         `span_whole`, infeasible at a share sum past `whole`, and
-        otherwise the memoized `positions_feasible_exact` of its positions,
+        otherwise the memoized `feasible_past_gates` of its positions,
         whose verdict does not depend on the order they were assigned in."""
         if density <= self.span_whole:
             return True
@@ -127,7 +133,7 @@ class _Search:
             return False
         hit = self.memo.get(mask)
         if hit is None:
-            hit = positions_feasible_exact(self.view, _positions(mask))
+            hit = feasible_past_gates(self.view, _positions(mask), load)
             self.memo[mask] = hit
         return hit
 
@@ -264,7 +270,10 @@ def _result(search: _Search, ts: TaskSet, m_star: int) -> OracleResult:
 
 
 def optimal_partition_bruteforce(
-    ts: TaskSet, n_cap: int = DEFAULT_ORACLE_CAP, upper: Optional[int] = None
+    ts: TaskSet,
+    n_cap: int = DEFAULT_ORACLE_CAP,
+    upper: Optional[int] = None,
+    store: Optional[dict[int, bool]] = None,
 ) -> OracleResult:
     """Minimum number of processors admitting a feasible partition, with a
     witness partition, by exhaustive search.
@@ -276,7 +285,8 @@ def optimal_partition_bruteforce(
     given, is the bin count of a partition of `ts` that `verify_partition`
     accepted; the level it names is never searched (see the module
     docstring).  Bins are tested as position lists of the set's integer
-    view.
+    view; `store`, when given, is the instance's verdict store, used as
+    the search's memo.
     """
     require_valid(ts)
     if n_cap < 1:
@@ -285,7 +295,7 @@ def optimal_partition_bruteforce(
     if n > n_cap:
         raise CapExceeded(f"N = {n} exceeds the oracle cap {n_cap}")
 
-    search = _Search(ts.ints)
+    search = _Search(ts.ints, store)
     by_density = _by_density(search.view)
     clique: list[int] = []
     lower = 0

@@ -19,14 +19,15 @@ Deadline-monotonic fitting (Fisher, Baker & Baruah, RTCSA 2006) packs in
 task's, so the line sum there is the bin's dbf*.
 
 The dagger greedy tightens each task to the implicit task
-(C, D', D'), D' = min(D, T), and packs the result in input order.  An
-implicit task's dbf* line passes through the origin, with the density
-(`IntView.span_share` over `span_whole`) as slope.  At the D' of the task
-being placed, a bin's line sum is its density sum times D', and the room
-is (D' - C) * span_whole = D' * (span_whole - span_share).  So both tests
-are one utilization test of the tightened set in any order, which keeps
-every bin EDF-feasible for the original tasks, and best and worst fit
-rank bins, ties included, by their density sums.
+(C, D', D'), D' = min(D, T) (`IntView.span`), and packs the result in
+input order.  An implicit task's dbf* line passes through the origin,
+with the density (`IntView.span_share` over `span_whole`) as slope.  At
+the D' of the task being placed, a bin's line sum is its density sum
+times D', and the room is (D' - C) * span_whole = D' * (span_whole -
+span_share).  So both tests are one utilization test of the tightened
+set in any order, which keeps every bin EDF-feasible for the original
+tasks, and best and worst fit rank bins, ties included, by their density
+sums.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ def dagger_greedy(ts: TaskSet, fitting: Strategy) -> Partition:
     tightened task set: a bin accepts a task iff its load stays at most 1."""
     require_valid(ts)
     view = ts.ints
-    spans = tuple(map(min, view.d, view.t))
     zero = (0,) * len(ts)
     return _any_fit(
-        ts, range(len(ts)), view.span_share, zero, view.span_whole, spans, fitting, "dagger"
+        ts, range(len(ts)), view.span_share, zero, view.span_whole, view.span,
+        fitting, "dagger",
     )

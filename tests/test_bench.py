@@ -188,7 +188,8 @@ class TestRunExperiment:
     @given(configs())
     def test_same_rows_as_the_unhinted_oracle(self, cfg):
         # the oracle as it ran before it was passed the partitioners' bins
-        def unhinted(ts, n_cap, upper=None):
+        # and the instance's verdict store
+        def unhinted(ts, n_cap, upper=None, store=None):
             return optimal_partition_bruteforce(ts, n_cap)
 
         report = run_experiment(cfg)
@@ -267,6 +268,19 @@ class TestRunExperiment:
         with pytest.raises(ParseError, match=match):
             ExperimentConfig(instances=(), algorithms=algorithms)
 
+    # entries that are not (algo, strategy) pairs: too short, too long, and
+    # a bare string where the tuple of pairs belongs
+    @pytest.mark.parametrize(
+        "algorithms,match",
+        [((("dm",),), "algorithm 1: expected an \\(algo, strategy\\) pair, got \\('dm',\\)"),
+         ((("dm", "ff", "x"),), "algorithm 1: expected an \\(algo, strategy\\) pair, got \\('dm', 'ff', 'x'\\)"),
+         (("dm",), "algorithm 1: expected an \\(algo, strategy\\) pair, got 'dm'")],
+        ids=["one-item", "three-items", "bare-string"],
+    )  # fmt: skip
+    def test_python_built_algorithm_entries_must_be_pairs(self, algorithms, match):
+        with pytest.raises(ParseError, match=match):
+            ExperimentConfig(instances=(), algorithms=algorithms)
+
 
 def flags(row, verified=True):
     bounds = _bounds(row.lam, row.gamma, row.m_star, DEFAULT_ALPHA_SLACK)
@@ -316,7 +330,7 @@ class TestCheckBounds:
 
 class TestRatioExperimentScript:
     def test_failed_verification_counts_as_hard(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(bench_mod, "verify_partition", lambda ts, part: False)
+        monkeypatch.setattr(bench_mod, "verify_partition", lambda ts, part, store: False)
         argv = ["ratio_experiment.py", "--count", "1", "--n", "4", "-o", str(tmp_path / "r.csv")]
         monkeypatch.setattr(sys, "argv", argv)
         with pytest.raises(SystemExit) as exc:

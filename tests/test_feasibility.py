@@ -446,3 +446,27 @@ class TestVerifyPartition:
         ts = taskset([(1, 2, 2)])
         with pytest.raises(CoverageError):
             verify_partition(ts, Partition(bins=((1,), ()), algorithm="manual"))
+
+    @pytest.mark.parametrize(
+        "bins",
+        [((1, 2), (3,)), ((1, 2), (3, 4, 1)), ((1, 2), (3, 4, 9)), ((1, 2), (), (3, 4))],
+        ids=["missing", "twice", "unknown", "empty"],
+    )
+    def test_coverage_fault_raises_with_its_bins_in_the_store(self, bins):
+        # each pair has density 3/2 and U = 1, so its verdict is stored
+        ts = taskset([(1, 1, 2), (1, 2, 2), (1, 1, 2), (1, 2, 2)])
+        store = {}
+        assert verify_partition(ts, Partition(((1, 2), (3, 4)), "manual"), store)
+        assert store == {0b0011: True, 0b1100: True}
+        for _ in range(2):
+            with pytest.raises(CoverageError):
+                verify_partition(ts, Partition(bins, "manual"), store)
+        assert store == {0b0011: True, 0b1100: True}
+
+    def test_stored_refusal_is_read_back(self):
+        ts = taskset([(1, 1, 2), (1, 1, 2), (1, 1, 2)])
+        part = Partition(bins=((1, 2), (3,)), algorithm="manual")
+        store = {}
+        assert verify_partition(ts, part, store) is False
+        assert store == {0b011: False}
+        assert verify_partition(ts, part, store) is False

@@ -32,7 +32,7 @@ from rtpack.oracle import (
     _load_bound,
     optimal_partition_bruteforce,
 )
-from rtpack.partitioners import Strategy, dagger_greedy, dm_partition
+from rtpack.partitioners import Partition, Strategy, dagger_greedy, dm_partition
 
 from conftest import (
     rationals,
@@ -323,16 +323,29 @@ class TestAgainstMemoEverySearch:
 
     @given(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
     def test_memo_holds_only_swept_verdicts(self, ts):
-        view = ts.ints
-        search = _Search(view)
-        order = _conflict_clique(search, _by_density(view))
-        order += [p for p in range(len(ts)) if p not in order]
-        for m in range(1, len(ts) + 1):
-            search.partition(order, m)
-        for mask in search.memo:
-            positions = [p for p in range(len(ts)) if mask >> p & 1]
-            assert sum(view.span_share[p] for p in positions) > view.span_whole
-            assert sum(view.share[p] for p in positions) <= view.whole
+        search = _Search(ts.ints)
+        search_every_level(search)
+        assert_past_gates(ts.ints, search.memo)
+
+
+def search_every_level(search: _Search) -> None:
+    """Fill the memo of `search` as the conflict clique and a search of
+    every level do."""
+    view = search.view
+    n = len(view.c)
+    order = _conflict_clique(search, _by_density(view))
+    order += [p for p in range(n) if p not in order]
+    for m in range(1, n + 1):
+        search.partition(order, m)
+
+
+def assert_past_gates(view, memo: dict) -> None:
+    """Every bin in `memo` is past both O(1) gates: its density sum
+    exceeds `span_whole` and its share sum is at most `whole`."""
+    for mask in memo:
+        positions = [p for p in range(len(view.c)) if mask >> p & 1]
+        assert sum(view.span_share[p] for p in positions) > view.span_whole
+        assert sum(view.share[p] for p in positions) <= view.whole
 
 
 class TestPairSweeps:
@@ -447,11 +460,16 @@ class TestLowerBounds:
         assert result.nodes_explored == 12
 
 
+def _six_partitions(ts: TaskSet) -> list[Partition]:
+    """The partitions of both partitioners, dm then dagger, each under
+    every strategy."""
+    return [make(ts, strat) for make in (dm_partition, dagger_greedy) for strat in Strategy]
+
+
 def _best_heuristic(ts: TaskSet) -> int:
     """The fewest bins of a verified partition by either partitioner
     under any strategy, as the bench passes it to the oracle."""
-    parts = [make(ts, strat) for make in (dm_partition, dagger_greedy) for strat in Strategy]
-    return min(p.m for p in parts if verify_partition(ts, p))
+    return min(p.m for p in _six_partitions(ts) if verify_partition(ts, p))
 
 
 class TestUpperBound:
@@ -511,6 +529,89 @@ class TestUpperBound:
         result = optimal_partition_bruteforce(ts, DEFAULT_ORACLE_CAP, upper)
         assert (result.m_star, result.nodes_explored, called) == (upper, nodes, computed)
         assert verify_partition(ts, result.witness) and result.witness.m == upper
+
+
+def _with_merged_bins(ts: TaskSet) -> list[Partition]:
+    """The six partitions, then partitions that may hold one infeasible
+    bin: each of the six with its first two bins merged, and every task in
+    one bin."""
+    parts = _six_partitions(ts)
+    merged = [
+        Partition(bins=(p.bins[0] + p.bins[1], *p.bins[2:]), algorithm="merged")
+        for p in parts
+        if p.m > 1
+    ]
+    return parts + merged + [Partition(bins=(tuple(t.id for t in ts),), algorithm="one")]
+
+
+@st.composite
+def sets_with_assignments(draw):
+    """A task set and a partition of it drawn as one bin index per task."""
+    ts = draw(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
+    index = draw(st.lists(st.integers(0, 2), min_size=len(ts), max_size=len(ts)))
+    bins = [tuple(t.id for t, b in zip(ts, index) if b == k) for k in range(3)]
+    return ts, Partition(bins=tuple(b for b in bins if b), algorithm="drawn")
+
+
+class TestVerdictStore:
+    """One verdict store per instance, filled by `verify_partition` and
+    the oracle's search in turn, changes no verdict, optimum, node count
+    or witness, and holds only verdicts of bins past both O(1) gates."""
+
+    @staticmethod
+    def same_verdicts(ts, parts):
+        for order in (parts, parts[::-1]):
+            store = {}
+            for part in order:
+                assert verify_partition(ts, part, store) == verify_partition(ts, part)
+            assert_past_gates(ts.ints, store)
+
+    @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
+    def test_same_verdicts_on_families(self, case):
+        ts = FAMILY_SETS[case]
+        self.same_verdicts(ts, _with_merged_bins(ts))
+
+    def test_families_hold_refused_partitions(self):
+        refused = [
+            not verify_partition(ts, part)
+            for ts in FAMILY_SETS
+            for part in _with_merged_bins(ts)
+        ]
+        assert 0 < sum(refused) < len(refused)
+
+    @given(sets_with_assignments())
+    def test_same_verdicts_on_random_sets(self, case):
+        ts, drawn = case
+        self.same_verdicts(ts, [*_with_merged_bins(ts), drawn])
+
+    @staticmethod
+    def same_search(ts):
+        store = {}
+        verified = [p.m for p in _six_partitions(ts) if verify_partition(ts, p, store)]
+        for upper in (None, min(verified)):
+            plain = optimal_partition_bruteforce(ts, DEFAULT_ORACLE_CAP, upper)
+            shared = optimal_partition_bruteforce(ts, DEFAULT_ORACLE_CAP, upper, dict(store))
+            assert (shared.m_star, shared.nodes_explored, shared.witness.bins) == (
+                plain.m_star, plain.nodes_explored, plain.witness.bins)  # fmt: skip
+
+    @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
+    def test_same_search_on_families(self, case):
+        self.same_search(FAMILY_SETS[case])
+
+    @given(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
+    def test_same_search_on_random_sets(self, ts):
+        self.same_search(ts)
+
+    @given(sets_with_assignments())
+    def test_store_filled_by_both_holds_only_swept_verdicts(self, case):
+        ts, drawn = case
+        store = {}
+        for part in [*_with_merged_bins(ts), drawn]:
+            verify_partition(ts, part, store)
+        search = _Search(ts.ints, store)
+        search_every_level(search)
+        assert search.memo is store
+        assert_past_gates(ts.ints, store)
 
 
 @st.composite
