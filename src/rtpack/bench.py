@@ -189,6 +189,10 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for field in ("instances", "algorithms"):
+            value = getattr(self, field)
+            if not isinstance(value, (list, tuple)):
+                raise ParseError(f"config: {field!r} must be a list, got {value!r}")
         instances = []
         for i, sp in enumerate(self.instances, start=1):
             where = f"instance {i} ({sp.family})"

@@ -3,13 +3,15 @@
 Exit codes are a stable contract: 0 for success or a feasible/positive
 verdict, 1 for an infeasible/negative verdict, 2 for any error.  All output
 is JSON or CSV with fixed key order, and output files are written whole via
-an atomic rename, never partially.
+an atomic rename, never partially.  `dispatch` parses with one parser per
+process, built on first use; `build_parser()` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -49,15 +51,15 @@ def _read_taskset(path: str):
 
 
 def _partition_doc(part: Partition) -> str:
-    # this and `cmd_check` stay on json.dumps(doc, indent=2) until the
-    # benchmark's peak RSS stops growing with speed (ROADMAP item 6)
-    doc = {
-        "algorithm": part.algorithm,
-        "strategy": part.strategy,
-        "m": part.m,
-        "bins": [list(b) for b in part.bins],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The partition document with the bytes of `json.dumps(doc, indent=2)`."""
+    dump = json.dumps
+    bins = [json_list([str(tid) for tid in b], 2) for b in part.bins]
+    return (
+        f'{{\n  "algorithm": {dump(part.algorithm)},\n'
+        f'  "strategy": {dump(part.strategy)},\n'
+        f'  "m": {dump(part.m)},\n'
+        f'  "bins": {json_list(bins)}\n}}\n'
+    )
 
 
 def _simulate_doc(name: str, speed: Fraction, trace: SimTrace) -> str:
@@ -88,6 +90,10 @@ def _simulate_doc(name: str, speed: Fraction, trace: SimTrace) -> str:
 def cmd_check(args) -> int:
     ts = _read_taskset(args.file)
     verdict = edf_feasible_exact(ts, speed=args.speed, point_cap=args.point_cap)
+    # stays on json.dumps(doc, indent=2) until the benchmark stops keeping
+    # every round's outcomes (ROADMAP item 5): a template writer leaves no
+    # cyclic garbage, the collector then runs rarely, and the cli-check
+    # peak RSS rose past its bound
     doc = {
         "name": ts.name,
         "speed": str(args.speed),
@@ -201,8 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# building the argparse tree takes about two thirds of a `check` request;
+# `parse_args` leaves a parser as it found it, so one serves every call
+_shared_parser = functools.cache(build_parser)
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -32,6 +32,13 @@ def as_rational(value: RationalLike) -> Fraction:
     literals ("0.25" becomes 1/4, "2.5e-3" 1/400).  A decimal exponent
     beyond +-MAX_EXPONENT, or a literal whose numerator or denominator has
     more than MAX_EXPONENT digits, is a ValueError."""
+    if isinstance(value, str) and len(value) <= MAX_EXPONENT and value.isascii():
+        # plain "p" or "p/q" with q > 0, the task-set writers' own form:
+        # no part can reach DIGIT_LIMIT, and Fraction's regex parse is
+        # skipped; any other literal takes the checks below
+        num, slash, den = value.partition("/")
+        if num.isdigit() and (not slash or den.isdigit() and int(den)):
+            return Fraction(int(num), int(den) if slash else 1)
     if isinstance(value, bool):
         raise TypeError("booleans are not rational quantities")
     if isinstance(value, float):

@@ -281,6 +281,18 @@ class TestRunExperiment:
         with pytest.raises(ParseError, match=match):
             ExperimentConfig(instances=(), algorithms=algorithms)
 
+    @pytest.mark.parametrize("value", [None, 5, "dm"])
+    def test_python_built_instances_must_be_a_sequence(self, value):
+        match = f"config: 'instances' must be a list, got {value!r}"
+        with pytest.raises(ParseError, match=match):
+            ExperimentConfig(instances=value, algorithms=(("dm", "ff"),))
+
+    @pytest.mark.parametrize("value", [None, 5, "dm"])
+    def test_python_built_algorithms_must_be_a_sequence(self, value):
+        match = f"config: 'algorithms' must be a list, got {value!r}"
+        with pytest.raises(ParseError, match=match):
+            ExperimentConfig(instances=(), algorithms=value)
+
 
 def flags(row, verified=True):
     bounds = _bounds(row.lam, row.gamma, row.m_star, DEFAULT_ALPHA_SLACK)

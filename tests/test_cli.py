@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import tempfile
@@ -9,12 +10,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from rtpack import cli
 from rtpack.bench import FAMILIES, make_instances
-from rtpack.cli import _simulate_doc, dispatch
+from rtpack.cli import _partition_doc, _simulate_doc, dispatch
 from rtpack.generators import gen_random_dvp
 from rtpack.io import serialize_dvp, serialize_taskset
 from rtpack.model import as_rational, taskset
 from rtpack.oracle import DEFAULT_ORACLE_CAP
+from rtpack.partitioners import Partition
 from rtpack.simulate import SimTrace
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -279,6 +282,29 @@ class TestSimulateDoc:
             "idle": [[str(a), str(b)] for a, b in trace.idle],
         }
         assert _simulate_doc(name, speed, trace) == json.dumps(doc, indent=2)
+
+
+class TestPartitionDoc:
+    @example(Partition((), "dm", "ff"))
+    @example(Partition(((3, 1), (), (2,)), "oracle"))
+    @given(
+        st.builds(
+            Partition,
+            st.lists(
+                st.lists(st.integers(min_value=1), max_size=4).map(tuple), max_size=4
+            ).map(tuple),
+            st.text(),
+            st.none() | st.text(),
+        )
+    )
+    def test_same_bytes_as_json_dumps(self, part):
+        doc = {
+            "algorithm": part.algorithm,
+            "strategy": part.strategy,
+            "m": part.m,
+            "bins": [list(b) for b in part.bins],
+        }
+        assert _partition_doc(part) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestBench:
@@ -547,6 +573,48 @@ class TestDispatch:
     def test_no_args(self, capsys):
         assert dispatch([]) == 2
         capsys.readouterr()
+
+    def test_shared_parser_carries_no_state(self, monkeypatch, capsys, tmp_path):
+        # each request through the one parser must answer as through a
+        # parser built for it alone, whatever requests came before
+        gap, k4 = str(GOLDEN / "speedup_gap_n3.json"), str(GOLDEN / "bf_adversary_k4.json")
+        requests = [
+            ["check", gap, "--frobnicate"],
+            ["check", gap, "--speed", "3/2"],
+            ["check", gap],
+            ["generate", "--family", "random", "--n", "5"],
+            ["--help"],
+            ["partition", k4, "--algo", "oracle"],
+            ["check", str(tmp_path / "missing.json")],
+        ]
+
+        def answers(parser):
+            monkeypatch.setattr(cli, "_shared_parser", parser)
+            return [(dispatch(argv), *capsys.readouterr()) for argv in requests]
+
+        shared = answers(functools.cache(cli.build_parser))
+        fresh = answers(cli.build_parser)
+        assert [rc for rc, _, _ in shared] == [2, 0, 1, 0, 0, 0, 2]
+        assert shared == fresh
+
+    def test_check_looks_up_its_layers_at_call_time(self, monkeypatch, capsys):
+        # the benchmark's traced pass swaps these two module globals
+        calls = []
+
+        def spy(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cli, "parse_taskset", spy("parse", cli.parse_taskset))
+        monkeypatch.setattr(
+            cli, "edf_feasible_exact", spy("check", cli.edf_feasible_exact)
+        )
+        for _ in range(2):
+            assert dispatch(["check", str(GOLDEN / "speedup_gap_n3.json")]) == 1
+        capsys.readouterr()
+        assert calls == ["parse", "check"] * 2
 
 
 # Exit-code fuzzing: whatever the documents and the environment hold, a

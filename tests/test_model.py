@@ -1,9 +1,10 @@
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from rtpack import model
@@ -87,6 +88,78 @@ class TestRationalConversion:
         with pytest.raises(ValueError) as exc:
             as_rational(huge)
         assert str(exc.value) == f"{huge[:40]!r} has more than 4300 digits"
+
+
+def _as_rational_reference(value):
+    """`as_rational` as it was before plain "p" and "p/q" literals got a
+    direct path: every string goes through Fraction's own parser."""
+    if isinstance(value, bool):
+        raise TypeError("booleans are not rational quantities")
+    if isinstance(value, float):
+        raise TypeError("floats are rejected; pass a string or Fraction to stay exact")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        exp = value.lower().rpartition("e")[2].strip().lstrip("+-")
+        exp = exp.replace("_", "").lstrip("0")
+        if exp.isdecimal() and (len(exp) > 4 or int(exp) > model.MAX_EXPONENT):
+            raise ValueError(f"exponent of {value[:40]!r} exceeds {model.MAX_EXPONENT}")
+    try:
+        out = Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {value!r}") from exc
+    if isinstance(value, str) and (
+        abs(out.numerator) >= model.DIGIT_LIMIT or out.denominator >= model.DIGIT_LIMIT
+    ):
+        raise ValueError(f"{value[:40]!r} has more than {model.MAX_EXPONENT} digits")
+    return out
+
+
+def _outcome(convert, value):
+    try:
+        return convert(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestPlainLiteralPath:
+    # "\u0663" is an Arabic-Indic three, a decimal digit that int() and
+    # Fraction's parser accept; "\u00b2" is a superscript two, a digit to
+    # str.isdigit that neither accepts
+    @example("0/5")
+    @example("007/8")
+    @example("1/0")
+    @example("0/000")
+    @example("3/")
+    @example("/3")
+    @example(" 1/2 ")
+    @example("1/2/3")
+    @example("\u0663/7")
+    @example("\u00b2")
+    @example("9" * 4299)
+    @example("9" * 4300)
+    @example("9" * 4299 + "/7")
+    @example("9" * 4300 + "/7")
+    @example("0" * 4300 + "1")
+    @settings(max_examples=500)
+    @given(st.text(alphabet="0123456789/+-_.eE \t\u0663\u00b2", max_size=12))
+    def test_same_as_fraction_parser(self, text):
+        got, want = _outcome(as_rational, text), _outcome(_as_rational_reference, text)
+        assert got == want
+        assert type(got) is type(want)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+    )
+    @pytest.mark.parametrize("value", ["9" * 4301, "1/" + "9" * 4301])
+    def test_digit_limit_holds_past_the_int_limit(self, value):
+        # with int()'s own limit lifted, only as_rational's check refuses
+        # a part of 4301 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(ValueError, match="has more than 4300 digits"):
+                as_rational(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestUtilization:
