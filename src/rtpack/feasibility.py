@@ -2,13 +2,13 @@
 
 Three exact entry points share one sweep kernel: `edf_feasible_exact`
 tests a task set at a speed and reports a witness (the `check` command);
-`positions_feasible_exact` tests the tasks at some positions of a set's
-integer view at unit speed, by two O(1) gates and then
-`feasible_past_gates`, the step that the oracle's bins call directly;
-`verify_partition` tests every bin of a partition with the same gates and
-step, through a verdict store.  `lemma1_feasible` is a closed form for
-one shape of set.  Every verdict here is exact; the dbf* admission of
-deadline-monotonic fitting lives in `partitioners`.
+`feasible_past_gates` tests the tasks at some positions of a set's
+integer view at unit speed, once two O(1) gates, the density accept and
+the share refusal, have not decided them, and the oracle's bins call it
+directly; `verify_partition` tests every bin of a partition with the same
+gates and step, through a verdict store.  `lemma1_feasible` is a closed
+form for one shape of set.  Every verdict here is exact; the dbf*
+admission of deadline-monotonic fitting lives in `partitioners`.
 
 The demand criterion quantifies over all t >= 0; only the deadline points
 k*T_i + D_i matter because the demand is a right-continuous step function
@@ -44,9 +44,9 @@ is turned back into a fraction.
 
 Density accept.  dbf_i(t) <= t * C_i / min(D_i, T_i) at every t, for any
 deadline class, so a set whose total density sum C_i / min(D_i, T_i) is at
-most the speed is feasible without a sweep.  `positions_feasible_exact`
-returns True there, compared on ints; the witness-producing
-`edf_feasible_exact` always sweeps.
+most the speed is feasible without a sweep.  The oracle and
+`verify_partition` accept a bin there, compared on ints; the
+witness-producing `edf_feasible_exact` always sweeps.
 
 Two tasks.  A pair that neither the density accept nor the share refusal
 decides is, where its U is below 1, mostly decided in O(1) by
@@ -243,31 +243,15 @@ def _sweep_first_failure(
                 return point, checked, bound
 
 
-def positions_feasible_exact(view: IntView, positions: Sequence[int]) -> bool:
-    """Exact EDF feasibility of the tasks at `positions` of `view` on one
-    unit-speed processor, without witness search.
-
-    Two O(1) gates come first: a total density within 1 returns True and
-    a utilization overrun returns False, both before any sweep, and
-    nothing is rescaled per subset.  Every other subset goes to
-    `feasible_past_gates`.
-    """
-    if sum(map(view.span_share.__getitem__, positions)) <= view.span_whole:
-        return True
-    load = sum(map(view.share.__getitem__, positions))
-    if load > view.whole:
-        return False
-    return feasible_past_gates(view, positions, load)
-
-
 def feasible_past_gates(view: IntView, positions: Sequence[int], load: int) -> bool:
-    """The verdict of `positions_feasible_exact` on the tasks at
-    `positions` of `view`, whose share sum is `load`, for a subset that
-    neither O(1) gate decides: its density sum exceeds `span_whole` and
-    `load` is at most `whole`.  Two tasks of U below 1 are mostly decided
-    at their later deadline (see "Two tasks" in the module docstring);
-    the rest are swept.  Callers that already hold the sums, the oracle's
-    bins and `verify_partition`, call this step directly.
+    """Exact EDF feasibility of the tasks at `positions` of `view`, whose
+    share sum is `load`, on one unit-speed processor, without witness
+    search, for a subset that neither O(1) gate decides: its density sum
+    exceeds `span_whole` and `load` is at most `whole`.  Two tasks of U
+    below 1 are mostly decided at their later deadline (see "Two tasks"
+    in the module docstring); the rest are swept.  Its callers, the
+    oracle's bins and `verify_partition`, hold the sums and apply the
+    gates themselves.
     """
     whole = view.whole
     if len(positions) == 2 and load < whole:

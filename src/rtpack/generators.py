@@ -262,16 +262,6 @@ def _limit_denominator(x: float, bound: int) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
-def _random_taskset(tasks: list[list[int]], name: str) -> TaskSet:
-    return TaskSet(
-        tuple(
-            Task(c=Fraction(cn, cd), d=Fraction(dn, dd), t=Fraction(p, r), id=i)
-            for i, (cn, cd, dn, dd, p, r) in enumerate(tasks, start=1)
-        ),
-        name=name,
-    )
-
-
 def gen_random(params: GenParams) -> TaskSet:
     """Seeded random task set near the utilization target.
 
@@ -280,7 +270,8 @@ def gen_random(params: GenParams) -> TaskSet:
     pass pulls the exact total utilization within 10% of the target (density
     clamping permitting), retrying with fresh draws when it cannot.  Tasks
     are drawn, totalled, scaled and clamped on ints (numerator, denominator),
-    and each field of the returned set becomes one Fraction.
+    and the returned set is built straight from them into its integer view
+    (`TaskSet.of_ratios`); its `Task` fractions are built on first read.
     """
     rng = random.Random(f"rtpack-gen:{params.seed}")
     q = params.denominator_bound
@@ -337,12 +328,12 @@ def gen_random(params: GenParams) -> TaskSet:
                 tsk[0], tsk[1] = cn, cd
             num, den = utilization(tasks)
         if within(num, den):
-            return _random_taskset(tasks, f"random-s{params.seed}")
+            return TaskSet.of_ratios(tasks, name=f"random-s{params.seed}")
         gap = abs(Fraction(num, den) - target)
         if best_gap is None or gap < best_gap:
             best, best_gap = tasks, gap
     assert best is not None
-    return _random_taskset(best, f"random-s{params.seed}")
+    return TaskSet.of_ratios(best, name=f"random-s{params.seed}")
 
 
 def gen_lemma1_shaped(

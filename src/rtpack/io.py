@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ParseError
 from .generators import DvpInstance
-from .model import Task, TaskSet, as_rational, require_valid
+from .model import TaskSet, as_rational, plain_ratio, require_valid
 
 
 def parse_rational(value, where: str = "value") -> Fraction:
@@ -43,7 +44,13 @@ def load_json(data: bytes | str, what: str):
 def parse_taskset(data: bytes | str) -> TaskSet:
     """Parse the task-set document, converting every value exactly and
     assigning ids in file order; rejects sets violating the model
-    assumptions with per-task diagnostics."""
+    assumptions with per-task diagnostics.
+
+    A plain "p" or "p/q" literal (`plain_ratio`) is read as ints, every
+    other value through `parse_rational`, and the set is built straight
+    into its integer view (`TaskSet.of_ratios`): no `Task` is built unless
+    a violation is reported or a caller reads the tasks.
+    """
     doc = load_json(data, "task set")
     if not isinstance(doc, dict) or "tasks" not in doc:
         raise ParseError('document must be an object with a "tasks" list')
@@ -53,17 +60,22 @@ def parse_taskset(data: bytes | str) -> TaskSet:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ParseError('"name" must be a string')
-    tasks = []
+    rows = []
     for i, entry in enumerate(raw_tasks, start=1):
         if not isinstance(entry, dict):
             raise ParseError(f"task {i}: expected an object")
-        fields = {}
+        row = []
         for key in ("c", "d", "t"):
             if key not in entry:
                 raise ParseError(f"task {i}: missing field {key!r}")
-            fields[key] = parse_rational(entry[key], where=f"task {i}, field {key!r}")
-        tasks.append(Task(c=fields["c"], d=fields["d"], t=fields["t"], id=i))
-    ts = TaskSet(tuple(tasks), name=name)
+            value = entry[key]
+            pair = plain_ratio(value)
+            if pair is None:
+                exact = parse_rational(value, where=f"task {i}, field {key!r}")
+                pair = exact.numerator, exact.denominator
+            row += pair
+        rows.append(row)
+    ts = TaskSet.of_ratios(rows, name=name)
     require_valid(ts)
     return ts
 
@@ -84,23 +96,26 @@ def json_list(items: list[str], level: int = 1) -> str:
     return f"[{inner}{(',' + inner).join(items)}\n{'  ' * level}]"
 
 
-def _rendered(values) -> dict:
-    """Each distinct rational of `values` as its JSON string.  `str` of a
-    Fraction is quadratic in its digits, and generated sets repeat large
-    values (one shared period, C equal to D), so each is rendered once."""
+def _rendered(values, scale: int = 1) -> dict:
+    """Each distinct rational of `values`, divided by `scale`, as its JSON
+    string.  `str` of a Fraction is quadratic in its digits, and generated
+    sets repeat large values (one shared period, C equal to D), so each is
+    rendered once."""
     text = dict.fromkeys(values)
     for value in text:
-        text[value] = f'"{value}"'
+        text[value] = f'"{Fraction(value, scale)}"'
     return text
 
 
 def serialize_taskset(ts: TaskSet) -> str:
-    """The task-set document, with the bytes of `json.dumps(doc, indent=2)`."""
-    text = _rendered(v for tsk in ts for v in (tsk.c, tsk.d, tsk.t))
+    """The task-set document, with the bytes of `json.dumps(doc, indent=2)`.
+    It is written from the set's integer view, so no `Task` is built."""
+    view = ts.ints
+    text = _rendered(chain(view.c, view.d, view.t), view.scale)
     tasks = [
-        f'{{\n      "c": {text[tsk.c]},\n      "d": {text[tsk.d]},\n'
-        f'      "t": {text[tsk.t]}\n    }}'
-        for tsk in ts
+        f'{{\n      "c": {text[c]},\n      "d": {text[d]},\n'
+        f'      "t": {text[t]}\n    }}'
+        for c, d, t in zip(view.c, view.d, view.t)
     ]
     return f'{{\n  "name": {json.dumps(ts.name)},\n  "tasks": {json_list(tasks)}\n}}\n'
 

@@ -1,19 +1,27 @@
 """Sporadic task model on exact rational arithmetic.
 
-Every timing quantity is a `fractions.Fraction`; no float ever enters a
-schedulability decision.  Tasks are immutable and keep a stable integer id
-assigned in input order (1-based), so partitions can always be reported
-against the original indices regardless of sorting or transforms.
+Every timing quantity stays exact; no float ever enters a schedulability
+decision.  A task set's primary form is its integer view (`IntView`): C, D
+and T of every task as ints at one common scale, which every solver reads.
+A `Task` holds its values as `fractions.Fraction`s; a set built straight
+from (numerator, denominator) ints (`TaskSet.of_ratios`, used by the
+parser and the random generator) builds its `Task`s only when something
+reads them.  Tasks are immutable and keep a stable integer id assigned in
+input order (1-based), so partitions can always be reported against the
+original indices regardless of sorting or transforms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import chain, repeat
+from operator import floordiv, mul
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ValidationError
 
@@ -27,18 +35,38 @@ MAX_EXPONENT = 4300
 DIGIT_LIMIT = 10**MAX_EXPONENT
 
 
+# a run of digits as int() reads one: underscores may join digits and
+# are not counted
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+
+
+def plain_ratio(value) -> Optional[tuple[int, int]]:
+    """(p, q) of a plain "p" or "p/q" literal, the task-set writers' own
+    form, not reduced: an ASCII str of at most MAX_EXPONENT characters,
+    digits or digits "/" digits with q > 0, so that no part can reach
+    DIGIT_LIMIT.  None for any other value."""
+    if isinstance(value, str) and len(value) <= MAX_EXPONENT and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isdigit():
+                q = int(den)
+                if q:
+                    return int(num), q
+    return None
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Convert exactly: ints pass through, strings accept "p/q" and decimal
     literals ("0.25" becomes 1/4, "2.5e-3" 1/400).  A decimal exponent
-    beyond +-MAX_EXPONENT, or a literal whose numerator or denominator has
-    more than MAX_EXPONENT digits, is a ValueError."""
-    if isinstance(value, str) and len(value) <= MAX_EXPONENT and value.isascii():
-        # plain "p" or "p/q" with q > 0, the task-set writers' own form:
-        # no part can reach DIGIT_LIMIT, and Fraction's regex parse is
-        # skipped; any other literal takes the checks below
-        num, slash, den = value.partition("/")
-        if num.isdigit() and (not slash or den.isdigit() and int(den)):
-            return Fraction(int(num), int(den) if slash else 1)
+    beyond +-MAX_EXPONENT, a literal with a run of more than MAX_EXPONENT
+    digits as written (a numerator, denominator, integer or fractional
+    part, or exponent; "0" * 4300 + "1" too), or a value whose numerator
+    or denominator has more than MAX_EXPONENT digits is a ValueError."""
+    pair = plain_ratio(value)
+    if pair is not None:  # Fraction's regex parse is skipped
+        return Fraction(*pair)
     if isinstance(value, bool):
         raise TypeError("booleans are not rational quantities")
     if isinstance(value, float):
@@ -48,6 +76,14 @@ def as_rational(value: RationalLike) -> Fraction:
         exp = exp.replace("_", "").lstrip("0")
         if exp.isdecimal() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
             raise ValueError(f"exponent of {value[:40]!r} exceeds {MAX_EXPONENT}")
+    if (
+        isinstance(value, str)
+        and len(value) > MAX_EXPONENT
+        and any(
+            len(run) - run.count("_") > MAX_EXPONENT for run in _DIGIT_RUN.findall(value)
+        )
+    ):  # int() would refuse the run with advice to lift its limit
+        raise ValueError(f"{value[:40]!r} has more than {MAX_EXPONENT} digits")
     try:
         out = Fraction(value)
     except ZeroDivisionError as exc:  # "1/0": a malformed value, like "abc"
@@ -171,33 +207,105 @@ class IntView:
         return tuple(whole // span * c for c, span in zip(self.c, self.span))
 
 
-@dataclass(frozen=True)
 class TaskSet:
-    """An immutable task list.  Its validation verdict, integer view and
-    id-to-position index are computed on first use and then kept: nothing
-    they depend on can change."""
+    """An immutable task list, held as its `Task`s, its integer view, or
+    both.
 
-    tasks: tuple[Task, ...]
-    name: str = ""
+    `TaskSet(tasks, name)` holds the given tasks; `of_ratios` builds the
+    view straight from ints and the `Task`s (ids 1..N) from the view on
+    first read of `tasks`, and keeps them.  Iterating a set that holds no
+    tasks yields them from the view without keeping them, so that a set
+    kept for long holds one form.  `len`, `name`, `ids` (each position's
+    task id), `ints`, `position`, `total_utilization` and the validation
+    verdict never build them.  Equality, hash and repr are those of the
+    (tasks, name) pair.  The view, the tasks, the validation verdict and
+    the id-to-position index are computed on first use and then kept:
+    nothing they depend on can change.
+    """
 
-    def __post_init__(self):
-        if not self.tasks:
+    name: str
+    ids: tuple[int, ...]
+
+    def __init__(self, tasks: tuple[Task, ...], name: str = ""):
+        if not tasks:
             raise ValueError("a task set holds at least one task")
-        ids = [tsk.id for tsk in self.tasks]
+        ids = tuple(tsk.id for tsk in tasks)
         if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate task ids in {self.name!r}: {ids}")
+            raise ValueError(f"duplicate task ids in {name!r}: {list(ids)}")
+        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "name", name)
+
+    @classmethod
+    def of_ratios(cls, rows: Iterable[Sequence[int]], name: str = "") -> TaskSet:
+        """The set of tasks C = cn/cd, D = dn/dd, T = tn/td, one row
+        (cn, cd, dn, dd, tn, td) of ints per task with every denominator
+        positive, ids 1..N in row order.
+
+        Each pair is reduced and the scale is the lcm of the reduced
+        denominators, so `ints` equals `IntView.of(ts.tasks)`.  No `Task`
+        is built here.
+        """
+        flat = list(chain.from_iterable(rows))
+        if not flat:
+            raise ValueError("a task set holds at least one task")
+        nums, dens = flat[0::2], flat[1::2]
+        gcds = list(map(math.gcd, nums, dens))
+        dens = list(map(floordiv, dens, gcds))
+        scale = math.lcm(*dens)
+        scaled = list(map(mul, map(floordiv, nums, gcds), map(floordiv, repeat(scale), dens)))
+        view = IntView(scale, tuple(scaled[0::3]), tuple(scaled[1::3]), tuple(scaled[2::3]))
+        ts = object.__new__(cls)
+        object.__setattr__(ts, "ints", view)
+        object.__setattr__(ts, "ids", tuple(range(1, len(view.c) + 1)))
+        object.__setattr__(ts, "name", name)
+        return ts
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tasks, self.name) == (other.tasks, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.tasks, self.name))
+
+    def __repr__(self) -> str:
+        return f"TaskSet(tasks={self.tasks!r}, name={self.name!r})"
 
     def __iter__(self) -> Iterator[Task]:
-        return iter(self.tasks)
+        tasks = self.__dict__.get("tasks")
+        return self._tasks_of_view() if tasks is None else iter(tasks)
 
     def __len__(self) -> int:
-        return len(self.tasks)
+        return len(self.ids)
+
+    @cached_property
+    def tasks(self) -> tuple[Task, ...]:
+        """The tasks of a set built by `of_ratios`, read off its view and
+        then kept."""
+        return tuple(self._tasks_of_view())
+
+    def _tasks_of_view(self) -> Iterator[Task]:
+        """Each task read off the view, ids 1..N."""
+        view = self.ints
+        scale = view.scale
+        for i, (c, d, t) in enumerate(zip(view.c, view.d, view.t), start=1):
+            yield Task(Fraction(c, scale), Fraction(d, scale), Fraction(t, scale), i)
 
     @property
     def total_utilization(self) -> Fraction:
         """The sum of C/T, on ints; a period of 0 raises ZeroDivisionError.
-        It leaves the integer view uncomputed, so reading U does not keep
-        one per set."""
+        It reads the integer view if the set holds one and the tasks
+        otherwise, so reading U builds neither."""
+        view = self.__dict__.get("ints")
+        if view is not None:
+            return Fraction(*ratio_sum(zip(view.c, view.t)))
         return Fraction(
             *ratio_sum(
                 (tsk.c.numerator * tsk.t.denominator, tsk.c.denominator * tsk.t.numerator)
@@ -218,7 +326,7 @@ class TaskSet:
     @cached_property
     def position(self) -> dict[int, int]:
         """Each task id's position in the set."""
-        return {tsk.id: i for i, tsk in enumerate(self.tasks)}
+        return {tid: i for i, tid in enumerate(self.ids)}
 
 
 def taskset(triples: Iterable[tuple], name: str = "") -> TaskSet:
@@ -288,12 +396,15 @@ def validate(ts: TaskSet) -> list[Violation]:
 
     Degenerate sets stay loadable for study, but every solver entry point
     refuses task sets for which this list is nonempty.  The checks compare
-    C, D and T on the set's integer view; the messages print the task's
-    fractions.
+    C, D and T on the set's integer view; only a task with a violation is
+    read as a `Task`, whose fractions its messages print.
     """
     out: list[Violation] = []
     view = ts.ints
-    for tsk, c, d, t in zip(ts, view.c, view.d, view.t):
+    for i, (c, d, t) in enumerate(zip(view.c, view.d, view.t)):
+        if c > 0 and d >= c and t >= c:
+            continue
+        tsk = ts.tasks[i]
         if c <= 0:
             out.append(Violation(tsk.id, "c", f"C = {tsk.c} must be positive"))
         if d <= 0:

@@ -254,7 +254,7 @@ def _witness(search: _Search, ts: TaskSet, m_star: int) -> Partition:
         raise RuntimeError("unreachable: level m* has a partition in every order")
     return Partition(
         bins=tuple(
-            tuple(sorted(ts.tasks[i].id for i in _positions(mask))) for mask in masks
+            tuple(sorted(ts.ids[i] for i in _positions(mask))) for mask in masks
         ),
         algorithm="oracle",
         strategy=None,

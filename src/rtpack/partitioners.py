@@ -71,8 +71,8 @@ def _dm_positions(ts: TaskSet) -> list[int]:
     reproduce their published fitting traces, since those constructions
     index tasks in deadline order with ties.
     """
-    view, tasks = ts.ints, ts.tasks
-    return sorted(range(len(tasks)), key=lambda i: (view.d[i], tasks[i].id))
+    view, ids = ts.ints, ts.ids
+    return sorted(range(len(ids)), key=lambda i: (view.d[i], ids[i]))
 
 
 def _any_fit(
@@ -83,7 +83,7 @@ def _any_fit(
     docstring): by position, `slope` and `offset` are each task's demand
     line over the denominator `whole`, and `point` the view-scale time at
     which a bin's line sum is tested when that task is placed."""
-    c = ts.ints.c
+    c, ids = ts.ints.c, ts.ids
     sign = _SIGN[strat]
     bins: list[list[int]] = []
     slopes: list[int] = []  # per bin: sum of slope
@@ -105,7 +105,7 @@ def _any_fit(
             bins.append([])
             slopes.append(0)
             offsets.append(0)
-        bins[pick].append(ts.tasks[pos].id)
+        bins[pick].append(ids[pos])
         slopes[pick] += share
         offsets[pick] += offset[pos]
     return Partition(

@@ -65,7 +65,7 @@ def simulate_edf_synchronous(
     work = [c * q * hd for c in view.c]
     due_in = [d * p * hd for d in view.d]
     period = [t * p * hd for t in view.t]
-    releases = [(0, tsk.id, i) for i, tsk in enumerate(ts)]
+    releases = [(0, tid, i) for i, tid in enumerate(ts.ids)]
     # ready jobs [abs deadline, task id, work left]; no two share (deadline, id)
     ready: list[list[int]] = []
     misses: list[tuple[int, int]] = []

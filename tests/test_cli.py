@@ -146,15 +146,18 @@ class TestCheck:
         assert got == rc and json.loads(text)["speed"] == str(as_rational(speed))
 
     @pytest.mark.parametrize(
-        "value", ["1e4300", "1e-4300", pytest.param("9" * 4300 + "e4299", id="9*4300e4299")]
-    )
+        "value",
+        ["1e4300", "1e-4300", pytest.param("9" * 4300 + "e4299", id="9*4300e4299"),
+         pytest.param("9" * 4301, id="9*4301"), pytest.param("1/" + "9" * 4301, id="1/9*4301"),
+         pytest.param("0" * 4300 + "1", id="0*4300+1")],
+    )  # fmt: skip
     def test_value_past_the_digit_limit_exit_two_naming_it(self, tmp_path, capsys, value):
         rc, _, err = run(capsys, "check", str(GOLDEN / "speedup_gap_n3.json"), "--speed", value)
         assert rc == 2 and "argument --speed" in err
         doc = tmp_path / "huge.json"
         doc.write_text(json.dumps({"tasks": [{"c": "1", "d": value, "t": "1"}]}))
         rc, _, err = run(capsys, "check", str(doc))
-        assert rc == 2 and "task 1, field 'd'" in err and "4300 digits" in err
+        assert rc == 2 and "task 1, field 'd'" in err and "has more than 4300 digits" in err
 
     def test_invalid_set_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

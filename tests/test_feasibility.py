@@ -20,14 +20,19 @@ from rtpack.feasibility import (
     _sweep_first_failure,
     edf_feasible_exact,
     lemma1_feasible,
-    positions_feasible_exact,
     verify_partition,
 )
 from rtpack.generators import gen_best_fit_adversary, gen_lemma1_shaped, gen_speedup_gap
 from rtpack.model import Task, TaskSet, dbf, taskset
 from rtpack.partitioners import Partition
 
-from conftest import subset_feasible, tasksets_of_each_class, valid_tasks, valid_tasksets
+from conftest import (
+    positions_feasible_exact,
+    subset_feasible,
+    tasksets_of_each_class,
+    valid_tasks,
+    valid_tasksets,
+)
 
 F = Fraction
 

@@ -28,6 +28,7 @@ from rtpack.model import (
     DIGIT_LIMIT,
     MAX_EXPONENT,
     DeadlineClass,
+    IntView,
     Task,
     TaskSet,
     classify,
@@ -366,6 +367,21 @@ class TestRandom:
             target = [F(1, 2), F(1), F(n, 4), F(n, 3)][seed % 4]
             params = GenParams(seed, n, cls, target, den_bound)
             assert gen_random(params) == reference_gen_random(params)
+
+    @pytest.mark.parametrize("cls", list(DeadlineClass))
+    @pytest.mark.parametrize("den_bound", [1, 2, 5, 8])
+    def test_built_straight_into_the_integer_view(self, cls, den_bound):
+        # from its int pairs: no Task until one is read, and the view that
+        # the tasks give, field by field and scale included
+        for seed in range(20):
+            n = 3 + seed % 10
+            ts = gen_random(GenParams(seed, n, cls, F(1 + seed % 4, 2), den_bound))
+            assert (len(ts), ts.ids, ts.violations) == (n, tuple(range(1, n + 1)), ())
+            u = ts.total_utilization
+            assert "tasks" not in vars(ts)
+            view, want = ts.ints, IntView.of(ts.tasks)
+            assert (view.scale, view.c, view.d, view.t) == (want.scale, want.c, want.d, want.t)
+            assert u == sum(tsk.utilization for tsk in ts.tasks)
 
     @given(
         st.one_of(

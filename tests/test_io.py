@@ -3,12 +3,19 @@ from fractions import Fraction
 
 import pytest
 import hypothesis.strategies as st
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from rtpack.errors import ParseError, ValidationError
+from rtpack.feasibility import edf_feasible_exact
 from rtpack.generators import DvpInstance, gen_best_fit_adversary, gen_random_dvp
-from rtpack.io import parse_rational, parse_taskset, serialize_dvp, serialize_taskset
-from rtpack.model import Task, TaskSet
+from rtpack.io import (
+    load_json,
+    parse_rational,
+    parse_taskset,
+    serialize_dvp,
+    serialize_taskset,
+)
+from rtpack.model import IntView, Task, TaskSet, require_valid
 
 from conftest import valid_tasksets
 
@@ -67,6 +74,139 @@ class TestParseTaskset:
             parse_taskset(b'{"tasks":[{"c":"one","d":"2","t":"4"}]}')
         with pytest.raises(ParseError):
             parse_taskset(b'{"tasks":[{"c":"1/0","d":"2","t":"4"}]}')
+
+    @pytest.mark.parametrize(
+        "value",
+        [pytest.param("9" * 4301, id="9*4301"), pytest.param("1/" + "9" * 4301, id="1/9*4301"),
+         pytest.param("0" * 4300 + "1", id="0*4300+1")],
+    )  # fmt: skip
+    def test_part_past_the_digit_limit_refused_naming_the_field(self, value):
+        doc = json.dumps({"tasks": [{"c": "1", "d": "2", "t": value}]})
+        with pytest.raises(ParseError) as err:
+            parse_taskset(doc)
+        assert str(err.value) == (
+            f"task 1, field 't': not a rational literal: {value[:40]!r} has more than 4300 digits"
+        )
+
+
+def _parse_taskset_reference(data):
+    """`parse_taskset` as it was before task sets were built straight into
+    their integer view: one Fraction per value through `parse_rational`,
+    then `TaskSet(tasks, name)`."""
+    doc = load_json(data, "task set")
+    if not isinstance(doc, dict) or "tasks" not in doc:
+        raise ParseError('document must be an object with a "tasks" list')
+    raw_tasks = doc["tasks"]
+    if not isinstance(raw_tasks, list) or not raw_tasks:
+        raise ParseError('"tasks" must be a nonempty list')
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError('"name" must be a string')
+    tasks = []
+    for i, entry in enumerate(raw_tasks, start=1):
+        if not isinstance(entry, dict):
+            raise ParseError(f"task {i}: expected an object")
+        fields = {}
+        for key in ("c", "d", "t"):
+            if key not in entry:
+                raise ParseError(f"task {i}: missing field {key!r}")
+            fields[key] = parse_rational(entry[key], where=f"task {i}, field {key!r}")
+        tasks.append(Task(c=fields["c"], d=fields["d"], t=fields["t"], id=i))
+    ts = TaskSet(tuple(tasks), name=name)
+    require_valid(ts)
+    return ts
+
+
+def _parsed(parse, data):
+    try:
+        return parse(data)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def spelled(draw, lo, hi):
+    """A JSON value num/den, num in [lo, hi], in one of the spellings a
+    task-set file may hold; one in twenty is zero, negative or not a
+    rational at all."""
+    num, den = draw(st.integers(lo, hi)), draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    if draw(st.integers(0, 19)):
+        return draw(
+            st.sampled_from(
+                [
+                    f"{num}/{den}",
+                    f"{num * k}/{den * k}",  # unreduced, "2/4"
+                    f"{num * k:03d}/{den * k}",  # leading zeros, "006/8"
+                    f"{num}",
+                    f"{num:04d}",
+                    num,  # a JSON int
+                    f"{num}.{den}",  # a decimal
+                    f"{num}.{den}e-1",  # exponents
+                    f"{num}E+1",
+                    f"+{num}/{den}",  # a sign
+                    f" {num}/{den} ",
+                    f"{num}_0/{den}",
+                ]
+            )
+        )
+    return draw(
+        st.sampled_from(
+            [f"0/{den}", 0, -num, f"-{num}", f"{num}/0", f"{num}//{den}", "",
+             True, num + 0.5, None, [num, den]]  # fmt: skip
+        )
+    )
+
+
+@st.composite
+def taskset_documents(draw):
+    """Task-set documents, mostly valid: small C, larger D and T, with a
+    task sometimes missing a field or not an object, and a name sometimes
+    missing or not a string."""
+    tasks = []
+    for _ in range(draw(st.integers(0, 5))):
+        entry = {"c": draw(spelled(1, 3)), "d": draw(spelled(1, 24)), "t": draw(spelled(1, 24))}
+        if draw(st.integers(0, 19)) == 0:
+            del entry[draw(st.sampled_from("cdt"))]
+        tasks.append(entry if draw(st.integers(0, 29)) else 7)
+    doc = {"tasks": tasks}
+    name = draw(st.sampled_from([None, "", "set"])) if draw(st.integers(0, 9)) else 5
+    if name is not None:
+        doc["name"] = name
+    return json.dumps(doc)
+
+
+class TestParseIntoTheIntegerView:
+    """`parse_taskset` reads plain literals as ints and builds the set
+    straight into its integer view; it must give the set, or the error,
+    of a Fraction per value."""
+
+    @example('{"tasks": [{"c": "2/4", "d": "006/8", "t": "3/9"}]}')
+    @example('{"tasks": [{"c": "0/5", "d": "1", "t": "1"}]}')
+    @example('{"tasks": [{"c": "1/0", "d": "1", "t": "1"}]}')
+    @example('{"tasks": [{"c": "1", "d": 2, "t": "4.0"}, {"c": "1/2", "d": "1e1", "t": "+3"}]}')
+    @example('{"tasks": [{"c": "3", "d": "2/1", "t": "4"}, {"c": "0", "d": "-1", "t": "0/7"}]}')
+    @settings(max_examples=400)
+    @given(taskset_documents())
+    def test_same_set_or_error_as_a_fraction_per_value(self, data):
+        got, want = _parsed(parse_taskset, data), _parsed(_parse_taskset_reference, data)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, TaskSet)
+        assert (got.ints, got.name, len(got)) == (want.ints, want.name, len(want))
+        assert got == want
+
+    @given(valid_tasksets())
+    def test_no_task_built_until_read(self, ts):
+        data = serialize_taskset(ts)
+        got = parse_taskset(data)
+        edf_feasible_exact(got)
+        ids = tuple(range(1, len(ts) + 1))
+        assert (len(got), got.ids, got.position) == (len(ts), ids, {i: i - 1 for i in ids})
+        assert "tasks" not in vars(got)
+        assert got.tasks == _parse_taskset_reference(data).tasks
+        assert got.ints == IntView.of(got.tasks)
 
 
 class TestRoundTrip:

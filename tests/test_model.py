@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import sys
 from fractions import Fraction
 
@@ -75,14 +76,21 @@ class TestRationalConversion:
     @pytest.mark.parametrize(
         "value",
         ["1e4299", "1e-4299", pytest.param("9" * 4300, id="9*4300"),
-         pytest.param("1/" + "9" * 4300, id="1/9*4300")],
+         pytest.param("1/" + "9" * 4300, id="1/9*4300"),
+         # 4401 characters, 2201 digits: underscores are not counted
+         pytest.param("1_" * 2200 + "1", id="1_*2200+1")],
     )  # fmt: skip
     def test_values_up_to_the_digit_limit_print(self, value):
         assert as_rational(str(as_rational(value))) == as_rational(value)
 
     @pytest.mark.parametrize(
         "huge",
-        ["1e4300", "1e-4300", "-1e4300", pytest.param("9" * 4300 + "e4299", id="9*4300e4299")],
+        ["1e4300", "1e-4300", "-1e4300", pytest.param("9" * 4300 + "e4299", id="9*4300e4299"),
+         # a part written with more than 4300 digits, whatever its value
+         pytest.param("9" * 4301, id="9*4301"), pytest.param("1/" + "9" * 4301, id="1/9*4301"),
+         pytest.param("0" * 4300 + "1", id="0*4300+1"),
+         pytest.param("1." + "0" * 4301, id="1.0*4301"),
+         pytest.param("1_" * 4300 + "1", id="1_*4300+1")],
     )  # fmt: skip
     def test_values_past_the_digit_limit_are_a_value_error(self, huge):
         with pytest.raises(ValueError) as exc:
@@ -92,7 +100,9 @@ class TestRationalConversion:
 
 def _as_rational_reference(value):
     """`as_rational` as it was before plain "p" and "p/q" literals got a
-    direct path: every string goes through Fraction's own parser."""
+    direct path: every string goes through Fraction's own parser.  A part
+    of more than 4300 digits as written is refused with rtpack's own
+    message before the parse, where int() would name its own limit."""
     if isinstance(value, bool):
         raise TypeError("booleans are not rational quantities")
     if isinstance(value, float):
@@ -102,6 +112,10 @@ def _as_rational_reference(value):
         exp = exp.replace("_", "").lstrip("0")
         if exp.isdecimal() and (len(exp) > 4 or int(exp) > model.MAX_EXPONENT):
             raise ValueError(f"exponent of {value[:40]!r} exceeds {model.MAX_EXPONENT}")
+    if isinstance(value, str) and any(
+        len(part.replace("_", "")) > model.MAX_EXPONENT for part in re.split(r"[^\d_]", value)
+    ):
+        raise ValueError(f"{value[:40]!r} has more than {model.MAX_EXPONENT} digits")
     try:
         out = Fraction(value)
     except ZeroDivisionError as exc:
@@ -412,6 +426,37 @@ class TestTaskSet:
     def test_ids_assigned_in_order(self):
         ts = taskset([(1, 2, 2), (1, 3, 3)])
         assert [t.id for t in ts] == [1, 2]
+
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(-6, 40), st.integers(1, 12)] * 3), min_size=1, max_size=5
+        ),
+        st.sampled_from(["", "set"]),
+    )
+    def test_of_ratios_is_the_set_of_its_fractions(self, rows, name):
+        # rows hold unreduced pairs; the set built from its view is the
+        # one built from the tasks, in every respect but when they exist
+        ts = TaskSet.of_ratios(rows, name)
+        want = TaskSet(
+            tuple(
+                Task(F(cn, cd), F(dn, dd), F(tn, td), id=i)
+                for i, (cn, cd, dn, dd, tn, td) in enumerate(rows, start=1)
+            ),
+            name,
+        )
+        assert ts.ints == IntView.of(want.tasks) and len(ts) == len(want)
+        assert list(ts) == list(want) and "tasks" not in vars(ts)
+        # a violation's message reads the task's fractions
+        assert [str(v) for v in ts.violations] == [str(v) for v in validate(want)]
+        assert ts == want and hash(ts) == hash(want) and repr(ts) == repr(want)
+        copy = pickle.loads(pickle.dumps(ts))
+        assert copy == ts and copy.ints == ts.ints
+        with pytest.raises(AttributeError):
+            ts.name = "other"
+
+    def test_of_ratios_refuses_no_rows(self):
+        with pytest.raises(ValueError):
+            TaskSet.of_ratios([])
 
 
 class TestIntView:

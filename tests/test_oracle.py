@@ -8,11 +8,7 @@ import hypothesis.strategies as st
 
 from rtpack import feasibility, oracle
 from rtpack.errors import BadParam, CapExceeded, ValidationError
-from rtpack.feasibility import (
-    edf_feasible_exact,
-    positions_feasible_exact,
-    verify_partition,
-)
+from rtpack.feasibility import edf_feasible_exact, verify_partition
 from rtpack.generators import (
     GenParams,
     dvp_to_tasks,
@@ -35,6 +31,7 @@ from rtpack.oracle import (
 from rtpack.partitioners import Partition, Strategy, dagger_greedy, dm_partition
 
 from conftest import (
+    positions_feasible_exact,
     rationals,
     subset_feasible,
     tasksets_of_each_class,

@@ -21,11 +21,10 @@ from rtpack.feasibility import (
     _fraction,
     _sweep_first_failure,
     edf_feasible_exact,
-    positions_feasible_exact,
 )
 from rtpack.model import IntView, Task, TaskSet, taskset
 
-from conftest import rationals, tasksets_of_each_class, valid_tasksets
+from conftest import positions_feasible_exact, rationals, tasksets_of_each_class, valid_tasksets
 from test_oracle import FAMILY_SETS
 
 F = Fraction
