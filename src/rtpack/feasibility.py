@@ -359,7 +359,7 @@ def verify_partition(
             positions.append(pos)
         bins.append((positions, mask))
     if seen != (1 << len(ts)) - 1:
-        missing = sorted(tsk.id for i, tsk in enumerate(ts) if not seen >> i & 1)
+        missing = sorted(tid for i, tid in enumerate(ts.ids) if not seen >> i & 1)
         raise CoverageError(f"partition misses task ids {missing}")
     view = ts.ints
     if store is None:

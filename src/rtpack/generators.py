@@ -271,7 +271,7 @@ def gen_random(params: GenParams) -> TaskSet:
     clamping permitting), retrying with fresh draws when it cannot.  Tasks
     are drawn, totalled, scaled and clamped on ints (numerator, denominator),
     and the returned set is built straight from them into its integer view
-    (`TaskSet.of_ratios`); its `Task` fractions are built on first read.
+    (`TaskSet.of_ratios`).
     """
     rng = random.Random(f"rtpack-gen:{params.seed}")
     q = params.denominator_bound

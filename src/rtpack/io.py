@@ -14,7 +14,7 @@ from itertools import chain
 
 from .errors import ParseError
 from .generators import DvpInstance
-from .model import TaskSet, as_rational, plain_ratio, require_valid
+from .model import MAX_EXPONENT, TaskSet, as_rational, plain_ratio, require_valid
 
 
 def parse_rational(value, where: str = "value") -> Fraction:
@@ -29,14 +29,30 @@ def parse_rational(value, where: str = "value") -> Fraction:
         raise ParseError(f"{where}: not a rational literal: {exc}") from exc
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer literal as an int, refused past MAX_EXPONENT digits
+    as `as_rational` refuses a string literal."""
+    if len(text) - text.startswith("-") > MAX_EXPONENT:
+        raise ValueError(f"{text[:40]!r} has more than {MAX_EXPONENT} digits")
+    return int(text)
+
+
+# one decoder for every document: `json.loads` with a keyword argument
+# builds a new one each call
+_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
 def load_json(data: bytes | str, what: str):
     """The JSON document in `data`, UTF-8 when bytes.  Undecodable bytes,
-    malformed JSON, an integer past the conversion limit and nesting past
-    the parser's depth limit all raise ParseError naming `what`."""
+    a byte order mark, malformed JSON, an integer of more than MAX_EXPONENT
+    digits and nesting past the parser's depth limit all raise ParseError
+    naming `what`."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        return json.loads(data)
+        if data.startswith("\ufeff"):  # worded as `json.loads` words it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", data, 0)
+        return _DECODER.decode(data)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON {what}: {exc}") from exc
 
@@ -48,8 +64,7 @@ def parse_taskset(data: bytes | str) -> TaskSet:
 
     A plain "p" or "p/q" literal (`plain_ratio`) is read as ints, every
     other value through `parse_rational`, and the set is built straight
-    into its integer view (`TaskSet.of_ratios`): no `Task` is built unless
-    a violation is reported or a caller reads the tasks.
+    into its integer view (`TaskSet.of_ratios`); no `Task` is built.
     """
     doc = load_json(data, "task set")
     if not isinstance(doc, dict) or "tasks" not in doc:

@@ -1,14 +1,13 @@
 """Sporadic task model on exact rational arithmetic.
 
 Every timing quantity stays exact; no float ever enters a schedulability
-decision.  A task set's primary form is its integer view (`IntView`): C, D
-and T of every task as ints at one common scale, which every solver reads.
-A `Task` holds its values as `fractions.Fraction`s; a set built straight
-from (numerator, denominator) ints (`TaskSet.of_ratios`, used by the
-parser and the random generator) builds its `Task`s only when something
-reads them.  Tasks are immutable and keep a stable integer id assigned in
-input order (1-based), so partitions can always be reported against the
-original indices regardless of sorting or transforms.
+decision.  A task set is held as one form, its integer view (`IntView`):
+C, D and T of every task as ints at one common scale, which every solver
+reads, with each task's id by position.  A `Task` holds its values as
+`fractions.Fraction`s; a set reads its `Task`s off the view when asked.
+Tasks are immutable and keep a stable integer id (assigned in input order,
+1-based, by the parser and the generators), so partitions can always be
+reported against the original indices regardless of sorting or transforms.
 """
 
 from __future__ import annotations
@@ -167,18 +166,6 @@ class IntView:
     d: tuple[int, ...]
     t: tuple[int, ...]
 
-    @classmethod
-    def of(cls, tasks: Sequence[Task]) -> IntView:
-        scale = math.lcm(
-            *(x.denominator for tsk in tasks for x in (tsk.c, tsk.d, tsk.t))
-        )
-        return cls(
-            scale,
-            tuple(tsk.c.numerator * (scale // tsk.c.denominator) for tsk in tasks),
-            tuple(tsk.d.numerator * (scale // tsk.d.denominator) for tsk in tasks),
-            tuple(tsk.t.numerator * (scale // tsk.t.denominator) for tsk in tasks),
-        )
-
     @cached_property
     def whole(self) -> int:
         return math.lcm(*self.t)
@@ -207,24 +194,36 @@ class IntView:
         return tuple(whole // span * c for c, span in zip(self.c, self.span))
 
 
-class TaskSet:
-    """An immutable task list, held as its `Task`s, its integer view, or
-    both.
+def _view_of(pairs: list[int]) -> IntView:
+    """The integer view of C, D and T given as one flat list of ints
+    cn, cd, dn, dd, tn, td per task, every denominator positive: each pair
+    is reduced and the scale is the lcm of the reduced denominators, so
+    equal values give equal views."""
+    nums, dens = pairs[0::2], pairs[1::2]
+    gcds = list(map(math.gcd, nums, dens))
+    dens = list(map(floordiv, dens, gcds))
+    scale = math.lcm(*dens)
+    scaled = list(map(mul, map(floordiv, nums, gcds), map(floordiv, repeat(scale), dens)))
+    return IntView(scale, tuple(scaled[0::3]), tuple(scaled[1::3]), tuple(scaled[2::3]))
 
-    `TaskSet(tasks, name)` holds the given tasks; `of_ratios` builds the
-    view straight from ints and the `Task`s (ids 1..N) from the view on
-    first read of `tasks`, and keeps them.  Iterating a set that holds no
-    tasks yields them from the view without keeping them, so that a set
-    kept for long holds one form.  `len`, `name`, `ids` (each position's
-    task id), `ints`, `position`, `total_utilization` and the validation
-    verdict never build them.  Equality, hash and repr are those of the
-    (tasks, name) pair.  The view, the tasks, the validation verdict and
-    the id-to-position index are computed on first use and then kept:
-    nothing they depend on can change.
+
+class TaskSet:
+    """An immutable task list, held as its integer view `ints`, its task
+    ids `ids` (by position) and its `name`, whichever constructor built it.
+
+    `TaskSet(tasks, name)` scales the tasks' values into the view and keeps
+    their ids, not the tasks; `of_ratios` builds the view straight from
+    ints, with ids 1..N.  `tasks` reads the `Task`s off the view and keeps
+    them; iterating yields them without keeping them.  Since the view is
+    canonical, equality and hash are those of (view, ids, name); repr is
+    that of (tasks, name).  The validation verdict and the id-to-position
+    index are computed on first use and then kept: nothing they depend on
+    can change.
     """
 
-    name: str
+    ints: IntView
     ids: tuple[int, ...]
+    name: str
 
     def __init__(self, tasks: tuple[Task, ...], name: str = ""):
         if not tasks:
@@ -232,34 +231,27 @@ class TaskSet:
         ids = tuple(tsk.id for tsk in tasks)
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate task ids in {name!r}: {list(ids)}")
-        object.__setattr__(self, "tasks", tasks)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "name", name)
+        values = [x for tsk in tasks for x in (tsk.c, tsk.d, tsk.t)]
+        pairs = [n for x in values for n in (x.numerator, x.denominator)]
+        self._hold(_view_of(pairs), ids, name)
 
     @classmethod
     def of_ratios(cls, rows: Iterable[Sequence[int]], name: str = "") -> TaskSet:
         """The set of tasks C = cn/cd, D = dn/dd, T = tn/td, one row
         (cn, cd, dn, dd, tn, td) of ints per task with every denominator
-        positive, ids 1..N in row order.
-
-        Each pair is reduced and the scale is the lcm of the reduced
-        denominators, so `ints` equals `IntView.of(ts.tasks)`.  No `Task`
-        is built here.
-        """
-        flat = list(chain.from_iterable(rows))
-        if not flat:
+        positive, ids 1..N in row order; the set `TaskSet(tasks)` builds
+        from the same values."""
+        pairs = list(chain.from_iterable(rows))
+        if not pairs:
             raise ValueError("a task set holds at least one task")
-        nums, dens = flat[0::2], flat[1::2]
-        gcds = list(map(math.gcd, nums, dens))
-        dens = list(map(floordiv, dens, gcds))
-        scale = math.lcm(*dens)
-        scaled = list(map(mul, map(floordiv, nums, gcds), map(floordiv, repeat(scale), dens)))
-        view = IntView(scale, tuple(scaled[0::3]), tuple(scaled[1::3]), tuple(scaled[2::3]))
         ts = object.__new__(cls)
-        object.__setattr__(ts, "ints", view)
-        object.__setattr__(ts, "ids", tuple(range(1, len(view.c) + 1)))
-        object.__setattr__(ts, "name", name)
+        ts._hold(_view_of(pairs), tuple(range(1, len(pairs) // 6 + 1)), name)
         return ts
+
+    def _hold(self, view: IntView, ids: tuple[int, ...], name: str) -> None:
+        object.__setattr__(self, "ints", view)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "name", name)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -270,58 +262,40 @@ class TaskSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.tasks, self.name) == (other.tasks, other.name)
+        return (self.ints, self.ids, self.name) == (other.ints, other.ids, other.name)
 
     def __hash__(self) -> int:
-        return hash((self.tasks, self.name))
+        return hash((self.ints, self.ids, self.name))
 
     def __repr__(self) -> str:
         return f"TaskSet(tasks={self.tasks!r}, name={self.name!r})"
 
     def __iter__(self) -> Iterator[Task]:
-        tasks = self.__dict__.get("tasks")
-        return self._tasks_of_view() if tasks is None else iter(tasks)
+        """Each task read off the view, not kept."""
+        view = self.ints
+        scale = view.scale
+        for tid, c, d, t in zip(self.ids, view.c, view.d, view.t):
+            yield Task(Fraction(c, scale), Fraction(d, scale), Fraction(t, scale), tid)
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @cached_property
     def tasks(self) -> tuple[Task, ...]:
-        """The tasks of a set built by `of_ratios`, read off its view and
-        then kept."""
-        return tuple(self._tasks_of_view())
-
-    def _tasks_of_view(self) -> Iterator[Task]:
-        """Each task read off the view, ids 1..N."""
-        view = self.ints
-        scale = view.scale
-        for i, (c, d, t) in enumerate(zip(view.c, view.d, view.t), start=1):
-            yield Task(Fraction(c, scale), Fraction(d, scale), Fraction(t, scale), i)
+        """The tasks read off the view, then kept."""
+        return tuple(self)
 
     @property
     def total_utilization(self) -> Fraction:
-        """The sum of C/T, on ints; a period of 0 raises ZeroDivisionError.
-        It reads the integer view if the set holds one and the tasks
-        otherwise, so reading U builds neither."""
-        view = self.__dict__.get("ints")
-        if view is not None:
-            return Fraction(*ratio_sum(zip(view.c, view.t)))
-        return Fraction(
-            *ratio_sum(
-                (tsk.c.numerator * tsk.t.denominator, tsk.c.denominator * tsk.t.numerator)
-                for tsk in self.tasks
-            )
-        )
+        """The sum of C/T, on the view's ints; a period of 0 raises
+        ZeroDivisionError."""
+        view = self.ints
+        return Fraction(*ratio_sum(zip(view.c, view.t)))
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """`validate` of this set."""
         return tuple(validate(self))
-
-    @cached_property
-    def ints(self) -> IntView:
-        """The set's C, D and T at one integer scale, by position."""
-        return IntView.of(self.tasks)
 
     @cached_property
     def position(self) -> dict[int, int]:
@@ -396,25 +370,25 @@ def validate(ts: TaskSet) -> list[Violation]:
 
     Degenerate sets stay loadable for study, but every solver entry point
     refuses task sets for which this list is nonempty.  The checks compare
-    C, D and T on the set's integer view; only a task with a violation is
-    read as a `Task`, whose fractions its messages print.
+    C, D and T on the set's integer view; a violation's message prints the
+    values as fractions.
     """
     out: list[Violation] = []
     view = ts.ints
-    for i, (c, d, t) in enumerate(zip(view.c, view.d, view.t)):
+    for tid, c, d, t in zip(ts.ids, view.c, view.d, view.t):
         if c > 0 and d >= c and t >= c:
             continue
-        tsk = ts.tasks[i]
+        fc, fd, ft = (Fraction(x, view.scale) for x in (c, d, t))
         if c <= 0:
-            out.append(Violation(tsk.id, "c", f"C = {tsk.c} must be positive"))
+            out.append(Violation(tid, "c", f"C = {fc} must be positive"))
         if d <= 0:
-            out.append(Violation(tsk.id, "d", f"D = {tsk.d} must be positive"))
+            out.append(Violation(tid, "d", f"D = {fd} must be positive"))
         if t <= 0:
-            out.append(Violation(tsk.id, "t", f"T = {tsk.t} must be positive"))
+            out.append(Violation(tid, "t", f"T = {ft} must be positive"))
         if 0 < t < c:
-            out.append(Violation(tsk.id, "c", f"C = {tsk.c} exceeds T = {tsk.t}"))
+            out.append(Violation(tid, "c", f"C = {fc} exceeds T = {ft}"))
         if 0 < d < c:
-            out.append(Violation(tsk.id, "c", f"C = {tsk.c} exceeds D = {tsk.d}"))
+            out.append(Violation(tid, "c", f"C = {fc} exceeds D = {fd}"))
     return out
 
 

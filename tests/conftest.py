@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -76,13 +77,25 @@ def positions_feasible_exact(view: IntView, positions) -> bool:
     return feasible_past_gates(view, positions, load)
 
 
+def int_view_of(tasks) -> IntView:
+    """Reference integer view of a task list, on its Fractions: C, D and
+    T of each task multiplied by the lcm of all their denominators."""
+    scale = math.lcm(*(x.denominator for tsk in tasks for x in (tsk.c, tsk.d, tsk.t)))
+    return IntView(
+        scale,
+        tuple(tsk.c.numerator * (scale // tsk.c.denominator) for tsk in tasks),
+        tuple(tsk.d.numerator * (scale // tsk.d.denominator) for tsk in tasks),
+        tuple(tsk.t.numerator * (scale // tsk.t.denominator) for tsk in tasks),
+    )
+
+
 def subset_feasible(tasks) -> bool:
     """Exact EDF feasibility of a bare task list on one unit-speed
     processor, tested on the list's own integer view; an empty list is
     feasible."""
     if not tasks:
         return True
-    return positions_feasible_exact(IntView.of(tasks), range(len(tasks)))
+    return positions_feasible_exact(int_view_of(tasks), range(len(tasks)))
 
 
 def tightened_utilizations(ts) -> dict[int, Fraction]:

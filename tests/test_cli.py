@@ -159,6 +159,16 @@ class TestCheck:
         rc, _, err = run(capsys, "check", str(doc))
         assert rc == 2 and "task 1, field 'd'" in err and "has more than 4300 digits" in err
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_json_integer_past_the_digit_limit_exit_two_naming_it(self, tmp_path, capsys, sign):
+        big = sign + "9" * 4301
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"tasks": [{"c": 1, "d": 2, "t": %s}]}' % big)
+        rc, out, err = run(capsys, "check", str(doc))
+        assert (rc, out) == (2, "")
+        assert err == f"error: invalid JSON task set: {big[:40]!r} has more than 4300 digits\n"
+        assert "set_int_max_str_digits" not in err
+
     def test_invalid_set_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"tasks":[{"c":"3","d":"2","t":"4"}]}')
@@ -382,6 +392,18 @@ class TestBench:
         rc, out, err = run(capsys, "bench", "--config", str(cfg))
         assert (rc, out) == (2, "")
         assert err == f"error: instance 1 (file): no files match {pattern!r}\n"
+
+    def test_json_integer_past_the_digit_limit_exit_two_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        seed = "9" * 4301
+        cfg.write_text(
+            '{"instances": [{"family": "random", "n": 3, "seed": %s}], '
+            '"algorithms": [{"algo": "dm"}]}' % seed
+        )
+        rc, out, err = run(capsys, "bench", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert err == f"error: invalid JSON config: {seed[:40]!r} has more than 4300 digits\n"
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize(
         "entry", [{"family": "speedup-gap", "n": 3, "eps": 0.1}, {"family": "bf-adversary", "k": 4.7}]

@@ -28,14 +28,13 @@ from rtpack.model import (
     DIGIT_LIMIT,
     MAX_EXPONENT,
     DeadlineClass,
-    IntView,
     Task,
     TaskSet,
     classify,
     validate,
 )
 
-from conftest import subset_feasible
+from conftest import int_view_of, subset_feasible
 
 F = Fraction
 
@@ -379,7 +378,7 @@ class TestRandom:
             assert (len(ts), ts.ids, ts.violations) == (n, tuple(range(1, n + 1)), ())
             u = ts.total_utilization
             assert "tasks" not in vars(ts)
-            view, want = ts.ints, IntView.of(ts.tasks)
+            view, want = ts.ints, int_view_of(ts.tasks)
             assert (view.scale, view.c, view.d, view.t) == (want.scale, want.c, want.d, want.t)
             assert u == sum(tsk.utilization for tsk in ts.tasks)
 

@@ -15,9 +15,9 @@ from rtpack.io import (
     serialize_dvp,
     serialize_taskset,
 )
-from rtpack.model import IntView, Task, TaskSet, require_valid
+from rtpack.model import Task, TaskSet, require_valid
 
-from conftest import valid_tasksets
+from conftest import int_view_of, valid_tasksets
 
 F = Fraction
 
@@ -61,6 +61,14 @@ class TestParseTaskset:
         with pytest.raises(ParseError):
             parse_taskset(b"{nope")
 
+    def test_byte_order_mark_refused_as_json_words_it(self):
+        data = '\ufeff{"tasks":[{"c":"1","d":"2","t":"4"}]}'
+        with pytest.raises(ParseError) as err:
+            parse_taskset(data.encode("utf-8"))
+        with pytest.raises(ValueError) as want:
+            json.loads(data)
+        assert str(err.value) == f"invalid JSON task set: {want.value}"
+
     def test_bad_shapes(self):
         with pytest.raises(ParseError):
             parse_taskset(b"[]")
@@ -87,6 +95,20 @@ class TestParseTaskset:
         assert str(err.value) == (
             f"task 1, field 't': not a rational literal: {value[:40]!r} has more than 4300 digits"
         )
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_json_integer_past_the_digit_limit_refused(self, sign):
+        big = sign + "9" * 4301
+        with pytest.raises(ParseError) as err:
+            parse_taskset('{"tasks": [{"c": 1, "d": 2, "t": %s}]}' % big)
+        assert str(err.value) == f"invalid JSON task set: {big[:40]!r} has more than 4300 digits"
+
+    def test_json_integer_at_the_digit_limit_is_its_string(self):
+        big = "9" * 4300
+        written = parse_taskset('{"tasks": [{"c": 1, "d": 2, "t": %s}]}' % big)
+        assert written == parse_taskset('{"tasks": [{"c": 1, "d": 2, "t": "%s"}]}' % big)
+        assert written.ints.t == (int(big),)
+        assert load_json(f"[{big}, -{big}]", "list") == [int(big), -int(big)]
 
 
 def _parse_taskset_reference(data):
@@ -206,7 +228,7 @@ class TestParseIntoTheIntegerView:
         assert (len(got), got.ids, got.position) == (len(ts), ids, {i: i - 1 for i in ids})
         assert "tasks" not in vars(got)
         assert got.tasks == _parse_taskset_reference(data).tasks
-        assert got.ints == IntView.of(got.tasks)
+        assert got.ints == int_view_of(got.tasks)
 
 
 class TestRoundTrip:

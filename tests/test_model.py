@@ -27,9 +27,12 @@ from rtpack.model import (
     validate,
 )
 
-from rtpack.errors import ValidationError
+from rtpack.errors import CoverageError, ValidationError
+from rtpack.feasibility import verify_partition
+from rtpack.partitioners import Partition
 
 from conftest import (
+    int_view_of,
     tasksets_of_each_class,
     tightened_utilizations,
     time_points,
@@ -414,6 +417,34 @@ class TestValidate:
         ]
 
 
+DISTINCT_IDS = st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def valid_task_lists(draw):
+    """Valid tasks with arbitrary distinct ids; a whole value is drawn as
+    an int or a Fraction."""
+    out = []
+    for tid in draw(DISTINCT_IDS):
+        tsk = draw(valid_tasks())
+        c, d, t = (
+            draw(st.sampled_from([x, int(x)])) if x.denominator == 1 else x
+            for x in (tsk.c, tsk.d, tsk.t)
+        )
+        out.append(Task(c, d, t, tid))
+    return tuple(out)
+
+
+@st.composite
+def task_lists(draw):
+    """Tasks with arbitrary distinct ids, valid or with zero, negative and
+    oversized fields, ints or Fractions."""
+    if draw(st.booleans()):
+        return draw(valid_task_lists())
+    field = st.one_of(st.integers(-3, 12), st.builds(F, st.integers(-6, 40), st.integers(1, 12)))
+    return tuple(Task(draw(field), draw(field), draw(field), tid) for tid in draw(DISTINCT_IDS))
+
+
 class TestTaskSet:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -433,26 +464,70 @@ class TestTaskSet:
         ),
         st.sampled_from(["", "set"]),
     )
+    @example([(1, 1, 2, 1, 5, 2)], "")
     def test_of_ratios_is_the_set_of_its_fractions(self, rows, name):
-        # rows hold unreduced pairs; the set built from its view is the
-        # one built from the tasks, in every respect but when they exist
+        # rows hold unreduced pairs, and a task holds a whole value as an
+        # int; both constructors build one set, and neither keeps tasks
         ts = TaskSet.of_ratios(rows, name)
         want = TaskSet(
             tuple(
-                Task(F(cn, cd), F(dn, dd), F(tn, td), id=i)
-                for i, (cn, cd, dn, dd, tn, td) in enumerate(rows, start=1)
+                Task(*(F(n, d) if d > 1 else n for n, d in zip(row[0::2], row[1::2])), id=i)
+                for i, row in enumerate(rows, start=1)
             ),
             name,
         )
-        assert ts.ints == IntView.of(want.tasks) and len(ts) == len(want)
+        assert ts == want and hash(ts) == hash(want)
+        assert "tasks" not in vars(ts) and "tasks" not in vars(want)
+        assert ts.ints == int_view_of(want.tasks) and len(ts) == len(want)
         assert list(ts) == list(want) and "tasks" not in vars(ts)
-        # a violation's message reads the task's fractions
         assert [str(v) for v in ts.violations] == [str(v) for v in validate(want)]
-        assert ts == want and hash(ts) == hash(want) and repr(ts) == repr(want)
+        assert repr(ts) == repr(want)
         copy = pickle.loads(pickle.dumps(ts))
         assert copy == ts and copy.ints == ts.ints
         with pytest.raises(AttributeError):
             ts.name = "other"
+
+    @settings(max_examples=100)
+    @given(task_lists(), st.sampled_from(["", "set"]))
+    @example((Task(1, 2, F(5, 2), 9),), "")
+    @example((Task(F(3), 2, 4, -4), Task(F(1, 2), 1, 0, 0)), "set")
+    def test_holds_the_view_and_ids_not_the_tasks(self, tasks, name):
+        ts, twin = TaskSet(tasks, name), TaskSet(tasks, name)
+        assert "tasks" not in vars(ts)
+        assert ts == twin and hash(ts) == hash(twin)
+        assert ts != TaskSet(tasks, name + "x")
+        assert ts != TaskSet(tuple(Task(tsk.c, tsk.d, tsk.t, tsk.id + 1) for tsk in tasks), name)
+        assert len(ts) == len(tasks) and ts.ids == tuple(tsk.id for tsk in tasks)
+        if all(tsk.t != 0 for tsk in tasks):
+            assert ts.total_utilization == sum(F(tsk.c) / tsk.t for tsk in tasks)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ts.total_utilization
+        exact = [Task(F(tsk.c), F(tsk.d), F(tsk.t), tsk.id) for tsk in tasks]
+        assert validate(ts) == reference_validate(exact)
+        assert "tasks" not in vars(ts) and "tasks" not in vars(twin)
+
+    @given(valid_task_lists(), st.data())
+    def test_coverage_error_names_ids_without_tasks(self, tasks, data):
+        ts = TaskSet(tasks)
+        ids = [tsk.id for tsk in tasks]
+        kept = data.draw(st.lists(st.sampled_from(ids), max_size=len(ids) - 1, unique=True))
+        missing = sorted(set(ids) - set(kept))
+        with pytest.raises(CoverageError) as err:
+            verify_partition(ts, Partition(tuple((tid,) for tid in kept), "test"))
+        assert str(err.value) == f"partition misses task ids {missing}"
+        assert "tasks" not in vars(ts)
+
+    @given(task_lists())
+    @example((Task(1, F(3, 2), 2, 5), Task(F(1, 3), 1, 1, -2)))
+    def test_tasks_read_off_the_view_are_the_given_ones(self, tasks):
+        ts = TaskSet(tasks)
+        got = ts.tasks
+        assert got == tasks
+        for have, want in zip(got, tasks):
+            assert (have.id, have.c, have.d, have.t) == (want.id, want.c, want.d, want.t)
+            assert {type(have.c), type(have.d), type(have.t)} == {F}
+        assert ts.tasks is got
 
     def test_of_ratios_refuses_no_rows(self):
         with pytest.raises(ValueError):
