@@ -19,6 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
+from numbers import Rational
 from operator import floordiv, mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -56,6 +57,18 @@ def plain_ratio(value) -> Optional[tuple[int, int]]:
     return None
 
 
+# the field types TaskSet(tasks) reads without a closer look
+_EXACT_TYPES = frozenset({int, Fraction})
+
+
+def _refuse_inexact(value) -> None:
+    """TypeError for a bool or a float, which no exact value may be."""
+    if isinstance(value, bool):
+        raise TypeError("booleans are not rational quantities")
+    if isinstance(value, float):
+        raise TypeError("floats are rejected; pass a string or Fraction to stay exact")
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Convert exactly: ints pass through, strings accept "p/q" and decimal
     literals ("0.25" becomes 1/4, "2.5e-3" 1/400).  A decimal exponent
@@ -66,10 +79,7 @@ def as_rational(value: RationalLike) -> Fraction:
     pair = plain_ratio(value)
     if pair is not None:  # Fraction's regex parse is skipped
         return Fraction(*pair)
-    if isinstance(value, bool):
-        raise TypeError("booleans are not rational quantities")
-    if isinstance(value, float):
-        raise TypeError("floats are rejected; pass a string or Fraction to stay exact")
+    _refuse_inexact(value)
     if isinstance(value, str) and ("e" in value or "E" in value):
         exp = value.lower().rpartition("e")[2].strip().lstrip("+-")
         exp = exp.replace("_", "").lstrip("0")
@@ -212,13 +222,14 @@ class TaskSet:
     ids `ids` (by position) and its `name`, whichever constructor built it.
 
     `TaskSet(tasks, name)` scales the tasks' values into the view and keeps
-    their ids, not the tasks; `of_ratios` builds the view straight from
-    ints, with ids 1..N.  `tasks` reads the `Task`s off the view and keeps
-    them; iterating yields them without keeping them.  Since the view is
-    canonical, equality and hash are those of (view, ids, name); repr is
-    that of (tasks, name).  The validation verdict and the id-to-position
-    index are computed on first use and then kept: nothing they depend on
-    can change.
+    their ids, not the tasks; a bool, float or other value that is not an
+    exact rational is a TypeError.  `of_ratios` builds the view straight
+    from ints, with ids 1..N.  `tasks` reads the `Task`s off the view and
+    keeps them; iterating yields them without keeping them.  Since the view
+    is canonical, equality and hash are those of (view, ids, name); repr is
+    that of (tasks, name), read without keeping them.  The validation
+    verdict and the id-to-position index are computed on first use and then
+    kept: nothing they depend on can change.
     """
 
     ints: IntView
@@ -232,6 +243,11 @@ class TaskSet:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate task ids in {name!r}: {list(ids)}")
         values = [x for tsk in tasks for x in (tsk.c, tsk.d, tsk.t)]
+        if not _EXACT_TYPES.issuperset(map(type, values)):
+            for x in values:
+                _refuse_inexact(x)
+                if not isinstance(x, Rational):
+                    raise TypeError(f"task values are ints or Fractions, got {x!r}")
         pairs = [n for x in values for n in (x.numerator, x.denominator)]
         self._hold(_view_of(pairs), ids, name)
 
@@ -268,7 +284,7 @@ class TaskSet:
         return hash((self.ints, self.ids, self.name))
 
     def __repr__(self) -> str:
-        return f"TaskSet(tasks={self.tasks!r}, name={self.name!r})"
+        return f"TaskSet(tasks={tuple(self)!r}, name={self.name!r})"
 
     def __iter__(self) -> Iterator[Task]:
         """Each task read off the view, not kept."""

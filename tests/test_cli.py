@@ -1,6 +1,8 @@
 import functools
+import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from rtpack import cli
 from rtpack.bench import FAMILIES, make_instances
 from rtpack.cli import _partition_doc, _simulate_doc, dispatch
+from rtpack.errors import RtpackError
 from rtpack.generators import gen_random_dvp
 from rtpack.io import serialize_dvp, serialize_taskset
 from rtpack.model import as_rational, taskset
@@ -590,6 +593,69 @@ class TestDeterminismGoldens:
         assert out.read_bytes() == (GOLDEN / f"bench_classes.{suffix}").read_bytes()
 
 
+def _full_parser_dispatch(argv) -> int:
+    """`dispatch` with every argv through a full parser built for it."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        return args.func(args)
+    except (RtpackError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _answer(route, argv) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = route(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+# CLI tokens for the routing test; no `-o`, so nothing is written, and
+# every value stays small, so each request is quick
+ROUTE_GAP = str(GOLDEN / "speedup_gap_n3.json")
+ROUTE_COMMANDS = ["check", "partition", "generate", "bench", "simulate", "frobnicate"]
+ROUTE_FLAGS = [
+    "--speed", "--sp", "--speed=3/2", "--point-cap", "--point",
+    "--algo", "--strategy", "--n-cap", "--horizon", "--event-cap",
+    "--family", "--n", "--eps", "--config",
+]  # fmt: skip
+ROUTE_VALUES = ["3/2", "1/2", "2", "6", "0", "-1", "dm", "oracle", "bf", "speedup-gap"]
+ROUTE_PAIRS = [
+    ("--speed", "3/2"), ("--sp", "3/2"), ("--point-cap", "6"), ("--point", "1000"),
+    ("--algo", "dm"), ("--algo", "oracle"), ("--strategy", "bf"), ("--n-cap", "6"),
+    ("--horizon", "6"), ("--event-cap", "6"),
+    ("--family", "speedup-gap"), ("--n", "2"), ("--eps", "1/2"), ("--config", ROUTE_GAP),
+]  # fmt: skip
+ROUTE_TOKENS = [
+    *ROUTE_COMMANDS, *ROUTE_FLAGS, *ROUTE_VALUES,
+    ROUTE_GAP, str(GOLDEN / "missing.json"),
+    "-h", "--h", "--help", "--", "--frobnicate", "",
+]  # fmt: skip
+ROUTE_ARGVS = st.one_of(
+    st.lists(st.sampled_from(ROUTE_TOKENS), max_size=6),
+    # a command (with its required arguments), flag-value pairs, then any tokens
+    st.builds(
+        lambda head, pairs, rest: [*head, *(a for pair in pairs for a in pair), *rest],
+        st.sampled_from(
+            [("check", ROUTE_GAP), ("partition", ROUTE_GAP, "--algo", "dm"),
+             ("partition", ROUTE_GAP, "--algo", "oracle"), ("simulate", ROUTE_GAP, "--horizon", "6"),
+             ("generate", "--family", "speedup-gap", "--n", "2", "--eps", "1/2"),
+             ("bench", "--config", ROUTE_GAP), *((c,) for c in ROUTE_COMMANDS)]
+        ),
+        st.lists(
+            st.one_of(
+                st.sampled_from(ROUTE_PAIRS),
+                st.tuples(st.sampled_from(ROUTE_FLAGS), st.sampled_from(ROUTE_VALUES)),
+            ),
+            max_size=3,
+        ),
+        st.lists(st.sampled_from(ROUTE_TOKENS), max_size=2),
+    ),
+)
+
 class TestDispatch:
     def test_unknown_command(self, capsys):
         assert dispatch(["frobnicate"]) == 2
@@ -640,6 +706,33 @@ class TestDispatch:
             assert dispatch(["check", str(GOLDEN / "speedup_gap_n3.json")]) == 1
         capsys.readouterr()
         assert calls == ["parse", "check"] * 2
+
+    def test_leftover_arguments_refused_by_the_top_level_parser(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, "check", ROUTE_GAP, "--frobnicate", "x") == (2, "", (
+            "usage: rtpack [-h] {check,partition,generate,bench,simulate} ...\n"
+            "rtpack: error: unrecognized arguments: --frobnicate x\n"
+        ))
+
+    def test_subcommand_errors_name_the_subcommand(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, "check") == (2, "", (
+            "usage: rtpack check [-h] [--speed SPEED] [--point-cap POINT_CAP] file\n"
+            "rtpack check: error: the following arguments are required: file\n"
+        ))
+
+    @settings(max_examples=400, deadline=None)
+    @given(ROUTE_ARGVS)
+    @example(["check", ROUTE_GAP, "--sp", "3/2"])
+    @example(["check", ROUTE_GAP, "--point", "1000", "--speed=1/2"])
+    @example(["partition", ROUTE_GAP, "--algo", "dm", "--strategy", "bf"])
+    @example(["simulate", ROUTE_GAP, "--horizon", "6", "--speed=3/2"])
+    @example(["generate", "--family", "speedup-gap", "--n", "2", "--eps", "1/2"])
+    @example(["check", "--", "--frobnicate"])
+    @example(["--", "check", ROUTE_GAP])
+    def test_answers_as_the_full_parser(self, argv):
+        assert _answer(dispatch, argv) == _answer(_full_parser_dispatch, argv)
+
 
 
 # Exit-code fuzzing: whatever the documents and the environment hold, a

@@ -2,6 +2,7 @@ import math
 import pickle
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -505,6 +506,7 @@ class TestTaskSet:
                 ts.total_utilization
         exact = [Task(F(tsk.c), F(tsk.d), F(tsk.t), tsk.id) for tsk in tasks]
         assert validate(ts) == reference_validate(exact)
+        assert repr(ts) == f"TaskSet(tasks={tuple(exact)!r}, name={name!r})"
         assert "tasks" not in vars(ts) and "tasks" not in vars(twin)
 
     @given(valid_task_lists(), st.data())
@@ -528,6 +530,31 @@ class TestTaskSet:
             assert (have.id, have.c, have.d, have.t) == (want.id, want.c, want.d, want.t)
             assert {type(have.c), type(have.d), type(have.t)} == {F}
         assert ts.tasks is got
+
+    def test_repr_reads_the_tasks_without_keeping_them(self):
+        ts = taskset([("1/2", 2, 4), (1, 3, 3)], "set")
+        text = "TaskSet(tasks=(Task(id=1, c=1/2, d=2, t=4), Task(id=2, c=1, d=3, t=3)), name='set')"
+        assert repr(ts) == text and "tasks" not in vars(ts)
+        assert repr(ts) == f"TaskSet(tasks={ts.tasks!r}, name='set')"
+
+    @pytest.mark.parametrize("field", ["c", "d", "t"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "booleans are not rational quantities"),
+            (False, "booleans are not rational quantities"),
+            (1.5, "floats are rejected; pass a string or Fraction to stay exact"),
+            (2.0, "floats are rejected; pass a string or Fraction to stay exact"),
+            (Decimal("0.5"), "task values are ints or Fractions, got Decimal('0.5')"),
+            ("1/2", "task values are ints or Fractions, got '1/2'"),
+            (None, "task values are ints or Fractions, got None"),
+        ],
+    )
+    def test_inexact_field_is_a_type_error(self, field, value, message):
+        fields = {"c": F(1), "d": F(2), "t": F(4), field: value}
+        with pytest.raises(TypeError) as err:
+            TaskSet((Task(1, 2, 4, 1), Task(**fields, id=2)))
+        assert str(err.value) == message
 
     def test_of_ratios_refuses_no_rows(self):
         with pytest.raises(ValueError):
