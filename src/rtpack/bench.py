@@ -18,6 +18,7 @@ the pure-Python encoder.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import glob as globmod
 import io as stringio
@@ -533,9 +534,18 @@ def _parse_path(value, where: str) -> str:
     return value
 
 
+def rational_arg(value: str) -> Fraction:
+    """`as_rational` as an argparse type: a refused value's error names the
+    flag and the reason, as "argument --speed: zero denominator in '1/0'"."""
+    try:
+        return as_rational(value)
+    except (ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # instance key -> kind: the check of every value (config, `spec` or flag) and
 # the argparse keywords of its `generate` flag, None for `count` and `path`
-_INT, _RATIONAL = (_parse_int, {"type": int}), (parse_rational, {"type": as_rational})
+_INT, _RATIONAL = (_parse_int, {"type": int}), (parse_rational, {"type": rational_arg})
 INSTANCE_KEYS = {
     "k": _INT, "h": _RATIONAL, "n": _INT, "eps": _RATIONAL, "seed": _INT,
     "count": (_parse_int, None), "target_u": _RATIONAL,

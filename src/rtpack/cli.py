@@ -11,7 +11,15 @@ subcommand's parser, and arguments it leaves over are refused through the
 top-level parser with the message argparse's nested parse gives.  Every
 other request (no arguments, `-h`, an unknown command, a leading `--`)
 goes through the full parser: it alone serves those inputs, and it is the
-reference that the direct route must answer like, byte for byte.
+reference that the direct route must answer like, byte for byte.  A
+rational flag that `as_rational` refuses exits 2 with argparse's usage and
+the refusal's reason, as "argument --speed: zero denominator in '1/0'".
+
+The `check`, `partition` and `simulate` documents keep the bytes of
+`json.dumps(doc, indent=2)` but are written by template: any indent makes
+the json module fall back to its pure-Python encoder.  Only free text (a
+name, algorithm or strategy) goes through `json.dumps`; a Fraction's str,
+an int and a bool need no escaping and are written as they are.
 """
 
 from __future__ import annotations
@@ -26,10 +34,9 @@ from fractions import Fraction
 
 from . import bench as bench_mod
 from .errors import RtpackError
-from .feasibility import DEFAULT_POINT_CAP, edf_feasible_exact
+from .feasibility import DEFAULT_POINT_CAP, FeasibilityVerdict, edf_feasible_exact
 from .generators import gen_random_dvp
 from .io import json_list, parse_taskset, serialize_dvp, serialize_taskset
-from .model import as_rational
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy
 from .simulate import DEFAULT_EVENT_CAP, SimTrace, simulate_edf_synchronous
@@ -64,7 +71,7 @@ def _partition_doc(part: Partition) -> str:
     return (
         f'{{\n  "algorithm": {dump(part.algorithm)},\n'
         f'  "strategy": {dump(part.strategy)},\n'
-        f'  "m": {dump(part.m)},\n'
+        f'  "m": {part.m},\n'
         f'  "bins": {json_list(bins)}\n}}\n'
     )
 
@@ -72,44 +79,42 @@ def _partition_doc(part: Partition) -> str:
 def _simulate_doc(name: str, speed: Fraction, trace: SimTrace) -> str:
     """The simulate document with the bytes of `json.dumps(doc, indent=2)`.
 
-    A trace can hold many misses, so each scalar is rendered by
-    `json.dumps` and the lines are laid out by a template and
-    `io.json_list`.  A task id is rendered once per task.
+    A trace can hold many misses, so the lines are laid out by a template
+    and `io.json_list`, and only the name goes through `json.dumps`.
     """
-    dump = json.dumps
-    task = {tid: dump(tid) for tid in {tid for tid, _ in trace.misses}}
     misses = [
-        f'{{\n      "task": {task[tid]},\n      "deadline": {dump(str(d))}\n    }}'
+        f'{{\n      "task": {tid},\n      "deadline": "{d}"\n    }}'
         for tid, d in trace.misses
     ]
-    idle = [json_list([dump(str(a)), dump(str(b))], 2) for a, b in trace.idle]
+    idle = [json_list([f'"{a}"', f'"{b}"'], 2) for a, b in trace.idle]
     return (
-        f'{{\n  "name": {dump(name)},\n'
-        f'  "horizon": {dump(str(trace.horizon))},\n'
-        f'  "speed": {dump(str(speed))},\n'
-        f'  "schedulable": {dump(trace.schedulable)},\n'
+        f'{{\n  "name": {json.dumps(name)},\n'
+        f'  "horizon": "{trace.horizon}",\n'
+        f'  "speed": "{speed}",\n'
+        f'  "schedulable": {"true" if trace.schedulable else "false"},\n'
         f'  "misses": {json_list(misses)},\n'
-        f'  "preemptions": {dump(trace.preemptions)},\n'
+        f'  "preemptions": {trace.preemptions},\n'
         f'  "idle": {json_list(idle)}\n}}'
+    )
+
+
+def _check_doc(name: str, speed: Fraction, verdict: FeasibilityVerdict) -> str:
+    """The check document with the bytes of `json.dumps(doc, indent=2)`."""
+    witness = "null" if verdict.witness is None else f'"{verdict.witness}"'
+    return (
+        f'{{\n  "name": {json.dumps(name)},\n'
+        f'  "speed": "{speed}",\n'
+        f'  "feasible": {"true" if verdict.feasible else "false"},\n'
+        f'  "witness": {witness},\n'
+        f'  "horizon": "{verdict.horizon}",\n'
+        f'  "points_checked": {verdict.points_checked}\n}}'
     )
 
 
 def cmd_check(args) -> int:
     ts = _read_taskset(args.file)
     verdict = edf_feasible_exact(ts, speed=args.speed, point_cap=args.point_cap)
-    # stays on json.dumps(doc, indent=2) until the benchmark stops keeping
-    # every round's outcomes (ROADMAP item 5): a template writer leaves no
-    # cyclic garbage, the collector then runs rarely, and the cli-check
-    # peak RSS rose past its bound
-    doc = {
-        "name": ts.name,
-        "speed": str(args.speed),
-        "feasible": verdict.feasible,
-        "witness": str(verdict.witness) if verdict.witness is not None else None,
-        "horizon": str(verdict.horizon),
-        "points_checked": verdict.points_checked,
-    }
-    print(json.dumps(doc, indent=2))
+    print(_check_doc(ts.name, args.speed, verdict))
     return 0 if verdict.feasible else 1
 
 
@@ -171,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="exact one-processor EDF feasibility")
     p_check.add_argument("file")
-    p_check.add_argument("--speed", type=as_rational, default=Fraction(1))
+    p_check.add_argument("--speed", type=bench_mod.rational_arg, default=Fraction(1))
     p_check.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
     p_check.set_defaults(func=cmd_check)
 
@@ -207,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="event-driven EDF simulation")
     p_sim.add_argument("file")
-    p_sim.add_argument("--horizon", type=as_rational, required=True)
-    p_sim.add_argument("--speed", type=as_rational, default=Fraction(1))
+    p_sim.add_argument("--horizon", type=bench_mod.rational_arg, required=True)
+    p_sim.add_argument("--speed", type=bench_mod.rational_arg, default=Fraction(1))
     p_sim.add_argument("--event-cap", type=int, default=DEFAULT_EVENT_CAP)
     p_sim.set_defaults(func=cmd_simulate)
     parser.commands = sub.choices  # each command's own parser, by name

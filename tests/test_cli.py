@@ -14,8 +14,9 @@ from hypothesis import example, given, settings
 
 from rtpack import cli
 from rtpack.bench import FAMILIES, make_instances
-from rtpack.cli import _partition_doc, _simulate_doc, dispatch
+from rtpack.cli import _check_doc, _partition_doc, _simulate_doc, dispatch
 from rtpack.errors import RtpackError
+from rtpack.feasibility import FeasibilityVerdict
 from rtpack.generators import gen_random_dvp
 from rtpack.io import serialize_dvp, serialize_taskset
 from rtpack.model import as_rational, taskset
@@ -186,6 +187,25 @@ class TestCheck:
         assert (rc, text) == (2, "")
         assert err == f"error: point cap must be at least 1, got {cap}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        # argparse refuses the value before the file is opened
+        [["check", "set.json", "--speed"], ["simulate", "set.json", "--horizon", "12", "--speed"],
+         ["simulate", "set.json", "--horizon"], ["generate", "--family", "bf-adversary", "--h"],
+         ["generate", "--family", "speedup-gap", "--eps"],
+         ["generate", "--family", "random", "--target-u"]],
+        ids=lambda argv: f"{argv[0]} {argv[-1]}",
+    )  # fmt: skip
+    @pytest.mark.parametrize(
+        "value,reason",
+        [("1/0", "zero denominator in '1/0'"), ("1e4300", "'1e4300' has more than 4300 digits"),
+         ("abc", "Invalid literal for Fraction: 'abc'")],
+    )  # fmt: skip
+    def test_rational_flag_error_gives_the_reason(self, capsys, argv, value, reason):
+        rc, text, err = run(capsys, *argv, value)
+        assert (rc, text) == (2, "")
+        assert f"argument {argv[-1]}: {reason}\n" in err and "as_rational" not in err
+
     def test_horizon_cap_is_not_a_flag(self, capsys):
         rc, text, err = run(
             capsys, "check", str(GOLDEN / "speedup_gap_n3.json"), "--horizon-cap", "5"
@@ -298,6 +318,31 @@ class TestSimulateDoc:
             "idle": [[str(a), str(b)] for a, b in trace.idle],
         }
         assert _simulate_doc(name, speed, trace) == json.dumps(doc, indent=2)
+
+
+class TestCheckDoc:
+    @example("", Fraction(1), FeasibilityVerdict(True, None, Fraction(0), 0))
+    @example(
+        'q"uote \\ \u00e9 \x07', Fraction(3, 2),
+        FeasibilityVerdict(False, Fraction(2), Fraction(12), 5),
+    )  # fmt: skip
+    @given(
+        st.text(),
+        times.filter(bool),
+        st.builds(
+            FeasibilityVerdict, st.booleans(), st.none() | times, times, st.integers(min_value=0)
+        ),
+    )
+    def test_same_bytes_as_json_dumps(self, name, speed, verdict):
+        doc = {
+            "name": name,
+            "speed": str(speed),
+            "feasible": verdict.feasible,
+            "witness": None if verdict.witness is None else str(verdict.witness),
+            "horizon": str(verdict.horizon),
+            "points_checked": verdict.points_checked,
+        }
+        assert _check_doc(name, speed, verdict) == json.dumps(doc, indent=2)
 
 
 class TestPartitionDoc:
