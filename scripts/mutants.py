@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Mutation check: every listed mutant must make its tests fail.
+
+A mutant names a file of the package, an exact source snippet that must
+occur in it once, the snippet's replacement and the tests that should
+catch it.  For each mutant the script copies `src/` and `tests/` into a
+fresh temporary directory, applies the mutant to the copy (the checkout
+is never changed), runs the tests there under pytest with `-x` and a
+fixed `--hypothesis-seed`, and prints "killed" when a test fails and
+"survived" when all pass.  The same tests are first run on an unmutated
+copy and must pass, so that a kill is the mutant's doing.  A snippet that
+no longer matches is reported, not skipped, so that a refactor updates
+this list instead of silently losing a mutant.
+
+Exits 1 on a survivor, a snippet that does not match, or a run that
+neither passes nor fails cleanly (a collection or usage error), else 0.
+Needs pytest and hypothesis, as the test suite does.
+
+    python scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+HYPOTHESIS_SEED = 0
+EXACT_TESTS = ("tests/test_feasibility.py", "tests/test_oracle.py")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+FEASIBILITY = "src/rtpack/feasibility.py"
+
+MUTANTS = (
+    Mutant(
+        "density accept <= made <",
+        FEASIBILITY,
+        "    if density <= view.span_whole:\n        return True\n",
+        "    if density < view.span_whole:\n        return True\n",
+        EXACT_TESTS,
+    ),
+    Mutant(
+        "share refusal > made >=",
+        FEASIBILITY,
+        "    if load > view.whole:\n        return False\n",
+        "    if load >= view.whole:\n        return False\n",
+        EXACT_TESTS,
+    ),
+    Mutant(
+        "verdict store write dropped",
+        FEASIBILITY,
+        "        verdict = store[mask] = feasible_past_gates(",
+        "        verdict = feasible_past_gates(",
+        EXACT_TESTS,
+    ),
+    Mutant(
+        "two-task certificate <= made <",
+        FEASIBILITY,
+        "if view.offset[a] + view.offset[b] <= d_b * (whole - load):",
+        "if view.offset[a] + view.offset[b] < d_b * (whole - load):",
+        EXACT_TESTS,
+    ),
+    Mutant(
+        "two-task refutation > made >=",
+        FEASIBILITY,
+        "((d_b - view.d[a]) // view.t[a] + 1) > d_b:",
+        "((d_b - view.d[a]) // view.t[a] + 1) >= d_b:",
+        EXACT_TESTS,
+    ),
+    Mutant(
+        "two-task load < whole gate dropped",
+        FEASIBILITY,
+        "if len(positions) == 2 and load < whole:",
+        "if len(positions) == 2:",
+        EXACT_TESTS,
+    ),
+)
+
+
+def run_tests(tests: tuple[str, ...], mutant: Mutant | None = None) -> int:
+    """pytest's exit code on `tests`, run on a fresh copy of `src/` and
+    `tests/` with `mutant`, if given, applied to the copy."""
+    with tempfile.TemporaryDirectory(prefix="rtpack-mutant-") as work:
+        for tree in ("src", "tests"):
+            shutil.copytree(
+                ROOT / tree, Path(work, tree), ignore=shutil.ignore_patterns("__pycache__")
+            )
+        if mutant is not None:
+            target = Path(work, mutant.path)
+            target.write_text(
+                target.read_text(encoding="utf-8").replace(mutant.snippet, mutant.replacement),
+                encoding="utf-8",
+            )
+        env = dict(os.environ, PYTHONPATH=str(Path(work, "src")), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                f"--hypothesis-seed={HYPOTHESIS_SEED}", *tests]  # fmt: skip
+        return subprocess.run(
+            argv, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        ).returncode
+
+
+def main() -> int:
+    bad = []
+    for tests in dict.fromkeys(m.tests for m in MUTANTS):
+        code = run_tests(tests)
+        print(f"unmutated {' '.join(tests)}: pytest exit {code}")
+        if code != 0:
+            print("the unmutated tests must pass; no mutant was run")
+            return 1
+    for mutant in MUTANTS:
+        found = (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.snippet)
+        if found != 1:
+            outcome = f"snippet found {found} times in {mutant.path}, not once"
+        else:
+            code = run_tests(mutant.tests, mutant)
+            outcome = {0: "survived", 1: "killed"}.get(code, f"pytest exit {code}")
+        print(f"{mutant.name}: {outcome}")
+        if outcome != "killed":
+            bad.append(mutant.name)
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

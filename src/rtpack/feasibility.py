@@ -2,13 +2,11 @@
 
 Three exact entry points share one sweep kernel: `edf_feasible_exact`
 tests a task set at a speed and reports a witness (the `check` command);
-`feasible_past_gates` tests the tasks at some positions of a set's
-integer view at unit speed, once two O(1) gates, the density accept and
-the share refusal, have not decided them, and the oracle's bins call it
-directly; `verify_partition` tests every bin of a partition with the same
-gates and step, through a verdict store.  `lemma1_feasible` is a closed
-form for one shape of set.  Every verdict here is exact; the dbf*
-admission of deadline-monotonic fitting lives in `partitioners`.
+`bin_feasible` decides one bin of a partition at unit speed, for the
+oracle's search and for `verify_partition`, which tests every bin of a
+partition.  `lemma1_feasible` is a closed form for one shape of set.
+Every verdict here is exact; the dbf* admission of deadline-monotonic
+fitting lives in `partitioners`.
 
 The demand criterion quantifies over all t >= 0; only the deadline points
 k*T_i + D_i matter because the demand is a right-continuous step function
@@ -42,11 +40,27 @@ own, decides and counts exactly as at its own: every compared quantity
 scales by the same positive factor.  Only a reported witness or horizon
 is turned back into a fraction.
 
-Density accept.  dbf_i(t) <= t * C_i / min(D_i, T_i) at every t, for any
-deadline class, so a set whose total density sum C_i / min(D_i, T_i) is at
-most the speed is feasible without a sweep.  The oracle and
-`verify_partition` accept a bin there, compared on ints; the
-witness-producing `edf_feasible_exact` always sweeps.
+Bin decisions.  `bin_feasible` is the one test of a bin: its position
+bitmask in the view, with the sums of its `span_share` and `share`, which
+the oracle keeps as a bin grows and `verify_partition` adds up per bin.
+Two O(1) gates come first.  The density accept: dbf_i(t) <=
+t * C_i / min(D_i, T_i) at every t, for any deadline class, so a bin
+whose density sum is within `span_whole` is feasible without a sweep.
+The share refusal: a bin whose share sum passes `whole` has U above 1
+and is infeasible.  Every other bin's verdict is read from the verdict
+store, and on a miss decided by `feasible_past_gates`, the two-task step
+below and then the sweep, and stored.  The witness-producing
+`edf_feasible_exact` applies no gate and always sweeps.
+
+Verdict store.  A bin's verdict depends only on its set of positions in
+the view, so the bench gives each instance one store: a plain dict from a
+bin's position bitmask to its verdict, which `verify_partition` fills for
+every partition of the instance and the oracle's search then reads and
+extends as its memo.  The store lives for one instance and is dropped
+with it; it is never kept on the task set or its view.  It holds only
+verdicts of bins past both O(1) gates, so within one instance no bin
+reaches `feasible_past_gates` twice.  Coverage faults raise on every call
+and are never stored.
 
 Two tasks.  A pair that neither the density accept nor the share refusal
 decides is, where its U is below 1, mostly decided in O(1) by
@@ -60,16 +74,6 @@ kink.  Where C_b + C_a * (floor((D_b - D_a) / T_a) + 1), the demand at
 D_b, exceeds D_b, D_b is a failing point.  Every other pair is swept.  At
 U = 1 the pair is always swept, so that a hyperperiod past
 DEFAULT_HYPERPERIOD_CAP still raises HorizonOverflow.
-
-Verdict store.  A bin's verdict depends only on its set of positions in
-the view, so the bench gives each instance one store: a plain dict from a
-bin's position bitmask to its verdict, which `verify_partition` fills for
-every partition of the instance and the oracle's search then reads and
-extends as its memo.  The store lives for one instance and is dropped
-with it; it is never kept on the task set or its view.  It holds only
-verdicts of bins past both O(1) gates, so within one instance no bin
-reaches `feasible_past_gates` twice.  Coverage faults raise on every call
-and are never stored.
 
 Incremental demand.  The points of all tasks come off one heap in
 ascending order.  Every heap entry equal to t is popped before t is
@@ -249,9 +253,8 @@ def feasible_past_gates(view: IntView, positions: Sequence[int], load: int) -> b
     search, for a subset that neither O(1) gate decides: its density sum
     exceeds `span_whole` and `load` is at most `whole`.  Two tasks of U
     below 1 are mostly decided at their later deadline (see "Two tasks"
-    in the module docstring); the rest are swept.  Its callers, the
-    oracle's bins and `verify_partition`, hold the sums and apply the
-    gates themselves.
+    in the module docstring); the rest are swept.  `bin_feasible` applies
+    the gates and calls it.
     """
     whole = view.whole
     if len(positions) == 2 and load < whole:
@@ -265,6 +268,34 @@ def feasible_past_gates(view: IntView, positions: Sequence[int], load: int) -> b
         view, positions, _UNIT_SPEED, DEFAULT_POINT_CAP
     )
     return witness is None
+
+
+def _positions(mask: int) -> list[int]:
+    """The positions whose bits are set in `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def bin_feasible(
+    view: IntView, mask: int, density: int, load: int, store: dict[int, bool]
+) -> bool:
+    """Exact EDF feasibility, on one unit-speed processor, of the bin
+    `mask` of `view` whose sums of `span_share` and `share` are `density`
+    and `load`: the density accept, the share refusal, and then the
+    verdict in `store`, on a miss decided by `feasible_past_gates` and
+    stored (see "Bin decisions" in the module docstring)."""
+    if density <= view.span_whole:
+        return True
+    if load > view.whole:
+        return False
+    verdict = store.get(mask)
+    if verdict is None:
+        verdict = store[mask] = feasible_past_gates(view, _positions(mask), load)
+    return verdict
 
 
 def edf_feasible_exact(
@@ -331,22 +362,20 @@ def verify_partition(
     """True iff `part` is a partition of `ts` whose every bin is
     EDF-feasible on one processor.
 
-    Coverage is checked on every call, before any verdict is read.  A bin
-    whose density sum is within one processor is accepted on it; any other
-    bin's verdict is looked up in `store`, the instance's verdict store
-    keyed by the bin's position bitmask (see the module docstring), and on
-    a miss decided by the share refusal and `feasible_past_gates`.  Only
-    verdicts past both gates enter `store`; without one, a fresh store is
-    used for this call.
+    Coverage is checked on every call, before any verdict is read.  Each
+    bin is then decided by `bin_feasible` through `store`, the instance's
+    verdict store (see the module docstring); without one, a fresh store
+    is used for this call.
     """
     require_valid(ts)
-    position = ts.position
-    bins: list[tuple[list[int], int]] = []  # (positions, bitmask) per bin
+    view = ts.ints
+    position, span_share, share = ts.position, view.span_share, view.share
+    bins: list[tuple[int, int, int]] = []  # (bitmask, density sum, share sum)
     seen = 0
     for b in part.bins:
         if not b:
             raise CoverageError("empty bin in partition")
-        positions, mask = [], 0
+        mask = density = load = 0
         for tid in b:
             pos = position.get(tid)
             if pos is None:
@@ -356,23 +385,12 @@ def verify_partition(
                 raise CoverageError(f"task id {tid} assigned twice")
             seen |= bit
             mask |= bit
-            positions.append(pos)
-        bins.append((positions, mask))
+            density += span_share[pos]
+            load += share[pos]
+        bins.append((mask, density, load))
     if seen != (1 << len(ts)) - 1:
         missing = sorted(tid for i, tid in enumerate(ts.ids) if not seen >> i & 1)
         raise CoverageError(f"partition misses task ids {missing}")
-    view = ts.ints
     if store is None:
         store = {}
-    for positions, mask in bins:
-        if sum(map(view.span_share.__getitem__, positions)) <= view.span_whole:
-            continue
-        verdict = store.get(mask)
-        if verdict is None:
-            load = sum(map(view.share.__getitem__, positions))
-            if load > view.whole:
-                return False
-            verdict = store[mask] = feasible_past_gates(view, positions, load)
-        if not verdict:
-            return False
-    return True
+    return all(bin_feasible(view, *b, store) for b in bins)

@@ -1,20 +1,16 @@
 """Brute-force minimum-processor oracle: m*, the fewest unit-speed
 processors that admit a partition into bins that are each EDF-feasible.
 
-Bin verdicts.  Each open bin keeps the sums of its tasks' density and
-utilization terms on the set's integer view as it grows.  A bin whose
-density sum is within one processor is feasible, and one whose
-utilization passes it is not, in O(1) from those sums.  Every other bin
-is decided by `feasibility.feasible_past_gates`, the exact demand test of
-the bin's positions in the view past those two gates, at its default
-caps, which settles most two-task bins at their later deadline and
-sweeps the rest; the memo holds only these verdicts, across branches and
-levels, keyed by position bitmask.  A caller may pass the memo in as
-`store`: the bench passes each instance's verdict store, which
-`verify_partition` has filled with the verdicts of the partitioners'
-bins, so that a bin already decided there is not tested again, and drops
-it when the instance ends.  The store changes no verdict, node count or
-witness.
+Bin verdicts.  Each open bin keeps its position bitmask and the sums of
+its `span_share` and `share` on the set's integer view as it grows, and
+is decided by `feasibility.bin_feasible` on them (its two O(1) gates and
+verdict store are described in the `feasibility` docstring).  The
+search's memo is that store, kept across branches and levels.  A caller
+may pass it in as `store`: the bench passes each instance's verdict
+store, which `verify_partition` has filled with the verdicts of the
+partitioners' bins, so that a bin already decided there is not tested
+again, and drops it when the instance ends.  The store changes no
+verdict, node count or witness.
 
 Set partitions are enumerated as restricted-growth strings in increasing
 bin count, so symmetric relabelings of bins are never visited twice.  A
@@ -68,7 +64,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BadParam, CapExceeded
-from .feasibility import feasible_past_gates
+from .feasibility import _positions, bin_feasible
 from .model import IntView, TaskSet, require_valid
 from .partitioners import Partition
 
@@ -91,16 +87,6 @@ class OracleResult:
         return self._build_witness()
 
 
-def _positions(mask: int) -> list[int]:
-    """The positions whose bits are set in `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _Search:
     """Depth-first assignment of task positions of `view`, in a given
     order, to at most `max_bins` bins.
@@ -117,25 +103,8 @@ class _Search:
 
     def __init__(self, view: IntView, memo: Optional[dict[int, bool]] = None):
         self.view = view
-        self.span_whole, self.whole = view.span_whole, view.whole
         self.memo: dict[int, bool] = {} if memo is None else memo
         self.nodes = 0
-
-    def feasible_bin(self, mask: int, density: int, load: int) -> bool:
-        """The verdict on the bin `mask` whose sums of `span_share` and
-        `share` are `density` and `load`: feasible at a density sum within
-        `span_whole`, infeasible at a share sum past `whole`, and
-        otherwise the memoized `feasible_past_gates` of its positions,
-        whose verdict does not depend on the order they were assigned in."""
-        if density <= self.span_whole:
-            return True
-        if load > self.whole:
-            return False
-        hit = self.memo.get(mask)
-        if hit is None:
-            hit = feasible_past_gates(self.view, _positions(mask), load)
-            self.memo[mask] = hit
-        return hit
 
     def partition(self, order: Sequence[int], max_bins: int) -> Optional[list[int]]:
         """The bins, as masks in bin order, of the first partition into at
@@ -162,7 +131,7 @@ class _Search:
         for b, old in enumerate(bins):
             new = old[0] | bit, old[1] + density, old[2] + share
             self.nodes += 1
-            if self.feasible_bin(*new):
+            if bin_feasible(self.view, *new, self.memo):
                 bins[b] = new
                 if self.dfs(order, i + 1, bins, max_bins):
                     return True
@@ -224,12 +193,13 @@ def _conflict_clique(search: _Search, by_density: list[int]) -> list[int]:
     """Positions of pairwise-conflicting tasks, chosen greedily in the
     order `by_density`: a task joins when it conflicts with every task
     chosen before it."""
-    density, share = search.view.span_share, search.view.share
+    view, memo = search.view, search.memo
+    density, share = view.span_share, view.share
     clique: list[int] = []
     for pos in by_density:
         bit, dens, sh = 1 << pos, density[pos], share[pos]
         for q in clique:
-            if search.feasible_bin(1 << q | bit, density[q] + dens, share[q] + sh):
+            if bin_feasible(view, 1 << q | bit, density[q] + dens, share[q] + sh, memo):
                 break
         else:
             clique.append(pos)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from rtpack.feasibility import feasible_past_gates
+from rtpack.feasibility import bin_feasible
 from rtpack.model import IntView, Task, TaskSet
 
 settings.register_profile(
@@ -65,16 +65,15 @@ def tasksets_of_each_class(draw, max_n=6):
 
 def positions_feasible_exact(view: IntView, positions) -> bool:
     """Exact EDF feasibility of the tasks at `positions` of `view` on one
-    unit-speed processor, without witness search: the two O(1) gates, a
-    total density within 1 (True) and a utilization overrun (False), and
-    then `feasible_past_gates`, as the oracle's bins and `verify_partition`
-    apply them."""
-    if sum(map(view.span_share.__getitem__, positions)) <= view.span_whole:
-        return True
-    load = sum(map(view.share.__getitem__, positions))
-    if load > view.whole:
-        return False
-    return feasible_past_gates(view, positions, load)
+    unit-speed processor, without witness search: `bin_feasible` of their
+    bin, with a fresh verdict store."""
+    return bin_feasible(
+        view,
+        sum(1 << p for p in positions),
+        sum(map(view.span_share.__getitem__, positions)),
+        sum(map(view.share.__getitem__, positions)),
+        {},
+    )
 
 
 def int_view_of(tasks) -> IntView:

@@ -18,6 +18,7 @@ from rtpack.feasibility import (
     DEFAULT_POINT_CAP,
     _fraction,
     _sweep_first_failure,
+    bin_feasible,
     edf_feasible_exact,
     lemma1_feasible,
     verify_partition,
@@ -33,6 +34,7 @@ from conftest import (
     valid_tasks,
     valid_tasksets,
 )
+from test_sweep_reference import _ref_kernel
 
 F = Fraction
 
@@ -298,14 +300,56 @@ class TestDensityAccept:
         assert verify_partition(ts, part) is False
 
 
+class TestBinFeasible:
+    """`bin_feasible` on every bin of a set, each with its sums: the
+    verdict of the reference sweep at unit speed, a store that then holds
+    the verdicts of exactly the bins past both O(1) gates, and no exact
+    step for any bin once the store is filled."""
+
+    @given(tasksets_of_each_class(max_n=5))
+    def test_every_bin_of_a_set(self, ts):
+        view, n = ts.ints, len(ts)
+        bins = []  # (mask, density sum, share sum, reference verdict)
+        for mask in range(1, 1 << n):
+            positions = [p for p in range(n) if mask >> p & 1]
+            density = sum(view.span_share[p] for p in positions)
+            load = sum(view.share[p] for p in positions)
+            want = _ref_kernel(view, positions, F(1))[1] is None
+            bins.append((mask, density, load, want))
+        store = {}
+        for mask, density, load, want in bins:
+            assert bin_feasible(view, mask, density, load, store) is want
+        assert store == {
+            mask: want
+            for mask, density, load, want in bins
+            if density > view.span_whole and load <= view.whole
+        }
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(feasibility, "feasible_past_gates", lambda *a: calls.append(a))
+            for mask, density, load, want in bins:
+                assert bin_feasible(view, mask, density, load, store) is want
+        assert calls == []
+
+
 class TestTwoTasks:
-    """`positions_feasible_exact` settles a pair with U < 1 from its later
+    """`feasible_past_gates` settles a pair with U < 1 from its later
     deadline D_b: the dbf* line certifies every point from D_b on, or the
     demand at D_b refutes it.  Only the other pairs reach the sweep."""
 
     @staticmethod
+    def past_gates(ts, pair) -> bool:
+        """`feasible_past_gates` of `pair`, in the order given, for a pair
+        that neither O(1) gate decides."""
+        view = ts.ints
+        assert sum(view.span_share[p] for p in pair) > view.span_whole
+        load = sum(view.share[p] for p in pair)
+        assert load <= view.whole
+        return feasibility.feasible_past_gates(view, pair, load)
+
+    @staticmethod
     def sweeps(monkeypatch) -> list:
-        """The position lists `positions_feasible_exact` sweeps from now on."""
+        """The position lists the exact step sweeps from now on."""
         seen = []
         real = feasibility._sweep_first_failure
 
@@ -330,7 +374,7 @@ class TestTwoTasks:
         # the demand at D_b = 3 is 3, so no refutation applies either
         ts = taskset([(1, 1, 2), (1, 3, 6)])
         swept = self.sweeps(monkeypatch)
-        assert positions_feasible_exact(ts.ints, pair)
+        assert self.past_gates(ts, pair)
         assert swept == []
 
     @pytest.mark.parametrize("pair", [[0, 1], [1, 0]])
@@ -341,12 +385,12 @@ class TestTwoTasks:
         ts = taskset([(1, 1, 2), (1, 2, 4), ("1/3", 5, 7)])
         assert ts.ints.scale == 3
         swept = self.sweeps(monkeypatch)
-        assert positions_feasible_exact(ts.ints, pair)
+        assert self.past_gates(ts, pair)
         assert swept == [pair]
         # one unit more of C_b at that scale fails at D_b, with no sweep
         ts = taskset([(1, 1, 2), ("4/3", 2, 4), ("1/3", 5, 7)])
         swept.clear()
-        assert not positions_feasible_exact(ts.ints, pair)
+        assert not self.past_gates(ts, pair)
         assert swept == []
         assert edf_feasible_exact(TaskSet(ts.tasks[:2])).witness == 2
 
@@ -360,7 +404,7 @@ class TestTwoTasks:
         # with D_a = D_b the step decides C_a + C_b <= D either way
         ts = taskset(rows)
         swept = self.sweeps(monkeypatch)
-        assert positions_feasible_exact(ts.ints, pair) is feasible
+        assert self.past_gates(ts, pair) is feasible
         assert swept == []
         assert edf_feasible_exact(ts).feasible is feasible
 
