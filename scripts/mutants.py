@@ -3,14 +3,17 @@
 
 A mutant names a file of the package, an exact source snippet that must
 occur in it once, the snippet's replacement and the tests that should
-catch it.  For each mutant the script copies `src/` and `tests/` into a
-fresh temporary directory, applies the mutant to the copy (the checkout
-is never changed), runs the tests there under pytest with `-x` and a
-fixed `--hypothesis-seed`, and prints "killed" when a test fails and
-"survived" when all pass.  The same tests are first run on an unmutated
-copy and must pass, so that a kill is the mutant's doing.  A snippet that
-no longer matches is reported, not skipped, so that a refactor updates
-this list instead of silently losing a mutant.
+catch it.  For each mutant the script copies `src/`, `tests/` and
+`perfbench/` (with `README.md` and `BENCHMARK.json`, which tests read)
+into a fresh temporary directory, so that a selection may name the pin
+tests that import the benchmark's workloads.  It applies the mutant to
+the copy (the checkout is never changed), runs the tests there under
+pytest with `-x` and a fixed `--hypothesis-seed`, and prints "killed"
+when a test fails and "survived" when all pass.  The same tests are
+first run on an unmutated copy and must pass, so that a kill is the
+mutant's doing.  A snippet that no longer matches is reported, not
+skipped, so that a refactor updates this list instead of silently losing
+a mutant.
 
 Exits 1 on a survivor, a snippet that does not match, or a run that
 neither passes nor fails cleanly (a collection or usage error), else 0.
@@ -30,6 +33,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 HYPOTHESIS_SEED = 0
 EXACT_TESTS = ("tests/test_feasibility.py", "tests/test_oracle.py")
+TREES = ("src", "tests", "perfbench")
+FILES = ("README.md", "BENCHMARK.json")
 
 
 class Mutant(NamedTuple):
@@ -85,17 +90,47 @@ MUTANTS = (
         "if len(positions) == 2:",
         EXACT_TESTS,
     ),
+    Mutant(
+        "DM/dagger admission <= made <",
+        "src/rtpack/partitioners.py",
+        "if line <= room and",
+        "if line < room and",
+        ("tests/test_partitioners.py", "tests/test_pins.py::test_ratio_sweep_report"),
+    ),
+    Mutant(
+        "JSON-integer digit bound > made >=",
+        "src/rtpack/io.py",
+        '    if len(text) - text.startswith("-") > MAX_EXPONENT:\n',
+        '    if len(text) - text.startswith("-") >= MAX_EXPONENT:\n',
+        ("tests/test_io.py",),
+    ),
+    Mutant(
+        "leftover arguments of the subcommand route ignored",
+        "src/rtpack/cli.py",
+        "            if extra:\n",
+        "            if False:\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "simulator event cap > made >=",
+        "src/rtpack/simulate.py",
+        "        if events > event_cap:\n",
+        "        if events >= event_cap:\n",
+        ("tests/test_simulate.py", "tests/test_pins.py::test_bounded_time_run[simulate-event-cap]"),
+    ),
 )
 
 
 def run_tests(tests: tuple[str, ...], mutant: Mutant | None = None) -> int:
-    """pytest's exit code on `tests`, run on a fresh copy of `src/` and
-    `tests/` with `mutant`, if given, applied to the copy."""
+    """pytest's exit code on `tests`, run on a fresh copy of TREES and
+    FILES with `mutant`, if given, applied to the copy."""
     with tempfile.TemporaryDirectory(prefix="rtpack-mutant-") as work:
-        for tree in ("src", "tests"):
+        for tree in TREES:
             shutil.copytree(
                 ROOT / tree, Path(work, tree), ignore=shutil.ignore_patterns("__pycache__")
             )
+        for name in FILES:
+            shutil.copy(ROOT / name, work)
         if mutant is not None:
             target = Path(work, mutant.path)
             target.write_text(

@@ -206,6 +206,27 @@ class TestCheck:
         assert (rc, text) == (2, "")
         assert f"argument {argv[-1]}: {reason}\n" in err and "as_rational" not in err
 
+    @pytest.mark.parametrize("speed", ["1", "3/2"])
+    def test_unreduced_and_mixed_literals_give_the_same_bytes(self, tmp_path, capsys, speed):
+        # the golden speedup-gap set with every value written three more
+        # ways: unreduced "p/q", decimals and JSON ints
+        doc = json.loads((GOLDEN / "speedup_gap_n3.json").read_text())
+        values = [Fraction(task[key]) for task in doc["tasks"] for key in "cdt"]
+        assert all(v.denominator == 1 for v in values), "decimals and ints need whole values"
+        want = run(capsys, "check", str(GOLDEN / "speedup_gap_n3.json"), "--speed", speed)
+        spellings = {
+            "unreduced": lambda v, k: f"{v.numerator * (k + 2)}/{v.denominator * (k + 2)}",
+            "decimal": lambda v, k: f"{v.numerator}.{'0' * (k + 1)}",
+            "ints": lambda v, k: v.numerator,
+        }
+        for form, spell in spellings.items():
+            values_left = iter(values)
+            tasks = [{key: spell(next(values_left), i) for key in "cdt"}
+                     for i, _ in enumerate(doc["tasks"])]  # fmt: skip
+            path = tmp_path / f"{form}.json"
+            path.write_text(json.dumps({"name": doc["name"], "tasks": tasks}))
+            assert run(capsys, "check", str(path), "--speed", speed) == want, form
+
     def test_horizon_cap_is_not_a_flag(self, capsys):
         rc, text, err = run(
             capsys, "check", str(GOLDEN / "speedup_gap_n3.json"), "--horizon-cap", "5"
@@ -366,6 +387,43 @@ class TestPartitionDoc:
             "bins": [list(b) for b in part.bins],
         }
         assert _partition_doc(part) == json.dumps(doc, indent=2) + "\n"
+
+
+class TestOutputLayout:
+    def test_every_document_keeps_the_json_dumps_layout(self, tmp_path, capsys):
+        # the writers lay out lines by template; each document must equal
+        # json.dumps(json.loads(text), indent=2) + "\n" byte for byte
+        odd = tmp_path / "odd.json"  # a name json.dumps must escape
+        odd.write_text(r'{"name": "q\"uote \\ \u00e9", "tasks": [{"c": "1", "d": "2", "t": "4"}]}')
+        cfg, report = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps({
+            "instances": [{"family": "bf-adversary", "k": 4},
+                          {"family": "speedup-gap", "n": 6, "eps": "1/2"},
+                          {"family": "random", "count": 3, "n": 14, "seed": 2,
+                           "target_u": "5/2", "class": "arbitrary"},
+                          {"family": "file", "path": str(odd)}],
+            "algorithms": [{"algo": "dm", "strategy": "bf"}, {"algo": "dagger"}],
+            "oracle": True, "n_cap": 12, "timing": True,
+        }))  # fmt: skip
+        gap, rand = str(tmp_path / "gap.json"), str(tmp_path / "random.json")
+        assert run(capsys, "bench", "--config", str(cfg), "-o", str(report))[0] == 0
+        assert run(capsys, "generate", "--family", "speedup-gap", "--n", "200", "--eps", "1/2",
+                   "-o", gap)[0] == 0  # fmt: skip
+        assert run(capsys, "generate", "--family", "random", "--n", "12", "--seed", "2",
+                   "--target-u", "5/2", "--class", "arbitrary", "-o", rand)[0] == 0  # fmt: skip
+        docs = [report.read_text(), Path(gap).read_text()]
+        for code, argv in [
+            (0, ["check", str(odd), "--speed", "3/2"]),
+            (1, ["check", str(odd), "--speed", "1/4"]),  # with its witness
+            (0, ["partition", gap, "--algo", "dm", "--strategy", "bf"]),
+            (0, ["partition", gap, "--algo", "dagger"]),
+            (0, ["partition", rand, "--algo", "oracle"]),
+        ]:
+            rc, text, _ = run(capsys, *argv)
+            assert rc == code
+            docs.append(text)
+        for text in docs:
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestBench:
@@ -765,6 +823,10 @@ class TestDispatch:
             "usage: rtpack check [-h] [--speed SPEED] [--point-cap POINT_CAP] file\n"
             "rtpack check: error: the following arguments are required: file\n"
         ))
+
+    def test_abbreviated_flag_reads_as_the_flag_it_abbreviates(self, capsys):
+        want = run(capsys, "check", ROUTE_GAP, "--speed", "3/2")
+        assert want[0] == 0 and run(capsys, "check", ROUTE_GAP, "--sp", "3/2") == want
 
     @settings(max_examples=400, deadline=None)
     @given(ROUTE_ARGVS)

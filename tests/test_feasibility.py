@@ -1,11 +1,12 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from rtpack import feasibility
+from rtpack import bench, feasibility
 from rtpack.errors import (
     BadParam,
     CoverageError,
@@ -367,6 +368,22 @@ class TestTwoTasks:
         for pair in itertools.permutations(range(len(ts)), 2):
             swept = _sweep_first_failure(view, pair, F(1), DEFAULT_POINT_CAP)
             assert positions_feasible_exact(view, pair) == (swept[0] is None)
+
+    def test_matches_the_kernel_on_bench_traffic(self):
+        cfg = {"instances": [
+            *({"family": "random", "count": 24, "n": 10, "seed": 1,
+               "target_u": "5/2", "class": cls}
+              for cls in ("implicit", "constrained", "arbitrary")),
+            {"family": "dvp", "count": 24, "n": 10, "seed": 1},
+            *({"family": fam, "k": k}
+              for fam in ("bf-adversary", "wf-adversary") for k in range(4, 9)),
+            *({"family": "speedup-gap", "n": n, "eps": "1/2"} for n in (6, 10, 14))],
+          "algorithms": [{"algo": "dm"}]}  # fmt: skip
+        for name, _, ts in bench.resolve_instances(bench.parse_config(json.dumps(cfg))):
+            view = ts.ints
+            for pair in itertools.combinations(range(len(ts)), 2):
+                swept = _sweep_first_failure(view, pair, F(1), DEFAULT_POINT_CAP)
+                assert positions_feasible_exact(view, pair) == (swept[0] is None), (name, pair)
 
     @pytest.mark.parametrize("pair", [[0, 1], [1, 0]])
     def test_certificate_holding_with_equality(self, monkeypatch, pair):

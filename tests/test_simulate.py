@@ -76,6 +76,13 @@ class TestGuards:
         with pytest.raises(EventExplosion):
             simulate_edf_synchronous(taskset([(1, 1, 1)]), F(100), event_cap=5)
 
+    def test_event_cap_admits_exactly_its_count(self):
+        # one job per unit of time: a horizon of 3 takes exactly 3 events
+        ts = taskset([(1, 1, 1)])
+        assert simulate_edf_synchronous(ts, F(3), event_cap=3).schedulable
+        with pytest.raises(EventExplosion, match="simulation exceeded 2 events"):
+            simulate_edf_synchronous(ts, F(3), event_cap=2)
+
 
 class TestAgreementWithExactTest:
     @given(valid_tasksets(max_n=4))

@@ -134,3 +134,26 @@ class TestReadme:
         assert any(
             re.search(re.escape(opt) + r"(?![\w-])", README) for opt in options
         ), f"{command} {options[-1]} is not in README.md"
+
+    # the README's CLI examples and their documented exit codes; the bench
+    # config is the README's own "Bench config" example
+    EXAMPLES = [
+        (0, "generate --family bf-adversary --k 4 -o bf4.json"),
+        (0, "generate --family speedup-gap --n 3 --eps 1/2 -o gap.json"),
+        (0, "generate --family random --n 8 --seed 7 --target-u 3/2 --class constrained -o r.json"),
+        (0, "check gap.json --speed 3/2"),
+        (1, "check gap.json"),
+        (0, "partition bf4.json --algo dm --strategy bf"),
+        (0, "partition bf4.json --algo oracle"),
+        (0, "simulate gap.json --horizon 12 --speed 3/2"),
+        (0, "bench --config experiment.json -o report.csv"),
+    ]
+
+    def test_cli_examples_exit_as_documented(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = re.search(r"### Bench config\n\n```json\n(.*?)```", README, re.S).group(1)
+        (tmp_path / "experiment.json").write_text(config)
+        assert [cli.dispatch(argv.split()) for _, argv in self.EXAMPLES] == [
+            rc for rc, _ in self.EXAMPLES
+        ]
+        capsys.readouterr()
