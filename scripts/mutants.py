@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 FEASIBILITY = "src/rtpack/feasibility.py"
+MODEL = "src/rtpack/model.py"
 
 MUTANTS = (
     Mutant(
@@ -117,6 +118,27 @@ MUTANTS = (
         "        if events > event_cap:\n",
         "        if events >= event_cap:\n",
         ("tests/test_simulate.py", "tests/test_pins.py::test_bounded_time_run[simulate-event-cap]"),
+    ),
+    Mutant(
+        "Lemma-1 strict-work bound <= made <",
+        FEASIBILITY,
+        "    return strict_work <= scale and",
+        "    return strict_work < scale and",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
+        "D for min(D, T) in the density terms",
+        MODEL,
+        "        return tuple(map(min, self.d, self.t))\n",
+        "        return self.d\n",
+        ("tests/test_model.py", "tests/test_partitioners.py"),
+    ),
+    Mutant(
+        "plain-literal zero-denominator guard made always true",
+        MODEL,
+        "                if q:\n",
+        "                if True:\n",
+        ("tests/test_model.py", "tests/test_io.py"),
     ),
 )
 

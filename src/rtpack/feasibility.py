@@ -333,27 +333,30 @@ def lemma1_feasible(ts: TaskSet) -> bool:
 
     Feasible iff the strict execution times sum to at most 1 and the total
     utilization is at most 1.  Raises ShapeMismatch when the structure does
-    not apply (callers fall back to the exact test).
+    not apply (callers fall back to the exact test).  Decided on the set's
+    integer view: a task is strict when D < T and implicit when D = T, and
+    the deadline 1 is `scale`.
     """
     require_valid(ts)
-    strict = [tsk for tsk in ts if tsk.d < tsk.t]
-    implicit = [tsk for tsk in ts if tsk.d == tsk.t]
-    if len(strict) + len(implicit) != len(ts):
+    view = ts.ints
+    scale = view.scale
+    if any(d > t for d, t in zip(view.d, view.t)):
         raise ShapeMismatch("tasks with D > T do not fit the common-deadline shape")
-    if any(tsk.d != 1 for tsk in strict):
+    strict = [(c, d, t) for c, d, t in zip(view.c, view.d, view.t) if d < t]
+    if any(d != scale for _, d, _ in strict):
         raise ShapeMismatch("strictly constrained tasks must share deadline 1")
-    if implicit:
-        period = implicit[0].t
-        if any(tsk.t != period for tsk in implicit):
-            raise ShapeMismatch("implicit tasks must share one period")
-        for tsk in strict:
-            ratio = period / tsk.t
-            if ratio.denominator != 1:
+    periods = {t for d, t in zip(view.d, view.t) if d == t}
+    if len(periods) > 1:
+        raise ShapeMismatch("implicit tasks must share one period")
+    for period in periods:
+        for _, _, t in strict:
+            if period % t:
                 raise ShapeMismatch(
-                    f"implicit period {period} is not an integer multiple of {tsk.t}"
+                    f"implicit period {Fraction(period, scale)} is not an integer"
+                    f" multiple of {Fraction(t, scale)}"
                 )
-    strict_work = sum((tsk.c for tsk in strict), Fraction(0))
-    return strict_work <= 1 and ts.total_utilization <= 1
+    strict_work = sum(c for c, _, _ in strict)
+    return strict_work <= scale and sum(view.share) <= view.whole
 
 
 def verify_partition(

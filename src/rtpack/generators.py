@@ -3,7 +3,10 @@ vector packing transform, and seeded random task sets.
 
 All generators are pure functions of their parameters; random families
 derive every draw from an explicit seed, so concurrent or repeated
-generation reproduces bit-identical instances.
+generation reproduces bit-identical instances.  Every family builds its
+set through `TaskSet.of_ratios`, with ids 1..N in task order: `gen_random`
+from its ints, the others from exact (c, d, t) triples through
+`model.taskset`.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from .model import (
     DIGIT_LIMIT,
     MAX_EXPONENT,
     DeadlineClass,
-    Task,
     TaskSet,
     as_rational,
     ratio_sum,
+    taskset,
 )
 
 DEFAULT_DENOMINATOR_BOUND = 8
@@ -46,9 +49,10 @@ def _default_h(k: int) -> Fraction:
 
 
 def _fit_adversary(k: int, h: Fraction | None, shift: int, name: str) -> TaskSet:
-    """The adversary families' common body: the first task has C = K^(shift-1),
-    the implicit task i (even) D = K^(i/2-1+shift) and C = K^(i/2-2+shift),
-    and filler i (odd, j = (i-1)/2) C = K^j - K^(j-1) with D = K^j."""
+    """The adversary families' common body: the first task has
+    C = K^(shift-1), D = 1 and T = h; then each tier j = 1..K has an
+    implicit task with D = T = K^(j-1+shift) and C = D/K, followed, for
+    j < K, by a filler with C = K^j - K^(j-1), D = K^j and T = h."""
     if not isinstance(k, int) or k < 4:
         raise BadParam(f"need integer k >= 4, got {k!r}")
     if not _printable_power(k, k + 2):
@@ -59,15 +63,13 @@ def _fit_adversary(k: int, h: Fraction | None, shift: int, name: str) -> TaskSet
     if h < _default_h(k):
         raise BadParam(f"h must be at least k^(k+2) = {_default_h(k)}, got {h}")
     kf = Fraction(k)
-    tasks = [Task(c=kf ** (shift - 1), d=Fraction(1), t=h, id=1)]
-    for i in range(2, 2 * k + 1):
-        if i % 2 == 0:
-            d = kf ** (i // 2 - 1 + shift)
-            tasks.append(Task(c=kf ** (i // 2 - 2 + shift), d=d, t=d, id=i))
-        else:
-            j = (i - 1) // 2
-            tasks.append(Task(c=kf**j - kf ** (j - 1), d=kf**j, t=h, id=i))
-    return TaskSet(tuple(tasks), name=f"{name}-k{k}")
+    triples = [(kf ** (shift - 1), 1, h)]
+    for j in range(1, k + 1):
+        d = kf ** (j - 1 + shift)
+        triples.append((d / kf, d, d))
+        if j < k:
+            triples.append((kf**j - kf ** (j - 1), kf**j, h))
+    return taskset(triples, f"{name}-k{k}")
 
 
 def gen_best_fit_adversary(k: int, h: Fraction | None = None) -> TaskSet:
@@ -115,9 +117,8 @@ def gen_speedup_gap(n: int, eps: Fraction) -> TaskSet:
     for _ in range(3, n + 1):
         deadlines.append(deadlines[-1] * ratio)
     period = deadlines[-1]
-    tasks = [Task(c=Fraction(1), d=Fraction(1), t=period, id=1)]
-    tasks += (Task(c=d, d=d, t=period, id=i) for i, d in enumerate(deadlines, start=2))
-    return TaskSet(tuple(tasks), name=f"speedup-gap-n{n}")
+    triples = [(1, 1, period)] + [(d, d, period) for d in deadlines]
+    return taskset(triples, f"speedup-gap-n{n}")
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,8 @@ def dvp_to_tasks(dvp: DvpInstance) -> TaskSet:
         )
     else:
         h = Fraction(1)
-    tasks = []
-    for i, (v1, v2) in enumerate(dvp.vectors, start=1):
-        if v2 != 0:
-            tasks.append(Task(c=v2, d=Fraction(1), t=v2 / v1, id=i))
-        else:
-            tasks.append(Task(c=v1 * h, d=h, t=h, id=i))
-    return TaskSet(tuple(tasks), name="dvp")
+    triples = [(v2, 1, v2 / v1) if v2 != 0 else (v1 * h, h, h) for v1, v2 in dvp.vectors]
+    return taskset(triples, "dvp")
 
 
 def gen_random_dvp(
@@ -353,20 +349,13 @@ def gen_lemma1_shaped(
         raise BadParam("need at least one task")
     rng = random.Random(f"rtpack-lemma1:{seed}")
     q = denominator_bound
-    tasks = []
-    tid = 1
-    strict_periods = []
+    triples = []
     for _ in range(n_strict):
-        period = Fraction(rng.randint(2, 6))
-        strict_periods.append(period)
-        c = Fraction(rng.randint(1, q), q)
-        tasks.append(Task(c=c, d=Fraction(1), t=period, id=tid))
-        tid += 1
+        period = rng.randint(2, 6)
+        triples.append((Fraction(rng.randint(1, q), q), 1, period))
     if n_implicit:
-        base = math.lcm(*(int(p) for p in strict_periods)) if strict_periods else 1
-        h = Fraction(base * rng.randint(1, 3))
+        # the lcm of the strict periods (1 without any), times 1..3
+        h = math.lcm(*(t for _, _, t in triples)) * rng.randint(1, 3)
         for _ in range(n_implicit):
-            c = h * Fraction(rng.randint(1, q), q)
-            tasks.append(Task(c=c, d=h, t=h, id=tid))
-            tid += 1
-    return TaskSet(tuple(tasks), name=f"lemma1-s{seed}")
+            triples.append((h * Fraction(rng.randint(1, q), q), h, h))
+    return taskset(triples, f"lemma1-s{seed}")

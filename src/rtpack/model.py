@@ -5,16 +5,17 @@ decision.  A task set is held as one form, its integer view (`IntView`):
 C, D and T of every task as ints at one common scale, which every solver
 reads, with each task's id by position.  A `Task` holds its values as
 `fractions.Fraction`s; a set reads its `Task`s off the view when asked.
-Tasks are immutable and keep a stable integer id (assigned in input order,
-1-based, by the parser and the generators), so partitions can always be
-reported against the original indices regardless of sorting or transforms.
+Tasks are immutable and keep a stable integer id; the parser and every
+generator build their sets through `TaskSet.of_ratios`, with ids 1..N in
+input order, so partitions can always be reported against the original
+indices regardless of sorting or transforms.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -57,10 +58,6 @@ def plain_ratio(value) -> Optional[tuple[int, int]]:
     return None
 
 
-# the field types TaskSet(tasks) reads without a closer look
-_EXACT_TYPES = frozenset({int, Fraction})
-
-
 def _refuse_inexact(value) -> None:
     """TypeError for a bool or a float, which no exact value may be."""
     if isinstance(value, bool):
@@ -75,7 +72,12 @@ def as_rational(value: RationalLike) -> Fraction:
     beyond +-MAX_EXPONENT, a literal with a run of more than MAX_EXPONENT
     digits as written (a numerator, denominator, integer or fractional
     part, or exponent; "0" * 4300 + "1" too), or a value whose numerator
-    or denominator has more than MAX_EXPONENT digits is a ValueError."""
+    or denominator has more than MAX_EXPONENT digits is a ValueError.  A
+    Fraction is returned as it is: it is immutable."""
+    if value.__class__ is Fraction:
+        return value
+    if value.__class__ is int:
+        return Fraction(value)
     pair = plain_ratio(value)
     if pair is not None:  # Fraction's regex parse is skipped
         return Fraction(*pair)
@@ -217,6 +219,7 @@ def _view_of(pairs: list[int]) -> IntView:
     return IntView(scale, tuple(scaled[0::3]), tuple(scaled[1::3]), tuple(scaled[2::3]))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TaskSet:
     """An immutable task list, held as its integer view `ints`, its task
     ids `ids` (by position) and its `name`, whichever constructor built it.
@@ -226,10 +229,10 @@ class TaskSet:
     exact rational is a TypeError.  `of_ratios` builds the view straight
     from ints, with ids 1..N.  `tasks` reads the `Task`s off the view and
     keeps them; iterating yields them without keeping them.  Since the view
-    is canonical, equality and hash are those of (view, ids, name); repr is
-    that of (tasks, name), read without keeping them.  The validation
-    verdict and the id-to-position index are computed on first use and then
-    kept: nothing they depend on can change.
+    is canonical, equality and hash are the dataclass's, those of (view,
+    ids, name); repr is that of (tasks, name), read without keeping them.
+    The validation verdict and the id-to-position index are computed on
+    first use and then kept: nothing they depend on can change.
     """
 
     ints: IntView
@@ -243,11 +246,10 @@ class TaskSet:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate task ids in {name!r}: {list(ids)}")
         values = [x for tsk in tasks for x in (tsk.c, tsk.d, tsk.t)]
-        if not _EXACT_TYPES.issuperset(map(type, values)):
-            for x in values:
-                _refuse_inexact(x)
-                if not isinstance(x, Rational):
-                    raise TypeError(f"task values are ints or Fractions, got {x!r}")
+        for x in values:
+            _refuse_inexact(x)
+            if not isinstance(x, Rational):
+                raise TypeError(f"task values are ints or Fractions, got {x!r}")
         pairs = [n for x in values for n in (x.numerator, x.denominator)]
         self._hold(_view_of(pairs), ids, name)
 
@@ -268,20 +270,6 @@ class TaskSet:
         object.__setattr__(self, "ints", view)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ints, self.ids, self.name) == (other.ints, other.ids, other.name)
-
-    def __hash__(self) -> int:
-        return hash((self.ints, self.ids, self.name))
 
     def __repr__(self) -> str:
         return f"TaskSet(tasks={tuple(self)!r}, name={self.name!r})"
@@ -320,11 +308,13 @@ class TaskSet:
 
 
 def taskset(triples: Iterable[tuple], name: str = "") -> TaskSet:
-    """Build a TaskSet from (c, d, t) triples, ids assigned 1..N in order."""
-    tasks = tuple(
-        task(c, d, t, id=i) for i, (c, d, t) in enumerate(triples, start=1)
-    )
-    return TaskSet(tasks, name=name)
+    """Build a TaskSet from (c, d, t) triples of `as_rational` values, ids
+    assigned 1..N in order, through `TaskSet.of_ratios`."""
+    rows = []
+    for c, d, t in triples:
+        values = as_rational(c), as_rational(d), as_rational(t)
+        rows.append([n for x in values for n in (x.numerator, x.denominator)])
+    return TaskSet.of_ratios(rows, name)
 
 
 def dbf(tsk: Task, tpoint: Fraction) -> Fraction:

@@ -454,20 +454,34 @@ class TestLemma1:
         assert edf_feasible_exact(ts).feasible is True
 
     def test_rejects_late_deadline_task(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch) as err:
             lemma1_feasible(taskset([("1/2", 1, 2), (1, 4, 3)]))
+        assert str(err.value) == "tasks with D > T do not fit the common-deadline shape"
 
     def test_rejects_strict_deadline_not_one(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch) as err:
             lemma1_feasible(taskset([("1/2", 2, 4)]))
+        assert str(err.value) == "strictly constrained tasks must share deadline 1"
 
     def test_rejects_mixed_implicit_periods(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch) as err:
             lemma1_feasible(taskset([("1/2", 1, 2), (1, 4, 4), (1, 8, 8)]))
+        assert str(err.value) == "implicit tasks must share one period"
 
     def test_rejects_nonmultiple_period(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch) as err:
             lemma1_feasible(taskset([("1/2", 1, 2), (1, 3, 3)]))
+        assert str(err.value) == "implicit period 3 is not an integer multiple of 2"
+
+    def test_nonmultiple_period_names_fractional_periods(self):
+        with pytest.raises(ShapeMismatch) as err:
+            lemma1_feasible(taskset([("1/2", 1, "3/2"), (1, "5/2", "5/2")]))
+        assert str(err.value) == "implicit period 5/2 is not an integer multiple of 3/2"
+
+    def test_strict_work_of_exactly_one_is_feasible(self):
+        ts = taskset([("1/2", 1, 2), ("1/2", 1, 4), (1, 4, 4)])
+        assert lemma1_feasible(ts) is True
+        assert edf_feasible_exact(ts).feasible is True
 
     @pytest.mark.parametrize("seed", range(60))
     def test_equivalence_with_exact_test(self, seed):

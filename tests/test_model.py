@@ -2,6 +2,7 @@ import math
 import pickle
 import re
 import sys
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 
@@ -50,6 +51,10 @@ class TestRationalConversion:
 
     def test_fraction_literal(self):
         assert as_rational("1/3") == F(1, 3)
+
+    def test_fraction_is_returned_as_it_is(self):
+        value = F(3, 7)
+        assert as_rational(value) is value
 
     def test_int_passthrough(self):
         assert as_rational(7) == F(7)
@@ -559,6 +564,57 @@ class TestTaskSet:
     def test_of_ratios_refuses_no_rows(self):
         with pytest.raises(ValueError):
             TaskSet.of_ratios([])
+
+    @pytest.mark.parametrize("name", ["ints", "ids", "name", "tasks", "other"])
+    def test_assignment_is_refused(self, name):
+        ts = taskset([(1, 2, 2)])
+        with pytest.raises(FrozenInstanceError) as err:
+            setattr(ts, name, None)
+        assert str(err.value) == f"cannot assign to field {name!r}"
+
+    def test_deletion_is_refused(self):
+        ts = taskset([(1, 2, 2)])
+        with pytest.raises(FrozenInstanceError) as err:
+            del ts.ids
+        assert str(err.value) == "cannot delete field 'ids'"
+        assert ts.ids == (1,)
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        ts = taskset([(1, 2, 2)])
+        assert ts.__eq__(object()) is NotImplemented
+        assert ts.__eq__(ts.ints) is NotImplemented
+        assert ts != object()
+
+    def test_every_constructor_builds_one_set(self):
+        triples = [("1/2", 2, "5/2"), (3, 4, 4)]
+        by_ratios = TaskSet.of_ratios([(1, 2, 2, 1, 5, 2), (3, 1, 4, 1, 4, 1)], "set")
+        by_triples = taskset(triples, "set")
+        by_tasks = TaskSet(
+            tuple(task(c, d, t, id=i) for i, (c, d, t) in enumerate(triples, start=1)), "set"
+        )
+        assert by_ratios == by_triples == by_tasks
+        assert hash(by_ratios) == hash(by_triples) == hash(by_tasks)
+        assert by_triples.ids == (1, 2)
+
+    @pytest.mark.parametrize("row", [(1, 2), (1, 2, 2, 2)])
+    def test_taskset_refuses_a_row_that_is_not_a_triple(self, row):
+        with pytest.raises(ValueError):
+            taskset([(1, 2, 2), row])
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "booleans are not rational quantities"),
+            (0.5, "floats are rejected; pass a string or Fraction to stay exact"),
+        ],
+    )
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_taskset_refuses_inexact_values(self, field, value, message):
+        row = [1, 2, 2]
+        row[field] = value
+        with pytest.raises(TypeError) as err:
+            taskset([(1, 2, 2), tuple(row)])
+        assert str(err.value) == message
 
 
 class TestIntView:

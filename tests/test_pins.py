@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -150,12 +151,18 @@ def test_cli_check_requests(seed, pin):
     ("cli-check", 1, {"feasibility.check.points": 3510, "feasibility.check.infeasible": 116,
                       "feasibility.check.capped": 1, "io.parse.bytes": 147928}),
 ], ids=["ratio-sweep-seed1", "ratio-sweep-seed2", "cli-check-seed1"])  # fmt: skip
-def test_traced_benchmark_pass(workload, seed, counters):
+def test_traced_benchmark_pass(workload, seed, counters, tmp_path):
+    # run.py keeps its work and spans beside its own copy of `src/`, so the
+    # pass runs on a copy under tmp_path and leaves the checkout as it was
+    for tree in ("perfbench", "src"):
+        shutil.copytree(ROOT / tree, tmp_path / tree, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", "1", "--trace", "1"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, cwd=tmp_path,
     )  # fmt: skip
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True, done.stderr
     assert {name: result["metrics"][name]["value"] for name in counters} == counters
+    assert (tmp_path / ".perfbench-out" / f"spans-{workload}-s{seed}.json").is_file()
