@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 FEASIBILITY = "src/rtpack/feasibility.py"
 MODEL = "src/rtpack/model.py"
+BENCH = "src/rtpack/bench.py"
 
 MUTANTS = (
     Mutant(
@@ -139,6 +140,63 @@ MUTANTS = (
         "                if q:\n",
         "                if True:\n",
         ("tests/test_model.py", "tests/test_io.py"),
+    ),
+    Mutant(
+        "plain-literal fast path taken for a non-ASCII digit",
+        MODEL,
+        "len(value) <= MAX_EXPONENT and value.isascii():\n",
+        "len(value) <= MAX_EXPONENT:\n",
+        ("tests/test_model.py::TestPlainLiteralPath",),
+    ),
+    Mutant(
+        "JSON-integer digit bound counting the sign",
+        "src/rtpack/io.py",
+        '    if len(text) - text.startswith("-") > MAX_EXPONENT:\n',
+        "    if len(text) > MAX_EXPONENT:\n",
+        ("tests/test_io.py::TestParseTaskset",),
+    ),
+    Mutant(
+        "DM/dagger slope test <= made <",
+        "src/rtpack/partitioners.py",
+        "            if s <= slope_room:\n",
+        "            if s < slope_room:\n",
+        ("tests/test_partitioners.py::TestDmAdmissionEdges",),
+    ),
+    Mutant(
+        "sweep restart step's point-cap check dropped",
+        FEASIBILITY,
+        "            checked += 1\n            if checked > point_cap:\n"
+        "                raise _explosion(view, point_cap, bound)\n            seg += 1\n",
+        "            checked += 1\n            seg += 1\n",
+        ("tests/test_feasibility.py::TestExactTest::test_point_cap_counts_the_kinks_passed_over",),
+    ),
+    Mutant(
+        "above-speed sweep slack divided by 3",
+        FEASIBILITY,
+        "(offset if room > 0 else work * whole - offset)",
+        "(offset if room > 0 else (work * whole - offset) // 3)",
+        ("tests/test_feasibility.py::TestHorizon",),
+    ),
+    Mutant(
+        "dagger bound flag > made >=",
+        BENCH,
+        "m * dagger_bound[1] > dagger_bound[0]",
+        "m * dagger_bound[1] >= dagger_bound[0]",
+        ("tests/test_bench.py::TestCheckBounds",),
+    ),
+    Mutant(
+        "DM asymptotic bound flag > made >=",
+        BENCH,
+        "m * dm_bound[1] > dm_bound[0]",
+        "m * dm_bound[1] >= dm_bound[0]",
+        ("tests/test_bench.py::TestCheckBounds",),
+    ),
+    Mutant(
+        "report instance lines keyed without N",
+        BENCH,
+        "        k = (row.instance, row.family, row.n, row.deadline_class,\n",
+        "        k = (row.instance, row.family, row.deadline_class,\n",
+        ("tests/test_bench.py::TestEmitJson", "tests/test_bench.py::TestEmitCsv"),
     ),
 )
 

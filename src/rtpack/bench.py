@@ -10,10 +10,15 @@ and no verdict outlives it.  Ratios stay exact rationals end to end; the
 decimal rendering in the JSON output is display-only.  Reports are
 deterministic given the configuration; wall-clock runtimes are recorded
 for performance reading but never enter a correctness check (and can be
-disabled to make output files reproducible byte for byte).  The JSON
-report is laid out by a fixed template, one row object at a time, and
-keeps the bytes of `json.dumps(doc, indent=2)`, whose indented form runs
-the pure-Python encoder.
+disabled to make output files reproducible byte for byte).  A row's
+bound flags are decided on ints, by cross-multiplication with its
+instance's exact bounds.  The JSON report is written straight from the
+rows by a fixed template and keeps the bytes of `json.dumps(doc,
+indent=2)`, whose indented form runs the pure-Python encoder; no row
+document is built.  Each block of a row's text is rendered once: the
+instance lines for each run of rows that share them, the algorithm and
+strategy lines per pair, and the counts and ratio lines per (M, m*).  The
+CSV report takes its values from the same rendering.
 """
 
 from __future__ import annotations
@@ -23,9 +28,11 @@ import csv
 import glob as globmod
 import io as stringio
 import json
+import math
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import BadParam, ParseError, RtpackError
@@ -64,9 +71,12 @@ CSV_COLUMNS = [
 ]
 
 DEFAULT_ALPHA_SLACK = Fraction(1)
+_ZERO = Fraction(0)
 
 _CLASSES = tuple(c.value for c in DeadlineClass)
 _STRATEGIES = tuple(s.value for s in Strategy)
+# a config's strategy -> its Strategy; None is first fit
+_FITS = {None: Strategy.FIRST_FIT, **{s.value: s for s in Strategy}}
 ALGORITHMS = ("dm", "dagger")
 
 
@@ -276,7 +286,10 @@ def resolve_instances(cfg: ExperimentConfig) -> list[tuple[str, str, TaskSet]]:
 def run_algorithm(ts: TaskSet, algo: str, strategy: Optional[str]) -> Partition:
     """Partition `ts` with one of ALGORITHMS; a strategy of None is first
     fit."""
-    fit = Strategy(strategy or "ff")
+    try:
+        fit = _FITS[strategy]
+    except (KeyError, TypeError):
+        fit = Strategy(strategy or "ff")  # the enum's own error for a bad value
     if algo == "dm":
         return dm_partition(ts, fit)
     if algo == "dagger":
@@ -286,14 +299,20 @@ def run_algorithm(ts: TaskSet, algo: str, strategy: Optional[str]) -> Partition:
 
 def _bounds(
     lam: Fraction, gamma: Fraction, m_star: Optional[int], alpha_slack: Fraction
-) -> tuple[Optional[Fraction], Optional[Fraction]]:
-    """The processor counts the rows of one instance are held to: dagger's
+) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
+    """The processor counts the rows of one instance are held to, each an
+    exact (numerator, positive denominator) pair, not reduced: dagger's
     2*lambda*m*, and deadline-monotonic fitting's 2/(1-gamma)*m* + alpha
     (None when gamma is 1); both None without an optimum."""
     if m_star is None:
         return None, None
-    dm_bound = 2 / (1 - gamma) * m_star + alpha_slack if gamma < 1 else None
-    return 2 * lam * m_star, dm_bound
+    dagger = 2 * lam.numerator * m_star, lam.denominator
+    g, h = gamma.numerator, gamma.denominator
+    if g >= h:
+        return dagger, None
+    # 2/(1 - g/h) * m* + a/b = (2*h*m*) / (h - g) + a/b
+    a, b = alpha_slack.numerator, alpha_slack.denominator
+    return dagger, (2 * h * m_star * b + a * (h - g), (h - g) * b)
 
 
 def _row_violations(
@@ -301,18 +320,20 @@ def _row_violations(
     m: int,
     m_star: Optional[int],
     verified: bool,
-    dagger_bound: Optional[Fraction],
-    dm_bound: Optional[Fraction],
+    dagger_bound: Optional[tuple[int, int]],
+    dm_bound: Optional[tuple[int, int]],
 ) -> tuple[str, ...]:
-    """The bound flags of one row, given its instance's `_bounds`."""
+    """The bound flags of one row, given its instance's `_bounds`: M is
+    compared with each bound by cross-multiplication, and a bound becomes
+    a Fraction only to word a flag."""
     out = []
     if not verified:
         out.append("hard: partition failed exact verification")
     if m_star is not None:
-        if algorithm == "dagger" and m > dagger_bound:
-            out.append(f"hard: M={m} exceeds 2*lambda*M*={dagger_bound}")
-        if algorithm == "dm" and dm_bound is not None and m > dm_bound:
-            out.append(f"soft: M={m} exceeds asymptotic bound {dm_bound}")
+        if algorithm == "dagger" and m * dagger_bound[1] > dagger_bound[0]:
+            out.append(f"hard: M={m} exceeds 2*lambda*M*={Fraction(*dagger_bound)}")
+        if algorithm == "dm" and dm_bound is not None and m * dm_bound[1] > dm_bound[0]:
+            out.append(f"soft: M={m} exceeds asymptotic bound {Fraction(*dm_bound)}")
         if m < m_star:
             out.append(f"hard: M={m} below the optimum {m_star}")
     return tuple(out)
@@ -402,48 +423,51 @@ def _decimal6(value: Fraction) -> str:
     return f"{'-' if value < 0 else ''}{whole}.{frac:06d}"
 
 
-def _row_docs(rows: Iterable[BenchRow]) -> Iterator[dict]:
-    """The JSON object of each row.  `ratio`, `ratio_decimal`,
-    `bound_2lambda` and `bound_asymptotic` are derived from the others.
-    The instance metrics are rendered once for each run of rows that share
-    them, and each distinct (M, m*) once."""
-    ratios: dict = {}  # (M, m*) -> (ratio, ratio_decimal)
-    key = metrics = None
+def _fraction_text(num: int, den: int) -> str:
+    """`str` of Fraction(num, den), for a positive `den`."""
+    g = math.gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
+
+
+def _instance_texts(row: BenchRow) -> tuple[str, str, str, str, Optional[str]]:
+    """lambda, gamma, U, bound_2lambda and bound_asymptotic of a row, as
+    both report formats write them; None for no asymptotic bound."""
+    bound, asym = _bounds(row.lam, row.gamma, 1, _ZERO)  # at m* = 1, alpha = 0
+    return (
+        str(row.lam), str(row.gamma), str(row.utilization), _fraction_text(*bound),
+        None if asym is None else _fraction_text(*asym),
+    )  # fmt: skip
+
+
+def _ratio_texts(m: int, m_star: Optional[int]) -> tuple[Optional[str], Optional[str]]:
+    """ratio and ratio_decimal of a row with counts M and m*, as both
+    report formats write them; None for no ratio."""
+    if not m_star:
+        return None, None
+    ratio = Fraction(m, m_star)
+    return str(ratio), _decimal6(ratio)
+
+
+def _blocks(rows: Iterable[BenchRow], instance, pair, counts) -> Iterator[tuple]:
+    """Each row with its three rendered blocks: `instance(row)`, rendered
+    once for each run of rows that share every instance field (the bounds
+    are derived from them), and `pair(row)` and `counts(row)`, rendered
+    once for each distinct (algorithm, strategy) and (M, m*)."""
+    pairs: dict = {}
+    counted: dict = {}
+    key = block = None
     for row in rows:
-        if (row.lam, row.gamma, row.utilization) != key:
-            key = (row.lam, row.gamma, row.utilization)
-            asym = row.bound_asymptotic
-            metrics = (
-                *map(str, key),
-                str(row.bound_2lambda),
-                None if asym is None else str(asym),
-            )
-        lam, gamma, util, bound_2lambda, bound_asym = metrics
-        ratio = ratios.get((row.m, row.m_star))
-        if ratio is None:
-            value = row.ratio
-            ratio = ratios[row.m, row.m_star] = (
-                (None, None) if value is None else (str(value), _decimal6(value))
-            )
-        yield {
-            "instance": row.instance,
-            "family": row.family,
-            "N": row.n,
-            "class": row.deadline_class,
-            "lambda": lam,
-            "gamma": gamma,
-            "U": util,
-            "algorithm": row.algorithm,
-            "strategy": row.strategy,
-            "M": row.m,
-            "m_star": row.m_star,
-            "ratio": ratio[0],
-            "ratio_decimal": ratio[1],
-            "bound_2lambda": bound_2lambda,
-            "bound_asymptotic": bound_asym,
-            "violations": list(row.violations),
-            "runtime_ms": round(row.runtime_ms, 3),
-        }
+        k = (row.instance, row.family, row.n, row.deadline_class,
+             row.lam, row.gamma, row.utilization)  # fmt: skip
+        if k != key:
+            key, block = k, instance(row)
+        p = pairs.get((row.algorithm, row.strategy))
+        if p is None:
+            p = pairs[row.algorithm, row.strategy] = pair(row)
+        c = counted.get((row.m, row.m_star))
+        if c is None:
+            c = counted[row.m, row.m_star] = counts(row)
+        yield row, block, p, c
 
 
 def _quoted(text: Optional[str]) -> str:
@@ -451,58 +475,83 @@ def _quoted(text: Optional[str]) -> str:
     return "null" if text is None else f'"{text}"'
 
 
-def _row_json(docs: Iterable[dict]) -> Iterator[str]:
-    """Each row object of `_row_docs` as `json.dumps(..., indent=2)` lays
-    it out in the report's "rows" list.  Rationals, `ratio_decimal` and the
-    class, algorithm and strategy names need no escaping and are quoted
-    here; the instance and family go through `json.dumps` once for each run
-    of rows that share them, and every violation through `json.dumps`."""
-    key = names = None
-    for doc in docs:
-        if (doc["instance"], doc["family"]) != key:
-            key = (doc["instance"], doc["family"])
-            names = tuple(map(json.dumps, key))
-        m_star = doc["m_star"]
-        violations = json_list(list(map(json.dumps, doc["violations"])), 3)
+def _json_instance(row: BenchRow) -> tuple[str, str]:
+    """The lines of a row object from "instance" to "U", and its two bound
+    lines.  The instance and family go through `json.dumps`; rationals and
+    the class need no escaping."""
+    lam, gamma, util, bound, asym = _instance_texts(row)
+    head = (
+        f'{{\n      "instance": {json.dumps(row.instance)},\n'
+        f'      "family": {json.dumps(row.family)},\n'
+        f'      "N": {row.n},\n'
+        f'      "class": "{row.deadline_class}",\n'
+        f'      "lambda": "{lam}",\n'
+        f'      "gamma": "{gamma}",\n'
+        f'      "U": "{util}",\n'
+    )
+    bounds = f'      "bound_2lambda": "{bound}",\n      "bound_asymptotic": {_quoted(asym)},\n'
+    return head, bounds
+
+
+def _json_pair(row: BenchRow) -> str:
+    return f'      "algorithm": "{row.algorithm}",\n      "strategy": {_quoted(row.strategy)},\n'
+
+
+def _json_counts(row: BenchRow) -> str:
+    ratio, decimal = _ratio_texts(row.m, row.m_star)
+    m_star = "null" if row.m_star is None else row.m_star
+    return (
+        f'      "M": {row.m},\n      "m_star": {m_star},\n'
+        f'      "ratio": {_quoted(ratio)},\n      "ratio_decimal": {_quoted(decimal)},\n'
+    )
+
+
+def _row_json(rows: Iterable[BenchRow]) -> Iterator[str]:
+    """Each row as `json.dumps(..., indent=2)` lays out its object in the
+    report's "rows" list, written from its blocks; every violation goes
+    through `json.dumps`.  The runtime is rendered again only when it is
+    another float object than the row before's (untimed rows share one
+    0.0); equality would let -0.0 reuse the text of 0.0."""
+    runtime = ms = None
+    for row, (head, bounds), pair, counts in _blocks(
+        rows, _json_instance, _json_pair, _json_counts
+    ):
+        violations = (
+            json_list(list(map(json.dumps, row.violations)), 3) if row.violations else "[]"
+        )
+        if row.runtime_ms is not ms:
+            ms = row.runtime_ms
+            runtime = float.__repr__(round(ms, 3))
         yield (
-            f'{{\n      "instance": {names[0]},\n'
-            f'      "family": {names[1]},\n'
-            f'      "N": {doc["N"]},\n'
-            f'      "class": "{doc["class"]}",\n'
-            f'      "lambda": "{doc["lambda"]}",\n'
-            f'      "gamma": "{doc["gamma"]}",\n'
-            f'      "U": "{doc["U"]}",\n'
-            f'      "algorithm": "{doc["algorithm"]}",\n'
-            f'      "strategy": {_quoted(doc["strategy"])},\n'
-            f'      "M": {doc["M"]},\n'
-            f'      "m_star": {"null" if m_star is None else m_star},\n'
-            f'      "ratio": {_quoted(doc["ratio"])},\n'
-            f'      "ratio_decimal": {_quoted(doc["ratio_decimal"])},\n'
-            f'      "bound_2lambda": "{doc["bound_2lambda"]}",\n'
-            f'      "bound_asymptotic": {_quoted(doc["bound_asymptotic"])},\n'
-            f'      "violations": {violations},\n'
-            f'      "runtime_ms": {float.__repr__(doc["runtime_ms"])}\n    }}'
+            f'{head}{pair}{counts}{bounds}      "violations": {violations},\n'
+            f'      "runtime_ms": {runtime}\n    }}'
         )
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.3f}" if isinstance(value, float) else str(value)
+def _csv_instance(row: BenchRow) -> tuple[tuple, str]:
+    lam, gamma, util, bound, _ = _instance_texts(row)
+    return (row.instance, row.family, row.n, row.deadline_class, lam, gamma, util), bound
+
+
+def _csv_counts(row: BenchRow) -> tuple:
+    return row.m, row.m_star, _ratio_texts(row.m, row.m_star)[0]
 
 
 def emit_report(report: BenchReport, format: str = "csv") -> bytes:
     """Stable-order CSV or JSON bytes; identical reports emit identical
-    bytes.  A CSV row is the CSV_COLUMNS of the row's JSON object."""
+    bytes.  A CSV row holds the CSV_COLUMNS values of the row's JSON
+    object, a missing value as an empty cell and runtime_ms with three
+    decimals."""
     if format == "csv":
         buf = stringio.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for doc in _row_docs(report.rows):
-            writer.writerow([_csv_cell(doc[key]) for key in CSV_COLUMNS])
+        pair = attrgetter("algorithm", "strategy")
+        for row, (head, bound), p, c in _blocks(report.rows, _csv_instance, pair, _csv_counts):
+            writer.writerow((*head, *p, *c, bound, f"{round(row.runtime_ms, 3):.3f}"))
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        rows = json_list(list(_row_json(_row_docs(report.rows))))
+        rows = json_list(list(_row_json(report.rows)))
         errors = json_list([json.dumps(err) for err in report.errors])
         return f'{{\n  "rows": {rows},\n  "errors": {errors}\n}}\n'.encode()
     raise ParseError(f"unknown report format {format!r}")

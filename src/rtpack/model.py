@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from numbers import Rational
-from operator import floordiv, mul
+from operator import countOf, floordiv, mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -206,17 +206,31 @@ class IntView:
         return tuple(whole // span * c for c, span in zip(self.c, self.span))
 
 
-def _view_of(pairs: list[int]) -> IntView:
-    """The integer view of C, D and T given as one flat list of ints
-    cn, cd, dn, dd, tn, td per task, every denominator positive: each pair
-    is reduced and the scale is the lcm of the reduced denominators, so
-    equal values give equal views."""
-    nums, dens = pairs[0::2], pairs[1::2]
+def _view_of(nums: list[int], dens: list[int]) -> IntView:
+    """The integer view of C, D and T given as the flat lists of their
+    numerators and of their positive denominators, in the order C, D, T
+    per task: each pair is reduced and the scale is the lcm of the reduced
+    denominators, so equal values give equal views."""
     gcds = list(map(math.gcd, nums, dens))
     dens = list(map(floordiv, dens, gcds))
     scale = math.lcm(*dens)
     scaled = list(map(mul, map(floordiv, nums, gcds), map(floordiv, repeat(scale), dens)))
     return IntView(scale, tuple(scaled[0::3]), tuple(scaled[1::3]), tuple(scaled[2::3]))
+
+
+def _refuse_rows(rows: list) -> None:
+    """Raise for the first row of `TaskSet.of_ratios` that is not six ints
+    with positive denominators."""
+    for i, row in enumerate(rows, start=1):
+        if len(row) != 6:
+            raise ValueError(
+                f"row {i}: expected 6 values (cn, cd, dn, dd, tn, td), got {len(row)}"
+            )
+        for x in row:
+            if type(x) is not int:
+                raise TypeError(f"row {i}: values are ints, got {x!r}")
+        if min(row[1::2]) < 1:
+            raise ValueError(f"row {i}: denominators must be positive, got {tuple(row)}")
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -250,20 +264,31 @@ class TaskSet:
             _refuse_inexact(x)
             if not isinstance(x, Rational):
                 raise TypeError(f"task values are ints or Fractions, got {x!r}")
-        pairs = [n for x in values for n in (x.numerator, x.denominator)]
-        self._hold(_view_of(pairs), ids, name)
+        nums = [x.numerator for x in values]
+        self._hold(_view_of(nums, [x.denominator for x in values]), ids, name)
 
     @classmethod
     def of_ratios(cls, rows: Iterable[Sequence[int]], name: str = "") -> TaskSet:
         """The set of tasks C = cn/cd, D = dn/dd, T = tn/td, one row
         (cn, cd, dn, dd, tn, td) of ints per task with every denominator
         positive, ids 1..N in row order; the set `TaskSet(tasks)` builds
-        from the same values."""
-        pairs = list(chain.from_iterable(rows))
-        if not pairs:
+        from the same values.  A row of another length or with a
+        denominator below 1 is a ValueError, a value that is not an int (a
+        bool included) a TypeError, each naming the row."""
+        rows = list(rows)
+        if not rows:
             raise ValueError("a task set holds at least one task")
+        pairs = list(chain.from_iterable(rows))
+        dens = pairs[1::2]
+        # one pass each at C speed; only a refused set is read row by row
+        if (
+            countOf(map(len, rows), 6) != len(rows)
+            or countOf(map(type, pairs), int) != len(pairs)
+            or min(dens) < 1
+        ):
+            _refuse_rows(rows)
         ts = object.__new__(cls)
-        ts._hold(_view_of(pairs), tuple(range(1, len(pairs) // 6 + 1)), name)
+        ts._hold(_view_of(pairs[0::2], dens), tuple(range(1, len(rows) + 1)), name)
         return ts
 
     def _hold(self, view: IntView, ids: tuple[int, ...], name: str) -> None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -5,6 +7,7 @@ import runpy
 import sys
 import threading
 import time
+from dataclasses import replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -16,13 +19,13 @@ from hypothesis import example, given
 import rtpack.bench as bench_mod
 from rtpack.bench import (
     ALGORITHMS,
+    CSV_COLUMNS,
     DEFAULT_ALPHA_SLACK,
     BenchReport,
     BenchRow,
     ExperimentConfig,
     _bounds,
     _decimal6,
-    _row_docs,
     _row_violations,
     emit_report,
     parse_config,
@@ -333,6 +336,44 @@ class TestCheckBounds:
             "hard: M=1 below the optimum 2",
         )
 
+    def test_a_count_at_its_bound_is_not_flagged(self):
+        # 2*lambda*m* = 2 * 3/4 * 3 = 9/2; 2/(1-gamma)*m* + alpha = 10/3 + 1 = 13/3
+        row = make_row(lam=F(3, 4), gamma=F(2, 5), m_star=3)
+        assert flags(make_row(algorithm="dagger", m=4, m_star=2, lam=F(1))) == ()
+        assert flags(make_row(algorithm="dm", m=5, m_star=1, gamma=F(1, 2))) == ()
+        assert flags(replace(row, algorithm="dagger", m=4)) == ()
+        assert flags(replace(row, algorithm="dagger", m=5)) == (
+            "hard: M=5 exceeds 2*lambda*M*=9/2",
+        )
+        assert flags(replace(row, algorithm="dm", m_star=1, m=4)) == ()
+        assert flags(replace(row, algorithm="dm", m_star=1, m=5)) == (
+            "soft: M=5 exceeds asymptotic bound 13/3",
+        )
+
+    @example("dagger", 4, 2, F(1), F(1, 2), F(1))
+    @example("dm", 5, 1, F(1), F(1, 2), F(1))
+    @example("dm", 9, 2, F(1), F(1), F(1))
+    @given(
+        st.sampled_from(ALGORITHMS),
+        st.integers(0, 40),
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.fractions(min_value=0, max_denominator=50),
+        st.fractions(min_value=0, max_value=1, max_denominator=50),
+        st.fractions(min_value=0, max_denominator=50),
+    )
+    def test_same_flags_as_fraction_arithmetic(self, algorithm, m, m_star, lam, gamma, alpha):
+        want = []
+        if m_star is not None:
+            if algorithm == "dagger" and m > 2 * lam * m_star:
+                want.append(f"hard: M={m} exceeds 2*lambda*M*={2 * lam * m_star}")
+            dm_bound = 2 / (1 - gamma) * m_star + alpha if gamma < 1 else None
+            if algorithm == "dm" and dm_bound is not None and m > dm_bound:
+                want.append(f"soft: M={m} exceeds asymptotic bound {dm_bound}")
+            if m < m_star:
+                want.append(f"hard: M={m} below the optimum {m_star}")
+        bounds = _bounds(lam, gamma, m_star, alpha)
+        assert _row_violations(algorithm, m, m_star, True, *bounds) == tuple(want)
+
     def test_no_optimum_checks_only_verification(self):
         assert flags(make_row(m=9, m_star=None)) == ()
         assert flags(make_row(m=9, m_star=None), verified=False) == (
@@ -455,12 +496,58 @@ def reports(draw):
     return BenchReport(rows=tuple(rows), errors=tuple(draw(st.lists(texts, max_size=3))))
 
 
+def _row_docs(rows):
+    """The reference JSON object of each row, read off its fields and
+    properties one row at a time; both report formats must write these
+    values.  `ratio`, `ratio_decimal`, `bound_2lambda` and
+    `bound_asymptotic` are derived from the others."""
+    for row in rows:
+        ratio, asym = row.ratio, row.bound_asymptotic
+        yield {
+            "instance": row.instance,
+            "family": row.family,
+            "N": row.n,
+            "class": row.deadline_class,
+            "lambda": str(row.lam),
+            "gamma": str(row.gamma),
+            "U": str(row.utilization),
+            "algorithm": row.algorithm,
+            "strategy": row.strategy,
+            "M": row.m,
+            "m_star": row.m_star,
+            "ratio": None if ratio is None else str(ratio),
+            "ratio_decimal": None if ratio is None else _decimal6(ratio),
+            "bound_2lambda": str(row.bound_2lambda),
+            "bound_asymptotic": None if asym is None else str(asym),
+            "violations": list(row.violations),
+            "runtime_ms": round(row.runtime_ms, 3),
+        }
+
+
+# consecutive rows of one (instance, family) that each differ from the one
+# before in one other instance field, so that a report writer that keys
+# an instance's rendered lines on fewer fields repeats stale lines
+SAME_NAME_RUN = BenchReport(
+    rows=(
+        make_row(instance="a"),
+        make_row(instance="a", n=5),
+        make_row(instance="a", n=5, deadline_class="constrained"),
+        make_row(instance="a", n=5, deadline_class="constrained", lam=F(3, 2)),
+        make_row(instance="a", n=5, deadline_class="constrained", lam=F(3, 2), gamma=F(1, 3)),
+        make_row(instance="a", n=5, deadline_class="constrained", lam=F(3, 2), gamma=F(1, 3),
+                 utilization=F(5, 2)),
+    )
+)  # fmt: skip
+
+
 class TestEmitJson:
     """The JSON report is laid out by template; it must keep the bytes of
     `json.dumps(doc, indent=2)` of the `_row_docs` document."""
 
     @example(BenchReport(rows=()))
     @example(BenchReport(rows=(), errors=('x/oracle: "cap" \\ \n é',)))
+    @example(SAME_NAME_RUN)
+    @example(BenchReport(rows=(make_row(runtime_ms=0.0), make_row(runtime_ms=-0.0))))
     @example(
         BenchReport(
             rows=(
@@ -491,6 +578,26 @@ class TestEmitJson:
         assert report.errors and any(r.runtime_ms for r in report.rows)
         doc = {"rows": list(_row_docs(report.rows)), "errors": list(report.errors)}
         assert emit_report(report, "json") == (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def csv_reference(report: BenchReport) -> bytes:
+    """`csv.writer` over the CSV_COLUMNS of the reference row documents: a
+    missing value as an empty cell, runtime_ms with three decimals."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for doc in _row_docs(report.rows):
+        doc["runtime_ms"] = f"{doc['runtime_ms']:.3f}"
+        writer.writerow(["" if doc[key] is None else str(doc[key]) for key in CSV_COLUMNS])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestEmitCsv:
+    @example(BenchReport(rows=()))
+    @example(SAME_NAME_RUN)
+    @given(reports())
+    def test_same_bytes_as_csv_writer(self, report):
+        assert emit_report(report, "csv") == csv_reference(report)
 
 
 def decimal6_reference(value: Fraction) -> str:

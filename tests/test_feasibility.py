@@ -68,6 +68,10 @@ class TestHorizon:
     def test_slack_term(self):
         assert edf_feasible_exact(taskset([(1, 1, 2), (1, 2, 4)])).horizon == 4
 
+    def test_above_the_speed_the_bound_is_the_slack_over_the_excess(self):
+        # sum u_i * D_i / (U - speed) = (1/2 * 1 + 1/2 * 2) / (1 - 1/2) = 3
+        assert edf_feasible_exact(taskset([(1, 1, 2), (1, 2, 2)]), F(1, 2)).horizon == 3
+
     def test_full_utilization_uses_hyperperiod(self):
         assert edf_feasible_exact(taskset([(1, 1, 1)])).horizon == 2
 
@@ -250,6 +254,15 @@ class TestExactTest:
         else:
             ts = gen_speedup_gap(size, F(1, 2))
         assert edf_feasible_exact(ts, speed).points_checked == checked
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_point_cap_counts_the_kinks_passed_over(self, cap):
+        # implicit deadlines: dbf* certifies every segment from its kink,
+        # so the sweep only passes over the three kinks, each a point
+        ts = taskset([(1, 10, 10), (1, 20, 20), (1, 30, 30)])
+        assert edf_feasible_exact(ts, point_cap=3).points_checked == 3
+        with pytest.raises(PointExplosion, match=f"^demand sweep exceeded {cap} points "):
+            edf_feasible_exact(ts, point_cap=cap)
 
 
 @st.composite

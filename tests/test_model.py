@@ -565,6 +565,26 @@ class TestTaskSet:
         with pytest.raises(ValueError):
             TaskSet.of_ratios([])
 
+    @pytest.mark.parametrize("bad", [(), (1, 1, 2, 1, 2), (1, 1, 2, 1, 2, 1, 3, 1)])
+    def test_of_ratios_refuses_a_row_that_is_not_six_values(self, bad):
+        message = f"row 2: expected 6 values (cn, cd, dn, dd, tn, td), got {len(bad)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TaskSet.of_ratios([(1, 1, 2, 1, 2, 1), bad])
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, F(1), "1", None])
+    def test_of_ratios_refuses_a_value_that_is_not_an_int(self, value):
+        with pytest.raises(TypeError, match=re.escape(f"row 2: values are ints, got {value!r}")):
+            TaskSet.of_ratios([(1, 1, 2, 1, 2, 1), (1, 1, 2, 1, 4, 1)[:3] + (value, 4, 1)])
+
+    @pytest.mark.parametrize("den", [0, -1])
+    @pytest.mark.parametrize("at", [1, 3, 5])
+    def test_of_ratios_refuses_a_denominator_below_one(self, den, at):
+        row = [1, 1, 2, 1, 4, 1]
+        row[at] = den
+        message = f"row 2: denominators must be positive, got {tuple(row)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TaskSet.of_ratios([(1, 1, 2, 1, 2, 1), row])
+
     @pytest.mark.parametrize("name", ["ints", "ids", "name", "tasks", "other"])
     def test_assignment_is_refused(self, name):
         ts = taskset([(1, 2, 2)])
