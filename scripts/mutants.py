@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 FEASIBILITY = "src/rtpack/feasibility.py"
 MODEL = "src/rtpack/model.py"
 BENCH = "src/rtpack/bench.py"
+PARTITIONERS = "src/rtpack/partitioners.py"
 
 MUTANTS = (
     Mutant(
@@ -93,8 +94,8 @@ MUTANTS = (
         EXACT_TESTS,
     ),
     Mutant(
-        "DM/dagger admission <= made <",
-        "src/rtpack/partitioners.py",
+        "DM admission <= made <",
+        PARTITIONERS,
         "if line <= room and",
         "if line < room and",
         ("tests/test_partitioners.py", "tests/test_pins.py::test_ratio_sweep_report"),
@@ -156,11 +157,25 @@ MUTANTS = (
         ("tests/test_io.py::TestParseTaskset",),
     ),
     Mutant(
-        "DM/dagger slope test <= made <",
-        "src/rtpack/partitioners.py",
+        "DM slope test <= made <",
+        PARTITIONERS,
         "            if s <= slope_room:\n",
         "            if s < slope_room:\n",
         ("tests/test_partitioners.py::TestDmAdmissionEdges",),
+    ),
+    Mutant(
+        "dagger density fit <= made <",
+        PARTITIONERS,
+        "            if s <= room and",
+        "            if s < room and",
+        ("tests/test_partitioners.py::TestDaggerGreedy", "tests/test_pins.py::test_ratio_sweep_report"),
+    ),
+    Mutant(
+        "draw rejection >= made >",
+        "src/rtpack/generators.py",
+        "    while r >= w:\n",
+        "    while r > w:\n",
+        ("tests/test_generators.py::TestRandom::test_draw_rule_matches_randint",),
     ),
     Mutant(
         "sweep restart step's point-cap check dropped",

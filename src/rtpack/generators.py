@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import BadParam
 from .model import (
@@ -258,6 +259,20 @@ def _limit_denominator(x: float, bound: int) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
+def _randint1(getrandbits: Callable[[int], int], w: int) -> int:
+    """`randint(1, w)`, w >= 1, of the `random.Random` whose public
+    `getrandbits` is given, on the same bits: CPython's `randint(1, w)`
+    is 1 + `_randbelow(w)`, which draws k = w.bit_length() bits and draws
+    again while the result is at least w (3.10 to 3.13 alike).  So the
+    stream, and every generated set, stays that of `randint`, without its
+    `randrange` and `_randbelow` frames."""
+    k = w.bit_length()
+    r = getrandbits(k)
+    while r >= w:
+        r = getrandbits(k)
+    return r + 1
+
+
 def gen_random(params: GenParams) -> TaskSet:
     """Seeded random task set near the utilization target.
 
@@ -267,9 +282,11 @@ def gen_random(params: GenParams) -> TaskSet:
     clamping permitting), retrying with fresh draws when it cannot.  Tasks
     are drawn, totalled, scaled and clamped on ints (numerator, denominator),
     and the returned set is built straight from them into its integer view
-    (`TaskSet.of_ratios`).
+    (`TaskSet.of_ratios`).  Every integer draw is `randint(1, w)`'s, taken
+    by `_randint1` straight from the generator's bits.
     """
     rng = random.Random(f"rtpack-gen:{params.seed}")
+    bits = rng.getrandbits
     q = params.denominator_bound
     n = params.n
     cls = params.deadline_class
@@ -291,13 +308,13 @@ def gen_random(params: GenParams) -> TaskSet:
         # dn/dd, period p/r
         tasks = []
         for i in range(n):
-            p, r = rng.randint(1, 4 * q), rng.randint(1, q)
+            p, r = _randint1(bits, 4 * q), _randint1(bits, q)
             if cls is DeadlineClass.IMPLICIT:
                 dn, dd = p, r
             elif cls is DeadlineClass.CONSTRAINED:
-                dn, dd = p * rng.randint(1, q), r * q
+                dn, dd = p * _randint1(bits, q), r * q
             else:
-                dn, dd = p * rng.randint(1, 2 * q), r * q
+                dn, dd = p * _randint1(bits, 2 * q), r * q
             sn, sd = _limit_denominator(shares[i], q * q)
             if sn * q * q < sd:  # the share, at most 1, is raised to 1/q^2
                 sn, sd = 1, q * q

@@ -245,8 +245,10 @@ class TaskSet:
     keeps them; iterating yields them without keeping them.  Since the view
     is canonical, equality and hash are the dataclass's, those of (view,
     ids, name); repr is that of (tasks, name), read without keeping them.
-    The validation verdict and the id-to-position index are computed on
-    first use and then kept: nothing they depend on can change.
+    The validation verdict, the id-to-position index and the
+    deadline-monotonic order (`dm_order`, which every DM strategy packs
+    in) are computed on first use and then kept: nothing they depend on
+    can change.
     """
 
     ints: IntView
@@ -330,6 +332,19 @@ class TaskSet:
     def position(self) -> dict[int, int]:
         """Each task id's position in the set."""
         return {tid: i for i, tid in enumerate(self.ids)}
+
+    @cached_property
+    def dm_order(self) -> tuple[int, ...]:
+        """Positions in deadline-monotonic order: nondecreasing deadline,
+        equal deadlines by task id, sorted on the integer view.
+
+        Id order (= input order for the parser and the generators) is what
+        makes the known worst-case families reproduce their published
+        fitting traces, since those constructions index tasks in deadline
+        order with ties.
+        """
+        keys = list(zip(self.ints.d, self.ids))
+        return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
 
 def taskset(triples: Iterable[tuple], name: str = "") -> TaskSet:

@@ -125,14 +125,15 @@ class _Search:
         on failure `bins` is as it was on entry."""
         if i == len(order):
             return True
+        view, memo = self.view, self.memo
         pos = order[i]
         bit = 1 << pos
-        density, share = self.view.span_share[pos], self.view.share[pos]
+        density, share = view.span_share[pos], view.share[pos]
         for b, old in enumerate(bins):
-            new = old[0] | bit, old[1] + density, old[2] + share
+            mask, dens, load = old[0] | bit, old[1] + density, old[2] + share
             self.nodes += 1
-            if bin_feasible(self.view, *new, self.memo):
-                bins[b] = new
+            if bin_feasible(view, mask, dens, load, memo):
+                bins[b] = mask, dens, load
                 if self.dfs(order, i + 1, bins, max_bins):
                     return True
                 bins[b] = old

@@ -382,6 +382,17 @@ class TestRandom:
             assert (view.scale, view.c, view.d, view.t) == (want.scale, want.c, want.d, want.t)
             assert u == sum(tsk.utilization for tsk in ts.tasks)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 3301])
+    def test_draw_rule_matches_randint(self, seed):
+        # widths 1..300: 1, every power of two up to 256 and both its
+        # neighbours; the same numbers and the same generator state after
+        # each width, so no bit is drawn more or fewer times than by randint
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for w in range(1, 301):
+            got = [generators._randint1(ours.getrandbits, w) for _ in range(5)]
+            assert got == [theirs.randint(1, w) for _ in range(5)]
+            assert ours.getstate() == theirs.getstate()
+
     @given(
         st.one_of(
             st.floats(allow_nan=False, allow_infinity=False),

@@ -13,7 +13,7 @@ from rtpack.generators import (
     gen_speedup_gap,
     gen_worst_fit_adversary,
 )
-from rtpack.model import DeadlineClass, dbf_star, task, taskset
+from rtpack.model import DeadlineClass, Task, TaskSet, dbf_star, task, taskset
 from rtpack.partitioners import Strategy, dagger_greedy, dm_partition
 
 from conftest import tasksets_of_each_class, tightened_utilizations, valid_tasksets
@@ -206,6 +206,35 @@ class TestDmPartition:
     def test_tied_loads_at_bins_1_and_2(self, case, strat):
         ts, want = tied_case(case, strat)
         assert dm_partition(ts, strat).bins == reference_dm_bins(ts, strat) == want
+
+
+@st.composite
+def id_permuted_tasksets(draw):
+    """A `valid_tasksets()` set with its ids 1..N permuted, so that id
+    order and position order differ."""
+    ts = draw(valid_tasksets(max_n=8))
+    ids = draw(st.permutations(range(1, len(ts) + 1)))
+    return TaskSet(tuple(Task(t.c, t.d, t.t, tid) for t, tid in zip(ts, ids)))
+
+
+class TestDmIdTieBreak:
+    """Equal deadlines go in id order, not in position order."""
+
+    # ids 3, 1, 2 at positions 0, 1, 2, all with D = T = 10: DM order is
+    # positions 1, 2, 0, and C = 5, 5, 6 by id fills a bin with ids 1 and 2
+    TASKS = (task(6, 10, 10, 3), task(5, 10, 10, 1), task(5, 10, 10, 2))
+
+    def test_dm_order_by_id(self):
+        assert TaskSet(self.TASKS).dm_order == (1, 2, 0)
+
+    @pytest.mark.parametrize("strat", list(Strategy))
+    def test_strategies_pack_in_id_order(self, strat):
+        ts = TaskSet(self.TASKS)
+        assert dm_partition(ts, strat).bins == reference_dm_bins(ts, strat) == ((1, 2), (3,))
+
+    @given(id_permuted_tasksets(), st.sampled_from(list(Strategy)))
+    def test_matches_reference_with_permuted_ids(self, ts, strat):
+        assert dm_partition(ts, strat).bins == reference_dm_bins(ts, strat)
 
 
 class TestDaggerGreedy:
