@@ -49,6 +49,7 @@ FEASIBILITY = "src/rtpack/feasibility.py"
 MODEL = "src/rtpack/model.py"
 BENCH = "src/rtpack/bench.py"
 PARTITIONERS = "src/rtpack/partitioners.py"
+ORACLE = "src/rtpack/oracle.py"
 
 MUTANTS = (
     Mutant(
@@ -92,6 +93,20 @@ MUTANTS = (
         "if len(positions) == 2 and load < whole:",
         "if len(positions) == 2:",
         EXACT_TESTS,
+    ),
+    Mutant(
+        "pair order reversed",
+        FEASIBILITY,
+        "        if d[b] < d[a]:",
+        "        if d[b] > d[a]:",
+        ("tests/test_feasibility.py", "tests/test_pins.py::test_ratio_sweep_report"),
+    ),
+    Mutant(
+        "density order left empty",
+        ORACLE,
+        "    by_density += _by_density(search.view)\n",
+        "",
+        ("tests/test_oracle.py",),
     ),
     Mutant(
         "DM admission <= made <",

@@ -10,15 +10,19 @@ and no verdict outlives it.  Ratios stay exact rationals end to end; the
 decimal rendering in the JSON output is display-only.  Reports are
 deterministic given the configuration; wall-clock runtimes are recorded
 for performance reading but never enter a correctness check (and can be
-disabled to make output files reproducible byte for byte).  A row's
-bound flags are decided on ints, by cross-multiplication with its
-instance's exact bounds.  The JSON report is written straight from the
-rows by a fixed template and keeps the bytes of `json.dumps(doc,
-indent=2)`, whose indented form runs the pure-Python encoder; no row
-document is built.  Each block of a row's text is rendered once: the
-instance lines for each run of rows that share them, the algorithm and
-strategy lines per pair, and the counts and ratio lines per (M, m*).  The
-CSV report takes its values from the same rendering.
+disabled to make output files reproducible byte for byte).  A row is a
+frozen `BenchRow`, built by `object.__new__` and one update of its
+`__dict__` from the fields its instance shares and those of its run, so
+that the frozen init's one `object.__setattr__` per field is not paid; the
+row is the one that init would build.  A row's bound flags are decided on
+ints, by cross-multiplication with its instance's exact bounds.  The JSON
+report is written straight from the rows by a fixed template and keeps
+the bytes of `json.dumps(doc, indent=2)`, whose indented form runs the
+pure-Python encoder; no row document is built.  Each block of a row's
+text is rendered once: the instance lines for each run of rows that
+share them, the algorithm and strategy lines per pair, and the counts and
+ratio lines per (M, m*).  The CSV report takes its values from the same
+rendering.
 """
 
 from __future__ import annotations
@@ -378,24 +382,28 @@ def _bench_instance(
             errors.append(f"{name}/oracle: {exc}")
     bounds = _bounds(lam, gamma, m_star, cfg.alpha_slack)
 
-    rows = [
-        BenchRow(
-            instance=name,
-            family=family,
-            n=len(ts),
-            deadline_class=cls,
-            lam=lam,
-            gamma=gamma,
-            utilization=util,
+    shared = {  # the fields of every row of the instance
+        "instance": name,
+        "family": family,
+        "n": len(ts),
+        "deadline_class": cls,
+        "lam": lam,
+        "gamma": gamma,
+        "utilization": util,
+        "m_star": m_star,
+    }
+    rows = []
+    for algo, strategy, m, verified, elapsed_ms in runs:
+        row = object.__new__(BenchRow)
+        row.__dict__.update(
+            shared,
             algorithm=algo,
             strategy=strategy,
             m=m,
-            m_star=m_star,
             violations=_row_violations(algo, m, m_star, verified, *bounds),
             runtime_ms=elapsed_ms,
         )
-        for algo, strategy, m, verified, elapsed_ms in runs
-    ]
+        rows.append(row)
     return rows, errors + algo_errors
 
 

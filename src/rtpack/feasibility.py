@@ -258,8 +258,11 @@ def feasible_past_gates(view: IntView, positions: Sequence[int], load: int) -> b
     """
     whole = view.whole
     if len(positions) == 2 and load < whole:
-        a, b = sorted(positions, key=view.d.__getitem__)
-        d_b = view.d[b]
+        a, b = positions
+        d = view.d
+        if d[b] < d[a]:  # D_a <= D_b; equal deadlines keep position order
+            a, b = b, a
+        d_b = d[b]
         if view.offset[a] + view.offset[b] <= d_b * (whole - load):
             return True
         if view.c[b] + view.c[a] * ((d_b - view.d[a]) // view.t[a] + 1) > d_b:

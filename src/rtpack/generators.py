@@ -4,9 +4,9 @@ vector packing transform, and seeded random task sets.
 All generators are pure functions of their parameters; random families
 derive every draw from an explicit seed, so concurrent or repeated
 generation reproduces bit-identical instances.  Every family builds its
-set through `TaskSet.of_ratios`, with ids 1..N in task order: `gen_random`
-from its ints, the others from exact (c, d, t) triples through
-`model.taskset`.
+set from int rows, with ids 1..N in task order, by the builder behind
+`TaskSet.of_ratios`, without its row check: `gen_random` from its ints,
+the others from exact (c, d, t) triples through `model.taskset`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .model import (
     MAX_EXPONENT,
     DeadlineClass,
     TaskSet,
+    _of_rows,
     as_rational,
     ratio_sum,
     taskset,
@@ -282,8 +283,9 @@ def gen_random(params: GenParams) -> TaskSet:
     clamping permitting), retrying with fresh draws when it cannot.  Tasks
     are drawn, totalled, scaled and clamped on ints (numerator, denominator),
     and the returned set is built straight from them into its integer view
-    (`TaskSet.of_ratios`).  Every integer draw is `randint(1, w)`'s, taken
-    by `_randint1` straight from the generator's bits.
+    (`TaskSet.of_ratios` without its row check).  Every integer draw is
+    `randint(1, w)`'s, taken by `_randint1` straight from the generator's
+    bits.
     """
     rng = random.Random(f"rtpack-gen:{params.seed}")
     bits = rng.getrandbits
@@ -341,12 +343,12 @@ def gen_random(params: GenParams) -> TaskSet:
                 tsk[0], tsk[1] = cn, cd
             num, den = utilization(tasks)
         if within(num, den):
-            return TaskSet.of_ratios(tasks, name=f"random-s{params.seed}")
+            return _of_rows(tasks, f"random-s{params.seed}")
         gap = abs(Fraction(num, den) - target)
         if best_gap is None or gap < best_gap:
             best, best_gap = tasks, gap
     assert best is not None
-    return TaskSet.of_ratios(best, name=f"random-s{params.seed}")
+    return _of_rows(best, f"random-s{params.seed}")
 
 
 def gen_lemma1_shaped(

@@ -14,7 +14,7 @@ from itertools import chain
 
 from .errors import ParseError
 from .generators import DvpInstance
-from .model import MAX_EXPONENT, TaskSet, as_rational, plain_ratio, require_valid
+from .model import MAX_EXPONENT, TaskSet, _of_rows, as_rational, plain_ratio, require_valid
 
 
 def parse_rational(value, where: str = "value") -> Fraction:
@@ -64,7 +64,9 @@ def parse_taskset(data: bytes | str) -> TaskSet:
 
     A plain "p" or "p/q" literal (`plain_ratio`) is read as ints, every
     other value through `parse_rational`, and the set is built straight
-    into its integer view (`TaskSet.of_ratios`); no `Task` is built.
+    into its integer view by the builder behind `TaskSet.of_ratios`,
+    without its row check: every pair here is ints with a positive
+    denominator.  No `Task` is built.
     """
     doc = load_json(data, "task set")
     if not isinstance(doc, dict) or "tasks" not in doc:
@@ -90,7 +92,7 @@ def parse_taskset(data: bytes | str) -> TaskSet:
                 pair = exact.numerator, exact.denominator
             row += pair
         rows.append(row)
-    ts = TaskSet.of_ratios(rows, name=name)
+    ts = _of_rows(rows, name)
     require_valid(ts)
     return ts
 

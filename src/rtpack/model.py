@@ -6,9 +6,13 @@ C, D and T of every task as ints at one common scale, which every solver
 reads, with each task's id by position.  A `Task` holds its values as
 `fractions.Fraction`s; a set reads its `Task`s off the view when asked.
 Tasks are immutable and keep a stable integer id; the parser and every
-generator build their sets through `TaskSet.of_ratios`, with ids 1..N in
-input order, so partitions can always be reported against the original
-indices regardless of sorting or transforms.
+generator build their sets from int rows (cn, cd, dn, dd, tn, td) with ids
+1..N in input order, so partitions can always be reported against the
+original indices regardless of sorting or transforms.  One builder makes
+every such set.  The public `TaskSet.of_ratios` checks the rows it is
+given and then calls it; the parser, `gen_random` and `taskset` call it
+directly, since rows they build from ints and Fractions are valid by
+construction.
 """
 
 from __future__ import annotations
@@ -276,22 +280,20 @@ class TaskSet:
         positive, ids 1..N in row order; the set `TaskSet(tasks)` builds
         from the same values.  A row of another length or with a
         denominator below 1 is a ValueError, a value that is not an int (a
-        bool included) a TypeError, each naming the row."""
+        bool included) a TypeError, each naming the row.  This is the
+        entry for rows from outside the package: the rows are checked,
+        then built by the builder that the parser and the generators call
+        directly on rows they made valid."""
         rows = list(rows)
-        if not rows:
-            raise ValueError("a task set holds at least one task")
         pairs = list(chain.from_iterable(rows))
-        dens = pairs[1::2]
         # one pass each at C speed; only a refused set is read row by row
-        if (
+        if rows and (
             countOf(map(len, rows), 6) != len(rows)
             or countOf(map(type, pairs), int) != len(pairs)
-            or min(dens) < 1
+            or min(pairs[1::2]) < 1
         ):
             _refuse_rows(rows)
-        ts = object.__new__(cls)
-        ts._hold(_view_of(pairs[0::2], dens), tuple(range(1, len(rows) + 1)), name)
-        return ts
+        return _of_rows(rows, name)
 
     def _hold(self, view: IntView, ids: tuple[int, ...], name: str) -> None:
         object.__setattr__(self, "ints", view)
@@ -347,14 +349,27 @@ class TaskSet:
         return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
 
+def _of_rows(rows: list[Sequence[int]], name: str) -> TaskSet:
+    """`TaskSet.of_ratios` of `rows` without its row check: each row is
+    already six ints with positive denominators.  No rows is still a
+    ValueError."""
+    if not rows:
+        raise ValueError("a task set holds at least one task")
+    pairs = list(chain.from_iterable(rows))
+    ts = object.__new__(TaskSet)
+    ts._hold(_view_of(pairs[0::2], pairs[1::2]), tuple(range(1, len(rows) + 1)), name)
+    return ts
+
+
 def taskset(triples: Iterable[tuple], name: str = "") -> TaskSet:
     """Build a TaskSet from (c, d, t) triples of `as_rational` values, ids
-    assigned 1..N in order, through `TaskSet.of_ratios`."""
+    assigned 1..N in order: the set `TaskSet.of_ratios` builds from their
+    numerators and denominators, which are valid rows by construction."""
     rows = []
     for c, d, t in triples:
         values = as_rational(c), as_rational(d), as_rational(t)
         rows.append([n for x in values for n in (x.numerator, x.denominator)])
-    return TaskSet.of_ratios(rows, name)
+    return _of_rows(rows, name)
 
 
 def dbf(tsk: Task, tpoint: Fraction) -> Fraction:

@@ -47,9 +47,12 @@ some bound equals is not caught: the dearer bounds are never taken.
 
 Search order.  The clique tasks are assigned first, so the
 restricted-growth order puts them in distinct bins at once, then the rest
-by decreasing density C/min(D, T), ties by position.  `nodes_explored`
-counts the nodes of this search: 0 when a bound meets `upper`, and
-without the nodes of level `upper` when it is settled by exhaustion.
+by decreasing density C/min(D, T), ties by position.  The clique is
+chosen in that density order too, so the order is sorted only once
+ceil(U) has failed to meet `upper`: an instance that ceil(U) settles
+never sorts it.  `nodes_explored` counts the nodes of this search: 0 when
+a bound meets `upper`, and without the nodes of level `upper` when it is
+settled by exhaustion.
 
 Witness.  The witness is the first partition of restricted-growth order in
 input order at level m*.  It is built by one more depth-first pass in
@@ -211,9 +214,11 @@ def _lower_bounds(
     search: _Search, by_density: list[int], clique: list[int]
 ) -> Iterator[int]:
     """The lower bounds on m* of the module docstring, cheapest first:
-    ceil(U), the size of the conflict clique, whose positions are appended
-    to `clique`, and the load bound."""
+    ceil(U), the size of the conflict clique, and the load bound.  Past
+    ceil(U), the density order is appended to `by_density` and the
+    clique's positions to `clique`."""
     yield _ceil_u(search.view)
+    by_density += _by_density(search.view)
     clique += _conflict_clique(search, by_density)
     yield len(clique)
     yield _load_bound(search.view)
@@ -267,7 +272,7 @@ def optimal_partition_bruteforce(
         raise CapExceeded(f"N = {n} exceeds the oracle cap {n_cap}")
 
     search = _Search(ts.ints, store)
-    by_density = _by_density(search.view)
+    by_density: list[int] = []
     clique: list[int] = []
     lower = 0
     for bound in _lower_bounds(search, by_density, clique):

@@ -7,7 +7,7 @@ import runpy
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -134,6 +134,31 @@ class TestRunExperiment:
             assert row.lam == 1
             assert row.ratio is not None and row.ratio <= 2
             assert not any(v.startswith("hard") for v in row.violations)
+
+    def test_rows_are_the_dataclass_rows(self):
+        """Rows built by one `__dict__` update are the rows `BenchRow(**fields)`
+        builds: equal field for field, in hash and in repr, and still
+        frozen."""
+        cfg = ExperimentConfig(
+            instances=(
+                spec("random", count=3, n=5, seed=3, target_u="2", **{"class": "arbitrary"}),
+                spec("bf-adversary", k=7),  # past the oracle cap: no m*
+                spec("speedup-gap", n=4, eps=F(1, 2)),
+            ),
+            algorithms=(("dm", None), ("dagger", "bf"), ("dm", "wf")),
+            oracle=True,
+            n_cap=8,
+        )
+        rows = run_experiment(cfg).rows
+        assert len(rows) == 15 and {r.m_star is None for r in rows} == {True, False}
+        for row in rows:
+            twin = BenchRow(**{f.name: getattr(row, f.name) for f in fields(BenchRow)})
+            assert vars(row) == vars(twin)
+            assert row == twin and hash(row) == hash(twin) and repr(row) == repr(twin)
+            assert replace(row, m=row.m + 1) == replace(twin, m=twin.m + 1) != row
+            with pytest.raises(FrozenInstanceError):
+                row.m = 0
+            assert row == twin
 
     def test_empty_instances_empty_report(self):
         cfg = ExperimentConfig(instances=(), algorithms=(("dm", "ff"),))

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from rtpack import model
+from rtpack import generators, io, model
+from rtpack.generators import GenParams, gen_random
+from rtpack.io import parse_taskset
 from rtpack.model import (
     DeadlineClass,
     IntView,
@@ -605,7 +607,7 @@ class TestTaskSet:
         assert ts.__eq__(ts.ints) is NotImplemented
         assert ts != object()
 
-    def test_every_constructor_builds_one_set(self):
+    def test_every_constructor_builds_one_set(self, monkeypatch):
         triples = [("1/2", 2, "5/2"), (3, 4, 4)]
         by_ratios = TaskSet.of_ratios([(1, 2, 2, 1, 5, 2), (3, 1, 4, 1, 4, 1)], "set")
         by_triples = taskset(triples, "set")
@@ -615,6 +617,33 @@ class TestTaskSet:
         assert by_ratios == by_triples == by_tasks
         assert hash(by_ratios) == hash(by_triples) == hash(by_tasks)
         assert by_triples.ids == (1, 2)
+
+        # the parser, the generators and `taskset` build from rows they made
+        # valid, skipping the check of `of_ratios`: each set is the one
+        # `of_ratios` builds from the same rows, which pass its check
+        built = []
+        real = model._of_rows
+
+        def spy(rows, name):
+            ts = real(rows, name)
+            built.append((ts, [tuple(row) for row in rows], name))
+            return ts
+
+        for module in (model, io, generators):
+            monkeypatch.setattr(module, "_of_rows", spy)
+        doc = (
+            '{"name": "doc", "tasks": [{"c": "1/2", "d": "2", "t": "2.5"},'
+            ' {"c": 3, "d": "4e0", "t": "8/2"}]}'
+        )
+        parsed = parse_taskset(doc)
+        for cls in DeadlineClass:
+            gen_random(GenParams(seed=5, n=6, deadline_class=cls, utilization_target=Fraction(2)))
+        assert taskset(triples, "set") == by_ratios
+        monkeypatch.undo()
+        assert [name for _, _, name in built] == ["doc", *["random-s5"] * 3, "set"]
+        assert parsed == TaskSet.of_ratios([(1, 2, 2, 1, 5, 2), (3, 1, 4, 1, 4, 1)], "doc")
+        for ts, rows, name in built:
+            assert ts == TaskSet.of_ratios(rows, name)
 
     @pytest.mark.parametrize("row", [(1, 2), (1, 2, 2, 2)])
     def test_taskset_refuses_a_row_that_is_not_a_triple(self, row):

@@ -527,6 +527,20 @@ class TestUpperBound:
         assert (result.m_star, result.nodes_explored, called) == (upper, nodes, computed)
         assert verify_partition(ts, result.witness) and result.witness.m == upper
 
+    def test_ceil_u_settles_without_the_density_order(self, monkeypatch):
+        called = []
+
+        def refuse(view):
+            called.append(view)
+            raise AssertionError("the density order was sorted")
+
+        monkeypatch.setattr(oracle, "_by_density", refuse)
+        for ts in FAMILY_SETS:
+            upper = _ceil_u(ts.ints)
+            result = optimal_partition_bruteforce(ts, DEFAULT_ORACLE_CAP, upper)
+            assert (result.m_star, result.nodes_explored) == (upper, 0)
+        assert called == []
+
 
 def _with_merged_bins(ts: TaskSet) -> list[Partition]:
     """The six partitions, then partitions that may hold one infeasible
