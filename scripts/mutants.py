@@ -109,6 +109,13 @@ MUTANTS = (
         ("tests/test_oracle.py",),
     ),
     Mutant(
+        "witness completion check dropped",
+        ORACLE,
+        "fits and search.dfs(later, 0, trial[:], m_star)",
+        "fits",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
         "DM admission <= made <",
         PARTITIONERS,
         "if line <= room and",

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from numbers import Rational
-from operator import countOf, floordiv, mul
+from operator import floordiv, mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -285,14 +285,7 @@ class TaskSet:
         then built by the builder that the parser and the generators call
         directly on rows they made valid."""
         rows = list(rows)
-        pairs = list(chain.from_iterable(rows))
-        # one pass each at C speed; only a refused set is read row by row
-        if rows and (
-            countOf(map(len, rows), 6) != len(rows)
-            or countOf(map(type, pairs), int) != len(pairs)
-            or min(pairs[1::2]) < 1
-        ):
-            _refuse_rows(rows)
+        _refuse_rows(rows)
         return _of_rows(rows, name)
 
     def _hold(self, view: IntView, ids: tuple[int, ...], name: str) -> None:

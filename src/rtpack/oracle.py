@@ -55,16 +55,22 @@ a bound meets `upper`, and without the nodes of level `upper` when it is
 settled by exhaustion.
 
 Witness.  The witness is the first partition of restricted-growth order in
-input order at level m*.  It is built by one more depth-first pass in
-input order, sharing the memo, when `OracleResult.witness` is first read;
-callers that need only m* never pay for that pass.
+input order at level m*.  It is built by self-reduction from the set and
+m* alone, when `OracleResult.witness` is first read: the tasks are taken
+in input order, and each goes into the lowest bin, the open bins first
+and then a new one while fewer than m* are open, from which the search in
+density order, on a fresh memo, can still place every later task.  Since
+level m* has a partition, every step has such a bin, and the choices
+spell out the first restricted-growth string without a search in input
+order.  Callers that need only m* never pay for the witness, and the
+result keeps neither the deciding search nor its memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 from .errors import BadParam, CapExceeded
 from .feasibility import _positions, bin_feasible
@@ -78,16 +84,18 @@ LOAD_POINTS = 3
 
 @dataclass(frozen=True)
 class OracleResult:
-    """The optimum `m_star` and the nodes its search explored; `witness`,
-    a partition into `m_star` bins, is built on first read."""
+    """The optimum `m_star` of the set `_ts` and the nodes its search
+    explored; `witness`, a partition of `_ts` into `m_star` bins, is built
+    by self-reduction from the set and `m_star` on first read (see the
+    module docstring)."""
 
     m_star: int
     nodes_explored: int
-    _build_witness: Callable[[], Partition] = field(repr=False, compare=False)
+    _ts: TaskSet = field(repr=False, compare=False)
 
     @cached_property
     def witness(self) -> Partition:
-        return self._build_witness()
+        return _witness(self._ts, self.m_star)
 
 
 class _Search:
@@ -100,7 +108,7 @@ class _Search:
     exact verdicts, the caller's verdict store if it gives one, is keyed
     by that mask.  An object rather than nested closures: a recursive
     closure is a reference cycle, which keeps the memo alive until the
-    cyclic garbage collector runs instead of freeing it when the result is
+    cyclic garbage collector runs instead of freeing it when the search is
     dropped.
     """
 
@@ -108,13 +116,6 @@ class _Search:
         self.view = view
         self.memo: dict[int, bool] = {} if memo is None else memo
         self.nodes = 0
-
-    def partition(self, order: Sequence[int], max_bins: int) -> Optional[list[int]]:
-        """The bins, as masks in bin order, of the first partition into at
-        most `max_bins` bins in restricted-growth order over `order`, or
-        None."""
-        bins: list[tuple[int, int, int]] = []
-        return [b[0] for b in bins] if self.dfs(order, 0, bins, max_bins) else None
 
     def dfs(
         self,
@@ -224,25 +225,28 @@ def _lower_bounds(
     yield _load_bound(search.view)
 
 
-def _witness(search: _Search, ts: TaskSet, m_star: int) -> Partition:
-    masks = search.partition(range(len(ts)), m_star)
-    if masks is None:
-        raise RuntimeError("unreachable: level m* has a partition in every order")
-    return Partition(
-        bins=tuple(
-            tuple(sorted(ts.ids[i] for i in _positions(mask))) for mask in masks
-        ),
-        algorithm="oracle",
-        strategy=None,
-    )
-
-
-def _result(search: _Search, ts: TaskSet, m_star: int) -> OracleResult:
-    return OracleResult(
-        m_star=m_star,
-        nodes_explored=search.nodes,
-        _build_witness=partial(_witness, search, ts, m_star),
-    )
+def _witness(ts: TaskSet, m_star: int) -> Partition:
+    """The first partition of `ts` into `m_star` bins in restricted-growth
+    order over input order, by self-reduction (see the module docstring)."""
+    view = ts.ints
+    search = _Search(view)
+    later = _by_density(view)
+    bins: list[tuple[int, int, int]] = []
+    for pos in range(len(ts)):
+        later.remove(pos)
+        bit, density, share = 1 << pos, view.span_share[pos], view.share[pos]
+        new_bin = [(0, 0, 0)] * (len(bins) < m_star)  # while fewer than m* are open
+        for b, (mask, dens, load) in enumerate(bins + new_bin):
+            grown = mask | bit, dens + density, load + share
+            trial = bins[:b] + [grown] + bins[b + 1 :]
+            fits = bin_feasible(view, *grown, search.memo)
+            if fits and search.dfs(later, 0, trial[:], m_star):
+                bins = trial
+                break
+        else:
+            raise RuntimeError("unreachable: level m* has a partition")
+    ids = [sorted(ts.ids[i] for i in _positions(mask)) for mask, _, _ in bins]
+    return Partition(tuple(map(tuple, ids)), "oracle")
 
 
 def optimal_partition_bruteforce(
@@ -280,11 +284,11 @@ def optimal_partition_bruteforce(
         if upper is not None and not lower <= upper <= n:
             upper = None  # no partition has this many bins: search without it
         if lower == upper:
-            return _result(search, ts, upper)
+            return OracleResult(upper, search.nodes, ts)
     order = clique + [p for p in by_density if p not in clique]
     for m in range(lower, n + 1 if upper is None else upper):
-        if search.partition(order, m) is not None:
-            return _result(search, ts, m)
+        if search.dfs(order, 0, [], m):
+            return OracleResult(m, search.nodes, ts)
     if upper is None:
         raise RuntimeError("unreachable: singleton bins are feasible for a valid set")
-    return _result(search, ts, upper)
+    return OracleResult(upper, search.nodes, ts)

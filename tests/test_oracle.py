@@ -333,7 +333,7 @@ def search_every_level(search: _Search) -> None:
     order = _conflict_clique(search, _by_density(view))
     order += [p for p in range(n) if p not in order]
     for m in range(1, n + 1):
-        search.partition(order, m)
+        search.dfs(order, 0, [], m)
 
 
 def assert_past_gates(view, memo: dict) -> None:

@@ -52,6 +52,12 @@ def inputs(tmp_path_factory):
     near = ["generate", "--family", "random", "--n", "10", "--class", "arbitrary",
             "--target-u", "1", "--den-bound", "100", "--seed", "0", "-o", str(path / "near.json")]  # fmt: skip
     assert dispatch(near) == 0
+    # constrained sets (N = 20 and 22) on which an unpruned witness search
+    # in input order runs for tens of seconds to minutes
+    for name, args in (("oracle-n20.json", ["--n", "20", "--target-u", "5", "--den-bound", "100", "--seed", "0"]),
+                       ("oracle-n22.json", ["--n", "22", "--target-u", "11/2", "--seed", "2"])):  # fmt: skip
+        assert dispatch(["generate", "--family", "random", "--class", "constrained", *args,
+                         "-o", str(path / name)]) == 0  # fmt: skip
     return path
 
 
@@ -78,6 +84,10 @@ BOUNDED_RUNS = [
     # this trace, which the simulate writer must reproduce byte for byte
     bounded("simulate-trace-bytes", ["simulate", GAP, "--horizon", "1e6"], 20, 1,
             "bb54e28514f5266b66264678d6afec46640b9016a15639e8af44ded9a65f6c71"),  # fmt: skip
+    bounded("oracle-witness-n20", ["partition", "oracle-n20.json", "--algo", "oracle"], 20, 0,
+            "e1347f348e2293e7247f8923cd7255a8d74c5780e8b7532ddc800ef72d5e726e"),  # fmt: skip
+    bounded("oracle-witness-n22", ["partition", "oracle-n22.json", "--algo", "oracle", "--n-cap", "22"],
+            20, 0, "d492ba0dd466dec16ca11ef076590c225df777c1f9eebe7401fdbf768edc57b4"),  # fmt: skip
 ]
 
 
