@@ -229,6 +229,27 @@ MUTANTS = (
         ("tests/test_bench.py::TestCheckBounds",),
     ),
     Mutant(
+        "GenParams bool refusal dropped",
+        "src/rtpack/generators.py",
+        "            if isinstance(value, bool) or not isinstance(value, kind):\n",
+        "            if not isinstance(value, kind):\n",
+        ("tests/test_generators.py::TestRandom::test_inexact_or_mistyped_number_is_a_type_error",),
+    ),
+    Mutant(
+        "instance entry spec check dropped",
+        BENCH,
+        "            if not isinstance(sp, InstanceSpec):\n",
+        "            if False:\n",
+        ("tests/test_bench.py::TestRunExperiment::test_python_built_instance_entries_must_be_specs",),
+    ),
+    Mutant(
+        "generate flag abbreviations allowed",
+        "src/rtpack/cli.py",
+        "allow_abbrev=False",
+        "allow_abbrev=True",
+        ("tests/test_cli.py::TestGenerate::test_long_period_is_not_a_parameter",),
+    ),
+    Mutant(
         "report instance lines keyed without N",
         BENCH,
         "        k = (row.instance, row.family, row.n, row.deadline_class,\n",

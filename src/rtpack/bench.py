@@ -88,14 +88,6 @@ def _named(*sets: TaskSet) -> list[tuple[str, TaskSet]]:
     return [(ts.name, ts) for ts in sets]
 
 
-def _adversary(gen):
-    return lambda p: _named(gen(p["k"], p["h"]))
-
-
-def _speedup_gap(p: dict) -> list[tuple[str, TaskSet]]:
-    return _named(gen_speedup_gap(p["n"], p["eps"]))
-
-
 def _seeds(p: dict) -> range:
     if p["count"] < 1:
         raise BadParam(f"count must be at least 1, got {p['count']}")
@@ -136,9 +128,9 @@ _SEEDED = {"seed": 0, "count": 1, "den_bound": DEFAULT_DENOMINATOR_BOUND}
 # maker takes the keys with the defaults filled in and returns (name, task
 # set) pairs.  `rtpack generate` and the bench both expand instances here.
 FAMILIES = {
-    "bf-adversary": (("k",), {"h": None}, _adversary(gen_best_fit_adversary)),
-    "wf-adversary": (("k",), {"h": None}, _adversary(gen_worst_fit_adversary)),
-    "speedup-gap": (("n", "eps"), {}, _speedup_gap),
+    "bf-adversary": (("k",), {}, lambda p: _named(gen_best_fit_adversary(p["k"]))),
+    "wf-adversary": (("k",), {}, lambda p: _named(gen_worst_fit_adversary(p["k"]))),
+    "speedup-gap": (("n", "eps"), {}, lambda p: _named(gen_speedup_gap(p["n"], p["eps"]))),
     "random": (("n",), {**_SEEDED, "class": "constrained", "target_u": 1}, _random),
     "dvp": (("n",), _SEEDED, _dvp),
     "file": (("path",), {}, _files),
@@ -210,8 +202,11 @@ class ExperimentConfig:
                 raise ParseError(f"config: {field!r} must be a list, got {value!r}")
         instances = []
         for i, sp in enumerate(self.instances, start=1):
-            where = f"instance {i} ({sp.family})"
-            params = _check_instance(sp.family, dict(sp.params), where)
+            if not isinstance(sp, InstanceSpec):
+                raise ParseError(
+                    f"instance {i}: expected an instance spec (bench.spec), got {sp!r}"
+                )
+            params = _check_instance(sp.family, dict(sp.params), f"instance {i} ({sp.family})")
             instances.append(InstanceSpec(sp.family, tuple(params.items())))
         object.__setattr__(self, "instances", tuple(instances))
         algorithms = []
@@ -604,7 +599,7 @@ def rational_arg(value: str) -> Fraction:
 # the argparse keywords of its `generate` flag, None for `count` and `path`
 _INT, _RATIONAL = (_parse_int, {"type": int}), (parse_rational, {"type": rational_arg})
 INSTANCE_KEYS = {
-    "k": _INT, "h": _RATIONAL, "n": _INT, "eps": _RATIONAL, "seed": _INT,
+    "k": _INT, "n": _INT, "eps": _RATIONAL, "seed": _INT,
     "count": (_parse_int, None), "target_u": _RATIONAL,
     "class": (_parse_class, {"choices": _CLASSES}), "den_bound": _INT,
     "path": (_parse_path, None),

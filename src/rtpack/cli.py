@@ -189,7 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--n-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p_part.set_defaults(func=cmd_partition)
 
-    p_gen = sub.add_parser("generate", help="emit an instance as task-set JSON")
+    # no abbreviations: an unknown flag such as `--h` exits 2 as
+    # unrecognized instead of reading as `--help`, which exits 0 and
+    # writes no instance
+    p_gen = sub.add_parser(
+        "generate", help="emit an instance as task-set JSON", allow_abbrev=False
+    )
     # the dest of each family flag is the instance key of a bench config;
     # unset flags take the family's defaults
     p_gen.add_argument(

@@ -4,9 +4,9 @@ vector packing transform, and seeded random task sets.
 All generators are pure functions of their parameters; random families
 derive every draw from an explicit seed, so concurrent or repeated
 generation reproduces bit-identical instances.  Every family builds its
-set from int rows, with ids 1..N in task order, by the builder behind
-`TaskSet.of_ratios`, without its row check: `gen_random` from its ints,
-the others from exact (c, d, t) triples through `model.taskset`.
+set from int rows, with ids 1..N in task order, by the one row builder
+`model._of_rows`: `gen_random` from its ints, the others from exact
+(c, d, t) triples through `model.taskset`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable
 
 from .errors import BadParam
@@ -31,6 +32,8 @@ from .model import (
 
 DEFAULT_DENOMINATOR_BOUND = 8
 UUNIFAST_MAX_RANDOMS = 20_000_000
+# the type each number of `GenParams` must have; a bool is refused as well
+_PARAM_KINDS = {"n": int, "utilization_target": Rational, "denominator_bound": int}
 
 
 def _printable_power(base: int, exp: int, factor: int = 1) -> bool:
@@ -46,25 +49,20 @@ def _printable_power(base: int, exp: int, factor: int = 1) -> bool:
     return value < DIGIT_LIMIT
 
 
-def _default_h(k: int) -> Fraction:
-    return Fraction(k) ** (k + 2)
-
-
-def _fit_adversary(k: int, h: Fraction | None, shift: int, name: str) -> TaskSet:
-    """The adversary families' common body: the first task has
-    C = K^(shift-1), D = 1 and T = h; then each tier j = 1..K has an
-    implicit task with D = T = K^(j-1+shift) and C = D/K, followed, for
-    j < K, by a filler with C = K^j - K^(j-1), D = K^j and T = h."""
+def _fit_adversary(k: int, shift: int, name: str) -> TaskSet:
+    """The adversary families' common body, with the long period
+    h = K^(K+2): the first task has C = K^(shift-1), D = 1 and T = h; then
+    each tier j = 1..K has an implicit task with D = T = K^(j-1+shift) and
+    C = D/K, followed, for j < K, by a filler with C = K^j - K^(j-1),
+    D = K^j and T = h."""
     if not isinstance(k, int) or k < 4:
         raise BadParam(f"need integer k >= 4, got {k!r}")
     if not _printable_power(k, k + 2):
         raise BadParam(
             f"k = {k} is too large: k^(k+2) has more than {MAX_EXPONENT} digits"
         )
-    h = _default_h(k) if h is None else as_rational(h)
-    if h < _default_h(k):
-        raise BadParam(f"h must be at least k^(k+2) = {_default_h(k)}, got {h}")
     kf = Fraction(k)
+    h = kf ** (k + 2)
     triples = [(kf ** (shift - 1), 1, h)]
     for j in range(1, k + 1):
         d = kf ** (j - 1 + shift)
@@ -74,23 +72,23 @@ def _fit_adversary(k: int, h: Fraction | None, shift: int, name: str) -> TaskSet
     return taskset(triples, f"{name}-k{k}")
 
 
-def gen_best_fit_adversary(k: int, h: Fraction | None = None) -> TaskSet:
+def gen_best_fit_adversary(k: int) -> TaskSet:
     """Family on which deadline-monotonic best fit opens K processors while
     two suffice.
 
     2K tasks: a light short-deadline task, heavy implicit tasks at deadlines
     K^0, K^1, ..., and long-period fillers that saturate each deadline tier.
-    The long period defaults to K^(K+2), large enough that the fillers'
-    utilization stays negligible.
+    The long period is K^(K+2), large enough that the fillers' utilization
+    stays negligible.
     """
-    return _fit_adversary(k, h, 0, "bf-adversary")
+    return _fit_adversary(k, 0, "bf-adversary")
 
 
-def gen_worst_fit_adversary(k: int, h: Fraction | None = None) -> TaskSet:
+def gen_worst_fit_adversary(k: int) -> TaskSet:
     """Family on which deadline-monotonic worst fit opens K processors while
     two suffice; same structure as the best-fit family with the implicit
     tasks shifted one deadline tier up."""
-    return _fit_adversary(k, h, 1, "wf-adversary")
+    return _fit_adversary(k, 1, "wf-adversary")
 
 
 def gen_speedup_gap(n: int, eps: Fraction) -> TaskSet:
@@ -181,6 +179,11 @@ def gen_random_dvp(
 
 @dataclass(frozen=True)
 class GenParams:
+    """The parameters of `gen_random`.  `n` and `denominator_bound` are
+    ints and `utilization_target` is an int or a Fraction: a bool, a float
+    or any other type is a TypeError naming the field, so that no float
+    enters a generated set.  A value out of range is a BadParam."""
+
     seed: int
     n: int
     deadline_class: DeadlineClass = DeadlineClass.CONSTRAINED
@@ -188,14 +191,16 @@ class GenParams:
     denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
 
     def __post_init__(self):
+        for field, kind in _PARAM_KINDS.items():
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{field}: expected {kind.__name__}, got {value!r}")
         if self.n < 1:
             raise BadParam(f"need n >= 1, got {self.n}")
         if self.utilization_target <= 0:
             raise BadParam("utilization target must be positive")
         if self.utilization_target > self.n:
-            raise BadParam(
-                f"target {self.utilization_target} impossible with {self.n} tasks"
-            )
+            raise BadParam(f"target {self.utilization_target} impossible with {self.n} tasks")
         if self.denominator_bound < 1:
             raise BadParam("denominator bound must be at least 1")
 
@@ -283,9 +288,8 @@ def gen_random(params: GenParams) -> TaskSet:
     clamping permitting), retrying with fresh draws when it cannot.  Tasks
     are drawn, totalled, scaled and clamped on ints (numerator, denominator),
     and the returned set is built straight from them into its integer view
-    (`TaskSet.of_ratios` without its row check).  Every integer draw is
-    `randint(1, w)`'s, taken by `_randint1` straight from the generator's
-    bits.
+    by `model._of_rows`.  Every integer draw is `randint(1, w)`'s, taken by
+    `_randint1` straight from the generator's bits.
     """
     rng = random.Random(f"rtpack-gen:{params.seed}")
     bits = rng.getrandbits

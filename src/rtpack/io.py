@@ -64,9 +64,9 @@ def parse_taskset(data: bytes | str) -> TaskSet:
 
     A plain "p" or "p/q" literal (`plain_ratio`) is read as ints, every
     other value through `parse_rational`, and the set is built straight
-    into its integer view by the builder behind `TaskSet.of_ratios`,
-    without its row check: every pair here is ints with a positive
-    denominator.  No `Task` is built.
+    into its integer view by the one row builder, `model._of_rows`, which
+    checks nothing: every pair here is ints with a positive denominator.
+    No `Task` is built.
     """
     doc = load_json(data, "task set")
     if not isinstance(doc, dict) or "tasks" not in doc:

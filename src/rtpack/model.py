@@ -8,11 +8,11 @@ reads, with each task's id by position.  A `Task` holds its values as
 Tasks are immutable and keep a stable integer id; the parser and every
 generator build their sets from int rows (cn, cd, dn, dd, tn, td) with ids
 1..N in input order, so partitions can always be reported against the
-original indices regardless of sorting or transforms.  One builder makes
-every such set.  The public `TaskSet.of_ratios` checks the rows it is
-given and then calls it; the parser, `gen_random` and `taskset` call it
-directly, since rows they build from ints and Fractions are valid by
-construction.
+original indices regardless of sorting or transforms.  One private
+builder, `_of_rows`, makes every such set; the parser, `gen_random` and
+`taskset` call it on rows they build from ints and Fractions, which are
+valid by construction.  The public builders are `taskset`, from (c, d, t)
+triples, and `TaskSet(tasks, name)`, for a set that keeps its own ids.
 """
 
 from __future__ import annotations
@@ -222,21 +222,6 @@ def _view_of(nums: list[int], dens: list[int]) -> IntView:
     return IntView(scale, tuple(scaled[0::3]), tuple(scaled[1::3]), tuple(scaled[2::3]))
 
 
-def _refuse_rows(rows: list) -> None:
-    """Raise for the first row of `TaskSet.of_ratios` that is not six ints
-    with positive denominators."""
-    for i, row in enumerate(rows, start=1):
-        if len(row) != 6:
-            raise ValueError(
-                f"row {i}: expected 6 values (cn, cd, dn, dd, tn, td), got {len(row)}"
-            )
-        for x in row:
-            if type(x) is not int:
-                raise TypeError(f"row {i}: values are ints, got {x!r}")
-        if min(row[1::2]) < 1:
-            raise ValueError(f"row {i}: denominators must be positive, got {tuple(row)}")
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class TaskSet:
     """An immutable task list, held as its integer view `ints`, its task
@@ -244,11 +229,12 @@ class TaskSet:
 
     `TaskSet(tasks, name)` scales the tasks' values into the view and keeps
     their ids, not the tasks; a bool, float or other value that is not an
-    exact rational is a TypeError.  `of_ratios` builds the view straight
-    from ints, with ids 1..N.  `tasks` reads the `Task`s off the view and
-    keeps them; iterating yields them without keeping them.  Since the view
-    is canonical, equality and hash are the dataclass's, those of (view,
-    ids, name); repr is that of (tasks, name), read without keeping them.
+    exact rational is a TypeError.  `_of_rows` builds the view straight
+    from int rows, with ids 1..N.  `tasks` reads the `Task`s off the view
+    and keeps them; iterating yields them without keeping them.  Since the
+    view is canonical, equality and hash are the dataclass's, those of
+    (view, ids, name); repr is that of (tasks, name), read without keeping
+    them.
     The validation verdict, the id-to-position index and the
     deadline-monotonic order (`dm_order`, which every DM strategy packs
     in) are computed on first use and then kept: nothing they depend on
@@ -272,21 +258,6 @@ class TaskSet:
                 raise TypeError(f"task values are ints or Fractions, got {x!r}")
         nums = [x.numerator for x in values]
         self._hold(_view_of(nums, [x.denominator for x in values]), ids, name)
-
-    @classmethod
-    def of_ratios(cls, rows: Iterable[Sequence[int]], name: str = "") -> TaskSet:
-        """The set of tasks C = cn/cd, D = dn/dd, T = tn/td, one row
-        (cn, cd, dn, dd, tn, td) of ints per task with every denominator
-        positive, ids 1..N in row order; the set `TaskSet(tasks)` builds
-        from the same values.  A row of another length or with a
-        denominator below 1 is a ValueError, a value that is not an int (a
-        bool included) a TypeError, each naming the row.  This is the
-        entry for rows from outside the package: the rows are checked,
-        then built by the builder that the parser and the generators call
-        directly on rows they made valid."""
-        rows = list(rows)
-        _refuse_rows(rows)
-        return _of_rows(rows, name)
 
     def _hold(self, view: IntView, ids: tuple[int, ...], name: str) -> None:
         object.__setattr__(self, "ints", view)
@@ -343,9 +314,11 @@ class TaskSet:
 
 
 def _of_rows(rows: list[Sequence[int]], name: str) -> TaskSet:
-    """`TaskSet.of_ratios` of `rows` without its row check: each row is
-    already six ints with positive denominators.  No rows is still a
-    ValueError."""
+    """The set of tasks C = cn/cd, D = dn/dd, T = tn/td, one row
+    (cn, cd, dn, dd, tn, td) per task, ids 1..N in row order: the set
+    `TaskSet(tasks, name)` builds from the same values.  Unchecked: each
+    row must already be six ints with positive denominators, as every
+    caller builds them.  No rows is a ValueError."""
     if not rows:
         raise ValueError("a task set holds at least one task")
     pairs = list(chain.from_iterable(rows))
@@ -356,7 +329,7 @@ def _of_rows(rows: list[Sequence[int]], name: str) -> TaskSet:
 
 def taskset(triples: Iterable[tuple], name: str = "") -> TaskSet:
     """Build a TaskSet from (c, d, t) triples of `as_rational` values, ids
-    assigned 1..N in order: the set `TaskSet.of_ratios` builds from their
+    assigned 1..N in order: the set `_of_rows` builds from their
     numerators and denominators, which are valid rows by construction."""
     rows = []
     for c, d, t in triples:

@@ -309,6 +309,15 @@ class TestRunExperiment:
         with pytest.raises(ParseError, match=match):
             ExperimentConfig(instances=(), algorithms=algorithms)
 
+    @pytest.mark.parametrize(
+        "entry", [{"family": "random", "n": 3}, ("random", (("n", 3),)), "random", None]
+    )
+    def test_python_built_instance_entries_must_be_specs(self, entry):
+        message = f"instance 2: expected an instance spec (bench.spec), got {entry!r}"
+        with pytest.raises(ParseError) as err:
+            ExperimentConfig(instances=(spec("random", n=3), entry), algorithms=(("dm", "ff"),))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("value", [None, 5, "dm"])
     def test_python_built_instances_must_be_a_sequence(self, value):
         match = f"config: 'instances' must be a list, got {value!r}"
@@ -720,7 +729,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "entry,missing",
-        [({"family": "bf-adversary"}, "k"), ({"family": "wf-adversary", "h": 5}, "k"),
+        [({"family": "bf-adversary"}, "k"), ({"family": "wf-adversary"}, "k"),
          ({"family": "speedup-gap", "n": 3}, "eps"), ({"family": "random"}, "n"),
          ({"family": "dvp", "seed": 1}, "n"), ({"family": "file"}, "path")],
     )  # fmt: skip
@@ -793,7 +802,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "entry",
-        [{"family": "bf-adversary", "k": 4.7}, {"family": "bf-adversary", "k": 4, "h": 1e9},
+        [{"family": "bf-adversary", "k": 4.7},
          {"family": "random", "n": 5, "target_u": 1.5}, {"family": "random", "n": 5, "seed": 1.0},
          {"family": "random", "n": 5, "count": "2"}, {"family": "dvp", "n": 5, "den_bound": 8.0},
          {"family": "random", "n": 4.9}, {"family": "file", "path": 5}],
@@ -831,13 +840,11 @@ class TestConfigParsing:
 
     def test_exact_values_parse_to_rationals(self):
         cfg = parse_config(json.dumps({
-            "instances": [{"family": "speedup-gap", "n": 3, "eps": "0.5"},
-                          {"family": "bf-adversary", "k": 4, "h": 4096}],
+            "instances": [{"family": "speedup-gap", "n": 3, "eps": "0.5"}],
             "algorithms": [{"algo": "dm"}],
             "alpha_slack": "3/2",
         }))  # fmt: skip
         assert dict(cfg.instances[0].params)["eps"] == F(1, 2)
-        assert dict(cfg.instances[1].params)["h"] == F(4096)
         assert cfg.alpha_slack == F(3, 2)
 
     def test_python_built_specs_keep_working(self):

@@ -70,6 +70,20 @@ class TestGenerate:
         rc, _, err = run(capsys, "generate", "--family", "bf-adversary")
         assert rc == 2 and "error" in err
 
+    def test_long_period_is_not_a_parameter(self, tmp_path, capsys):
+        # the adversaries' long period is always K^(K+2): "h" is an unknown
+        # config key, and `--h` an unrecognized argument, not `--help`
+        doc = {"instances": [{"family": "bf-adversary", "k": 4, "h": 4096}],
+               "algorithms": [{"algo": "dm"}]}  # fmt: skip
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert run(capsys, "bench", "--config", str(config)) == (
+            2, "", "error: instance 1 (bf-adversary): unknown key 'h'\n"
+        )
+        rc, text, err = run(capsys, "generate", "--family", "bf-adversary", "--k", "4", "--h", "4096")
+        assert (rc, text) == (2, "")
+        assert err.endswith("rtpack: error: unrecognized arguments: --h 4096\n")
+
     def test_dvp_denominator_bound_below_two_exit_two(self, capsys):
         rc, _, err = run(capsys, "generate", "--family", "dvp", "--n", "3", "--den-bound", "1")
         assert rc == 2 and "denominator_bound" in err
@@ -86,7 +100,7 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "family,flags,params",
         [("bf-adversary", ["--k", "5"], {"k": 5}),
-         ("wf-adversary", ["--k", "4", "--h", "5000"], {"k": 4, "h": Fraction(5000)}),
+         ("wf-adversary", ["--k", "4"], {"k": 4}),
          ("speedup-gap", ["--n", "4", "--eps", "1/3"], {"n": 4, "eps": Fraction(1, 3)}),
          ("random", ["--n", "5"], {"n": 5}),
          ("random", ["--n", "5", "--seed", "3", "--target-u", "3/2", "--class", "arbitrary",
@@ -191,8 +205,7 @@ class TestCheck:
         "argv",
         # argparse refuses the value before the file is opened
         [["check", "set.json", "--speed"], ["simulate", "set.json", "--horizon", "12", "--speed"],
-         ["simulate", "set.json", "--horizon"], ["generate", "--family", "bf-adversary", "--h"],
-         ["generate", "--family", "speedup-gap", "--eps"],
+         ["simulate", "set.json", "--horizon"], ["generate", "--family", "speedup-gap", "--eps"],
          ["generate", "--family", "random", "--target-u"]],
         ids=lambda argv: f"{argv[0]} {argv[-1]}",
     )  # fmt: skip
@@ -879,7 +892,7 @@ INSTANCE_DOCS = st.one_of(
         )},
         optional={
             key: PLAUSIBLE
-            for key in ("k", "n", "seed", "count", "eps", "h", "target_u", "den_bound", "class", "path")
+            for key in ("k", "n", "seed", "count", "eps", "target_u", "den_bound", "class", "path")
         },
     ),
     JUNK,
@@ -933,7 +946,7 @@ GENERATE_ARGV = st.builds(
     st.fixed_dictionaries(
         {"--family": _flag(*(f for f in FAMILIES if f != "file"))},
         optional={"--k": _flag("4", "5", "8"), "--n": _flag("1", "3", "8"),
-                  "--eps": _flag("1/2", "1/3"), "--h": _flag("5000", "10000000"),
+                  "--eps": _flag("1/2", "1/3"),
                   "--seed": _flag("0", "7"), "--target-u": _flag("1/2", "1", "3/2"),
                   "--class": _flag("implicit", "constrained", "arbitrary"),
                   "--den-bound": _flag("2", "8")},

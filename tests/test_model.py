@@ -473,10 +473,13 @@ class TestTaskSet:
         st.sampled_from(["", "set"]),
     )
     @example([(1, 1, 2, 1, 5, 2)], "")
-    def test_of_ratios_is_the_set_of_its_fractions(self, rows, name):
+    def test_rows_build_the_set_of_their_fractions(self, rows, name):
         # rows hold unreduced pairs, and a task holds a whole value as an
-        # int; both constructors build one set, and neither keeps tasks
-        ts = TaskSet.of_ratios(rows, name)
+        # int; the row builder, `taskset` and `TaskSet(tasks)` build one
+        # set, and none of them keeps tasks
+        ts = model._of_rows(rows, name)
+        triples = [tuple(F(n, d) for n, d in zip(row[0::2], row[1::2])) for row in rows]
+        assert taskset(triples, name) == ts
         want = TaskSet(
             tuple(
                 Task(*(F(n, d) if d > 1 else n for n, d in zip(row[0::2], row[1::2])), id=i)
@@ -563,30 +566,6 @@ class TestTaskSet:
             TaskSet((Task(1, 2, 4, 1), Task(**fields, id=2)))
         assert str(err.value) == message
 
-    def test_of_ratios_refuses_no_rows(self):
-        with pytest.raises(ValueError):
-            TaskSet.of_ratios([])
-
-    @pytest.mark.parametrize("bad", [(), (1, 1, 2, 1, 2), (1, 1, 2, 1, 2, 1, 3, 1)])
-    def test_of_ratios_refuses_a_row_that_is_not_six_values(self, bad):
-        message = f"row 2: expected 6 values (cn, cd, dn, dd, tn, td), got {len(bad)}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            TaskSet.of_ratios([(1, 1, 2, 1, 2, 1), bad])
-
-    @pytest.mark.parametrize("value", [True, False, 1.0, F(1), "1", None])
-    def test_of_ratios_refuses_a_value_that_is_not_an_int(self, value):
-        with pytest.raises(TypeError, match=re.escape(f"row 2: values are ints, got {value!r}")):
-            TaskSet.of_ratios([(1, 1, 2, 1, 2, 1), (1, 1, 2, 1, 4, 1)[:3] + (value, 4, 1)])
-
-    @pytest.mark.parametrize("den", [0, -1])
-    @pytest.mark.parametrize("at", [1, 3, 5])
-    def test_of_ratios_refuses_a_denominator_below_one(self, den, at):
-        row = [1, 1, 2, 1, 4, 1]
-        row[at] = den
-        message = f"row 2: denominators must be positive, got {tuple(row)}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            TaskSet.of_ratios([(1, 1, 2, 1, 2, 1), row])
-
     @pytest.mark.parametrize("name", ["ints", "ids", "name", "tasks", "other"])
     def test_assignment_is_refused(self, name):
         ts = taskset([(1, 2, 2)])
@@ -609,18 +588,16 @@ class TestTaskSet:
 
     def test_every_constructor_builds_one_set(self, monkeypatch):
         triples = [("1/2", 2, "5/2"), (3, 4, 4)]
-        by_ratios = TaskSet.of_ratios([(1, 2, 2, 1, 5, 2), (3, 1, 4, 1, 4, 1)], "set")
         by_triples = taskset(triples, "set")
         by_tasks = TaskSet(
             tuple(task(c, d, t, id=i) for i, (c, d, t) in enumerate(triples, start=1)), "set"
         )
-        assert by_ratios == by_triples == by_tasks
-        assert hash(by_ratios) == hash(by_triples) == hash(by_tasks)
+        assert by_triples == by_tasks and hash(by_triples) == hash(by_tasks)
         assert by_triples.ids == (1, 2)
 
         # the parser, the generators and `taskset` build from rows they made
-        # valid, skipping the check of `of_ratios`: each set is the one
-        # `of_ratios` builds from the same rows, which pass its check
+        # valid: each set is the one `TaskSet(tasks)` builds from the
+        # Fractions of the same rows, with ids 1..N
         built = []
         real = model._of_rows
 
@@ -638,12 +615,16 @@ class TestTaskSet:
         parsed = parse_taskset(doc)
         for cls in DeadlineClass:
             gen_random(GenParams(seed=5, n=6, deadline_class=cls, utilization_target=Fraction(2)))
-        assert taskset(triples, "set") == by_ratios
+        assert taskset(triples, "set") == by_tasks
         monkeypatch.undo()
         assert [name for _, _, name in built] == ["doc", *["random-s5"] * 3, "set"]
-        assert parsed == TaskSet.of_ratios([(1, 2, 2, 1, 5, 2), (3, 1, 4, 1, 4, 1)], "doc")
+        assert parsed == TaskSet(by_tasks.tasks, "doc")
         for ts, rows, name in built:
-            assert ts == TaskSet.of_ratios(rows, name)
+            tasks = tuple(
+                Task(F(cn, cd), F(dn, dd), F(tn, td), i)
+                for i, (cn, cd, dn, dd, tn, td) in enumerate(rows, start=1)
+            )
+            assert ts == TaskSet(tasks, name)
 
     @pytest.mark.parametrize("row", [(1, 2), (1, 2, 2, 2)])
     def test_taskset_refuses_a_row_that_is_not_a_triple(self, row):

@@ -2,12 +2,15 @@
 
 import argparse
 import ast
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
-from rtpack import cli
+import rtpack
+from rtpack import cli, model
 
 SRC = Path(__file__).parent.parent / "src" / "rtpack"
 README = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
@@ -121,7 +124,62 @@ def cli_flags() -> list[tuple[str, list[str]]]:
     ]
 
 
+# the heads of the dotted names that README.md must spell as they are:
+# the package, its modules and the classes of `rtpack.model`
+API_HEADS = {"rtpack", *(p.stem for p in MODULES)} | {
+    name for name, value in vars(model).items()
+    if isinstance(value, type) and value.__module__ == model.__name__
+}  # fmt: skip
+
+
+def api_names(text: str) -> list[str]:
+    """The backticked dotted names of `text`, such as `TaskSet.dm_order`
+    or `bench.INSTANCE_KEYS()`, whose head is in API_HEADS, without a
+    trailing "()"."""
+    found = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`", text)
+    return sorted({name for name in found if name.partition(".")[0] in API_HEADS})
+
+
+def resolves(name: str) -> bool:
+    """Whether `name`, whose head is in API_HEADS, is found by getattr from
+    its head.  A dataclass field without a default is no class attribute:
+    it counts as found, and the walk stops there."""
+    head, *rest = name.split(".")
+    if head == "rtpack":
+        obj = rtpack
+    elif (SRC / f"{head}.py").exists():
+        obj = importlib.import_module(f"rtpack.{head}")
+    else:
+        obj = getattr(model, head)
+    for part in rest:
+        if not hasattr(obj, part):
+            fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
+            return part in {f.name for f in fields}
+        obj = getattr(obj, part)
+    return True
+
+
 class TestReadme:
+    def test_api_names_found(self):
+        names = {"TaskSet.dm_order", "IntView.span", "bench.INSTANCE_KEYS", "rtpack.oracle"}
+        assert names <= set(api_names(README))
+
+    @pytest.mark.parametrize("name", api_names(README))
+    def test_every_api_name_resolves(self, name):
+        assert resolves(name), f"README.md names {name}, which is not in the package"
+
+    @pytest.mark.parametrize(
+        "text, names, found",
+        [("`TaskSet.of_ratios` and `model.gone()`", ["TaskSet.of_ratios", "model.gone"], [False, False]),
+         ("`TaskSet.ints.c`, `io.parse_taskset()`, `rtpack.model`", ["TaskSet.ints.c", "io.parse_taskset", "rtpack.model"], [True, True, True]),
+         ("`Task.c.x`, `IntView.whole.y`", ["Task.c.x", "IntView.whole.y"], [False, False]),
+         ("`json.dumps`, `fractions.Fraction`, `BENCHMARK.json`, `TestReadme.x`", [], []),
+         ("`bench.spec(\"random\")` and ``", [], [])],
+    )  # fmt: skip
+    def test_finds_and_resolves_names(self, text, names, found):
+        assert api_names(text) == sorted(names)
+        assert [resolves(name) for name in names] == found
+
     def test_flags_found(self):
         assert ("check", ["--point-cap"]) in cli_flags()
 
