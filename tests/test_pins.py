@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from rtpack import feasibility
+from rtpack import bench, feasibility
+from rtpack.bench import emit_report, run_experiment
 from rtpack.cli import dispatch
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,17 +102,27 @@ def test_bounded_time_run(inputs, argv, timeout, code, expect):
         assert expect in err
 
 
-# per seed: the sha256 of the bench report of the three ratio-sweep
-# batches with all six algorithms, and over those batches the bins that
-# reach the exact test past the density accept and the share refusal and
-# the demand sweeps.  Verification and the oracle both reach the exact
-# test through `feasibility.bin_feasible`, so each bin is decided once.
-@pytest.mark.parametrize("seed, report_sha256, bins_past_gates, sweeps", [
-    (1, "b4abda557fadedf80cb39d099aa277b320a771175b33d4105d1323191723ad1c", 3629, 1472),
-    (2, "7907bcd7fe953299e5a362906dc51ecf4270a0fcaed8d590d60056ffff8fff55", 3313, 1267),
+# per seed: the sha256 of the JSON and of the CSV bench report of the
+# three ratio-sweep batches with all six algorithms, both emitted from one
+# run, and over those batches the bins that reach the exact test past the
+# density accept and the share refusal and the demand sweeps.
+# Verification and the oracle both reach the exact test through
+# `feasibility.bin_feasible`, so each bin is decided once.
+@pytest.mark.parametrize("seed, report_sha256, csv_sha256, bins_past_gates, sweeps", [
+    (1, "b4abda557fadedf80cb39d099aa277b320a771175b33d4105d1323191723ad1c",
+     "9266c556273b69d3f5678d85fbacde5f51ae3ba21ef884f959e86714a8d02839", 3629, 1472),
+    (2, "7907bcd7fe953299e5a362906dc51ecf4270a0fcaed8d590d60056ffff8fff55",
+     "5d51879c84409aa4752e52aae4c003827a5a60a48f39a03b28e74892a2950786", 3313, 1267),
 ], ids=["seed1", "seed2"])  # fmt: skip
-def test_ratio_sweep_report(tmp_path, monkeypatch, seed, report_sha256, bins_past_gates, sweeps):
+def test_ratio_sweep_report(
+    tmp_path, monkeypatch, seed, report_sha256, csv_sha256, bins_past_gates, sweeps
+):
     counts = {"exact": 0, "sweeps": 0}
+    reports = []
+
+    def kept(cfg):
+        reports.append(run_experiment(cfg))
+        return reports[-1]
 
     def counted(name, fn):
         def call(*args):
@@ -121,12 +132,15 @@ def test_ratio_sweep_report(tmp_path, monkeypatch, seed, report_sha256, bins_pas
 
     monkeypatch.setattr(feasibility, "feasible_past_gates", counted("exact", feasibility.feasible_past_gates))
     monkeypatch.setattr(feasibility, "_sweep_first_failure", counted("sweeps", feasibility._sweep_first_failure))
+    monkeypatch.setattr(bench, "run_experiment", kept)
     instances = [spec for b in range(3) for spec in ratio_sweep_instances(seed, b)]
     cfg, report = tmp_path / "cfg.json", tmp_path / "report.json"
     cfg.write_text(json.dumps({"instances": instances, "algorithms": ALGORITHMS,
                                "n_cap": 16, "timing": False}))  # fmt: skip
     assert dispatch(["bench", "--config", str(cfg), "-o", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha256
+    [run] = reports
+    assert hashlib.sha256(emit_report(run, "csv")).hexdigest() == csv_sha256
     assert (counts["exact"], counts["sweeps"]) == (bins_past_gates, sweeps)
 
 
