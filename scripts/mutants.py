@@ -50,6 +50,7 @@ MODEL = "src/rtpack/model.py"
 BENCH = "src/rtpack/bench.py"
 PARTITIONERS = "src/rtpack/partitioners.py"
 ORACLE = "src/rtpack/oracle.py"
+GENERATORS = "src/rtpack/generators.py"
 
 MUTANTS = (
     Mutant(
@@ -194,7 +195,7 @@ MUTANTS = (
     ),
     Mutant(
         "draw rejection >= made >",
-        "src/rtpack/generators.py",
+        GENERATORS,
         "    while r >= w:\n",
         "    while r > w:\n",
         ("tests/test_generators.py::TestRandom::test_draw_rule_matches_randint",),
@@ -230,10 +231,25 @@ MUTANTS = (
     ),
     Mutant(
         "GenParams bool refusal dropped",
-        "src/rtpack/generators.py",
-        "            if isinstance(value, bool) or not isinstance(value, kind):\n",
-        "            if not isinstance(value, kind):\n",
+        GENERATORS,
+        "        if isinstance(value, bool) or not isinstance(value, kind):\n",
+        "        if not isinstance(value, kind):\n",
         ("tests/test_generators.py::TestRandom::test_inexact_or_mistyped_number_is_a_type_error",),
+    ),
+    Mutant(
+        "GenParams seed check dropped",
+        GENERATORS,
+        '_PARAM_KINDS = {"seed": int, "n": int,',
+        '_PARAM_KINDS = {"n": int,',
+        ("tests/test_generators.py::TestRandom::test_inexact_or_mistyped_number_is_a_type_error",),
+    ),
+    Mutant(
+        "vector and Lemma-1 generators' bool refusal dropped",
+        GENERATORS,
+        "        if isinstance(value, bool) or not isinstance(value, kind):\n",
+        "        if not isinstance(value, kind):\n",
+        ("tests/test_generators.py::TestDvp::test_mistyped_number_is_a_type_error",
+         "tests/test_generators.py::TestLemma1Shaped::test_mistyped_number_is_a_type_error"),
     ),
     Mutant(
         "instance entry spec check dropped",
@@ -254,7 +270,7 @@ MUTANTS = (
         BENCH,
         "        k = (row.instance, row.family, row.n, row.deadline_class,\n",
         "        k = (row.instance, row.family, row.deadline_class,\n",
-        ("tests/test_bench.py::TestEmitJson", "tests/test_bench.py::TestEmitCsv"),
+        ("tests/test_bench.py::TestEmitJson",),
     ),
 )
 

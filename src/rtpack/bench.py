@@ -16,13 +16,15 @@ frozen `BenchRow`, built by `object.__new__` and one update of its
 that the frozen init's one `object.__setattr__` per field is not paid; the
 row is the one that init would build.  A row's bound flags are decided on
 ints, by cross-multiplication with its instance's exact bounds.  The JSON
-report is written straight from the rows by a fixed template and keeps
-the bytes of `json.dumps(doc, indent=2)`, whose indented form runs the
-pure-Python encoder; no row document is built.  Each block of a row's
-text is rendered once: the instance lines for each run of rows that
-share them, the algorithm and strategy lines per pair, and the counts and
-ratio lines per (M, m*).  The CSV report takes its values from the same
-rendering.
+report, which the benchmark's ratio-sweep emits, is written straight from
+the rows by a fixed template and keeps the bytes of
+`json.dumps(doc, indent=2)`, whose indented form runs the pure-Python
+encoder; no row document is built.  Each block of a row's text is
+rendered once: the instance lines for each run of rows that share them,
+the algorithm and strategy lines per pair, and the counts and ratio lines
+per (M, m*).  The CSV report is one plain loop over the rows; it takes
+its texts from the same helpers, so each value is rendered one way in
+both formats.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import math
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import BadParam, ParseError, RtpackError
@@ -451,74 +452,54 @@ def _ratio_texts(m: int, m_star: Optional[int]) -> tuple[Optional[str], Optional
     return str(ratio), _decimal6(ratio)
 
 
-def _blocks(rows: Iterable[BenchRow], instance, pair, counts) -> Iterator[tuple]:
-    """Each row with its three rendered blocks: `instance(row)`, rendered
-    once for each run of rows that share every instance field (the bounds
-    are derived from them), and `pair(row)` and `counts(row)`, rendered
-    once for each distinct (algorithm, strategy) and (M, m*)."""
-    pairs: dict = {}
-    counted: dict = {}
-    key = block = None
-    for row in rows:
-        k = (row.instance, row.family, row.n, row.deadline_class,
-             row.lam, row.gamma, row.utilization)  # fmt: skip
-        if k != key:
-            key, block = k, instance(row)
-        p = pairs.get((row.algorithm, row.strategy))
-        if p is None:
-            p = pairs[row.algorithm, row.strategy] = pair(row)
-        c = counted.get((row.m, row.m_star))
-        if c is None:
-            c = counted[row.m, row.m_star] = counts(row)
-        yield row, block, p, c
-
-
 def _quoted(text: Optional[str]) -> str:
     """A string that needs no escaping, or None, as JSON."""
     return "null" if text is None else f'"{text}"'
 
 
-def _json_instance(row: BenchRow) -> tuple[str, str]:
-    """The lines of a row object from "instance" to "U", and its two bound
-    lines.  The instance and family go through `json.dumps`; rationals and
-    the class need no escaping."""
-    lam, gamma, util, bound, asym = _instance_texts(row)
-    head = (
-        f'{{\n      "instance": {json.dumps(row.instance)},\n'
-        f'      "family": {json.dumps(row.family)},\n'
-        f'      "N": {row.n},\n'
-        f'      "class": "{row.deadline_class}",\n'
-        f'      "lambda": "{lam}",\n'
-        f'      "gamma": "{gamma}",\n'
-        f'      "U": "{util}",\n'
-    )
-    bounds = f'      "bound_2lambda": "{bound}",\n      "bound_asymptotic": {_quoted(asym)},\n'
-    return head, bounds
-
-
-def _json_pair(row: BenchRow) -> str:
-    return f'      "algorithm": "{row.algorithm}",\n      "strategy": {_quoted(row.strategy)},\n'
-
-
-def _json_counts(row: BenchRow) -> str:
-    ratio, decimal = _ratio_texts(row.m, row.m_star)
-    m_star = "null" if row.m_star is None else row.m_star
-    return (
-        f'      "M": {row.m},\n      "m_star": {m_star},\n'
-        f'      "ratio": {_quoted(ratio)},\n      "ratio_decimal": {_quoted(decimal)},\n'
-    )
-
-
 def _row_json(rows: Iterable[BenchRow]) -> Iterator[str]:
     """Each row as `json.dumps(..., indent=2)` lays out its object in the
-    report's "rows" list, written from its blocks; every violation goes
-    through `json.dumps`.  The runtime is rendered again only when it is
-    another float object than the row before's (untimed rows share one
-    0.0); equality would let -0.0 reuse the text of 0.0."""
-    runtime = ms = None
-    for row, (head, bounds), pair, counts in _blocks(
-        rows, _json_instance, _json_pair, _json_counts
-    ):
+    report's "rows" list.  Each block of a row's text is rendered once: the
+    instance lines (instance through U, and both bounds) for each run of
+    rows that share every instance field (the bounds are derived from
+    them), the algorithm and strategy lines per pair, and the counts and
+    ratio lines per (M, m*).  The instance, the family and every violation
+    go through `json.dumps`; rationals and the class need no escaping.  The
+    runtime is rendered again only when it is another float object than
+    the row before's (untimed rows share one 0.0); equality would let -0.0
+    reuse the text of 0.0."""
+    pairs: dict = {}
+    counted: dict = {}
+    key = runtime = ms = None
+    for row in rows:
+        k = (row.instance, row.family, row.n, row.deadline_class,
+             row.lam, row.gamma, row.utilization)  # fmt: skip
+        if k != key:
+            key = k
+            lam, gamma, util, bound, asym = _instance_texts(row)
+            head = (
+                f'{{\n      "instance": {json.dumps(row.instance)},\n'
+                f'      "family": {json.dumps(row.family)},\n'
+                f'      "N": {row.n},\n'
+                f'      "class": "{row.deadline_class}",\n'
+                f'      "lambda": "{lam}",\n'
+                f'      "gamma": "{gamma}",\n'
+                f'      "U": "{util}",\n'
+            )
+            bounds = f'      "bound_2lambda": "{bound}",\n      "bound_asymptotic": {_quoted(asym)},\n'
+        pair = pairs.get((row.algorithm, row.strategy))
+        if pair is None:
+            pair = pairs[row.algorithm, row.strategy] = (
+                f'      "algorithm": "{row.algorithm}",\n      "strategy": {_quoted(row.strategy)},\n'
+            )
+        counts = counted.get((row.m, row.m_star))
+        if counts is None:
+            ratio, decimal = _ratio_texts(row.m, row.m_star)
+            m_star = "null" if row.m_star is None else row.m_star
+            counts = counted[row.m, row.m_star] = (
+                f'      "M": {row.m},\n      "m_star": {m_star},\n'
+                f'      "ratio": {_quoted(ratio)},\n      "ratio_decimal": {_quoted(decimal)},\n'
+            )
         violations = (
             json_list(list(map(json.dumps, row.violations)), 3) if row.violations else "[]"
         )
@@ -531,15 +512,6 @@ def _row_json(rows: Iterable[BenchRow]) -> Iterator[str]:
         )
 
 
-def _csv_instance(row: BenchRow) -> tuple[tuple, str]:
-    lam, gamma, util, bound, _ = _instance_texts(row)
-    return (row.instance, row.family, row.n, row.deadline_class, lam, gamma, util), bound
-
-
-def _csv_counts(row: BenchRow) -> tuple:
-    return row.m, row.m_star, _ratio_texts(row.m, row.m_star)[0]
-
-
 def emit_report(report: BenchReport, format: str = "csv") -> bytes:
     """Stable-order CSV or JSON bytes; identical reports emit identical
     bytes.  A CSV row holds the CSV_COLUMNS values of the row's JSON
@@ -549,9 +521,14 @@ def emit_report(report: BenchReport, format: str = "csv") -> bytes:
         buf = stringio.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        pair = attrgetter("algorithm", "strategy")
-        for row, (head, bound), p, c in _blocks(report.rows, _csv_instance, pair, _csv_counts):
-            writer.writerow((*head, *p, *c, bound, f"{round(row.runtime_ms, 3):.3f}"))
+        for row in report.rows:
+            lam, gamma, util, bound, _ = _instance_texts(row)
+            ratio, _ = _ratio_texts(row.m, row.m_star)
+            writer.writerow((
+                row.instance, row.family, row.n, row.deadline_class, lam, gamma, util,
+                row.algorithm, row.strategy, row.m, row.m_star, ratio, bound,
+                f"{round(row.runtime_ms, 3):.3f}",
+            ))  # fmt: skip
         return buf.getvalue().encode("utf-8")
     if format == "json":
         rows = json_list(list(_row_json(report.rows)))

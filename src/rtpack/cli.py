@@ -15,11 +15,14 @@ reference that the direct route must answer like, byte for byte.  A
 rational flag that `as_rational` refuses exits 2 with argparse's usage and
 the refusal's reason, as "argument --speed: zero denominator in '1/0'".
 
-The `check`, `partition` and `simulate` documents keep the bytes of
-`json.dumps(doc, indent=2)` but are written by template: any indent makes
-the json module fall back to its pure-Python encoder.  Only free text (a
-name, algorithm or strategy) goes through `json.dumps`; a Fraction's str,
-an int and a bool need no escaping and are written as they are.
+Every document has the bytes of `json.dumps(doc, indent=2)`.  Any indent
+makes the json module fall back to its pure-Python encoder, so two are
+written by template: `check`, which the benchmark's cli-check requests
+print, and `simulate`, whose trace can hold hundreds of thousands of
+misses.  In them only free text (a name) goes through `json.dumps`; a
+Fraction's str, an int and a bool need no escaping and are written as
+they are.  The `partition` document is small and goes through
+`json.dumps` whole.
 """
 
 from __future__ import annotations
@@ -65,15 +68,14 @@ def _read_taskset(path: str):
 
 
 def _partition_doc(part: Partition) -> str:
-    """The partition document with the bytes of `json.dumps(doc, indent=2)`."""
-    dump = json.dumps
-    bins = [json_list([str(tid) for tid in b], 2) for b in part.bins]
-    return (
-        f'{{\n  "algorithm": {dump(part.algorithm)},\n'
-        f'  "strategy": {dump(part.strategy)},\n'
-        f'  "m": {part.m},\n'
-        f'  "bins": {json_list(bins)}\n}}\n'
-    )
+    """The partition document, `json.dumps(doc, indent=2)`."""
+    doc = {
+        "algorithm": part.algorithm,
+        "strategy": part.strategy,
+        "m": part.m,
+        "bins": [list(b) for b in part.bins],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _simulate_doc(name: str, speed: Fraction, trace: SimTrace) -> str:

@@ -32,8 +32,19 @@ from .model import (
 
 DEFAULT_DENOMINATOR_BOUND = 8
 UUNIFAST_MAX_RANDOMS = 20_000_000
-# the type each number of `GenParams` must have; a bool is refused as well
-_PARAM_KINDS = {"n": int, "utilization_target": Rational, "denominator_bound": int}
+# the type each number of `GenParams` must have; a generator's other
+# numbers are ints
+_PARAM_KINDS = {"seed": int, "n": int, "utilization_target": Rational, "denominator_bound": int}
+
+
+def _check_numbers(**values) -> None:
+    """Refuse each of `values` that is a bool or not of its kind (its
+    `_PARAM_KINDS` entry, else int) with a TypeError naming it, so that no
+    float or bool enters a generated set or its name."""
+    for field, value in values.items():
+        kind = _PARAM_KINDS.get(field, int)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(f"{field}: expected {kind.__name__}, got {value!r}")
 
 
 def _printable_power(base: int, exp: int, factor: int = 1) -> bool:
@@ -159,7 +170,9 @@ def dvp_to_tasks(dvp: DvpInstance) -> TaskSet:
 def gen_random_dvp(
     seed: int, n: int, denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
 ) -> DvpInstance:
-    """Seeded dominated-vector instance with denominators bounded by q."""
+    """Seeded dominated-vector instance with denominators bounded by q.  A
+    number that is a bool or not an int is a TypeError naming it."""
+    _check_numbers(seed=seed, n=n, denominator_bound=denominator_bound)
     if n < 1:
         raise BadParam(f"need n >= 1, got {n}")
     if denominator_bound < 2:  # a dominated vector needs k2 >= 2
@@ -179,10 +192,10 @@ def gen_random_dvp(
 
 @dataclass(frozen=True)
 class GenParams:
-    """The parameters of `gen_random`.  `n` and `denominator_bound` are
-    ints and `utilization_target` is an int or a Fraction: a bool, a float
-    or any other type is a TypeError naming the field, so that no float
-    enters a generated set.  A value out of range is a BadParam."""
+    """The parameters of `gen_random`.  `seed`, `n` and `denominator_bound`
+    are ints and `utilization_target` is an int or a Fraction: a bool, a
+    float or any other type is a TypeError naming the field, so that no
+    float enters a generated set.  A value out of range is a BadParam."""
 
     seed: int
     n: int
@@ -191,10 +204,7 @@ class GenParams:
     denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
 
     def __post_init__(self):
-        for field, kind in _PARAM_KINDS.items():
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise TypeError(f"{field}: expected {kind.__name__}, got {value!r}")
+        _check_numbers(**{field: getattr(self, field) for field in _PARAM_KINDS})
         if self.n < 1:
             raise BadParam(f"need n >= 1, got {self.n}")
         if self.utilization_target <= 0:
@@ -366,8 +376,12 @@ def gen_lemma1_shaped(
     sharing one period that is a multiple of all of them.
 
     Totals are deliberately unconstrained so both feasible and infeasible
-    sets occur.
+    sets occur.  A number that is a bool or not an int is a TypeError
+    naming it.
     """
+    _check_numbers(
+        seed=seed, n_strict=n_strict, n_implicit=n_implicit, denominator_bound=denominator_bound
+    )
     if n_strict < 0 or n_implicit < 0 or n_strict + n_implicit < 1:
         raise BadParam("need at least one task")
     rng = random.Random(f"rtpack-lemma1:{seed}")

@@ -113,7 +113,7 @@ def json_list(items: list[str], level: int = 1) -> str:
     return f"[{inner}{(',' + inner).join(items)}\n{'  ' * level}]"
 
 
-def _rendered(values, scale: int = 1) -> dict:
+def _rendered(values, scale: int) -> dict:
     """Each distinct rational of `values`, divided by `scale`, as its JSON
     string.  `str` of a Fraction is quadratic in its digits, and generated
     sets repeat large values (one shared period, C equal to D), so each is
@@ -138,8 +138,6 @@ def serialize_taskset(ts: TaskSet) -> str:
 
 
 def serialize_dvp(dvp: DvpInstance) -> str:
-    """The vector-instance document, with the bytes of
-    `json.dumps(doc, indent=2)`."""
-    text = _rendered(v for pair in dvp.vectors for v in pair)
-    vectors = [json_list([text[v1], text[v2]], 2) for v1, v2 in dvp.vectors]
-    return f'{{\n  "vectors": {json_list(vectors)}\n}}\n'
+    """The vector-instance document, `json.dumps(doc, indent=2)`."""
+    doc = {"vectors": [[str(v1), str(v2)] for v1, v2 in dvp.vectors]}
+    return json.dumps(doc, indent=2) + "\n"

@@ -258,6 +258,17 @@ class TestDvp:
         with pytest.raises(BadParam, match="denominator_bound"):
             gen_random_dvp(0, 3, bound)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.0), ("seed", True), ("n", True), ("n", 3.0),
+         ("denominator_bound", 8.0), ("denominator_bound", False)],
+    )  # fmt: skip
+    def test_mistyped_number_is_a_type_error(self, field, value):
+        # True would be read as 1, and a float seed names another instance
+        with pytest.raises(TypeError) as err:
+            gen_random_dvp(**{"seed": 0, "n": 3, field: value})
+        assert str(err.value) == f"{field}: expected int, got {value!r}"
+
     def test_generated_instances_convert_cleanly(self):
         for seed in range(20):
             dvp = gen_random_dvp(seed, 8)
@@ -323,11 +334,12 @@ class TestRandom:
          ("utilization_target", True, "Rational"), ("utilization_target", "1", "Rational"),
          ("n", True, "int"), ("n", 4.0, "int"), ("n", F(4), "int"),
          ("denominator_bound", False, "int"), ("denominator_bound", 8.0, "int"),
-         ("denominator_bound", "8", "int")],
+         ("denominator_bound", "8", "int"), ("seed", 1.0, "int"), ("seed", True, "int")],
     )  # fmt: skip
     def test_inexact_or_mistyped_number_is_a_type_error(self, field, value, kind):
         # no float reaches the generator: 0.1 would be read as its binary
-        # fraction, and True as 1
+        # fraction, and True as 1; a seed of 1.0 or True would name and draw
+        # another set than seed 1
         with pytest.raises(TypeError) as err:
             GenParams(**{"seed": 0, "n": 4, field: value})
         assert str(err.value) == f"{field}: expected {kind}, got {value!r}"
@@ -457,6 +469,17 @@ class TestLemma1Shaped:
     def test_no_tasks_refused(self):
         with pytest.raises(BadParam, match="need at least one task"):
             gen_lemma1_shaped(5, 0, 0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 2.0), ("n_strict", True), ("n_implicit", 1.0),
+         ("denominator_bound", 8.0), ("denominator_bound", True)],
+    )  # fmt: skip
+    def test_mistyped_number_is_a_type_error(self, field, value):
+        params = {"seed": 0, "n_strict": 2, "n_implicit": 1, "denominator_bound": 8}
+        with pytest.raises(TypeError) as err:
+            gen_lemma1_shaped(**{**params, field: value})
+        assert str(err.value) == f"{field}: expected int, got {value!r}"
 
     def test_produces_both_verdicts(self):
         verdicts = {
