@@ -56,15 +56,15 @@ MUTANTS = (
     Mutant(
         "density accept <= made <",
         FEASIBILITY,
-        "    if density <= view.span_whole:\n        return True\n",
-        "    if density < view.span_whole:\n        return True\n",
+        "    if density <= ts.span_whole:\n        return True\n",
+        "    if density < ts.span_whole:\n        return True\n",
         EXACT_TESTS,
     ),
     Mutant(
         "share refusal > made >=",
         FEASIBILITY,
-        "    if load > view.whole:\n        return False\n",
-        "    if load >= view.whole:\n        return False\n",
+        "    if load > ts.whole:\n        return False\n",
+        "    if load >= ts.whole:\n        return False\n",
         EXACT_TESTS,
     ),
     Mutant(
@@ -77,15 +77,15 @@ MUTANTS = (
     Mutant(
         "two-task certificate <= made <",
         FEASIBILITY,
-        "if view.offset[a] + view.offset[b] <= d_b * (whole - load):",
-        "if view.offset[a] + view.offset[b] < d_b * (whole - load):",
+        "if ts.offset[a] + ts.offset[b] <= d_b * (whole - load):",
+        "if ts.offset[a] + ts.offset[b] < d_b * (whole - load):",
         EXACT_TESTS,
     ),
     Mutant(
         "two-task refutation > made >=",
         FEASIBILITY,
-        "((d_b - view.d[a]) // view.t[a] + 1) > d_b:",
-        "((d_b - view.d[a]) // view.t[a] + 1) >= d_b:",
+        "((d_b - ts.d[a]) // ts.t[a] + 1) > d_b:",
+        "((d_b - ts.d[a]) // ts.t[a] + 1) >= d_b:",
         EXACT_TESTS,
     ),
     Mutant(
@@ -105,7 +105,7 @@ MUTANTS = (
     Mutant(
         "density order left empty",
         ORACLE,
-        "    by_density += _by_density(search.view)\n",
+        "    by_density += _by_density(search.ts)\n",
         "",
         ("tests/test_oracle.py",),
     ),
@@ -159,6 +159,13 @@ MUTANTS = (
         ("tests/test_model.py", "tests/test_partitioners.py"),
     ),
     Mutant(
+        "set values left at the lcm of the denominators as given",
+        MODEL,
+        "    g = math.gcd(scale, *scaled)\n",
+        "    g = 1\n",
+        ("tests/test_model.py::TestIntegerValues",),
+    ),
+    Mutant(
         "plain-literal zero-denominator guard made always true",
         MODEL,
         "                if q:\n",
@@ -204,7 +211,7 @@ MUTANTS = (
         "sweep restart step's point-cap check dropped",
         FEASIBILITY,
         "            checked += 1\n            if checked > point_cap:\n"
-        "                raise _explosion(view, point_cap, bound)\n            seg += 1\n",
+        "                raise _explosion(ts, point_cap, bound)\n            seg += 1\n",
         "            checked += 1\n            seg += 1\n",
         ("tests/test_feasibility.py::TestExactTest::test_point_cap_counts_the_kinks_passed_over",),
     ),

@@ -351,8 +351,7 @@ def _bench_instance(
     lam = lambda_metric(ts)
     gamma = gamma_metric(ts)
     cls = classify(ts).value
-    view = ts.ints
-    util = Fraction(sum(view.share), view.whole)
+    util = Fraction(sum(ts.share), ts.whole)
 
     store: dict[int, bool] = {}  # the instance's exact verdicts, by bin bitmask
     runs = []  # (algorithm, strategy, M, verified, runtime in ms)

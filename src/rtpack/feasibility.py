@@ -23,10 +23,10 @@ segment, whose slope U exceeds the speed.  Infeasible sets therefore
 always come with a witness point within the bound at which the demand
 exceeds speed * t.
 
-Integer scaling.  A task set's integer view (`TaskSet.ints`) holds C, D
-and T multiplied by L, the lcm of all their denominators, computed once
-per set.  The kernel, `_sweep_first_failure`, reads C, D, T and the
-shares of the tested positions from the view in place, with no per-test
+Integer scaling.  A task set holds C, D and T multiplied by L, its
+`TaskSet.scale`, the lcm of all their denominators, computed once per
+set.  The kernel, `_sweep_first_failure`, reads C, D, T and the shares
+of the tested positions from the set in place, with no per-test
 copies.  One pass over the positions in deadline order yields the dbf*
 segments below and every sum the bound needs: D_max, the load (the sum
 of the shares), sum (T_i - D_i) * share_i and sum D_i * share_i.  The
@@ -41,7 +41,7 @@ scales by the same positive factor.  Only a reported witness or horizon
 is turned back into a fraction.
 
 Bin decisions.  `bin_feasible` is the one test of a bin: its position
-bitmask in the view, with the sums of its `span_share` and `share`, which
+bitmask in the set, with the sums of its `span_share` and `share`, which
 the oracle keeps as a bin grows and `verify_partition` adds up per bin.
 Two O(1) gates come first.  The density accept: dbf_i(t) <=
 t * C_i / min(D_i, T_i) at every t, for any deadline class, so a bin
@@ -53,11 +53,11 @@ below and then the sweep, and stored.  The witness-producing
 `edf_feasible_exact` applies no gate and always sweeps.
 
 Verdict store.  A bin's verdict depends only on its set of positions in
-the view, so the bench gives each instance one store: a plain dict from a
+the task set, so the bench gives each instance one store: a plain dict from a
 bin's position bitmask to its verdict, which `verify_partition` fills for
 every partition of the instance and the oracle's search then reads and
 extends as its memo.  The store lives for one instance and is dropped
-with it; it is never kept on the task set or its view.  It holds only
+with it; it is never kept on the task set.  It holds only
 verdicts of bins past both O(1) gates, so within one instance no bin
 reaches `feasible_past_gates` twice.  Coverage faults raise on every call
 and are never stored.
@@ -83,7 +83,7 @@ recomputed only after a fast-forward.
 
 Fast-forward by dbf* thresholds.  Between two task deadlines, the kinks,
 the linear demand approximation dbf* is affine, U_k * t + A_k: the sum
-of the view's dbf* lines (`IntView.offset`) over the tasks with deadline
+of the set's dbf* lines (`TaskSet.offset`) over the tasks with deadline
 at or before the segment's start.  When U_k <= speed, dbf* <= speed * t
 holds from the integer threshold ceil(A_k / (speed - U_k)) to the segment's
 end, and as dbf <= dbf* every point there is certified at once.  The
@@ -112,7 +112,7 @@ from .errors import (
     PointExplosion,
     ShapeMismatch,
 )
-from .model import IntView, TaskSet, require_valid
+from .model import TaskSet, require_valid
 from .partitioners import Partition
 
 DEFAULT_POINT_CAP = 10**7
@@ -128,33 +128,33 @@ class FeasibilityVerdict:
     points_checked: int
 
 
-def _fraction(view: IntView, num: int, den: int = 1) -> Fraction:
-    """num/den at the view's scale, in time units."""
-    return Fraction(num, den * view.scale)
+def _fraction(ts: TaskSet, num: int, den: int = 1) -> Fraction:
+    """num/den at the set's scale, in time units."""
+    return Fraction(num, den * ts.scale)
 
 
-def _explosion(view: IntView, point_cap: int, bound: tuple[int, int]) -> PointExplosion:
+def _explosion(ts: TaskSet, point_cap: int, bound: tuple[int, int]) -> PointExplosion:
     return PointExplosion(
-        f"demand sweep exceeded {point_cap} points before {_fraction(view, *bound)}"
+        f"demand sweep exceeded {point_cap} points before {_fraction(ts, *bound)}"
     )
 
 
 def _sweep_first_failure(
-    view: IntView,
+    ts: TaskSet,
     positions: Sequence[int],
     speed: Fraction,
     point_cap: int,
 ) -> tuple[Optional[int], int, tuple[int, int]]:
     """(witness, points checked, bound) of the tasks at `positions` of
-    `view` at `speed`: the first deadline point with demand > speed * t,
-    scanning (0, bound], all at the view's scale.  The bound (num, den) is
+    `ts` at `speed`: the first deadline point with demand > speed * t,
+    scanning (0, bound], all at the set's scale.  The bound (num, den) is
     computed before any point is tested, from the pass that finds the
     kinks (see the module docstring); at U equal to the speed the tasks'
     own hyperperiod must stay within DEFAULT_HYPERPERIOD_CAP.  The sweep
     starts, and after each certified point restarts, at the first kink
     from which dbf* does not certify its segment."""
-    cost, deadline, period = view.c, view.d, view.t
-    share, intercept, whole = view.share, view.offset, view.whole
+    cost, deadline, period = ts.c, ts.d, ts.t
+    share, intercept, whole = ts.share, ts.offset, ts.whole
     s_num, s_den = speed.numerator, speed.denominator
 
     # Segment k covers [kinks[k], kinks[k+1]).  From ff_at[k] on, dbf* of
@@ -188,8 +188,8 @@ def _sweep_first_failure(
     d_max = kinks[-1]  # and `room` is now s_den * (speed * whole - load)
     if room == 0:
         own = math.lcm(*(period[i] for i in positions))
-        if own > DEFAULT_HYPERPERIOD_CAP * view.scale:
-            hp = Fraction(own, view.scale)
+        if own > DEFAULT_HYPERPERIOD_CAP * ts.scale:
+            hp = Fraction(own, ts.scale)
             raise HorizonOverflow(
                 f"hyperperiod {hp} exceeds cap {DEFAULT_HYPERPERIOD_CAP}"
             )
@@ -210,7 +210,7 @@ def _sweep_first_failure(
         while seg <= last_seg and ff_at[seg] <= kinks[seg]:
             checked += 1
             if checked > point_cap:
-                raise _explosion(view, point_cap, bound)
+                raise _explosion(ts, point_cap, bound)
             seg += 1
         if seg > last_seg:
             return None, checked, bound
@@ -237,7 +237,7 @@ def _sweep_first_failure(
                 return None, checked, bound
             checked += 1
             if checked > point_cap:
-                raise _explosion(view, point_cap, bound)
+                raise _explosion(ts, point_cap, bound)
             while seg < last_seg and kinks[seg + 1] <= point:
                 seg += 1
             if point >= ff_at[seg]:
@@ -247,8 +247,8 @@ def _sweep_first_failure(
                 return point, checked, bound
 
 
-def feasible_past_gates(view: IntView, positions: Sequence[int], load: int) -> bool:
-    """Exact EDF feasibility of the tasks at `positions` of `view`, whose
+def feasible_past_gates(ts: TaskSet, positions: Sequence[int], load: int) -> bool:
+    """Exact EDF feasibility of the tasks at `positions` of `ts`, whose
     share sum is `load`, on one unit-speed processor, without witness
     search, for a subset that neither O(1) gate decides: its density sum
     exceeds `span_whole` and `load` is at most `whole`.  Two tasks of U
@@ -256,19 +256,19 @@ def feasible_past_gates(view: IntView, positions: Sequence[int], load: int) -> b
     in the module docstring); the rest are swept.  `bin_feasible` applies
     the gates and calls it.
     """
-    whole = view.whole
+    whole = ts.whole
     if len(positions) == 2 and load < whole:
         a, b = positions
-        d = view.d
+        d = ts.d
         if d[b] < d[a]:  # D_a <= D_b; equal deadlines keep position order
             a, b = b, a
         d_b = d[b]
-        if view.offset[a] + view.offset[b] <= d_b * (whole - load):
+        if ts.offset[a] + ts.offset[b] <= d_b * (whole - load):
             return True
-        if view.c[b] + view.c[a] * ((d_b - view.d[a]) // view.t[a] + 1) > d_b:
+        if ts.c[b] + ts.c[a] * ((d_b - ts.d[a]) // ts.t[a] + 1) > d_b:
             return False
     witness, _, _ = _sweep_first_failure(
-        view, positions, _UNIT_SPEED, DEFAULT_POINT_CAP
+        ts, positions, _UNIT_SPEED, DEFAULT_POINT_CAP
     )
     return witness is None
 
@@ -284,20 +284,20 @@ def _positions(mask: int) -> list[int]:
 
 
 def bin_feasible(
-    view: IntView, mask: int, density: int, load: int, store: dict[int, bool]
+    ts: TaskSet, mask: int, density: int, load: int, store: dict[int, bool]
 ) -> bool:
     """Exact EDF feasibility, on one unit-speed processor, of the bin
-    `mask` of `view` whose sums of `span_share` and `share` are `density`
+    `mask` of `ts` whose sums of `span_share` and `share` are `density`
     and `load`: the density accept, the share refusal, and then the
     verdict in `store`, on a miss decided by `feasible_past_gates` and
     stored (see "Bin decisions" in the module docstring)."""
-    if density <= view.span_whole:
+    if density <= ts.span_whole:
         return True
-    if load > view.whole:
+    if load > ts.whole:
         return False
     verdict = store.get(mask)
     if verdict is None:
-        verdict = store[mask] = feasible_past_gates(view, _positions(mask), load)
+        verdict = store[mask] = feasible_past_gates(ts, _positions(mask), load)
     return verdict
 
 
@@ -317,14 +317,13 @@ def edf_feasible_exact(
         raise BadParam(f"speed must be positive, got {speed}")
     if point_cap < 1:
         raise BadParam(f"point cap must be at least 1, got {point_cap}")
-    view = ts.ints
     witness, checked, bound = _sweep_first_failure(
-        view, range(len(ts)), speed, point_cap
+        ts, range(len(ts)), speed, point_cap
     )
     return FeasibilityVerdict(
         witness is None,
-        None if witness is None else _fraction(view, witness),
-        _fraction(view, *bound),
+        None if witness is None else _fraction(ts, witness),
+        _fraction(ts, *bound),
         checked,
     )
 
@@ -337,18 +336,17 @@ def lemma1_feasible(ts: TaskSet) -> bool:
     Feasible iff the strict execution times sum to at most 1 and the total
     utilization is at most 1.  Raises ShapeMismatch when the structure does
     not apply (callers fall back to the exact test).  Decided on the set's
-    integer view: a task is strict when D < T and implicit when D = T, and
+    ints: a task is strict when D < T and implicit when D = T, and
     the deadline 1 is `scale`.
     """
     require_valid(ts)
-    view = ts.ints
-    scale = view.scale
-    if any(d > t for d, t in zip(view.d, view.t)):
+    scale = ts.scale
+    if any(d > t for d, t in zip(ts.d, ts.t)):
         raise ShapeMismatch("tasks with D > T do not fit the common-deadline shape")
-    strict = [(c, d, t) for c, d, t in zip(view.c, view.d, view.t) if d < t]
+    strict = [(c, d, t) for c, d, t in zip(ts.c, ts.d, ts.t) if d < t]
     if any(d != scale for _, d, _ in strict):
         raise ShapeMismatch("strictly constrained tasks must share deadline 1")
-    periods = {t for d, t in zip(view.d, view.t) if d == t}
+    periods = {t for d, t in zip(ts.d, ts.t) if d == t}
     if len(periods) > 1:
         raise ShapeMismatch("implicit tasks must share one period")
     for period in periods:
@@ -359,7 +357,7 @@ def lemma1_feasible(ts: TaskSet) -> bool:
                     f" multiple of {Fraction(t, scale)}"
                 )
     strict_work = sum(c for c, _, _ in strict)
-    return strict_work <= scale and sum(view.share) <= view.whole
+    return strict_work <= scale and sum(ts.share) <= ts.whole
 
 
 def verify_partition(
@@ -374,8 +372,7 @@ def verify_partition(
     is used for this call.
     """
     require_valid(ts)
-    view = ts.ints
-    position, span_share, share = ts.position, view.span_share, view.share
+    position, span_share, share = ts.position, ts.span_share, ts.share
     bins: list[tuple[int, int, int]] = []  # (bitmask, density sum, share sum)
     seen = 0
     for b in part.bins:
@@ -399,4 +396,4 @@ def verify_partition(
         raise CoverageError(f"partition misses task ids {missing}")
     if store is None:
         store = {}
-    return all(bin_feasible(view, *b, store) for b in bins)
+    return all(bin_feasible(ts, *b, store) for b in bins)

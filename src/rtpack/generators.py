@@ -249,13 +249,15 @@ def _uunifast(rng: random.Random, n: int, target: float) -> list[float]:
     )
 
 
-def _limit_denominator(x: float, bound: int) -> tuple[int, int]:
-    """`Fraction(x).limit_denominator(bound)` as (numerator, denominator)
-    in lowest terms, on ints: the closest fraction to x with a denominator
-    of at most `bound`, from the continued-fraction convergents of x.  A
+def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
+    """`Fraction(num, den).limit_denominator(bound)`, den > 0, as
+    (numerator, denominator) in lowest terms, on ints: the closest
+    fraction to x = num/den with a denominator of at most `bound`, from
+    the continued-fraction convergents of x, taken after reducing it.  A
     tie between the last convergent p1/q1 and the semiconvergent goes to
     p1/q1, as in the standard library."""
-    num, den = x.as_integer_ratio()
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     if den <= bound:
         return num, den
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -297,9 +299,9 @@ def gen_random(params: GenParams) -> TaskSet:
     pass pulls the exact total utilization within 10% of the target (density
     clamping permitting), retrying with fresh draws when it cannot.  Tasks
     are drawn, totalled, scaled and clamped on ints (numerator, denominator),
-    and the returned set is built straight from them into its integer view
-    by `model._of_rows`.  Every integer draw is `randint(1, w)`'s, taken by
-    `_randint1` straight from the generator's bits.
+    and the returned set is built straight from them by `model._of_rows`.
+    Every integer draw is `randint(1, w)`'s, taken by `_randint1` straight
+    from the generator's bits.
     """
     rng = random.Random(f"rtpack-gen:{params.seed}")
     bits = rng.getrandbits
@@ -317,7 +319,7 @@ def gen_random(params: GenParams) -> TaskSet:
         return 9 * tn * den <= 10 * num * td <= 11 * tn * den
 
     best: list[list[int]] | None = None
-    best_gap: Fraction | None = None
+    best_gap = None  # (|num * td - tn * den|, den): the gap to target is their ratio / td
     for _ in range(64):
         shares = _uunifast(rng, n, float(target))
         # per task [cn, cd, dn, dd, p, r]: execution time cn/cd, deadline
@@ -331,7 +333,7 @@ def gen_random(params: GenParams) -> TaskSet:
                 dn, dd = p * _randint1(bits, q), r * q
             else:
                 dn, dd = p * _randint1(bits, 2 * q), r * q
-            sn, sd = _limit_denominator(shares[i], q * q)
+            sn, sd = _limit_denominator(*shares[i].as_integer_ratio(), q * q)
             if sn * q * q < sd:  # the share, at most 1, is raised to 1/q^2
                 sn, sd = 1, q * q
             cn, cd = sn * p, sd * r  # c = min(share * period, d), at most the period
@@ -343,8 +345,7 @@ def gen_random(params: GenParams) -> TaskSet:
             if within(num, den):
                 break
             # c = min(max(c * factor, 1/q^3), d, period)
-            factor = Fraction(tn * den, td * num).limit_denominator(floor_den)
-            fn, fd = factor.numerator, factor.denominator
+            fn, fd = _limit_denominator(tn * den, td * num, floor_den)
             for tsk in tasks:
                 cn, cd, dn, dd, p, r = tsk
                 cn, cd = cn * fn, cd * fd
@@ -358,8 +359,8 @@ def gen_random(params: GenParams) -> TaskSet:
             num, den = utilization(tasks)
         if within(num, den):
             return _of_rows(tasks, f"random-s{params.seed}")
-        gap = abs(Fraction(num, den) - target)
-        if best_gap is None or gap < best_gap:
+        gap = abs(num * td - tn * den), den
+        if best_gap is None or gap[0] * best_gap[1] < best_gap[0] * gap[1]:
             best, best_gap = tasks, gap
     assert best is not None
     return _of_rows(best, f"random-s{params.seed}")

@@ -64,8 +64,8 @@ def parse_taskset(data: bytes | str) -> TaskSet:
 
     A plain "p" or "p/q" literal (`plain_ratio`) is read as ints, every
     other value through `parse_rational`, and the set is built straight
-    into its integer view by the one row builder, `model._of_rows`, which
-    checks nothing: every pair here is ints with a positive denominator.
+    from these pairs by the one row builder, `model._of_rows`, which checks
+    nothing: every pair here is ints with a positive denominator.
     No `Task` is built.
     """
     doc = load_json(data, "task set")
@@ -126,13 +126,12 @@ def _rendered(values, scale: int) -> dict:
 
 def serialize_taskset(ts: TaskSet) -> str:
     """The task-set document, with the bytes of `json.dumps(doc, indent=2)`.
-    It is written from the set's integer view, so no `Task` is built."""
-    view = ts.ints
-    text = _rendered(chain(view.c, view.d, view.t), view.scale)
+    It is written from the set's ints, so no `Task` is built."""
+    text = _rendered(chain(ts.c, ts.d, ts.t), ts.scale)
     tasks = [
         f'{{\n      "c": {text[c]},\n      "d": {text[d]},\n'
         f'      "t": {text[t]}\n    }}'
-        for c, d, t in zip(view.c, view.d, view.t)
+        for c, d, t in zip(ts.c, ts.d, ts.t)
     ]
     return f'{{\n  "name": {json.dumps(ts.name)},\n  "tasks": {json_list(tasks)}\n}}\n'
 

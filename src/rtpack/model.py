@@ -1,10 +1,10 @@
 """Sporadic task model on exact rational arithmetic.
 
 Every timing quantity stays exact; no float ever enters a schedulability
-decision.  A task set is held as one form, its integer view (`IntView`):
-C, D and T of every task as ints at one common scale, which every solver
-reads, with each task's id by position.  A `Task` holds its values as
-`fractions.Fraction`s; a set reads its `Task`s off the view when asked.
+decision.  A `TaskSet` holds one form: C, D and T of every task as ints
+at one common scale, which every solver reads, with each task's id by
+position.  A `Task` holds its values as `fractions.Fraction`s; a set reads
+its `Task`s off the ints when asked.
 Tasks are immutable and keep a stable integer id; the parser and every
 generator build their sets from int rows (cn, cd, dn, dd, tn, td) with ids
 1..N in input order, so partitions can always be reported against the
@@ -151,23 +151,43 @@ class DeadlineClass(Enum):
     ARBITRARY = "arbitrary"
 
 
-@dataclass(frozen=True)
-class IntView:
-    """C, D and T of a task list, by position, multiplied by `scale`, the
-    lcm of all their denominators, so that every value is an int.
+def _view_of(
+    nums: list[int], dens: list[int]
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(scale, C, D, T) of values given as the flat lists of their
+    numerators and of their positive denominators, in the order C, D, T
+    per task: the values scaled by the lcm L' of the denominators as
+    given, then divided by g, the gcd of L' and every scaled value.  So
+    the scale is L'/g, the lcm of the reduced denominators (no prime of
+    that lcm divides every value at it), and equal values give equal
+    sets."""
+    scale = math.lcm(*dens)
+    scaled = list(map(mul, nums, map(floordiv, repeat(scale), dens)))
+    g = math.gcd(scale, *scaled)
+    scaled = [x // g for x in scaled]
+    return scale // g, tuple(scaled[0::3]), tuple(scaled[1::3]), tuple(scaled[2::3])
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class TaskSet:
+    """An immutable task list, held as C, D and T of every task, by
+    position, as ints `c`, `d` and `t` multiplied by `scale`, the lcm of
+    all their denominators, with its task ids `ids` (by position) and its
+    `name`, whichever constructor built it.
 
     Quantities compared at one positive scale keep their order, so exact
-    tests and fitting decisions can run on these ints; every deadline
-    point k*T_i + D_i of the list is an int at this scale too.
+    tests and fitting decisions run on these ints; every deadline point
+    k*T_i + D_i of the set is an int at this scale too.
 
-    The list's shares and densities over its hyperperiods are ints as
+    The set's shares and densities over its hyperperiods are ints as
     well, computed on first use and then kept, and every layer reads them
     here: `whole` is the lcm of the periods and `share[i]` = u_i * whole;
     `span[i]` is min(D_i, T_i), `span_whole` the lcm of the spans and
     `span_share[i]` = C_i * span_whole / span[i], the density times
     `span_whole`.  A subset compared against `whole` or `span_whole`
     decides as against its own hyperperiod, a divisor of it.  These terms
-    assume D, T > 0, which `validate` checks on C, D and T alone.
+    assume D, T > 0, which `validate` checks on C, D and T alone, so they
+    stay lazy: a set with T = 0 still loads.
 
     Each task's linear demand approximation is a line in these terms:
     from D_i on, dbf*_i(t) * whole = share[i] * t + offset[i], with
@@ -175,12 +195,60 @@ class IntView:
     tasks whose deadlines are all at most t is dbf* of the sum at t; the
     demand sweep's fast-forward, the oracle's load bound and
     deadline-monotonic admission read the slopes and intercepts here.
+
+    `TaskSet(tasks, name)` scales the tasks' values and keeps their ids,
+    not the tasks; a bool, float or other value that is not an exact
+    rational is a TypeError.  `_of_rows` scales int rows, with ids 1..N.
+    `tasks` reads the `Task`s off the ints and keeps them; iterating
+    yields them without keeping them.  Since the scale is canonical,
+    equality and hash are the dataclass's, those of (scale, c, d, t, ids,
+    name); repr is that of (tasks, name), read without keeping them.
+    The validation verdict, the id-to-position index and the
+    deadline-monotonic order (`dm_order`, which every DM strategy packs
+    in) are computed on first use and then kept: nothing they depend on
+    can change.
     """
 
     scale: int
     c: tuple[int, ...]
     d: tuple[int, ...]
     t: tuple[int, ...]
+    ids: tuple[int, ...]
+    name: str
+
+    def __init__(self, tasks: tuple[Task, ...], name: str = ""):
+        if not tasks:
+            raise ValueError("a task set holds at least one task")
+        ids = tuple(tsk.id for tsk in tasks)
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate task ids in {name!r}: {list(ids)}")
+        values = [x for tsk in tasks for x in (tsk.c, tsk.d, tsk.t)]
+        for x in values:
+            _refuse_inexact(x)
+            if not isinstance(x, Rational):
+                raise TypeError(f"task values are ints or Fractions, got {x!r}")
+        nums = [x.numerator for x in values]
+        self._hold(*_view_of(nums, [x.denominator for x in values]), ids, name)
+
+    def _hold(self, scale: int, c: tuple, d: tuple, t: tuple, ids: tuple, name: str) -> None:
+        self.__dict__.update(scale=scale, c=c, d=d, t=t, ids=ids, name=name)
+
+    def __repr__(self) -> str:
+        return f"TaskSet(tasks={tuple(self)!r}, name={self.name!r})"
+
+    def __iter__(self) -> Iterator[Task]:
+        """Each task read off the ints, not kept."""
+        scale = self.scale
+        for tid, c, d, t in zip(self.ids, self.c, self.d, self.t):
+            yield Task(Fraction(c, scale), Fraction(d, scale), Fraction(t, scale), tid)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def tasks(self) -> tuple[Task, ...]:
+        """The tasks read off the ints, then kept."""
+        return tuple(self)
 
     @cached_property
     def whole(self) -> int:
@@ -209,85 +277,11 @@ class IntView:
         whole = self.span_whole
         return tuple(whole // span * c for c, span in zip(self.c, self.span))
 
-
-def _view_of(nums: list[int], dens: list[int]) -> IntView:
-    """The integer view of C, D and T given as the flat lists of their
-    numerators and of their positive denominators, in the order C, D, T
-    per task: each pair is reduced and the scale is the lcm of the reduced
-    denominators, so equal values give equal views."""
-    gcds = list(map(math.gcd, nums, dens))
-    dens = list(map(floordiv, dens, gcds))
-    scale = math.lcm(*dens)
-    scaled = list(map(mul, map(floordiv, nums, gcds), map(floordiv, repeat(scale), dens)))
-    return IntView(scale, tuple(scaled[0::3]), tuple(scaled[1::3]), tuple(scaled[2::3]))
-
-
-@dataclass(frozen=True, init=False, repr=False)
-class TaskSet:
-    """An immutable task list, held as its integer view `ints`, its task
-    ids `ids` (by position) and its `name`, whichever constructor built it.
-
-    `TaskSet(tasks, name)` scales the tasks' values into the view and keeps
-    their ids, not the tasks; a bool, float or other value that is not an
-    exact rational is a TypeError.  `_of_rows` builds the view straight
-    from int rows, with ids 1..N.  `tasks` reads the `Task`s off the view
-    and keeps them; iterating yields them without keeping them.  Since the
-    view is canonical, equality and hash are the dataclass's, those of
-    (view, ids, name); repr is that of (tasks, name), read without keeping
-    them.
-    The validation verdict, the id-to-position index and the
-    deadline-monotonic order (`dm_order`, which every DM strategy packs
-    in) are computed on first use and then kept: nothing they depend on
-    can change.
-    """
-
-    ints: IntView
-    ids: tuple[int, ...]
-    name: str
-
-    def __init__(self, tasks: tuple[Task, ...], name: str = ""):
-        if not tasks:
-            raise ValueError("a task set holds at least one task")
-        ids = tuple(tsk.id for tsk in tasks)
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate task ids in {name!r}: {list(ids)}")
-        values = [x for tsk in tasks for x in (tsk.c, tsk.d, tsk.t)]
-        for x in values:
-            _refuse_inexact(x)
-            if not isinstance(x, Rational):
-                raise TypeError(f"task values are ints or Fractions, got {x!r}")
-        nums = [x.numerator for x in values]
-        self._hold(_view_of(nums, [x.denominator for x in values]), ids, name)
-
-    def _hold(self, view: IntView, ids: tuple[int, ...], name: str) -> None:
-        object.__setattr__(self, "ints", view)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "name", name)
-
-    def __repr__(self) -> str:
-        return f"TaskSet(tasks={tuple(self)!r}, name={self.name!r})"
-
-    def __iter__(self) -> Iterator[Task]:
-        """Each task read off the view, not kept."""
-        view = self.ints
-        scale = view.scale
-        for tid, c, d, t in zip(self.ids, view.c, view.d, view.t):
-            yield Task(Fraction(c, scale), Fraction(d, scale), Fraction(t, scale), tid)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @cached_property
-    def tasks(self) -> tuple[Task, ...]:
-        """The tasks read off the view, then kept."""
-        return tuple(self)
-
     @property
     def total_utilization(self) -> Fraction:
-        """The sum of C/T, on the view's ints; a period of 0 raises
+        """The sum of C/T, on the ints; a period of 0 raises
         ZeroDivisionError."""
-        view = self.ints
-        return Fraction(*ratio_sum(zip(view.c, view.t)))
+        return Fraction(*ratio_sum(zip(self.c, self.t)))
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -302,14 +296,14 @@ class TaskSet:
     @cached_property
     def dm_order(self) -> tuple[int, ...]:
         """Positions in deadline-monotonic order: nondecreasing deadline,
-        equal deadlines by task id, sorted on the integer view.
+        equal deadlines by task id, sorted on the ints.
 
         Id order (= input order for the parser and the generators) is what
         makes the known worst-case families reproduce their published
         fitting traces, since those constructions index tasks in deadline
         order with ties.
         """
-        keys = list(zip(self.ints.d, self.ids))
+        keys = list(zip(self.d, self.ids))
         return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
 
@@ -323,7 +317,7 @@ def _of_rows(rows: list[Sequence[int]], name: str) -> TaskSet:
         raise ValueError("a task set holds at least one task")
     pairs = list(chain.from_iterable(rows))
     ts = object.__new__(TaskSet)
-    ts._hold(_view_of(pairs[0::2], pairs[1::2]), tuple(range(1, len(rows) + 1)), name)
+    ts._hold(*_view_of(pairs[0::2], pairs[1::2]), tuple(range(1, len(rows) + 1)), name)
     return ts
 
 
@@ -355,11 +349,10 @@ def dbf_star(tsk: Task, tpoint: Fraction) -> Fraction:
 
 def lambda_metric(ts: TaskSet) -> Fraction:
     """max over tasks of max(T/D, 1); equals 1 exactly on implicit-deadline
-    sets.  Compared on the set's integer view, so the set must be valid."""
+    sets.  Compared on the set's ints, so the set must be valid."""
     require_valid(ts)
-    view = ts.ints
     num = den = 1
-    for d, t in zip(view.d, view.t):
+    for d, t in zip(ts.d, ts.t):
         if t * den > num * d:
             num, den = t, d
     return Fraction(num, den)
@@ -367,17 +360,15 @@ def lambda_metric(ts: TaskSet) -> Fraction:
 
 def gamma_metric(ts: TaskSet) -> Fraction:
     """max over tasks of C/min(T, D) (the largest density), read from the
-    set's integer view, so the set must be valid."""
+    set's density terms, so the set must be valid."""
     require_valid(ts)
-    view = ts.ints
-    return Fraction(max(view.span_share), view.span_whole)
+    return Fraction(max(ts.span_share), ts.span_whole)
 
 
 def classify(ts: TaskSet) -> DeadlineClass:
-    view = ts.ints
-    if view.d == view.t:
+    if ts.d == ts.t:
         return DeadlineClass.IMPLICIT
-    if all(d <= t for d, t in zip(view.d, view.t)):
+    if all(d <= t for d, t in zip(ts.d, ts.t)):
         return DeadlineClass.CONSTRAINED
     return DeadlineClass.ARBITRARY
 
@@ -397,15 +388,14 @@ def validate(ts: TaskSet) -> list[Violation]:
 
     Degenerate sets stay loadable for study, but every solver entry point
     refuses task sets for which this list is nonempty.  The checks compare
-    C, D and T on the set's integer view; a violation's message prints the
-    values as fractions.
+    C, D and T on the set's ints; a violation's message prints the values
+    as fractions.
     """
     out: list[Violation] = []
-    view = ts.ints
-    for tid, c, d, t in zip(ts.ids, view.c, view.d, view.t):
+    for tid, c, d, t in zip(ts.ids, ts.c, ts.d, ts.t):
         if c > 0 and d >= c and t >= c:
             continue
-        fc, fd, ft = (Fraction(x, view.scale) for x in (c, d, t))
+        fc, fd, ft = (Fraction(x, ts.scale) for x in (c, d, t))
         if c <= 0:
             out.append(Violation(tid, "c", f"C = {fc} must be positive"))
         if d <= 0:

@@ -2,7 +2,7 @@
 processors that admit a partition into bins that are each EDF-feasible.
 
 Bin verdicts.  Each open bin keeps its position bitmask and the sums of
-its `span_share` and `share` on the set's integer view as it grows, and
+its `span_share` and `share` on the set's ints as it grows, and
 is decided by `feasibility.bin_feasible` on them (its two O(1) gates and
 verdict store are described in the `feasibility` docstring).  The
 search's memo is that store, kept across branches and levels.  A caller
@@ -20,7 +20,7 @@ becomes feasible again.
 
 Start level.  Levels below the largest of three sound lower bounds on m*
 are never searched:
-- ceil(U), from the sum of the view's shares;
+- ceil(U), from the sum of the set's shares;
 - the size of a greedy clique of pairwise-conflicting tasks: two tasks
   conflict when they fail the exact test together, and no two of a
   clique can share a bin (Gendreau, Laporte & Semet, C&OR 2004).  The pair
@@ -74,7 +74,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import BadParam, CapExceeded
 from .feasibility import _positions, bin_feasible
-from .model import IntView, TaskSet, require_valid
+from .model import TaskSet, require_valid
 from .partitioners import Partition
 
 DEFAULT_ORACLE_CAP = 20
@@ -99,7 +99,7 @@ class OracleResult:
 
 
 class _Search:
-    """Depth-first assignment of task positions of `view`, in a given
+    """Depth-first assignment of task positions of `ts`, in a given
     order, to at most `max_bins` bins.
 
     An open bin is the bitmask of its positions in the task set (task ids
@@ -112,8 +112,8 @@ class _Search:
     dropped.
     """
 
-    def __init__(self, view: IntView, memo: Optional[dict[int, bool]] = None):
-        self.view = view
+    def __init__(self, ts: TaskSet, memo: Optional[dict[int, bool]] = None):
+        self.ts = ts
         self.memo: dict[int, bool] = {} if memo is None else memo
         self.nodes = 0
 
@@ -129,14 +129,14 @@ class _Search:
         on failure `bins` is as it was on entry."""
         if i == len(order):
             return True
-        view, memo = self.view, self.memo
+        ts, memo = self.ts, self.memo
         pos = order[i]
         bit = 1 << pos
-        density, share = view.span_share[pos], view.share[pos]
+        density, share = ts.span_share[pos], ts.share[pos]
         for b, old in enumerate(bins):
             mask, dens, load = old[0] | bit, old[1] + density, old[2] + share
             self.nodes += 1
-            if bin_feasible(view, mask, dens, load, memo):
+            if bin_feasible(ts, mask, dens, load, memo):
                 bins[b] = mask, dens, load
                 if self.dfs(order, i + 1, bins, max_bins):
                     return True
@@ -151,23 +151,23 @@ class _Search:
         return False
 
 
-def _ceil_u(view: IntView) -> int:
-    """ceil(U), from the share sum of the integer view."""
-    return -(-sum(view.share) // view.whole)
+def _ceil_u(ts: TaskSet) -> int:
+    """ceil(U), from the share sum of the set."""
+    return -(-sum(ts.share) // ts.whole)
 
 
-def _load_bound(view: IntView) -> int:
-    """The demand load bound on the integer view: the larger of ceil(U)
+def _load_bound(ts: TaskSet) -> int:
+    """The demand load bound on the set's ints: the larger of ceil(U)
     and the max over the points D_i + k*T_i, k < LOAD_POINTS, of
     ceil(sum_j dbf_j(t) / t).
 
     The points are walked in ascending order with the running sum of the
-    view's dbf* lines (`IntView.offset`) over the tasks with D_j <= t.
+    set's dbf* lines (`TaskSet.offset`) over the tasks with D_j <= t.
     The exact demand is evaluated only where that sum passes
     best * t * whole (see the module docstring)."""
-    c, d, t, share, whole = view.c, view.d, view.t, view.share, view.whole
-    intercept = view.offset
-    best = _ceil_u(view)
+    c, d, t, share, whole = ts.c, ts.d, ts.t, ts.share, ts.whole
+    intercept = ts.offset
+    best = _ceil_u(ts)
     by_deadline = sorted(range(len(d)), key=d.__getitem__)
     active = 0  # tasks of by_deadline with D <= point
     slope = offset = 0
@@ -187,10 +187,10 @@ def _load_bound(view: IntView) -> int:
     return best
 
 
-def _by_density(view: IntView) -> list[int]:
+def _by_density(ts: TaskSet) -> list[int]:
     """Positions by decreasing density C/min(D, T), ties by position,
-    sorted on the view's density terms."""
-    density = view.span_share
+    sorted on the set's density terms."""
+    density = ts.span_share
     return sorted(range(len(density)), key=lambda p: (-density[p], p))
 
 
@@ -198,13 +198,13 @@ def _conflict_clique(search: _Search, by_density: list[int]) -> list[int]:
     """Positions of pairwise-conflicting tasks, chosen greedily in the
     order `by_density`: a task joins when it conflicts with every task
     chosen before it."""
-    view, memo = search.view, search.memo
-    density, share = view.span_share, view.share
+    ts, memo = search.ts, search.memo
+    density, share = ts.span_share, ts.share
     clique: list[int] = []
     for pos in by_density:
         bit, dens, sh = 1 << pos, density[pos], share[pos]
         for q in clique:
-            if bin_feasible(view, 1 << q | bit, density[q] + dens, share[q] + sh, memo):
+            if bin_feasible(ts, 1 << q | bit, density[q] + dens, share[q] + sh, memo):
                 break
         else:
             clique.append(pos)
@@ -218,28 +218,27 @@ def _lower_bounds(
     ceil(U), the size of the conflict clique, and the load bound.  Past
     ceil(U), the density order is appended to `by_density` and the
     clique's positions to `clique`."""
-    yield _ceil_u(search.view)
-    by_density += _by_density(search.view)
+    yield _ceil_u(search.ts)
+    by_density += _by_density(search.ts)
     clique += _conflict_clique(search, by_density)
     yield len(clique)
-    yield _load_bound(search.view)
+    yield _load_bound(search.ts)
 
 
 def _witness(ts: TaskSet, m_star: int) -> Partition:
     """The first partition of `ts` into `m_star` bins in restricted-growth
     order over input order, by self-reduction (see the module docstring)."""
-    view = ts.ints
-    search = _Search(view)
-    later = _by_density(view)
+    search = _Search(ts)
+    later = _by_density(ts)
     bins: list[tuple[int, int, int]] = []
     for pos in range(len(ts)):
         later.remove(pos)
-        bit, density, share = 1 << pos, view.span_share[pos], view.share[pos]
+        bit, density, share = 1 << pos, ts.span_share[pos], ts.share[pos]
         new_bin = [(0, 0, 0)] * (len(bins) < m_star)  # while fewer than m* are open
         for b, (mask, dens, load) in enumerate(bins + new_bin):
             grown = mask | bit, dens + density, load + share
             trial = bins[:b] + [grown] + bins[b + 1 :]
-            fits = bin_feasible(view, *grown, search.memo)
+            fits = bin_feasible(ts, *grown, search.memo)
             if fits and search.dfs(later, 0, trial[:], m_star):
                 bins = trial
                 break
@@ -264,9 +263,9 @@ def optimal_partition_bruteforce(
     explored level, or into a level that a bound rules out.  `upper`, when
     given, is the bin count of a partition of `ts` that `verify_partition`
     accepted; the level it names is never searched (see the module
-    docstring).  Bins are tested as position lists of the set's integer
-    view; `store`, when given, is the instance's verdict store, used as
-    the search's memo.
+    docstring).  Bins are tested as position bitmasks of the set;
+    `store`, when given, is the instance's verdict store, used as the
+    search's memo.
     """
     require_valid(ts)
     if n_cap < 1:
@@ -275,7 +274,7 @@ def optimal_partition_bruteforce(
     if n > n_cap:
         raise CapExceeded(f"N = {n} exceeds the oracle cap {n_cap}")
 
-    search = _Search(ts.ints, store)
+    search = _Search(ts, store)
     by_density: list[int] = []
     clique: list[int] = []
     lower = 0

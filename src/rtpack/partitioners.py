@@ -10,7 +10,7 @@ index.
 
 Deadline-monotonic fitting (Fisher, Baker & Baruah, RTCSA 2006) packs in
 `TaskSet.dm_order`, at each task's deadline, with the dbf* lines of
-`IntView.share` and `IntView.offset` on the set's integer view.  Every
+`TaskSet.share` and `TaskSet.offset` on the set's ints.  Every
 bin keeps the sums of its tasks' slopes and intercepts over one common
 denominator `whole`.  A bin admits the task when its slope sum stays
 within `whole` with the task's slope added, and its line sum at the
@@ -20,9 +20,9 @@ that best and worst fit rank.  Every bin deadline is at most the task's,
 so the line sum there is the bin's dbf*.
 
 The dagger greedy tightens each task to the implicit task
-(C, D', D'), D' = min(D, T) (`IntView.span`), and packs the result in
+(C, D', D'), D' = min(D, T) (`TaskSet.span`), and packs the result in
 input order on density sums alone: a bin admits the task iff its sum of
-`IntView.span_share` is at most `span_whole - span_share` of the task,
+`TaskSet.span_share` is at most `span_whole - span_share` of the task,
 and best and worst fit rank bins by that sum.  This is the dbf* test of
 the tightened tasks.  An implicit task's dbf* line passes through the
 origin, with the density (`span_share` over `span_whole`) as slope.  At
@@ -72,8 +72,8 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
     admitting on utilization and on dbf* at each task's deadline (see the
     module docstring)."""
     require_valid(ts)
-    view, ids = ts.ints, ts.ids
-    c, d, slope, intercept, whole = view.c, view.d, view.share, view.offset, view.whole
+    ids = ts.ids
+    c, d, slope, intercept, whole = ts.c, ts.d, ts.share, ts.offset, ts.whole
     sign = _SIGN[strat]
     bins: list[list[int]] = []
     slopes: list[int] = []  # per bin: sum of slope
@@ -104,15 +104,14 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
 def dagger_greedy(ts: TaskSet, fitting: Strategy) -> Partition:
     """Greedy packing in input order on the utilizations C/min(D, T) of the
     tightened task set: a bin accepts a task iff its load stays at most 1,
-    tested on the density sums of the integer view."""
+    tested on the set's density sums."""
     require_valid(ts)
-    view = ts.ints
-    whole = view.span_whole
+    whole = ts.span_whole
     sign = _SIGN[fitting]
     bins: list[list[int]] = []
     sums: list[int] = []  # per bin: sum of span_share
     best = 0
-    for tid, share in zip(ts.ids, view.span_share):
+    for tid, share in zip(ts.ids, ts.span_share):
         room = whole - share
         pick = -1
         for i, s in enumerate(sums):

@@ -7,7 +7,7 @@ choice never affects whether deadlines are met, it only pins the trace.
 A job that reaches its deadline unfinished is recorded as a miss and
 dropped, so later behavior stays meaningful.
 
-The loop runs on the set's integer view, in ticks of 1/(scale * p * hd)
+The loop runs on the set's ints, in ticks of 1/(scale * p * hd)
 time units at speed p/q and a horizon of denominator hd: a job of cost C
 takes C * scale * q * hd ticks, one unit of work each, so no step divides.
 Missed deadlines and idle intervals become exact rationals only in the
@@ -58,13 +58,12 @@ def simulate_edf_synchronous(
     if event_cap < 1:
         raise BadParam(f"event cap must be at least 1, got {event_cap}")
 
-    view = ts.ints
     p, q, hd = speed.numerator, speed.denominator, horizon.denominator
-    unit = view.scale * p * hd
-    end = horizon.numerator * view.scale * p
-    work = [c * q * hd for c in view.c]
-    due_in = [d * p * hd for d in view.d]
-    period = [t * p * hd for t in view.t]
+    unit = ts.scale * p * hd
+    end = horizon.numerator * ts.scale * p
+    work = [c * q * hd for c in ts.c]
+    due_in = [d * p * hd for d in ts.d]
+    period = [t * p * hd for t in ts.t]
     releases = [(0, tid, i) for i, tid in enumerate(ts.ids)]
     # ready jobs [abs deadline, task id, work left]; no two share (deadline, id)
     ready: list[list[int]] = []

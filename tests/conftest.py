@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
 from rtpack.feasibility import bin_feasible
-from rtpack.model import IntView, Task, TaskSet
+from rtpack.model import Task, TaskSet, taskset
 
 settings.register_profile(
     "default",
@@ -63,38 +63,51 @@ def tasksets_of_each_class(draw, max_n=6):
     return TaskSet(tuple(tasks))
 
 
-def positions_feasible_exact(view: IntView, positions) -> bool:
-    """Exact EDF feasibility of the tasks at `positions` of `view` on one
+def positions_feasible_exact(ts: TaskSet, positions) -> bool:
+    """Exact EDF feasibility of the tasks at `positions` of `ts` on one
     unit-speed processor, without witness search: `bin_feasible` of their
     bin, with a fresh verdict store."""
     return bin_feasible(
-        view,
+        ts,
         sum(1 << p for p in positions),
-        sum(map(view.span_share.__getitem__, positions)),
-        sum(map(view.share.__getitem__, positions)),
+        sum(map(ts.span_share.__getitem__, positions)),
+        sum(map(ts.share.__getitem__, positions)),
         {},
     )
 
 
-def int_view_of(tasks) -> IntView:
-    """Reference integer view of a task list, on its Fractions: C, D and
-    T of each task multiplied by the lcm of all their denominators."""
-    scale = math.lcm(*(x.denominator for tsk in tasks for x in (tsk.c, tsk.d, tsk.t)))
-    return IntView(
-        scale,
-        tuple(tsk.c.numerator * (scale // tsk.c.denominator) for tsk in tasks),
-        tuple(tsk.d.numerator * (scale // tsk.d.denominator) for tsk in tasks),
-        tuple(tsk.t.numerator * (scale // tsk.t.denominator) for tsk in tasks),
-    )
+def ints_per_pair(nums, dens) -> tuple:
+    """Reference (scale, C, D, T) of values given as the flat lists of
+    their numerators and positive denominators, C, D and T per task: each
+    pair reduced on its own, the scale the lcm of the reduced
+    denominators, and every value multiplied by it."""
+    values = [Fraction(n, d) for n, d in zip(nums, dens)]
+    scale = math.lcm(*(x.denominator for x in values))
+    scaled = [x.numerator * (scale // x.denominator) for x in values]
+    return scale, tuple(scaled[0::3]), tuple(scaled[1::3]), tuple(scaled[2::3])
+
+
+def ints_of(tasks) -> tuple:
+    """Reference (scale, C, D, T) of a task list, on its Fractions: C, D
+    and T of each task multiplied by the lcm of all their denominators."""
+    values = [Fraction(x) for tsk in tasks for x in (tsk.c, tsk.d, tsk.t)]
+    return ints_per_pair([x.numerator for x in values], [x.denominator for x in values])
+
+
+def held_ints(ts: TaskSet) -> tuple:
+    """The (scale, C, D, T) that `ts` holds."""
+    return ts.scale, ts.c, ts.d, ts.t
 
 
 def subset_feasible(tasks) -> bool:
     """Exact EDF feasibility of a bare task list on one unit-speed
-    processor, tested on the list's own integer view; an empty list is
+    processor, tested on the set of its values; an empty list is
     feasible."""
     if not tasks:
         return True
-    return positions_feasible_exact(int_view_of(tasks), range(len(tasks)))
+    return positions_feasible_exact(
+        taskset((tsk.c, tsk.d, tsk.t) for tsk in tasks), range(len(tasks))
+    )
 
 
 def tightened_utilizations(ts) -> dict[int, Fraction]:

@@ -91,10 +91,10 @@ class TestHorizon:
         # hyperperiod 14
         ts = taskset([*subset, (1, 5, 7)])
         own = taskset(subset)
-        view, positions = ts.ints, range(2)
+        positions = range(2)
         horizon = edf_feasible_exact(own, speed).horizon
-        _, _, bound = _sweep_first_failure(view, positions, speed, DEFAULT_POINT_CAP)
-        assert _fraction(view, *bound) == horizon == 4
+        _, _, bound = _sweep_first_failure(ts, positions, speed, DEFAULT_POINT_CAP)
+        assert _fraction(ts, *bound) == horizon == 4
 
     def test_unit_speed_subset_uses_its_own_hyperperiod(self):
         # with U = 1 and density above 1, a subset is swept to its own
@@ -102,14 +102,14 @@ class TestHorizon:
         # the default cap of 2^64
         big = 2**64 + 1
         ts = taskset([(1, 1, 2), (1, 2, 2), (1, big, big)])
-        assert positions_feasible_exact(ts.ints, range(2))
+        assert positions_feasible_exact(ts, range(2))
         # periods 2^40 and 2^40 + 1: the subset's own hyperperiod passes
         # the cap, as edf_feasible_exact reports for the subset alone
         periods = (2**40, 2**40 + 1)
         ts = taskset([(F(periods[0], 2), F(periods[0], 2), periods[0]),
                       (F(periods[1], 2), periods[1], periods[1]), (1, 5, 7)])
         with pytest.raises(HorizonOverflow) as got:
-            positions_feasible_exact(ts.ints, range(2))
+            positions_feasible_exact(ts, range(2))
         with pytest.raises(HorizonOverflow) as want:
             edf_feasible_exact(TaskSet(ts.tasks[:2]))
         assert str(got.value) == str(want.value) == (
@@ -293,7 +293,7 @@ class TestDensityAccept:
     def test_matches_witness_producing_test(self, case):
         ts, positions = case
         subset = TaskSet(tuple(ts.tasks[i] for i in positions))
-        assert positions_feasible_exact(ts.ints, positions) == (
+        assert positions_feasible_exact(ts, positions) == (
             edf_feasible_exact(subset).feasible
         )
 
@@ -302,14 +302,14 @@ class TestDensityAccept:
         # whose lcm passes the default hyperperiod cap: only a sweep would
         # need the hyperperiod
         ts = taskset([(F(t, 2), t, t) for t in (2**40, 2**40 + 1)])
-        assert positions_feasible_exact(ts.ints, range(2))
+        assert positions_feasible_exact(ts, range(2))
         with pytest.raises(HorizonOverflow):
             edf_feasible_exact(ts)
 
     def test_density_uses_the_shorter_of_deadline_and_period(self):
         # C/D sums to 1, but C/T (the utilization) is 2
         ts = taskset([("1/2", 1, "1/2")] * 2)
-        assert not positions_feasible_exact(ts.ints, range(2))
+        assert not positions_feasible_exact(ts, range(2))
         part = Partition(bins=((1, 2),), algorithm="manual")
         assert verify_partition(ts, part) is False
 
@@ -322,27 +322,27 @@ class TestBinFeasible:
 
     @given(tasksets_of_each_class(max_n=5))
     def test_every_bin_of_a_set(self, ts):
-        view, n = ts.ints, len(ts)
+        n = len(ts)
         bins = []  # (mask, density sum, share sum, reference verdict)
         for mask in range(1, 1 << n):
             positions = [p for p in range(n) if mask >> p & 1]
-            density = sum(view.span_share[p] for p in positions)
-            load = sum(view.share[p] for p in positions)
-            want = _ref_kernel(view, positions, F(1))[1] is None
+            density = sum(ts.span_share[p] for p in positions)
+            load = sum(ts.share[p] for p in positions)
+            want = _ref_kernel(ts, positions, F(1))[1] is None
             bins.append((mask, density, load, want))
         store = {}
         for mask, density, load, want in bins:
-            assert bin_feasible(view, mask, density, load, store) is want
+            assert bin_feasible(ts, mask, density, load, store) is want
         assert store == {
             mask: want
             for mask, density, load, want in bins
-            if density > view.span_whole and load <= view.whole
+            if density > ts.span_whole and load <= ts.whole
         }
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(feasibility, "feasible_past_gates", lambda *a: calls.append(a))
             for mask, density, load, want in bins:
-                assert bin_feasible(view, mask, density, load, store) is want
+                assert bin_feasible(ts, mask, density, load, store) is want
         assert calls == []
 
 
@@ -355,11 +355,10 @@ class TestTwoTasks:
     def past_gates(ts, pair) -> bool:
         """`feasible_past_gates` of `pair`, in the order given, for a pair
         that neither O(1) gate decides."""
-        view = ts.ints
-        assert sum(view.span_share[p] for p in pair) > view.span_whole
-        load = sum(view.share[p] for p in pair)
-        assert load <= view.whole
-        return feasibility.feasible_past_gates(view, pair, load)
+        assert sum(ts.span_share[p] for p in pair) > ts.span_whole
+        load = sum(ts.share[p] for p in pair)
+        assert load <= ts.whole
+        return feasibility.feasible_past_gates(ts, pair, load)
 
     @staticmethod
     def sweeps(monkeypatch) -> list:
@@ -367,9 +366,9 @@ class TestTwoTasks:
         seen = []
         real = feasibility._sweep_first_failure
 
-        def spy(view, positions, speed, point_cap):
+        def spy(ts, positions, speed, point_cap):
             seen.append(list(positions))
-            return real(view, positions, speed, point_cap)
+            return real(ts, positions, speed, point_cap)
 
         monkeypatch.setattr(feasibility, "_sweep_first_failure", spy)
         return seen
@@ -377,10 +376,9 @@ class TestTwoTasks:
     @settings(max_examples=200)
     @given(st.one_of(valid_tasksets(min_n=2), tasksets_of_each_class()))
     def test_matches_the_kernel_on_every_pair(self, ts):
-        view = ts.ints
         for pair in itertools.permutations(range(len(ts)), 2):
-            swept = _sweep_first_failure(view, pair, F(1), DEFAULT_POINT_CAP)
-            assert positions_feasible_exact(view, pair) == (swept[0] is None)
+            swept = _sweep_first_failure(ts, pair, F(1), DEFAULT_POINT_CAP)
+            assert positions_feasible_exact(ts, pair) == (swept[0] is None)
 
     def test_matches_the_kernel_on_bench_traffic(self):
         cfg = {"instances": [
@@ -393,10 +391,9 @@ class TestTwoTasks:
             *({"family": "speedup-gap", "n": n, "eps": "1/2"} for n in (6, 10, 14))],
           "algorithms": [{"algo": "dm"}]}  # fmt: skip
         for name, _, ts in bench.resolve_instances(bench.parse_config(json.dumps(cfg))):
-            view = ts.ints
             for pair in itertools.combinations(range(len(ts)), 2):
-                swept = _sweep_first_failure(view, pair, F(1), DEFAULT_POINT_CAP)
-                assert positions_feasible_exact(view, pair) == (swept[0] is None), (name, pair)
+                swept = _sweep_first_failure(ts, pair, F(1), DEFAULT_POINT_CAP)
+                assert positions_feasible_exact(ts, pair) == (swept[0] is None), (name, pair)
 
     @pytest.mark.parametrize("pair", [[0, 1], [1, 0]])
     def test_certificate_holding_with_equality(self, monkeypatch, pair):
@@ -409,11 +406,11 @@ class TestTwoTasks:
 
     @pytest.mark.parametrize("pair", [[0, 1], [1, 0]])
     def test_demand_at_the_later_deadline(self, monkeypatch, pair):
-        # a third task sets the view's scale to 3.  dbf*(2) = 5/2 > 2 does
+        # a third task sets the set's scale to 3.  dbf*(2) = 5/2 > 2 does
         # not certify, and the demand at D_b = 2 is exactly 2: feasible,
         # by the sweep
         ts = taskset([(1, 1, 2), (1, 2, 4), ("1/3", 5, 7)])
-        assert ts.ints.scale == 3
+        assert ts.scale == 3
         swept = self.sweeps(monkeypatch)
         assert self.past_gates(ts, pair)
         assert swept == [pair]
@@ -448,7 +445,7 @@ class TestTwoTasks:
         assert ts.total_utilization == 1
         swept = self.sweeps(monkeypatch)
         with pytest.raises(HorizonOverflow):
-            positions_feasible_exact(ts.ints, [0, 1])
+            positions_feasible_exact(ts, [0, 1])
         assert swept == [[0, 1]]
 
 

@@ -34,7 +34,7 @@ from rtpack.model import (
     validate,
 )
 
-from conftest import int_view_of, subset_feasible
+from conftest import held_ints, ints_of, subset_feasible
 
 F = Fraction
 
@@ -395,7 +395,7 @@ class TestRandom:
     @pytest.mark.parametrize("cls", list(DeadlineClass))
     @pytest.mark.parametrize("den_bound", [1, 2, 5, 8])
     def test_built_straight_into_the_integer_view(self, cls, den_bound):
-        # from its int pairs: no Task until one is read, and the view that
+        # from its int pairs: no Task until one is read, and the ints that
         # the tasks give, field by field and scale included
         for seed in range(20):
             n = 3 + seed % 10
@@ -403,8 +403,7 @@ class TestRandom:
             assert (len(ts), ts.ids, ts.violations) == (n, tuple(range(1, n + 1)), ())
             u = ts.total_utilization
             assert "tasks" not in vars(ts)
-            view, want = ts.ints, int_view_of(ts.tasks)
-            assert (view.scale, view.c, view.d, view.t) == (want.scale, want.c, want.d, want.t)
+            assert held_ints(ts) == ints_of(ts.tasks)
             assert u == sum(tsk.utilization for tsk in ts.tasks)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 3301])
@@ -420,24 +419,35 @@ class TestRandom:
 
     @given(
         st.one_of(
-            st.floats(allow_nan=False, allow_infinity=False),
-            # dyadic values with small denominators, where ties occur
-            st.builds(lambda a, j: a / 2**j, st.integers(-200, 200), st.integers(0, 8)),
+            st.floats(allow_nan=False, allow_infinity=False).map(float.as_integer_ratio),
+            # dyadic values with small denominators, where ties occur, and
+            # not reduced when the numerator is even
+            st.builds(lambda a, j: (a, 2**j), st.integers(-200, 200), st.integers(0, 8)),
+            # int ratios with a common factor, as the scaling pass makes
+            st.builds(
+                lambda a, b, k: (a * k, b * k),
+                st.integers(-(10**6), 10**6),
+                st.integers(1, 10**6),
+                st.integers(1, 60),
+            ),
         ),
         st.integers(1, 1000),
     )
-    def test_int_limit_denominator_matches_fraction(self, x, bound):
-        want = Fraction(x).limit_denominator(bound)
-        assert generators._limit_denominator(x, bound) == (want.numerator, want.denominator)
+    def test_int_limit_denominator_matches_fraction(self, ratio, bound):
+        want = Fraction(*ratio).limit_denominator(bound)
+        assert generators._limit_denominator(*ratio, bound) == (want.numerator, want.denominator)
 
     @pytest.mark.parametrize(
         "x, bound, want",
-        # x lies halfway between two closest fractions; the last convergent wins
-        [(0.75, 2, (1, 1)), (0.25, 2, (0, 1)), (-0.75, 2, (-1, 1)), (2.5, 1, (2, 1))],
-    )
+        # x lies halfway between two closest fractions; the last convergent
+        # wins, also where x is given as an unreduced int ratio
+        [(0.75, 2, (1, 1)), (0.25, 2, (0, 1)), (-0.75, 2, (-1, 1)), (2.5, 1, (2, 1)),
+         ((6, 8), 2, (1, 1)), ((2, 8), 2, (0, 1)), ((-9, 12), 2, (-1, 1)), ((10, 4), 1, (2, 1))],
+    )  # fmt: skip
     def test_int_limit_denominator_ties(self, x, bound, want):
-        lim = Fraction(x).limit_denominator(bound)
-        assert generators._limit_denominator(x, bound) == want == (lim.numerator, lim.denominator)
+        ratio = x.as_integer_ratio() if isinstance(x, float) else x
+        lim = Fraction(*ratio).limit_denominator(bound)
+        assert generators._limit_denominator(*ratio, bound) == want == (lim.numerator, lim.denominator)
 
     @pytest.mark.parametrize("n, target", [(1, 0.5), (3, 2.9), (4, 3.6), (100, 25.0)])
     def test_uunifast_matches_uncapped_discard_loop(self, n, target):

@@ -15,7 +15,6 @@ from rtpack.generators import GenParams, gen_random
 from rtpack.io import parse_taskset
 from rtpack.model import (
     DeadlineClass,
-    IntView,
     Task,
     TaskSet,
     as_rational,
@@ -36,7 +35,9 @@ from rtpack.feasibility import verify_partition
 from rtpack.partitioners import Partition
 
 from conftest import (
-    int_view_of,
+    held_ints,
+    ints_of,
+    ints_per_pair,
     tasksets_of_each_class,
     tightened_utilizations,
     time_points,
@@ -304,7 +305,7 @@ class TestMetrics:
 
     @given(st.one_of(valid_tasksets(), tasksets_of_each_class()))
     def test_view_matches_fraction_references(self, ts):
-        # lambda, gamma and the class compare ints of the integer view
+        # lambda, gamma and the class compare the set's ints
         lam, gamma = lambda_metric(ts), gamma_metric(ts)
         assert (lam, gamma) == (reference_lambda(ts), reference_gamma(ts))
         assert isinstance(lam, F) and isinstance(gamma, F)
@@ -489,12 +490,12 @@ class TestTaskSet:
         )
         assert ts == want and hash(ts) == hash(want)
         assert "tasks" not in vars(ts) and "tasks" not in vars(want)
-        assert ts.ints == int_view_of(want.tasks) and len(ts) == len(want)
+        assert held_ints(ts) == ints_of(want.tasks) and len(ts) == len(want)
         assert list(ts) == list(want) and "tasks" not in vars(ts)
         assert [str(v) for v in ts.violations] == [str(v) for v in validate(want)]
         assert repr(ts) == repr(want)
         copy = pickle.loads(pickle.dumps(ts))
-        assert copy == ts and copy.ints == ts.ints
+        assert copy == ts and held_ints(copy) == held_ints(ts)
         with pytest.raises(AttributeError):
             ts.name = "other"
 
@@ -566,7 +567,7 @@ class TestTaskSet:
             TaskSet((Task(1, 2, 4, 1), Task(**fields, id=2)))
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("name", ["ints", "ids", "name", "tasks", "other"])
+    @pytest.mark.parametrize("name", ["scale", "c", "ids", "name", "tasks", "whole", "other"])
     def test_assignment_is_refused(self, name):
         ts = taskset([(1, 2, 2)])
         with pytest.raises(FrozenInstanceError) as err:
@@ -583,7 +584,7 @@ class TestTaskSet:
     def test_equality_with_another_type_is_not_implemented(self):
         ts = taskset([(1, 2, 2)])
         assert ts.__eq__(object()) is NotImplemented
-        assert ts.__eq__(ts.ints) is NotImplemented
+        assert ts.__eq__(held_ints(ts) + (ts.ids, ts.name)) is NotImplemented
         assert ts != object()
 
     def test_every_constructor_builds_one_set(self, monkeypatch):
@@ -647,51 +648,82 @@ class TestTaskSet:
         assert str(err.value) == message
 
 
-class TestIntView:
+class TestIntegerValues:
     def test_scale_is_the_lcm_of_all_denominators(self):
-        view = taskset([("1/2", "3/4", 2), ("1/3", 1, "5/6")]).ints
-        assert view == IntView(12, (6, 4), (9, 12), (24, 10))
+        ts = taskset([("1/2", "3/4", 2), ("1/3", 1, "5/6")])
+        assert held_ints(ts) == (12, (6, 4), (9, 12), (24, 10))
 
     def test_kept_and_invisible_to_equality_and_pickling(self):
         ts = taskset([("1/2", "3/4", 2)])
-        assert ts.ints is ts.ints
+        assert ts.share is ts.share and ts.whole == 8
         fresh = taskset([("1/2", "3/4", 2)])
+        assert "share" not in vars(fresh) and "whole" not in vars(fresh)
         assert ts == fresh and hash(ts) == hash(fresh)
         copy = pickle.loads(pickle.dumps(ts))
-        assert copy == ts and copy.ints == ts.ints
+        assert copy == ts and held_ints(copy) == held_ints(ts)
 
     @given(st.one_of(valid_tasksets(), tasksets_of_each_class()))
     def test_shares_and_densities_over_the_hyperperiods(self, ts):
-        view = ts.ints
-        periods = [tsk.t * view.scale for tsk in ts]
-        spans = [min(tsk.d, tsk.t) * view.scale for tsk in ts]
-        assert view.whole == math.lcm(*map(int, periods))
-        assert view.span_whole == math.lcm(*map(int, spans))
-        for tsk, share, off, dens in zip(ts, view.share, view.offset, view.span_share):
-            assert F(share, view.whole) == tsk.c / tsk.t
-            # the intercept of the dbf* line, at the view's scale
-            assert F(off, view.scale) == (tsk.c - tsk.c / tsk.t * tsk.d) * view.whole
-            assert F(dens, view.span_whole) == tsk.c / min(tsk.d, tsk.t)
-        assert view.share is view.share and view.span_share is view.span_share
-        assert view.offset is view.offset
+        periods = [tsk.t * ts.scale for tsk in ts]
+        spans = [min(tsk.d, tsk.t) * ts.scale for tsk in ts]
+        assert ts.whole == math.lcm(*map(int, periods))
+        assert ts.span_whole == math.lcm(*map(int, spans))
+        for tsk, share, off, dens in zip(ts, ts.share, ts.offset, ts.span_share):
+            assert F(share, ts.whole) == tsk.c / tsk.t
+            # the intercept of the dbf* line, at the set's scale
+            assert F(off, ts.scale) == (tsk.c - tsk.c / tsk.t * tsk.d) * ts.whole
+            assert F(dens, ts.span_whole) == tsk.c / min(tsk.d, tsk.t)
+        assert ts.share is ts.share and ts.span_share is ts.span_share
+        assert ts.offset is ts.offset
 
     @given(valid_tasksets(), st.data())
     def test_demand_lines_are_dbf_star(self, ts, data):
-        view = ts.ints
         for i, tsk in enumerate(ts):
             # from D on, dbf* is the line of share and offset over whole
-            t = view.d[i] + data.draw(st.integers(0, 3 * view.t[i]))
-            line = view.share[i] * t + view.offset[i]
-            assert dbf_star(tsk, F(t, view.scale)) * view.scale * view.whole == line
+            t = ts.d[i] + data.draw(st.integers(0, 3 * ts.t[i]))
+            line = ts.share[i] * t + ts.offset[i]
+            assert dbf_star(tsk, F(t, ts.scale)) * ts.scale * ts.whole == line
             # the tightened task (C, D', D'), D' = min(D, T), has the line
             # of span_share through the origin, which the dagger packer reads
             span = min(tsk.d, tsk.t)
-            t = min(view.d[i], view.t[i]) + data.draw(st.integers(0, 3 * view.t[i]))
-            tight = dbf_star(Task(tsk.c, span, span, tsk.id), F(t, view.scale))
-            assert tight * view.scale * view.span_whole == view.span_share[i] * t
+            t = min(ts.d[i], ts.t[i]) + data.draw(st.integers(0, 3 * ts.t[i]))
+            tight = dbf_star(Task(tsk.c, span, span, tsk.id), F(t, ts.scale))
+            assert tight * ts.scale * ts.span_whole == ts.span_share[i] * t
 
     @given(valid_tasksets())
     def test_values_are_the_scaled_fractions(self, ts):
-        view = ts.ints
-        for tsk, c, d, t in zip(ts, view.c, view.d, view.t):
-            assert (tsk.c * view.scale, tsk.d * view.scale, tsk.t * view.scale) == (c, d, t)
+        for tsk, c, d, t in zip(ts, ts.c, ts.d, ts.t):
+            assert (tsk.c * ts.scale, tsk.d * ts.scale, tsk.t * ts.scale) == (c, d, t)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(-40, 40), st.integers(1, 60)] * 3), min_size=1, max_size=6
+        )
+    )
+    @example([(0, 4, 0, 6, 0, 2)])
+    @example([(2, 4, -3, 6, 5, 10)])
+    @example([(6, 4, 9, 6, 0, 12)])
+    def test_one_normalization_is_the_per_pair_reduction(self, rows):
+        # signed, zero and unreduced pairs: scaling by the lcm of the
+        # denominators as given and dividing by one gcd gives the values
+        # that reducing every pair first gives
+        nums = [n for row in rows for n in row[0::2]]
+        dens = [d for row in rows for d in row[1::2]]
+        assert model._view_of(nums, dens) == ints_per_pair(nums, dens)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_builder_holds_the_six_values_alone(self, seed):
+        fields = {"scale", "c", "d", "t", "ids", "name"}
+        made = gen_random(GenParams(seed=seed, n=5, utilization_target=F(3, 2)))
+        assert set(vars(made)) == fields
+        by_tasks = TaskSet(tuple(made), made.name)
+        by_triples = taskset(((tsk.c, tsk.d, tsk.t) for tsk in made), made.name)
+        parsed = parse_taskset(io.serialize_taskset(made))
+        assert set(vars(by_tasks)) == set(vars(by_triples)) == fields
+        # the parser validates the set it built and keeps the verdict
+        assert set(vars(parsed)) == fields | {"violations"}
+        for ts in (by_tasks, by_triples, parsed):
+            assert ts == made and hash(ts) == hash(made)
+            assert held_ints(ts) == held_ints(made) and ts.ids == made.ids
+            assert all(type(x) is int for x in (ts.scale, *ts.c, *ts.d, *ts.t))

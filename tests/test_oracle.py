@@ -241,15 +241,15 @@ class MemoEverySearch:
     every verdict, one a density or share sum settles included, is looked
     up in the memo and on a miss computed by `positions_feasible_exact`."""
 
-    def __init__(self, view):
-        self.view = view
+    def __init__(self, ts):
+        self.ts = ts
         self.memo = {}
         self.nodes = 0
 
     def feasible_bin(self, positions, mask):
         hit = self.memo.get(mask)
         if hit is None:
-            hit = self.memo[mask] = positions_feasible_exact(self.view, positions)
+            hit = self.memo[mask] = positions_feasible_exact(self.ts, positions)
         return hit
 
     def partition(self, order, max_bins):
@@ -282,15 +282,14 @@ class MemoEverySearch:
 def memo_every_oracle(ts: TaskSet) -> tuple[list[int], int, int, tuple]:
     """Reference: the clique, m*, the nodes explored and the witness bins
     of the oracle's search run on `MemoEverySearch`."""
-    view = ts.ints
-    search = MemoEverySearch(view)
-    by_density = _by_density(view)
+    search = MemoEverySearch(ts)
+    by_density = _by_density(ts)
     clique = []
     for pos in by_density:
         if not any(search.feasible_bin([q, pos], 1 << q | 1 << pos) for q in clique):
             clique.append(pos)
     order = clique + [p for p in by_density if p not in clique]
-    m = max(_load_bound(view), len(clique))
+    m = max(_load_bound(ts), len(clique))
     while search.partition(order, m) is None:
         m += 1
     nodes = search.nodes
@@ -320,29 +319,29 @@ class TestAgainstMemoEverySearch:
 
     @given(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
     def test_memo_holds_only_swept_verdicts(self, ts):
-        search = _Search(ts.ints)
+        search = _Search(ts)
         search_every_level(search)
-        assert_past_gates(ts.ints, search.memo)
+        assert_past_gates(ts, search.memo)
 
 
 def search_every_level(search: _Search) -> None:
     """Fill the memo of `search` as the conflict clique and a search of
     every level do."""
-    view = search.view
-    n = len(view.c)
-    order = _conflict_clique(search, _by_density(view))
+    ts = search.ts
+    n = len(ts.c)
+    order = _conflict_clique(search, _by_density(ts))
     order += [p for p in range(n) if p not in order]
     for m in range(1, n + 1):
         search.dfs(order, 0, [], m)
 
 
-def assert_past_gates(view, memo: dict) -> None:
+def assert_past_gates(ts, memo: dict) -> None:
     """Every bin in `memo` is past both O(1) gates: its density sum
     exceeds `span_whole` and its share sum is at most `whole`."""
     for mask in memo:
-        positions = [p for p in range(len(view.c)) if mask >> p & 1]
-        assert sum(view.span_share[p] for p in positions) > view.span_whole
-        assert sum(view.share[p] for p in positions) <= view.whole
+        positions = [p for p in range(len(ts.c)) if mask >> p & 1]
+        assert sum(ts.span_share[p] for p in positions) > ts.span_whole
+        assert sum(ts.share[p] for p in positions) <= ts.whole
 
 
 class TestPairSweeps:
@@ -367,10 +366,10 @@ class TestPairSweeps:
         pairs = []
         real = feasibility._sweep_first_failure
 
-        def spy(view, positions, speed, point_cap):
+        def spy(ts, positions, speed, point_cap):
             if len(positions) == 2:
                 pairs.append(list(positions))
-            return real(view, positions, speed, point_cap)
+            return real(ts, positions, speed, point_cap)
 
         monkeypatch.setattr(feasibility, "_sweep_first_failure", spy)
         optimal_partition_bruteforce(ts)
@@ -386,9 +385,8 @@ def _demand_load(ts: TaskSet) -> int:
 
 
 def _bounds(ts: TaskSet):
-    view = ts.ints
-    search = _Search(view)
-    return _load_bound(view), _conflict_clique(search, _by_density(view))
+    search = _Search(ts)
+    return _load_bound(ts), _conflict_clique(search, _by_density(ts))
 
 
 class TestLowerBounds:
@@ -412,7 +410,7 @@ class TestLowerBounds:
 
     @given(st.one_of(valid_tasksets(max_n=7), tasksets_of_each_class(max_n=7)))
     def test_load_bound_is_the_demand_load(self, ts):
-        assert _load_bound(ts.ints) == _demand_load(ts)
+        assert _load_bound(ts) == _demand_load(ts)
 
     # sets whose load bound is strictly above both ceil(U) and the clique
     @pytest.mark.parametrize(
@@ -427,7 +425,7 @@ class TestLowerBounds:
         ts = taskset(rows)
         assert math.ceil(ts.total_utilization) == ceil_u
         assert len(_bounds(ts)[1]) == clique
-        assert _load_bound(ts.ints) == _demand_load(ts) == load
+        assert _load_bound(ts) == _demand_load(ts) == load
         # dbf* (which bounds dbf) rules out some points whatever bound has
         # been reached there, and the exact demand of others raises it
         points = {tsk.d + k * tsk.t for tsk in ts for k in range(3)}
@@ -442,7 +440,7 @@ class TestLowerBounds:
     def test_density_order_matches_fraction_order(self, ts):
         density = [tsk.c / min(tsk.d, tsk.t) for tsk in ts]
         want = sorted(range(len(ts)), key=lambda p: (-density[p], p))
-        assert _by_density(ts.ints) == want
+        assert _by_density(ts) == want
 
     def test_clique_decides_the_speedup_gap(self):
         ts = gen_speedup_gap(8, F(1, 2))
@@ -485,7 +483,7 @@ class TestUpperBound:
         # the running maxima of the bounds, cheapest first; an upper below
         # the last is ignored unless an earlier one stops at it
         load, clique = _bounds(ts)
-        ceil_u = _ceil_u(ts.ints)
+        ceil_u = _ceil_u(ts)
         stops = {ceil_u, max(ceil_u, len(clique))}
         lower = max(ceil_u, len(clique), load)
         below = [u for u in range(-1, lower) if u not in stops]
@@ -530,13 +528,13 @@ class TestUpperBound:
     def test_ceil_u_settles_without_the_density_order(self, monkeypatch):
         called = []
 
-        def refuse(view):
-            called.append(view)
+        def refuse(ts):
+            called.append(ts)
             raise AssertionError("the density order was sorted")
 
         monkeypatch.setattr(oracle, "_by_density", refuse)
         for ts in FAMILY_SETS:
-            upper = _ceil_u(ts.ints)
+            upper = _ceil_u(ts)
             result = optimal_partition_bruteforce(ts, DEFAULT_ORACLE_CAP, upper)
             assert (result.m_star, result.nodes_explored) == (upper, 0)
         assert called == []
@@ -575,7 +573,7 @@ class TestVerdictStore:
             store = {}
             for part in order:
                 assert verify_partition(ts, part, store) == verify_partition(ts, part)
-            assert_past_gates(ts.ints, store)
+            assert_past_gates(ts, store)
 
     @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
     def test_same_verdicts_on_families(self, case):
@@ -619,10 +617,10 @@ class TestVerdictStore:
         store = {}
         for part in [*_with_merged_bins(ts), drawn]:
             verify_partition(ts, part, store)
-        search = _Search(ts.ints, store)
+        search = _Search(ts, store)
         search_every_level(search)
         assert search.memo is store
-        assert_past_gates(ts.ints, store)
+        assert_past_gates(ts, store)
 
 
 @st.composite
@@ -648,4 +646,4 @@ class TestPositionView:
     def test_exact_matches_bare_list(self, case):
         ts, positions = case
         subset = [ts.tasks[i] for i in positions]
-        assert positions_feasible_exact(ts.ints, positions) == subset_feasible(subset)
+        assert positions_feasible_exact(ts, positions) == subset_feasible(subset)

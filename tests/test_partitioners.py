@@ -113,7 +113,7 @@ class TestDmAdmits:
 class TestDmAdmissionEdges:
     """A bin holding the first task admits the second exactly at the edge
     of the demand or the utilization test, and opens a second bin one unit
-    of the integer view past it.  Each set is at scale 1 with `whole` 10."""
+    of the set's ints past it.  Each set is at scale 1 with `whole` 10."""
 
     @pytest.mark.parametrize("strat", list(Strategy))
     @pytest.mark.parametrize(
@@ -125,13 +125,12 @@ class TestDmAdmissionEdges:
     )  # fmt: skip
     def test_admits_at_the_edge_and_opens_a_bin_past_it(self, triples, gaps, bins, strat):
         ts = taskset(triples)
-        view = ts.ints
-        assert (view.scale, view.whole) == (1, 10)
+        assert (ts.scale, ts.whole) == (1, 10)
         # how far the first task's dbf* at the second's deadline, and its
         # share, pass the most that still admits the second, times whole
-        demand = view.share[0] * view.d[1] + view.offset[0]
-        room = (view.d[1] - view.c[1]) * view.whole
-        assert (demand - room, view.share[0] - (view.whole - view.share[1])) == gaps
+        demand = ts.share[0] * ts.d[1] + ts.offset[0]
+        room = (ts.d[1] - ts.c[1]) * ts.whole
+        assert (demand - room, ts.share[0] - (ts.whole - ts.share[1])) == gaps
         assert dm_partition(ts, strat).bins == bins
 
 

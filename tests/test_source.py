@@ -44,7 +44,7 @@ class TestImports:
     @pytest.mark.parametrize(
         "source, unused",
         [
-            ("from .model import IntView, Task\nx: IntView\n", ["line 1: Task"]),
+            ("from .model import TaskSet, Task\nx: TaskSet\n", ["line 1: Task"]),
             ("import os.path\nos.sep\n", []),
             ("import json as js\n", ["line 1: js"]),
             ("from __future__ import annotations\n", []),
@@ -73,7 +73,7 @@ def package_imports(source: str) -> set[str]:
 
 
 def sweep_terms_read(source: str) -> set[str]:
-    """The integer-view terms of the demand sweep that `source` names."""
+    """The terms of the demand sweep that `source` names."""
     tree = ast.parse(source)
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -98,10 +98,10 @@ class TestSimulatorIndependence:
             ("from .feasibility import _bound\n", {".feasibility"}, set()),
             ("from . import feasibility\n", {"."}, set()),
             ("import rtpack.feasibility\nimport heapq\n", {"rtpack.feasibility"}, set()),
-            ("from rtpack.model import IntView\n", {"rtpack.model"}, set()),
-            ("from fractions import Fraction\nx = view.c\n", set(), set()),
-            ("x = ts.ints.share[0] + view.whole\n", set(), {"share", "whole"}),
-            ("y = span_whole * sum(view.span_share)\n", set(), {"span_share", "span_whole"}),
+            ("from rtpack.model import TaskSet\n", {"rtpack.model"}, set()),
+            ("from fractions import Fraction\nx = ts.c\n", set(), set()),
+            ("x = ts.share[0] + other.whole\n", set(), {"share", "whole"}),
+            ("y = span_whole * sum(ts.span_share)\n", set(), {"span_share", "span_whole"}),
         ],
     )  # fmt: skip
     def test_finds_imports_and_terms(self, source, imports, terms):
@@ -161,7 +161,7 @@ def resolves(name: str) -> bool:
 
 class TestReadme:
     def test_api_names_found(self):
-        names = {"TaskSet.dm_order", "IntView.span", "bench.INSTANCE_KEYS", "rtpack.oracle"}
+        names = {"TaskSet.dm_order", "TaskSet.span", "bench.INSTANCE_KEYS", "rtpack.oracle"}
         assert names <= set(api_names(README))
 
     @pytest.mark.parametrize("name", api_names(README))
@@ -171,8 +171,8 @@ class TestReadme:
     @pytest.mark.parametrize(
         "text, names, found",
         [("`TaskSet.of_ratios` and `model.gone()`", ["TaskSet.of_ratios", "model.gone"], [False, False]),
-         ("`TaskSet.ints.c`, `io.parse_taskset()`, `rtpack.model`", ["TaskSet.ints.c", "io.parse_taskset", "rtpack.model"], [True, True, True]),
-         ("`Task.c.x`, `IntView.whole.y`", ["Task.c.x", "IntView.whole.y"], [False, False]),
+         ("`TaskSet.c.real`, `io.parse_taskset()`, `rtpack.model`", ["TaskSet.c.real", "io.parse_taskset", "rtpack.model"], [True, True, True]),
+         ("`Task.c.x`, `TaskSet.whole.y`, `TaskSet.ints`", ["Task.c.x", "TaskSet.whole.y", "TaskSet.ints"], [False, False, False]),
          ("`json.dumps`, `fractions.Fraction`, `BENCHMARK.json`, `TestReadme.x`", [], []),
          ("`bench.spec(\"random\")` and ``", [], [])],
     )  # fmt: skip

@@ -22,7 +22,7 @@ from rtpack.feasibility import (
     _sweep_first_failure,
     edf_feasible_exact,
 )
-from rtpack.model import IntView, Task, TaskSet, taskset
+from rtpack.model import Task, TaskSet, taskset
 
 from conftest import positions_feasible_exact, rationals, tasksets_of_each_class, valid_tasksets
 from test_oracle import FAMILY_SETS
@@ -32,15 +32,15 @@ SPEEDS = [F(1), F(3, 2), F(1, 2), F(7, 10)]
 
 
 class _RefScaled:
-    """Reference: the tasks at `positions` of an integer view, copied."""
+    """Reference: the tasks at `positions` of a set's ints, copied."""
 
-    def __init__(self, view: IntView, positions: Sequence[int]):
-        self.scale = view.scale
-        self.cost = [view.c[i] for i in positions]
-        self.deadline = [view.d[i] for i in positions]
-        self.period = [view.t[i] for i in positions]
-        self.whole = view.whole
-        self.share = [view.share[i] for i in positions]
+    def __init__(self, ts: TaskSet, positions: Sequence[int]):
+        self.scale = ts.scale
+        self.cost = [ts.c[i] for i in positions]
+        self.deadline = [ts.d[i] for i in positions]
+        self.period = [ts.t[i] for i in positions]
+        self.whole = ts.whole
+        self.share = [ts.share[i] for i in positions]
         self.load = sum(self.share)
 
     def exceeds(self, speed):
@@ -137,7 +137,7 @@ def _ref_sweep(sc, speed, bound, point_cap, beyond) -> tuple[Optional[int], int]
 
 
 def _ref_edf(ts, speed, point_cap, hyperperiod_cap):
-    sc = _RefScaled(ts.ints, range(len(ts)))
+    sc = _RefScaled(ts, range(len(ts)))
     beyond = sc.exceeds(speed)
     if beyond:
         bound = sc.overshoot_bound(speed)
@@ -165,14 +165,14 @@ def _edf_fields(ts, speed, point_cap=DEFAULT_POINT_CAP):
     return v.feasible, v.witness, v.horizon, v.points_checked
 
 
-def _kernel(view, positions, speed, point_cap=DEFAULT_POINT_CAP):
+def _kernel(ts, positions, speed, point_cap=DEFAULT_POINT_CAP):
     """(bound, witness, points) of the kernel on `positions`."""
-    witness, checked, bound = _sweep_first_failure(view, positions, speed, point_cap)
+    witness, checked, bound = _sweep_first_failure(ts, positions, speed, point_cap)
     return bound, witness, checked
 
 
-def _ref_kernel(view, positions, speed, point_cap=DEFAULT_POINT_CAP):
-    sc = _RefScaled(view, positions)
+def _ref_kernel(ts, positions, speed, point_cap=DEFAULT_POINT_CAP):
+    sc = _RefScaled(ts, positions)
     beyond = sc.exceeds(speed)
     if beyond:
         bound = sc.overshoot_bound(speed)
@@ -235,11 +235,11 @@ class TestPositions:
     @given(subsets_with_equal_deadlines(), st.sampled_from(SPEEDS))
     def test_same_sweep_on_unsorted_subsets(self, case, speed):
         ts, positions = case
-        got = _outcome(lambda: _kernel(ts.ints, positions, speed))
-        want = _outcome(lambda: _ref_kernel(ts.ints, positions, speed))
+        got = _outcome(lambda: _kernel(ts, positions, speed))
+        want = _outcome(lambda: _ref_kernel(ts, positions, speed))
         assert got == want
         if speed == 1 and not isinstance(want[0], str):  # no error raised
-            assert positions_feasible_exact(ts.ints, positions) == (want[1] is None)
+            assert positions_feasible_exact(ts, positions) == (want[1] is None)
 
     @settings(max_examples=200)
     @given(subsets_with_equal_deadlines(), st.sampled_from(SPEEDS), st.integers(1, 4))
@@ -248,8 +248,8 @@ class TestPositions:
         # dbf* certifies every kink and the cap falls among the kinks the
         # sweep passes over before it builds a heap
         ts, positions = case
-        got = _outcome(lambda: _kernel(ts.ints, positions, speed, point_cap))
-        want = _outcome(lambda: _ref_kernel(ts.ints, positions, speed, point_cap))
+        got = _outcome(lambda: _kernel(ts, positions, speed, point_cap))
+        want = _outcome(lambda: _ref_kernel(ts, positions, speed, point_cap))
         assert got == want
 
 
@@ -260,15 +260,15 @@ CERTIFIED = taskset([(1, 4, 8), (1, 4, 8), (1, 6, 8)])
 
 class TestCertifiedKinks:
     def test_every_kink_certified_counts_each_deadline_once(self):
-        view, positions = CERTIFIED.ints, range(3)
-        got = _kernel(view, positions, F(1))
-        assert got == _ref_kernel(view, positions, F(1))
+        ts, positions = CERTIFIED, range(3)
+        got = _kernel(ts, positions, F(1))
+        assert got == _ref_kernel(ts, positions, F(1))
         bound, witness, points = got
         assert witness is None and points == 2
-        assert _fraction(view, *bound) == 6
+        assert _fraction(ts, *bound) == 6
 
     def test_cap_below_the_certified_kinks(self):
-        view, positions = CERTIFIED.ints, range(3)
-        got = _outcome(lambda: _kernel(view, positions, F(1), 1))
-        assert got == _outcome(lambda: _ref_kernel(view, positions, F(1), 1))
+        ts, positions = CERTIFIED, range(3)
+        got = _outcome(lambda: _kernel(ts, positions, F(1), 1))
+        assert got == _outcome(lambda: _ref_kernel(ts, positions, F(1), 1))
         assert got == ("PointExplosion", "demand sweep exceeded 1 points before 6")
