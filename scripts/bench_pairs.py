@@ -14,10 +14,11 @@ The metrics and their bounds are the `end_to_end` entries of PARENT's
 `BENCHMARK.json`.  For each workload and metric the file records both
 sides' values, medians and quartiles (`statistics.quantiles(n=4,
 method="inclusive")`), the pairs in which CHANGE is strictly better (in the
-metric's `better` direction), the gap between the medians against the
-parent's interquartile range, and whether CHANGE's median stays within the
-metric's bound of PARENT's (a relative change).  Needs only the standard
-library.
+metric's `better` direction), the gap between the medians, whether that
+gap lies on the metric's better side and exceeds the parent's interquartile
+range (a gap on the worse side never counts, however wide), and whether
+CHANGE's median stays within the metric's bound of PARENT's (a relative
+change).  Needs only the standard library.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     iqr = p_q[1] - p_q[0]
     rel = (c_med - p_med) / p_med if p_med else 0.0
     worse = rel if lower else -rel
+    gain = p_med - c_med if lower else c_med - p_med
     return {
         "parent_median": p_med,
         "change_median": c_med,
@@ -96,7 +98,7 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
         "change_quartiles": c_q,
         "parent_iqr": iqr,
         "median_gap": abs(c_med - p_med),
-        "gap_exceeds_parent_iqr": abs(c_med - p_med) > iqr,
+        "gap_exceeds_parent_iqr": gain > iqr,
         "bound": metric["bound"],
         "within_bound": worse <= metric["bound"],
         "parent": parent,
@@ -159,7 +161,7 @@ def main(argv=None) -> int:
             print(
                 f"{workload} {m['name']}: {r['parent_median']:.4g} -> {r['change_median']:.4g} "
                 f"({r['change_pct']:+.2f}%), better in {r['change_better_pairs']}/{r['pairs']}, "
-                f"gap {'>' if r['gap_exceeds_parent_iqr'] else '<='} parent IQR, "
+                f"{'gain >' if r['gap_exceeds_parent_iqr'] else 'no gain past'} parent IQR, "
                 f"{'within' if r['within_bound'] else 'OUTSIDE'} bound {m['bound']}"
             )
     return 0

@@ -51,6 +51,8 @@ BENCH = "src/rtpack/bench.py"
 PARTITIONERS = "src/rtpack/partitioners.py"
 ORACLE = "src/rtpack/oracle.py"
 GENERATORS = "src/rtpack/generators.py"
+CLI = "src/rtpack/cli.py"
+HANDS_BACK = ("tests/test_cli.py::TestDispatch::test_plain_read_hands_back",)
 
 MUTANTS = (
     Mutant(
@@ -129,13 +131,6 @@ MUTANTS = (
         '    if len(text) - text.startswith("-") > MAX_EXPONENT:\n',
         '    if len(text) - text.startswith("-") >= MAX_EXPONENT:\n',
         ("tests/test_io.py",),
-    ),
-    Mutant(
-        "leftover arguments of the subcommand route ignored",
-        "src/rtpack/cli.py",
-        "            if extra:\n",
-        "            if False:\n",
-        ("tests/test_cli.py",),
     ),
     Mutant(
         "simulator event cap > made >=",
@@ -267,7 +262,7 @@ MUTANTS = (
     ),
     Mutant(
         "generate flag abbreviations allowed",
-        "src/rtpack/cli.py",
+        CLI,
         "allow_abbrev=False",
         "allow_abbrev=True",
         ("tests/test_cli.py::TestGenerate::test_long_period_is_not_a_parameter",),
@@ -278,6 +273,27 @@ MUTANTS = (
         "        k = (row.instance, row.family, row.n, row.deadline_class,\n",
         "        k = (row.instance, row.family, row.deadline_class,\n",
         ("tests/test_bench.py::TestEmitJson",),
+    ),
+    Mutant(
+        "plain argv read skips the choices check",
+        CLI,
+        "if action.choices is not None and value not in action.choices:",
+        "if False:",
+        HANDS_BACK,
+    ),
+    Mutant(
+        "plain argv read takes a value starting with -",
+        CLI,
+        'if action is None or value[:1] == "-" or action in strings:',
+        "if action is None or action in strings:",
+        HANDS_BACK,
+    ),
+    Mutant(
+        "plain argv read skips the required-flag check",
+        CLI,
+        "if len(values) != len(positionals) or not required <= strings.keys():",
+        "if len(values) != len(positionals):",
+        HANDS_BACK,
     ),
 )
 

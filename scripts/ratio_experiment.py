@@ -25,6 +25,9 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("-o", "--output", default="ratio_experiment.csv")
     args = ap.parse_args()
+    if args.n < 1:
+        # it is the oracle cap too, which would refuse it under its own name
+        ap.error(f"argument --n: must be at least 1, got {args.n}")
 
     instances = tuple(
         spec(

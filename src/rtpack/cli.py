@@ -6,14 +6,17 @@ is JSON or CSV with fixed key order, and output files are written whole via
 an atomic rename, never partially.  `dispatch` parses with one parser per
 process, built on first use; `build_parser()` returns a fresh one.
 
-A request whose first argument names a subcommand goes straight to that
-subcommand's parser, and arguments it leaves over are refused through the
-top-level parser with the message argparse's nested parse gives.  Every
-other request (no arguments, `-h`, an unknown command, a leading `--`)
-goes through the full parser: it alone serves those inputs, and it is the
-reference that the direct route must answer like, byte for byte.  A
-rational flag that `as_rational` refuses exits 2 with argparse's usage and
-the refusal's reason, as "argument --speed: zero denominator in '1/0'".
+A request whose first argument names a subcommand is first read from that
+subcommand's parser tables without argparse, when every token is a value
+or the exact option string of a one-value flag followed by its value, no
+value starts with "-", and every value passes its `type` and `choices`.
+Every other request (a help flag, `--`, an abbreviation, `--x=v`, a
+repeated flag, a refused value, a missing required argument, no
+arguments, an unknown command) goes through the full parser, so argparse
+writes every usage, help and error text, and the full parser is the
+reference the reader must answer like, byte for byte.  A rational flag
+that `as_rational` refuses exits 2 with argparse's usage and the
+refusal's reason, as "argument --speed: zero denominator in '1/0'".
 
 Every document has the bytes of `json.dumps(doc, indent=2)`.  Any indent
 makes the json module fall back to its pure-Python encoder, so two are
@@ -224,29 +227,80 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--event-cap", type=int, default=DEFAULT_EVENT_CAP)
     p_sim.set_defaults(func=cmd_simulate)
     parser.commands = sub.choices  # each command's own parser, by name
+    for command in sub.choices.values():
+        command.read_plain = _plain_reader(command)
     return parser
+
+
+def _plain_reader(command: argparse.ArgumentParser):
+    """A reader of `command`'s argv from the parser's own tables: option
+    strings, dest, type, choices, required, defaults and `set_defaults`.
+    It keeps argparse off the path of plain requests (timings in
+    BENCH_40.json).
+
+    It returns the namespace `command.parse_known_args(argv)` gives with
+    nothing left over when every token is a positional value or the exact
+    option string of a one-value store flag followed by its value, and no
+    value starts with "-".  It returns None, for argparse to answer, when a
+    token is anything else, a flag is repeated, a value is refused by its
+    type or not among its choices, a required flag is missing or the
+    positional count is wrong.
+    """
+    flags, positionals = {}, []
+    for action in command._actions:
+        if not action.option_strings:
+            positionals.append(action)
+        elif type(action) is argparse._StoreAction and action.nargs is None:
+            flags.update(dict.fromkeys(action.option_strings, action))
+    required = {action for action in flags.values() if action.required}
+    defaults = {**command._defaults, **{
+        action.dest: action.default for action in command._actions
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+    }}  # fmt: skip
+
+    def read(argv) -> argparse.Namespace | None:
+        strings, values = {}, []
+        tokens = iter(argv)
+        for token in tokens:
+            if token[:1] != "-":
+                values.append(token)
+                continue
+            action, value = flags.get(token), next(tokens, "-")
+            if action is None or value[:1] == "-" or action in strings:
+                return None
+            strings[action] = value
+        if len(values) != len(positionals) or not required <= strings.keys():
+            return None
+        strings.update(zip(positionals, values))
+        args = dict(defaults)
+        for action, string in strings.items():
+            try:
+                value = string if action.type is None else action.type(string)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            args[action.dest] = value
+        return argparse.Namespace(**args)
+
+    return read
 
 
 # building the argparse tree costs several times a whole `check` request
 # on a small set; `parse_args` leaves a parser as it found it, so one
-# serves every call
+# parser and the readers built with it serve every call
 _shared_parser = functools.cache(build_parser)
 
 
 def dispatch(argv) -> int:
     parser = _shared_parser()
     command = parser.commands.get(argv[0]) if argv else None
-    try:
-        if command is None:
+    args = None if command is None else command.read_plain(argv[1:])
+    if args is None:
+        try:
             args = parser.parse_args(argv)
-        else:
-            # the top-level parse would only read the name and hand the
-            # rest to this parser, at about half of a request's argparse time
-            args, extra = command.parse_known_args(argv[1:])
-            if extra:
-                parser.error("unrecognized arguments: " + " ".join(extra))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except (RtpackError, OSError, ValueError) as exc:

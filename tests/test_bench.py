@@ -451,6 +451,47 @@ class TestRatioExperimentScript:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_refused_n_names_the_flag(self, tmp_path, monkeypatch, capsys, n):
+        out = tmp_path / "r.csv"
+        monkeypatch.setattr(sys, "argv", ["ratio_experiment.py", "--n", n, "-o", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(SCRIPTS / "ratio_experiment.py"), run_name="__main__")
+        assert exc.value.code == 2
+        assert f"error: argument --n: must be at least 1, got {n}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestAdversaryTableScript:
+    def run(self, monkeypatch, *flags):
+        monkeypatch.setattr(sys, "argv", ["adversary_table.py", *flags])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(SCRIPTS / "adversary_table.py"), run_name="__main__")
+        return exc.value.code
+
+    def test_writes_the_table(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "a.csv"
+        assert self.run(monkeypatch, "--k-max", "4", "-o", str(out)) == 0
+        assert "bf-adversary-k4" in capsys.readouterr().out
+        assert out.read_bytes().count(b"\n") == 7  # header, 2 instances x 3 algorithms
+
+    @pytest.mark.parametrize("k_max", ["0", "3"])
+    def test_k_max_below_four_exits_two(self, tmp_path, monkeypatch, capsys, k_max):
+        # 0 used to end in a traceback (exit 1) and 3 in an empty table (exit 0)
+        out = tmp_path / "a.csv"
+        assert self.run(monkeypatch, "--k-max", k_max, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --k-max: must be at least 4, got {k_max}\n" in err
+        assert not out.exists()
+
+    def test_refusal_exits_two(self, tmp_path, monkeypatch, capsys):
+        def refuse(cfg):
+            raise ParseError("refused")
+
+        monkeypatch.setattr(bench_mod, "run_experiment", refuse)
+        assert self.run(monkeypatch, "--k-max", "4", "-o", str(tmp_path / "a.csv")) == 2
+        assert capsys.readouterr().err == "error: refused\n"
+
 
 class TestEmit:
     def test_empty_csv_has_header_only(self):

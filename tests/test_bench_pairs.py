@@ -31,6 +31,16 @@ class TestSummarize:
         assert got["change_better_pairs"] == 1
         assert not got["gap_exceeds_parent_iqr"] and got["within_bound"]
 
+    @pytest.mark.parametrize("metric, parent, change", [
+        (LOWER, [1.0, 1.01, 0.99, 1.0], [1.2, 1.21, 1.19, 1.2]),
+        (HIGHER, [1.0, 1.01, 0.99, 1.0], [0.8, 0.81, 0.79, 0.8]),
+    ])  # fmt: skip
+    def test_a_gap_on_the_worse_side_is_no_gain(self, metric, parent, change):
+        got = pairs["summarize"](metric, parent, change)
+        assert got["change_better_pairs"] == 0
+        assert got["median_gap"] > got["parent_iqr"]
+        assert not got["gap_exceeds_parent_iqr"]
+
     @pytest.mark.parametrize("metric, change, within", [
         (LOWER, 1.24, True), (LOWER, 1.25, False),
         (HIGHER, 0.76, True), (HIGHER, 0.75, False),

@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -25,6 +26,8 @@ from rtpack.partitioners import Partition
 from rtpack.simulate import SimTrace
 
 GOLDEN = Path(__file__).parent / "golden"
+sys.path.insert(0, str(GOLDEN.parent.parent / "perfbench"))
+from workloads import Request  # noqa: E402
 
 
 def run(capsys, *args):
@@ -736,14 +739,29 @@ ROUTE_COMMANDS = ["check", "partition", "generate", "bench", "simulate", "frobni
 ROUTE_FLAGS = [
     "--speed", "--sp", "--speed=3/2", "--point-cap", "--point",
     "--algo", "--strategy", "--n-cap", "--horizon", "--event-cap",
-    "--family", "--n", "--eps", "--config",
+    "--family", "--n", "--eps", "--class", "--target-u", "--config",
 ]  # fmt: skip
-ROUTE_VALUES = ["3/2", "1/2", "2", "6", "0", "-1", "dm", "oracle", "bf", "speedup-gap"]
+ROUTE_VALUES = [
+    "3/2", "1/2", "2", "6", "0", "-1", "-1/2", "1/0", "abc", "zz",
+    "dm", "oracle", "bf", "speedup-gap", "implicit",
+]  # fmt: skip
+# with the values that the plain read must hand to argparse: a type's
+# refusal, a choice miss, a value starting with "-" and a repeated flag
 ROUTE_PAIRS = [
     ("--speed", "3/2"), ("--sp", "3/2"), ("--point-cap", "6"), ("--point", "1000"),
-    ("--algo", "dm"), ("--algo", "oracle"), ("--strategy", "bf"), ("--n-cap", "6"),
-    ("--horizon", "6"), ("--event-cap", "6"),
-    ("--family", "speedup-gap"), ("--n", "2"), ("--eps", "1/2"), ("--config", ROUTE_GAP),
+    ("--speed", "1/0"), ("--point-cap", "abc"), ("--speed", "-1/2"),
+    ("--speed", "3/2", "--speed", "1/2"),
+    ("--algo", "dm"), ("--algo", "oracle"), ("--strategy", "bf"), ("--strategy", "zz"),
+    ("--n-cap", "6"), ("--horizon", "6"), ("--event-cap", "6"),
+    ("--family", "speedup-gap"), ("--n", "2"), ("--eps", "1/2"), ("--target-u", "1/2"),
+    ("--class", "implicit"), ("--class", "bogus"), ("--config", ROUTE_GAP),
+]  # fmt: skip
+# each command with its required arguments
+ROUTE_HEADS = [
+    ("check", ROUTE_GAP), ("partition", ROUTE_GAP, "--algo", "dm"),
+    ("partition", ROUTE_GAP, "--algo", "oracle"), ("simulate", ROUTE_GAP, "--horizon", "6"),
+    ("generate", "--family", "speedup-gap", "--n", "2", "--eps", "1/2"),
+    ("bench", "--config", ROUTE_GAP),
 ]  # fmt: skip
 ROUTE_TOKENS = [
     *ROUTE_COMMANDS, *ROUTE_FLAGS, *ROUTE_VALUES,
@@ -755,12 +773,7 @@ ROUTE_ARGVS = st.one_of(
     # a command (with its required arguments), flag-value pairs, then any tokens
     st.builds(
         lambda head, pairs, rest: [*head, *(a for pair in pairs for a in pair), *rest],
-        st.sampled_from(
-            [("check", ROUTE_GAP), ("partition", ROUTE_GAP, "--algo", "dm"),
-             ("partition", ROUTE_GAP, "--algo", "oracle"), ("simulate", ROUTE_GAP, "--horizon", "6"),
-             ("generate", "--family", "speedup-gap", "--n", "2", "--eps", "1/2"),
-             ("bench", "--config", ROUTE_GAP), *((c,) for c in ROUTE_COMMANDS)]
-        ),
+        st.sampled_from([*ROUTE_HEADS, *((c,) for c in ROUTE_COMMANDS)]),
         st.lists(
             st.one_of(
                 st.sampled_from(ROUTE_PAIRS),
@@ -850,8 +863,67 @@ class TestDispatch:
     @example(["generate", "--family", "speedup-gap", "--n", "2", "--eps", "1/2"])
     @example(["check", "--", "--frobnicate"])
     @example(["--", "check", ROUTE_GAP])
+    @example(["check", ROUTE_GAP, "--speed", "1/0"])
+    @example(["check", ROUTE_GAP, "--speed", "-1/2"])
+    @example(["check", ROUTE_GAP, "--speed", "3/2", "--speed", "1/2"])
+    @example(["partition", ROUTE_GAP, "--algo", "dm", "--strategy", "zz"])
+    @example(["partition", ROUTE_GAP])
+    @example(["generate", "--family", "random", "--n", "2", "--class", "bogus"])
+    @example(["generate", "--family", "random", "--n", "2", "--class", "implicit",
+              "--target-u", "1/2"])  # fmt: skip
+    @example(["bench", "--config", "-x"])
     def test_answers_as_the_full_parser(self, argv):
         assert _answer(dispatch, argv) == _answer(_full_parser_dispatch, argv)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ROUTE_ARGVS)
+    def test_plain_read_is_the_parse_of_the_command(self, argv):
+        command = cli._shared_parser().commands.get(argv[0]) if argv else None
+        args = None if command is None else command.read_plain(argv[1:])
+        if args is not None:
+            want, extra = command.parse_known_args(argv[1:])
+            assert extra == [] and vars(args) == vars(want)
+
+    @pytest.mark.parametrize("head", ROUTE_HEADS, ids=lambda head: " ".join(head[:1] + head[2:]))
+    def test_plain_read_takes_each_command_s_defaults(self, head):
+        command = cli._shared_parser().commands[head[0]]
+        args = command.read_plain(list(head[1:]))
+        assert args is not None
+        assert vars(args) == vars(command.parse_known_args(list(head[1:]))[0])
+
+    @pytest.mark.parametrize("speed", ["1", "3/2"])
+    def test_reads_every_cli_check_request_without_argparse(self, speed):
+        # the benchmark's cli-check requests, in every order of their parts
+        argv = Request("request-0", "random", ROUTE_GAP, speed, None).argv
+        assert argv == ["check", ROUTE_GAP, "--speed", speed, "--point-cap", "1000"]
+        command = cli._shared_parser().commands["check"]
+        for parts in itertools.permutations([argv[1:2], argv[2:4], argv[4:6]]):
+            rest = [token for part in parts for token in part]
+            args = command.read_plain(rest)
+            assert args is not None
+            assert vars(args) == vars(command.parse_known_args(rest)[0])
+
+    @pytest.mark.parametrize("argv", [
+        ["check", ROUTE_GAP, "--speed", "1/0"],
+        ["check", ROUTE_GAP, "--point-cap", "abc"],
+        ["partition", ROUTE_GAP, "--algo", "zz"],
+        ["generate", "--family", "random", "--class", "bogus"],
+        ["check", ROUTE_GAP, "--speed", "-1/2"],
+        ["bench", "--config", "-x"],
+        ["check", ROUTE_GAP, "--speed"],
+        ["partition", ROUTE_GAP],
+        ["bench", "--format", "json"],
+        ["check"],
+        ["check", ROUTE_GAP, ROUTE_GAP],
+        ["check", ROUTE_GAP, "--speed", "3/2", "--speed", "1/2"],
+        ["bench", "-o", "x", "--output", "y", "--config", ROUTE_GAP],
+        ["check", ROUTE_GAP, "-h"],
+        ["check", "--", ROUTE_GAP],
+        ["check", ROUTE_GAP, "--sp", "3/2"],
+        ["check", ROUTE_GAP, "--speed=3/2"],
+    ], ids=lambda argv: " ".join(a.replace(ROUTE_GAP, "FILE") for a in argv))  # fmt: skip
+    def test_plain_read_hands_back(self, argv):
+        assert cli._shared_parser().commands[argv[0]].read_plain(argv[1:]) is None
 
 
 
