@@ -53,6 +53,7 @@ ORACLE = "src/rtpack/oracle.py"
 GENERATORS = "src/rtpack/generators.py"
 CLI = "src/rtpack/cli.py"
 HANDS_BACK = ("tests/test_cli.py::TestDispatch::test_plain_read_hands_back",)
+UNKNOWN_KEY = ("tests/test_io.py::TestParseTaskset::test_unknown_key_refused_naming_it",)
 
 MUTANTS = (
     Mutant(
@@ -294,6 +295,27 @@ MUTANTS = (
         "if len(values) != len(positionals) or not required <= strings.keys():",
         "if len(values) != len(positionals):",
         HANDS_BACK,
+    ),
+    Mutant(
+        "lazy term not stored",
+        MODEL,
+        "        value = obj.__dict__[self.name] = self.func(obj)\n",
+        "        value = self.func(obj)\n",
+        ("tests/test_model.py::TestLazyTerms",),
+    ),
+    Mutant(
+        "task-set document's unknown key allowed",
+        "src/rtpack/io.py",
+        '    if len(doc) > 1 + ("name" in doc):\n',
+        "    if False:\n",
+        UNKNOWN_KEY,
+    ),
+    Mutant(
+        "task's unknown key allowed",
+        "src/rtpack/io.py",
+        "        if len(entry) != 3:\n",
+        "        if False:\n",
+        UNKNOWN_KEY,
     ),
 )
 

@@ -192,7 +192,7 @@ class ExperimentConfig:
     oracle: bool = True
     n_cap: int = DEFAULT_ORACLE_CAP
     alpha_slack: Fraction = DEFAULT_ALPHA_SLACK
-    timing: bool = True
+    timing: bool = False
     # ignored (runs are serial); kept while the benchmark still sends it
     threads: int = 1
 

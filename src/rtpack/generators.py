@@ -4,9 +4,9 @@ vector packing transform, and seeded random task sets.
 All generators are pure functions of their parameters; random families
 derive every draw from an explicit seed, so concurrent or repeated
 generation reproduces bit-identical instances.  Every family builds its
-set from int rows, with ids 1..N in task order, by the one row builder
-`model._of_rows`: `gen_random` from its ints, the others from exact
-(c, d, t) triples through `model.taskset`.
+set with ids 1..N in task order by the one set builder `model._of_pairs`:
+`gen_random` from its int rows through `model._of_rows`, the others from
+exact (c, d, t) triples through `model.taskset`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from itertools import chain
 
 from .errors import ParseError
 from .generators import DvpInstance
-from .model import MAX_EXPONENT, TaskSet, _of_rows, as_rational, plain_ratio, require_valid
+from .model import MAX_EXPONENT, TaskSet, _of_pairs, as_rational, plain_ratio, require_valid
 
 
 def parse_rational(value, where: str = "value") -> Fraction:
@@ -60,28 +60,33 @@ def load_json(data: bytes | str, what: str):
 def parse_taskset(data: bytes | str) -> TaskSet:
     """Parse the task-set document, converting every value exactly and
     assigning ids in file order; rejects sets violating the model
-    assumptions with per-task diagnostics.
+    assumptions with per-task diagnostics.  The document holds only
+    "tasks" and an optional "name", and a task only "c", "d" and "t"; any
+    other key is a ParseError naming it.
 
     A plain "p" or "p/q" literal (`plain_ratio`) is read as ints, every
-    other value through `parse_rational`, and the set is built straight
-    from these pairs by the one row builder, `model._of_rows`, which checks
-    nothing: every pair here is ints with a positive denominator.
-    No `Task` is built.
+    other value through `parse_rational`, and each value's numerator and
+    denominator go straight into two flat lists, from which the one set
+    builder, `model._of_pairs`, builds the set.  It checks nothing: every
+    pair here is ints with a positive denominator.  No `Task` is built.
     """
     doc = load_json(data, "task set")
     if not isinstance(doc, dict) or "tasks" not in doc:
         raise ParseError('document must be an object with a "tasks" list')
+    if len(doc) > 1 + ("name" in doc):
+        key = next(key for key in doc if key not in ("name", "tasks"))
+        raise ParseError(f"task set: unknown key {key!r}")
     raw_tasks = doc["tasks"]
     if not isinstance(raw_tasks, list) or not raw_tasks:
         raise ParseError('"tasks" must be a nonempty list')
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ParseError('"name" must be a string')
-    rows = []
+    nums: list[int] = []
+    dens: list[int] = []
     for i, entry in enumerate(raw_tasks, start=1):
         if not isinstance(entry, dict):
             raise ParseError(f"task {i}: expected an object")
-        row = []
         for key in ("c", "d", "t"):
             if key not in entry:
                 raise ParseError(f"task {i}: missing field {key!r}")
@@ -90,9 +95,12 @@ def parse_taskset(data: bytes | str) -> TaskSet:
             if pair is None:
                 exact = parse_rational(value, where=f"task {i}, field {key!r}")
                 pair = exact.numerator, exact.denominator
-            row += pair
-        rows.append(row)
-    ts = _of_rows(rows, name)
+            nums.append(pair[0])
+            dens.append(pair[1])
+        if len(entry) != 3:
+            key = next(key for key in entry if key not in ("c", "d", "t"))
+            raise ParseError(f"task {i}: unknown key {key!r}")
+    ts = _of_pairs(nums, dens, name)
     require_valid(ts)
     return ts
 

@@ -6,13 +6,16 @@ at one common scale, which every solver reads, with each task's id by
 position.  A `Task` holds its values as `fractions.Fraction`s; a set reads
 its `Task`s off the ints when asked.
 Tasks are immutable and keep a stable integer id; the parser and every
-generator build their sets from int rows (cn, cd, dn, dd, tn, td) with ids
-1..N in input order, so partitions can always be reported against the
-original indices regardless of sorting or transforms.  One private
-builder, `_of_rows`, makes every such set; the parser, `gen_random` and
-`taskset` call it on rows they build from ints and Fractions, which are
-valid by construction.  The public builders are `taskset`, from (c, d, t)
-triples, and `TaskSet(tasks, name)`, for a set that keeps its own ids.
+generator build their sets from the numerators and denominators of C, D
+and T with ids 1..N in input order, so partitions can always be reported
+against the original indices regardless of sorting or transforms.  One
+private builder, `_of_pairs`, makes every such set from two flat lists;
+the parser and `taskset` fill the lists from ints and Fractions, which
+are valid by construction, and `gen_random` passes its int rows through
+`_of_rows`, which flattens them.  The public builders are `taskset`,
+from (c, d, t) triples, and `TaskSet(tasks, name)`, for a set that keeps
+its own ids.  A set's derived terms are `lazy`: computed on first use
+and then kept.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, repeat
 from numbers import Rational
 from operator import floordiv, mul
@@ -119,6 +121,27 @@ def ratio_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return sum(num * (whole // den) for num, den in pairs), whole
 
 
+class lazy:
+    """`functools.cached_property` without its lock, which Python 3.10
+    and 3.11 take on every first read: the value is computed on first
+    read and kept in the instance's `__dict__`, where it shadows this
+    non-data descriptor, so a frozen dataclass still refuses assignment.
+    Read on the class, it is the descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True, slots=True)
 class Task:
     """A sporadic task: worst-case execution time c, relative deadline d,
@@ -198,15 +221,16 @@ class TaskSet:
 
     `TaskSet(tasks, name)` scales the tasks' values and keeps their ids,
     not the tasks; a bool, float or other value that is not an exact
-    rational is a TypeError.  `_of_rows` scales int rows, with ids 1..N.
+    rational is a TypeError.  `_of_pairs` scales flat int pairs, with ids
+    1..N.
     `tasks` reads the `Task`s off the ints and keeps them; iterating
     yields them without keeping them.  Since the scale is canonical,
     equality and hash are the dataclass's, those of (scale, c, d, t, ids,
     name); repr is that of (tasks, name), read without keeping them.
     The validation verdict, the id-to-position index and the
     deadline-monotonic order (`dm_order`, which every DM strategy packs
-    in) are computed on first use and then kept: nothing they depend on
-    can change.
+    in) are computed on first use and then kept, `lazy` like the terms
+    above: nothing they depend on can change.
     """
 
     scale: int
@@ -245,34 +269,34 @@ class TaskSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @cached_property
+    @lazy
     def tasks(self) -> tuple[Task, ...]:
         """The tasks read off the ints, then kept."""
         return tuple(self)
 
-    @cached_property
+    @lazy
     def whole(self) -> int:
         return math.lcm(*self.t)
 
-    @cached_property
+    @lazy
     def share(self) -> tuple[int, ...]:
         whole = self.whole
         return tuple(whole // t * c for c, t in zip(self.c, self.t))
 
-    @cached_property
+    @lazy
     def offset(self) -> tuple[int, ...]:
         whole = self.whole
         return tuple(c * whole - s * d for c, d, s in zip(self.c, self.d, self.share))
 
-    @cached_property
+    @lazy
     def span(self) -> tuple[int, ...]:
         return tuple(map(min, self.d, self.t))
 
-    @cached_property
+    @lazy
     def span_whole(self) -> int:
         return math.lcm(*self.span)
 
-    @cached_property
+    @lazy
     def span_share(self) -> tuple[int, ...]:
         whole = self.span_whole
         return tuple(whole // span * c for c, span in zip(self.c, self.span))
@@ -283,17 +307,17 @@ class TaskSet:
         ZeroDivisionError."""
         return Fraction(*ratio_sum(zip(self.c, self.t)))
 
-    @cached_property
+    @lazy
     def violations(self) -> tuple[Violation, ...]:
         """`validate` of this set."""
         return tuple(validate(self))
 
-    @cached_property
+    @lazy
     def position(self) -> dict[int, int]:
         """Each task id's position in the set."""
         return {tid: i for i, tid in enumerate(self.ids)}
 
-    @cached_property
+    @lazy
     def dm_order(self) -> tuple[int, ...]:
         """Positions in deadline-monotonic order: nondecreasing deadline,
         equal deadlines by task id, sorted on the ints.
@@ -307,29 +331,35 @@ class TaskSet:
         return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
 
-def _of_rows(rows: list[Sequence[int]], name: str) -> TaskSet:
-    """The set of tasks C = cn/cd, D = dn/dd, T = tn/td, one row
-    (cn, cd, dn, dd, tn, td) per task, ids 1..N in row order: the set
-    `TaskSet(tasks, name)` builds from the same values.  Unchecked: each
-    row must already be six ints with positive denominators, as every
-    caller builds them.  No rows is a ValueError."""
-    if not rows:
+def _of_pairs(nums: list[int], dens: list[int], name: str) -> TaskSet:
+    """The set of the values nums[k]/dens[k], in the order C, D, T per
+    task, ids 1..N in task order: the set `TaskSet(tasks, name)` builds
+    from the same values.  Unchecked: the lists must already be ints of
+    equal length, a multiple of 3, with positive denominators, as every
+    caller builds them.  No values is a ValueError."""
+    if not nums:
         raise ValueError("a task set holds at least one task")
-    pairs = list(chain.from_iterable(rows))
     ts = object.__new__(TaskSet)
-    ts._hold(*_view_of(pairs[0::2], pairs[1::2]), tuple(range(1, len(rows) + 1)), name)
+    ts._hold(*_view_of(nums, dens), tuple(range(1, len(nums) // 3 + 1)), name)
     return ts
+
+
+def _of_rows(rows: list[Sequence[int]], name: str) -> TaskSet:
+    """`_of_pairs` of rows (cn, cd, dn, dd, tn, td), one per task."""
+    pairs = list(chain.from_iterable(rows))
+    return _of_pairs(pairs[0::2], pairs[1::2], name)
 
 
 def taskset(triples: Iterable[tuple], name: str = "") -> TaskSet:
     """Build a TaskSet from (c, d, t) triples of `as_rational` values, ids
-    assigned 1..N in order: the set `_of_rows` builds from their
-    numerators and denominators, which are valid rows by construction."""
-    rows = []
+    assigned 1..N in order: the set `_of_pairs` builds from their
+    numerators and denominators, which are valid by construction."""
+    nums, dens = [], []
     for c, d, t in triples:
-        values = as_rational(c), as_rational(d), as_rational(t)
-        rows.append([n for x in values for n in (x.numerator, x.denominator)])
-    return _of_rows(rows, name)
+        for x in (as_rational(c), as_rational(d), as_rational(t)):
+            nums.append(x.numerator)
+            dens.append(x.denominator)
+    return _of_pairs(nums, dens, name)
 
 
 def dbf(tsk: Task, tpoint: Fraction) -> Fraction:

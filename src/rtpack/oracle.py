@@ -69,12 +69,11 @@ result keeps neither the deciding search nor its memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadParam, CapExceeded
 from .feasibility import _positions, bin_feasible
-from .model import TaskSet, require_valid
+from .model import TaskSet, lazy, require_valid
 from .partitioners import Partition
 
 DEFAULT_ORACLE_CAP = 20
@@ -93,7 +92,7 @@ class OracleResult:
     nodes_explored: int
     _ts: TaskSet = field(repr=False, compare=False)
 
-    @cached_property
+    @lazy
     def witness(self) -> Partition:
         return _witness(self._ts, self.m_star)
 

@@ -259,6 +259,15 @@ class TestRunExperiment:
         with pytest.raises(BadParam, match=where):
             run_experiment(cfg)
 
+    def test_file_with_an_unknown_key_names_its_instance_and_task(self, tmp_path):
+        (tmp_path / "a.json").write_text('{"tasks": [{"c": 1, "d": 2, "t": 2, "id": 1}]}')
+        cfg = ExperimentConfig(
+            instances=(spec("file", path=str(tmp_path / "a.json")),), algorithms=(("dm", "ff"),)
+        )
+        where = "instance 1 (file): task 1: unknown key 'id'"
+        with pytest.raises(ParseError, match=re.escape(where)):
+            run_experiment(cfg)
+
     def test_unreadable_file_names_its_instance_and_path(self, tmp_path):
         (tmp_path / "a.json").write_text('{"tasks": [{"c": 1, "d": 2, "t": 2}]}')
         (tmp_path / "sub.json").mkdir()
@@ -648,6 +657,7 @@ class TestEmitJson:
             ),
             algorithms=(("dm", "bf"), ("dagger", None)),
             n_cap=8,
+            timing=True,
         )
         report = run_experiment(cfg)
         assert report.errors and any(r.runtime_ms for r in report.rows)
@@ -913,3 +923,18 @@ class TestConfigParsing:
         a = emit_report(run_experiment(parse_config(raw)), "csv")
         b = emit_report(run_experiment(parse_config(raw)), "csv")
         assert a == b
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_timings_are_opt_in(self, fmt):
+        # a config with no "timing" key gives the same bytes on every run
+        raw = b"""
+        {
+          "instances": [{"family": "speedup-gap", "n": 5, "eps": "1/2"},
+                        {"family": "random", "count": 3, "n": 6, "seed": 4}],
+          "algorithms": [{"algo": "dm", "strategy": "bf"}, {"algo": "dagger"}]
+        }
+        """
+        assert parse_config(raw).timing is False
+        runs = [emit_report(run_experiment(parse_config(raw)), fmt) for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert all(r.runtime_ms == 0.0 for r in run_experiment(parse_config(raw)).rows)

@@ -190,6 +190,11 @@ class TestCheck:
         assert err == f"error: invalid JSON task set: {big[:40]!r} has more than 4300 digits\n"
         assert "set_int_max_str_digits" not in err
 
+    def test_unknown_key_exit_two_naming_it(self, tmp_path, capsys):
+        doc = tmp_path / "extra.json"
+        doc.write_text('{"tasks": [{"c": 1, "d": 2, "t": 4}, {"c": 1, "d": 2, "t": 4, "x": 0}]}')
+        assert run(capsys, "check", str(doc)) == (2, "", "error: task 2: unknown key 'x'\n")
+
     def test_invalid_set_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"tasks":[{"c":"3","d":"2","t":"4"}]}')
@@ -945,12 +950,15 @@ TASK_DOCS = st.one_of(
     st.dictionaries(st.sampled_from(["c", "d", "t", "x"]), JUNK, max_size=4),
     st.fixed_dictionaries(
         {"c": st.sampled_from(["1/2", 1, "1/3"]), "d": st.sampled_from([1, 2, "3/2"]),
-         "t": st.sampled_from([1, 2, 3, "5/2"])}
+         "t": st.sampled_from([1, 2, 3, "5/2"])},
+        optional={"id": JUNK, "C": JUNK},
     ),
     JUNK,
 )
 TASKSET_DOCS = st.one_of(
-    st.fixed_dictionaries({"tasks": st.lists(TASK_DOCS, max_size=4)}, optional={"name": JUNK}),
+    st.fixed_dictionaries(
+        {"tasks": st.lists(TASK_DOCS, max_size=4)}, optional={"name": JUNK, "nme": JUNK}
+    ),
     st.dictionaries(st.sampled_from(["tasks", "name"]), JUNK, max_size=2),
     JUNK,
 )

@@ -57,6 +57,19 @@ class TestParseTaskset:
             parse_taskset(b'{"tasks":[{"c":"1","d":"2"}]}')
         assert "task 1" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({"name": "a", "tasks": [{"c": 1, "d": 2, "t": 4}], "nme": "b"},
+          "task set: unknown key 'nme'"),
+         ({"tasks": [{"c": 1, "d": 2, "t": 4, "id": 7}]}, "task 1: unknown key 'id'"),
+         ({"tasks": [{"c": 1, "d": 2, "t": 4}, {"c": 1, "D": 2, "d": 2, "t": 4}]},
+          "task 2: unknown key 'D'")],
+    )  # fmt: skip
+    def test_unknown_key_refused_naming_it(self, doc, message):
+        with pytest.raises(ParseError) as err:
+            parse_taskset(json.dumps(doc))
+        assert str(err.value) == message
+
     def test_bad_json(self):
         with pytest.raises(ParseError):
             parse_taskset(b"{nope")

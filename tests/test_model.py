@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from rtpack import generators, io, model
+from rtpack import io, model
 from rtpack.generators import GenParams, gen_random
 from rtpack.io import parse_taskset
 from rtpack.model import (
@@ -596,19 +596,20 @@ class TestTaskSet:
         assert by_triples == by_tasks and hash(by_triples) == hash(by_tasks)
         assert by_triples.ids == (1, 2)
 
-        # the parser, the generators and `taskset` build from rows they made
-        # valid: each set is the one `TaskSet(tasks)` builds from the
-        # Fractions of the same rows, with ids 1..N
+        # the parser, the generators and `taskset` build from flat pairs
+        # they made valid: each set is the one `TaskSet(tasks)` builds from
+        # the Fractions of the same pairs, with ids 1..N
         built = []
-        real = model._of_rows
+        real = model._of_pairs
 
-        def spy(rows, name):
-            ts = real(rows, name)
-            built.append((ts, [tuple(row) for row in rows], name))
+        def spy(nums, dens, name):
+            ts = real(nums, dens, name)
+            pairs = [x for pair in zip(nums, dens) for x in pair]
+            built.append((ts, [tuple(pairs[k : k + 6]) for k in range(0, len(pairs), 6)], name))
             return ts
 
-        for module in (model, io, generators):
-            monkeypatch.setattr(module, "_of_rows", spy)
+        for module in (model, io):
+            monkeypatch.setattr(module, "_of_pairs", spy)
         doc = (
             '{"name": "doc", "tasks": [{"c": "1/2", "d": "2", "t": "2.5"},'
             ' {"c": 3, "d": "4e0", "t": "8/2"}]}'
@@ -646,6 +647,46 @@ class TestTaskSet:
         with pytest.raises(TypeError) as err:
             taskset([(1, 2, 2), tuple(row)])
         assert str(err.value) == message
+
+
+# every derived term of a set, in an order in which a term's own reads of
+# other terms come after those terms
+LAZY_TERMS = ("tasks", "whole", "share", "offset", "span", "span_whole", "span_share",
+              "violations", "position", "dm_order")  # fmt: skip
+
+
+class TestLazyTerms:
+    """Each derived term of a set is computed on its first read and kept
+    in the set's `__dict__`; the set stays frozen."""
+
+    def test_each_term_computed_once_and_kept(self, monkeypatch):
+        calls = dict.fromkeys(LAZY_TERMS, 0)
+        for name in LAZY_TERMS:
+            descriptor = vars(TaskSet)[name]
+            assert getattr(TaskSet, name) is descriptor
+
+            def counted(ts, name=name, func=descriptor.func):
+                calls[name] += 1
+                return func(ts)
+
+            monkeypatch.setattr(descriptor, "func", counted)
+        ts = taskset([("1/2", 2, "5/2"), (3, 4, 4), ("1/3", "7/2", 3)])
+        assert not set(LAZY_TERMS) & set(vars(ts))
+        for _ in range(3):
+            values = {name: getattr(ts, name) for name in LAZY_TERMS}
+        assert calls == dict.fromkeys(LAZY_TERMS, 1)
+        assert {name: vars(ts)[name] for name in LAZY_TERMS} == values
+        for name in LAZY_TERMS:
+            with pytest.raises(FrozenInstanceError) as err:
+                setattr(ts, name, None)
+            assert str(err.value) == f"cannot assign to field {name!r}"
+
+        # a pickle round-trip keeps the terms: the copy computes none again
+        copy = pickle.loads(pickle.dumps(ts))
+        assert {name: vars(copy)[name] for name in LAZY_TERMS} == values
+        assert {name: getattr(copy, name) for name in LAZY_TERMS} == values
+        assert calls == dict.fromkeys(LAZY_TERMS, 1)
+        assert copy == ts and hash(copy) == hash(ts)
 
 
 class TestIntegerValues:

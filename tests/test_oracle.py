@@ -21,6 +21,7 @@ from rtpack.generators import (
 from rtpack.model import DeadlineClass, Task, TaskSet, dbf, taskset
 from rtpack.oracle import (
     DEFAULT_ORACLE_CAP,
+    OracleResult,
     _Search,
     _by_density,
     _ceil_u,
@@ -82,6 +83,16 @@ class TestOracle:
     def test_rejects_invalid(self):
         with pytest.raises(ValidationError):
             optimal_partition_bruteforce(taskset([(5, 2, 4)]))
+
+    def test_witness_built_on_first_read_and_kept(self, monkeypatch):
+        result = optimal_partition_bruteforce(gen_best_fit_adversary(4), n_cap=8)
+        assert "witness" not in vars(result)
+        calls = []
+        real = oracle._witness
+        monkeypatch.setattr(oracle, "_witness", lambda ts, m: calls.append(m) or real(ts, m))
+        assert result.witness is result.witness and calls == [2]
+        assert vars(result)["witness"] is result.witness
+        assert OracleResult.witness is vars(OracleResult)["witness"]
 
     def test_witness_verifies(self):
         ts = gen_best_fit_adversary(4)
