@@ -54,6 +54,7 @@ GENERATORS = "src/rtpack/generators.py"
 CLI = "src/rtpack/cli.py"
 HANDS_BACK = ("tests/test_cli.py::TestDispatch::test_plain_read_hands_back",)
 UNKNOWN_KEY = ("tests/test_io.py::TestParseTaskset::test_unknown_key_refused_naming_it",)
+REPEATED_KEY = ("tests/test_io.py::TestParseTaskset::test_repeated_key_refused_naming_it",)
 
 MUTANTS = (
     Mutant(
@@ -228,8 +229,8 @@ MUTANTS = (
     Mutant(
         "DM asymptotic bound flag > made >=",
         BENCH,
-        "m * dm_bound[1] > dm_bound[0]",
-        "m * dm_bound[1] >= dm_bound[0]",
+        "m * dm_bound[1] > dm_bound[0] + dm_bound[1]",
+        "m * dm_bound[1] >= dm_bound[0] + dm_bound[1]",
         ("tests/test_bench.py::TestCheckBounds",),
     ),
     Mutant(
@@ -316,6 +317,42 @@ MUTANTS = (
         "        if len(entry) != 3:\n",
         "        if False:\n",
         UNKNOWN_KEY,
+    ),
+    Mutant(
+        "instance's unknown key allowed",
+        BENCH,
+        "        if key not in required and key not in optional:\n"
+        '            raise ParseError(f"{where}: unknown key {key!r}")\n',
+        "",
+        ("tests/test_cli.py::TestGenerate::test_flag_its_family_does_not_take_exit_two",),
+    ),
+    Mutant(
+        "task-set repeated key allowed",
+        "src/rtpack/io.py",
+        '                raise ParseError(f"{where}: repeated key {obj.key!r}")\n',
+        "                pass\n",
+        REPEATED_KEY,
+    ),
+    Mutant(
+        "repeated-key quote count made always true",
+        "src/rtpack/io.py",
+        "    return backslash not in data and data.count(quote) == 2 * strings\n",
+        "    return True\n",
+        REPEATED_KEY,
+    ),
+    Mutant(
+        "repeated-key quote count made always false",
+        "src/rtpack/io.py",
+        "    return backslash not in data and data.count(quote) == 2 * strings\n",
+        "    return False\n",
+        ("tests/test_io.py::TestRepeatedKeyCheck",),
+    ),
+    Mutant(
+        "generate --dvp-out family check dropped",
+        CLI,
+        '    if args.dvp_out is not None and args.family != "dvp":\n',
+        "    if False:\n",
+        ("tests/test_cli.py::TestGenerate::test_vector_dump_needs_the_dvp_family",),
     ),
 )
 

@@ -75,9 +75,6 @@ CSV_COLUMNS = [
     "runtime_ms",
 ]
 
-DEFAULT_ALPHA_SLACK = Fraction(1)
-_ZERO = Fraction(0)
-
 _CLASSES = tuple(c.value for c in DeadlineClass)
 _STRATEGIES = tuple(s.value for s in Strategy)
 # a config's strategy -> its Strategy; None is first fit
@@ -191,7 +188,6 @@ class ExperimentConfig:
     algorithms: tuple[tuple[str, Optional[str]], ...]
     oracle: bool = True
     n_cap: int = DEFAULT_ORACLE_CAP
-    alpha_slack: Fraction = DEFAULT_ALPHA_SLACK
     timing: bool = False
     # ignored (runs are serial); kept while the benchmark still sends it
     threads: int = 1
@@ -218,8 +214,6 @@ class ExperimentConfig:
                 )
             algorithms.append(tuple(entry))
         object.__setattr__(self, "algorithms", tuple(algorithms))
-        slack = parse_rational(self.alpha_slack, "alpha_slack")
-        object.__setattr__(self, "alpha_slack", slack)
         _parse_bool(self.oracle, "oracle")
         _parse_bool(self.timing, "timing")
         _parse_int(self.threads, "threads")
@@ -298,21 +292,20 @@ def run_algorithm(ts: TaskSet, algo: str, strategy: Optional[str]) -> Partition:
 
 
 def _bounds(
-    lam: Fraction, gamma: Fraction, m_star: Optional[int], alpha_slack: Fraction
+    lam: Fraction, gamma: Fraction, m_star: Optional[int]
 ) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
-    """The processor counts the rows of one instance are held to, each an
-    exact (numerator, positive denominator) pair, not reduced: dagger's
-    2*lambda*m*, and deadline-monotonic fitting's 2/(1-gamma)*m* + alpha
-    (None when gamma is 1); both None without an optimum."""
+    """The paper's bounds on the processor count of one instance's rows,
+    each an exact (numerator, positive denominator) pair, not reduced:
+    dagger's 2*lambda*m*, and deadline-monotonic fitting's asymptotic
+    2/(1-gamma)*m* (None when gamma is 1); both None without an optimum."""
     if m_star is None:
         return None, None
     dagger = 2 * lam.numerator * m_star, lam.denominator
     g, h = gamma.numerator, gamma.denominator
     if g >= h:
         return dagger, None
-    # 2/(1 - g/h) * m* + a/b = (2*h*m*) / (h - g) + a/b
-    a, b = alpha_slack.numerator, alpha_slack.denominator
-    return dagger, (2 * h * m_star * b + a * (h - g), (h - g) * b)
+    # 2/(1 - g/h) * m* = (2*h*m*) / (h - g)
+    return dagger, (2 * h * m_star, h - g)
 
 
 def _row_violations(
@@ -325,15 +318,20 @@ def _row_violations(
 ) -> tuple[str, ...]:
     """The bound flags of one row, given its instance's `_bounds`: M is
     compared with each bound by cross-multiplication, and a bound becomes
-    a Fraction only to word a flag."""
+    a Fraction only to word a flag.  The DM bound is asymptotic, so a DM
+    row is held to it plus an additive 1."""
     out = []
     if not verified:
         out.append("hard: partition failed exact verification")
     if m_star is not None:
         if algorithm == "dagger" and m * dagger_bound[1] > dagger_bound[0]:
             out.append(f"hard: M={m} exceeds 2*lambda*M*={Fraction(*dagger_bound)}")
-        if algorithm == "dm" and dm_bound is not None and m * dm_bound[1] > dm_bound[0]:
-            out.append(f"soft: M={m} exceeds asymptotic bound {Fraction(*dm_bound)}")
+        if (
+            algorithm == "dm"
+            and dm_bound is not None
+            and m * dm_bound[1] > dm_bound[0] + dm_bound[1]
+        ):
+            out.append(f"soft: M={m} exceeds asymptotic bound {Fraction(*dm_bound) + 1}")
         if m < m_star:
             out.append(f"hard: M={m} below the optimum {m_star}")
     return tuple(out)
@@ -375,7 +373,7 @@ def _bench_instance(
             m_star = optimal_partition_bruteforce(ts, cfg.n_cap, upper, store).m_star
         except RtpackError as exc:
             errors.append(f"{name}/oracle: {exc}")
-    bounds = _bounds(lam, gamma, m_star, cfg.alpha_slack)
+    bounds = _bounds(lam, gamma, m_star)
 
     shared = {  # the fields of every row of the instance
         "instance": name,
@@ -435,7 +433,7 @@ def _fraction_text(num: int, den: int) -> str:
 def _instance_texts(row: BenchRow) -> tuple[str, str, str, str, Optional[str]]:
     """lambda, gamma, U, bound_2lambda and bound_asymptotic of a row, as
     both report formats write them; None for no asymptotic bound."""
-    bound, asym = _bounds(row.lam, row.gamma, 1, _ZERO)  # at m* = 1, alpha = 0
+    bound, asym = _bounds(row.lam, row.gamma, 1)
     return (
         str(row.lam), str(row.gamma), str(row.utilization), _fraction_text(*bound),
         None if asym is None else _fraction_text(*asym),

@@ -39,7 +39,7 @@ import sys
 from fractions import Fraction
 
 from . import bench as bench_mod
-from .errors import RtpackError
+from .errors import BadParam, RtpackError
 from .feasibility import DEFAULT_POINT_CAP, FeasibilityVerdict, edf_feasible_exact
 from .generators import gen_random_dvp
 from .io import json_list, parse_taskset, serialize_dvp, serialize_taskset
@@ -134,15 +134,15 @@ def cmd_partition(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    """One instance of a family, from the flags that name its keys."""
-    required, optional, _ = bench_mod.FAMILIES[args.family]
+    """One instance of a family, from the flags that name its keys; the
+    bench's instance check refuses a key the family does not take."""
+    if args.dvp_out is not None and args.family != "dvp":
+        raise BadParam(f"--dvp-out needs --family dvp, not {args.family}")
     flags = vars(args)
-    params = {
-        key: flags[key] for key in (*required, *optional) if flags.get(key) is not None
-    }
+    params = {key: flags[key] for key in bench_mod.INSTANCE_KEYS if flags.get(key) is not None}
     [(_, ts)] = bench_mod.make_instances(args.family, params)
-    if args.family == "dvp" and args.dvp_out:
-        p = {**optional, **params}
+    if args.dvp_out is not None:
+        p = {**bench_mod.FAMILIES["dvp"][1], **params}
         dvp = gen_random_dvp(p["seed"], p["n"], p["den_bound"])
         _write_output(args.dvp_out, serialize_dvp(dvp))
     _write_output(args.output, serialize_taskset(ts))

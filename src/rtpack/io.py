@@ -42,6 +42,28 @@ def _json_int(text: str) -> int:
 _DECODER = json.JSONDecoder(parse_int=_json_int)
 
 
+class _Repeated(dict):
+    """A decoded object whose text writes a key twice; `key` is the first
+    such key."""
+
+    key: str
+
+
+def _pairs(pairs: list) -> dict:
+    """The object of `pairs`, each key at its last value as `_DECODER`
+    keeps it; a `_Repeated` when a key occurs twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        obj = _Repeated(obj)
+        obj.key = next(key for key, _ in pairs if key in seen or seen.add(key))
+    return obj
+
+
+# the second decode of a task-set document that may repeat a key
+_PAIRS_DECODER = json.JSONDecoder(parse_int=_json_int, object_pairs_hook=_pairs)
+
+
 def load_json(data: bytes | str, what: str):
     """The JSON document in `data`, UTF-8 when bytes.  Undecodable bytes,
     a byte order mark, malformed JSON, an integer of more than MAX_EXPONENT
@@ -57,12 +79,24 @@ def load_json(data: bytes | str, what: str):
         raise ParseError(f"invalid JSON {what}: {exc}") from exc
 
 
+def _repeats_no_key(data: bytes | str, strings: int) -> bool:
+    """True when the text `data`, which decoded to `strings` keys and
+    string values, writes no key twice.  With no backslash in the text
+    every '"' delimits a string, and a repeated key would add its own
+    quotes, and those of the value it hides, to twice `strings`.  False
+    when it cannot tell."""
+    quote, backslash = ('"', "\\") if isinstance(data, str) else (b'"', b"\\")
+    return backslash not in data and data.count(quote) == 2 * strings
+
+
 def parse_taskset(data: bytes | str) -> TaskSet:
     """Parse the task-set document, converting every value exactly and
     assigning ids in file order; rejects sets violating the model
     assumptions with per-task diagnostics.  The document holds only
     "tasks" and an optional "name", and a task only "c", "d" and "t"; any
-    other key is a ParseError naming it.
+    other key is a ParseError naming it, and so is a key written twice in
+    one object.  Only a text whose quote count cannot rule that out
+    (`_repeats_no_key`) is decoded a second time, keeping every key.
 
     A plain "p" or "p/q" literal (`plain_ratio`) is read as ints, every
     other value through `parse_rational`, and each value's numerator and
@@ -84,6 +118,7 @@ def parse_taskset(data: bytes | str) -> TaskSet:
         raise ParseError('"name" must be a string')
     nums: list[int] = []
     dens: list[int] = []
+    ints = 0  # values written as JSON integers
     for i, entry in enumerate(raw_tasks, start=1):
         if not isinstance(entry, dict):
             raise ParseError(f"task {i}: expected an object")
@@ -95,11 +130,19 @@ def parse_taskset(data: bytes | str) -> TaskSet:
             if pair is None:
                 exact = parse_rational(value, where=f"task {i}, field {key!r}")
                 pair = exact.numerator, exact.denominator
+                ints += value.__class__ is int
             nums.append(pair[0])
             dens.append(pair[1])
         if len(entry) != 3:
             key = next(key for key in entry if key not in ("c", "d", "t"))
             raise ParseError(f"task {i}: unknown key {key!r}")
+    # the keys, the name and every value but the integers are strings
+    if not _repeats_no_key(data, len(doc) + ("name" in doc) + len(nums) * 2 - ints):
+        doc = _PAIRS_DECODER.decode(data if isinstance(data, str) else data.decode("utf-8"))
+        for i, obj in enumerate([doc, *doc["tasks"]]):
+            if obj.__class__ is _Repeated:
+                where = f"task {i}" if i else "task set"
+                raise ParseError(f"{where}: repeated key {obj.key!r}")
     ts = _of_pairs(nums, dens, name)
     require_valid(ts)
     return ts

@@ -20,7 +20,6 @@ import rtpack.bench as bench_mod
 from rtpack.bench import (
     ALGORITHMS,
     CSV_COLUMNS,
-    DEFAULT_ALPHA_SLACK,
     BenchReport,
     BenchRow,
     ExperimentConfig,
@@ -341,7 +340,7 @@ class TestRunExperiment:
 
 
 def flags(row, verified=True):
-    bounds = _bounds(row.lam, row.gamma, row.m_star, DEFAULT_ALPHA_SLACK)
+    bounds = _bounds(row.lam, row.gamma, row.m_star)
     return _row_violations(row.algorithm, row.m, row.m_star, verified, *bounds)
 
 
@@ -380,7 +379,7 @@ class TestCheckBounds:
         )
 
     def test_a_count_at_its_bound_is_not_flagged(self):
-        # 2*lambda*m* = 2 * 3/4 * 3 = 9/2; 2/(1-gamma)*m* + alpha = 10/3 + 1 = 13/3
+        # 2*lambda*m* = 2 * 3/4 * 3 = 9/2; 2/(1-gamma)*m* + 1 = 10/3 + 1 = 13/3
         row = make_row(lam=F(3, 4), gamma=F(2, 5), m_star=3)
         assert flags(make_row(algorithm="dagger", m=4, m_star=2, lam=F(1))) == ()
         assert flags(make_row(algorithm="dm", m=5, m_star=1, gamma=F(1, 2))) == ()
@@ -393,28 +392,27 @@ class TestCheckBounds:
             "soft: M=5 exceeds asymptotic bound 13/3",
         )
 
-    @example("dagger", 4, 2, F(1), F(1, 2), F(1))
-    @example("dm", 5, 1, F(1), F(1, 2), F(1))
-    @example("dm", 9, 2, F(1), F(1), F(1))
+    @example("dagger", 4, 2, F(1), F(1, 2))
+    @example("dm", 5, 1, F(1), F(1, 2))
+    @example("dm", 9, 2, F(1), F(1))
     @given(
         st.sampled_from(ALGORITHMS),
         st.integers(0, 40),
         st.one_of(st.none(), st.integers(0, 40)),
         st.fractions(min_value=0, max_denominator=50),
         st.fractions(min_value=0, max_value=1, max_denominator=50),
-        st.fractions(min_value=0, max_denominator=50),
     )
-    def test_same_flags_as_fraction_arithmetic(self, algorithm, m, m_star, lam, gamma, alpha):
+    def test_same_flags_as_fraction_arithmetic(self, algorithm, m, m_star, lam, gamma):
         want = []
         if m_star is not None:
             if algorithm == "dagger" and m > 2 * lam * m_star:
                 want.append(f"hard: M={m} exceeds 2*lambda*M*={2 * lam * m_star}")
-            dm_bound = 2 / (1 - gamma) * m_star + alpha if gamma < 1 else None
+            dm_bound = 2 / (1 - gamma) * m_star + 1 if gamma < 1 else None
             if algorithm == "dm" and dm_bound is not None and m > dm_bound:
                 want.append(f"soft: M={m} exceeds asymptotic bound {dm_bound}")
             if m < m_star:
                 want.append(f"hard: M={m} below the optimum {m_star}")
-        bounds = _bounds(lam, gamma, m_star, alpha)
+        bounds = _bounds(lam, gamma, m_star)
         assert _row_violations(algorithm, m, m_star, True, *bounds) == tuple(want)
 
     def test_no_optimum_checks_only_verification(self):
@@ -648,6 +646,38 @@ class TestEmitJson:
         want = (json.dumps(doc, indent=2) + "\n").encode()
         assert emit_report(report, "json") == want
 
+    def test_soft_flag_bytes(self):
+        # a DM row past 2/(1-gamma)*m* + 1 = 5, flagged as a run flags it
+        row = make_row(algorithm="dm", m=6, m_star=1)
+        report = BenchReport(rows=(replace(row, violations=flags(row)),))
+        assert emit_report(report, "json") == b"""{
+  "rows": [
+    {
+      "instance": "x",
+      "family": "random",
+      "N": 4,
+      "class": "implicit",
+      "lambda": "1",
+      "gamma": "1/2",
+      "U": "3/2",
+      "algorithm": "dm",
+      "strategy": "ff",
+      "M": 6,
+      "m_star": 1,
+      "ratio": "6",
+      "ratio_decimal": "6.000000",
+      "bound_2lambda": "2",
+      "bound_asymptotic": "4",
+      "violations": [
+        "soft: M=6 exceeds asymptotic bound 5"
+      ],
+      "runtime_ms": 0.0
+    }
+  ],
+  "errors": []
+}
+"""
+
     def test_real_run_with_timings(self):
         cfg = ExperimentConfig(
             instances=(
@@ -809,6 +839,7 @@ class TestConfigParsing:
         "doc,match",
         [({"orcale": False}, "config: unknown key 'orcale'"),
          ({"thread": 2}, "config: unknown key 'thread'"),
+         ({"alpha_slack": "-14"}, "config: unknown key 'alpha_slack'"),
          ({"algorithms": [{"algo": "dm", "stratgy": "bf"}]},
           "algorithm 1: unknown key 'stratgy'"),
          ({"algorithms": [{"algo": "dm"}, {"algo": "dagger", "strategy": "ff", "fit": "bf"}]},
@@ -864,8 +895,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("n_cap", 10.5), ("n_cap", False), ("threads", "2"), ("threads", 2.0),
-         ("alpha_slack", 0.5), ("alpha_slack", [1])],
+        [("n_cap", 10.5), ("n_cap", False), ("threads", "2"), ("threads", 2.0)],
     )  # fmt: skip
     def test_top_level_values_must_be_exact(self, key, value):
         doc = {"instances": [], "algorithms": [{"algo": "dm"}], key: value}
@@ -893,10 +923,8 @@ class TestConfigParsing:
         cfg = parse_config(json.dumps({
             "instances": [{"family": "speedup-gap", "n": 3, "eps": "0.5"}],
             "algorithms": [{"algo": "dm"}],
-            "alpha_slack": "3/2",
         }))  # fmt: skip
         assert dict(cfg.instances[0].params)["eps"] == F(1, 2)
-        assert cfg.alpha_slack == F(3, 2)
 
     def test_python_built_specs_keep_working(self):
         cfg = ExperimentConfig(

@@ -69,6 +69,32 @@ class TestGenerate:
         assert vec_out.read_text() == serialize_dvp(gen_random_dvp(2, 4))
         assert "tasks" in json.loads(tasks_out.read_text())
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--family", "bf-adversary", "--k", "4", "--seed", "7"],
+          "error: bf-adversary: unknown key 'seed'\n"),
+         (["--family", "bf-adversary", "--k", "4", "--seed", "7", "--den-bound", "3"],
+          "error: bf-adversary: unknown key 'seed'\n"),
+         (["--family", "speedup-gap", "--n", "3", "--eps", "1/2", "--k", "4"],
+          "error: speedup-gap: unknown key 'k'\n"),
+         (["--family", "dvp", "--n", "4", "--target-u", "3/2"],
+          "error: dvp: unknown key 'target_u'\n"),
+         (["--family", "dvp", "--n", "4", "--class", "implicit"],
+          "error: dvp: unknown key 'class'\n")],
+    )  # fmt: skip
+    def test_flag_its_family_does_not_take_exit_two(self, capsys, flags, message):
+        # refused by the bench's instance check, in its words
+        assert run(capsys, "generate", *flags) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "flags", [["--family", "random", "--n", "4"], ["--family", "bf-adversary", "--k", "4"]]
+    )
+    def test_vector_dump_needs_the_dvp_family(self, tmp_path, capsys, flags):
+        vec_out = tmp_path / "vectors.json"
+        message = f"error: --dvp-out needs --family dvp, not {flags[1]}\n"
+        assert run(capsys, "generate", *flags, "--dvp-out", str(vec_out)) == (2, "", message)
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_parameter_is_an_error(self, capsys):
         rc, _, err = run(capsys, "generate", "--family", "bf-adversary")
         assert rc == 2 and "error" in err
@@ -685,8 +711,8 @@ class TestDeterminismGoldens:
     def test_bench_report_bytes_across_classes_flags_and_errors(self, tmp_path, capsys, suffix):
         # random sets of every deadline class whose targets need the scaling
         # pass (implicit at den_bound 2) or the closest-set fallback (n = 3,
-        # U = 1/2 at den_bound 1); a negative alpha_slack gives dm rows soft
-        # flags; n_cap 8 leaves dvp-s2 (N = 9) without an optimum
+        # U = 1/2 at den_bound 1); n_cap 8 leaves dvp-s2 (N = 9) without an
+        # optimum
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "instances": [
@@ -707,7 +733,6 @@ class TestDeterminismGoldens:
             + [{"algo": "dagger", "strategy": s} for s in ("ff", "wf")],
             "oracle": True,
             "n_cap": 8,
-            "alpha_slack": "-14",
             "timing": False,
         }))  # fmt: skip
         out = tmp_path / f"report.{suffix}"
@@ -991,7 +1016,7 @@ CONFIG_DOCS = st.one_of(
                 JUNK,
             ),
         },
-        optional={key: PLAUSIBLE for key in ("oracle", "n_cap", "threads", "timing", "alpha_slack")},
+        optional={key: PLAUSIBLE for key in ("oracle", "n_cap", "threads", "timing")},
     ),
     JUNK,
 )

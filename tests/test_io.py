@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
+import rtpack.io as io_mod
 from rtpack.errors import ParseError, ValidationError
 from rtpack.feasibility import edf_feasible_exact
 from rtpack.generators import DvpInstance, gen_best_fit_adversary, gen_random_dvp
@@ -68,6 +70,27 @@ class TestParseTaskset:
     def test_unknown_key_refused_naming_it(self, doc, message):
         with pytest.raises(ParseError) as err:
             parse_taskset(json.dumps(doc))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"tasks": [{"c": "5", "d": "2", "t": "4", "c": "1"}]}', "task 1: repeated key 'c'"),
+         ('{"tasks": [{"c": 1, "d": 2, "t": 4}, {"c": 1, "d": 2, "t": 4, "t": 4}]}',
+          "task 2: repeated key 't'"),
+         ('{"name": "a", "tasks": [{"c": 1, "d": 2, "t": 4}], "name": "b"}',
+          "task set: repeated key 'name'"),
+         ('{"tasks": [{"c": "9", "d": "2", "t": "4"}], "tasks": [{"c": 1, "d": 2, "t": 4}]}',
+          "task set: repeated key 'tasks'"),
+         # a backslash: the quote count cannot tell
+         ('{"name": "a\\"b", "tasks": [{"c": 1, "d": 2, "t": 4, "d": "2"}]}',
+          "task 1: repeated key 'd'"),
+         ('{"tasks": [{"c": {"x": 1, "x": 2}, "c": 1, "d": 2, "t": 4}]}',
+          "task 1: repeated key 'c'")],
+    )  # fmt: skip
+    @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+    def test_repeated_key_refused_naming_it(self, text, message, encode):
+        with pytest.raises(ParseError) as err:
+            parse_taskset(encode(text))
         assert str(err.value) == message
 
     def test_bad_json(self):
@@ -209,6 +232,29 @@ def taskset_documents(draw):
     if name is not None:
         doc["name"] = name
     return json.dumps(doc)
+
+
+class TestRepeatedKeyCheck:
+    """A text with no backslash that repeats no key is decoded once, so
+    that the repeated-key check costs a quote count."""
+
+    @settings(max_examples=200)
+    @given(st.one_of(taskset_documents(), taskset_documents().map(str.encode)))
+    def test_plain_documents_decoded_once(self, data):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io_mod, "_PAIRS_DECODER", None)  # a second decode raises
+            _parsed(parse_taskset, data)
+
+    @pytest.mark.parametrize("name", ["bf_adversary_k4.json", "speedup_gap_n3.json"])
+    def test_written_documents_decoded_once(self, monkeypatch, name):
+        monkeypatch.setattr(io_mod, "_PAIRS_DECODER", None)
+        data = (Path(__file__).parent / "golden" / name).read_bytes()
+        ts = parse_taskset(data)
+        assert parse_taskset(serialize_taskset(ts)) == ts
+
+    def test_escaped_text_without_a_repeat_kept(self):
+        ts = parse_taskset(b'{"name": "a\\"\\u00e9", "tasks": [{"c": 1, "d": 2, "t": 4}]}')
+        assert ts.name == 'a"\u00e9' and ts.d == (2,)
 
 
 class TestParseIntoTheIntegerView:

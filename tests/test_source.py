@@ -215,3 +215,12 @@ class TestReadme:
             rc for rc, _ in self.EXAMPLES
         ]
         capsys.readouterr()
+
+
+class TestPackaging:
+    def test_console_script_target_is_callable(self):
+        tomllib = pytest.importorskip("tomllib")  # in the stdlib from Python 3.11
+        with open(SRC.parent.parent / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        module, _, name = scripts["rtpack"].partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
