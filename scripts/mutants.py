@@ -55,6 +55,7 @@ CLI = "src/rtpack/cli.py"
 HANDS_BACK = ("tests/test_cli.py::TestDispatch::test_plain_read_hands_back",)
 UNKNOWN_KEY = ("tests/test_io.py::TestParseTaskset::test_unknown_key_refused_naming_it",)
 REPEATED_KEY = ("tests/test_io.py::TestParseTaskset::test_repeated_key_refused_naming_it",)
+CONFIG_REPEATED_KEY = ("tests/test_cli.py::TestBench::test_repeated_config_key_exit_two_naming_it",)
 
 MUTANTS = (
     Mutant(
@@ -346,6 +347,27 @@ MUTANTS = (
         "    return backslash not in data and data.count(quote) == 2 * strings\n",
         "    return False\n",
         ("tests/test_io.py::TestRepeatedKeyCheck",),
+    ),
+    Mutant(
+        "config repeated key allowed",
+        BENCH,
+        "    if doc.__class__ is _Repeated:\n",
+        "    if False:\n",
+        CONFIG_REPEATED_KEY,
+    ),
+    Mutant(
+        "config entry's repeated key allowed",
+        BENCH,
+        "        if entry.__class__ is _Repeated:\n",
+        "        if False:\n",
+        CONFIG_REPEATED_KEY,
+    ),
+    Mutant(
+        "partition id 0 accepted",
+        FEASIBILITY,
+        "            if tid.__class__ is not int or not 0 < tid <= n:\n",
+        "            if tid.__class__ is not int or not 0 <= tid <= n:\n",
+        ("tests/test_feasibility.py::TestVerifyPartition::test_unknown_id",),
     ),
     Mutant(
         "generate --dvp-out family check dropped",

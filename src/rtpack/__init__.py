@@ -25,7 +25,6 @@ from .model import (
     dbf_star,
     gamma_metric,
     lambda_metric,
-    task,
     taskset,
     validate,
 )

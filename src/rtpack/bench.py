@@ -52,7 +52,7 @@ from .generators import (
     gen_speedup_gap,
     gen_worst_fit_adversary,
 )
-from .io import json_list, load_json, parse_rational, parse_taskset
+from .io import _PAIRS_DECODER, _Repeated, json_list, load_json, parse_rational, parse_taskset
 from .model import DeadlineClass, TaskSet, as_rational, classify
 from .model import gamma_metric, lambda_metric
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
@@ -116,7 +116,11 @@ def _files(p: dict) -> list[tuple[str, TaskSet]]:
                 data = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
-        ts = parse_taskset(data)
+        try:
+            ts = parse_taskset(data)
+        except RtpackError as exc:
+            exc.args = (f"{path}: {exc}",)  # keeps its type
+            raise
         out.append((ts.name or path, ts))
     return out
 
@@ -589,6 +593,8 @@ def _entries(doc: dict, key: str, required: str) -> list[dict]:
     for i, entry in enumerate(doc[key], start=1):
         if not isinstance(entry, dict):
             raise ParseError(f"{key[:-1]} {i}: expected an object, got {entry!r}")
+        if entry.__class__ is _Repeated:
+            raise ParseError(f"{key[:-1]} {i}: repeated key {entry.key!r}")
         if required not in entry:
             raise ParseError(f"{key[:-1]} {i}: missing {required!r}")
     return doc[key]
@@ -596,10 +602,13 @@ def _entries(doc: dict, key: str, required: str) -> list[dict]:
 
 def parse_config(data: bytes | str) -> ExperimentConfig:
     """Read the experiment configuration document and check its shape and
-    keys; the ExperimentConfig checks the values and holds the defaults."""
-    doc = load_json(data, "config")
+    keys, a key written twice in the document or in an entry refused; the
+    ExperimentConfig checks the values and holds the defaults."""
+    doc = load_json(data, "config", _PAIRS_DECODER)
     if not isinstance(doc, dict):
         raise ParseError("config must be an object")
+    if doc.__class__ is _Repeated:
+        raise ParseError(f"config: repeated key {doc.key!r}")
     names = {f.name for f in fields(ExperimentConfig)}
     for key in doc:
         if key not in names:

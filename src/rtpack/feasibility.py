@@ -372,7 +372,7 @@ def verify_partition(
     is used for this call.
     """
     require_valid(ts)
-    position, span_share, share = ts.position, ts.span_share, ts.share
+    n, span_share, share = len(ts), ts.span_share, ts.share
     bins: list[tuple[int, int, int]] = []  # (bitmask, density sum, share sum)
     seen = 0
     for b in part.bins:
@@ -380,9 +380,9 @@ def verify_partition(
             raise CoverageError("empty bin in partition")
         mask = density = load = 0
         for tid in b:
-            pos = position.get(tid)
-            if pos is None:
+            if tid.__class__ is not int or not 0 < tid <= n:
                 raise CoverageError(f"unknown task id {tid} in partition")
+            pos = tid - 1
             bit = 1 << pos
             if seen & bit:
                 raise CoverageError(f"task id {tid} assigned twice")
@@ -391,8 +391,8 @@ def verify_partition(
             density += span_share[pos]
             load += share[pos]
         bins.append((mask, density, load))
-    if seen != (1 << len(ts)) - 1:
-        missing = sorted(tid for i, tid in enumerate(ts.ids) if not seen >> i & 1)
+    if seen != (1 << n) - 1:
+        missing = [i + 1 for i in range(n) if not seen >> i & 1]
         raise CoverageError(f"partition misses task ids {missing}")
     if store is None:
         store = {}

@@ -4,7 +4,7 @@ vector packing transform, and seeded random task sets.
 All generators are pure functions of their parameters; random families
 derive every draw from an explicit seed, so concurrent or repeated
 generation reproduces bit-identical instances.  Every family builds its
-set with ids 1..N in task order by the one set builder `model._of_pairs`:
+set, in task order, by the one set builder `model._of_pairs`:
 `gen_random` from its int rows through `model._of_rows`, the others from
 exact (c, d, t) triples through `model.taskset`.
 """

@@ -60,21 +60,22 @@ def _pairs(pairs: list) -> dict:
     return obj
 
 
-# the second decode of a task-set document that may repeat a key
+# the decoder of a bench config, and the second decode of a task-set
+# document that may repeat a key
 _PAIRS_DECODER = json.JSONDecoder(parse_int=_json_int, object_pairs_hook=_pairs)
 
 
-def load_json(data: bytes | str, what: str):
-    """The JSON document in `data`, UTF-8 when bytes.  Undecodable bytes,
-    a byte order mark, malformed JSON, an integer of more than MAX_EXPONENT
-    digits and nesting past the parser's depth limit all raise ParseError
-    naming `what`."""
+def load_json(data: bytes | str, what: str, decoder: json.JSONDecoder = _DECODER):
+    """The JSON document in `data`, UTF-8 when bytes, as `decoder` reads
+    it.  Undecodable bytes, a byte order mark, malformed JSON, an integer
+    of more than MAX_EXPONENT digits and nesting past the parser's depth
+    limit all raise ParseError naming `what`."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         if data.startswith("\ufeff"):  # worded as `json.loads` words it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", data, 0)
-        return _DECODER.decode(data)
+        return decoder.decode(data)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON {what}: {exc}") from exc
 
@@ -91,12 +92,13 @@ def _repeats_no_key(data: bytes | str, strings: int) -> bool:
 
 def parse_taskset(data: bytes | str) -> TaskSet:
     """Parse the task-set document, converting every value exactly and
-    assigning ids in file order; rejects sets violating the model
-    assumptions with per-task diagnostics.  The document holds only
-    "tasks" and an optional "name", and a task only "c", "d" and "t"; any
-    other key is a ParseError naming it, and so is a key written twice in
-    one object.  Only a text whose quote count cannot rule that out
-    (`_repeats_no_key`) is decoded a second time, keeping every key.
+    keeping file order, so task i of the file has id i; rejects sets
+    violating the model assumptions with per-task diagnostics.  The
+    document holds only "tasks" and an optional "name", and a task only
+    "c", "d" and "t"; any other key is a ParseError naming it, and so is a
+    key written twice in one object.  Only a text whose quote count
+    cannot rule that out (`_repeats_no_key`) is decoded a second time,
+    keeping every key.
 
     A plain "p" or "p/q" literal (`plain_ratio`) is read as ints, every
     other value through `parse_rational`, and each value's numerator and
@@ -138,7 +140,7 @@ def parse_taskset(data: bytes | str) -> TaskSet:
             raise ParseError(f"task {i}: unknown key {key!r}")
     # the keys, the name and every value but the integers are strings
     if not _repeats_no_key(data, len(doc) + ("name" in doc) + len(nums) * 2 - ints):
-        doc = _PAIRS_DECODER.decode(data if isinstance(data, str) else data.decode("utf-8"))
+        doc = load_json(data, "task set", _PAIRS_DECODER)
         for i, obj in enumerate([doc, *doc["tasks"]]):
             if obj.__class__ is _Repeated:
                 where = f"task {i}" if i else "task set"

@@ -2,20 +2,18 @@
 
 Every timing quantity stays exact; no float ever enters a schedulability
 decision.  A `TaskSet` holds one form: C, D and T of every task as ints
-at one common scale, which every solver reads, with each task's id by
-position.  A `Task` holds its values as `fractions.Fraction`s; a set reads
-its `Task`s off the ints when asked.
-Tasks are immutable and keep a stable integer id; the parser and every
-generator build their sets from the numerators and denominators of C, D
-and T with ids 1..N in input order, so partitions can always be reported
-against the original indices regardless of sorting or transforms.  One
-private builder, `_of_pairs`, makes every such set from two flat lists;
-the parser and `taskset` fill the lists from ints and Fractions, which
+at one common scale, which every solver reads.  A `Task` holds its values
+as `fractions.Fraction`s; a set reads its `Task`s off the ints when asked.
+A task's id is its position in the set plus one, as the paper numbers
+tau_1 ... tau_N: the parser and every generator keep their input order,
+so partitions, violations and simulated misses always name the original
+indices regardless of sorting or transforms.  The one public builder is
+`taskset`, from (c, d, t) triples, over the one private builder,
+`_of_pairs`, which makes every set from two flat lists of numerators and
+denominators; the parser fills the lists from ints and Fractions, which
 are valid by construction, and `gen_random` passes its int rows through
-`_of_rows`, which flattens them.  The public builders are `taskset`,
-from (c, d, t) triples, and `TaskSet(tasks, name)`, for a set that keeps
-its own ids.  A set's derived terms are `lazy`: computed on first use
-and then kept.
+`_of_rows`, which flattens them.  A set's derived terms are `lazy`:
+computed on first use and then kept.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, repeat
-from numbers import Rational
 from operator import floordiv, mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -64,14 +61,6 @@ def plain_ratio(value) -> Optional[tuple[int, int]]:
     return None
 
 
-def _refuse_inexact(value) -> None:
-    """TypeError for a bool or a float, which no exact value may be."""
-    if isinstance(value, bool):
-        raise TypeError("booleans are not rational quantities")
-    if isinstance(value, float):
-        raise TypeError("floats are rejected; pass a string or Fraction to stay exact")
-
-
 def as_rational(value: RationalLike) -> Fraction:
     """Convert exactly: ints pass through, strings accept "p/q" and decimal
     literals ("0.25" becomes 1/4, "2.5e-3" 1/400).  A decimal exponent
@@ -87,7 +76,10 @@ def as_rational(value: RationalLike) -> Fraction:
     pair = plain_ratio(value)
     if pair is not None:  # Fraction's regex parse is skipped
         return Fraction(*pair)
-    _refuse_inexact(value)
+    if isinstance(value, bool):
+        raise TypeError("booleans are not rational quantities")
+    if isinstance(value, float):
+        raise TypeError("floats are rejected; pass a string or Fraction to stay exact")
     if isinstance(value, str) and ("e" in value or "E" in value):
         exp = value.lower().rpartition("e")[2].strip().lstrip("+-")
         exp = exp.replace("_", "").lstrip("0")
@@ -163,11 +155,6 @@ class Task:
         return f"Task(id={self.id}, c={self.c}, d={self.d}, t={self.t})"
 
 
-def task(c: RationalLike, d: RationalLike, t: RationalLike, id: int = 0) -> Task:
-    """Convenience constructor converting every field exactly."""
-    return Task(as_rational(c), as_rational(d), as_rational(t), id)
-
-
 class DeadlineClass(Enum):
     IMPLICIT = "implicit"
     CONSTRAINED = "constrained"
@@ -195,8 +182,8 @@ def _view_of(
 class TaskSet:
     """An immutable task list, held as C, D and T of every task, by
     position, as ints `c`, `d` and `t` multiplied by `scale`, the lcm of
-    all their denominators, with its task ids `ids` (by position) and its
-    `name`, whichever constructor built it.
+    all their denominators, with its `name`.  Task i + 1 is the task at
+    position i.
 
     Quantities compared at one positive scale keep their order, so exact
     tests and fitting decisions run on these ints; every deadline point
@@ -219,43 +206,22 @@ class TaskSet:
     demand sweep's fast-forward, the oracle's load bound and
     deadline-monotonic admission read the slopes and intercepts here.
 
-    `TaskSet(tasks, name)` scales the tasks' values and keeps their ids,
-    not the tasks; a bool, float or other value that is not an exact
-    rational is a TypeError.  `_of_pairs` scales flat int pairs, with ids
-    1..N.
-    `tasks` reads the `Task`s off the ints and keeps them; iterating
-    yields them without keeping them.  Since the scale is canonical,
-    equality and hash are the dataclass's, those of (scale, c, d, t, ids,
-    name); repr is that of (tasks, name), read without keeping them.
-    The validation verdict, the id-to-position index and the
-    deadline-monotonic order (`dm_order`, which every DM strategy packs
-    in) are computed on first use and then kept, `lazy` like the terms
-    above: nothing they depend on can change.
+    Only `taskset` and `_of_pairs` build a set; `TaskSet(...)` with
+    arguments is a TypeError.  `tasks` reads the `Task`s off the ints and
+    keeps them; iterating yields them without keeping them.  Since the
+    scale is canonical, equality and hash are the dataclass's, those of
+    (scale, c, d, t, name); repr is that of (tasks, name), read without
+    keeping them.  The validation verdict and the deadline-monotonic
+    order (`dm_order`, which every DM strategy packs in) are computed on
+    first use and then kept, `lazy` like the terms above: nothing they
+    depend on can change.
     """
 
     scale: int
     c: tuple[int, ...]
     d: tuple[int, ...]
     t: tuple[int, ...]
-    ids: tuple[int, ...]
     name: str
-
-    def __init__(self, tasks: tuple[Task, ...], name: str = ""):
-        if not tasks:
-            raise ValueError("a task set holds at least one task")
-        ids = tuple(tsk.id for tsk in tasks)
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate task ids in {name!r}: {list(ids)}")
-        values = [x for tsk in tasks for x in (tsk.c, tsk.d, tsk.t)]
-        for x in values:
-            _refuse_inexact(x)
-            if not isinstance(x, Rational):
-                raise TypeError(f"task values are ints or Fractions, got {x!r}")
-        nums = [x.numerator for x in values]
-        self._hold(*_view_of(nums, [x.denominator for x in values]), ids, name)
-
-    def _hold(self, scale: int, c: tuple, d: tuple, t: tuple, ids: tuple, name: str) -> None:
-        self.__dict__.update(scale=scale, c=c, d=d, t=t, ids=ids, name=name)
 
     def __repr__(self) -> str:
         return f"TaskSet(tasks={tuple(self)!r}, name={self.name!r})"
@@ -263,11 +229,11 @@ class TaskSet:
     def __iter__(self) -> Iterator[Task]:
         """Each task read off the ints, not kept."""
         scale = self.scale
-        for tid, c, d, t in zip(self.ids, self.c, self.d, self.t):
+        for tid, (c, d, t) in enumerate(zip(self.c, self.d, self.t), start=1):
             yield Task(Fraction(c, scale), Fraction(d, scale), Fraction(t, scale), tid)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.c)
 
     @lazy
     def tasks(self) -> tuple[Task, ...]:
@@ -313,34 +279,29 @@ class TaskSet:
         return tuple(validate(self))
 
     @lazy
-    def position(self) -> dict[int, int]:
-        """Each task id's position in the set."""
-        return {tid: i for i, tid in enumerate(self.ids)}
-
-    @lazy
     def dm_order(self) -> tuple[int, ...]:
         """Positions in deadline-monotonic order: nondecreasing deadline,
-        equal deadlines by task id, sorted on the ints.
+        equal deadlines by position, which is id order, sorted stably on
+        the ints.
 
-        Id order (= input order for the parser and the generators) is what
-        makes the known worst-case families reproduce their published
-        fitting traces, since those constructions index tasks in deadline
-        order with ties.
+        Input order is what makes the known worst-case families reproduce
+        their published fitting traces, since those constructions index
+        tasks in deadline order with ties.
         """
-        keys = list(zip(self.d, self.ids))
-        return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+        d = self.d
+        return tuple(sorted(range(len(d)), key=d.__getitem__))
 
 
 def _of_pairs(nums: list[int], dens: list[int], name: str) -> TaskSet:
     """The set of the values nums[k]/dens[k], in the order C, D, T per
-    task, ids 1..N in task order: the set `TaskSet(tasks, name)` builds
-    from the same values.  Unchecked: the lists must already be ints of
-    equal length, a multiple of 3, with positive denominators, as every
-    caller builds them.  No values is a ValueError."""
+    task.  Unchecked: the lists must already be ints of equal length, a
+    multiple of 3, with positive denominators, as every caller builds
+    them.  No values is a ValueError."""
     if not nums:
         raise ValueError("a task set holds at least one task")
     ts = object.__new__(TaskSet)
-    ts._hold(*_view_of(nums, dens), tuple(range(1, len(nums) // 3 + 1)), name)
+    scale, c, d, t = _view_of(nums, dens)
+    ts.__dict__.update(scale=scale, c=c, d=d, t=t, name=name)
     return ts
 
 
@@ -351,9 +312,11 @@ def _of_rows(rows: list[Sequence[int]], name: str) -> TaskSet:
 
 
 def taskset(triples: Iterable[tuple], name: str = "") -> TaskSet:
-    """Build a TaskSet from (c, d, t) triples of `as_rational` values, ids
-    assigned 1..N in order: the set `_of_pairs` builds from their
-    numerators and denominators, which are valid by construction."""
+    """The task set of (c, d, t) triples of `as_rational` values, in
+    order: the set `_of_pairs` builds from their numerators and
+    denominators, which are valid by construction.  A bool or a float is
+    a TypeError and a malformed literal a ValueError, as `as_rational`
+    raises them."""
     nums, dens = [], []
     for c, d, t in triples:
         for x in (as_rational(c), as_rational(d), as_rational(t)):
@@ -422,7 +385,7 @@ def validate(ts: TaskSet) -> list[Violation]:
     as fractions.
     """
     out: list[Violation] = []
-    for tid, c, d, t in zip(ts.ids, ts.c, ts.d, ts.t):
+    for tid, (c, d, t) in enumerate(zip(ts.c, ts.d, ts.t), start=1):
         if c > 0 and d >= c and t >= c:
             continue
         fc, fd, ft = (Fraction(x, ts.scale) for x in (c, d, t))

@@ -101,8 +101,7 @@ class _Search:
     """Depth-first assignment of task positions of `ts`, in a given
     order, to at most `max_bins` bins.
 
-    An open bin is the bitmask of its positions in the task set (task ids
-    are arbitrary ints, so they are not used as bit indices), kept with
+    An open bin is the bitmask of its positions in the task set, kept with
     the sums of its `span_share` and `share` as it grows; the memo of
     exact verdicts, the caller's verdict store if it gives one, is keyed
     by that mask.  An object rather than nested closures: a recursive
@@ -226,7 +225,8 @@ def _lower_bounds(
 
 def _witness(ts: TaskSet, m_star: int) -> Partition:
     """The first partition of `ts` into `m_star` bins in restricted-growth
-    order over input order, by self-reduction (see the module docstring)."""
+    order over input order, by self-reduction (see the module docstring);
+    a bin holds the ids, position + 1, of its mask's positions."""
     search = _Search(ts)
     later = _by_density(ts)
     bins: list[tuple[int, int, int]] = []
@@ -243,8 +243,8 @@ def _witness(ts: TaskSet, m_star: int) -> Partition:
                 break
         else:
             raise RuntimeError("unreachable: level m* has a partition")
-    ids = [sorted(ts.ids[i] for i in _positions(mask)) for mask, _, _ in bins]
-    return Partition(tuple(map(tuple, ids)), "oracle")
+    ids = [tuple(i + 1 for i in _positions(mask)) for mask, _, _ in bins]
+    return Partition(tuple(ids), "oracle")
 
 
 def optimal_partition_bruteforce(

@@ -51,7 +51,8 @@ class Strategy(Enum):
 
 @dataclass(frozen=True)
 class Partition:
-    """Assignment of task ids to processors; bins keep creation order."""
+    """Assignment of task ids (position + 1) to processors; bins keep
+    creation order, each bin's ids ascending."""
 
     bins: tuple[tuple[int, ...], ...]
     algorithm: str
@@ -72,7 +73,6 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
     admitting on utilization and on dbf* at each task's deadline (see the
     module docstring)."""
     require_valid(ts)
-    ids = ts.ids
     c, d, slope, intercept, whole = ts.c, ts.d, ts.share, ts.offset, ts.whole
     sign = _SIGN[strat]
     bins: list[list[int]] = []
@@ -95,7 +95,7 @@ def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:
             bins.append([])
             slopes.append(0)
             offsets.append(0)
-        bins[pick].append(ids[pos])
+        bins[pick].append(pos + 1)
         slopes[pick] += share
         offsets[pick] += intercept[pos]
     return Partition(tuple(map(tuple, map(sorted, bins))), "dm", strat.value)
@@ -111,7 +111,7 @@ def dagger_greedy(ts: TaskSet, fitting: Strategy) -> Partition:
     bins: list[list[int]] = []
     sums: list[int] = []  # per bin: sum of span_share
     best = 0
-    for tid, share in zip(ts.ids, ts.span_share):
+    for tid, share in enumerate(ts.span_share, start=1):
         room = whole - share
         pick = -1
         for i, s in enumerate(sums):

@@ -48,7 +48,8 @@ def simulate_edf_synchronous(
     """Simulate preemptive EDF over [0, horizon] at the given speed.
 
     Returns every deadline miss whose absolute deadline lies in the window,
-    the number of preemptions of unfinished jobs, and the idle intervals.
+    as (task id, absolute deadline), the number of preemptions of
+    unfinished jobs, and the idle intervals.
     """
     require_valid(ts)
     if horizon <= 0:
@@ -64,8 +65,9 @@ def simulate_edf_synchronous(
     work = [c * q * hd for c in ts.c]
     due_in = [d * p * hd for d in ts.d]
     period = [t * p * hd for t in ts.t]
-    releases = [(0, tid, i) for i, tid in enumerate(ts.ids)]
-    # ready jobs [abs deadline, task id, work left]; no two share (deadline, id)
+    releases = [(0, i) for i in range(len(ts))]
+    # ready jobs [abs deadline, position, work left]; no two share (deadline,
+    # position), and position order is id order
     ready: list[list[int]] = []
     misses: list[tuple[int, int]] = []
     idle: list[tuple[int, int]] = []
@@ -74,9 +76,9 @@ def simulate_edf_synchronous(
 
     while now < end:
         while releases[0][0] <= now:
-            release, tid, i = releases[0]
-            heapq.heappush(ready, [release + due_in[i], tid, work[i]])
-            heapq.heapreplace(releases, (release + period[i], tid, i))
+            release, i = releases[0]
+            heapq.heappush(ready, [release + due_in[i], i, work[i]])
+            heapq.heapreplace(releases, (release + period[i], i))
         events += 1
         if events > event_cap:
             raise EventExplosion(f"simulation exceeded {event_cap} events")
@@ -88,7 +90,7 @@ def simulate_edf_synchronous(
             continue
 
         job = ready[0]
-        due, tid, left = job
+        due, i, left = job
         if current is not None and current is not job:
             preemptions += 1
         step = min(now + left, upcoming, due)
@@ -97,7 +99,7 @@ def simulate_edf_synchronous(
         current = job
         if job[2] == 0 or now == due:
             if job[2]:
-                misses.append((tid, due))
+                misses.append((i, due))
             heapq.heappop(ready)
             current = None
         # any waiting job whose deadline passed while another ran has the
@@ -105,11 +107,11 @@ def simulate_edf_synchronous(
         # only the head of the queue can ever reach its deadline.
 
     # a job can reach its deadline exactly when the window closes
-    misses += [(tid, due) for due, tid, _ in sorted(ready) if due <= end]
+    misses += [(i, due) for due, i, _ in sorted(ready) if due <= end]
 
     return SimTrace(
         horizon=horizon,
-        misses=tuple((tid, Fraction(due, unit)) for tid, due in misses),
+        misses=tuple((i + 1, Fraction(due, unit)) for i, due in misses),
         preemptions=preemptions,
         idle=tuple((Fraction(a, unit), Fraction(b, unit)) for a, b in idle),
     )

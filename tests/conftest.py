@@ -27,19 +27,25 @@ def time_points(draw):
     return Fraction(draw(st.integers(0, 60)), draw(st.integers(1, 4)))
 
 
+def of_tasks(tasks, name: str = "") -> TaskSet:
+    """The set of the values of `tasks`, in order; task ids are not kept,
+    as a set numbers its tasks 1..N."""
+    return taskset(((tsk.c, tsk.d, tsk.t) for tsk in tasks), name)
+
+
 @st.composite
-def valid_tasks(draw, tid=1):
+def valid_tasks(draw):
     period = draw(rationals())
     d = draw(rationals())
     cap = min(period, d)
     c = cap * Fraction(draw(st.integers(1, 6)), 6)
-    return Task(c=c, d=d, t=period, id=tid)
+    return Task(c=c, d=d, t=period)
 
 
 @st.composite
 def valid_tasksets(draw, min_n=1, max_n=5):
     n = draw(st.integers(min_n, max_n))
-    return TaskSet(tuple(draw(valid_tasks(tid=i + 1)) for i in range(n)))
+    return of_tasks(draw(valid_tasks()) for _ in range(n))
 
 
 @st.composite
@@ -49,7 +55,7 @@ def tasksets_of_each_class(draw, max_n=6):
     that every deadline class and equal densities occur often."""
     n = draw(st.integers(1, max_n))
     tasks = []
-    for i in range(n):
+    for _ in range(n):
         period = draw(rationals())
         kind = draw(st.sampled_from(["implicit", "constrained", "free"]))
         if kind == "implicit":
@@ -59,8 +65,8 @@ def tasksets_of_each_class(draw, max_n=6):
         else:
             d = draw(rationals())
         c = min(period, d) * Fraction(draw(st.integers(1, 4)), 4)
-        tasks.append(Task(c=c, d=d, t=period, id=i + 1))
-    return TaskSet(tuple(tasks))
+        tasks.append((c, d, period))
+    return taskset(tasks)
 
 
 def positions_feasible_exact(ts: TaskSet, positions) -> bool:
@@ -105,9 +111,7 @@ def subset_feasible(tasks) -> bool:
     feasible."""
     if not tasks:
         return True
-    return positions_feasible_exact(
-        taskset((tsk.c, tsk.d, tsk.t) for tsk in tasks), range(len(tasks))
-    )
+    return positions_feasible_exact(of_tasks(tasks), range(len(tasks)))
 
 
 def tightened_utilizations(ts) -> dict[int, Fraction]:

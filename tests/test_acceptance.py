@@ -30,7 +30,6 @@ from rtpack.generators import (
 )
 from rtpack.model import (
     DeadlineClass,
-    TaskSet,
     gamma_metric,
     lambda_metric,
 )
@@ -38,7 +37,7 @@ from rtpack.oracle import optimal_partition_bruteforce
 from rtpack.partitioners import Partition, Strategy, dagger_greedy, dm_partition
 from rtpack.simulate import simulate_edf_synchronous
 
-from conftest import subset_feasible, tightened_utilizations
+from conftest import of_tasks, subset_feasible, tightened_utilizations
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -192,7 +191,7 @@ def test_criterion_7_dvp_reduction_fidelity():
                     )
                     subset = [ts.tasks[i] for i in idx]
                     assert subset_feasible(subset) == fits, (seed, idx)
-                    sub_ts = TaskSet(tuple(subset))
+                    sub_ts = of_tasks(subset)
                     assert lemma1_feasible(sub_ts) == fits, (seed, idx)
 
 

@@ -263,7 +263,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             instances=(spec("file", path=str(tmp_path / "a.json")),), algorithms=(("dm", "ff"),)
         )
-        where = "instance 1 (file): task 1: unknown key 'id'"
+        where = f"instance 1 (file): {tmp_path / 'a.json'}: task 1: unknown key 'id'"
         with pytest.raises(ParseError, match=re.escape(where)):
             run_experiment(cfg)
 

@@ -546,6 +546,37 @@ class TestBench:
         assert (rc, out) == (2, "")
         assert err == f"error: instance 1 (file): no files match {pattern!r}\n"
 
+    def test_file_error_names_the_file_exit_two(self, tmp_path, capsys):
+        # the task-set error keeps its wording, after the file's path
+        (tmp_path / "ok.json").write_text('{"tasks": [{"c": 1, "d": 2, "t": 2}]}')
+        (tmp_path / "bad.json").write_text('{"tasks": [{"c": 1, "d": 2, "t": 2, "x": 1}]}')
+        cfg = tmp_path / "cfg.json"
+        instances = [{"family": "file", "path": str(tmp_path / "*.json")}]
+        cfg.write_text(json.dumps({"instances": instances, "algorithms": [{"algo": "dm"}]}))
+        rc, out, err = run(capsys, "bench", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        bad = tmp_path / "bad.json"
+        assert err == f"error: instance 1 (file): {bad}: task 1: unknown key 'x'\n"
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [('{"instances": [{"family": "bf-adversary", "k": 4}], '
+          '"algorithms": [{"algo": "dm"}], "n_cap": 2, "n_cap": 12}',
+          "config: repeated key 'n_cap'"),
+         ('{"instances": [{"family": "bf-adversary", "k": 4, "k": 5}], '
+          '"algorithms": [{"algo": "dm"}]}',
+          "instance 1: repeated key 'k'"),
+         ('{"instances": [{"family": "bf-adversary", "k": 4}], '
+          '"algorithms": [{"algo": "dm"}, {"algo": "dm", "algo": "dagger"}]}',
+          "algorithm 2: repeated key 'algo'")],
+        ids=["config", "instance", "algorithm"],
+    )  # fmt: skip
+    def test_repeated_config_key_exit_two_naming_it(self, tmp_path, capsys, text, where):
+        # a repeated key would otherwise take its last value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(capsys, "bench", "--config", str(cfg)) == (2, "", f"error: {where}\n")
+
     def test_json_integer_past_the_digit_limit_exit_two_naming_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         seed = "9" * 4301

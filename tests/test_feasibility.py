@@ -25,10 +25,11 @@ from rtpack.feasibility import (
     verify_partition,
 )
 from rtpack.generators import gen_best_fit_adversary, gen_lemma1_shaped, gen_speedup_gap
-from rtpack.model import Task, TaskSet, dbf, taskset
+from rtpack.model import Task, dbf, taskset
 from rtpack.partitioners import Partition
 
 from conftest import (
+    of_tasks,
     positions_feasible_exact,
     subset_feasible,
     tasksets_of_each_class,
@@ -111,7 +112,7 @@ class TestHorizon:
         with pytest.raises(HorizonOverflow) as got:
             positions_feasible_exact(ts, range(2))
         with pytest.raises(HorizonOverflow) as want:
-            edf_feasible_exact(TaskSet(ts.tasks[:2]))
+            edf_feasible_exact(of_tasks(ts.tasks[:2]))
         assert str(got.value) == str(want.value) == (
             f"hyperperiod {periods[0] * periods[1]} exceeds cap {2**64}"
         )
@@ -200,7 +201,7 @@ class TestExactTest:
         speed = u + (density - u) * F(step, 4)
         assume(edf_feasible_exact(ts, speed=speed).feasible)
         drop = data.draw(st.integers(1, len(ts)))
-        rest = TaskSet(tuple(tsk for tsk in ts if tsk.id != drop))
+        rest = of_tasks(tsk for tsk in ts if tsk.id != drop)
         assert edf_feasible_exact(rest, speed).feasible
 
     @given(valid_tasksets())
@@ -271,7 +272,7 @@ def sets_near_density(draw):
     values are rescaled so that its total density sum C_i/min(D_i, T_i)
     lands on 1 or just beside it."""
     n = draw(st.integers(1, 6))
-    tasks = [draw(valid_tasks(tid=i + 1)) for i in range(n)]
+    tasks = [draw(valid_tasks()) for _ in range(n)]
     positions = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
     target = draw(st.sampled_from([F(1), F(1), F(11, 12), F(13, 12), F(1, 2)]))
     dens = {i: tasks[i].c / min(tasks[i].d, tasks[i].t) for i in positions}
@@ -279,8 +280,8 @@ def sets_near_density(draw):
     if draw(st.integers(0, 3)) and scale * max(dens.values()) <= 1:
         for i in positions:
             t = tasks[i]
-            tasks[i] = Task(t.c * scale, t.d, t.t, t.id)
-    return TaskSet(tuple(tasks)), positions
+            tasks[i] = Task(t.c * scale, t.d, t.t)
+    return of_tasks(tasks), positions
 
 
 class TestDensityAccept:
@@ -292,7 +293,7 @@ class TestDensityAccept:
     @given(sets_near_density())
     def test_matches_witness_producing_test(self, case):
         ts, positions = case
-        subset = TaskSet(tuple(ts.tasks[i] for i in positions))
+        subset = of_tasks(ts.tasks[i] for i in positions)
         assert positions_feasible_exact(ts, positions) == (
             edf_feasible_exact(subset).feasible
         )
@@ -419,7 +420,7 @@ class TestTwoTasks:
         swept.clear()
         assert not self.past_gates(ts, pair)
         assert swept == []
-        assert edf_feasible_exact(TaskSet(ts.tasks[:2])).witness == 2
+        assert edf_feasible_exact(of_tasks(ts.tasks[:2])).witness == 2
 
     @pytest.mark.parametrize("pair", [[0, 1], [1, 0]])
     @pytest.mark.parametrize(
@@ -527,10 +528,13 @@ class TestVerifyPartition:
                 ts, Partition(bins=((1, 2), (2,)), algorithm="manual")
             )
 
-    def test_unknown_id(self):
-        ts = taskset([(1, 2, 2)])
-        with pytest.raises(CoverageError):
-            verify_partition(ts, Partition(bins=((1, 9),), algorithm="manual"))
+    @pytest.mark.parametrize("tid", [0, 3, 9, -1, True, 1.0, "1", None])
+    def test_unknown_id(self, tid):
+        # task ids are positions + 1: 1 and 2 here; a bool or a float equal
+        # to an id is no id
+        ts = taskset([(1, 2, 2), (1, 3, 3)])
+        with pytest.raises(CoverageError, match=f"unknown task id {tid} in partition"):
+            verify_partition(ts, Partition(bins=((2,), (1, tid)), algorithm="manual"))
 
     def test_empty_bin(self):
         ts = taskset([(1, 2, 2)])

@@ -34,7 +34,7 @@ from rtpack.model import (
     validate,
 )
 
-from conftest import held_ints, ints_of, subset_feasible
+from conftest import held_ints, ints_of, of_tasks, subset_feasible
 
 F = Fraction
 
@@ -63,18 +63,18 @@ def reference_gen_random(params: GenParams) -> TaskSet:
             share = Fraction(shares[i]).limit_denominator(q * q)
             share = min(max(share, Fraction(1, q * q)), Fraction(1))
             c = min(share * period, d, period)
-            tasks.append(Task(c=c, d=d, t=period, id=i + 1))
+            tasks.append(Task(c=c, d=d, t=period))
         for _ in range(3):
             total = sum((t.utilization for t in tasks), Fraction(0))
             if lo <= total <= hi:
                 break
             factor = (target / total).limit_denominator(q**3)
             tasks = [
-                Task(c=min(max(t.c * factor, Fraction(1, q**3)), t.d, t.t), d=t.d, t=t.t, id=t.id)
+                Task(c=min(max(t.c * factor, Fraction(1, q**3)), t.d, t.t), d=t.d, t=t.t)
                 for t in tasks
             ]
         total = sum((t.utilization for t in tasks), Fraction(0))
-        candidate = TaskSet(tuple(tasks), name=f"random-s{params.seed}")
+        candidate = of_tasks(tasks, name=f"random-s{params.seed}")
         if lo <= total <= hi:
             return candidate
         gap = abs(total - target)
@@ -400,7 +400,8 @@ class TestRandom:
         for seed in range(20):
             n = 3 + seed % 10
             ts = gen_random(GenParams(seed, n, cls, F(1 + seed % 4, 2), den_bound))
-            assert (len(ts), ts.ids, ts.violations) == (n, tuple(range(1, n + 1)), ())
+            assert (len(ts), ts.violations) == (n, ())
+            assert [tsk.id for tsk in ts] == list(range(1, n + 1))
             u = ts.total_utilization
             assert "tasks" not in vars(ts)
             assert held_ints(ts) == ints_of(ts.tasks)

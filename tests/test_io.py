@@ -17,7 +17,7 @@ from rtpack.io import (
     serialize_dvp,
     serialize_taskset,
 )
-from rtpack.model import Task, TaskSet, require_valid
+from rtpack.model import TaskSet, require_valid, taskset
 
 from conftest import held_ints, ints_of, valid_tasksets
 
@@ -150,7 +150,7 @@ class TestParseTaskset:
 def _parse_taskset_reference(data):
     """`parse_taskset` as it was before task sets were built straight from
     int pairs: one Fraction per value through `parse_rational`,
-    then `TaskSet(tasks, name)`."""
+    then `taskset(triples, name)`."""
     doc = load_json(data, "task set")
     if not isinstance(doc, dict) or "tasks" not in doc:
         raise ParseError('document must be an object with a "tasks" list')
@@ -169,8 +169,8 @@ def _parse_taskset_reference(data):
             if key not in entry:
                 raise ParseError(f"task {i}: missing field {key!r}")
             fields[key] = parse_rational(entry[key], where=f"task {i}, field {key!r}")
-        tasks.append(Task(c=fields["c"], d=fields["d"], t=fields["t"], id=i))
-    ts = TaskSet(tuple(tasks), name=name)
+        tasks.append((fields["c"], fields["d"], fields["t"]))
+    ts = taskset(tasks, name)
     require_valid(ts)
     return ts
 
@@ -283,10 +283,9 @@ class TestParseIntoTheIntegerView:
         data = serialize_taskset(ts)
         got = parse_taskset(data)
         edf_feasible_exact(got)
-        ids = tuple(range(1, len(ts) + 1))
-        assert (len(got), got.ids, got.position) == (len(ts), ids, {i: i - 1 for i in ids})
-        assert "tasks" not in vars(got)
+        assert len(got) == len(ts) and "tasks" not in vars(got)
         assert got.tasks == _parse_taskset_reference(data).tasks
+        assert [tsk.id for tsk in got.tasks] == list(range(1, len(ts) + 1))
         assert held_ints(got) == ints_of(got.tasks)
 
 
@@ -334,7 +333,7 @@ class TestSerializedBytes:
     @example('a "b"\\', ((F(1), F(2), F(2)), (F(1), F(2), F(2)), (F(3), F(2), F(5))))
     @given(names, st.lists(st.tuples(values, values, values), min_size=1, max_size=5))
     def test_taskset_same_bytes_as_json_dumps(self, name, cdt):
-        ts = TaskSet(tuple(Task(c, d, t, id=i) for i, (c, d, t) in enumerate(cdt)), name=name)
+        ts = taskset(cdt, name)
         doc = {
             "name": name,
             "tasks": [{"c": str(c), "d": str(d), "t": str(t)} for c, d, t in cdt],

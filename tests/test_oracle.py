@@ -32,6 +32,7 @@ from rtpack.oracle import (
 from rtpack.partitioners import Partition, Strategy, dagger_greedy, dm_partition
 
 from conftest import (
+    of_tasks,
     positions_feasible_exact,
     rationals,
     subset_feasible,
@@ -170,17 +171,6 @@ class TestPinnedSearch:
         result = optimal_partition_bruteforce(make())
         assert (result.m_star, result.nodes_explored, result.witness.bins) == (m_star, nodes, bins)
 
-    def test_ids_are_not_bit_positions(self):
-        # negative and sparse ids: the memo keys on positions, and the
-        # witness reports ids
-        base = gen_best_fit_adversary(4)
-        ids = [-7, 40, 3, -1, 1000, 0, 12, -300]
-        ts = TaskSet(tuple(Task(t.c, t.d, t.t, i) for t, i in zip(base, ids)))
-        result = optimal_partition_bruteforce(ts)
-        assert (result.m_star, result.nodes_explored) == (2, 12)
-        assert result.witness.bins == ((-7, 3, 12, 1000), (-300, -1, 0, 40))
-        assert verify_partition(ts, result.witness)
-
 
 def input_order_oracle(ts: TaskSet) -> tuple[int, tuple]:
     """Reference: the oracle's search before lower bounds and reordering.
@@ -188,7 +178,7 @@ def input_order_oracle(ts: TaskSet) -> tuple[int, tuple]:
     in restricted-growth order; the first complete assignment gives m* and
     the witness bins (task ids).  Bins go through the witness-producing
     test, which has no shortcut for low density."""
-    test = lambda b: edf_feasible_exact(TaskSet(tuple(b))).feasible
+    test = lambda b: edf_feasible_exact(of_tasks(b)).feasible
     tasks = list(ts)
 
     def dfs(i, bins, max_bins):
@@ -640,15 +630,15 @@ def sets_with_subsets(draw):
     subset may carry a denominator no subset task has, so the set's scale
     is often a proper multiple of the subset's own."""
     n = draw(st.integers(1, 6))
-    tasks = [draw(valid_tasks(tid=i + 1)) for i in range(n)]
+    tasks = [draw(valid_tasks()) for _ in range(n)]
     if draw(st.booleans()):  # light tasks: bins pass or fail on demand, not on U
-        tasks = [Task(tsk.c / n, tsk.d, tsk.t, tsk.id) for tsk in tasks]
+        tasks = [Task(tsk.c / n, tsk.d, tsk.t) for tsk in tasks]
     if draw(st.booleans()):
         den = draw(st.sampled_from([5, 7, 11]))
         t = draw(rationals()) / den
-        tasks.append(Task(c=t * F(draw(st.integers(1, 6)), 6), d=t, t=t, id=n + 1))
+        tasks.append(Task(c=t * F(draw(st.integers(1, 6)), 6), d=t, t=t))
     positions = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    return TaskSet(tuple(tasks)), positions
+    return of_tasks(tasks), positions
 
 
 class TestPositionView:

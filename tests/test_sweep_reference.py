@@ -22,7 +22,7 @@ from rtpack.feasibility import (
     _sweep_first_failure,
     edf_feasible_exact,
 )
-from rtpack.model import Task, TaskSet, taskset
+from rtpack.model import TaskSet, taskset
 
 from conftest import positions_feasible_exact, rationals, tasksets_of_each_class, valid_tasksets
 from test_oracle import FAMILY_SETS
@@ -220,14 +220,14 @@ def subsets_with_equal_deadlines(draw):
     n = draw(st.integers(1, 7))
     pool = draw(st.lists(rationals(), min_size=2, max_size=3))
     tasks = []
-    for i in range(n):
+    for _ in range(n):
         period = draw(rationals())
         d = draw(st.sampled_from(pool))
         c = min(period, d) * F(draw(st.integers(1, 4)), 4 * n)
-        tasks.append(Task(c=c, d=d, t=period, id=i + 1))
+        tasks.append((c, d, period))
     chosen = draw(st.sets(st.integers(0, n - 1), min_size=1))
     positions = draw(st.permutations(sorted(chosen)))
-    return TaskSet(tuple(tasks)), positions
+    return taskset(tasks), positions
 
 
 class TestPositions:
