@@ -542,6 +542,26 @@ class TestTaskSet:
         assert repr(ts) == text and "tasks" not in vars(ts)
         assert repr(ts) == f"TaskSet(tasks={ts.tasks!r}, name='set')"
 
+    @pytest.mark.parametrize("field", ["c", "d", "t"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "booleans are not rational quantities"),
+            (False, "booleans are not rational quantities"),
+            (1.5, "floats are rejected; pass a string or Fraction to stay exact"),
+            (2.0, "floats are rejected; pass a string or Fraction to stay exact"),
+            (None, "argument should be a string or a Rational instance"),
+            ([1], "argument should be a string or a Rational instance"),
+        ],
+    )
+    def test_inexact_field_is_a_type_error(self, field, value, message):
+        # the one public builder refuses, in any field of any task, a value
+        # that is not an int, a Fraction or a literal
+        fields = {"c": F(1), "d": F(2), "t": F(4), field: value}
+        with pytest.raises(TypeError) as err:
+            taskset([(1, 2, 4), (fields["c"], fields["d"], fields["t"])])
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("name", ["scale", "c", "d", "name", "tasks", "whole", "other"])
     def test_assignment_is_refused(self, name):
         ts = taskset([(1, 2, 2)])

@@ -16,7 +16,7 @@ from rtpack.generators import (
 from rtpack.model import DeadlineClass, Task, dbf_star, taskset
 from rtpack.partitioners import Strategy, dagger_greedy, dm_partition
 
-from conftest import tasksets_of_each_class, tightened_utilizations, valid_tasksets
+from conftest import of_tasks, tasksets_of_each_class, tightened_utilizations, valid_tasksets
 
 F = Fraction
 
@@ -205,6 +205,37 @@ class TestDmPartition:
     def test_tied_loads_at_bins_1_and_2(self, case, strat):
         ts, want = tied_case(case, strat)
         assert dm_partition(ts, strat).bins == reference_dm_bins(ts, strat) == want
+
+
+@st.composite
+def id_permuted_tasksets(draw):
+    """The tasks of a `valid_tasksets()` set in a drawn order, some drawn
+    twice, so that a task's id (its position + 1) differs from the one it
+    had and equal deadlines are common."""
+    tasks = draw(valid_tasksets(max_n=8)).tasks
+    picks = draw(st.lists(st.integers(0, len(tasks) - 1), min_size=1, max_size=8))
+    return of_tasks(tasks[i] for i in picks)
+
+
+class TestDmIdTieBreak:
+    """Equal deadlines go in id order, which is position order."""
+
+    # D = T = 10, 10, 5 at ids 1, 2, 3: DM order is positions 2, 0, 1, and
+    # C = 6, 5 by id fills the first bin with ids 3 and 1; taking id 2
+    # before id 1 would fill it with ids 3 and 2
+    TRIPLES = ((6, 10, 10), (5, 10, 10), (1, 5, 5))
+
+    def test_dm_order_by_id(self):
+        assert taskset(self.TRIPLES).dm_order == (2, 0, 1)
+
+    @pytest.mark.parametrize("strat", list(Strategy))
+    def test_strategies_pack_in_id_order(self, strat):
+        ts = taskset(self.TRIPLES)
+        assert dm_partition(ts, strat).bins == reference_dm_bins(ts, strat) == ((1, 3), (2,))
+
+    @given(id_permuted_tasksets(), st.sampled_from(list(Strategy)))
+    def test_matches_reference_with_permuted_ids(self, ts, strat):
+        assert dm_partition(ts, strat).bins == reference_dm_bins(ts, strat)
 
 
 class TestDaggerGreedy:
