@@ -122,10 +122,10 @@ MUTANTS = (
         ("tests/test_oracle.py",),
     ),
     Mutant(
-        "DM admission <= made <",
+        "fitting line test <= made <",
         PARTITIONERS,
-        "if line <= room and",
-        "if line < room and",
+        "                if line <= room:\n",
+        "                if line < room:\n",
         ("tests/test_partitioners.py", "tests/test_pins.py::test_ratio_sweep_report"),
     ),
     Mutant(
@@ -157,6 +157,14 @@ MUTANTS = (
         ("tests/test_model.py", "tests/test_partitioners.py"),
     ),
     Mutant(
+        "TaskSet() refusal dropped",
+        MODEL,
+        "    def __init__(self, *args, **kwargs):\n"
+        '        raise TypeError("a TaskSet is built by taskset(triples, name)")\n\n',
+        "",
+        ("tests/test_model.py::TestTaskSet::test_only_the_builders_build_a_set",),
+    ),
+    Mutant(
         "set values left at the lcm of the denominators as given",
         MODEL,
         "    g = math.gcd(scale, *scaled)\n",
@@ -185,17 +193,17 @@ MUTANTS = (
         ("tests/test_io.py::TestParseTaskset",),
     ),
     Mutant(
-        "DM slope test <= made <",
+        "fitting slope test <= made <",
         PARTITIONERS,
-        "            if s <= slope_room:\n",
-        "            if s < slope_room:\n",
+        "            if b[0] <= slope_room:\n",
+        "            if b[0] < slope_room:\n",
         ("tests/test_partitioners.py::TestDmAdmissionEdges",),
     ),
     Mutant(
-        "dagger density fit <= made <",
+        "dagger packs utilizations, not densities",
         PARTITIONERS,
-        "            if s <= room and",
-        "            if s < room and",
+        "ts.span_whole, ts.span_share,",
+        "ts.whole, ts.share,",
         ("tests/test_partitioners.py::TestDaggerGreedy", "tests/test_pins.py::test_ratio_sweep_report"),
     ),
     Mutant(

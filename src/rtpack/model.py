@@ -206,15 +206,16 @@ class TaskSet:
     demand sweep's fast-forward, the oracle's load bound and
     deadline-monotonic admission read the slopes and intercepts here.
 
-    Only `taskset` and `_of_pairs` build a set; `TaskSet(...)` with
-    arguments is a TypeError.  `tasks` reads the `Task`s off the ints and
-    keeps them; iterating yields them without keeping them.  Since the
-    scale is canonical, equality and hash are the dataclass's, those of
-    (scale, c, d, t, name); repr is that of (tasks, name), read without
-    keeping them.  The validation verdict and the deadline-monotonic
-    order (`dm_order`, which every DM strategy packs in) are computed on
-    first use and then kept, `lazy` like the terms above: nothing they
-    depend on can change.
+    Only `taskset` and `_of_pairs` build a set; calling `TaskSet`, with
+    or without arguments, is a TypeError.  `tasks` reads the `Task`s off
+    the ints and keeps them; iterating yields them without keeping them.
+    Since the scale is canonical, equality and hash are the dataclass's,
+    those of (scale, c, d, t, name); repr is the `taskset` call that
+    rebuilds the set, read off the ints.  The validation verdict and the
+    deadline-monotonic order (`dm_order`, which every DM strategy packs
+    in and the oracle's load bound walks) are computed on first use and
+    then kept, `lazy` like the terms above: nothing they depend on can
+    change.
     """
 
     scale: int
@@ -223,8 +224,17 @@ class TaskSet:
     t: tuple[int, ...]
     name: str
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a TaskSet is built by taskset(triples, name)")
+
     def __repr__(self) -> str:
-        return f"TaskSet(tasks={tuple(self)!r}, name={self.name!r})"
+        """The `taskset` call that builds this set, each value its exact
+        quoted string, read off the ints."""
+        scale = self.scale
+        rows = tuple(
+            tuple(str(Fraction(x, scale)) for x in task) for task in zip(self.c, self.d, self.t)
+        )
+        return f"taskset({rows!r}, name={self.name!r})"
 
     def __iter__(self) -> Iterator[Task]:
         """Each task read off the ints, not kept."""

@@ -160,13 +160,14 @@ def _load_bound(ts: TaskSet) -> int:
     ceil(sum_j dbf_j(t) / t).
 
     The points are walked in ascending order with the running sum of the
-    set's dbf* lines (`TaskSet.offset`) over the tasks with D_j <= t.
+    set's dbf* lines (`TaskSet.offset`) over the tasks with D_j <= t,
+    taken in `TaskSet.dm_order`.
     The exact demand is evaluated only where that sum passes
     best * t * whole (see the module docstring)."""
     c, d, t, share, whole = ts.c, ts.d, ts.t, ts.share, ts.whole
     intercept = ts.offset
     best = _ceil_u(ts)
-    by_deadline = sorted(range(len(d)), key=d.__getitem__)
+    by_deadline = ts.dm_order
     active = 0  # tasks of by_deadline with D <= point
     slope = offset = 0
     points = {d[i] + k * t[i] for i in range(len(d)) for k in range(LOAD_POINTS)}

@@ -697,6 +697,14 @@ class TestDeterminismGoldens:
                 "partition_bf_k4.json",
                 ("partition", str(GOLDEN / "bf_adversary_k4.json"), "--algo", "dm", "--strategy", "bf"),
             ),
+            *(
+                (
+                    f"partition_dagger_{strategy}_n4.json",
+                    ("partition", str(GOLDEN / "dagger_fits_n4.json"), "--algo", "dagger", "--strategy", strategy),
+                )
+                # the three strategies give three different partitions here
+                for strategy in ("ff", "bf", "wf")
+            ),
             (
                 "partition_oracle_k4.json",
                 ("partition", str(GOLDEN / "bf_adversary_k4.json"), "--algo", "oracle"),

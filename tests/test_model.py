@@ -457,7 +457,7 @@ class TestTaskSet:
             taskset([])
 
     @pytest.mark.parametrize(
-        "args", [((Task(F(1), F(2), F(2)),),), ((), "set"), ([(1, 2, 2)],)]
+        "args", [((Task(F(1), F(2), F(2)),),), ((), "set"), ([(1, 2, 2)],), ()]
     )
     def test_only_the_builders_build_a_set(self, args):
         # a set is built by `taskset` or `_of_pairs`, never called
@@ -512,7 +512,8 @@ class TestTaskSet:
                 ts.total_utilization
         exact = [Task(F(c), F(d), F(t), i) for i, (c, d, t) in enumerate(triples, start=1)]
         assert validate(ts) == reference_validate(exact)
-        assert repr(ts) == f"TaskSet(tasks={tuple(exact)!r}, name={name!r})"
+        rows = tuple(tuple(str(F(x)) for x in triple) for triple in triples)
+        assert repr(ts) == f"taskset({rows!r}, name={name!r})"
         assert "tasks" not in vars(ts) and "tasks" not in vars(twin)
 
     @given(valid_triple_lists(), st.data())
@@ -538,9 +539,15 @@ class TestTaskSet:
 
     def test_repr_reads_the_tasks_without_keeping_them(self):
         ts = taskset([("1/2", 2, 4), (1, 3, 3)], "set")
-        text = "TaskSet(tasks=(Task(id=1, c=1/2, d=2, t=4), Task(id=2, c=1, d=3, t=3)), name='set')"
+        text = "taskset((('1/2', '2', '4'), ('1', '3', '3')), name='set')"
         assert repr(ts) == text and "tasks" not in vars(ts)
-        assert repr(ts) == f"TaskSet(tasks={ts.tasks!r}, name='set')"
+
+    @given(triple_lists(), st.text(max_size=5))
+    @example(((F(-1, 2), 0, 12),), "a'\"\n")
+    def test_repr_rebuilds_the_set(self, triples, name):
+        # repr is the builder call, valid set or not, whatever the name
+        ts = taskset(triples, name)
+        assert eval(repr(ts), {"taskset": taskset}) == ts
 
     @pytest.mark.parametrize("field", ["c", "d", "t"])
     @pytest.mark.parametrize(
