@@ -384,6 +384,20 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_cli.py::TestGenerate::test_vector_dump_needs_the_dvp_family",),
     ),
+    Mutant(
+        "package init imports a module",
+        "src/rtpack/__init__.py",
+        'approximation-ratio bench harness."""\n',
+        'approximation-ratio bench harness."""\n\nfrom . import bench\n',
+        ("tests/test_source.py::TestLayering",),
+    ),
+    Mutant(
+        "out-of-memory catch narrowed to nothing",
+        CLI,
+        "    except MemoryError:\n",
+        "    except ():\n",
+        ("tests/test_cli.py::TestCheck::test_out_of_memory_exit_two",),
+    ),
 )
 
 

@@ -102,7 +102,7 @@ def _random(p: dict) -> list[tuple[str, TaskSet]]:
 
 def _dvp(p: dict) -> list[tuple[str, TaskSet]]:
     n, q = p["n"], p["den_bound"]
-    return [(f"dvp-s{s}", dvp_to_tasks(gen_random_dvp(s, n, q))) for s in _seeds(p)]
+    return _named(*(dvp_to_tasks(gen_random_dvp(s, n, q), f"dvp-s{s}") for s in _seeds(p)))
 
 
 def _files(p: dict) -> list[tuple[str, TaskSet]]:

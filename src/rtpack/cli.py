@@ -306,6 +306,9 @@ def dispatch(argv) -> int:
     except (RtpackError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -150,11 +150,11 @@ class DvpInstance:
         return len(self.vectors)
 
 
-def dvp_to_tasks(dvp: DvpInstance) -> TaskSet:
+def dvp_to_tasks(dvp: DvpInstance, name: str = "dvp") -> TaskSet:
     """Map dominated vectors to strictly constrained tasks (D = 1, C = v2,
     T = v2/v1) and zero-second-coordinate vectors to implicit tasks of
     period H with C = v1 * H, where H is a common integer multiple of the
-    strict periods (the rational lcm)."""
+    strict periods (the rational lcm).  The set is named `name`."""
     periods = [v2 / v1 for v1, v2 in dvp.vectors if v2 != 0]
     if periods:
         h = Fraction(
@@ -164,7 +164,7 @@ def dvp_to_tasks(dvp: DvpInstance) -> TaskSet:
     else:
         h = Fraction(1)
     triples = [(v2, 1, v2 / v1) if v2 != 0 else (v1 * h, h, h) for v1, v2 in dvp.vectors]
-    return taskset(triples, "dvp")
+    return taskset(triples, name)
 
 
 def gen_random_dvp(

@@ -207,11 +207,11 @@ class TaskSet:
     deadline-monotonic admission read the slopes and intercepts here.
 
     Only `taskset` and `_of_pairs` build a set; calling `TaskSet`, with
-    or without arguments, is a TypeError.  `tasks` reads the `Task`s off
-    the ints and keeps them; iterating yields them without keeping them.
-    Since the scale is canonical, equality and hash are the dataclass's,
-    those of (scale, c, d, t, name); repr is the `taskset` call that
-    rebuilds the set, read off the ints.  The validation verdict and the
+    or without arguments, is a TypeError.  Iterating a set reads its
+    `Task`s off the ints, without keeping them.  Since the scale is
+    canonical, equality and hash are the dataclass's, those of (scale, c,
+    d, t, name); repr is the `taskset` call that rebuilds the set, read
+    off the ints.  The validation verdict and the
     deadline-monotonic order (`dm_order`, which every DM strategy packs
     in and the oracle's load bound walks) are computed on first use and
     then kept, `lazy` like the terms above: nothing they depend on can
@@ -244,11 +244,6 @@ class TaskSet:
 
     def __len__(self) -> int:
         return len(self.c)
-
-    @lazy
-    def tasks(self) -> tuple[Task, ...]:
-        """The tasks read off the ints, then kept."""
-        return tuple(self)
 
     @lazy
     def whole(self) -> int:

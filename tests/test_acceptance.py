@@ -182,14 +182,14 @@ def test_criterion_7_dvp_reduction_fidelity():
         for seed in range(100):
             size = 2 + (seed % 7)
             dvp = gen_random_dvp(seed, size, denominator_bound=8)
-            ts = dvp_to_tasks(dvp)
+            tasks = tuple(dvp_to_tasks(dvp))
             for r in range(1, size + 1):
                 for idx in itertools.combinations(range(size), r):
                     fits = (
                         sum(dvp.vectors[i][0] for i in idx) <= 1
                         and sum(dvp.vectors[i][1] for i in idx) <= 1
                     )
-                    subset = [ts.tasks[i] for i in idx]
+                    subset = [tasks[i] for i in idx]
                     assert subset_feasible(subset) == fits, (seed, idx)
                     sub_ts = of_tasks(subset)
                     assert lemma1_feasible(sub_ts) == fits, (seed, idx)

@@ -69,6 +69,11 @@ class TestGenerate:
         assert vec_out.read_text() == serialize_dvp(gen_random_dvp(2, 4))
         assert "tasks" in json.loads(tasks_out.read_text())
 
+    def test_dvp_set_named_by_its_seed(self, capsys):
+        # as the bench names the family's instances, and `random` its sets
+        docs = [run(capsys, "generate", "--family", "dvp", "--n", "3", "--seed", s)[1] for s in "12"]
+        assert [json.loads(doc)["name"] for doc in docs] == ["dvp-s1", "dvp-s2"]
+
     @pytest.mark.parametrize(
         "flags,message",
         [(["--family", "bf-adversary", "--k", "4", "--seed", "7"],
@@ -177,6 +182,15 @@ class TestCheck:
         rc, text, _ = run(capsys, "check", str(GOLDEN / "speedup_gap_n3.json"))
         assert rc == 1
         assert json.loads(text)["witness"] == "2"
+
+    def test_out_of_memory_exit_two(self, capsys, monkeypatch):
+        # exit 1 would read as "infeasible"
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "edf_feasible_exact", exhausted)
+        path = str(GOLDEN / "speedup_gap_n3.json")
+        assert run(capsys, "check", path) == (2, "", "error: out of memory\n")
 
     def test_missing_file_exit_two(self, capsys):
         rc, _, err = run(capsys, "check", "no-such-file.json")
@@ -545,6 +559,18 @@ class TestBench:
         rc, out, err = run(capsys, "bench", "--config", str(cfg))
         assert (rc, out) == (2, "")
         assert err == f"error: instance 1 (file): no files match {pattern!r}\n"
+
+    def test_file_rows_named_by_their_sets(self, tmp_path, capsys):
+        # two generated dvp files keep their seeds' names as bench rows
+        for seed in "12":
+            out = str(tmp_path / f"set{seed}.json")
+            assert run(capsys, "generate", "--family", "dvp", "--n", "3", "--seed", seed, "-o", out)[0] == 0
+        cfg = tmp_path / "cfg.json"
+        instances = [{"family": "file", "path": str(tmp_path / "set*.json")}]
+        cfg.write_text(json.dumps({"instances": instances, "algorithms": [{"algo": "dm"}]}))
+        rc, text, _ = run(capsys, "bench", "--config", str(cfg), "--format", "csv")
+        assert rc == 0
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == ["dvp-s1", "dvp-s2"]
 
     def test_file_error_names_the_file_exit_two(self, tmp_path, capsys):
         # the task-set error keeps its wording, after the file's path

@@ -112,7 +112,7 @@ class TestHorizon:
         with pytest.raises(HorizonOverflow) as got:
             positions_feasible_exact(ts, range(2))
         with pytest.raises(HorizonOverflow) as want:
-            edf_feasible_exact(of_tasks(ts.tasks[:2]))
+            edf_feasible_exact(of_tasks(tuple(ts)[:2]))
         assert str(got.value) == str(want.value) == (
             f"hyperperiod {periods[0] * periods[1]} exceeds cap {2**64}"
         )
@@ -293,7 +293,8 @@ class TestDensityAccept:
     @given(sets_near_density())
     def test_matches_witness_producing_test(self, case):
         ts, positions = case
-        subset = of_tasks(ts.tasks[i] for i in positions)
+        tasks = tuple(ts)
+        subset = of_tasks(tasks[i] for i in positions)
         assert positions_feasible_exact(ts, positions) == (
             edf_feasible_exact(subset).feasible
         )
@@ -420,7 +421,7 @@ class TestTwoTasks:
         swept.clear()
         assert not self.past_gates(ts, pair)
         assert swept == []
-        assert edf_feasible_exact(of_tasks(ts.tasks[:2])).witness == 2
+        assert edf_feasible_exact(of_tasks(tuple(ts)[:2])).witness == 2
 
     @pytest.mark.parametrize("pair", [[0, 1], [1, 0]])
     @pytest.mark.parametrize(

@@ -151,7 +151,7 @@ class TestPrintableLimit:
 
     def test_speedup_gap_up_to_the_limit(self):
         ts = gen_speedup_gap(9013, F(1, 2))
-        assert len(str(ts.tasks[-1].t)) == MAX_EXPONENT
+        assert len(str(tuple(ts)[-1].t)) == MAX_EXPONENT
         with pytest.raises(BadParam, match="n = 9014 is too large"):
             gen_speedup_gap(9014, F(1, 2))
         with pytest.raises(BadParam, match="n = 1000000000 is too large"):
@@ -163,7 +163,7 @@ class TestPrintableLimit:
     @given(st.integers(2, 40), st.fractions(0, 1, max_denominator=50))
     def test_speedup_gap_period_numerator_is_the_larger_part(self, n, eps):
         assume(0 < eps < 1)
-        period = gen_speedup_gap(n, eps).tasks[-1].t
+        period = tuple(gen_speedup_gap(n, eps))[-1].t
         p, q = eps.numerator, eps.denominator
         assert (period.numerator, period.denominator) == ((p + q) ** (n - 2) * q, p ** (n - 1))
         assert period.numerator > period.denominator
@@ -207,12 +207,12 @@ class TestDvp:
     def test_dominated_vector_mapping(self):
         dvp = DvpInstance(((F(3, 10), F(3, 5)),))
         ts = dvp_to_tasks(dvp)
-        assert ts.tasks[0] == Task(F(3, 5), F(1), F(2), id=1)
+        assert tuple(ts)[0] == Task(F(3, 5), F(1), F(2), id=1)
 
     def test_zero_vector_mapping_uses_common_multiple(self):
         dvp = DvpInstance(((F(3, 10), F(3, 5)), (F(1, 4), F(0))))
         ts = dvp_to_tasks(dvp)
-        assert ts.tasks[1] == Task(F(1, 2), F(2), F(2), id=2)
+        assert tuple(ts)[1] == Task(F(1, 2), F(2), F(2), id=2)
 
     def test_h_is_integer_multiple_of_all_strict_periods(self):
         dvp = gen_random_dvp(7, 8)
@@ -233,7 +233,7 @@ class TestDvp:
 
     def test_subset_equivalence_bruteforce(self):
         dvp = gen_random_dvp(3, 6)
-        ts = dvp_to_tasks(dvp)
+        tasks = tuple(dvp_to_tasks(dvp))
         n = len(dvp)
         for r in range(1, n + 1):
             for idx in itertools.combinations(range(n), r):
@@ -241,7 +241,7 @@ class TestDvp:
                     sum(dvp.vectors[i][0] for i in idx) <= 1
                     and sum(dvp.vectors[i][1] for i in idx) <= 1
                 )
-                subset = [ts.tasks[i] for i in idx]
+                subset = [tasks[i] for i in idx]
                 assert subset_feasible(subset) == fits
 
     def test_invariants_enforced(self):
@@ -403,9 +403,8 @@ class TestRandom:
             assert (len(ts), ts.violations) == (n, ())
             assert [tsk.id for tsk in ts] == list(range(1, n + 1))
             u = ts.total_utilization
-            assert "tasks" not in vars(ts)
-            assert held_ints(ts) == ints_of(ts.tasks)
-            assert u == sum(tsk.utilization for tsk in ts.tasks)
+            assert held_ints(ts) == ints_of(tuple(ts))
+            assert u == sum(tsk.utilization for tsk in ts)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 3301])
     def test_draw_rule_matches_randint(self, seed):

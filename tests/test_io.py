@@ -28,11 +28,12 @@ class TestParseTaskset:
     def test_minimal(self):
         ts = parse_taskset(b'{"tasks":[{"c":"1","d":"2","t":"4"}]}')
         assert len(ts) == 1
-        assert ts.tasks[0].c == 1 and ts.tasks[0].id == 1
+        [task] = ts
+        assert task.c == 1 and task.id == 1
 
     def test_decimal_is_exact(self):
         ts = parse_taskset(b'{"tasks":[{"c":"0.25","d":"1","t":"4096"}]}')
-        assert ts.tasks[0].c == F(1, 4)
+        assert tuple(ts)[0].c == F(1, 4)
 
     def test_validation_rejects_dense_task(self):
         with pytest.raises(ValidationError) as err:
@@ -44,11 +45,11 @@ class TestParseTaskset:
             b'{"tasks":[{"c":"1","d":"9","t":"9"},{"c":"1","d":"2","t":"2"}]}'
         )
         assert [t.id for t in ts] == [1, 2]
-        assert ts.tasks[0].d == 9
+        assert tuple(ts)[0].d == 9
 
     def test_json_ints_accepted(self):
         ts = parse_taskset(b'{"tasks":[{"c":1,"d":2,"t":4}]}')
-        assert ts.tasks[0].t == 4
+        assert tuple(ts)[0].t == 4
 
     def test_json_floats_rejected(self):
         with pytest.raises(ParseError):
@@ -283,10 +284,10 @@ class TestParseIntoTheIntegerView:
         data = serialize_taskset(ts)
         got = parse_taskset(data)
         edf_feasible_exact(got)
-        assert len(got) == len(ts) and "tasks" not in vars(got)
-        assert got.tasks == _parse_taskset_reference(data).tasks
-        assert [tsk.id for tsk in got.tasks] == list(range(1, len(ts) + 1))
-        assert held_ints(got) == ints_of(got.tasks)
+        assert len(got) == len(ts)
+        assert tuple(got) == tuple(_parse_taskset_reference(data))
+        assert [tsk.id for tsk in got] == list(range(1, len(ts) + 1))
+        assert held_ints(got) == ints_of(tuple(got))
 
 
 class TestRoundTrip:

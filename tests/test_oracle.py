@@ -295,7 +295,8 @@ def memo_every_oracle(ts: TaskSet) -> tuple[list[int], int, int, tuple]:
         m += 1
     nodes = search.nodes
     bins = search.partition(range(len(ts)), m)
-    witness = tuple(tuple(sorted(ts.tasks[i].id for i in b)) for b in bins)
+    tasks = tuple(ts)
+    witness = tuple(tuple(sorted(tasks[i].id for i in b)) for b in bins)
     return clique, m, nodes, witness
 
 
@@ -397,10 +398,11 @@ class TestLowerBounds:
         load, clique = _bounds(ts)
         result = optimal_partition_bruteforce(ts)
         assert load <= result.m_star and len(clique) <= result.m_star
+        tasks = tuple(ts)
         for a, b in itertools.combinations(clique, 2):
-            assert not subset_feasible([ts.tasks[a], ts.tasks[b]])
+            assert not subset_feasible([tasks[a], tasks[b]])
         bin_of = {tid: k for k, b in enumerate(result.witness.bins) for tid in b}
-        assert len({bin_of[ts.tasks[p].id] for p in clique}) == len(clique)
+        assert len({bin_of[tasks[p].id] for p in clique}) == len(clique)
 
     @pytest.mark.parametrize("case", range(len(FAMILY_SETS)))
     def test_bounds_are_sound_on_families(self, case):
@@ -646,5 +648,6 @@ class TestPositionView:
     @given(sets_with_subsets())
     def test_exact_matches_bare_list(self, case):
         ts, positions = case
-        subset = [ts.tasks[i] for i in positions]
+        tasks = tuple(ts)
+        subset = [tasks[i] for i in positions]
         assert positions_feasible_exact(ts, positions) == subset_feasible(subset)

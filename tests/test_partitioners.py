@@ -212,7 +212,7 @@ def id_permuted_tasksets(draw):
     """The tasks of a `valid_tasksets()` set in a drawn order, some drawn
     twice, so that a task's id (its position + 1) differs from the one it
     had and equal deadlines are common."""
-    tasks = draw(valid_tasksets(max_n=8)).tasks
+    tasks = tuple(draw(valid_tasksets(max_n=8)))
     picks = draw(st.lists(st.integers(0, len(tasks) - 1), min_size=1, max_size=8))
     return of_tasks(tasks[i] for i in picks)
 

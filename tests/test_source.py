@@ -4,7 +4,10 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,12 +63,16 @@ SWEEP_TERMS = {"share", "whole", "offset", "span_share", "span_whole"}
 
 def package_imports(source: str) -> set[str]:
     """The package modules that `source` imports from, as written:
-    `.model` for a relative import, `rtpack.model` for an absolute one."""
+    `.model` for a relative import, `rtpack.model` for an absolute one.
+    The package itself holds only modules, so `from . import bench` and
+    `from rtpack import bench` import `.bench` and `rtpack.bench`."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
-            if node.level or module.partition(".")[0] == "rtpack":
+            if module in (".", "rtpack"):
+                found |= {module.rstrip(".") + "." + alias.name for alias in node.names}
+            elif node.level or module.partition(".")[0] == "rtpack":
                 found.add(module)
         elif isinstance(node, ast.Import):
             found |= {a.name for a in node.names if a.name.partition(".")[0] == "rtpack"}
@@ -96,7 +103,9 @@ class TestSimulatorIndependence:
         "source, imports, terms",
         [
             ("from .feasibility import _bound\n", {".feasibility"}, set()),
-            ("from . import feasibility\n", {"."}, set()),
+            ("from . import feasibility\n", {".feasibility"}, set()),
+            ("from . import bench as bench_mod, io\n", {".bench", ".io"}, set()),
+            ("from rtpack import bench\n", {"rtpack.bench"}, set()),
             ("import rtpack.feasibility\nimport heapq\n", {"rtpack.feasibility"}, set()),
             ("from rtpack.model import TaskSet\n", {"rtpack.model"}, set()),
             ("from fractions import Fraction\nx = ts.c\n", set(), set()),
@@ -107,6 +116,44 @@ class TestSimulatorIndependence:
     def test_finds_imports_and_terms(self, source, imports, terms):
         assert package_imports(source) == imports
         assert sweep_terms_read(source) == terms
+
+
+def imported_modules(name: str) -> set[str]:
+    """The package modules that module `name` imports, directly or through
+    another, by their names in the package."""
+    found: set[str] = set()
+    todo = [name]
+    while todo:
+        source = (SRC / f"{todo.pop()}.py").read_text()
+        new = {module.rpartition(".")[2] for module in package_imports(source)} - found
+        found |= new
+        todo += new
+    return found
+
+
+def loaded_modules(name: str) -> set[str]:
+    """The package modules that a fresh interpreter has loaded after
+    `import rtpack.<name>`, by their names in the package."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, rtpack.{name}; print(*sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+    )  # fmt: skip
+    return {m.partition(".")[2] for m in done.stdout.split() if m.startswith("rtpack.")}
+
+
+class TestLayering:
+    """Importing a module loads only the package modules its source
+    imports: the package's own `__init__` imports nothing."""
+
+    def test_finds_imports_transitively(self):
+        assert imported_modules("errors") == set()
+        assert imported_modules("simulate") == {"errors", "model"}
+        assert imported_modules("cli") == {p.stem for p in MODULES} - {"cli"}
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_loads_only_what_it_imports(self, path):
+        assert loaded_modules(path.stem) == {path.stem} | imported_modules(path.stem)
 
 
 def cli_flags() -> list[tuple[str, list[str]]]:
