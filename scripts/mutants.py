@@ -243,6 +243,27 @@ MUTANTS = (
         ("tests/test_bench.py::TestCheckBounds",),
     ),
     Mutant(
+        "share lookup's exact-midpoint fallback dropped",
+        GENERATORS,
+        "            if mids[j] != x:\n                return nums[j], dens[j]\n",
+        "            return nums[j], dens[j]\n",
+        ("tests/test_generators.py::TestShareLimiter::test_midpoint_ties",),
+    ),
+    Mutant(
+        "adversary period exponent off by one",
+        GENERATORS,
+        "    h = pw[k + 2]\n",
+        "    h = pw[k + 1]\n",
+        ("tests/test_pins.py::test_family_bytes[bf-adversary]",),
+    ),
+    Mutant(
+        "dvp periods left unreduced in H",
+        GENERATORS,
+        "    hn = math.lcm(*(pn // math.gcd(pn, pd) for pn, pd in periods))\n",
+        "    hn = math.lcm(*(pn for pn, pd in periods))\n",
+        ("tests/test_generators.py::TestDvp::test_mapping_matches_fraction_reference_on_draws",),
+    ),
+    Mutant(
         "GenParams bool refusal dropped",
         GENERATORS,
         "        if isinstance(value, bool) or not isinstance(value, kind):\n",

@@ -44,6 +44,7 @@ from .errors import BadParam, ParseError, RtpackError
 from .feasibility import verify_partition
 from .generators import (
     DEFAULT_DENOMINATOR_BOUND,
+    DvpInstance,
     GenParams,
     dvp_to_tasks,
     gen_best_fit_adversary,
@@ -100,9 +101,17 @@ def _random(p: dict) -> list[tuple[str, TaskSet]]:
     return _named(*map(gen_random, params))
 
 
+def _dvp_draws(p: dict) -> list[tuple[DvpInstance, TaskSet]]:
+    """Each seed's vectors with the task set they map to, named by the seed."""
+    out = []
+    for s in _seeds(p):
+        dvp = gen_random_dvp(s, p["n"], p["den_bound"])
+        out.append((dvp, dvp_to_tasks(dvp, f"dvp-s{s}")))
+    return out
+
+
 def _dvp(p: dict) -> list[tuple[str, TaskSet]]:
-    n, q = p["n"], p["den_bound"]
-    return _named(*(dvp_to_tasks(gen_random_dvp(s, n, q), f"dvp-s{s}") for s in _seeds(p)))
+    return _named(*(ts for _, ts in _dvp_draws(p)))
 
 
 def _files(p: dict) -> list[tuple[str, TaskSet]]:
@@ -264,6 +273,13 @@ def make_instances(family: str, params: dict) -> list[tuple[str, TaskSet]]:
     params = _check_instance(family, params, family)
     _, optional, make = FAMILIES[family]
     return make({**optional, **params})
+
+
+def make_dvp_draws(params: dict) -> list[tuple[DvpInstance, TaskSet]]:
+    """`make_instances("dvp", params)` with each set's vectors: one draw
+    per seed gives both."""
+    params = _check_instance("dvp", params, "dvp")
+    return _dvp_draws({**FAMILIES["dvp"][1], **params})
 
 
 def resolve_instances(cfg: ExperimentConfig) -> list[tuple[str, str, TaskSet]]:

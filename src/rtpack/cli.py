@@ -41,7 +41,6 @@ from fractions import Fraction
 from . import bench as bench_mod
 from .errors import BadParam, RtpackError
 from .feasibility import DEFAULT_POINT_CAP, FeasibilityVerdict, edf_feasible_exact
-from .generators import gen_random_dvp
 from .io import json_list, parse_taskset, serialize_dvp, serialize_taskset
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy
@@ -140,10 +139,10 @@ def cmd_generate(args) -> int:
         raise BadParam(f"--dvp-out needs --family dvp, not {args.family}")
     flags = vars(args)
     params = {key: flags[key] for key in bench_mod.INSTANCE_KEYS if flags.get(key) is not None}
-    [(_, ts)] = bench_mod.make_instances(args.family, params)
-    if args.dvp_out is not None:
-        p = {**bench_mod.FAMILIES["dvp"][1], **params}
-        dvp = gen_random_dvp(p["seed"], p["n"], p["den_bound"])
+    if args.dvp_out is None:
+        [(_, ts)] = bench_mod.make_instances(args.family, params)
+    else:  # the set and its vectors from one draw
+        [(dvp, ts)] = bench_mod.make_dvp_draws(params)
         _write_output(args.dvp_out, serialize_dvp(dvp))
     _write_output(args.output, serialize_taskset(ts))
     return 0

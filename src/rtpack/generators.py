@@ -4,15 +4,21 @@ vector packing transform, and seeded random task sets.
 All generators are pure functions of their parameters; random families
 derive every draw from an explicit seed, so concurrent or repeated
 generation reproduces bit-identical instances.  Every family builds its
-set, in task order, by the one set builder `model._of_pairs`:
-`gen_random` from its int rows through `model._of_rows`, the others from
-exact (c, d, t) triples through `model.taskset`.
+set, in task order, by the one set builder `model._of_pairs`: the random
+sets, both adversaries and the dominated-vector sets from int rows
+(numerator and denominator of C, D and T) through `model._of_rows`; the
+speed-up-gap and Lemma-1 families from exact (c, d, t) triples through
+`model.taskset`.  The seeded families take every integer draw through
+`_randint1`, `randint`'s own rule on the generator's bits, and
+`gen_random` rounds its shares with a Farey table (`_share_limiter`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -65,22 +71,30 @@ def _fit_adversary(k: int, shift: int, name: str) -> TaskSet:
     h = K^(K+2): the first task has C = K^(shift-1), D = 1 and T = h; then
     each tier j = 1..K has an implicit task with D = T = K^(j-1+shift) and
     C = D/K, followed, for j < K, by a filler with C = K^j - K^(j-1),
-    D = K^j and T = h."""
+    D = K^j and T = h.  The rows are int powers of K, built by
+    `model._of_rows`; the only value below 1 is K^-1, the row pair
+    (1, K)."""
     if not isinstance(k, int) or k < 4:
         raise BadParam(f"need integer k >= 4, got {k!r}")
     if not _printable_power(k, k + 2):
         raise BadParam(
             f"k = {k} is too large: k^(k+2) has more than {MAX_EXPONENT} digits"
         )
-    kf = Fraction(k)
-    h = kf ** (k + 2)
-    triples = [(kf ** (shift - 1), 1, h)]
+    pw = [1]  # pw[e] = K^e
+    for _ in range(k + 2):
+        pw.append(pw[-1] * k)
+    h = pw[k + 2]
+
+    def power(e: int) -> tuple[int, int]:  # K^e for e >= -1, as (num, den)
+        return (pw[e], 1) if e >= 0 else (1, k)
+
+    rows = [(*power(shift - 1), 1, 1, h, 1)]
     for j in range(1, k + 1):
-        d = kf ** (j - 1 + shift)
-        triples.append((d / kf, d, d))
+        d = pw[j - 1 + shift]
+        rows.append((*power(j - 2 + shift), d, 1, d, 1))
         if j < k:
-            triples.append((kf**j - kf ** (j - 1), kf**j, h))
-    return taskset(triples, f"{name}-k{k}")
+            rows.append((pw[j] - pw[j - 1], 1, pw[j], 1, h, 1))
+    return _of_rows(rows, f"{name}-k{k}")
 
 
 def gen_best_fit_adversary(k: int) -> TaskSet:
@@ -154,39 +168,43 @@ def dvp_to_tasks(dvp: DvpInstance, name: str = "dvp") -> TaskSet:
     """Map dominated vectors to strictly constrained tasks (D = 1, C = v2,
     T = v2/v1) and zero-second-coordinate vectors to implicit tasks of
     period H with C = v1 * H, where H is a common integer multiple of the
-    strict periods (the rational lcm).  The set is named `name`."""
-    periods = [v2 / v1 for v1, v2 in dvp.vectors if v2 != 0]
-    if periods:
-        h = Fraction(
-            math.lcm(*(p.numerator for p in periods)),
-            math.gcd(*(p.denominator for p in periods)),
-        )
-    else:
-        h = Fraction(1)
-    triples = [(v2, 1, v2 / v1) if v2 != 0 else (v1 * h, h, h) for v1, v2 in dvp.vectors]
-    return taskset(triples, name)
+    strict periods (the rational lcm).  The set is named `name`, and is
+    built by `model._of_rows` from the vectors' numerators and
+    denominators."""
+    pairs = [(v1.numerator, v1.denominator, v2.numerator, v2.denominator) for v1, v2 in dvp.vectors]
+    periods = [(c * b, d * a) for a, b, c, d in pairs if c]  # v2/v1 = cb/da
+    # H = hn/hd: the lcm of the periods' numerators in lowest terms over
+    # the gcd of their denominators, 1 without a strict period
+    hn = math.lcm(*(pn // math.gcd(pn, pd) for pn, pd in periods))
+    hd = math.gcd(*(pd // math.gcd(pn, pd) for pn, pd in periods)) or 1
+    rows = [(c, d, 1, 1, c * b, d * a) if c else (a * hn, b * hd, hn, hd, hn, hd)
+            for a, b, c, d in pairs]  # fmt: skip
+    return _of_rows(rows, name)
 
 
 def gen_random_dvp(
     seed: int, n: int, denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
 ) -> DvpInstance:
     """Seeded dominated-vector instance with denominators bounded by q.  A
-    number that is a bool or not an int is a TypeError naming it."""
+    number that is a bool or not an int is a TypeError naming it.  Every
+    integer draw is `randint`'s, taken by `_randint1` from the generator's
+    bits: randint(2, q) is 1 + randint(1, q - 1)."""
     _check_numbers(seed=seed, n=n, denominator_bound=denominator_bound)
     if n < 1:
         raise BadParam(f"need n >= 1, got {n}")
     if denominator_bound < 2:  # a dominated vector needs k2 >= 2
         raise BadParam(f"need denominator_bound >= 2, got {denominator_bound}")
     rng = random.Random(f"rtpack-dvp:{seed}")
+    rand, bits = rng.random, rng.getrandbits
     q = denominator_bound
+    zero = Fraction(0)
     vectors = []
     for _ in range(n):
-        if rng.random() < 0.3:
-            vectors.append((Fraction(rng.randint(1, q), q), Fraction(0)))
+        if rand() < 0.3:
+            vectors.append((Fraction(_randint1(bits, q), q), zero))
         else:
-            k2 = rng.randint(2, q)
-            k1 = rng.randint(1, k2 - 1)
-            vectors.append((Fraction(k1, q), Fraction(k2, q)))
+            k2 = 1 + _randint1(bits, q - 1)  # randint(2, q)
+            vectors.append((Fraction(_randint1(bits, k2 - 1), q), Fraction(k2, q)))
     return DvpInstance(tuple(vectors))
 
 
@@ -277,6 +295,60 @@ def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
+# the largest denominator bound that `_share_limiter` builds a Farey table
+# for: F_256 has 19,949 fractions, F_64 (den-bound 8) 1,261
+FAREY_LIMIT = 256
+
+
+@functools.cache
+def _farey_table(bound: int) -> tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...]]:
+    """(mids, nums, dens) of the Farey sequence of order `bound` (1 <=
+    bound <= FAREY_LIMIT), the fractions in [0, 1] with a denominator of at
+    most `bound`, ascending: nums[j]/dens[j] is its fraction j, and mids[j]
+    the float nearest the midpoint of fractions j and j + 1, with inf last.
+    Built on first use, then kept.  Ints up to 256 are shared objects in
+    CPython, so nums and dens cost only their slots: at bound 64 the table
+    takes about 60 KB, 30 KB of it the midpoint floats."""
+    mids, nums, dens = [], [0], [1]
+    # a/b and c/d are neighbours; the next fraction follows from them
+    a, b, c, d = 0, 1, 1, bound
+    while True:
+        mids.append((a * d + b * c) / (2 * b * d))
+        nums.append(c)
+        dens.append(d)
+        if c == d:
+            break
+        k = (bound + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    mids.append(math.inf)
+    return tuple(mids), tuple(nums), tuple(dens)
+
+
+def _share_limiter(bound: int) -> Callable[[float], tuple[int, int]]:
+    """The function x -> `_limit_denominator(*x.as_integer_ratio(), bound)`
+    of a float x.  For x in [0, 1] and bound <= FAREY_LIMIT it bisects the
+    midpoints of `_farey_table(bound)`: the closest fraction is the one
+    whose two midpoints enclose x.  A float equal to a midpoint float may
+    be an exact tie, so it, a value outside [0, 1] and every value at a
+    larger bound go to `_limit_denominator`."""
+
+    def exact(x: float) -> tuple[int, int]:
+        return _limit_denominator(*x.as_integer_ratio(), bound)
+
+    if bound > FAREY_LIMIT:
+        return exact
+    mids, nums, dens = _farey_table(bound)
+
+    def limit(x: float) -> tuple[int, int]:
+        if 0.0 <= x <= 1.0:
+            j = bisect_left(mids, x)
+            if mids[j] != x:
+                return nums[j], dens[j]
+        return exact(x)
+
+    return limit
+
+
 def _randint1(getrandbits: Callable[[int], int], w: int) -> int:
     """`randint(1, w)`, w >= 1, of the `random.Random` whose public
     `getrandbits` is given, on the same bits: CPython's `randint(1, w)`
@@ -301,7 +373,8 @@ def gen_random(params: GenParams) -> TaskSet:
     are drawn, totalled, scaled and clamped on ints (numerator, denominator),
     and the returned set is built straight from them by `model._of_rows`.
     Every integer draw is `randint(1, w)`'s, taken by `_randint1` straight
-    from the generator's bits.
+    from the generator's bits, and each share is rounded to denominator q^2
+    by `_share_limiter`, a Farey-table lookup at q <= 16.
     """
     rng = random.Random(f"rtpack-gen:{params.seed}")
     bits = rng.getrandbits
@@ -311,6 +384,7 @@ def gen_random(params: GenParams) -> TaskSet:
     target = Fraction(params.utilization_target)
     tn, td = target.numerator, target.denominator
     floor_den = q**3  # the scaling pass keeps C at least 1/q^3
+    limit = _share_limiter(q * q)
 
     def utilization(tasks: list[list[int]]) -> tuple[int, int]:
         return ratio_sum((cn * r, cd * p) for cn, cd, _, _, p, r in tasks)
@@ -333,7 +407,7 @@ def gen_random(params: GenParams) -> TaskSet:
                 dn, dd = p * _randint1(bits, q), r * q
             else:
                 dn, dd = p * _randint1(bits, 2 * q), r * q
-            sn, sd = _limit_denominator(*shares[i].as_integer_ratio(), q * q)
+            sn, sd = limit(shares[i])
             if sn * q * q < sd:  # the share, at most 1, is raised to 1/q^2
                 sn, sd = 1, q * q
             cn, cd = sn * p, sd * r  # c = min(share * period, d), at most the period

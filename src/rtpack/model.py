@@ -11,8 +11,8 @@ indices regardless of sorting or transforms.  The one public builder is
 `taskset`, from (c, d, t) triples, over the one private builder,
 `_of_pairs`, which makes every set from two flat lists of numerators and
 denominators; the parser fills the lists from ints and Fractions, which
-are valid by construction, and `gen_random` passes its int rows through
-`_of_rows`, which flattens them.  A set's derived terms are `lazy`:
+are valid by construction, and the random, adversary and dominated-vector
+generators pass their int rows through `_of_rows`, which flattens them.  A set's derived terms are `lazy`:
 computed on first use and then kept.
 """
 

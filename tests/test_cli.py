@@ -3,17 +3,19 @@ import io
 import itertools
 import json
 import os
+import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from rtpack import cli
+from rtpack import cli, generators
 from rtpack.bench import FAMILIES, make_instances
 from rtpack.cli import _check_doc, _partition_doc, _simulate_doc, dispatch
 from rtpack.errors import RtpackError
@@ -68,6 +70,29 @@ class TestGenerate:
         assert rc == 0
         assert vec_out.read_text() == serialize_dvp(gen_random_dvp(2, 4))
         assert "tasks" in json.loads(tasks_out.read_text())
+
+    @pytest.mark.parametrize("extra", [[], ["--den-bound", "5"]])
+    def test_vector_dump_draws_once(self, tmp_path, capsys, monkeypatch, extra):
+        # the task set and the vector file come from one seeded draw
+        seeds = []
+
+        class Counted(random.Random):
+            def __init__(self, x=None):
+                seeds.append(x)
+                super().__init__(x)
+
+        monkeypatch.setattr(generators, "random", SimpleNamespace(Random=Counted))
+        tasks_out, vec_out = tmp_path / "dvp.json", tmp_path / "vectors.json"
+        rc, _, _ = run(
+            capsys, "generate", "--family", "dvp", "--n", "4", "--seed", "2", *extra,
+            "--dvp-out", str(vec_out), "-o", str(tasks_out),
+        )  # fmt: skip
+        assert (rc, seeds) == (0, ["rtpack-dvp:2"])
+        monkeypatch.undo()
+        q = int(extra[1]) if extra else generators.DEFAULT_DENOMINATOR_BOUND
+        dvp = gen_random_dvp(2, 4, q)
+        assert vec_out.read_text() == serialize_dvp(dvp)
+        assert tasks_out.read_text() == serialize_taskset(generators.dvp_to_tasks(dvp, "dvp-s2"))
 
     def test_dvp_set_named_by_its_seed(self, capsys):
         # as the bench names the family's instances, and `random` its sets
@@ -715,6 +740,16 @@ class TestDeterminismGoldens:
         assert run(capsys, *args, "-o", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_generate_dvp_pair_bytes(self, tmp_path, capsys):
+        # the pair the CI smoke step compares against
+        args = ("generate", "--family", "dvp", "--n", "6", "--seed", "3")
+        for run_dir in (tmp_path / "a", tmp_path / "b"):
+            run_dir.mkdir()
+            tasks, vectors = run_dir / "tasks.json", run_dir / "vectors.json"
+            assert run(capsys, *args, "--dvp-out", str(vectors), "-o", str(tasks))[0] == 0
+            assert tasks.read_bytes() == (GOLDEN / "dvp_n6_s3.json").read_bytes()
+            assert vectors.read_bytes() == (GOLDEN / "dvp_n6_s3_vectors.json").read_bytes()
 
     @pytest.mark.parametrize(
         "golden,args",

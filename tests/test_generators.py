@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -31,6 +32,7 @@ from rtpack.model import (
     Task,
     TaskSet,
     classify,
+    taskset,
     validate,
 )
 
@@ -83,6 +85,48 @@ def reference_gen_random(params: GenParams) -> TaskSet:
     return best
 
 
+def reference_fit_adversary(k: int, shift: int, name: str) -> TaskSet:
+    """`generators._fit_adversary` on Fraction powers of K, through
+    `taskset`."""
+    kf = Fraction(k)
+    h = kf ** (k + 2)
+    triples = [(kf ** (shift - 1), 1, h)]
+    for j in range(1, k + 1):
+        d = kf ** (j - 1 + shift)
+        triples.append((d / kf, d, d))
+        if j < k:
+            triples.append((kf**j - kf ** (j - 1), kf**j, h))
+    return taskset(triples, f"{name}-k{k}")
+
+
+def reference_gen_random_dvp(seed: int, n: int, q: int) -> DvpInstance:
+    """`gen_random_dvp` with `randint`'s own draws."""
+    rng = random.Random(f"rtpack-dvp:{seed}")
+    vectors = []
+    for _ in range(n):
+        if rng.random() < 0.3:
+            vectors.append((Fraction(rng.randint(1, q), q), Fraction(0)))
+        else:
+            k2 = rng.randint(2, q)
+            k1 = rng.randint(1, k2 - 1)
+            vectors.append((Fraction(k1, q), Fraction(k2, q)))
+    return DvpInstance(tuple(vectors))
+
+
+def reference_dvp_to_tasks(dvp: DvpInstance, name: str = "dvp") -> TaskSet:
+    """`dvp_to_tasks` on Fractions, through `taskset`."""
+    periods = [v2 / v1 for v1, v2 in dvp.vectors if v2 != 0]
+    if periods:
+        h = Fraction(
+            math.lcm(*(p.numerator for p in periods)),
+            math.gcd(*(p.denominator for p in periods)),
+        )
+    else:
+        h = Fraction(1)
+    triples = [(v2, 1, v2 / v1) if v2 != 0 else (v1 * h, h, h) for v1, v2 in dvp.vectors]
+    return taskset(triples, name)
+
+
 class TestBestFitAdversary:
     def test_k4_values(self):
         ts = gen_best_fit_adversary(4)
@@ -108,6 +152,15 @@ class TestBestFitAdversary:
     def test_bad_params(self):
         with pytest.raises(BadParam):
             gen_best_fit_adversary(3)
+
+
+@pytest.mark.parametrize("k", range(4, 12))
+@pytest.mark.parametrize(
+    "gen, shift, name",
+    [(gen_best_fit_adversary, 0, "bf-adversary"), (gen_worst_fit_adversary, 1, "wf-adversary")],
+)
+def test_adversary_matches_fraction_reference(gen, shift, name, k):
+    assert gen(k) == reference_fit_adversary(k, shift, name)
 
 
 class TestWorstFitAdversary:
@@ -268,6 +321,33 @@ class TestDvp:
         with pytest.raises(TypeError) as err:
             gen_random_dvp(**{"seed": 0, "n": 3, field: value})
         assert str(err.value) == f"{field}: expected int, got {value!r}"
+
+    @pytest.mark.parametrize("q", [2, 3, 8, 100])
+    def test_draw_matches_randint_reference(self, q):
+        for seed in range(100):
+            for n in (1, 4, 10):
+                assert gen_random_dvp(seed, n, q) == reference_gen_random_dvp(seed, n, q)
+
+    @pytest.mark.parametrize("q", [2, 3, 8, 100])
+    def test_mapping_matches_fraction_reference_on_draws(self, q):
+        for seed in range(40):
+            dvp = gen_random_dvp(seed, 1 + seed % 12, q)
+            assert dvp_to_tasks(dvp, f"dvp-s{seed}") == reference_dvp_to_tasks(dvp, f"dvp-s{seed}")
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(bool),
+                st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+            ).map(lambda v: (min(v), max(v)) if min(v) and min(v) < max(v) else (max(v), F(0))),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_mapping_matches_fraction_reference(self, vectors):
+        # strict periods with large coprime parts, and sets without any
+        dvp = DvpInstance(tuple(vectors))
+        assert dvp_to_tasks(dvp) == reference_dvp_to_tasks(dvp)
 
     def test_generated_instances_convert_cleanly(self):
         for seed in range(20):
@@ -467,6 +547,72 @@ class TestRandom:
             for _ in range(3):
                 assert generators._uunifast(rng, n, target) == uncapped(ref)
             assert rng.random() == ref.random()  # both streams advanced alike
+
+
+def limited(x: float, bound: int) -> tuple[int, int]:
+    want = Fraction(x).limit_denominator(bound)
+    return want.numerator, want.denominator
+
+
+# the bounds gen_random asks for (q^2 up to the table's limit), small
+# ones, and bounds past the limit, which go to `_limit_denominator`
+SHARE_BOUNDS = sorted({*range(1, 17), *(q * q for q in range(1, 17)), 257, 10_000})
+
+
+class TestShareLimiter:
+    @given(st.floats(0, 1), st.sampled_from(SHARE_BOUNDS))
+    def test_matches_fraction_on_unit_floats(self, x, bound):
+        assert generators._share_limiter(bound)(x) == limited(x, bound)
+
+    def test_midpoint_ties(self):
+        # every midpoint of Farey neighbours a/b < c/d that a float holds
+        # exactly, at every bound with a table: the lookup cannot tell the
+        # two neighbours apart there, and the standard library takes the
+        # last convergent, which may lie on either side
+        ties = []
+        for bound in range(1, generators.FAREY_LIMIT + 1):
+            a, b, c, d = 0, 1, 1, bound
+            while True:
+                num, den = a * d + b * c, 2 * b * d
+                den //= math.gcd(num, den)
+                if den & (den - 1) == 0:  # a power of two
+                    ties.append((num / (2 * b * d), bound))
+                if c == d:
+                    break
+                k = (bound + b) // d
+                a, b, c, d = c, d, k * c - a, k * d - b
+        # 1/(2B) and 1 - 1/(2B) at every power of two B, 1/2 once at B = 1
+        assert len(ties) == 17
+        sides = set()
+        for x, bound in ties:
+            want = limited(x, bound)
+            assert generators._share_limiter(bound)(x) == want
+            sides.add(Fraction(*want) > x)
+        assert sides == {False, True}
+
+    @pytest.mark.parametrize("bound", [1, 2, 5, 64, 256])
+    def test_floats_next_to_every_midpoint(self, bound):
+        # the float nearest each midpoint and its two neighbours, where a
+        # midpoint rounded the wrong way would pick the wrong side
+        limit = generators._share_limiter(bound)
+        mids, _, _ = generators._farey_table(bound)
+        for mid in mids[:-1]:
+            for x in (math.nextafter(mid, 0), mid, math.nextafter(mid, 1)):
+                assert limit(x) == limited(x, bound)
+
+    @pytest.mark.parametrize("bound", SHARE_BOUNDS)
+    def test_ends_and_values_outside_the_unit_interval(self, bound):
+        limit = generators._share_limiter(bound)
+        for x in (0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, -0.25, 1.5, 3.75, 1e300, -1e300):
+            assert limit(x) == limited(x, bound)
+
+    @pytest.mark.parametrize("bound, size", [(1, 2), (2, 3), (7, 19), (64, 1261), (256, 19949)])
+    def test_table_is_the_farey_sequence(self, bound, size):
+        mids, nums, dens = generators._farey_table(bound)
+        fractions = sorted({Fraction(a, b) for b in range(1, bound + 1) for a in range(b + 1)})
+        assert len(fractions) == size
+        assert [Fraction(a, b) for a, b in zip(nums, dens)] == fractions
+        assert mids == (*(float((x + y) / 2) for x, y in zip(fractions, fractions[1:])), math.inf)
 
 
 class TestLemma1Shaped:

@@ -17,11 +17,24 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 from rtpack import bench, feasibility
 from rtpack.bench import emit_report, run_experiment
 from rtpack.cli import dispatch
+from rtpack.generators import (
+    GenParams,
+    dvp_to_tasks,
+    gen_best_fit_adversary,
+    gen_random,
+    gen_random_dvp,
+    gen_speedup_gap,
+    gen_worst_fit_adversary,
+)
+from rtpack.io import serialize_dvp, serialize_taskset
+from rtpack.model import DeadlineClass
 
 ROOT = Path(__file__).resolve().parent.parent
 GAP = str(ROOT / "tests" / "golden" / "speedup_gap_n3.json")
@@ -100,6 +113,71 @@ def test_bounded_time_run(inputs, argv, timeout, code, expect):
         assert hashlib.sha256(out.encode()).hexdigest() == expect
     else:
         assert expect in err
+
+
+def _random_cell(cls, q):
+    # 24 sets: at den-bound 1 nearly every set is the closest of 64 draws;
+    # at 8, 16 and 100 the constrained and arbitrary sets include scaling
+    # passes and a second draw (constrained, n = 6, seed 1 at 8)
+    return [
+        serialize_taskset(gen_random(GenParams(seed, n, DeadlineClass(cls), target, q)))
+        for n, target in ((3, Fraction(1, 2)), (6, Fraction(3, 2)), (10, Fraction(5, 2)))
+        for seed in range(8)
+    ]
+
+
+def _dvp_cell(q):
+    # the task set and the vector document of each draw
+    return [
+        text
+        for seed in range(5)
+        for n in (1, 3, 10, 25)
+        for dvp in (gen_random_dvp(seed, n, q),)
+        for text in (serialize_taskset(dvp_to_tasks(dvp, f"dvp-s{seed}")), serialize_dvp(dvp))
+    ]
+
+
+def _family_cell(family):
+    if family.startswith("random-"):
+        _, cls, q = family.split("-")
+        return _random_cell(cls, int(q[1:]))
+    if family.startswith("dvp-"):
+        return _dvp_cell(int(family[5:]))
+    if family == "speedup-gap":
+        return [serialize_taskset(gen_speedup_gap(n, Fraction(eps)))
+                for n in (2, 3, 6, 10, 14) for eps in ("1/2", "1/3", "2/5")]  # fmt: skip
+    gen = {"bf-adversary": gen_best_fit_adversary, "wf-adversary": gen_worst_fit_adversary}[family]
+    return [serialize_taskset(gen(k)) for k in range(4, 10)]
+
+
+# per cell of generated instances: the sha256 prefix of their documents,
+# concatenated in order
+FAMILY_PINS = {
+    "random-implicit-q1": "f9dfe17454618457",
+    "random-implicit-q8": "5a9e193dbbe37f30",
+    "random-implicit-q16": "d76e5f8fb17976da",
+    "random-implicit-q100": "c9439b0e93eebd81",
+    "random-constrained-q1": "1153bc971994f2ef",
+    "random-constrained-q8": "ffe0d5036ea70418",
+    "random-constrained-q16": "714a65e49176be9a",
+    "random-constrained-q100": "f17bbecc4f3a0f85",
+    "random-arbitrary-q1": "f9635346f672cc06",
+    "random-arbitrary-q8": "8fa329349b6514cc",
+    "random-arbitrary-q16": "dcd128a225d76fff",
+    "random-arbitrary-q100": "c32b3230f5970077",
+    "dvp-q2": "c4288e1da32ddd99",
+    "dvp-q8": "e39c2344d6574738",
+    "dvp-q100": "2b354fad087b9ce8",
+    "bf-adversary": "2449b3017f2251b6",
+    "wf-adversary": "5856baa8d9ec7e91",
+    "speedup-gap": "8397d71127f9cabe",
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_PINS)
+def test_family_bytes(family):
+    digest = hashlib.sha256("".join(_family_cell(family)).encode()).hexdigest()
+    assert digest[:16] == FAMILY_PINS[family]
 
 
 # per seed: the sha256 of the JSON and of the CSV bench report of the
