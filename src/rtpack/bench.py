@@ -44,7 +44,6 @@ from .errors import BadParam, ParseError, RtpackError
 from .feasibility import verify_partition
 from .generators import (
     DEFAULT_DENOMINATOR_BOUND,
-    DvpInstance,
     GenParams,
     dvp_to_tasks,
     gen_best_fit_adversary,
@@ -101,17 +100,9 @@ def _random(p: dict) -> list[tuple[str, TaskSet]]:
     return _named(*map(gen_random, params))
 
 
-def _dvp_draws(p: dict) -> list[tuple[DvpInstance, TaskSet]]:
-    """Each seed's vectors with the task set they map to, named by the seed."""
-    out = []
-    for s in _seeds(p):
-        dvp = gen_random_dvp(s, p["n"], p["den_bound"])
-        out.append((dvp, dvp_to_tasks(dvp, f"dvp-s{s}")))
-    return out
-
-
 def _dvp(p: dict) -> list[tuple[str, TaskSet]]:
-    return _named(*(ts for _, ts in _dvp_draws(p)))
+    n, q = p["n"], p["den_bound"]
+    return _named(*(dvp_to_tasks(gen_random_dvp(s, n, q), f"dvp-s{s}") for s in _seeds(p)))
 
 
 def _files(p: dict) -> list[tuple[str, TaskSet]]:
@@ -267,19 +258,17 @@ def _check_instance(family: str, params: dict, where: str) -> dict:
     return out
 
 
+def instance_params(family: str, params: dict) -> dict:
+    """`params` of a `family` instance, checked as a config's, with the
+    family's defaults for the keys left out."""
+    checked = _check_instance(family, params, family)
+    return {**FAMILIES[family][1], **checked}
+
+
 def make_instances(family: str, params: dict) -> list[tuple[str, TaskSet]]:
     """The (name, task set) pairs of one instance spec, deterministically;
     keys left out take the family's defaults."""
-    params = _check_instance(family, params, family)
-    _, optional, make = FAMILIES[family]
-    return make({**optional, **params})
-
-
-def make_dvp_draws(params: dict) -> list[tuple[DvpInstance, TaskSet]]:
-    """`make_instances("dvp", params)` with each set's vectors: one draw
-    per seed gives both."""
-    params = _check_instance("dvp", params, "dvp")
-    return _dvp_draws({**FAMILIES["dvp"][1], **params})
+    return FAMILIES[family][2](instance_params(family, params))
 
 
 def resolve_instances(cfg: ExperimentConfig) -> list[tuple[str, str, TaskSet]]:

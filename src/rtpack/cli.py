@@ -41,6 +41,7 @@ from fractions import Fraction
 from . import bench as bench_mod
 from .errors import BadParam, RtpackError
 from .feasibility import DEFAULT_POINT_CAP, FeasibilityVerdict, edf_feasible_exact
+from .generators import dvp_to_tasks, gen_random_dvp
 from .io import json_list, parse_taskset, serialize_dvp, serialize_taskset
 from .oracle import DEFAULT_ORACLE_CAP, optimal_partition_bruteforce
 from .partitioners import Partition, Strategy
@@ -139,10 +140,12 @@ def cmd_generate(args) -> int:
         raise BadParam(f"--dvp-out needs --family dvp, not {args.family}")
     flags = vars(args)
     params = {key: flags[key] for key in bench_mod.INSTANCE_KEYS if flags.get(key) is not None}
+    p = bench_mod.instance_params(args.family, params)
     if args.dvp_out is None:
-        [(_, ts)] = bench_mod.make_instances(args.family, params)
-    else:  # the set and its vectors from one draw
-        [(dvp, ts)] = bench_mod.make_dvp_draws(params)
+        [(_, ts)] = bench_mod.FAMILIES[args.family][2](p)
+    else:  # the set and its vectors from one draw, named as the bench names it
+        dvp = gen_random_dvp(p["seed"], p["n"], p["den_bound"])
+        ts = dvp_to_tasks(dvp, f"dvp-s{p['seed']}")
         _write_output(args.dvp_out, serialize_dvp(dvp))
     _write_output(args.output, serialize_taskset(ts))
     return 0

@@ -8,9 +8,9 @@ set, in task order, by the one set builder `model._of_pairs`: the random
 sets, both adversaries and the dominated-vector sets from int rows
 (numerator and denominator of C, D and T) through `model._of_rows`; the
 speed-up-gap and Lemma-1 families from exact (c, d, t) triples through
-`model.taskset`.  The seeded families take every integer draw through
-`_randint1`, `randint`'s own rule on the generator's bits, and
-`gen_random` rounds its shares with a Farey table (`_share_limiter`).
+`model.taskset`.  `gen_random` takes every integer draw through
+`_randint1`, `randint`'s own rule on the generator's bits, and rounds
+its shares with a Farey table (`_share_limiter`).
 """
 
 from __future__ import annotations
@@ -186,25 +186,22 @@ def gen_random_dvp(
     seed: int, n: int, denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
 ) -> DvpInstance:
     """Seeded dominated-vector instance with denominators bounded by q.  A
-    number that is a bool or not an int is a TypeError naming it.  Every
-    integer draw is `randint`'s, taken by `_randint1` from the generator's
-    bits: randint(2, q) is 1 + randint(1, q - 1)."""
+    number that is a bool or not an int is a TypeError naming it."""
     _check_numbers(seed=seed, n=n, denominator_bound=denominator_bound)
     if n < 1:
         raise BadParam(f"need n >= 1, got {n}")
     if denominator_bound < 2:  # a dominated vector needs k2 >= 2
         raise BadParam(f"need denominator_bound >= 2, got {denominator_bound}")
     rng = random.Random(f"rtpack-dvp:{seed}")
-    rand, bits = rng.random, rng.getrandbits
     q = denominator_bound
-    zero = Fraction(0)
     vectors = []
     for _ in range(n):
-        if rand() < 0.3:
-            vectors.append((Fraction(_randint1(bits, q), q), zero))
+        if rng.random() < 0.3:
+            vectors.append((Fraction(rng.randint(1, q), q), Fraction(0)))
         else:
-            k2 = 1 + _randint1(bits, q - 1)  # randint(2, q)
-            vectors.append((Fraction(_randint1(bits, k2 - 1), q), Fraction(k2, q)))
+            k2 = rng.randint(2, q)
+            k1 = rng.randint(1, k2 - 1)
+            vectors.append((Fraction(k1, q), Fraction(k2, q)))
     return DvpInstance(tuple(vectors))
 
 
@@ -296,8 +293,9 @@ def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
 
 
 # the largest denominator bound that `_share_limiter` builds a Farey table
-# for: F_256 has 19,949 fractions, F_64 (den-bound 8) 1,261
-FAREY_LIMIT = 256
+# for: q^2 at the default den-bound q = 8, the one bound the benchmark
+# draws at; F_64 has 1,261 fractions
+FAREY_LIMIT = 64
 
 
 @functools.cache
@@ -306,7 +304,7 @@ def _farey_table(bound: int) -> tuple[tuple[float, ...], tuple[int, ...], tuple[
     bound <= FAREY_LIMIT), the fractions in [0, 1] with a denominator of at
     most `bound`, ascending: nums[j]/dens[j] is its fraction j, and mids[j]
     the float nearest the midpoint of fractions j and j + 1, with inf last.
-    Built on first use, then kept.  Ints up to 256 are shared objects in
+    Built on first use, then kept.  Small ints are shared objects in
     CPython, so nums and dens cost only their slots: at bound 64 the table
     takes about 60 KB, 30 KB of it the midpoint floats."""
     mids, nums, dens = [], [0], [1]
@@ -374,7 +372,7 @@ def gen_random(params: GenParams) -> TaskSet:
     and the returned set is built straight from them by `model._of_rows`.
     Every integer draw is `randint(1, w)`'s, taken by `_randint1` straight
     from the generator's bits, and each share is rounded to denominator q^2
-    by `_share_limiter`, a Farey-table lookup at q <= 16.
+    by `_share_limiter`, a Farey-table lookup at q <= 8.
     """
     rng = random.Random(f"rtpack-gen:{params.seed}")
     bits = rng.getrandbits

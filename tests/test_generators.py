@@ -99,20 +99,6 @@ def reference_fit_adversary(k: int, shift: int, name: str) -> TaskSet:
     return taskset(triples, f"{name}-k{k}")
 
 
-def reference_gen_random_dvp(seed: int, n: int, q: int) -> DvpInstance:
-    """`gen_random_dvp` with `randint`'s own draws."""
-    rng = random.Random(f"rtpack-dvp:{seed}")
-    vectors = []
-    for _ in range(n):
-        if rng.random() < 0.3:
-            vectors.append((Fraction(rng.randint(1, q), q), Fraction(0)))
-        else:
-            k2 = rng.randint(2, q)
-            k1 = rng.randint(1, k2 - 1)
-            vectors.append((Fraction(k1, q), Fraction(k2, q)))
-    return DvpInstance(tuple(vectors))
-
-
 def reference_dvp_to_tasks(dvp: DvpInstance, name: str = "dvp") -> TaskSet:
     """`dvp_to_tasks` on Fractions, through `taskset`."""
     periods = [v2 / v1 for v1, v2 in dvp.vectors if v2 != 0]
@@ -321,12 +307,6 @@ class TestDvp:
         with pytest.raises(TypeError) as err:
             gen_random_dvp(**{"seed": 0, "n": 3, field: value})
         assert str(err.value) == f"{field}: expected int, got {value!r}"
-
-    @pytest.mark.parametrize("q", [2, 3, 8, 100])
-    def test_draw_matches_randint_reference(self, q):
-        for seed in range(100):
-            for n in (1, 4, 10):
-                assert gen_random_dvp(seed, n, q) == reference_gen_random_dvp(seed, n, q)
 
     @pytest.mark.parametrize("q", [2, 3, 8, 100])
     def test_mapping_matches_fraction_reference_on_draws(self, q):
@@ -556,7 +536,7 @@ def limited(x: float, bound: int) -> tuple[int, int]:
 
 # the bounds gen_random asks for (q^2 up to the table's limit), small
 # ones, and bounds past the limit, which go to `_limit_denominator`
-SHARE_BOUNDS = sorted({*range(1, 17), *(q * q for q in range(1, 17)), 257, 10_000})
+SHARE_BOUNDS = sorted({*range(1, 17), *(q * q for q in range(1, 9)), 65, 100, 10_000})
 
 
 class TestShareLimiter:
@@ -582,7 +562,7 @@ class TestShareLimiter:
                 k = (bound + b) // d
                 a, b, c, d = c, d, k * c - a, k * d - b
         # 1/(2B) and 1 - 1/(2B) at every power of two B, 1/2 once at B = 1
-        assert len(ties) == 17
+        assert len(ties) == 13
         sides = set()
         for x, bound in ties:
             want = limited(x, bound)
@@ -590,7 +570,7 @@ class TestShareLimiter:
             sides.add(Fraction(*want) > x)
         assert sides == {False, True}
 
-    @pytest.mark.parametrize("bound", [1, 2, 5, 64, 256])
+    @pytest.mark.parametrize("bound", [1, 2, 5, 49, 64])
     def test_floats_next_to_every_midpoint(self, bound):
         # the float nearest each midpoint and its two neighbours, where a
         # midpoint rounded the wrong way would pick the wrong side
@@ -606,7 +586,7 @@ class TestShareLimiter:
         for x in (0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, -0.25, 1.5, 3.75, 1e300, -1e300):
             assert limit(x) == limited(x, bound)
 
-    @pytest.mark.parametrize("bound, size", [(1, 2), (2, 3), (7, 19), (64, 1261), (256, 19949)])
+    @pytest.mark.parametrize("bound, size", [(1, 2), (2, 3), (7, 19), (64, 1261)])
     def test_table_is_the_farey_sequence(self, bound, size):
         mids, nums, dens = generators._farey_table(bound)
         fractions = sorted({Fraction(a, b) for b in range(1, bound + 1) for a in range(b + 1)})
