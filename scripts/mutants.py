@@ -224,8 +224,8 @@ MUTANTS = (
     Mutant(
         "above-speed sweep slack divided by 3",
         FEASIBILITY,
-        "(offset if room > 0 else work * whole - offset)",
-        "(offset if room > 0 else (work * whole - offset) // 3)",
+        "(sum(map(cost.__getitem__, positions)) * whole - offset)",
+        "((sum(map(cost.__getitem__, positions)) * whole - offset) // 3)",
         ("tests/test_feasibility.py::TestHorizon",),
     ),
     Mutant(
@@ -411,6 +411,55 @@ MUTANTS = (
         'approximation-ratio bench harness."""\n',
         'approximation-ratio bench harness."""\n\nfrom . import bench\n',
         ("tests/test_source.py::TestLayering",),
+    ),
+    Mutant(
+        "validate's accept without its C <= T pass",
+        MODEL,
+        "    if min(c) > 0 and all(map(le, c, d)) and all(map(le, c, t)):\n",
+        "    if min(c) > 0 and all(map(le, c, d)):\n",
+        ("tests/test_model.py::TestValidate",),
+    ),
+    Mutant(
+        "set values divided by g only when g > 2",
+        MODEL,
+        "    if g > 1:\n",
+        "    if g > 2:\n",
+        ("tests/test_model.py::TestIntegerValues",),
+    ),
+    Mutant(
+        "best and worst fit rankings swapped",
+        PARTITIONERS,
+        "Strategy.BEST_FIT: gt, Strategy.WORST_FIT: lt}",
+        "Strategy.BEST_FIT: lt, Strategy.WORST_FIT: gt}",
+        ("tests/test_partitioners.py",),
+    ),
+    Mutant(
+        "GenParams target bound > made >=",
+        GENERATORS,
+        "        if un > n * ud:\n",
+        "        if un >= n * ud:\n",
+        ("tests/test_generators.py::TestRandom::test_target_range_boundaries",),
+    ),
+    Mutant(
+        "GenParams fast path taken for any target type",
+        GENERATORS,
+        "            and target.__class__ in (Fraction, int)\n",
+        "",
+        ("tests/test_generators.py::TestRandom::test_inexact_or_mistyped_number_is_a_type_error",),
+    ),
+    Mutant(
+        "dvp v1 < v2 made <=",
+        GENERATORS,
+        "if c and not (a * d < c * b and c <= d):",
+        "if c and not (a * d <= c * b and c <= d):",
+        ("tests/test_generators.py::TestDvp::test_range_boundaries",),
+    ),
+    Mutant(
+        "dvp type check skipped for a vector with one Fraction",
+        GENERATORS,
+        "if v1.__class__ is not Fraction or v2.__class__ is not Fraction:",
+        "if v1.__class__ is not Fraction and v2.__class__ is not Fraction:",
+        ("tests/test_generators.py::TestDvp::test_inexact_coordinate_is_a_type_error",),
     ),
     Mutant(
         "out-of-memory catch narrowed to nothing",

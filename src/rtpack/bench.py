@@ -93,10 +93,8 @@ def _seeds(p: dict) -> range:
 
 
 def _random(p: dict) -> list[tuple[str, TaskSet]]:
-    params = [
-        GenParams(s, p["n"], DeadlineClass(p["class"]), p["target_u"], p["den_bound"])
-        for s in _seeds(p)
-    ]
+    n, cls, target, q = p["n"], DeadlineClass(p["class"]), p["target_u"], p["den_bound"]
+    params = [GenParams(s, n, cls, target, q) for s in _seeds(p)]
     return _named(*map(gen_random, params))
 
 

@@ -162,17 +162,16 @@ def _sweep_first_failure(
     # whose slope exceeds the speed.  Where a point is below ff_at[k], the
     # exact demand decides: a dbf* pass there would be an exact pass too,
     # as dbf <= dbf*.  As T * share = C * whole, at the end `offset` is
-    # sum (T - D) * share and `work * whole - offset` is sum D * share.
+    # sum (T - D) * share and sum C * whole - `offset` is sum D * share.
     kinks: list[int] = []
     ff_at: list[int | float] = []
     never = math.inf
     slope = offset = 0  # U_k and A_k of the segment, times whole
-    work = 0  # sum C
+    capacity = s_num * whole
     for i in sorted(positions, key=deadline.__getitem__):
         slope += share[i]
-        work += cost[i]
         offset += intercept[i]
-        room = s_num * whole - s_den * slope
+        room = capacity - s_den * slope
         excess = s_den * offset
         if room > 0:
             at = -(-excess // room)
@@ -195,8 +194,10 @@ def _sweep_first_failure(
             )
         bound = own + d_max, 1
     else:
-        # below the speed sum (T - D) * share, above it sum D * share
-        slack = s_den * (offset if room > 0 else work * whole - offset)
+        if room > 0:  # below the speed: sum (T - D) * share
+            slack = s_den * offset
+        else:  # above it: sum D * share, from sum C
+            slack = s_den * (sum(map(cost.__getitem__, positions)) * whole - offset)
         room = abs(room)
         bound = (d_max, 1) if d_max * room >= slack else (slack, room)
     horizon = bound[0] // bound[1]
@@ -396,4 +397,7 @@ def verify_partition(
         raise CoverageError(f"partition misses task ids {missing}")
     if store is None:
         store = {}
-    return all(bin_feasible(ts, *b, store) for b in bins)
+    for mask, density, load in bins:
+        if not bin_feasible(ts, mask, density, load, store):
+            return False
+    return True

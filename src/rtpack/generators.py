@@ -149,15 +149,24 @@ def gen_speedup_gap(n: int, eps: Fraction) -> TaskSet:
 @dataclass(frozen=True)
 class DvpInstance:
     """Two-dimensional dominated vectors: v1 in (0,1] and either v2 = 0 or
-    v1 < v2 <= 1."""
+    v1 < v2 <= 1.  A coordinate that is a bool or not a `Rational` is a
+    TypeError naming its vector, and one out of range a BadParam.  The
+    ranges are compared on each vector's numerators and denominators, so
+    a vector of Fractions, as every generator draws, is checked without
+    a Fraction comparison."""
 
     vectors: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
         for i, (v1, v2) in enumerate(self.vectors):
-            if not 0 < v1 <= 1:
+            if v1.__class__ is not Fraction or v2.__class__ is not Fraction:
+                for value in (v1, v2):
+                    if isinstance(value, bool) or not isinstance(value, Rational):
+                        raise TypeError(f"vector {i}: expected Rational, got {value!r}")
+            a, b, c, d = v1.numerator, v1.denominator, v2.numerator, v2.denominator
+            if not 0 < a <= b:
                 raise BadParam(f"vector {i}: v1 = {v1} outside (0, 1]")
-            if v2 != 0 and not v1 < v2 <= 1:
+            if c and not (a * d < c * b and c <= d):  # v1 < v2 <= 1
                 raise BadParam(f"vector {i}: v2 = {v2} must be 0 or in (v1, 1]")
 
     def __len__(self) -> int:
@@ -210,7 +219,9 @@ class GenParams:
     """The parameters of `gen_random`.  `seed`, `n` and `denominator_bound`
     are ints and `utilization_target` is an int or a Fraction: a bool, a
     float or any other type is a TypeError naming the field, so that no
-    float enters a generated set.  A value out of range is a BadParam."""
+    float enters a generated set.  A value out of range is a BadParam.
+    Numbers of exactly those classes skip `_check_numbers`, and the target
+    is compared on its numerator and denominator."""
 
     seed: int
     n: int
@@ -219,13 +230,19 @@ class GenParams:
     denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
 
     def __post_init__(self):
-        _check_numbers(**{field: getattr(self, field) for field in _PARAM_KINDS})
-        if self.n < 1:
-            raise BadParam(f"need n >= 1, got {self.n}")
-        if self.utilization_target <= 0:
+        n, target = self.n, self.utilization_target
+        if not (
+            self.seed.__class__ is n.__class__ is self.denominator_bound.__class__ is int
+            and target.__class__ in (Fraction, int)
+        ):
+            _check_numbers(**{field: getattr(self, field) for field in _PARAM_KINDS})
+        if n < 1:
+            raise BadParam(f"need n >= 1, got {n}")
+        un, ud = target.numerator, target.denominator
+        if un <= 0:
             raise BadParam("utilization target must be positive")
-        if self.utilization_target > self.n:
-            raise BadParam(f"target {self.utilization_target} impossible with {self.n} tasks")
+        if un > n * ud:
+            raise BadParam(f"target {target} impossible with {n} tasks")
         if self.denominator_bound < 1:
             raise BadParam("denominator bound must be at least 1")
 
@@ -385,7 +402,7 @@ def gen_random(params: GenParams) -> TaskSet:
     limit = _share_limiter(q * q)
 
     def utilization(tasks: list[list[int]]) -> tuple[int, int]:
-        return ratio_sum((cn * r, cd * p) for cn, cd, _, _, p, r in tasks)
+        return ratio_sum([x[0] * x[5] for x in tasks], [x[1] * x[4] for x in tasks])
 
     def within(num: int, den: int) -> bool:  # |num/den - target| <= target/10
         return 9 * tn * den <= 10 * num * td <= 11 * tn * den

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import floordiv, mul
+from operator import floordiv, le, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -104,13 +104,12 @@ def as_rational(value: RationalLike) -> Fraction:
     return out
 
 
-def ratio_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The exact sum of the fractions num/den of (num, den) int pairs, as
-    (numerator, lcm of the denominators), not reduced; a zero denominator
-    raises ZeroDivisionError."""
-    pairs = list(pairs)
-    whole = math.lcm(*(den for _, den in pairs))
-    return sum(num * (whole // den) for num, den in pairs), whole
+def ratio_sum(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
+    """The exact sum of the fractions nums[k]/dens[k] of two int sequences
+    of equal length, as (numerator, lcm of the denominators), not reduced:
+    (0, 1) for none.  A zero denominator raises ZeroDivisionError."""
+    whole = math.lcm(*dens)
+    return sum(map(mul, nums, map(floordiv, repeat(whole), dens))), whole
 
 
 class lazy:
@@ -170,12 +169,15 @@ def _view_of(
     given, then divided by g, the gcd of L' and every scaled value.  So
     the scale is L'/g, the lcm of the reduced denominators (no prime of
     that lcm divides every value at it), and equal values give equal
-    sets."""
+    sets.  g is 1 whenever the denominators as given are already reduced,
+    as for every parsed set, and the division is then skipped."""
     scale = math.lcm(*dens)
-    scaled = list(map(mul, nums, map(floordiv, repeat(scale), dens)))
+    scaled = tuple(map(mul, nums, map(floordiv, repeat(scale), dens)))
     g = math.gcd(scale, *scaled)
-    scaled = [x // g for x in scaled]
-    return scale // g, tuple(scaled[0::3]), tuple(scaled[1::3]), tuple(scaled[2::3])
+    if g > 1:
+        scale //= g
+        scaled = tuple(map(floordiv, scaled, repeat(g)))
+    return scale, scaled[0::3], scaled[1::3], scaled[2::3]
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -251,13 +253,12 @@ class TaskSet:
 
     @lazy
     def share(self) -> tuple[int, ...]:
-        whole = self.whole
-        return tuple(whole // t * c for c, t in zip(self.c, self.t))
+        return tuple(map(mul, map(floordiv, repeat(self.whole), self.t), self.c))
 
     @lazy
     def offset(self) -> tuple[int, ...]:
-        whole = self.whole
-        return tuple(c * whole - s * d for c, d, s in zip(self.c, self.d, self.share))
+        scaled = map(mul, self.c, repeat(self.whole))
+        return tuple(map(sub, scaled, map(mul, self.share, self.d)))
 
     @lazy
     def span(self) -> tuple[int, ...]:
@@ -269,14 +270,13 @@ class TaskSet:
 
     @lazy
     def span_share(self) -> tuple[int, ...]:
-        whole = self.span_whole
-        return tuple(whole // span * c for c, span in zip(self.c, self.span))
+        return tuple(map(mul, map(floordiv, repeat(self.span_whole), self.span), self.c))
 
     @property
     def total_utilization(self) -> Fraction:
         """The sum of C/T, on the ints; a period of 0 raises
         ZeroDivisionError."""
-        return Fraction(*ratio_sum(zip(self.c, self.t)))
+        return Fraction(*ratio_sum(self.c, self.t))
 
     @lazy
     def violations(self) -> tuple[Violation, ...]:
@@ -366,7 +366,7 @@ def gamma_metric(ts: TaskSet) -> Fraction:
 def classify(ts: TaskSet) -> DeadlineClass:
     if ts.d == ts.t:
         return DeadlineClass.IMPLICIT
-    if all(d <= t for d, t in zip(ts.d, ts.t)):
+    if all(map(le, ts.d, ts.t)):
         return DeadlineClass.CONSTRAINED
     return DeadlineClass.ARBITRARY
 
@@ -386,11 +386,16 @@ def validate(ts: TaskSet) -> list[Violation]:
 
     Degenerate sets stay loadable for study, but every solver entry point
     refuses task sets for which this list is nonempty.  The checks compare
-    C, D and T on the set's ints; a violation's message prints the values
-    as fractions.
+    C, D and T on the set's ints: a set with every C positive and at most
+    its D and its T, so every D and T positive too, is accepted in three
+    passes over the int tuples, and only a set that fails them is walked
+    task by task to word each violation, its values printed as fractions.
     """
+    c, d, t = ts.c, ts.d, ts.t
+    if min(c) > 0 and all(map(le, c, d)) and all(map(le, c, t)):
+        return []
     out: list[Violation] = []
-    for tid, (c, d, t) in enumerate(zip(ts.c, ts.d, ts.t), start=1):
+    for tid, (c, d, t) in enumerate(zip(c, d, t), start=1):
         if c > 0 and d >= c and t >= c:
             continue
         fc, fd, ft = (Fraction(x, ts.scale) for x in (c, d, t))

@@ -69,6 +69,8 @@ result keeps neither the deciding search nor its memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadParam, CapExceeded
@@ -170,7 +172,9 @@ def _load_bound(ts: TaskSet) -> int:
     by_deadline = ts.dm_order
     active = 0  # tasks of by_deadline with D <= point
     slope = offset = 0
-    points = {d[i] + k * t[i] for i in range(len(d)) for k in range(LOAD_POINTS)}
+    points: set[int] = set()
+    for k in range(LOAD_POINTS):
+        points.update(map(add, d, map(mul, t, repeat(k))))
     for point in sorted(points):
         while active < len(by_deadline) and d[by_deadline[active]] <= point:
             i = by_deadline[active]

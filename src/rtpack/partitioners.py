@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import gt, lt
 from typing import Optional, Sequence
 
 from .model import TaskSet, require_valid
@@ -63,9 +64,10 @@ class Partition:
         return len(self.bins)
 
 
-# best fit maximizes a bin's load and worst fit its negation; first fit
-# takes the first admitting bin, so its sign never matters
-_SIGN = {Strategy.FIRST_FIT: 0, Strategy.BEST_FIT: 1, Strategy.WORST_FIT: -1}
+# how a later admitting bin's load must compare with the pick's to replace
+# it: best fit keeps the largest load and worst fit the smallest; first
+# fit takes the first admitting bin and ranks none
+_BETTER = {Strategy.FIRST_FIT: None, Strategy.BEST_FIT: gt, Strategy.WORST_FIT: lt}
 
 Ints = Sequence[int]
 
@@ -74,8 +76,9 @@ def _fit(
     order: Ints, strategy: Strategy, whole: int, slope: Ints, intercept: Ints, at: Ints, cost: Ints
 ) -> tuple[tuple[int, ...], ...]:
     """The bins of ids that the fitting loop packs the positions of
-    `order` into (see the module docstring)."""
-    sign = _SIGN[strategy]
+    `order` into (see the module docstring).  A strategy's ranking is its
+    `_BETTER` comparison of two loads, called only on admitting bins."""
+    better = _BETTER[strategy]
     bins: list[list] = []  # per open bin: [slope sum, intercept sum, ids]
     for pos in order:
         share, point = slope[pos], at[pos]
@@ -85,18 +88,18 @@ def _fit(
             if b[0] <= slope_room:
                 line = b[0] * point + b[1]  # the bin's line sum at `point`
                 if line <= room:
-                    if not sign:
+                    if better is None:
                         pick = b
                         break
-                    if pick is None or sign * line > best:
-                        pick, best = b, sign * line
+                    if pick is None or better(line, best):
+                        pick, best = b, line
         if pick is None:
             bins.append([share, intercept[pos], [pos + 1]])
         else:
             pick[0] += share
             pick[1] += intercept[pos]
             pick[2].append(pos + 1)
-    return tuple(tuple(sorted(b[2])) for b in bins)
+    return tuple([tuple(sorted(b[2])) for b in bins])
 
 
 def dm_partition(ts: TaskSet, strat: Strategy) -> Partition:

@@ -291,6 +291,32 @@ class TestDvp:
         with pytest.raises(BadParam):
             DvpInstance(((F(1, 2), F(3, 2)),))
 
+    @pytest.mark.parametrize(
+        "vector, ok",
+        [((F(1), F(0)), True), ((1, 0), True), ((F(2, 5), F(1)), True),
+         ((F(1, 2), F(1, 2)), False), ((F(2, 4), F(1, 2)), False), ((F(1, 3), F(-1, 2)), False),
+         ((F(-1, 2), F(0)), False), ((F(5, 4), F(0)), False), ((F(1, 2), F(7, 6)), False)],
+    )  # fmt: skip
+    def test_range_boundaries(self, vector, ok):
+        # v1 = 1 and v2 = 1 are in range, v2 = v1 is not, however written
+        if ok:
+            assert DvpInstance((vector,)).vectors == (vector,)
+        else:
+            with pytest.raises(BadParam, match="^vector 0: v"):
+                DvpInstance((vector,))
+
+    @pytest.mark.parametrize(
+        "vector, value",
+        [((0.5, F(0)), 0.5), ((F(1, 4), 0.5), 0.5), ((True, F(0)), True),
+         ((F(1, 4), True), True), (("1/2", F(0)), "1/2")],
+    )  # fmt: skip
+    def test_inexact_coordinate_is_a_type_error(self, vector, value):
+        # a float would reach the mapping as a bare AttributeError, and True
+        # would build a task from 1
+        with pytest.raises(TypeError) as err:
+            DvpInstance(((F(1, 2), F(0)), vector))
+        assert str(err.value) == f"vector 1: expected Rational, got {value!r}"
+
     @pytest.mark.parametrize("bound", [1, 0, -3])
     def test_denominator_bound_below_two_raises(self, bound):
         # a dominated vector needs a second coordinate k2/q with k2 >= 2
@@ -387,6 +413,19 @@ class TestRandom:
             GenParams(seed=1, n=2, utilization_target=F(3))
         with pytest.raises(BadParam):
             GenParams(seed=1, n=2, utilization_target=F(0))
+
+    @pytest.mark.parametrize(
+        "target, ok",
+        [(2, True), (F(2), True), (F(4, 2), True), (F(1, 10**6), True), (F(2000001, 10**6), False),
+         (F(5, 2), False), (3, False), (0, False), (F(-1, 3), False)],
+    )  # fmt: skip
+    def test_target_range_boundaries(self, target, ok):
+        # a target of exactly n is reachable: every share saturated
+        if ok:
+            assert GenParams(seed=1, n=2, utilization_target=target).utilization_target == target
+        else:
+            with pytest.raises(BadParam, match="target"):
+                GenParams(seed=1, n=2, utilization_target=target)
 
     @pytest.mark.parametrize(
         "field, value, kind",

@@ -215,6 +215,16 @@ class TestUtilization:
         ts = taskset(triples)
         assert ts.total_utilization == sum((c / t for c, _, t in triples), F(0))
 
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 60)), max_size=8))
+    @example([])
+    def test_ratio_sum_matches_the_fraction_sum(self, pairs):
+        nums, dens = [n for n, _ in pairs], [d for _, d in pairs]
+        num, den = model.ratio_sum(nums, dens)
+        assert den == math.lcm(*dens)
+        assert F(num, den) == sum((F(n, d) for n, d in pairs), F(0))
+        if not pairs:
+            assert (num, den) == (0, 1)
+
     @pytest.mark.parametrize("periods", [(0,), (2, 0), (0, F(1, 2))])
     def test_zero_period_raises_as_the_fraction_sum_does(self, periods):
         ts = taskset((1, 1, t) for t in periods)
@@ -368,6 +378,22 @@ def any_fields(draw):
     return taskset((draw(field), draw(field), draw(field)) for _ in range(n))
 
 
+@st.composite
+def mixed_tasks(draw):
+    """Task sets of 1 to 6 tasks, each valid or, by a draw, with any
+    fields, so that valid tasks sit before, between and after invalid
+    ones."""
+    field = st.builds(F, st.integers(-4, 8), st.integers(1, 3))
+    tasks = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            tsk = draw(valid_tasks())
+            tasks.append((tsk.c, tsk.d, tsk.t))
+        else:
+            tasks.append((draw(field), draw(field), draw(field)))
+    return taskset(tasks)
+
+
 class TestValidate:
     def test_clean(self):
         assert validate(taskset([(1, 2, 4)])) == []
@@ -410,7 +436,7 @@ class TestValidate:
         assert len(calls) == 1
 
     @settings(max_examples=200)
-    @given(st.one_of(any_fields(), valid_tasksets()))
+    @given(st.one_of(any_fields(), valid_tasksets(), mixed_tasks()))
     def test_matches_fraction_reference_with_messages(self, ts):
         got, want = validate(ts), reference_validate(ts)
         assert got == want
@@ -739,6 +765,8 @@ class TestIntegerValues:
     @example([(0, 4, 0, 6, 0, 2)])
     @example([(2, 4, -3, 6, 5, 10)])
     @example([(6, 4, 9, 6, 0, 12)])
+    @example([(2, 2, 4, 2, 6, 2)])  # every value shares the factor 2 at the scale
+    @example([(1, 1, 2, 1, 3, 1)])  # g = 1: nothing to divide
     def test_one_normalization_is_the_per_pair_reduction(self, rows):
         # signed, zero and unreduced pairs: scaling by the lcm of the
         # denominators as given and dividing by one gcd gives the values
