@@ -224,8 +224,8 @@ MUTANTS = (
     Mutant(
         "above-speed sweep slack divided by 3",
         FEASIBILITY,
-        "(sum(map(cost.__getitem__, positions)) * whole - offset)",
-        "((sum(map(cost.__getitem__, positions)) * whole - offset) // 3)",
+        "else sum(map(cost.__getitem__, positions)) * whole - offset)",
+        "else (sum(map(cost.__getitem__, positions)) * whole - offset) // 3)",
         ("tests/test_feasibility.py::TestHorizon",),
     ),
     Mutant(

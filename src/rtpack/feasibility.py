@@ -28,11 +28,12 @@ Integer scaling.  A task set holds C, D and T multiplied by L, its
 set.  The kernel, `_sweep_first_failure`, reads C, D, T and the shares
 of the tested positions from the set in place, with no per-test
 copies.  One pass over the positions in deadline order yields the dbf*
-segments below and every sum the bound needs: D_max, the load (the sum
-of the shares), sum (T_i - D_i) * share_i and sum D_i * share_i.  The
-kernel returns the bound with its verdict; at U equal to the speed it
-computes the hyperperiod, and refuses one past DEFAULT_HYPERPERIOD_CAP,
-before it tests any point.  Deadline points, demands, the hyperperiod and
+segments below and the sums the bound needs: D_max, the load (the sum
+of the shares) and sum (T_i - D_i) * share_i; only above the speed is
+sum D_i * share_i taken, from the sum of the C_i.  The kernel returns
+the bound with its verdict; at U equal to the speed it computes the
+hyperperiod, and refuses one past DEFAULT_HYPERPERIOD_CAP, before it
+tests any point.  Deadline points, demands, the hyperperiod and
 the horizon are then Python ints: a point lies past the horizon iff it
 exceeds floor(bound * L), and speed p/q covers the demand at t iff
 q * demand <= p * t.  A subset tested at its set's L, a multiple of its
@@ -194,10 +195,8 @@ def _sweep_first_failure(
             )
         bound = own + d_max, 1
     else:
-        if room > 0:  # below the speed: sum (T - D) * share
-            slack = s_den * offset
-        else:  # above it: sum D * share, from sum C
-            slack = s_den * (sum(map(cost.__getitem__, positions)) * whole - offset)
+        # below the speed sum (T - D) * share, above it sum D * share
+        slack = s_den * (offset if room > 0 else sum(map(cost.__getitem__, positions)) * whole - offset)
         room = abs(room)
         bound = (d_max, 1) if d_max * room >= slack else (slack, room)
     horizon = bound[0] // bound[1]
