@@ -462,6 +462,20 @@ MUTANTS = (
         ("tests/test_generators.py::TestDvp::test_inexact_coordinate_is_a_type_error",),
     ),
     Mutant(
+        "instance defaults not filled",
+        BENCH,
+        "    out = dict(optional)\n",
+        "    out = {}\n",
+        ("tests/test_bench.py::TestConfigParsing::test_specs_stored_completed_with_family_defaults",),
+    ),
+    Mutant(
+        "dvp pair check dropped",
+        GENERATORS,
+        "            except (TypeError, ValueError):\n",
+        "            except ():\n",
+        ("tests/test_generators.py::TestDvp::test_vector_that_is_not_a_pair_is_a_type_error",),
+    ),
+    Mutant(
         "out-of-memory catch narrowed to nothing",
         CLI,
         "    except MemoryError:\n",

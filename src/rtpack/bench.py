@@ -125,8 +125,9 @@ def _files(p: dict) -> list[tuple[str, TaskSet]]:
 
 _SEEDED = {"seed": 0, "count": 1, "den_bound": DEFAULT_DENOMINATOR_BOUND}
 # family -> (required keys, optional keys with their defaults, maker); the
-# maker takes the keys with the defaults filled in and returns (name, task
-# set) pairs.  `rtpack generate` and the bench both expand instances here.
+# maker takes the keys as `instance_params` completes them and returns
+# (name, task set) pairs.  `rtpack generate` and the bench both expand
+# instances here.
 FAMILIES = {
     "bf-adversary": (("k",), {}, lambda p: _named(gen_best_fit_adversary(p["k"]))),
     "wf-adversary": (("k",), {}, lambda p: _named(gen_worst_fit_adversary(p["k"]))),
@@ -185,7 +186,8 @@ class InstanceSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """An experiment.  Its values are checked here, as a config document's
-    are, whether or not `parse_config` built it, and stored converted."""
+    are, whether or not `parse_config` built it, and stored converted; each
+    instance is stored as `instance_params` completes it."""
     instances: tuple[InstanceSpec, ...]
     algorithms: tuple[tuple[str, Optional[str]], ...]
     oracle: bool = True
@@ -205,7 +207,7 @@ class ExperimentConfig:
                 raise ParseError(
                     f"instance {i}: expected an instance spec (bench.spec), got {sp!r}"
                 )
-            params = _check_instance(sp.family, dict(sp.params), f"instance {i} ({sp.family})")
+            params = instance_params(sp.family, dict(sp.params), f"instance {i} ({sp.family})")
             instances.append(InstanceSpec(sp.family, tuple(params.items())))
         object.__setattr__(self, "instances", tuple(instances))
         algorithms = []
@@ -237,9 +239,13 @@ def spec(family: str, **params) -> InstanceSpec:
     return InstanceSpec(family, tuple(sorted(params.items())))
 
 
-def _check_instance(family: str, params: dict, where: str) -> dict:
+def instance_params(family: str, params: dict, where: Optional[str] = None) -> dict:
     """`params` of a `family` instance, each converted by its key's kind in
-    INSTANCE_KEYS; a refusal raises ParseError naming `where`."""
+    INSTANCE_KEYS, with the family's defaults for the keys left out; a
+    refusal raises ParseError naming `where`, by default the family.  The
+    one check of an instance's keys: a config document's, a `spec`'s and
+    `rtpack generate`'s flags."""
+    where = family if where is None else where
     if not isinstance(family, str):
         raise ParseError(f"{where}: family must be a string, got {family!r}")
     if family not in FAMILIES:
@@ -248,7 +254,7 @@ def _check_instance(family: str, params: dict, where: str) -> dict:
     for key in required:
         if key not in params:
             raise ParseError(f"{where}: missing {key!r}")
-    out = {}
+    out = dict(optional)
     for key, value in params.items():
         if key not in required and key not in optional:
             raise ParseError(f"{where}: unknown key {key!r}")
@@ -256,27 +262,14 @@ def _check_instance(family: str, params: dict, where: str) -> dict:
     return out
 
 
-def instance_params(family: str, params: dict) -> dict:
-    """`params` of a `family` instance, checked as a config's, with the
-    family's defaults for the keys left out."""
-    checked = _check_instance(family, params, family)
-    return {**FAMILIES[family][1], **checked}
-
-
-def make_instances(family: str, params: dict) -> list[tuple[str, TaskSet]]:
-    """The (name, task set) pairs of one instance spec, deterministically;
-    keys left out take the family's defaults."""
-    return FAMILIES[family][2](instance_params(family, params))
-
-
 def resolve_instances(cfg: ExperimentConfig) -> list[tuple[str, str, TaskSet]]:
-    """Expand instance specs into (name, family, task set), deterministically;
-    an error names the spec by its 1-based index."""
+    """Expand instance specs, which the config stores complete, into (name,
+    family, task set), deterministically; an error names the spec by its
+    1-based index."""
     out = []
     for i, sp in enumerate(cfg.instances, start=1):
-        _, optional, make = FAMILIES[sp.family]
         try:
-            pairs = make({**optional, **dict(sp.params)})
+            pairs = FAMILIES[sp.family][2](dict(sp.params))
         except RtpackError as exc:
             exc.args = (f"instance {i} ({sp.family}): {exc}",)  # keeps its type
             raise

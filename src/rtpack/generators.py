@@ -149,16 +149,25 @@ def gen_speedup_gap(n: int, eps: Fraction) -> TaskSet:
 @dataclass(frozen=True)
 class DvpInstance:
     """Two-dimensional dominated vectors: v1 in (0,1] and either v2 = 0 or
-    v1 < v2 <= 1.  A coordinate that is a bool or not a `Rational` is a
-    TypeError naming its vector, and one out of range a BadParam.  The
-    ranges are compared on each vector's numerators and denominators, so
-    a vector of Fractions, as every generator draws, is checked without
-    a Fraction comparison."""
+    v1 < v2 <= 1, stored as a tuple of pairs (a list of vectors, or a
+    vector given as a list, is converted).  A vector that is not a pair,
+    or a coordinate that is a bool or not a `Rational`, is a TypeError
+    naming its vector, and one out of range a BadParam.  The ranges are
+    compared on each vector's numerators and denominators, so a vector of
+    Fractions, as every generator draws, is checked without a Fraction
+    comparison."""
 
     vectors: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        for i, (v1, v2) in enumerate(self.vectors):
+        vectors = list(self.vectors)
+        for i, vector in enumerate(vectors):
+            try:
+                v1, v2 = vector
+            except (TypeError, ValueError):
+                raise TypeError(f"vector {i}: expected a (v1, v2) pair, got {vector!r}") from None
+            if vector.__class__ is not tuple:
+                vectors[i] = v1, v2
             if v1.__class__ is not Fraction or v2.__class__ is not Fraction:
                 for value in (v1, v2):
                     if isinstance(value, bool) or not isinstance(value, Rational):
@@ -168,6 +177,7 @@ class DvpInstance:
                 raise BadParam(f"vector {i}: v1 = {v1} outside (0, 1]")
             if c and not (a * d < c * b and c <= d):  # v1 < v2 <= 1
                 raise BadParam(f"vector {i}: v2 = {v2} must be 0 or in (v1, 1]")
+        object.__setattr__(self, "vectors", tuple(vectors))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -211,7 +221,7 @@ def gen_random_dvp(
             k2 = rng.randint(2, q)
             k1 = rng.randint(1, k2 - 1)
             vectors.append((Fraction(k1, q), Fraction(k2, q)))
-    return DvpInstance(tuple(vectors))
+    return DvpInstance(vectors)
 
 
 @dataclass(frozen=True)

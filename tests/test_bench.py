@@ -28,6 +28,7 @@ from rtpack.bench import (
     _row_violations,
     emit_report,
     parse_config,
+    resolve_instances,
     run_experiment,
     spec,
 )
@@ -925,6 +926,20 @@ class TestConfigParsing:
             "algorithms": [{"algo": "dm"}],
         }))  # fmt: skip
         assert dict(cfg.instances[0].params)["eps"] == F(1, 2)
+
+    @pytest.mark.parametrize(
+        "family, defaults",
+        [("random", {"seed": 0, "count": 1, "class": "constrained", "target_u": 1, "den_bound": 8}),
+         ("dvp", {"seed": 0, "count": 1, "den_bound": 8})],
+    )  # fmt: skip
+    def test_specs_stored_completed_with_family_defaults(self, family, defaults):
+        def config(**params):
+            doc = {"instances": [{"family": family, **params}], "algorithms": [{"algo": "dm"}]}
+            return parse_config(json.dumps(doc))
+
+        cfg = config(n=3)
+        assert dict(cfg.instances[0].params) == {"n": 3, **defaults}
+        assert resolve_instances(cfg) == resolve_instances(config(n=3, **defaults))
 
     def test_python_built_specs_keep_working(self):
         cfg = ExperimentConfig(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from rtpack import cli, generators
-from rtpack.bench import FAMILIES, make_instances
+from rtpack.bench import FAMILIES, parse_config, resolve_instances
 from rtpack.cli import _check_doc, _partition_doc, _simulate_doc, dispatch
 from rtpack.errors import RtpackError
 from rtpack.feasibility import FeasibilityVerdict
@@ -160,17 +160,19 @@ class TestGenerate:
         "family,flags,params",
         [("bf-adversary", ["--k", "5"], {"k": 5}),
          ("wf-adversary", ["--k", "4"], {"k": 4}),
-         ("speedup-gap", ["--n", "4", "--eps", "1/3"], {"n": 4, "eps": Fraction(1, 3)}),
+         ("speedup-gap", ["--n", "4", "--eps", "1/3"], {"n": 4, "eps": "1/3"}),
          ("random", ["--n", "5"], {"n": 5}),
          ("random", ["--n", "5", "--seed", "3", "--target-u", "3/2", "--class", "arbitrary",
                      "--den-bound", "6"],
-          {"n": 5, "seed": 3, "target_u": Fraction(3, 2), "class": "arbitrary", "den_bound": 6}),
+          {"n": 5, "seed": 3, "target_u": "3/2", "class": "arbitrary", "den_bound": 6}),
          ("dvp", ["--n", "4"], {"n": 4}),
          ("dvp", ["--n", "4", "--seed", "2", "--den-bound", "5"], {"n": 4, "seed": 2, "den_bound": 5})],
     )  # fmt: skip
     def test_bytes_equal_bench_expansion(self, capsys, family, flags, params):
+        # the bench's own run path: a one-instance config, expanded
         rc, text, _ = run(capsys, "generate", "--family", family, *flags)
-        [(_, ts)] = make_instances(family, params)
+        doc = {"instances": [{"family": family, **params}], "algorithms": [{"algo": "dm"}]}
+        [(_, _, ts)] = resolve_instances(parse_config(json.dumps(doc)))
         assert rc == 0 and text == serialize_taskset(ts)
 
     def test_every_generated_family_covered(self):
@@ -789,20 +791,8 @@ class TestDeterminismGoldens:
 
     @pytest.mark.parametrize("suffix", ["json", "csv"])
     def test_bench_report_bytes(self, tmp_path, capsys, suffix):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "instances": [
-                {"family": "bf-adversary", "k": 4},
-                {"family": "speedup-gap", "n": 3, "eps": "1/2"},
-                {"family": "random", "n": 6, "count": 3, "seed": 0,
-                 "class": "constrained", "target_u": "2"},
-                {"family": "dvp", "n": 6},
-            ],
-            "algorithms": [{"algo": "dm", "strategy": s} for s in ("ff", "bf", "wf")]
-            + [{"algo": "dagger", "strategy": "ff"}],
-            "oracle": True,
-            "timing": False,
-        }))  # fmt: skip
+        # CI runs the installed console script on the same config
+        cfg = GOLDEN / "bench_mixed_config.json"
         out = tmp_path / f"report.{suffix}"
         assert run(capsys, "bench", "--config", str(cfg), "-o", str(out))[0] == 0
         assert out.read_bytes() == (GOLDEN / f"bench_mixed.{suffix}").read_bytes()

@@ -317,6 +317,23 @@ class TestDvp:
             DvpInstance(((F(1, 2), F(0)), vector))
         assert str(err.value) == f"vector 1: expected Rational, got {value!r}"
 
+    @pytest.mark.parametrize(
+        "vector",
+        [(F(1, 2),), (F(1, 2), F(3, 4), F(1)), [F(1, 2)], F(1, 2), ()],
+    )  # fmt: skip
+    def test_vector_that_is_not_a_pair_is_a_type_error(self, vector):
+        # unpacking alone refused it with a bare ValueError or TypeError
+        # that named neither the vector nor the rule
+        with pytest.raises(TypeError) as err:
+            DvpInstance(((F(1, 2), F(0)), vector))
+        assert str(err.value) == f"vector 1: expected a (v1, v2) pair, got {vector!r}"
+
+    def test_list_vectors_stored_as_tuples(self):
+        # a list was kept, and the frozen instance could not be hashed
+        dvp = DvpInstance([(F(1, 2), F(0)), [F(1, 4), F(1, 2)]])
+        assert dvp.vectors == ((F(1, 2), F(0)), (F(1, 4), F(1, 2)))
+        assert hash(dvp) == hash(DvpInstance(dvp.vectors))
+
     @pytest.mark.parametrize("bound", [1, 0, -3])
     def test_denominator_bound_below_two_raises(self, bound):
         # a dominated vector needs a second coordinate k2/q with k2 >= 2
